@@ -2,7 +2,7 @@
 //! the work-stealing rayon shim, the allocation-lean engine loop, and the
 //! barrier-free event engine.
 //!
-//! Three sections, one JSON report (`results/hotpath.{csv,json}`):
+//! Two sections, one JSON report (`results/hotpath.{csv,json}`):
 //!
 //! 1. **Workload-generation speedup vs pool size.** The same
 //!    [`ScalarWorkload`] is generated under each requested pool size
@@ -15,24 +15,18 @@
 //!    cannot buy parallelism the kernel doesn't offer, and a 1-CPU runner
 //!    must not assert impossible parallelism).
 //! 2. **Engine × delivery-mode loop rounds/sec + allocations.** A
-//!    bandwidth-bound all-pairs streaming protocol is pushed through all
-//!    three engines — sync, threaded (k OS threads, 3 barriers/round), and
-//!    event (per-link dependency scheduling on a worker pool, one row per
-//!    `--pools` entry) — with the event engine measured under **both
+//!    bandwidth-bound all-pairs streaming protocol is pushed through both
+//!    engines — sync and event (per-link dependency scheduling on a worker
+//!    pool, one row per `--pools` entry) — with the event engine measured
+//!    under **both
 //!    delivery modes** (exact lockstep-equivalent delivery, and relaxed
 //!    PANDA-style quiescence promises). Each row reports simulated rounds
 //!    per second (best of `ENGINE_REPS` repetitions) and — via a counting
 //!    global allocator — heap allocations per round. Asserted: the event
 //!    engine at one worker stays within 10% of sync (the scheduler must
-//!    cost only watermark bookkeeping), at pool ≥ 2 it beats the threaded
-//!    engine's rounds/sec (the whole point of removing the barrier), and
-//!    relaxed delivery stays within 10% of exact at every pool (promise
-//!    bookkeeping must be ~free even when the workload offers little to
-//!    pipeline).
-//! 3. **Transport micro: dense lattice vs `HashMap` links.** The engines'
-//!    per-round transport loop is replayed over the dense `Vec<LinkFifo>`
-//!    lattice the engines use and over the `HashMap<(dst, src), LinkFifo>`
-//!    they used before; the lattice must be no worse (10% noise margin).
+//!    cost only watermark bookkeeping), and relaxed delivery stays within
+//!    10% of exact at every pool (promise bookkeeping must be ~free even
+//!    when the workload offers little to pipeline).
 //!
 //! `--paper-full` additionally runs the §3 full-scale path from
 //! `tests/scale_paper_full.rs` — generate 4×2²² points, load the cluster,
@@ -42,17 +36,16 @@
 //! ```text
 //! cargo run -p knn-bench --release --bin hotpath --
 //!     [--k 8] [--per-machine 262144] [--pools 1,2,4] [--stream 2048]
-//!     [--waves 64] [--seed 7] [--paper-full]
+//!     [--seed 7] [--paper-full]
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use kmachine::{
-    engine::{run_event, run_sync, run_threaded},
-    BandwidthMode, Ctx, DeliveryMode, Envelope, LinkFifo, NetConfig, Payload, Protocol, Step,
+    engine::{run_event, run_sync},
+    BandwidthMode, Ctx, DeliveryMode, NetConfig, Payload, Protocol, Step,
 };
 use knn_bench::args::Args;
 use knn_bench::table::Table;
@@ -161,14 +154,6 @@ struct EngineRow {
 }
 
 #[derive(Debug)]
-struct TransportRow {
-    links: String,
-    rounds: u64,
-    seconds: f64,
-    rounds_per_sec: f64,
-}
-
-#[derive(Debug)]
 struct PaperFullQueryRow {
     engine: String,
     seconds: f64,
@@ -199,104 +184,7 @@ struct Report {
     gen_speedup_enforced: bool,
     generation: Vec<GenRow>,
     engine: Vec<EngineRow>,
-    transport: Vec<TransportRow>,
     paper_full: Option<PaperFullReport>,
-}
-
-/// Drain-until-empty over the dense lattice the engines use.
-fn transport_lattice(k: usize, waves: usize, per_link: usize, budget: u64) -> (u64, f64) {
-    let mut links: Vec<LinkFifo<Word>> = (0..k * k).map(|_| LinkFifo::default()).collect();
-    let mut out: Vec<Envelope<Word>> = Vec::new();
-    let mut rounds = 0u64;
-    let start = Instant::now();
-    for _ in 0..waves {
-        push_wave_lattice(&mut links, k, per_link);
-        loop {
-            let mut busy = false;
-            for dst in 0..k {
-                for link in &mut links[dst * k..(dst + 1) * k] {
-                    if link.is_empty() {
-                        continue;
-                    }
-                    link.drain_round(budget, &mut out);
-                    busy = true;
-                }
-            }
-            out.clear();
-            if !busy {
-                break;
-            }
-            rounds += 1;
-        }
-    }
-    (rounds, start.elapsed().as_secs_f64())
-}
-
-fn push_wave_lattice(links: &mut [LinkFifo<Word>], k: usize, per_link: usize) {
-    for src in 0..k {
-        for dst in 0..k {
-            if dst == src {
-                continue;
-            }
-            for seq in 0..per_link {
-                let env = Envelope {
-                    src,
-                    dst,
-                    sent_round: 0,
-                    seq: seq as u64,
-                    digest: 0,
-                    msg: Word(seq as u64),
-                };
-                links[dst * k + src].push(env, 64);
-            }
-        }
-    }
-}
-
-/// The same drain loop over the `HashMap<(dst, src), LinkFifo>` the engines
-/// used before the dense lattice — the recorded baseline.
-fn transport_hashmap(k: usize, waves: usize, per_link: usize, budget: u64) -> (u64, f64) {
-    let mut links: HashMap<(usize, usize), LinkFifo<Word>> = HashMap::new();
-    let mut out: Vec<Envelope<Word>> = Vec::new();
-    let mut rounds = 0u64;
-    let start = Instant::now();
-    for _ in 0..waves {
-        for src in 0..k {
-            for dst in 0..k {
-                if dst == src {
-                    continue;
-                }
-                for seq in 0..per_link {
-                    let env = Envelope {
-                        src,
-                        dst,
-                        sent_round: 0,
-                        seq: seq as u64,
-                        digest: 0,
-                        msg: Word(seq as u64),
-                    };
-                    links.entry((dst, src)).or_default().push(env, 64);
-                }
-            }
-        }
-        loop {
-            let mut busy = false;
-            for link in links.values_mut() {
-                if link.is_empty() {
-                    continue;
-                }
-                link.drain_round(budget, &mut out);
-                busy = true;
-            }
-            out.clear();
-            links.retain(|_, l| !l.is_empty());
-            if !busy {
-                break;
-            }
-            rounds += 1;
-        }
-    }
-    (rounds, start.elapsed().as_secs_f64())
 }
 
 fn main() {
@@ -305,7 +193,6 @@ fn main() {
     let per_machine = args.get_usize("per-machine", 1 << 18);
     let pools = args.get_list("pools", &[1, 2, 4]);
     let stream = args.get_u64("stream", 2048);
-    let waves = args.get_usize("waves", 64);
     let seed = args.get_u64("seed", 7);
     let paper_full = args.has("paper-full");
     // Detected exactly once; recorded in the report and used to gate every
@@ -406,15 +293,12 @@ fn main() {
             .map(|_| AllPairsStream { n: stream, expected, received: 0, checksum: 0 })
             .collect::<Vec<_>>()
     };
-    // (engine name, delivery mode, pool column, config). The sync and
-    // threaded engines have fixed concurrency (1 and k) and are inherently
-    // exact; the event engine gets one row per requested pool size — its
-    // scheduler's worker count — under each delivery mode, so the report
-    // is the full engine × mode table.
-    let mut engine_cfgs: Vec<(&str, DeliveryMode, usize, NetConfig)> = vec![
-        ("sync", DeliveryMode::Exact, 1, cfg.clone()),
-        ("threaded", DeliveryMode::Exact, k, cfg.clone()),
-    ];
+    // (engine name, delivery mode, pool column, config). The sync engine
+    // is sequential and inherently exact; the event engine gets one row per
+    // requested pool size — its scheduler's worker count — under each
+    // delivery mode, so the report is the full engine × mode table.
+    let mut engine_cfgs: Vec<(&str, DeliveryMode, usize, NetConfig)> =
+        vec![("sync", DeliveryMode::Exact, 1, cfg.clone())];
     for mode in [DeliveryMode::Exact, DeliveryMode::Relaxed] {
         for &pool in &pools {
             engine_cfgs.push((
@@ -436,7 +320,6 @@ fn main() {
             let start = Instant::now();
             let out = match *name {
                 "sync" => run_sync(run_cfg, mk()),
-                "threaded" => run_threaded(run_cfg, mk()),
                 _ => run_event(run_cfg, mk()),
             }
             .unwrap_or_else(|e| panic!("{name} ({}) run failed: {e}", mode.name()));
@@ -497,11 +380,8 @@ fn main() {
             .unwrap_or(0.0)
     };
     let sync_rps = rps("sync", "exact", 1);
-    let threaded_rps = rps("threaded", "exact", k);
-    // Barrier-removal bars. Neither needs multiple CPUs — a one-worker
-    // event run measures pure scheduler overhead, and beating the threaded
-    // engine on a small host only requires not paying 3k barrier waits per
-    // round — so both are asserted on every host.
+    // A one-worker event run measures pure scheduler overhead, so the bar
+    // needs no second CPU and is asserted on every host.
     let event_seq = rps("event", "exact", 1);
     if event_seq > 0.0 {
         assert!(
@@ -512,22 +392,6 @@ fn main() {
         println!(
             "\nevent@1 vs sync: {:.2}x rounds/sec (>= 0.9x required) -> ok",
             event_seq / sync_rps.max(1e-12)
-        );
-    }
-    if let Some(best_parallel) = engine_rows
-        .iter()
-        .filter(|r| r.engine == "event" && r.delivery == "exact" && r.pool >= 2)
-        .map(|r| r.rounds_per_sec)
-        .fold(None, |acc: Option<f64>, s| Some(acc.map_or(s, |a| a.max(s))))
-    {
-        assert!(
-            best_parallel > threaded_rps,
-            "event engine at pool >= 2 ({best_parallel:.0} rounds/s) must beat the threaded \
-             engine ({threaded_rps:.0} rounds/s) — removing the barrier is the whole point"
-        );
-        println!(
-            "event@pool>=2 vs threaded: {:.2}x rounds/sec (> 1x required) -> ok",
-            best_parallel / threaded_rps.max(1e-12)
         );
     }
     // Relaxed vs exact, pool by pool: promises must not tax the round
@@ -550,51 +414,6 @@ fn main() {
         }
     }
 
-    // -- Section 3: transport loop, dense lattice vs HashMap baseline --------
-    let budget = 512u64;
-    let per_link = 64usize;
-    let (hm_rounds, hm_secs) = transport_hashmap(k, waves, per_link, budget);
-    let (la_rounds, la_secs) = transport_lattice(k, waves, per_link, budget);
-    assert_eq!(la_rounds, hm_rounds, "both transports must simulate identical rounds");
-    let transport_rows = vec![
-        TransportRow {
-            links: "hashmap".into(),
-            rounds: hm_rounds,
-            seconds: hm_secs,
-            rounds_per_sec: hm_rounds as f64 / hm_secs.max(1e-12),
-        },
-        TransportRow {
-            links: "lattice".into(),
-            rounds: la_rounds,
-            seconds: la_secs,
-            rounds_per_sec: la_rounds as f64 / la_secs.max(1e-12),
-        },
-    ];
-    let mut transport_table = Table::new(&["links", "rounds", "seconds", "rounds/s"]);
-    for r in &transport_rows {
-        transport_table.row(vec![
-            r.links.clone(),
-            r.rounds.to_string(),
-            format!("{:.3}", r.seconds),
-            format!("{:.0}", r.rounds_per_sec),
-        ]);
-    }
-    println!("\n-- transport loop ({waves} waves x {per_link} msgs/link, B = {budget}) --");
-    transport_table.print();
-
-    let lattice_rps = transport_rows[1].rounds_per_sec;
-    let hashmap_rps = transport_rows[0].rounds_per_sec;
-    assert!(
-        lattice_rps >= hashmap_rps * 0.9,
-        "dense lattice transport ({lattice_rps:.0} rounds/s) regressed below the HashMap \
-         baseline ({hashmap_rps:.0} rounds/s)"
-    );
-    println!(
-        "\nlattice vs hashmap: {:.2}x rounds/sec -> {}",
-        lattice_rps / hashmap_rps.max(1e-12),
-        if lattice_rps >= hashmap_rps { "faster" } else { "within noise margin" }
-    );
-
     // -- Optional: the paper's full-scale path, per engine -------------------
     let paper_full = paper_full.then(|| {
         let pk = 16;
@@ -616,8 +435,7 @@ fn main() {
         let q = ScalarPoint(1 << 31);
         let mut query = Vec::new();
         let mut reference = None;
-        for engine in [kmachine::Engine::Sync, kmachine::Engine::Threaded, kmachine::Engine::Event]
-        {
+        for engine in [kmachine::Engine::Sync, kmachine::Engine::Event] {
             cluster.set_engine(engine);
             let start = Instant::now();
             let ans = cluster.query_with(Algorithm::Simple, &q, ell).expect("query");
@@ -651,7 +469,6 @@ fn main() {
         gen_speedup_enforced,
         generation: gen_rows,
         engine: engine_rows,
-        transport: transport_rows,
         paper_full,
     };
     let csv_rows: Vec<Vec<String>> = report
@@ -668,14 +485,6 @@ fn main() {
         .chain(report.engine.iter().map(|r| {
             vec![
                 format!("engine-{}-{}@{}", r.engine, r.delivery, r.pool),
-                r.rounds.to_string(),
-                format!("{:.4}", r.seconds),
-                format!("{:.1}", r.rounds_per_sec),
-            ]
-        }))
-        .chain(report.transport.iter().map(|r| {
-            vec![
-                format!("transport-{}", r.links),
                 r.rounds.to_string(),
                 format!("{:.4}", r.seconds),
                 format!("{:.1}", r.rounds_per_sec),

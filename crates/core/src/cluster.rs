@@ -41,8 +41,8 @@ pub struct KnnAnswer {
     pub neighbors: Vec<Neighbor>,
     /// Rounds / messages / bits of the main protocol.
     pub metrics: RunMetrics,
-    /// Wall-clock time of the protocol run (meaningful on the threaded
-    /// engine).
+    /// Wall-clock time of the protocol run (synthetic round latency
+    /// included; local computation overlaps on the event engine).
     pub wall: Duration,
     /// The leader that coordinated the query.
     pub leader: MachineId,
@@ -167,7 +167,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Execution engine. [`Engine::Auto`] picks sync / threaded / event per
+    /// Execution engine. [`Engine::Auto`] picks sync / event per
     /// run from the cluster size, per-round payload budget, and pool size;
     /// [`Engine::Event`] is the barrier-free engine batched serving wants
     /// on multi-core hosts. Answers and metrics are identical under every
@@ -181,9 +181,8 @@ impl ClusterBuilder {
     /// [`DeliveryMode::Relaxed`] lets machines pipeline several rounds past
     /// quiet peers (PANDA-style quiescence promises) — answers and metrics
     /// are identical to exact delivery, and the realized overlap is
-    /// reported in [`BatchAnswer::skew`]. Ignored by the sync and threaded
-    /// engines; the `KNN_DELIVERY` environment variable overrides this
-    /// choice.
+    /// reported in [`BatchAnswer::skew`]. Ignored by the sync engine; the
+    /// `KNN_DELIVERY` environment variable overrides this choice.
     pub fn delivery(mut self, delivery: DeliveryMode) -> Self {
         self.opts.delivery = delivery;
         self
@@ -213,7 +212,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Synthetic per-round latency for the threaded engine.
+    /// Synthetic per-round latency, paid once per round on every engine.
     pub fn round_latency(mut self, latency: Duration) -> Self {
         self.opts.round_latency = latency;
         self

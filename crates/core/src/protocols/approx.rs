@@ -246,7 +246,7 @@ impl<'a, K: Key> Protocol for ApproxKnnProtocol<'a, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kmachine::engine::{run_sync, run_threaded};
+    use kmachine::engine::{run_event, run_sync};
     use kmachine::NetConfig;
     use knn_workloads::partition::PartitionStrategy;
     use proptest::prelude::*;
@@ -357,7 +357,7 @@ mod tests {
     fn engines_agree() {
         let shards = vec![vec![5u64, 9, 1], vec![2, 8], vec![7, 3, 4, 6]];
         let k = shards.len();
-        let cfg = NetConfig::new(k).with_seed(9);
+        let cfg = NetConfig::new(k).with_seed(9).with_event_workers(2);
         let mk = |shards: &[Vec<u64>]| {
             shards
                 .iter()
@@ -368,7 +368,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let a = run_sync(&cfg, mk(&shards)).unwrap();
-        let b = run_threaded(&cfg, mk(&shards)).unwrap();
+        let b = run_event(&cfg, mk(&shards)).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.metrics.rounds, b.metrics.rounds);
     }

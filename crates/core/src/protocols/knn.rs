@@ -28,9 +28,9 @@ use rand::RngExt;
 use super::select_core::{CoreStatus, SelMsg, SelectCore};
 
 /// A closure producing this machine's local keys, run inside round 0 so the
-/// distance computation executes *on the machine's own thread* under the
-/// threaded engine — exactly where the paper's experiment spends its local
-/// time.
+/// distance computation executes *inside the machine's own step*, in
+/// parallel across machines under the event engine — exactly where the
+/// paper's experiment spends its local time.
 pub type KeySource<'a, K> = Box<dyn FnOnce() -> Vec<K> + Send + 'a>;
 
 /// Tunables of Algorithm 2.
@@ -427,7 +427,7 @@ impl<'a, K: Key> Protocol for KnnProtocol<'a, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kmachine::engine::{run_sync, run_threaded};
+    use kmachine::engine::{run_event, run_sync};
     use kmachine::NetConfig;
     use knn_workloads::partition::{PartitionStrategy, ALL_STRATEGIES};
     use proptest::prelude::*;
@@ -628,7 +628,7 @@ mod tests {
     fn engines_agree() {
         let shards = vec![vec![100u64, 5, 200, 42], vec![7, 300, 2], vec![50, 60, 1, 99]];
         let k = shards.len();
-        let cfg = NetConfig::new(k).with_seed(17);
+        let cfg = NetConfig::new(k).with_seed(17).with_event_workers(2);
         let mk = |shards: &[Vec<u64>]| {
             shards
                 .iter()
@@ -639,7 +639,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let a = run_sync(&cfg, mk(&shards)).unwrap();
-        let b = run_threaded(&cfg, mk(&shards)).unwrap();
+        let b = run_event(&cfg, mk(&shards)).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.metrics.rounds, b.metrics.rounds);
         assert_eq!(a.metrics.messages, b.metrics.messages);

@@ -71,7 +71,7 @@ impl<K: Key> Protocol for SelectProtocol<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kmachine::engine::{run_sync, run_threaded};
+    use kmachine::engine::{run_event, run_sync};
     use kmachine::{BandwidthMode, NetConfig};
     use knn_workloads::partition::{PartitionStrategy, ALL_STRATEGIES};
     use proptest::prelude::*;
@@ -202,10 +202,10 @@ mod tests {
     }
 
     #[test]
-    fn threaded_engine_agrees_with_sync() {
+    fn event_engine_agrees_with_sync() {
         let shards = vec![vec![10u64, 40, 70, 15], vec![20, 50, 80], vec![30, 60, 90, 5, 6]];
         let k = shards.len();
-        let cfg = NetConfig::new(k).with_seed(13);
+        let cfg = NetConfig::new(k).with_seed(13).with_event_workers(2);
         let mk = |shards: &[Vec<u64>]| {
             shards
                 .iter()
@@ -214,7 +214,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let a = run_sync(&cfg, mk(&shards)).unwrap();
-        let b = run_threaded(&cfg, mk(&shards)).unwrap();
+        let b = run_event(&cfg, mk(&shards)).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.metrics.rounds, b.metrics.rounds);
         assert_eq!(a.metrics.messages, b.metrics.messages);

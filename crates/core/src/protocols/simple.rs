@@ -306,7 +306,7 @@ impl<'a, K: NumericKey> Protocol for SimpleProtocol<'a, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kmachine::engine::{run_sync, run_threaded};
+    use kmachine::engine::{run_event, run_sync};
     use kmachine::{BandwidthMode, FaultPlan, NetConfig};
     use knn_workloads::partition::{PartitionStrategy, ALL_STRATEGIES};
     use proptest::prelude::*;
@@ -496,7 +496,7 @@ mod tests {
     fn engines_agree() {
         let shards = vec![vec![9u64, 8, 7], vec![1, 2, 3], vec![4, 5, 6]];
         let k = shards.len();
-        let cfg = NetConfig::new(k).with_seed(5);
+        let cfg = NetConfig::new(k).with_seed(5).with_event_workers(2);
         let mk = |shards: &[Vec<u64>]| {
             shards
                 .iter()
@@ -505,7 +505,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let a = run_sync(&cfg, mk(&shards)).unwrap();
-        let b = run_threaded(&cfg, mk(&shards)).unwrap();
+        let b = run_event(&cfg, mk(&shards)).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.metrics.rounds, b.metrics.rounds);
         assert_eq!(a.metrics.messages, b.metrics.messages);

@@ -163,20 +163,19 @@ impl RetryState {
 /// Everything configurable about a query run.
 #[derive(Debug, Clone)]
 pub struct QueryOptions {
-    /// Simulation engine: sync for exact accounting, threaded for
-    /// latency-modeling wall clock, event for barrier-free parallel wall
-    /// clock, or [`Engine::Auto`] to pick per run from k, the per-round
-    /// payload budget, and the pool size. All engines return bit-identical
-    /// answers and metrics; the `KNN_ENGINE` environment variable
-    /// overrides this field for every run.
+    /// Simulation engine: sync for exact accounting, event for
+    /// barrier-free parallel wall clock, or [`Engine::Auto`] to pick per
+    /// run from k, the per-round payload budget, and the pool size. All
+    /// engines return bit-identical answers and metrics; the `KNN_ENGINE`
+    /// environment variable overrides this field for every run.
     pub engine: Engine,
     /// Link bandwidth.
     pub bandwidth: BandwidthMode,
     /// Delivery discipline of the event engine: [`DeliveryMode::Relaxed`]
     /// lets machines pipeline past quiet peers (answers and metrics are
     /// identical; [`QueryOutcome::skew`] reports the realized overlap).
-    /// Ignored by the sync and threaded engines; the `KNN_DELIVERY`
-    /// environment variable overrides this field for every run.
+    /// Ignored by the sync engine; the `KNN_DELIVERY` environment
+    /// variable overrides this field for every run.
     pub delivery: DeliveryMode,
     /// Master seed for all protocol randomness.
     pub seed: u64,
@@ -186,7 +185,7 @@ pub struct QueryOptions {
     pub params: KnnParams,
     /// Leader election.
     pub election: ElectionKind,
-    /// Synthetic per-round latency (threaded engine only).
+    /// Synthetic per-round latency, paid once per round on every engine.
     pub round_latency: Duration,
     /// Stall safety limit.
     pub max_rounds: u64,
@@ -378,10 +377,46 @@ pub(crate) fn elect(
     }
 }
 
+/// The machines still serving a query, by original id, and which of them
+/// coordinates. A retry runs over `alive` only: machine `i` of that run
+/// works shard `alive[i]`.
+pub(crate) struct Survivors {
+    pub(crate) alive: Vec<MachineId>,
+    pub(crate) leader: MachineId,
+}
+
+impl Survivors {
+    pub(crate) fn new(k: usize, leader: MachineId) -> Self {
+        Survivors { alive: (0..k).collect(), leader }
+    }
+
+    /// The leader's machine id within a run over `alive`.
+    pub(crate) fn sub_leader(&self) -> usize {
+        self.alive.iter().position(|&m| m == self.leader).expect("leader is alive")
+    }
+
+    /// Drop the crashed or quarantined machines `dead` (original ids, not
+    /// all of `alive`). If the coordinator was among them, re-elect over
+    /// the survivors (fault-free, like every election) and keep the new
+    /// leader under its original id.
+    pub(crate) fn exclude(
+        &mut self,
+        dead: &[MachineId],
+        opts: &QueryOptions,
+    ) -> Result<(), CoreError> {
+        self.alive.retain(|m| !dead.contains(m));
+        if !self.alive.contains(&self.leader) {
+            let (sub, _) = elect(self.alive.len(), opts)?;
+            self.leader = self.alive[sub];
+        }
+        Ok(())
+    }
+}
+
 /// Run one ℓ-NN query over `shards` with the chosen algorithm.
 ///
 /// Distance computation happens inside each machine's round 0, so under the
-/// threaded engine it runs genuinely in parallel — the effect the paper's
+/// event engine it runs genuinely in parallel — the effect the paper's
 /// Figure 2 attributes its measured speedup to.
 ///
 /// Under a [`QueryOptions::faults`] plan the query **recovers from
@@ -412,18 +447,18 @@ pub fn run_query<P: Point>(
     if k == 0 {
         return Err(CoreError::EmptyCluster);
     }
-    let (mut leader, election_metrics) = elect(k, opts)?;
-    let mut alive: Vec<MachineId> = (0..k).collect();
+    let (leader, election_metrics) = elect(k, opts)?;
+    let mut survivors = Survivors::new(k, leader);
     let mut retry = RetryState::new();
     let mut audit_total = AuditMetrics::default();
     loop {
-        let sub_leader = alive.iter().position(|&m| m == leader).expect("leader is alive");
-        match run_query_over(shards, query, ell, algorithm, opts, &alive, sub_leader) {
+        let alive = &survivors.alive;
+        match run_query_over(shards, query, ell, algorithm, opts, alive, survivors.sub_leader()) {
             Ok((sub_keys, metrics, skew, wall, faults, recovery, run_audit, stats)) => {
                 audit_total.digests_verified += run_audit.digests_verified;
                 if !opts.adversary.is_empty() {
                     audit_total.audits_run += 1;
-                    let truth = honest_top(shards, query, ell, opts.metric, &alive, &faults);
+                    let truth = honest_top(shards, query, ell, opts.metric, alive, &faults);
                     let report = audit::audit_claims(&truth, &sub_keys, ell, opts.seed);
                     if !report.ok {
                         audit_total.suspects_quarantined += report.suspects.len() as u64;
@@ -433,11 +468,7 @@ pub fn run_query<P: Point>(
                             return Err(CoreError::AuditFailed { suspects, alive: alive.len() });
                         }
                         retry.next_attempt(&opts.retry, metrics.rounds)?;
-                        alive.retain(|m| !suspects.contains(m));
-                        if !alive.contains(&leader) {
-                            let (sub, _) = elect(alive.len(), opts)?;
-                            leader = alive[sub];
-                        }
+                        survivors.exclude(&suspects, opts)?;
                         continue;
                     }
                 }
@@ -451,7 +482,7 @@ pub fn run_query<P: Point>(
                     metrics,
                     skew,
                     wall,
-                    leader,
+                    leader: survivors.leader,
                     election_metrics,
                     stats,
                     degraded: shards_used < k,
@@ -469,14 +500,7 @@ pub fn run_query<P: Point>(
             {
                 retry.next_attempt(&opts.retry, round)?;
                 // `machine` indexes the failed run's subset.
-                let dead = alive.remove(machine);
-                if dead == leader {
-                    // The coordinator died: re-elect over the survivors
-                    // (fault-free, like every election) and report the new
-                    // leader under its original id.
-                    let (sub, _) = elect(alive.len(), opts)?;
-                    leader = alive[sub];
-                }
+                survivors.exclude(&[alive[machine]], opts)?;
             }
             Err(CoreError::Engine(EngineError::IntegrityViolation { src, round, .. }))
                 if alive.len() > 1 =>
@@ -488,11 +512,7 @@ pub fn run_query<P: Point>(
                 audit_total.integrity_violations += 1;
                 audit_total.suspects_quarantined += 1;
                 retry.next_attempt(&opts.retry, round)?;
-                let dead = alive.remove(src);
-                if dead == leader {
-                    let (sub, _) = elect(alive.len(), opts)?;
-                    leader = alive[sub];
-                }
+                survivors.exclude(&[alive[src]], opts)?;
             }
             Err(e) => return Err(e),
         }
@@ -814,7 +834,7 @@ mod tests {
         let sh = shards(&values, 6);
         let q = ScalarPoint(41_000);
         let reference = run_query(&sh, &q, 8, Algorithm::Knn, &QueryOptions::default()).unwrap();
-        for engine in [Engine::Threaded, Engine::Event, Engine::Auto] {
+        for engine in [Engine::Event, Engine::Auto] {
             let opts = QueryOptions { engine, ..Default::default() };
             let out = run_query(&sh, &q, 8, Algorithm::Knn, &opts).unwrap();
             assert_eq!(out.local_keys, reference.local_keys, "{engine:?}");
@@ -1097,7 +1117,7 @@ mod tests {
         };
         let reference = run_query(&sh, &q, 6, Algorithm::Knn, &mk(Engine::Sync)).unwrap();
         assert_eq!(reference.audit.suspects_quarantined, 1);
-        for engine in [Engine::Threaded, Engine::Event, Engine::Auto] {
+        for engine in [Engine::Event, Engine::Auto] {
             let out = run_query(&sh, &q, 6, Algorithm::Knn, &mk(engine)).unwrap();
             assert_eq!(out.local_keys, reference.local_keys, "{engine:?}");
             assert_eq!(out.metrics, reference.metrics, "{engine:?}");

@@ -50,7 +50,7 @@ use crate::protocols::binsearch::BinSearchProtocol;
 use crate::protocols::knn::{KeySource, KnnProtocol, KnnStats};
 use crate::protocols::saukas_song::SaukasSongProtocol;
 use crate::protocols::simple::SimpleProtocol;
-use crate::runner::{elect, Algorithm, QueryOptions, RetryState};
+use crate::runner::{elect, Algorithm, QueryOptions, RetryState, Survivors};
 
 /// Per-query result inside a batch, before point resolution.
 #[derive(Debug, Clone)]
@@ -390,8 +390,7 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
         if queries.is_empty() {
             return Ok(self.empty_outcome(k));
         }
-        let mut alive: Vec<MachineId> = (0..k).collect();
-        let mut leader = self.leader;
+        let mut survivors = Survivors::new(k, self.leader);
         let mut retry = RetryState::new();
         // Finished per-query outcomes by original index, filled across runs.
         let mut done: Vec<Option<BatchQueryOutcome>> = (0..queries.len()).map(|_| None).collect();
@@ -399,8 +398,9 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
         let mut replayed_rounds = 0u64;
         let mut audit_total = AuditMetrics::default();
         loop {
-            let sub_leader = alive.iter().position(|&m| m == leader).expect("leader is alive");
-            let cfg = self.opts.subset_config(&alive);
+            let alive = &survivors.alive;
+            let sub_leader = survivors.sub_leader();
+            let cfg = self.opts.subset_config(alive);
             let protos: Vec<MuxProtocol<Proto>> = (0..alive.len())
                 .map(|i| {
                     let w = Wiring { id: i, shard: alive[i], k: alive.len(), leader: sub_leader };
@@ -491,7 +491,7 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
                             metrics,
                             skew,
                             wall,
-                            leader,
+                            leader: survivors.leader,
                             election_metrics: self.election_metrics.clone(),
                             degraded: shards_used < k,
                             shards_used,
@@ -515,8 +515,7 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
                         // answer exists.
                         return Err(CoreError::AuditFailed { suspects, alive: alive.len() });
                     }
-                    alive.retain(|mid| !dead.contains(mid));
-                    if alive.is_empty() || dead.is_empty() {
+                    if dead.len() >= alive.len() || dead.is_empty() {
                         // Holes without a usable survivor topology (or —
                         // impossibly — without a crash or a suspect):
                         // surface the crash instead of looping on an
@@ -524,20 +523,13 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
                         let machine = dead.first().copied().unwrap_or(0);
                         return Err(EngineError::Crashed { machine, round: metrics.rounds }.into());
                     }
-                    if !alive.contains(&leader) {
-                        let (sub, _) = elect(alive.len(), &self.opts)?;
-                        leader = alive[sub];
-                    }
+                    survivors.exclude(&dead, &self.opts)?;
                     pending = lost;
                 }
                 Err(EngineError::Crashed { machine, round }) if alive.len() > 1 => {
                     retry.next_attempt(&self.opts.retry, round)?;
                     // `machine` indexes the failed run's subset.
-                    let dead = alive.remove(machine);
-                    if dead == leader {
-                        let (sub, _) = elect(alive.len(), &self.opts)?;
-                        leader = alive[sub];
-                    }
+                    survivors.exclude(&[alive[machine]], &self.opts)?;
                 }
                 Err(EngineError::IntegrityViolation { src, round, .. }) if alive.len() > 1 => {
                     // The digest chain pins the corruption on the sender:
@@ -545,11 +537,7 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
                     audit_total.integrity_violations += 1;
                     audit_total.suspects_quarantined += 1;
                     retry.next_attempt(&self.opts.retry, round)?;
-                    let dead = alive.remove(src);
-                    if dead == leader {
-                        let (sub, _) = elect(alive.len(), &self.opts)?;
-                        leader = alive[sub];
-                    }
+                    survivors.exclude(&[alive[src]], &self.opts)?;
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -686,7 +674,7 @@ mod tests {
             .unwrap()
             .run_batch(&queries, 6, Algorithm::Knn)
             .unwrap();
-        for engine in [Engine::Threaded, Engine::Event, Engine::Auto] {
+        for engine in [Engine::Event, Engine::Auto] {
             let opts = QueryOptions { engine, ..Default::default() };
             let session = QuerySession::new(&sh, &idx, opts).unwrap();
             let batch = session.run_batch(&queries, 6, Algorithm::Knn).unwrap();
@@ -930,7 +918,7 @@ mod tests {
             .run_batch(&queries, 5, Algorithm::Knn)
             .unwrap();
         assert_eq!(reference.audit.suspects_quarantined, 1);
-        for engine in [Engine::Threaded, Engine::Event, Engine::Auto] {
+        for engine in [Engine::Event, Engine::Auto] {
             let batch = QuerySession::new(&sh, &idx, mk(engine))
                 .unwrap()
                 .run_batch(&queries, 5, Algorithm::Knn)

@@ -215,7 +215,7 @@ impl FaultPlan {
 /// * **Link corruption** — `(src, dst, per_mille)`: fully-transmitted
 ///   messages on the ordered link `src → dst` are bit-flipped in flight
 ///   with the given probability. The decision is a pure splitmix64 roll
-///   (same scheme as [`FaultPlan`] loss), so all three engines corrupt the
+///   (same scheme as [`FaultPlan`] loss), so both engines corrupt the
 ///   *same* messages; the flip lands on the link-layer integrity digest
 ///   and is caught at delivery as
 ///   [`crate::EngineError::IntegrityViolation`].
@@ -444,9 +444,11 @@ pub struct NetConfig {
     pub seed: u64,
     /// Abort the run with [`crate::EngineError::MaxRounds`] past this round.
     pub max_rounds: u64,
-    /// Synthetic per-round network latency, applied only by the threaded
-    /// engine (models cluster RTT; the sync and event engines ignore it —
-    /// the event engine has no global round to attach it to).
+    /// Synthetic per-round network latency (models cluster RTT), paid once
+    /// per round on every engine: the sync engine sleeps it after each
+    /// round's transport; the event engine holds each machine back that
+    /// long after its own transport, so machines sharing a worker overlap
+    /// their waits.
     pub round_latency: Duration,
     /// Worker threads of the event engine's scheduler (`None`: the ambient
     /// rayon pool size, so `RAYON_NUM_THREADS` and `ThreadPool::install`
@@ -467,8 +469,8 @@ pub struct NetConfig {
     /// `event_window − 1` rounds past a quiet peer, so deeper rings buy
     /// genuine pipelining depth.
     pub event_window: u64,
-    /// Delivery discipline of the event engine (the sync and threaded
-    /// engines are inherently exact and ignore this). See [`DeliveryMode`];
+    /// Delivery discipline of the event engine (the sync engine is
+    /// inherently exact and ignores this). See [`DeliveryMode`];
     /// the `KNN_DELIVERY` environment variable overrides it for every
     /// [`crate::Engine::run`] call.
     pub delivery: DeliveryMode,
@@ -520,7 +522,7 @@ impl NetConfig {
         self
     }
 
-    /// Set the per-round latency used by the threaded engine.
+    /// Set the per-round latency every engine pays.
     pub fn with_round_latency(mut self, latency: Duration) -> Self {
         self.round_latency = latency;
         self

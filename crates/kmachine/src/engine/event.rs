@@ -1,19 +1,18 @@
-//! Event-driven engine: per-link dependency scheduling, no global barrier.
+//! Event-driven scheduler: per-link dependency scheduling, no global
+//! barrier.
 //!
-//! [`run_threaded`](super::run_threaded) ends every simulated round with a
-//! barrier across all k workers, so one slow machine (or one descheduled
-//! thread) stalls everyone — the cost that caps the batched-serving wins at
-//! wall-clock level. This engine replaces the barrier with **neighbor-local
-//! synchronization** over a round-slotted extension of the dense
-//! `Vec<LinkFifo>` lattice:
+//! Lockstep execution ends every simulated round at a cluster-wide boundary,
+//! so one slow machine stalls everyone. This scheduler drives the same
+//! machine-step core with **neighbor-local synchronization** over a
+//! round-slotted staging ring per destination:
 //!
 //! * every machine gets two watermarks — `published` (how many transport
 //!   phases it has completed, one release store per round no matter how
 //!   many links it drove) and `consumed` (how many rounds it has drained) —
 //!   and a round-slotted inbound staging ring: slot `t % window` of
 //!   machine m's ring collects what every source's transport phase `t`
-//!   delivered toward m. Sources append at different times; the engine's
-//!   existing `(src, seq)` inbox sort restores the deterministic order, so
+//!   delivered toward m. Sources append at different times; the core's
+//!   `(src, seq)` inbox sort restores the deterministic order, so
 //!   sharing one slot per (destination, round) costs nothing and lets an
 //!   idle link cost literally zero (an empty transport is just the one
 //!   watermark store);
@@ -25,11 +24,11 @@
 //!   its round-r inbox is complete once *every* peer has finished round
 //!   r−1 (an empty transport is information too), so compute overlap
 //!   between machines is inherently bounded at one round of skew. What
-//!   the engine removes is the *cost* of synchronization, not its
-//!   data-flow edges: no machine ever waits at a global round boundary,
-//!   there are no 3k barrier waits per round, k machines share a few
-//!   worker threads instead of owning one each, and a machine's
-//!   synchronization is wait-free whenever its peers have kept pace;
+//!   the scheduler removes is the *cost* of synchronization, not its
+//!   data-flow edges: no machine ever waits at a global round boundary, k
+//!   machines share a few worker threads instead of owning one each, and a
+//!   machine's synchronization is wait-free whenever its peers have kept
+//!   pace;
 //! * under [`DeliveryMode::Relaxed`] the one-round bound itself falls:
 //!   senders publish **quiescence promises** — a monotone per-machine
 //!   round horizon meaning "no messages from me before round X" — when a
@@ -39,50 +38,47 @@
 //!   published (empty) transport, so a machine runs up to `window − 1`
 //!   rounds ahead of a quiet peer — real multi-round pipelining, PANDA
 //!   style. A promise only ever substitutes for a **provably empty**
-//!   transport, so every inbox is byte-identical to the lockstep engines'
-//!   and outputs, rounds, and all of [`RunMetrics`] are unchanged; a send
-//!   inside a promised window aborts the run with
+//!   transport, so every inbox is byte-identical to the lockstep sweep's
+//!   and outputs, rounds, and all of [`RunMetrics`](crate::RunMetrics) are
+//!   unchanged; a send inside a promised window aborts the run with
 //!   [`EngineError::PromiseViolated`] (promises are load-bearing and can
 //!   never be revoked). The realized overlap is reported via
 //!   [`SkewMetrics`] on the outcome;
+//! * [`NetConfig::round_latency`] gates each machine on its own clock: it
+//!   may not start a round until that long after its previous transport, so
+//!   every round costs the latency once however many machines share a
+//!   worker;
 //! * machines are cooperatively-scheduled tasks on a small worker pool
 //!   ([`NetConfig::event_workers`], default: the ambient rayon pool size),
 //!   not one OS thread each — and a pool of **one** worker takes the
 //!   degenerate path outright: dependency scheduling with nobody to overlap
-//!   with is exactly the lockstep sweep, so the engine runs [`run_sync`]'s
-//!   loop instead of paying watermark bookkeeping for concurrency that
-//!   cannot happen (the outcome is bit-identical either way — that is the
-//!   engine contract this module's tests pin).
+//!   with is exactly the lockstep sweep, so it runs [`run_sync`]'s loop
+//!   instead of paying watermark bookkeeping for concurrency that cannot
+//!   happen.
 //!
-//! Outputs, round counts, and every [`RunMetrics`] field are byte-identical
+//! Outputs, round counts, and every `RunMetrics` field are byte-identical
 //! to [`run_sync`](super::run_sync) for deterministic protocols at any
-//! worker count: per-round inboxes are reassembled in the same `(src, seq)`
-//! order, RNG streams are untouched, and the run-ahead bookkeeping
-//! (speculative transports past the final round, late deliveries consumed
-//! out of lockstep) is filtered back to exactly what the lockstep engines
-//! would have observed. `tests/parallel_determinism.rs` pins this for the
-//! full serving pipeline; the unit tests below pin the error paths.
+//! worker count: both drive one core, per-round inboxes are reassembled in
+//! the same `(src, seq)` order, and the run-ahead bookkeeping (speculative
+//! transports past the final round, late deliveries consumed out of
+//! lockstep) is filtered back to exactly what the lockstep sweep observes.
+//! `tests/parallel_determinism.rs` pins this for the full serving pipeline;
+//! the unit tests below pin the error paths.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::Condvar;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
 
 use crate::config::{DeliveryMode, NetConfig};
-use crate::ctx::{AdversaryCtx, Ctx};
-use crate::engine::sync::{build_link, crash_horizons, crashed_error};
+use crate::engine::machine::{self, Inbound, Machine, RunEnv};
 use crate::engine::RunOutcome;
 use crate::error::EngineError;
-use crate::link::LinkFifo;
 use crate::message::{Envelope, MachineId};
-use crate::metrics::{AuditMetrics, FaultMetrics, RunMetrics, SkewMetrics, TagMetrics};
-use crate::payload::Payload;
-use crate::protocol::{Protocol, Step};
+use crate::metrics::SkewMetrics;
+use crate::protocol::Protocol;
 use crate::recovery;
-use crate::rng::machine_rng;
 
 /// How long an idle worker parks before re-sweeping, bounding the cost of a
 /// lost wakeup (the fast path never sleeps: any publish bumps the epoch and
@@ -107,33 +103,28 @@ const STRAGGLE_QUANTUM: Duration = Duration::from_micros(200);
 /// the mutex is held only for the append/take itself.
 type InboundRing<M> = Mutex<Vec<Vec<Envelope<M>>>>;
 
-/// Everything a machine owns: protocol, determinism state, outbound FIFOs,
-/// reused buffers, and thread-free metric accumulators (merged once at the
-/// end — the hot path touches no shared counters).
-struct MachineState<P: Protocol> {
-    proto: P,
-    rng: StdRng,
-    seq: u64,
+/// Slot `slot` of every destination's staging ring: where one transport
+/// phase delivers.
+struct RingSlot<'a, M> {
+    inbound: &'a [InboundRing<M>],
+    slot: usize,
+}
+
+impl<M> Inbound<M> for RingSlot<'_, M> {
+    fn with<R>(&mut self, dst: MachineId, f: impl FnOnce(&mut Vec<Envelope<M>>) -> R) -> R {
+        f(&mut self.inbound[dst].lock()[self.slot])
+    }
+}
+
+/// A machine plus its position in the schedule.
+struct Task<'l, P: Protocol> {
+    core: Machine<'l, P>,
     round: u64,
-    /// Outbound FIFO toward each destination (`fifos[id]` stays empty).
-    fifos: Vec<LinkFifo<P::Msg>>,
-    outbox: Vec<Envelope<P::Msg>>,
     inbox: Vec<Envelope<P::Msg>>,
-    done: bool,
-    poisoned: bool,
-    output: Option<P::Output>,
-    /// Non-empty inbox rounds consumed after this machine was done, as
-    /// `(round, count)`. Finalization keeps only rounds the lockstep
-    /// engines would have executed (`round ≤ final_round`), discarding
-    /// speculative overshoot (one round under exact delivery; up to
-    /// `window` rounds when promises let a machine race ahead).
-    late: Vec<(u64, u64)>,
-    messages: u64,
-    bits: u64,
-    sends: u64,
-    max_backlog: u64,
-    tags: Vec<TagMetrics>,
     exited: bool,
+    /// [`NetConfig::round_latency`]: the earliest instant this machine may
+    /// start its next round.
+    not_before: Instant,
     /// Relaxed delivery: this machine's own outstanding silence horizon
     /// (monotone mirror of `Shared::promised[id]`), used to detect
     /// promise violations without re-reading the atomic.
@@ -149,11 +140,9 @@ struct MachineState<P: Protocol> {
 }
 
 /// Cross-machine coordination state.
-struct Shared<M> {
-    k: usize,
-    budget: u64,
+struct Shared<'a, M> {
+    env: RunEnv<'a>,
     window: u64,
-    max_rounds: u64,
     /// Transport phases machine i has completed (one release store per
     /// round; transport `t` feeds every destination's round `t + 1`).
     published: Vec<AtomicU64>,
@@ -175,7 +164,7 @@ struct Shared<M> {
     /// Error shutdown: exit immediately, metrics are not reported.
     abort: AtomicBool,
     /// Highest round in which any machine produced its output — exactly
-    /// `RunMetrics::rounds` of the lockstep engines.
+    /// `RunMetrics::rounds` of the lockstep sweep.
     final_round: AtomicU64,
     done_count: AtomicUsize,
     exited_count: AtomicUsize,
@@ -190,31 +179,17 @@ struct Shared<M> {
     sleepers: AtomicUsize,
     idle: Mutex<()>,
     cv: Condvar,
-    /// Per-machine fail-stop horizons from the fault plan (`u64::MAX`:
-    /// never crashes).
-    crash_rounds: Vec<u64>,
-    /// Per-machine rejoin horizons from the recovery plan (`u64::MAX`:
-    /// never scheduled).
-    rejoin_rounds: Vec<u64>,
-    /// Shared rejoin state when a [`crate::config::RecoveryPlan`] is
-    /// active: the quiet-ring stall detector consults it so a cluster
-    /// waiting out an outage is not mistaken for a deadlock.
-    recovering: Option<Arc<recovery::RecoveryShared>>,
+    /// How long an idle worker parks: [`IDLE_PARK`], or the round latency
+    /// when that is shorter (nothing notifies a latency gate opening).
+    park: Duration,
     /// Per-machine speed factors from the fault plan (1: full speed).
     slowdowns: Vec<u32>,
-    /// Retry budget a lossy link exhausts before going down (for the
-    /// [`EngineError::LinkDown`] report).
-    max_retries: u32,
-    /// Machines that hit their fail-stop horizon (unordered; sorted at
-    /// collection).
-    crashed: Mutex<Vec<usize>>,
-    /// Byzantine lying context when the run's
-    /// [`crate::config::AdversaryPlan`] has liars or equivocators (`None`
-    /// otherwise — the honest hot path pays one `Option` check per send).
-    adversary: Option<AdversaryCtx>,
+    /// Lowest id among machines that hit their fail-stop horizon
+    /// (`usize::MAX`: none), for the stall report.
+    first_crashed: AtomicUsize,
 }
 
-impl<M> Shared<M> {
+impl<M> Shared<'_, M> {
     fn wake(&self) {
         if self.sleepers.load(Ordering::Acquire) > 0 {
             self.cv.notify_all();
@@ -236,20 +211,18 @@ impl<M> Shared<M> {
 /// Execute one protocol instance per machine with per-link dependency
 /// scheduling on a small worker pool.
 ///
-/// Semantics (outputs, rounds, messages, every metric) match
+/// Semantics (outputs, rounds, messages, every metric, every error) match
 /// [`run_sync`](super::run_sync); wall-clock time reflects genuinely
 /// parallel local computation *without* a per-round global barrier —
 /// machines synchronize only against their slowest peer's previous round
 /// (the data-flow minimum for bit-exact complete-graph delivery; see the
-/// [module docs](self) for why that bounds skew at one round).
+/// [module docs](self) for why that bounds skew at one round) — plus
+/// [`NetConfig::round_latency`] once per round.
 ///
-/// [`NetConfig::round_latency`] is ignored (there is no global round to
-/// attach it to); use the threaded engine for synthetic-latency runs.
-///
-/// With an effective pool of one worker (including `k == 1`) the engine
+/// With an effective pool of one worker (including `k == 1`) the scheduler
 /// takes the degenerate path: one worker sweeping dependency-ready machines
 /// *is* the lockstep order, so it runs [`run_sync`]'s loop and pays zero
-/// scheduling overhead. The outcome is identical by the engine contract.
+/// scheduling overhead.
 ///
 /// Under [`NetConfig::delivery`]` == `[`DeliveryMode::Relaxed`], quiescence
 /// promises may stand in for empty transports (see the [module
@@ -279,7 +252,7 @@ pub fn run_event<P: Protocol>(
         return event_core(cfg, protocols, workers, None);
     }
     let (wrapped, state) = recovery::wrap(cfg, protocols);
-    recovery::finish(event_core(cfg, wrapped, workers, Some(Arc::clone(&state))), &state)
+    recovery::finish(event_core(cfg, wrapped, workers, Some(&state)), &state)
 }
 
 /// The scheduler run itself; `recovering` carries the shared rejoin state
@@ -288,21 +261,17 @@ fn event_core<P: Protocol>(
     cfg: &NetConfig,
     protocols: Vec<P>,
     workers: usize,
-    recovering: Option<Arc<recovery::RecoveryShared>>,
+    recovering: Option<&recovery::RecoveryShared>,
 ) -> Result<RunOutcome<P::Output>, EngineError> {
     let k = protocols.len();
-    let budget = cfg.bandwidth.budget();
-    assert!(budget >= 1, "bandwidth must allow at least 1 bit per round");
+    let env = RunEnv::new(cfg, recovering);
     // Depth ≥ 2 keeps the minimum-round machine always runnable (its
     // consumers' `consumed` trails its round by at most one).
     let window = cfg.event_window.max(2);
     assert!(k <= u16::MAX as usize, "event engine supports at most 65535 machines");
 
     let shared = Shared::<P::Msg> {
-        k,
-        budget,
         window,
-        max_rounds: cfg.max_rounds,
         published: (0..k).map(|_| AtomicU64::new(0)).collect(),
         consumed: (0..k).map(|_| AtomicU64::new(0)).collect(),
         promised: (0..k).map(|_| AtomicU64::new(0)).collect(),
@@ -319,36 +288,21 @@ fn event_core<P: Protocol>(
         sleepers: AtomicUsize::new(0),
         idle: Mutex::new(()),
         cv: Condvar::new(),
-        crash_rounds: crash_horizons(cfg),
-        rejoin_rounds: recovery::rejoin_horizons(cfg),
-        recovering,
+        park: if env.latency.is_zero() { IDLE_PARK } else { IDLE_PARK.min(env.latency) },
         slowdowns: (0..k).map(|i| cfg.faults.slowdown(i)).collect(),
-        max_retries: cfg.faults.max_retries,
-        crashed: Mutex::new(Vec::new()),
-        adversary: AdversaryCtx::from_plan(&cfg.adversary, k),
+        first_crashed: AtomicUsize::new(usize::MAX),
+        env,
     };
-    let machines: Vec<Mutex<MachineState<P>>> = protocols
-        .into_iter()
-        .enumerate()
-        .map(|(id, proto)| {
-            Mutex::new(MachineState {
-                proto,
-                rng: machine_rng(cfg.seed, id),
-                seq: 0,
+    let start = Instant::now();
+    let mut links = machine::lattice(cfg);
+    let tasks: Vec<Mutex<Task<'_, P>>> = machine::machines(cfg, protocols, &mut links)
+        .map(|core| {
+            Mutex::new(Task {
+                core,
                 round: 0,
-                fifos: (0..k).map(|dst| build_link(cfg, id, dst)).collect(),
-                outbox: Vec::with_capacity(k),
                 inbox: Vec::with_capacity(k),
-                done: false,
-                poisoned: false,
-                output: None,
-                late: Vec::new(),
-                messages: 0,
-                bits: 0,
-                sends: 0,
-                max_backlog: 0,
-                tags: Vec::new(),
                 exited: false,
+                not_before: start,
                 promise: 0,
                 max_skew: 0,
                 promised_rounds: 0,
@@ -357,12 +311,11 @@ fn event_core<P: Protocol>(
         })
         .collect();
 
-    let start = Instant::now();
     std::thread::scope(|scope| {
         for w in 0..workers {
             let shared = &shared;
-            let machines = &machines;
-            scope.spawn(move || worker(w, workers, machines, shared));
+            let tasks = &tasks;
+            scope.spawn(move || worker(w, workers, tasks, shared));
         }
     });
     let wall = start.elapsed();
@@ -371,60 +324,21 @@ fn event_core<P: Protocol>(
         return Err(err);
     }
 
-    let fin = shared.final_round.load(Ordering::Acquire);
-    let mut metrics = RunMetrics::new(k);
-    metrics.rounds = fin;
     let mut skew = if shared.relaxed { SkewMetrics::new(k) } else { SkewMetrics::default() };
-    let mut crashed = std::mem::take(&mut *shared.crashed.lock());
-    crashed.sort_unstable();
-    let mut faults = FaultMetrics { crashed, ..Default::default() };
-    let mut audit = AuditMetrics::default();
-    let mut outs = Vec::with_capacity(k);
-    for (i, m) in machines.into_iter().enumerate() {
-        let st = m.into_inner();
-        for fifo in &st.fifos {
-            faults.dropped_messages += fifo.dropped();
-            faults.retransmitted_bits += fifo.retransmitted_bits();
-            audit.digests_verified += fifo.digests_verified();
-        }
+    let cores = tasks.into_iter().enumerate().map(|(i, task)| {
+        let task = task.into_inner();
         if shared.relaxed {
-            skew.max_skew_per_machine[i] = st.max_skew;
-            skew.max_skew = skew.max_skew.max(st.max_skew);
-            skew.promised_rounds += st.promised_rounds;
-            skew.promises_published += st.promises;
+            skew.max_skew_per_machine[i] = task.max_skew;
+            skew.max_skew = skew.max_skew.max(task.max_skew);
+            skew.promised_rounds += task.promised_rounds;
+            skew.promises_published += task.promises;
         }
-        metrics.messages += st.messages;
-        metrics.bits += st.bits;
-        metrics.sends_per_machine[i] = st.sends;
-        metrics.max_link_backlog_bits = metrics.max_link_backlog_bits.max(st.max_backlog);
-        metrics.delivered_after_done +=
-            st.late.iter().filter(|&&(r, _)| r <= fin).map(|&(_, c)| c).sum::<u64>();
-        if metrics.per_tag.len() < st.tags.len() {
-            metrics.per_tag.resize(st.tags.len(), TagMetrics::default());
-        }
-        for (total, mine) in metrics.per_tag.iter_mut().zip(&st.tags) {
-            total.messages += mine.messages;
-            total.bits += mine.bits;
-        }
-        match st.output {
-            Some(o) => outs.push(o),
-            // A missing output with no recorded panic means a crashed
-            // machine's salvage hook declined — same report as `run_sync`.
-            None if !faults.crashed.is_empty() => {
-                return Err(crashed_error(&faults.crashed, &shared.crash_rounds))
-            }
-            None => return Err(EngineError::WorkerPanic { machine: i }),
-        }
-    }
-    Ok(RunOutcome {
-        outputs: outs,
-        metrics,
-        skew,
-        wall,
-        faults,
-        recovery: crate::metrics::RecoveryMetrics::default(),
-        audit,
-    })
+        task.core
+    });
+    let fin = shared.final_round.load(Ordering::Acquire);
+    let mut out = machine::collect(cores, &shared.env, fin, wall)?;
+    out.skew = skew;
+    Ok(out)
 }
 
 /// Worker loop: sweep the machines (staggered start per worker so workers
@@ -433,11 +347,13 @@ fn event_core<P: Protocol>(
 fn worker<P: Protocol>(
     w: usize,
     workers: usize,
-    machines: &[Mutex<MachineState<P>>],
-    shared: &Shared<P::Msg>,
+    tasks: &[Mutex<Task<'_, P>>],
+    shared: &Shared<'_, P::Msg>,
 ) {
-    let k = machines.len();
+    let k = tasks.len();
     let start = w * k / workers.max(1);
+    // Scratch for the round in progress: every compute step drains it.
+    let mut outbox = Vec::with_capacity(k);
     loop {
         if shared.exited_count.load(Ordering::Acquire) == k {
             return;
@@ -447,8 +363,8 @@ fn worker<P: Protocol>(
         for i in 0..k {
             let m = (start + i) % k;
             // A machine locked by another worker is already being advanced.
-            if let Some(mut st) = machines[m].try_lock() {
-                progressed |= advance(m, &mut st, shared);
+            if let Some(mut task) = tasks[m].try_lock() {
+                progressed |= advance(m, &mut task, &mut outbox, shared);
             }
         }
         if shared.exited_count.load(Ordering::Acquire) == k {
@@ -458,7 +374,7 @@ fn worker<P: Protocol>(
             shared.sleepers.fetch_add(1, Ordering::AcqRel);
             let guard = shared.idle.lock();
             if shared.epoch.load(Ordering::Acquire) == epoch_before {
-                let _ = shared.cv.wait_timeout(guard, IDLE_PARK);
+                let _ = shared.cv.wait_timeout(guard, shared.park);
             } else {
                 drop(guard);
             }
@@ -469,9 +385,20 @@ fn worker<P: Protocol>(
 
 /// Advance one machine as many rounds as its dependencies currently allow.
 /// Returns whether at least one round completed (or the machine exited).
-fn advance<P: Protocol>(id: MachineId, st: &mut MachineState<P>, sh: &Shared<P::Msg>) -> bool {
-    let k = sh.k;
+fn advance<P: Protocol>(
+    id: MachineId,
+    st: &mut Task<'_, P>,
+    outbox: &mut Vec<Envelope<P::Msg>>,
+    sh: &Shared<'_, P::Msg>,
+) -> bool {
+    let k = sh.env.k;
     let mut progressed = false;
+    // Record `err`, shut the run down, and leave.
+    let fail = |st: &mut Task<'_, P>, err: EngineError| {
+        sh.fail(err);
+        exit(st, sh);
+        true
+    };
     loop {
         if st.exited {
             return progressed;
@@ -481,7 +408,7 @@ fn advance<P: Protocol>(id: MachineId, st: &mut MachineState<P>, sh: &Shared<P::
             return true;
         }
         if sh.stop.load(Ordering::Acquire) {
-            // Normal completion. Every transport the lockstep engines would
+            // Normal completion. Every transport the lockstep sweep would
             // have run (rounds 0..final_round-1) is already published — some
             // machine computed round `final_round`, which required them all
             // — so drain the remaining rounds for exact late-delivery
@@ -490,10 +417,7 @@ fn advance<P: Protocol>(id: MachineId, st: &mut MachineState<P>, sh: &Shared<P::
             while st.round <= fin {
                 let r = st.round;
                 consume_round(id, st, sh, r);
-                if !st.inbox.is_empty() {
-                    st.late.push((r, st.inbox.len() as u64));
-                    st.inbox.clear();
-                }
+                st.core.bill_late(r, &mut st.inbox);
                 st.round += 1;
             }
             exit(st, sh);
@@ -501,161 +425,69 @@ fn advance<P: Protocol>(id: MachineId, st: &mut MachineState<P>, sh: &Shared<P::
         }
 
         let r = st.round;
-        if !st.done && !st.poisoned && r > sh.max_rounds {
-            sh.fail(EngineError::MaxRounds { limit: sh.max_rounds });
-            exit(st, sh);
-            return true;
+        if !st.core.halted() && r > sh.env.max_rounds {
+            return fail(st, EngineError::MaxRounds { limit: sh.env.max_rounds });
+        }
+        if !sh.env.latency.is_zero() && Instant::now() < st.not_before {
+            return progressed;
         }
         // Inbound dependency: every peer has published its round r-1
         // transport — or, under relaxed delivery, has promised that its
         // unexecuted transports through r-1 are empty. Outbound space:
         // slot r % window of every peer's staging ring is free (its round
-        // r-window contents were consumed).
-        let ready = if sh.relaxed {
-            let mut min_pub = u64::MAX;
-            let mut waived = false;
-            let mut ok = true;
-            for peer in 0..k {
-                if peer == id {
-                    continue;
-                }
-                let published = sh.published[peer].load(Ordering::Acquire);
-                min_pub = min_pub.min(published);
-                let covered = published >= r || sh.promised[peer].load(Ordering::Acquire) >= r;
-                if !(covered && sh.consumed[peer].load(Ordering::Acquire) + sh.window > r) {
-                    ok = false;
-                    break;
-                }
-                waived |= published < r;
-            }
-            if ok {
-                // min_pub is complete here (no peer broke the loop), so
-                // this is exactly how far this round ran ahead of the
-                // slowest peer — the overlap exact delivery forbids.
-                st.max_skew = st.max_skew.max(r.saturating_sub(min_pub));
-                st.promised_rounds += u64::from(waived);
-            }
-            ok
-        } else {
-            (0..k).all(|peer| {
-                peer == id
-                    || (sh.published[peer].load(Ordering::Acquire) >= r
-                        && sh.consumed[peer].load(Ordering::Acquire) + sh.window > r)
-            })
-        };
+        // r-window contents were consumed). Promises are only published
+        // under relaxed delivery, so exact delivery is this rule with
+        // `promised` stuck at zero.
+        let mut min_pub = u64::MAX;
+        let mut waived = false;
+        let ready = (0..k).filter(|&peer| peer != id).all(|peer| {
+            let published = sh.published[peer].load(Ordering::Acquire);
+            min_pub = min_pub.min(published);
+            waived |= published < r;
+            (published >= r || sh.promised[peer].load(Ordering::Acquire) >= r)
+                && sh.consumed[peer].load(Ordering::Acquire) + sh.window > r
+        });
         if !ready {
             return progressed;
+        }
+        if sh.relaxed {
+            // Every peer was inspected, so this is exactly how far this
+            // round ran ahead of the slowest one — the overlap exact
+            // delivery forbids.
+            st.max_skew = st.max_skew.max(r.saturating_sub(min_pub));
+            st.promised_rounds += u64::from(waived);
         }
 
         // Straggler injection: a slowed machine loses wall-clock on every
         // round it executes. The simulated execution is untouched — under
         // relaxed delivery the realized skew shows up in [`SkewMetrics`].
         let slow = sh.slowdowns[id];
-        if slow > 1 && !st.done && !st.poisoned {
+        if slow > 1 && !st.core.halted() {
             std::thread::sleep(STRAGGLE_QUANTUM * (slow - 1));
         }
 
-        // --- consume: reassemble this round's inbox in (src, seq) order ---
+        // --- compute: this round's inbox, then the machine's step ---
         consume_round(id, st, sh, r);
-        st.inbox.sort_unstable_by_key(|e| (e.src, e.seq));
-
-        // --- compute ---
-        let mut sent = 0u64;
-        let mut became_done = false;
-        if st.done || st.poisoned {
-            if !st.inbox.is_empty() {
-                st.late.push((r, st.inbox.len() as u64));
-                st.inbox.clear();
-            }
-        } else if r >= sh.crash_rounds[id] {
-            // Fail-stop: the machine never executes this round. The salvage
-            // hook may still account for its output; from here on it cycles
-            // like a done machine — earlier sends keep draining, late
-            // arrivals are discarded (and the round-r inbox counts as late,
-            // exactly as `run_sync` bills it).
-            if !st.inbox.is_empty() {
-                st.late.push((r, st.inbox.len() as u64));
-                st.inbox.clear();
-            }
-            st.output = st.proto.on_crash();
-            st.done = true;
-            sh.crashed.lock().push(id);
-            became_done = true;
-        } else {
-            let step = {
-                let mut ctx = Ctx {
-                    id,
-                    k,
-                    round: r,
-                    inbox: &st.inbox,
-                    outbox: &mut st.outbox,
-                    rng: &mut st.rng,
-                    next_seq: &mut st.seq,
-                    crash_rounds: &sh.crash_rounds,
-                    rejoin_rounds: &sh.rejoin_rounds,
-                    adversary: sh.adversary.as_ref(),
-                };
-                catch_unwind(AssertUnwindSafe(|| st.proto.on_round(&mut ctx)))
-            };
-            st.inbox.clear();
-            match step {
-                Ok(Step::Continue) => {}
-                Ok(Step::Done(out)) => {
-                    st.output = Some(out);
-                    st.done = true;
-                    became_done = true;
-                }
-                Err(_) => {
-                    // Record the panic, then keep cycling as a silent
-                    // machine so nobody deadlocks on this link row.
-                    let mut err = sh.error.lock();
-                    if err.is_none() {
-                        *err = Some(EngineError::WorkerPanic { machine: id });
-                    }
-                    drop(err);
-                    st.poisoned = true;
-                    became_done = true;
-                }
-            }
-            if sh.relaxed && st.promise > r && !st.outbox.is_empty() {
-                // The machine sent inside a window it promised to keep
-                // silent. Peers already executed rounds on the strength of
-                // that promise, so the send cannot be honored — drop it,
-                // record the violation, and wind the run down like a
-                // panic (cycling silently so nobody deadlocks).
-                let mut err = sh.error.lock();
-                if err.is_none() {
-                    *err = Some(EngineError::PromiseViolated {
-                        machine: id,
-                        round: r,
-                        promised_until: st.promise,
-                    });
-                }
-                drop(err);
-                st.outbox.clear();
-                if !st.done {
-                    st.poisoned = true;
-                    became_done = true;
-                }
-            }
-            for env in st.outbox.drain(..) {
-                let bits = env.msg.size_bits().max(1);
-                st.messages += 1;
-                st.bits += bits;
-                st.sends += 1;
-                sent += 1;
-                if let Some(tag) = env.msg.mux_tag() {
-                    let idx = tag as usize;
-                    if idx >= st.tags.len() {
-                        st.tags.resize(idx + 1, TagMetrics::default());
-                    }
-                    st.tags[idx].messages += 1;
-                    st.tags[idx].bits += bits;
-                }
-                st.fifos[env.dst].push(env, bits);
-            }
+        let became_done = match st.core.step(r, &mut st.inbox, outbox, &sh.env) {
+            Ok(halted) => halted,
+            Err(err) => return fail(st, err),
+        };
+        if sh.relaxed && st.promise > r && !outbox.is_empty() {
+            // The machine sent inside a window it promised to keep silent.
+            // Peers already executed rounds on the strength of that
+            // promise, so the send cannot be honored.
+            outbox.clear();
+            let promised_until = st.promise;
+            return fail(
+                st,
+                EngineError::PromiseViolated { machine: id, round: r, promised_until },
+            );
         }
+        let sent = st.core.enqueue(outbox);
         if became_done {
+            if st.core.crashed() {
+                sh.first_crashed.fetch_min(id, Ordering::AcqRel);
+            }
             sh.final_round.fetch_max(r, Ordering::AcqRel);
             let done_now = sh.done_count.fetch_add(1, Ordering::AcqRel) + 1;
             if done_now == k {
@@ -668,10 +500,10 @@ fn advance<P: Protocol>(id: MachineId, st: &mut MachineState<P>, sh: &Shared<P::
                 // them too). Like run_sync's break, round `r` sees no
                 // transport. Under relaxed delivery a peer may have
                 // raced past this machine on its promise and finished
-                // in a *later* round, so the finisher must drain the
-                // remaining rounds for exact late-delivery accounting
-                // just like everyone else (the loop is empty when
-                // `r == fin`, i.e. always in exact mode).
+                // in a *later* round, so the finisher drains the
+                // remaining rounds through the stop branch above like
+                // everyone else (nothing to drain when `r == fin`, i.e.
+                // always in exact mode).
                 debug_assert!(
                     sh.relaxed || sh.final_round.load(Ordering::Acquire) == r,
                     "exact delivery: last finisher must hold the final round"
@@ -679,56 +511,22 @@ fn advance<P: Protocol>(id: MachineId, st: &mut MachineState<P>, sh: &Shared<P::
                 st.round = r + 1;
                 sh.stop.store(true, Ordering::Release);
                 sh.cv.notify_all();
-                let fin = sh.final_round.load(Ordering::Acquire);
-                while st.round <= fin {
-                    let rr = st.round;
-                    consume_round(id, st, sh, rr);
-                    if !st.inbox.is_empty() {
-                        st.late.push((rr, st.inbox.len() as u64));
-                        st.inbox.clear();
-                    }
-                    st.round += 1;
-                }
-                exit(st, sh);
-                return true;
+                continue;
             }
         }
 
-        // --- transport: drain one budget round per busy outbound FIFO into
-        // the destination's staging slot; idle links cost nothing and the
-        // whole phase publishes with one release store ---
-        let mut delivered = false;
-        let mut pending_total = 0u64;
-        let slot_idx = (r % sh.window) as usize;
-        for dst in 0..k {
-            if dst == id {
-                continue;
-            }
-            let fifo = &mut st.fifos[dst];
-            if fifo.is_empty() {
-                continue;
-            }
-            let mut ring = sh.inbound[dst].lock();
-            let slot = &mut ring[slot_idx];
-            let before = slot.len();
-            fifo.drain_round(sh.budget, slot);
-            delivered |= slot.len() > before;
-            drop(ring);
-            if fifo.integrity_violated() {
-                sh.fail(EngineError::IntegrityViolation { src: id, dst, round: r });
-                exit(st, sh);
-                return true;
-            }
-            if fifo.is_down() {
-                sh.fail(EngineError::LinkDown { src: id, dst, round: r, retries: sh.max_retries });
-                exit(st, sh);
-                return true;
-            }
-            let pending = fifo.pending_bits();
-            st.max_backlog = st.max_backlog.max(pending);
-            pending_total += pending;
-        }
+        // --- transport: one budget round per busy outbound FIFO into the
+        // destination's staging slot; idle links cost nothing and the whole
+        // phase publishes with one release store ---
+        let mut ring = RingSlot { inbound: &sh.inbound, slot: (r % sh.window) as usize };
+        let moved = match st.core.transport(r, &sh.env, &mut ring) {
+            Ok(moved) => moved,
+            Err(err) => return fail(st, err),
+        };
         sh.published[id].store(r + 1, Ordering::Release);
+        if !sh.env.latency.is_zero() {
+            st.not_before = Instant::now() + sh.env.latency;
+        }
 
         // --- quiescence promises (relaxed delivery): with every outbound
         // FIFO drained, this machine's future transports are empty for as
@@ -736,23 +534,13 @@ fn advance<P: Protocol>(id: MachineId, st: &mut MachineState<P>, sh: &Shared<P::
         // protocol's declared silent horizon. Publishing the horizon lets
         // peers execute rounds up to it without waiting for the (empty)
         // publishes. Monotone: horizons only ever grow. ---
-        if sh.relaxed {
-            let drained = pending_total == 0;
-            let horizon = if st.done || st.poisoned {
-                if drained {
-                    u64::MAX
-                } else {
-                    0
-                }
-            } else if drained {
-                match st.proto.quiet_until() {
-                    // A horizon at or below the next round promises
-                    // nothing the publish watermark doesn't already say.
-                    Some(q) if q > r + 1 => q,
-                    _ => 0,
-                }
+        if sh.relaxed && moved.pending_bits == 0 {
+            let horizon = if st.core.halted() {
+                u64::MAX
             } else {
-                0
+                // A horizon at or below the next round promises nothing
+                // the publish watermark doesn't already say.
+                st.core.quiet_until().filter(|&q| q > r + 1).unwrap_or(0)
             };
             if horizon > st.promise {
                 st.promise = horizon;
@@ -764,14 +552,12 @@ fn advance<P: Protocol>(id: MachineId, st: &mut MachineState<P>, sh: &Shared<P::
         }
 
         // --- stall accounting: run_sync's per-round conjunction, split per
-        // machine and joined through the per-round quiet counter. A quiet
-        // cluster waiting out a scheduled rejoin is not a deadlock (mirrors
-        // `run_sync`'s stall suppression; max_rounds still bounds the wait).
+        // machine and joined through the per-round quiet counter ---
         if sent == 0
             && !became_done
-            && !delivered
-            && pending_total == 0
-            && !sh.recovering.as_ref().is_some_and(|rec| rec.pending_at(r))
+            && !moved.delivered
+            && moved.pending_bits == 0
+            && !sh.env.awaiting_rejoin(r)
         {
             let slots = sh.quiet.len() as u64;
             let slot = &sh.quiet[(r % slots) as usize];
@@ -787,18 +573,9 @@ fn advance<P: Protocol>(id: MachineId, st: &mut MachineState<P>, sh: &Shared<P::
                 }
             };
             if stalled {
-                // Survivors deadlocked on a crashed peer report the crash,
-                // not the stall — mirroring `run_sync`.
-                let crashed = sh.crashed.lock();
-                let err = if crashed.is_empty() {
-                    EngineError::Stalled { round: r }
-                } else {
-                    crashed_error(&crashed, &sh.crash_rounds)
-                };
-                drop(crashed);
-                sh.fail(err);
-                exit(st, sh);
-                return true;
+                let first_crashed = sh.first_crashed.load(Ordering::Acquire);
+                let first_crashed = (first_crashed != usize::MAX).then_some(first_crashed);
+                return fail(st, sh.env.stall_error(r, first_crashed));
             }
         }
 
@@ -811,12 +588,12 @@ fn advance<P: Protocol>(id: MachineId, st: &mut MachineState<P>, sh: &Shared<P::
 
 /// Move this round's staging slot into the machine's inbox (`append` keeps
 /// both allocations warm) and release the ring space. The slot holds every
-/// source's deliveries in arrival order; the caller's `(src, seq)` sort
-/// makes that order deterministic.
+/// source's deliveries in arrival order; the core's `(src, seq)` sort makes
+/// that order deterministic.
 fn consume_round<P: Protocol>(
     id: MachineId,
-    st: &mut MachineState<P>,
-    sh: &Shared<P::Msg>,
+    st: &mut Task<'_, P>,
+    sh: &Shared<'_, P::Msg>,
     r: u64,
 ) {
     if r == 0 {
@@ -828,7 +605,7 @@ fn consume_round<P: Protocol>(
     sh.consumed[id].store(r, Ordering::Release);
 }
 
-fn exit<P: Protocol>(st: &mut MachineState<P>, sh: &Shared<P::Msg>) {
+fn exit<P: Protocol>(st: &mut Task<'_, P>, sh: &Shared<'_, P::Msg>) {
     if !st.exited {
         st.exited = true;
         sh.exited_count.fetch_add(1, Ordering::AcqRel);
@@ -839,8 +616,11 @@ fn exit<P: Protocol>(st: &mut MachineState<P>, sh: &Shared<P::Msg>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BandwidthMode;
-    use crate::engine::run_sync;
+    use crate::config::{BandwidthMode, FaultPlan};
+    use crate::ctx::Ctx;
+    use crate::engine::fixtures::{CrashAwareGossip, GossipSum, Stream, WaitForever};
+    use crate::engine::{run_sync, Engine};
+    use crate::protocol::Step;
 
     /// Unit tests pin the worker count ≥ 2: the ambient pool of a small CI
     /// host would otherwise send every run down the degenerate
@@ -849,69 +629,13 @@ mod tests {
         NetConfig::new(k).with_event_workers(2)
     }
 
-    /// Everyone broadcasts its id; everyone outputs the sum of what it saw.
-    struct GossipSum {
-        acc: u64,
-        got: usize,
-    }
-    impl Protocol for GossipSum {
-        type Msg = u64;
-        type Output = u64;
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            if ctx.round() == 0 {
-                ctx.broadcast(ctx.id() as u64);
-                return Step::Continue;
-            }
-            for e in ctx.inbox() {
-                self.acc += e.msg;
-                self.got += 1;
-            }
-            if self.got == ctx.k() - 1 {
-                Step::Done(self.acc)
-            } else {
-                Step::Continue
-            }
-        }
-    }
-
     #[test]
     fn matches_sync_engine_exactly() {
         let cfg = cfg(8).with_seed(5);
-        let mk = || (0..8).map(|_| GossipSum { acc: 0, got: 0 }).collect::<Vec<_>>();
-        let a = run_sync(&cfg, mk()).unwrap();
-        let b = run_event(&cfg, mk()).unwrap();
+        let a = run_sync(&cfg, GossipSum::cluster(8)).unwrap();
+        let b = run_event(&cfg, GossipSum::cluster(8)).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.metrics, b.metrics);
-    }
-
-    /// Machine 0 streams values to machine 1 over a narrow link.
-    struct Stream {
-        n: u64,
-        received: u64,
-    }
-    impl Protocol for Stream {
-        type Msg = u64;
-        type Output = u64;
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            match ctx.id() {
-                0 => {
-                    if ctx.round() == 0 {
-                        for v in 0..self.n {
-                            ctx.send(1, v);
-                        }
-                    }
-                    Step::Done(0)
-                }
-                _ => {
-                    self.received += ctx.inbox().len() as u64;
-                    if self.received == self.n {
-                        Step::Done(self.received)
-                    } else {
-                        Step::Continue
-                    }
-                }
-            }
-        }
     }
 
     /// A done sender keeps draining its backlog: the narrow link forces 32
@@ -920,9 +644,8 @@ mod tests {
     #[test]
     fn bandwidth_rounds_and_backlog_match_sync() {
         let cfg = cfg(2).with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 });
-        let mk = || vec![Stream { n: 64, received: 0 }, Stream { n: 64, received: 0 }];
-        let a = run_sync(&cfg, mk()).unwrap();
-        let b = run_event(&cfg, mk()).unwrap();
+        let a = run_sync(&cfg, Stream::pair(64)).unwrap();
+        let b = run_event(&cfg, Stream::pair(64)).unwrap();
         assert_eq!(b.metrics.rounds, 32);
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.metrics, b.metrics);
@@ -983,15 +706,6 @@ mod tests {
         assert_eq!(a.metrics, b.metrics);
     }
 
-    struct WaitForever;
-    impl Protocol for WaitForever {
-        type Msg = ();
-        type Output = ();
-        fn on_round(&mut self, _ctx: &mut Ctx<'_, ()>) -> Step<()> {
-            Step::Continue
-        }
-    }
-
     #[test]
     fn stall_detected_without_deadlock() {
         let cfg = cfg(4);
@@ -1005,9 +719,7 @@ mod tests {
         let cfg = cfg(2)
             .with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 })
             .with_max_rounds(3);
-        let err =
-            run_event(&cfg, vec![Stream { n: 64, received: 0 }, Stream { n: 64, received: 0 }])
-                .unwrap_err();
+        let err = run_event(&cfg, Stream::pair(64)).unwrap_err();
         assert_eq!(err, EngineError::MaxRounds { limit: 3 });
     }
 
@@ -1076,12 +788,11 @@ mod tests {
     #[test]
     fn worker_count_and_window_are_pure_wall_clock_knobs() {
         let base = NetConfig::new(6).with_seed(3);
-        let mk = || (0..6).map(|_| GossipSum { acc: 0, got: 0 }).collect::<Vec<_>>();
-        let want = run_sync(&base, mk()).unwrap();
+        let want = run_sync(&base, GossipSum::cluster(6)).unwrap();
         for workers in [1, 2, 6, 16] {
             for window in [2, 3, 8] {
                 let cfg = base.clone().with_event_workers(workers).with_event_window(window);
-                let got = run_event(&cfg, mk()).unwrap();
+                let got = run_event(&cfg, GossipSum::cluster(6)).unwrap();
                 assert_eq!(got.outputs, want.outputs, "workers {workers}, window {window}");
                 assert_eq!(got.metrics, want.metrics, "workers {workers}, window {window}");
             }
@@ -1100,9 +811,8 @@ mod tests {
     #[test]
     fn relaxed_matches_sync_for_promiseless_protocols() {
         let cfg = relaxed(8).with_seed(5);
-        let mk = || (0..8).map(|_| GossipSum { acc: 0, got: 0 }).collect::<Vec<_>>();
-        let want = run_sync(&cfg, mk()).unwrap();
-        let got = run_event(&cfg, mk()).unwrap();
+        let want = run_sync(&cfg, GossipSum::cluster(8)).unwrap();
+        let got = run_event(&cfg, GossipSum::cluster(8)).unwrap();
         assert_eq!(want.outputs, got.outputs);
         assert_eq!(want.metrics, got.metrics);
         assert!(got.skew.tracked(), "relaxed multi-worker runs must record skew");
@@ -1115,8 +825,7 @@ mod tests {
     #[test]
     fn exact_mode_reports_no_skew() {
         let cfg = cfg(4).with_seed(2);
-        let out = run_event(&cfg, (0..4).map(|_| GossipSum { acc: 0, got: 0 }).collect::<Vec<_>>())
-            .unwrap();
+        let out = run_event(&cfg, GossipSum::cluster(4)).unwrap();
         assert!(!out.skew.tracked());
         assert_eq!(out.skew, SkewMetrics::default());
     }
@@ -1403,12 +1112,11 @@ mod tests {
     #[test]
     fn relaxed_workers_and_window_do_not_change_outcomes() {
         let base = NetConfig::new(6).with_seed(3).with_delivery(DeliveryMode::Relaxed);
-        let mk = || (0..6).map(|_| GossipSum { acc: 0, got: 0 }).collect::<Vec<_>>();
-        let want = run_sync(&base, mk()).unwrap();
+        let want = run_sync(&base, GossipSum::cluster(6)).unwrap();
         for workers in [2, 6, 16] {
             for window in [2, 3, 8] {
                 let cfg = base.clone().with_event_workers(workers).with_event_window(window);
-                let got = run_event(&cfg, mk()).unwrap();
+                let got = run_event(&cfg, GossipSum::cluster(6)).unwrap();
                 assert_eq!(got.outputs, want.outputs, "workers {workers}, window {window}");
                 assert_eq!(got.metrics, want.metrics, "workers {workers}, window {window}");
             }
@@ -1417,15 +1125,12 @@ mod tests {
 
     // ---- fault injection: stragglers, crashes, lossy links ----
 
-    use crate::config::FaultPlan;
-
     #[test]
     fn straggler_injection_changes_nothing_but_wall_clock() {
         let base = cfg(4).with_seed(7);
         let slow = base.clone().with_faults(FaultPlan::default().with_straggler(2, 3));
-        let mk = || (0..4).map(|_| GossipSum { acc: 0, got: 0 }).collect::<Vec<_>>();
-        let want = run_sync(&base, mk()).unwrap();
-        let got = run_event(&slow, mk()).unwrap();
+        let want = run_sync(&base, GossipSum::cluster(4)).unwrap();
+        let got = run_event(&slow, GossipSum::cluster(4)).unwrap();
         assert_eq!(want.outputs, got.outputs);
         assert_eq!(want.metrics, got.metrics);
         assert!(!got.faults.any(), "a straggler is not a fault the answer can observe");
@@ -1436,51 +1141,25 @@ mod tests {
         // Machine 0 crashes before sending anything; machine 1 waits for a
         // stream that never comes.
         let cfg = cfg(2).with_faults(FaultPlan::default().with_crash(0, 0));
-        let err = run_event(&cfg, vec![Stream { n: 4, received: 0 }, Stream { n: 4, received: 0 }])
-            .unwrap_err();
+        let err = run_event(&cfg, Stream::pair(4)).unwrap_err();
         assert_eq!(err, EngineError::Crashed { machine: 0, round: 0 });
     }
 
-    /// Gossip that tolerates crashed peers via [`Ctx::crashed`] and
-    /// salvages a sentinel output — parity with `run_sync`.
-    struct CrashAwareGossip {
-        acc: u64,
-        heard: Vec<bool>,
-    }
-    impl Protocol for CrashAwareGossip {
-        type Msg = u64;
-        type Output = u64;
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            if ctx.round() == 0 {
-                ctx.broadcast(ctx.id() as u64);
-                return Step::Continue;
-            }
-            for e in ctx.inbox() {
-                self.acc += e.msg;
-                self.heard[e.src] = true;
-            }
-            let id = ctx.id();
-            let settled = (0..ctx.k()).all(|p| p == id || self.heard[p] || ctx.crashed(p));
-            if settled {
-                Step::Done(self.acc)
-            } else {
-                Step::Continue
-            }
-        }
-        fn on_crash(&mut self) -> Option<u64> {
-            Some(u64::MAX)
-        }
+    #[test]
+    fn unsalvageable_crash_reported_identically_to_sync() {
+        let cfg = cfg(2).with_faults(FaultPlan::default().with_crash(1, 0));
+        let a = run_sync(&cfg, Stream::pair(4)).unwrap_err();
+        let b = run_event(&cfg, Stream::pair(4)).unwrap_err();
+        assert_eq!(a, EngineError::Crashed { machine: 1, round: 0 });
+        assert_eq!(a, b);
     }
 
     #[test]
     fn salvageable_crash_matches_sync_exactly() {
         let k = 3;
         let cfg = cfg(k).with_faults(FaultPlan::default().with_crash(2, 0));
-        let mk = || {
-            (0..k).map(|_| CrashAwareGossip { acc: 0, heard: vec![false; k] }).collect::<Vec<_>>()
-        };
-        let a = run_sync(&cfg, mk()).unwrap();
-        let b = run_event(&cfg, mk()).unwrap();
+        let a = run_sync(&cfg, CrashAwareGossip::cluster(k)).unwrap();
+        let b = run_event(&cfg, CrashAwareGossip::cluster(k)).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.outputs, vec![1, 0, u64::MAX]);
         assert_eq!(a.metrics, b.metrics);
@@ -1493,9 +1172,8 @@ mod tests {
         let cfg = cfg(2)
             .with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 })
             .with_faults(FaultPlan::default().with_loss(200, 64).with_fault_seed(5));
-        let mk = || vec![Stream { n: 64, received: 0 }, Stream { n: 64, received: 0 }];
-        let a = run_sync(&cfg, mk()).unwrap();
-        let b = run_event(&cfg, mk()).unwrap();
+        let a = run_sync(&cfg, Stream::pair(64)).unwrap();
+        let b = run_event(&cfg, Stream::pair(64)).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.faults, b.faults, "loss process must be keyed identically");
@@ -1507,9 +1185,28 @@ mod tests {
         let cfg = cfg(2)
             .with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 })
             .with_faults(FaultPlan::default().with_loss(1000, 2));
-        let err = run_event(&cfg, vec![Stream { n: 4, received: 0 }, Stream { n: 4, received: 0 }])
-            .unwrap_err();
+        let err = run_event(&cfg, Stream::pair(4)).unwrap_err();
         assert_eq!(err, EngineError::LinkDown { src: 0, dst: 1, round: 1, retries: 2 });
+    }
+
+    #[test]
+    fn round_latency_slows_wall_clock() {
+        let latency = Duration::from_millis(2);
+        let base = NetConfig::new(2)
+            .with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 })
+            .with_round_latency(latency);
+        let runs = [
+            ("sync", run_sync(&base, Stream::pair(8))),
+            ("event@1", run_event(&base.clone().with_event_workers(1), Stream::pair(8))),
+            ("event@2", run_event(&base.clone().with_event_workers(2), Stream::pair(8))),
+            ("threaded", Engine::Threaded.run(&base, Stream::pair(8))),
+        ];
+        for (name, out) in runs {
+            let out = out.unwrap();
+            // 8 × 64 bits over a 128-bit link: 4 transport rounds.
+            assert_eq!(out.metrics.rounds, 4, "{name}");
+            assert!(out.wall >= latency * 4, "{name}: wall = {:?}", out.wall);
+        }
     }
 
     #[test]

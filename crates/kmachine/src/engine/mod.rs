@@ -1,22 +1,27 @@
-//! Execution engines.
+//! Execution engines: two schedulers over one machine-step core.
 //!
-//! All engines drive the *same* [`Protocol`](crate::Protocol) code and — for
-//! protocols whose behavior is a deterministic function of state, inbox, and
-//! the private RNG — produce identical outputs, round counts, and message
-//! counts. [`run_sync`] is sequential and scales to thousands of simulated
-//! machines; [`run_threaded`] runs one OS thread per machine with
-//! barrier-synchronized rounds; [`run_event`] drops the global barrier for
-//! per-link dependency scheduling on a small worker pool, letting fast
-//! machines run rounds ahead of slow ones — the engine to use for wall-clock
-//! measurements of batched serving.
+//! The k-machine model has one execution rule — synchronous rounds over
+//! bandwidth-limited links — and the private `machine` module implements it
+//! once: a machine's compute step (crash horizon, protocol round, send
+//! accounting), its transport step (one bandwidth budget per busy link,
+//! fault and integrity detection), and outcome collection. The two public
+//! entry points only decide *when* each machine takes each step, so they
+//! produce identical outputs, round counts, message counts, and errors.
+//! [`run_sync`] sweeps the machines sequentially, one lockstep round at a
+//! time, and scales to thousands of simulated machines; [`run_event`] drops
+//! the global round boundary for per-link dependency scheduling on a small
+//! worker pool, letting fast machines run rounds ahead of slow ones — the
+//! scheduler to use for wall-clock measurements. Both pay
+//! [`NetConfig::round_latency`] once per round.
 
 mod event;
+#[cfg(test)]
+mod fixtures;
+mod machine;
 mod sync;
-mod threaded;
 
 pub use event::run_event;
 pub use sync::run_sync;
-pub use threaded::run_threaded;
 
 use std::time::Duration;
 
@@ -28,8 +33,9 @@ use crate::metrics::{AuditMetrics, FaultMetrics, RecoveryMetrics, RunMetrics, Sk
 use crate::protocol::Protocol;
 
 /// Environment variable that, when set, overrides every [`Engine::run`]
-/// call's engine choice — `sync`, `threaded`, `event`, or `auto`. Used by CI
-/// to force the whole test suite through one engine.
+/// call's engine choice — `sync`, `event`, `auto`, or the legacy `threaded`
+/// (see [`Engine::Threaded`]). Used by CI to force the whole test suite
+/// through one engine.
 pub const ENGINE_ENV: &str = "KNN_ENGINE";
 
 /// Environment variable that, when set, overrides every [`Engine::run`]
@@ -55,9 +61,9 @@ pub struct RunOutcome<T> {
     /// promise counters); empty — [`SkewMetrics::tracked`] is false — for
     /// the lockstep engines and exact event runs.
     pub skew: SkewMetrics,
-    /// Wall-clock time of the run. Physically meaningful only for the
-    /// threaded and event engines; for the sync engine it is simulation CPU
-    /// time.
+    /// Wall-clock time of the run, [`NetConfig::round_latency`] included.
+    /// Local computation overlaps only on the event engine; on the sync
+    /// engine this is simulation CPU time plus the latency.
     pub wall: Duration,
     /// Realized faults of the run (crashed machines, dropped and
     /// retransmitted traffic from the [`crate::config::FaultPlan`]). Like
@@ -84,14 +90,15 @@ pub struct RunOutcome<T> {
 pub enum Engine {
     /// Deterministic sequential lockstep simulation.
     Sync,
-    /// One OS thread per machine, barrier-synchronized rounds.
+    /// A name only, kept because `KNN_ENGINE=threaded`, serialized configs,
+    /// and the frozen benchmark spell it: [`Engine::Event`] with one worker
+    /// per machine.
     Threaded,
     /// Per-link dependency scheduling on a worker pool — no global barrier;
     /// machines may run up to [`NetConfig::event_window`] rounds apart.
     Event,
-    /// Pick sync / threaded / event per run from the cluster size, the
-    /// per-round payload budget, and the ambient pool size (see
-    /// [`Engine::resolve`]).
+    /// Pick sync / event per run from the cluster size, the per-round
+    /// payload budget, and the ambient pool size (see [`Engine::resolve`]).
     Auto,
 }
 
@@ -100,21 +107,16 @@ impl Engine {
     /// engines resolve to themselves.
     ///
     /// The policy, in order:
-    /// 1. a synthetic [`NetConfig::round_latency`] needs lockstep rounds on
-    ///    real threads → `Threaded`;
-    /// 2. an effective pool of one worker (`min(rayon pool, k)`) cannot
+    /// 1. an effective pool of one worker (`min(rayon pool, k)`) cannot
     ///    parallelize → `Sync`;
-    /// 3. rounds with little potential work — fewer than
+    /// 2. rounds with little potential work — fewer than
     ///    `AUTO_MIN_ROUND_BITS` of `k × per-link budget` payload bits — are
     ///    cheaper to simulate than to schedule → `Sync`;
-    /// 4. otherwise → `Event`, the fastest engine wherever parallelism
-    ///    exists (it pipelines instead of barriering).
+    /// 3. otherwise → `Event`, the faster engine wherever parallelism
+    ///    exists.
     pub fn resolve(self, cfg: &NetConfig) -> Engine {
         match self {
             Engine::Auto => {
-                if !cfg.round_latency.is_zero() {
-                    return Engine::Threaded;
-                }
                 let pool =
                     cfg.event_workers.unwrap_or_else(rayon::current_num_threads).min(cfg.k.max(1));
                 if pool <= 1 {
@@ -175,7 +177,7 @@ impl Engine {
         };
         match engine.resolve(cfg) {
             Engine::Sync => run_sync(cfg, protocols),
-            Engine::Threaded => run_threaded(cfg, protocols),
+            Engine::Threaded => run_event(&cfg.clone().with_event_workers(cfg.k), protocols),
             Engine::Event => run_event(cfg, protocols),
             Engine::Auto => unreachable!("resolve() always returns a concrete engine"),
         }
@@ -332,6 +334,17 @@ mod tests {
     }
 
     #[test]
+    fn threaded_is_a_name_for_the_event_scheduler() {
+        assert_eq!("threaded".parse::<Engine>().unwrap(), Engine::Threaded);
+        assert_eq!(Engine::Threaded.name(), "threaded");
+        let cfg = NetConfig::new(4).with_seed(3);
+        let want = run_sync(&cfg, fixtures::GossipSum::cluster(4)).unwrap();
+        let got = Engine::Threaded.run(&cfg, fixtures::GossipSum::cluster(4)).unwrap();
+        assert_eq!(got.outputs, want.outputs);
+        assert_eq!(got.metrics, want.metrics);
+    }
+
+    #[test]
     fn concrete_engines_resolve_to_themselves() {
         let cfg = NetConfig::new(8);
         for e in [Engine::Sync, Engine::Threaded, Engine::Event] {
@@ -341,10 +354,10 @@ mod tests {
 
     #[test]
     fn auto_policy_picks_by_latency_pool_and_payload() {
-        // Latency modeling forces lockstep threads.
-        let latency =
-            NetConfig::new(8).with_round_latency(Duration::from_millis(1)).with_event_workers(8);
-        assert_eq!(Engine::Auto.resolve(&latency), Engine::Threaded);
+        // Every engine honours latency, so it does not sway the choice.
+        let latency = NetConfig::new(8).with_round_latency(Duration::from_millis(1));
+        assert_eq!(Engine::Auto.resolve(&latency.clone().with_event_workers(8)), Engine::Event);
+        assert_eq!(Engine::Auto.resolve(&latency.with_event_workers(1)), Engine::Sync);
         // One effective worker cannot parallelize.
         let solo = NetConfig::new(8).with_event_workers(1);
         assert_eq!(Engine::Auto.resolve(&solo), Engine::Sync);

@@ -17,9 +17,9 @@ pub enum EngineError {
         /// The configured limit.
         limit: u64,
     },
-    /// A worker thread of the threaded engine panicked.
+    /// A protocol's `on_round` panicked (caught on every engine).
     WorkerPanic {
-        /// Machine whose thread panicked.
+        /// Machine whose protocol panicked.
         machine: usize,
     },
     /// Under relaxed delivery, a machine sent a message inside a round it

@@ -11,12 +11,12 @@
 //!
 //! * a [`Protocol`] trait — distributed algorithms are written once as
 //!   per-machine state machines driven round by round;
-//! * three engines that execute the *same* protocol code bit-identically:
+//! * two schedulers over one machine-step core, so they execute the *same*
+//!   protocol code bit-identically and both pay
+//!   [`NetConfig::round_latency`] per round:
 //!   * [`engine::run_sync`] — a deterministic sequential lockstep simulator
 //!     with exact round/message/bit accounting (scales to thousands of
 //!     simulated machines);
-//!   * [`engine::run_threaded`] — one OS thread per machine with
-//!     barrier-synchronized rounds, for latency-modeling experiments;
 //!   * [`engine::run_event`] — no global barrier: per-link dependency
 //!     scheduling over round-slotted links on a worker pool, so fast
 //!     machines run rounds ahead of slow ones ([`Engine::Auto`] picks an
@@ -126,7 +126,7 @@ pub mod snapshot;
 
 pub use config::{AdversaryPlan, BandwidthMode, DeliveryMode, FaultPlan, NetConfig, RecoveryPlan};
 pub use ctx::Ctx;
-pub use engine::{run_event, run_sync, run_threaded, Engine, RunOutcome, DELIVERY_ENV, ENGINE_ENV};
+pub use engine::{run_event, run_sync, Engine, RunOutcome, DELIVERY_ENV, ENGINE_ENV};
 pub use error::EngineError;
 pub use link::{IntegrityConfig, LinkFifo, LossConfig};
 pub use message::{Envelope, MachineId, ENVELOPE_HEADER_BITS};

@@ -24,8 +24,8 @@ pub trait Payload: Clone + Send + 'static {
 
     /// Byzantine lying hook: perturb this message's announced data using
     /// the deterministic `word` (a pure splitmix64 draw keyed by the
-    /// [`crate::config::AdversaryPlan`] seed and the send site, so all
-    /// three engines fabricate the *same* lies). Returns `true` when the
+    /// [`crate::config::AdversaryPlan`] seed and the send site, so
+    /// every engine fabricates the *same* lies). Returns `true` when the
     /// message actually changed.
     ///
     /// The default is a no-op — a payload opts in by overriding this, and

@@ -1,9 +1,11 @@
-//! Property tests: all three engines are observationally identical for
+//! Property tests: the engines are observationally identical for
 //! deterministic protocols, and the network conserves messages, under
 //! randomized traffic patterns.
 
-use kmachine::engine::{run_event, run_sync, run_threaded};
-use kmachine::{BandwidthMode, Ctx, DeliveryMode, Engine, NetConfig, Payload, Protocol, Step};
+use kmachine::engine::{run_event, run_sync};
+use kmachine::{
+    BandwidthMode, Ctx, DeliveryMode, Engine, EngineError, NetConfig, Payload, Protocol, Step,
+};
 use proptest::prelude::*;
 use rand::RngExt;
 
@@ -122,11 +124,37 @@ fn scatter_run(
         .collect();
     let out = match engine {
         Engine::Sync => run_sync(&cfg, protos),
-        Engine::Threaded => run_threaded(&cfg, protos),
         _ => run_event(&cfg, protos),
     }
     .expect("scatter run");
     (out.outputs, out.metrics.messages, out.metrics.bits)
+}
+
+/// Machine 1 panics in its first round.
+struct Panics;
+
+impl Protocol for Panics {
+    type Msg = Msg;
+    type Output = u64;
+
+    fn on_round(&mut self, ctx: &mut Ctx<'_, Msg>) -> Step<u64> {
+        assert_ne!(ctx.id(), 1, "intentional test panic");
+        Step::Done(0)
+    }
+}
+
+#[test]
+fn panicking_protocol_is_the_same_typed_error_on_every_engine() {
+    let cfg = NetConfig::new(3);
+    let runs = [
+        ("sync", run_sync(&cfg, vec![Panics, Panics, Panics])),
+        ("event@1", run_event(&cfg.clone().with_event_workers(1), vec![Panics, Panics, Panics])),
+        ("event@2", run_event(&cfg.clone().with_event_workers(2), vec![Panics, Panics, Panics])),
+        ("threaded", Engine::Threaded.run(&cfg, vec![Panics, Panics, Panics])),
+    ];
+    for (name, out) in runs {
+        assert_eq!(out.unwrap_err(), EngineError::WorkerPanic { machine: 1 }, "{name}");
+    }
 }
 
 proptest! {
@@ -140,7 +168,6 @@ proptest! {
     ) {
         let a = scatter_run(k, seed, bits, max_msgs, Engine::Sync, DeliveryMode::Exact);
         for (engine, delivery) in [
-            (Engine::Threaded, DeliveryMode::Exact),
             (Engine::Event, DeliveryMode::Exact),
             (Engine::Event, DeliveryMode::Relaxed),
         ] {

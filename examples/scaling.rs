@@ -5,7 +5,7 @@
 //! ```
 //!
 //! For a grid of (k, ℓ) it runs both Algorithm 2 and the simple baseline
-//! on the threaded engine (one OS thread per machine, 20 µs synthetic
+//! on the event engine (machines on a worker pool, 20 µs synthetic
 //! per-round latency) and prints the wall-clock ratio — the paper's
 //! Figure 2 y-axis. The full-scale reproduction lives in
 //! `cargo run -p knn-bench --release --bin fig2`.
@@ -24,7 +24,7 @@ fn main() {
         let mut cluster: KnnCluster = KnnCluster::builder()
             .machines(k)
             .seed(1)
-            .engine(Engine::Threaded)
+            .engine(Engine::Event)
             .round_latency(Duration::from_micros(20))
             .build();
         cluster.load_shards(shards).expect("shards");

@@ -112,7 +112,7 @@ fn batch_on_both_engines_agrees() {
         cluster.query_batch_with(Algorithm::Knn, &queries, 12).unwrap()
     };
     let a = run(Engine::Sync);
-    let b = run(Engine::Threaded);
+    let b = run(Engine::Event);
     for j in 0..queries.len() {
         assert_eq!(a.answers[j].neighbors, b.answers[j].neighbors, "query {j}");
     }

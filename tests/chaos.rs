@@ -92,7 +92,7 @@ fn stragglers_change_nothing_but_wall_clock() {
     assert!(!want.degraded);
     assert!(!want.faults.any());
     let plan = FaultPlan::default().with_straggler(1, 4).with_straggler(3, 8);
-    for engine in [Engine::Sync, Engine::Threaded, Engine::Event] {
+    for engine in [Engine::Sync, Engine::Event] {
         for pool in [1usize, 8] {
             let got = with_pool(pool, || {
                 let c = cluster(k, seed, engine, DeliveryMode::Exact, plan.clone());
@@ -236,21 +236,20 @@ proptest! {
             let c = cluster(k, seed, Engine::Sync, DeliveryMode::Exact, plan.clone());
             c.query_batch_with(Algorithm::Knn, &qs, ell).expect("sync chaos run")
         });
-        for engine in [Engine::Threaded, Engine::Event] {
-            for pool in [2usize, 8] {
-                let got = with_pool(pool, || {
-                    let c = cluster(k, seed, engine, DeliveryMode::Exact, plan.clone());
-                    c.query_batch_with(Algorithm::Knn, &qs, ell).expect("chaos run")
-                });
-                for (g, w) in got.answers.iter().zip(&want.answers) {
-                    prop_assert_eq!(&g.neighbors, &w.neighbors, "{:?}/pool {}", engine, pool);
-                }
-                prop_assert_eq!(&got.metrics, &want.metrics, "{:?}/pool {}", engine, pool);
-                prop_assert_eq!(&got.faults, &want.faults,
-                    "realized faults must be engine-invariant: {:?}/pool {}", engine, pool);
-                prop_assert_eq!(got.degraded, want.degraded);
-                prop_assert_eq!(got.shards_used, want.shards_used);
+        let engine = Engine::Event;
+        for pool in [2usize, 8] {
+            let got = with_pool(pool, || {
+                let c = cluster(k, seed, engine, DeliveryMode::Exact, plan.clone());
+                c.query_batch_with(Algorithm::Knn, &qs, ell).expect("chaos run")
+            });
+            for (g, w) in got.answers.iter().zip(&want.answers) {
+                prop_assert_eq!(&g.neighbors, &w.neighbors, "{:?}/pool {}", engine, pool);
             }
+            prop_assert_eq!(&got.metrics, &want.metrics, "{:?}/pool {}", engine, pool);
+            prop_assert_eq!(&got.faults, &want.faults,
+                "realized faults must be engine-invariant: {:?}/pool {}", engine, pool);
+            prop_assert_eq!(got.degraded, want.degraded);
+            prop_assert_eq!(got.shards_used, want.shards_used);
         }
     }
 
@@ -271,19 +270,18 @@ proptest! {
         });
         prop_assert!(want.degraded);
         prop_assert_eq!(want.shards_used, k - 1);
-        for engine in [Engine::Threaded, Engine::Event] {
-            let got = with_pool(8, || {
-                let c = cluster(k, seed, engine, DeliveryMode::Exact, plan.clone());
-                c.query_batch_with(Algorithm::Knn, &qs, ell).expect("crash run")
-            });
-            for (g, w) in got.answers.iter().zip(&want.answers) {
-                prop_assert_eq!(&g.neighbors, &w.neighbors, "{:?}", engine);
-            }
-            prop_assert_eq!(&got.metrics, &want.metrics, "{:?}", engine);
-            prop_assert_eq!(got.leader, want.leader, "same re-election path: {:?}", engine);
-            prop_assert_eq!(got.degraded, want.degraded);
-            prop_assert_eq!(got.shards_used, want.shards_used);
+        let engine = Engine::Event;
+        let got = with_pool(8, || {
+            let c = cluster(k, seed, engine, DeliveryMode::Exact, plan.clone());
+            c.query_batch_with(Algorithm::Knn, &qs, ell).expect("crash run")
+        });
+        for (g, w) in got.answers.iter().zip(&want.answers) {
+            prop_assert_eq!(&g.neighbors, &w.neighbors, "{:?}", engine);
         }
+        prop_assert_eq!(&got.metrics, &want.metrics, "{:?}", engine);
+        prop_assert_eq!(got.leader, want.leader, "same re-election path: {:?}", engine);
+        prop_assert_eq!(got.degraded, want.degraded);
+        prop_assert_eq!(got.shards_used, want.shards_used);
     }
 }
 
@@ -325,7 +323,7 @@ fn rejoin_is_byte_identical_on_every_engine() {
     assert_eq!(want.replayed_rounds, 0);
     let plan = RecoveryPlan::default().with_rejoin(2, 2, 5);
     let mut replayed = Vec::new();
-    for engine in [Engine::Sync, Engine::Threaded, Engine::Event] {
+    for engine in [Engine::Sync, Engine::Event] {
         for pool in [1usize, 8] {
             let got = with_pool(pool, || {
                 let c = healing_cluster(k, seed, engine, plan.clone());
@@ -441,7 +439,7 @@ fn byzantine_cluster(
 
 /// Byzantine detection, quarantine, and the certified answer are engine-
 /// and pool-invariant: the same lie is fabricated, caught, and recovered
-/// from identically on sync, threaded, and event (exact *and* relaxed
+/// from identically on sync and event (exact *and* relaxed
 /// delivery), at every pool size — audits, violations, and quarantine
 /// counts included.
 #[test]
@@ -466,7 +464,6 @@ fn byzantine_recovery_is_engine_and_pool_invariant() {
     assert!(want.degraded, "the quarantined shard degrades the batch");
     for (engine, delivery) in [
         (Engine::Sync, DeliveryMode::Exact),
-        (Engine::Threaded, DeliveryMode::Exact),
         (Engine::Event, DeliveryMode::Exact),
         (Engine::Event, DeliveryMode::Relaxed),
     ] {
@@ -521,28 +518,27 @@ fn loss_plus_rejoin_compound_is_engine_and_pool_invariant() {
     assert!(!want.degraded, "the healed shard serves");
     assert!(want.replayed_rounds >= 1);
     assert!(want.faults.dropped_messages > 0, "the loss process must actually bite");
-    for engine in [Engine::Threaded, Engine::Event] {
-        for pool in [1usize, 8] {
-            let got = with_pool(pool, || {
-                let c = byzantine_cluster(
-                    k,
-                    seed,
-                    engine,
-                    DeliveryMode::Exact,
-                    AdversaryPlan::default(),
-                    faults.clone(),
-                    recovery.clone(),
-                );
-                c.query_batch_with(Algorithm::Simple, &qs, ell).expect("compound batch")
-            });
-            let label = format!("{engine:?}/pool {pool}");
-            for (g, w) in got.answers.iter().zip(&want.answers) {
-                assert_eq!(g.neighbors, w.neighbors, "compound answers diverged: {label}");
-            }
-            assert_eq!(got.metrics, want.metrics, "{label}");
-            assert_eq!(got.faults, want.faults, "realized faults diverged: {label}");
-            assert_eq!(got.replayed_rounds, want.replayed_rounds, "{label}");
+    let engine = Engine::Event;
+    for pool in [1usize, 8] {
+        let got = with_pool(pool, || {
+            let c = byzantine_cluster(
+                k,
+                seed,
+                engine,
+                DeliveryMode::Exact,
+                AdversaryPlan::default(),
+                faults.clone(),
+                recovery.clone(),
+            );
+            c.query_batch_with(Algorithm::Simple, &qs, ell).expect("compound batch")
+        });
+        let label = format!("{engine:?}/pool {pool}");
+        for (g, w) in got.answers.iter().zip(&want.answers) {
+            assert_eq!(g.neighbors, w.neighbors, "compound answers diverged: {label}");
         }
+        assert_eq!(got.metrics, want.metrics, "{label}");
+        assert_eq!(got.faults, want.faults, "realized faults diverged: {label}");
+        assert_eq!(got.replayed_rounds, want.replayed_rounds, "{label}");
     }
 }
 
@@ -585,24 +581,23 @@ fn lie_during_a_replay_window_is_caught_and_invariant() {
             "the certified answer must equal the honest survivors'"
         );
     }
-    for engine in [Engine::Threaded, Engine::Event] {
-        let got = with_pool(8, || {
-            let c = byzantine_cluster(
-                k,
-                seed,
-                engine,
-                DeliveryMode::Exact,
-                adversary.clone(),
-                FaultPlan::default(),
-                recovery.clone(),
-            );
-            c.query_batch_with(Algorithm::Simple, &qs, ell).expect("lie-during-replay batch")
-        });
-        for (g, w) in got.answers.iter().zip(&want.answers) {
-            assert_eq!(g.neighbors, w.neighbors, "{engine:?}");
-        }
-        assert_eq!(got.audit, want.audit, "{engine:?}");
+    let engine = Engine::Event;
+    let got = with_pool(8, || {
+        let c = byzantine_cluster(
+            k,
+            seed,
+            engine,
+            DeliveryMode::Exact,
+            adversary.clone(),
+            FaultPlan::default(),
+            recovery.clone(),
+        );
+        c.query_batch_with(Algorithm::Simple, &qs, ell).expect("lie-during-replay batch")
+    });
+    for (g, w) in got.answers.iter().zip(&want.answers) {
+        assert_eq!(g.neighbors, w.neighbors, "{engine:?}");
     }
+    assert_eq!(got.audit, want.audit, "{engine:?}");
 }
 
 /// A Byzantine cluster whose shards were **mutated by live inserts** after
@@ -678,16 +673,15 @@ fn audit_after_live_inserts_still_catches_the_liar() {
                 backend.name()
             );
         }
-        for engine in [Engine::Threaded, Engine::Event] {
-            let (byz, _) = build(engine, plan.clone());
-            let got = byz.query_batch_with(Algorithm::Simple, &qs, ell).expect("byzantine batch");
-            let label = format!("{}/{engine:?}", backend.name());
-            for (g, w) in got.answers.iter().zip(&want.answers) {
-                assert_eq!(g.neighbors, w.neighbors, "{label}");
-            }
-            assert_eq!(got.audit, want.audit, "{label}");
-            assert_eq!(got.metrics, want.metrics, "{label}");
+        let engine = Engine::Event;
+        let (byz, _) = build(engine, plan.clone());
+        let got = byz.query_batch_with(Algorithm::Simple, &qs, ell).expect("byzantine batch");
+        let label = format!("{}/{engine:?}", backend.name());
+        for (g, w) in got.answers.iter().zip(&want.answers) {
+            assert_eq!(g.neighbors, w.neighbors, "{label}");
         }
+        assert_eq!(got.audit, want.audit, "{label}");
+        assert_eq!(got.metrics, want.metrics, "{label}");
     }
 }
 

@@ -18,7 +18,7 @@ fn every_algorithm_on_every_engine_matches_brute_force() {
     let ell = 50;
     let want = oracle_ids(&shards, &q, ell);
 
-    for engine in [Engine::Sync, Engine::Threaded, Engine::Event] {
+    for engine in [Engine::Sync, Engine::Event] {
         let mut cluster: KnnCluster =
             KnnCluster::builder().machines(k).seed(9).engine(engine).build();
         cluster.load_shards(shards.clone()).unwrap();

@@ -228,10 +228,10 @@ fn batch_answer_surfaces_skew_evidence() {
     cluster.load_shards(shards).expect("shard count");
     let queries: Vec<ScalarPoint> = (0..4u64).map(|i| ScalarPoint(i * 1000)).collect();
     let relaxed = with_pool(4, || cluster.query_batch(&queries, 6).expect("relaxed batch"));
-    // A KNN_ENGINE override to a lockstep engine would suppress tracking;
+    // A KNN_ENGINE override to the lockstep engine would suppress tracking;
     // only the event engine (requested here, or forced) records skew.
-    let engine_forced_off = std::env::var(kmachine::ENGINE_ENV)
-        .is_ok_and(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "sync" | "threaded"));
+    let engine_forced_off =
+        std::env::var(kmachine::ENGINE_ENV).is_ok_and(|v| v.trim().eq_ignore_ascii_case("sync"));
     if !engine_forced_off {
         assert!(relaxed.skew.tracked(), "relaxed multi-worker batches must report skew");
         assert_eq!(relaxed.skew.max_skew_per_machine.len(), k);
@@ -349,8 +349,8 @@ fn binsearch_straggler_records_multi_round_skew() {
     assert!(!got.degraded, "a slow machine is not a failed machine");
     assert_eq!(got.shards_used, k);
     assert!(!got.faults.any(), "stragglers are wall-clock only, not realized faults");
-    let engine_forced_off = std::env::var(kmachine::ENGINE_ENV)
-        .is_ok_and(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "sync" | "threaded"));
+    let engine_forced_off =
+        std::env::var(kmachine::ENGINE_ENV).is_ok_and(|v| v.trim().eq_ignore_ascii_case("sync"));
     let delivery_forced_exact =
         std::env::var(kmachine::DELIVERY_ENV).is_ok_and(|v| v.trim().eq_ignore_ascii_case("exact"));
     if !engine_forced_off && !delivery_forced_exact {

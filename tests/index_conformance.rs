@@ -130,7 +130,7 @@ fn bulk_load_equals_empty_then_insert_across_engines_and_pools() {
     let queries = vector_queries(5, dims, seed);
     for backend in [IndexBackend::Exact, IndexBackend::nsw()] {
         let mut reference: Option<knn_core::cluster::BatchAnswer> = None;
-        for engine in [Engine::Sync, Engine::Threaded, Engine::Event] {
+        for engine in [Engine::Sync, Engine::Event] {
             for pool in [1usize, 2, 8] {
                 let (bulk, grown) = with_pool(pool, || {
                     let bulk = vec_cluster(k, seed, backend, engine, shards.clone());
@@ -172,7 +172,7 @@ fn live_inserts_serve_without_reload_deterministically() {
     // The mixture lives in roughly [-25, 25]^d; the probe region is far out.
     let probe = VecPoint::new(vec![60.0; 6]);
     let mut reference: Option<Vec<knn_core::cluster::Neighbor>> = None;
-    for engine in [Engine::Sync, Engine::Threaded, Engine::Event] {
+    for engine in [Engine::Sync, Engine::Event] {
         for pool in [1usize, 2, 8] {
             let neighbors = with_pool(pool, || {
                 let mut cluster = vec_cluster(k, seed, IndexBackend::nsw(), engine, shards.clone());

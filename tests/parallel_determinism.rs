@@ -6,9 +6,9 @@
 //! tests pin the contract that makes all of that safe: **pool size is a
 //! pure wall-clock knob** — every generated dataset, every query answer,
 //! and every engine `RunOutcome` (outputs *and* metrics) is bit-identical
-//! at pool sizes 1, 2, and 8, on the sync, threaded, and event engines.
+//! at pool sizes 1, 2, and 8, on the sync and event engines.
 
-use kmachine::engine::{run_event, run_sync, run_threaded};
+use kmachine::engine::{run_event, run_sync};
 use kmachine::{
     BandwidthMode, Ctx, MuxOutput, MuxProtocol, NetConfig, Payload, Protocol, RunMetrics,
     RunOutcome, Step,
@@ -21,8 +21,7 @@ use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 
 const POOLS: [usize; 3] = [1, 2, 8];
-const ENGINES: [kmachine::Engine; 3] =
-    [kmachine::Engine::Sync, kmachine::Engine::Threaded, kmachine::Engine::Event];
+const ENGINES: [kmachine::Engine; 2] = [kmachine::Engine::Sync, kmachine::Engine::Event];
 
 fn with_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     ThreadPoolBuilder::new().num_threads(threads).build().expect("pool").install(f)
@@ -203,9 +202,6 @@ fn free_function_engines_agree() {
         .with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 });
     let mk = || (0..3).map(|_| StreamSum { payload: 7, acc: 0, finished: 0 }).collect::<Vec<_>>();
     let a = run_sync(&cfg, mk()).expect("sync");
-    let b = run_threaded(&cfg, mk()).expect("threaded");
-    assert_eq!(a.outputs, b.outputs);
-    assert_eq!(a.metrics, b.metrics);
     let c = run_event(&cfg, mk()).expect("event");
     assert_eq!(a.outputs, c.outputs);
     assert_eq!(a.metrics, c.metrics);
