@@ -1,7 +1,9 @@
-//! Micro-benchmarks of the k-d tree substrate (B-LOCAL): bulk build and
-//! ℓ-NN queries against the linear-scan oracle.
+//! Micro-benchmarks of the k-d tree substrate (B-LOCAL): bulk build, ℓ-NN
+//! queries against the linear-scan oracle, and one in-place insert against
+//! the rebuild it replaced.
 
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use knn_kdtree::KdTree;
@@ -71,5 +73,43 @@ fn bench_query(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_build, bench_query);
+/// One `insert` into an n-point 16-d tree (the vector workloads' shape)
+/// beside `from_records` over the same points — what a shard paid per insert
+/// when the exact index rebuilt. Inserts run in bursts on a fresh clone of
+/// the n-point tree, so the tree measured never grows past n + `BURST`.
+/// Neither the clone nor its first insert is timed: a clone's arenas are
+/// exactly full, so that insert pays a doubling a live tree pays once per n.
+fn bench_insert(c: &mut Criterion) {
+    const BURST: usize = 256;
+    let mut group = c.benchmark_group("kdtree-insert");
+    for &n in &[1usize << 12, 1 << 15] {
+        let recs = records(n + BURST, 16, 4);
+        let base = KdTree::from_records(&recs[..n - 1]);
+        group.bench_function(BenchmarkId::new("insert", n), |b| {
+            b.iter_custom(|iters| {
+                let mut timed = Duration::ZERO;
+                let mut left = iters as usize;
+                while left > 0 {
+                    let burst = &recs[n..n + left.min(BURST)];
+                    let mut tree = base.clone();
+                    tree.insert(recs[n - 1].id, &recs[n - 1].point.0);
+                    let start = Instant::now();
+                    for r in burst {
+                        tree.insert(r.id, &r.point.0);
+                    }
+                    timed += start.elapsed();
+                    black_box(&tree);
+                    left -= burst.len();
+                }
+                timed
+            });
+        });
+        group.bench_function(BenchmarkId::new("from_records", n), |b| {
+            b.iter(|| black_box(KdTree::from_records(&recs[..=n])));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_build, bench_query, bench_insert);
 criterion_main!(benches);

@@ -31,21 +31,14 @@
 use kmachine::MachineId;
 use knn_points::{Dist, DistKey};
 
+use crate::splitmix64;
+
 /// Claimed answer keys spot-recomputed per machine by each audit pass.
 pub const AUDIT_SAMPLE: usize = 8;
 
 /// Domain separation for the lying-input perturbation stream (distinct
 /// from the wire-tamper and link-corruption salts in `kmachine`).
 const LIE_SALT: u64 = 0x11E5_0F7E_11E5_0F7E;
-
-/// SplitMix64 finalizer — the same pure stream the fault layer draws from,
-/// so audits and lies are deterministic on every engine and pool size.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Deterministically perturb a lying machine's materialized local
 /// distances — the canonical *source-level* lie a round-0

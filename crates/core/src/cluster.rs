@@ -12,13 +12,13 @@ use knn_points::{Dataset, Dist, Label, Metric, PointId, Record, ScalarPoint};
 use knn_workloads::PartitionStrategy;
 
 use crate::error::CoreError;
-use crate::local::nsw::splitmix64;
 use crate::local::{IndexBackend, IndexedPoint, ShardIndex};
 use crate::protocols::knn::{KnnParams, KnnStats};
 use crate::runner::{
     merge_answers, run_approx_query, run_query, Algorithm, ElectionKind, QueryOptions, RetryPolicy,
 };
 use crate::session::{BatchOutcome, QuerySession};
+use crate::splitmix64;
 
 /// One answer point of an ℓ-NN query.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
@@ -409,10 +409,12 @@ impl<P: IndexedPoint> KnnCluster<P> {
     ///
     /// Routing is a seeded hash of the id, so a cluster built with the same
     /// seed places the same stream of inserts identically on any engine at
-    /// any pool size. Under [`IndexBackend::Nsw`] the insert reuses the
-    /// graph's search path (`O(log n)`-ish); the exact backend rebuilds the
-    /// shard's index (correct for any [`IndexedPoint`], but `O(n log n)` —
-    /// choose NSW for insert-heavy workloads).
+    /// any pool size. Either backend absorbs the point at the cost of one
+    /// search, not one build: [`IndexBackend::Nsw`] reuses the graph's
+    /// search path, the exact sorted array shifts in place and the exact
+    /// k-d tree hangs a leaf (rebuilding a subtree only when inserts have
+    /// unbalanced it). A point whose [`knn_points::Point::shape`] differs
+    /// from the loaded data is refused with [`CoreError::ShapeMismatch`].
     pub fn insert(&mut self, point: P) -> Result<(PointId, MachineId), CoreError> {
         self.insert_labeled(point, None)
     }
@@ -436,7 +438,8 @@ impl<P: IndexedPoint> KnnCluster<P> {
     /// "data is naturally distributed" counterpart of [`Self::insert`],
     /// for callers that manage ids and placement themselves (and for
     /// replaying one cluster's insert stream into another verbatim).
-    /// Rejects ids already present on any shard.
+    /// Rejects ids already present on any shard and points of the wrong
+    /// shape, both before anything is touched.
     pub fn insert_record_into(
         &mut self,
         machine: MachineId,
@@ -450,6 +453,18 @@ impl<P: IndexedPoint> KnnCluster<P> {
         }
         if self.index.iter().any(|map| map.contains_key(&record.id)) {
             return Err(CoreError::DuplicateId { id: record.id });
+        }
+        // The target shard's own records first; an empty shard takes its
+        // shape from the rest of the cluster.
+        let resident = self.shards[machine]
+            .records
+            .first()
+            .or_else(|| self.shards.iter().find_map(|shard| shard.records.first()));
+        if let Some(resident) = resident {
+            let (expected, got) = (resident.point.shape(), record.point.shape());
+            if expected != got {
+                return Err(CoreError::ShapeMismatch { expected, got });
+            }
         }
         self.next_id = self.next_id.max(record.id.0.saturating_add(1));
         let records = &mut self.shards[machine].records;
@@ -915,6 +930,53 @@ mod tests {
             cluster.insert_record_into(9, fresh).unwrap_err(),
             CoreError::NoSuchMachine { machine: 9, machines: 3 }
         );
+    }
+
+    #[test]
+    fn wrong_shape_insert_is_refused_and_changes_nothing() {
+        use knn_points::{BitsPoint, VecPoint};
+        let point = |i: u64| VecPoint::new(vec![i as f64, (i * 7 % 13) as f64, (i % 5) as f64]);
+        for backend in [IndexBackend::Exact, IndexBackend::nsw()] {
+            let mut cluster: KnnCluster<VecPoint> =
+                KnnCluster::builder().machines(4).seed(3).index_backend(backend).build();
+            // Machine 3 starts empty: it takes its shape from the others.
+            let mut shards: Vec<Dataset<VecPoint>> = (0..3u64)
+                .map(|m| {
+                    let mut ids = IdAssigner::with_stream(3, m);
+                    Dataset::from_points((0..21).map(|i| point(m * 21 + i)).collect(), &mut ids)
+                })
+                .collect();
+            shards.push(Dataset::new(Vec::new()));
+            cluster.load_shards(shards).unwrap();
+            let q = [VecPoint::new(vec![20.2, 6.1, 2.0])];
+            let before = (format!("{cluster:?}"), cluster.query_batch(&q, 5).unwrap());
+
+            let refused = CoreError::ShapeMismatch { expected: 3, got: 2 };
+            assert_eq!(cluster.insert(VecPoint::new(vec![1.0, 2.0])).unwrap_err(), refused);
+            for machine in 0..4 {
+                let record =
+                    Record { id: PointId(5000), point: VecPoint::new(vec![1.0, 2.0]), label: None };
+                assert_eq!(cluster.insert_record_into(machine, record).unwrap_err(), refused);
+            }
+            assert_eq!(format!("{cluster:?}"), before.0, "{backend:?}: a refused insert is inert");
+            let after = cluster.query_batch(&q, 5).unwrap();
+            assert_eq!(after.answers[0].neighbors, before.1.answers[0].neighbors);
+
+            let (id, _) = cluster.insert(q[0].clone()).unwrap();
+            assert_eq!(cluster.total_points(), 64);
+            assert_eq!(cluster.query_batch(&q, 5).unwrap().answers[0].neighbors[0].id, id);
+        }
+
+        let mut bits: KnnCluster<BitsPoint> = KnnCluster::builder().machines(2).build();
+        let mut ids = IdAssigner::new(1);
+        let words = (0..10u64).map(|i| BitsPoint::new(vec![i, !i])).collect();
+        bits.load(Dataset::from_points(words, &mut ids), PartitionStrategy::RoundRobin);
+        assert_eq!(
+            bits.insert(BitsPoint::new(vec![1])).unwrap_err(),
+            CoreError::ShapeMismatch { expected: 2, got: 1 }
+        );
+        assert_eq!(bits.total_points(), 10);
+        bits.insert(BitsPoint::new(vec![1, 2])).unwrap();
     }
 
     #[test]

@@ -59,6 +59,15 @@ pub enum CoreError {
         /// Machines in the cluster.
         machines: usize,
     },
+    /// An insert carried a point whose [`Point::shape`](knn_points::Point::shape)
+    /// (dimensionality, bit-string length) differs from the data already
+    /// loaded; no distance between them is defined.
+    ShapeMismatch {
+        /// Shape of the points the cluster holds.
+        expected: usize,
+        /// Shape of the rejected point.
+        got: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -95,6 +104,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::NoSuchMachine { machine, machines } => {
                 write!(f, "insert rejected: machine {machine} of a {machines}-machine cluster")
+            }
+            CoreError::ShapeMismatch { expected, got } => {
+                write!(f, "insert rejected: point of shape {got}, the data has shape {expected}")
             }
         }
     }
@@ -149,6 +161,8 @@ mod tests {
         let s = CoreError::NoSuchMachine { machine: 9, machines: 4 }.to_string();
         assert!(s.contains("machine 9"), "{s}");
         assert!(s.contains("4-machine"), "{s}");
+        let s = CoreError::ShapeMismatch { expected: 3, got: 2 }.to_string();
+        assert!(s.contains("shape 2") && s.contains("shape 3"), "{s}");
     }
 
     #[test]

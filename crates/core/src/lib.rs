@@ -29,9 +29,10 @@
 //!   over shared links), and per-shard indices ([`local::ShardIndex`]:
 //!   exact [`local::IndexedPoint`] structures or the approximate
 //!   [`local::NswIndex`] graph, chosen via [`local::IndexBackend`])
-//!   generating local candidates in `O(ℓ log n)` instead of `O(n)`. The
-//!   NSW backend also unlocks [`cluster::KnnCluster::insert`]: live,
-//!   index-maintained point ingestion with no reload.
+//!   generating local candidates in `O(ℓ log n)` instead of `O(n)`. Both
+//!   backends stay live under [`cluster::KnnCluster::insert`]: a new point
+//!   is absorbed into its shard's index in place, with no reload and no
+//!   rebuild.
 //! * [`ml`] — ℓ-NN classification (majority vote) and regression (mean),
 //!   the applications motivating the paper.
 //!
@@ -83,3 +84,13 @@ pub use error::CoreError;
 pub use local::{IndexBackend, IndexedPoint, NswIndex, NswParams, ShardIndex};
 pub use runner::{Algorithm, ElectionKind, QueryOptions};
 pub use session::{BatchOutcome, BatchQueryOutcome, QuerySession};
+
+/// SplitMix64 finalizer: the one pure `u64 → u64` scrambler behind insert
+/// routing, NSW level draws, audit sampling, source-level lies and retry
+/// jitter — stateless, so each is the same on every engine and pool size.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}

@@ -11,8 +11,9 @@
 //!   the query to *all* local points, `O(n)` per query. Used by the one-shot
 //!   [`crate::runner::run_query`] path.
 //! * [`IndexedPoint`] — a per-shard **exact** index built at load time and
-//!   updated on every [`crate::cluster::KnnCluster::insert`] (the dataset is
-//!   *not* frozen after load), so the serving path
+//!   updated in place on every [`crate::cluster::KnnCluster::insert`] (the
+//!   dataset is *not* frozen after load, and a write costs one search, not
+//!   one build), so the serving path
 //!   ([`crate::session::QuerySession`]) generates the local top-ℓ
 //!   candidates in `O(ℓ log n)` instead of `O(n)` per query. Since a
 //!   machine can contribute at most ℓ answers, the local top-ℓ is a
@@ -66,8 +67,8 @@ pub fn brute_top<P: Point>(
 
 /// A point type with a per-shard **exact** index for repeated-query serving.
 ///
-/// `build_index` runs per shard at [`crate::cluster::KnnCluster::load`] time
-/// (and again after an insert mutates the shard, via
+/// `build_index` runs per shard at [`crate::cluster::KnnCluster::load`]
+/// time; `insert_index` absorbs each record appended afterwards (via
 /// [`ShardIndex::insert`]); `index_top` answers "this shard's ℓ best
 /// candidates" per query.
 /// The contract is **exact parity with the brute-force scan**: `index_top`
@@ -77,13 +78,22 @@ pub fn brute_top<P: Point>(
 ///
 /// Custom point types can opt out of real indexing the way [`BitsPoint`]
 /// does: `type Index = ()`, an empty `build_index`, and an `index_top` that
-/// delegates to [`brute_top`] — three lines, always correct.
+/// delegates to [`brute_top`] — three lines, always correct. The provided
+/// `insert_index` rebuilds, which is right for any index; override it when
+/// the structure can take one point in place.
 pub trait IndexedPoint: Point {
     /// The index structure held per shard.
     type Index: Send + Sync + std::fmt::Debug;
 
     /// Build the shard's index from the full record set.
     fn build_index(records: &[Record<Self>]) -> Self::Index;
+
+    /// Bring `index` up to date with the record just appended at
+    /// `records[pos]` (the shard's new last element).
+    fn insert_index(index: &mut Self::Index, records: &[Record<Self>], pos: usize) {
+        debug_assert_eq!(pos + 1, records.len());
+        *index = Self::build_index(records);
+    }
 
     /// The shard's ℓ best candidates for `query`, ascending by
     /// `(distance, id)` and identical to the brute-force top-ℓ.
@@ -99,7 +109,7 @@ pub trait IndexedPoint: Point {
 /// Sorted-array index over the integer line: the 1-d specialization where a
 /// binary search plus two-pointer expansion beats a k-d tree (and stays in
 /// the exact `u64` distance domain, which an `f64` tree would not).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalarIndex {
     /// `(value, id)` pairs sorted ascending. Duplicate-value correctness in
     /// the expansion below does *not* come from visit order (the leftward
@@ -116,6 +126,14 @@ impl IndexedPoint for ScalarPoint {
         let mut sorted: Vec<(u64, PointId)> = records.iter().map(|r| (r.point.0, r.id)).collect();
         sorted.sort_unstable();
         ScalarIndex { sorted }
+    }
+
+    /// One binary search plus one shift, leaving exactly the array
+    /// `build_index` would have sorted.
+    fn insert_index(index: &mut ScalarIndex, records: &[Record<Self>], pos: usize) {
+        let entry = (records[pos].point.0, records[pos].id);
+        let at = index.sorted.partition_point(|e| *e < entry);
+        index.sorted.insert(at, entry);
     }
 
     fn index_top(
@@ -182,6 +200,10 @@ impl IndexedPoint for VecPoint {
 
     fn build_index(records: &[Record<Self>]) -> knn_kdtree::KdTree {
         knn_kdtree::KdTree::from_records(records)
+    }
+
+    fn insert_index(index: &mut knn_kdtree::KdTree, records: &[Record<Self>], pos: usize) {
+        index.insert(records[pos].id, &records[pos].point.0);
     }
 
     fn index_top(
@@ -328,11 +350,12 @@ impl<P: IndexedPoint> ShardIndex<P> {
 
     /// Absorb the record just appended at `records[pos]` (the shard's new
     /// last element). NSW inserts it through the same search path bulk
-    /// construction uses; the exact index rebuilds — correct for any
-    /// [`IndexedPoint`] implementation without extending that trait.
+    /// construction uses; the exact index takes it through
+    /// [`IndexedPoint::insert_index`] — in place for the sorted array and
+    /// the k-d tree, a rebuild only for point types that do not override it.
     pub fn insert(&mut self, records: &[Record<P>], pos: usize) {
         match self {
-            ShardIndex::Exact(index) => *index = P::build_index(records),
+            ShardIndex::Exact(index) => P::insert_index(index, records, pos),
             ShardIndex::Nsw(index) => index.insert(records, pos),
         }
     }
@@ -513,8 +536,94 @@ mod tests {
         assert_eq!(nsw.top(&records, &q, 2, Metric::Euclidean), want);
     }
 
+    /// `records` with every point but the last replaced: an index that
+    /// answers from the originals after absorbing the last one cannot have
+    /// been rebuilt from the slice it was handed.
+    fn decoys<P: Point>(records: &[Record<P>], decoy: P) -> Vec<Record<P>> {
+        let (last, rest) = records.split_last().unwrap();
+        let mut out: Vec<Record<P>> =
+            rest.iter().map(|r| Record { id: r.id, point: decoy.clone(), label: None }).collect();
+        out.push(last.clone());
+        out
+    }
+
+    #[test]
+    fn scalar_and_vec_inserts_do_not_rebuild() {
+        let records = scalar_records(&[40, 10, 30, 10, 20], 5);
+        let mut index = ScalarPoint::build_index(&records[..4]);
+        ScalarPoint::insert_index(&mut index, &decoys(&records, ScalarPoint(999)), 4);
+        assert_eq!(index, ScalarPoint::build_index(&records));
+
+        let mut ids = IdAssigner::new(6);
+        let vrecords: Vec<Record<VecPoint>> = (0..9)
+            .map(|i| Record {
+                id: ids.next_id(),
+                point: VecPoint::new(vec![f64::from(i), f64::from(i * i % 7)]),
+                label: None,
+            })
+            .collect();
+        let mut shard =
+            ShardIndex::<VecPoint>::build(&vrecords[..8], IndexBackend::Exact, Metric::Euclidean);
+        shard.insert(&decoys(&vrecords, VecPoint::new(vec![1e9, 1e9])), 8);
+        let q = VecPoint::new(vec![3.5, 2.0]);
+        let got = shard.top(&vrecords, &q, 9, Metric::Euclidean);
+        assert_eq!(got, oracle(&vrecords, &q, 9, Metric::Euclidean));
+    }
+
+    #[test]
+    fn provided_insert_index_rebuilds_from_the_records() {
+        /// An index that opts out of in-place inserts: a count of its points.
+        #[derive(Debug, Clone)]
+        struct Plain(u64);
+        impl Point for Plain {
+            fn distance(&self, other: &Self, _: Metric) -> knn_points::Dist {
+                knn_points::Dist::from_u64(self.0.abs_diff(other.0))
+            }
+        }
+        impl IndexedPoint for Plain {
+            type Index = usize;
+            fn build_index(records: &[Record<Self>]) -> usize {
+                records.len()
+            }
+            fn index_top(
+                _: &usize,
+                records: &[Record<Self>],
+                query: &Self,
+                ell: usize,
+                metric: Metric,
+            ) -> Vec<DistKey> {
+                brute_top(records, query, ell, metric)
+            }
+        }
+        let mut ids = IdAssigner::new(8);
+        let mut records: Vec<Record<Plain>> = Vec::new();
+        let mut shard =
+            ShardIndex::<Plain>::build(&records, IndexBackend::Exact, Metric::Euclidean);
+        for v in [5u64, 1, 9] {
+            records.push(Record { id: ids.next_id(), point: Plain(v), label: None });
+            shard.insert(&records, records.len() - 1);
+            assert!(matches!(shard, ShardIndex::Exact(n) if n == records.len()));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_scalar_insert_equals_build_over_all(
+            // A narrow value range makes duplicates the common case.
+            values in proptest::collection::vec(0u64..24, 1..80),
+            bulk in 0usize..80,
+            seed in 0u64..100,
+        ) {
+            let records = scalar_records(&values, seed);
+            let bulk = bulk.min(records.len());
+            let mut index = ScalarPoint::build_index(&records[..bulk]);
+            for pos in bulk..records.len() {
+                ScalarPoint::insert_index(&mut index, &records[..=pos], pos);
+                prop_assert_eq!(&index, &ScalarPoint::build_index(&records[..=pos]));
+            }
+        }
+
         #[test]
         fn prop_scalar_index_equals_brute_force(
             values in proptest::collection::vec(any::<u64>(), 0..120),

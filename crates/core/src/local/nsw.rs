@@ -32,6 +32,7 @@ use std::collections::BinaryHeap;
 use knn_points::{DistKey, Metric, Point, PointId, Record};
 
 use super::brute_top;
+use crate::splitmix64;
 
 /// Level cap: with p = 1/2 per level, 24 layers cover ~16M points per shard.
 const MAX_LEVEL: usize = 24;
@@ -293,15 +294,6 @@ pub fn recall(got: &[DistKey], oracle: &[DistKey]) -> f64 {
     }
     let hits = oracle.iter().filter(|key| got.binary_search(key).is_ok()).count();
     hits as f64 / oracle.len() as f64
-}
-
-/// SplitMix64: the same seeded scrambler the fault/adversary plans use, kept
-/// local so `local::nsw` stays self-contained.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

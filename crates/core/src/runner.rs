@@ -20,6 +20,7 @@ use crate::protocols::binsearch::BinSearchProtocol;
 use crate::protocols::knn::{KnnParams, KnnProtocol, KnnStats};
 use crate::protocols::saukas_song::SaukasSongProtocol;
 use crate::protocols::simple::SimpleProtocol;
+use crate::splitmix64;
 
 /// Which distributed algorithm answers the query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -109,15 +110,6 @@ impl RetryPolicy {
         let base = self.backoff_base.saturating_mul(1u64 << shift);
         base.saturating_add(splitmix64(self.jitter_seed ^ u64::from(attempt)) % self.backoff_base)
     }
-}
-
-/// SplitMix64 — the standard 64-bit finalizer; one multiply-xor-shift chain
-/// per draw keeps jitter deterministic and seed-local.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Running tally of a retry loop: attempts made and simulated rounds spent

@@ -14,6 +14,13 @@ use crate::metric::Metric;
 pub trait Point: Clone + Send + Sync + 'static {
     /// Distance under `metric`.
     fn distance(&self, other: &Self, metric: Metric) -> Dist;
+
+    /// The number of components (coordinates, words) two points must agree
+    /// on for [`Point::distance`] between them to be defined; 0 for types
+    /// that come in one shape only.
+    fn shape(&self) -> usize {
+        0
+    }
 }
 
 /// A point on the integer line — the paper's experimental workload
@@ -55,6 +62,10 @@ impl Point for VecPoint {
     fn distance(&self, other: &Self, metric: Metric) -> Dist {
         metric.distance(&self.0, &other.0)
     }
+
+    fn shape(&self) -> usize {
+        self.dims()
+    }
 }
 
 /// A bit string, e.g. a binary fingerprint; distance is Hamming weight of
@@ -76,6 +87,10 @@ impl Point for BitsPoint {
         let d: u64 =
             self.0.iter().zip(other.0.iter()).map(|(a, b)| (a ^ b).count_ones() as u64).sum();
         Dist::from_u64(d)
+    }
+
+    fn shape(&self) -> usize {
+        self.0.len()
     }
 }
 
@@ -121,6 +136,13 @@ mod tests {
         let b = BitsPoint::new(vec![0b0110, 1]);
         assert_eq!(a.distance(&b, Metric::Hamming).as_u64(), 3);
         assert_eq!(a.distance(&a, Metric::Euclidean).as_u64(), 0);
+    }
+
+    #[test]
+    fn shape_is_the_component_count() {
+        assert_eq!(ScalarPoint(7).shape(), 0);
+        assert_eq!(VecPoint::new(vec![1.0, 2.0, 3.0]).shape(), 3);
+        assert_eq!(BitsPoint::new(vec![0, 1]).shape(), 2);
     }
 
     #[test]

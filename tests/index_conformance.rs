@@ -21,7 +21,7 @@ use kmachine::Engine;
 use knn_core::cluster::KnnCluster;
 use knn_core::local::{brute_top, dist_keys, recall};
 use knn_core::runner::Algorithm;
-use knn_core::{IndexBackend, NswIndex, NswParams, ShardIndex};
+use knn_core::{IndexBackend, IndexedPoint, NswIndex, NswParams, ShardIndex};
 use knn_points::{BitsPoint, Dataset, DistKey, IdAssigner, Metric, Record, ScalarPoint, VecPoint};
 use knn_workloads::vector::uniform_cube;
 use knn_workloads::{GaussianMixture, PartitionStrategy};
@@ -201,6 +201,68 @@ fn live_inserts_serve_without_reload_deterministically() {
             assert_eq!(&neighbors, want, "{engine:?}/pool {pool} diverged");
         }
     }
+}
+
+/// **Exact-backend churn.** The exact indices take inserts in place — a
+/// shifted sorted array, a grown and occasionally re-balanced k-d tree — so
+/// the serving path is checked against the one path that never reads an
+/// index: after every burst of inserts, `query_batch` under each of the four
+/// algorithms must equal the sequential scanning `query`, on sync and on
+/// event at pool 2.
+fn exact_churn_equals_the_scanning_oracle<P: IndexedPoint>(
+    base: Vec<P>,
+    inserts: Vec<P>,
+    queries: Vec<P>,
+) {
+    let (k, ell, seed) = (3usize, 6usize, 23u64);
+    for (engine, pool) in [(Engine::Sync, 1usize), (Engine::Event, 2)] {
+        with_pool(pool, || {
+            let mut cluster: KnnCluster<P> =
+                KnnCluster::builder().machines(k).seed(seed).engine(engine).build();
+            let mut ids = IdAssigner::new(seed);
+            cluster.load(Dataset::from_points(base.clone(), &mut ids), PartitionStrategy::Shuffled);
+            for (burst, points) in inserts.chunks(8).enumerate() {
+                for point in points {
+                    cluster.insert(point.clone()).expect("insert");
+                }
+                let oracle: Vec<Vec<DistKey>> = queries
+                    .iter()
+                    .map(|q| answer_keys(&cluster.query(q, ell).expect("oracle")))
+                    .collect();
+                for algo in Algorithm::ALL {
+                    let batch = cluster.query_batch_with(algo, &queries, ell).expect("batch");
+                    let got: Vec<Vec<DistKey>> = batch.answers.iter().map(answer_keys).collect();
+                    assert_eq!(got, oracle, "{algo:?}/{engine:?}@{pool} after burst {burst}");
+                }
+            }
+            assert_eq!(cluster.total_points(), base.len() + inserts.len());
+        });
+    }
+}
+
+/// A sorted run, a run of copies of one point, then a seeded scatter.
+fn churn_stream<P>(point: impl Fn(u64) -> P) -> Vec<P> {
+    let sorted = (0..24u64).map(|i| 1_000 + i * 3);
+    let duplicate = std::iter::repeat_n(1_030u64, 16);
+    let random = (0..24u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 1_200);
+    sorted.chain(duplicate).chain(random).map(point).collect()
+}
+
+#[test]
+fn exact_scalar_churn_equals_the_scanning_oracle() {
+    let base = (0..90u64).map(|i| ScalarPoint(i * 11 % 997)).collect();
+    let queries = [0u64, 500, 1_030, 1_031, 1_100].map(ScalarPoint).to_vec();
+    exact_churn_equals_the_scanning_oracle(base, churn_stream(ScalarPoint), queries);
+}
+
+#[test]
+fn exact_vector_churn_equals_the_scanning_oracle() {
+    // Every axis ascends with the stream value: the sorted run is the order
+    // that turns an unbalanced k-d tree into a list.
+    let point = |v: u64| VecPoint::new(vec![v as f64, (v / 2) as f64, (v / 3) as f64]);
+    let base = (0..90u64).map(|i| point(i * 11 % 997)).collect();
+    let queries = [0u64, 500, 1_030, 1_031, 1_100].map(point).to_vec();
+    exact_churn_equals_the_scanning_oracle(base, churn_stream(point), queries);
 }
 
 /// Every NSW claim is genuine at *any* `ef`: a real `(distance, id)` pair
