@@ -5,8 +5,8 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use kmachine::{
-    AdversaryPlan, AuditMetrics, BandwidthMode, DeliveryMode, Engine, FaultMetrics, FaultPlan,
-    MachineId, RecoveryPlan, RunMetrics, SkewMetrics,
+    AdversaryPlan, BandwidthMode, DeliveryMode, Engine, FaultPlan, MachineId, RecoveryPlan,
+    RunMetrics,
 };
 use knn_points::{Dataset, Dist, Label, Metric, PointId, Record, ScalarPoint};
 use knn_workloads::PartitionStrategy;
@@ -14,8 +14,10 @@ use knn_workloads::PartitionStrategy;
 use crate::error::CoreError;
 use crate::local::{IndexBackend, IndexedPoint, ShardIndex};
 use crate::protocols::knn::{KnnParams, KnnStats};
+use crate::report::Report;
 use crate::runner::{
-    merge_answers, run_approx_query, run_query, Algorithm, ElectionKind, QueryOptions, RetryPolicy,
+    check_shape, merge_answers, run_approx_query, run_query, Algorithm, ElectionKind, QueryOptions,
+    RetryPolicy,
 };
 use crate::session::{BatchOutcome, QuerySession};
 use crate::splitmix64;
@@ -39,88 +41,35 @@ pub struct Neighbor {
 pub struct KnnAnswer {
     /// The ℓ nearest neighbors, ascending by `(distance, id)`.
     pub neighbors: Vec<Neighbor>,
-    /// Rounds / messages / bits of the main protocol.
-    pub metrics: RunMetrics,
-    /// Wall-clock time of the protocol run (synthetic round latency
-    /// included; local computation overlaps on the event engine).
-    pub wall: Duration,
-    /// The leader that coordinated the query.
-    pub leader: MachineId,
-    /// Election cost, when an election was run.
-    pub election_metrics: Option<RunMetrics>,
     /// Algorithm 2 diagnostics (sampling / pruning / iterations).
     pub stats: Option<KnnStats>,
-    /// True when the answer may be missing candidates: one or more shards
-    /// crashed and the query was answered by the survivors.
-    pub degraded: bool,
-    /// Shards whose candidates actually reached the selection
-    /// (`== k` on a healthy run). In a batch's per-query answers this
-    /// mirrors the batch-level value.
-    pub shards_used: usize,
-    /// Realized faults of the answering run (batch runs report theirs once,
-    /// on [`BatchAnswer::faults`]; per-query copies stay empty).
-    pub faults: FaultMetrics,
-    /// True when answering required recovery work — a fault-aware retry
-    /// over the survivors, or an in-run checkpoint-restore rejoin.
-    pub recovered: bool,
-    /// Engine runs it took to answer (1 on the fault-free fast path).
-    pub attempts: u32,
-    /// Rounds replayed from checkpoints by rejoining machines.
-    pub replayed_rounds: u64,
-    /// Byzantine-audit accounting of the answering run(s): digests
-    /// verified, integrity violations caught, semantic audits executed,
-    /// suspects quarantined. Empty without an [`AdversaryPlan`]. In a
-    /// batch's per-query answers this stays empty — the batch reports its
-    /// audit once, on [`BatchAnswer::audit`].
-    pub audit: AuditMetrics,
+    /// Costs and fault / recovery / audit accounting (also reachable
+    /// through `Deref`: `answer.metrics`, `answer.degraded`, …).
+    #[serde(flatten)]
+    pub report: Report,
 }
 
 /// Result of a batched query run: per-query answers plus the aggregate cost
 /// of the one engine run that served them all.
 ///
-/// Inside each per-query [`KnnAnswer`]: `metrics.rounds` is the batch round
-/// in which that query completed, `metrics.messages`/`metrics.bits` are the
-/// traffic attributed to that query's tag, `metrics.sends_per_machine` is
-/// **empty** (per-machine sends are accounted only on the aggregate),
-/// `wall` is zero (the batch shares one wall clock, reported here), and
-/// `election_metrics` is `None` — the batch's single election is reported
-/// once, on this struct.
+/// Inside each per-query [`KnnAnswer`] the report carries only what is
+/// attributable to that query: `metrics.rounds` is the batch round in which
+/// it completed, `metrics.messages`/`metrics.bits` are the traffic
+/// attributed to its tag, `metrics.sends_per_machine` is **empty**
+/// (per-machine sends are accounted only on the aggregate), `attempts` /
+/// `recovered` say which engine run answered it, and `leader`, `degraded`,
+/// `shards_used` mirror the batch-level values. Everything the batch pays
+/// or suffers once — `wall`, `election_metrics`, `skew`, `faults`,
+/// `recovery`, `replayed_rounds`, `audit` — is reported once, on this
+/// struct, and stays zero / `None` / empty per query.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct BatchAnswer {
     /// Per-query answers, in input order.
     pub answers: Vec<KnnAnswer>,
-    /// Aggregate communication costs of the batch's single engine run
-    /// (`per_tag` splits messages/bits by query).
-    pub metrics: RunMetrics,
-    /// Pipelining evidence when the batch ran under relaxed delivery on
-    /// the event engine — per-machine max round skew and promise counters;
-    /// empty ([`SkewMetrics::tracked`] is false) otherwise.
-    pub skew: SkewMetrics,
-    /// Wall-clock time of the batch run.
-    pub wall: Duration,
-    /// The leader that coordinated every query in the batch.
-    pub leader: MachineId,
-    /// Cost of the batch's **single** leader election (`None` under
-    /// [`ElectionKind::Fixed`]).
-    pub election_metrics: Option<RunMetrics>,
-    /// True when the batch's answers may be missing candidates (one or
-    /// more shards crashed; every query was answered by the survivors).
-    pub degraded: bool,
-    /// Shards whose candidates actually reached the selection.
-    pub shards_used: usize,
-    /// Realized faults of the batch's engine run(s).
-    pub faults: FaultMetrics,
-    /// True when serving the batch required recovery work — lost queries
-    /// re-planned onto the survivors, or a checkpoint-restore rejoin.
-    pub recovered: bool,
-    /// Engine runs it took to serve the batch (1 on the fast path).
-    pub attempts: u32,
-    /// Rounds replayed from checkpoints by rejoining machines.
-    pub replayed_rounds: u64,
-    /// Byzantine-audit accounting summed over the batch's engine run(s).
-    /// Empty without an [`AdversaryPlan`]; identical on every engine and
-    /// pool size.
-    pub audit: AuditMetrics,
+    /// Costs and fault / recovery / audit accounting of the batch as a
+    /// whole (also reachable through `Deref`: `batch.metrics`, …).
+    #[serde(flatten)]
+    pub report: Report,
 }
 
 /// Builder for [`KnnCluster`].
@@ -181,7 +130,7 @@ impl ClusterBuilder {
     /// [`DeliveryMode::Relaxed`] lets machines pipeline several rounds past
     /// quiet peers (PANDA-style quiescence promises) — answers and metrics
     /// are identical to exact delivery, and the realized overlap is
-    /// reported in [`BatchAnswer::skew`]. Ignored by the sync engine; the
+    /// reported in [`Report::skew`]. Ignored by the sync engine; the
     /// `KNN_DELIVERY` environment variable overrides this choice.
     pub fn delivery(mut self, delivery: DeliveryMode) -> Self {
         self.opts.delivery = delivery;
@@ -221,7 +170,7 @@ impl ClusterBuilder {
     /// Deterministic fault injection for every query run: stragglers,
     /// fail-stop crashes, lossy links (see [`FaultPlan`]). Elections stay
     /// fault-free, crashes are recovered by retrying over the surviving
-    /// shards (answers come back flagged [`KnnAnswer::degraded`]), and a
+    /// shards (answers come back flagged [`Report::degraded`]), and a
     /// link exhausting its retry budget surfaces as the typed error
     /// [`kmachine::EngineError::LinkDown`].
     pub fn faults(mut self, faults: FaultPlan) -> Self {
@@ -234,7 +183,7 @@ impl ClusterBuilder {
     /// machine is restored from its last protocol checkpoint, replays the
     /// retained rounds, and serves again — answers stay byte-identical to
     /// the fault-free run and the work is reported on
-    /// [`KnnAnswer::recovered`] / [`KnnAnswer::replayed_rounds`].
+    /// [`Report::recovered`] / [`Report::replayed_rounds`].
     pub fn recovery(mut self, recovery: RecoveryPlan) -> Self {
         self.opts.recovery = recovery;
         self
@@ -255,9 +204,8 @@ impl ClusterBuilder {
     /// by per-link digest chains; lies are caught by the semantic audit
     /// (claims re-checked against the real shards). Caught machines are
     /// quarantined and the query re-runs on the honest survivors under the
-    /// [`RetryPolicy`]; the work is reported on [`KnnAnswer::audit`] /
-    /// [`BatchAnswer::audit`]. Elections stay adversary-free, like
-    /// [`Self::faults`].
+    /// [`RetryPolicy`]; the work is reported on [`Report::audit`].
+    /// Elections stay adversary-free, like [`Self::faults`].
     pub fn adversary(mut self, adversary: AdversaryPlan) -> Self {
         self.opts.adversary = adversary;
         self
@@ -353,7 +301,7 @@ impl<P: IndexedPoint> KnnCluster<P> {
     /// Switch the event engine's delivery discipline on a live cluster —
     /// the relaxed-mode counterpart of [`Self::set_engine`]. Answers and
     /// metrics are delivery-invariant; only wall-clock overlap (and the
-    /// [`BatchAnswer::skew`] evidence) changes.
+    /// [`Report::skew`] evidence) changes.
     pub fn set_delivery(&mut self, delivery: DeliveryMode) {
         self.opts.delivery = delivery;
     }
@@ -454,18 +402,7 @@ impl<P: IndexedPoint> KnnCluster<P> {
         if self.index.iter().any(|map| map.contains_key(&record.id)) {
             return Err(CoreError::DuplicateId { id: record.id });
         }
-        // The target shard's own records first; an empty shard takes its
-        // shape from the rest of the cluster.
-        let resident = self.shards[machine]
-            .records
-            .first()
-            .or_else(|| self.shards.iter().find_map(|shard| shard.records.first()));
-        if let Some(resident) = resident {
-            let (expected, got) = (resident.point.shape(), record.point.shape());
-            if expected != got {
-                return Err(CoreError::ShapeMismatch { expected, got });
-            }
-        }
+        check_shape(&self.shards, &record.point)?;
         self.next_id = self.next_id.max(record.id.0.saturating_add(1));
         let records = &mut self.shards[machine].records;
         let pos = records.len();
@@ -491,23 +428,7 @@ impl<P: IndexedPoint> KnnCluster<P> {
             return Err(CoreError::NotLoaded);
         }
         let out = run_approx_query(&self.shards, q, ell, &self.opts)?;
-        let neighbors = self.resolve(&out.local_keys);
-        let shards_used = self.k - out.faults.crashed.len();
-        Ok(KnnAnswer {
-            neighbors,
-            metrics: out.metrics,
-            wall: out.wall,
-            leader: out.leader,
-            election_metrics: out.election_metrics,
-            stats: None,
-            degraded: shards_used < self.k,
-            shards_used,
-            faults: out.faults,
-            recovered: out.recovery.any(),
-            attempts: 1,
-            replayed_rounds: out.recovery.replayed_rounds,
-            audit: out.audit,
-        })
+        Ok(KnnAnswer { neighbors: self.resolve(&out.local_keys), stats: None, report: out.report })
     }
 
     /// Answer an ℓ-NN query with a specific algorithm.
@@ -521,21 +442,10 @@ impl<P: IndexedPoint> KnnCluster<P> {
             return Err(CoreError::NotLoaded);
         }
         let out = run_query(&self.shards, q, ell, algorithm, &self.opts)?;
-        let neighbors = self.resolve(&out.local_keys);
         Ok(KnnAnswer {
-            neighbors,
-            metrics: out.metrics,
-            wall: out.wall,
-            leader: out.leader,
-            election_metrics: out.election_metrics,
+            neighbors: self.resolve(&out.local_keys),
             stats: out.stats,
-            degraded: out.degraded,
-            shards_used: out.shards_used,
-            faults: out.faults,
-            recovered: out.recovered,
-            attempts: out.attempts,
-            replayed_rounds: out.replayed_rounds,
-            audit: out.audit,
+            report: out.report,
         })
     }
 
@@ -583,8 +493,8 @@ impl<P: IndexedPoint> KnnCluster<P> {
 
     /// Resolve a batch outcome's keys into labeled per-query answers.
     fn resolve_batch(&self, out: BatchOutcome) -> BatchAnswer {
-        let answers = out
-            .queries
+        let BatchOutcome { queries, report } = out;
+        let answers = queries
             .iter()
             .map(|q| {
                 // Per-machine sends are not attributed per query; leave the
@@ -597,36 +507,18 @@ impl<P: IndexedPoint> KnnCluster<P> {
                 };
                 KnnAnswer {
                     neighbors: self.resolve(&q.local_keys),
-                    metrics,
-                    wall: Duration::ZERO,
-                    leader: out.leader,
-                    election_metrics: None,
                     stats: q.stats,
-                    degraded: out.degraded,
-                    shards_used: out.shards_used,
-                    faults: FaultMetrics::default(),
-                    recovered: q.recovered,
-                    attempts: q.attempts,
-                    replayed_rounds: 0,
-                    audit: AuditMetrics::default(),
+                    report: Report {
+                        degraded: report.degraded,
+                        shards_used: report.shards_used,
+                        recovered: q.recovered,
+                        attempts: q.attempts,
+                        ..Report::healthy(metrics, self.k, report.leader)
+                    },
                 }
             })
             .collect();
-        BatchAnswer {
-            answers,
-            metrics: out.metrics,
-            skew: out.skew,
-            wall: out.wall,
-            leader: out.leader,
-            election_metrics: out.election_metrics,
-            degraded: out.degraded,
-            shards_used: out.shards_used,
-            faults: out.faults,
-            recovered: out.recovered,
-            attempts: out.attempts,
-            replayed_rounds: out.replayed_rounds,
-            audit: out.audit,
-        }
+        BatchAnswer { answers, report }
     }
 
     /// Map answer keys back to labeled neighbors via the shard indices.
@@ -646,6 +538,7 @@ impl<P: IndexedPoint> KnnCluster<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kmachine::AuditMetrics;
     use knn_points::{IdAssigner, ScalarPoint};
 
     fn loaded_cluster(k: usize, n: u64) -> KnnCluster<ScalarPoint> {
@@ -977,6 +870,44 @@ mod tests {
         );
         assert_eq!(bits.total_points(), 10);
         bits.insert(BitsPoint::new(vec![1, 2])).unwrap();
+    }
+
+    #[test]
+    fn wrong_shape_query_is_a_typed_error_on_every_path() {
+        use knn_points::{BitsPoint, VecPoint};
+        let point = |i: u64| VecPoint::new(vec![i as f64, (i * 7 % 13) as f64, (i % 5) as f64]);
+        let refused = CoreError::ShapeMismatch { expected: 3, got: 2 };
+        for backend in [IndexBackend::Exact, IndexBackend::nsw()] {
+            let mut cluster: KnnCluster<VecPoint> =
+                KnnCluster::builder().machines(3).seed(3).index_backend(backend).build();
+            // Machine 0 holds nothing: the data's shape comes from the rest.
+            let mut ids = IdAssigner::new(0);
+            let data = Dataset::from_points((0..40).map(point).collect(), &mut ids);
+            let mut shards = PartitionStrategy::RoundRobin.split(data.records, 2, 0);
+            shards.insert(0, Vec::new());
+            cluster.load_shards(shards.into_iter().map(Dataset::new).collect()).unwrap();
+            let (good, bad) = (point(17), VecPoint::new(vec![1.0, 2.0]));
+            for algo in Algorithm::ALL {
+                assert_eq!(cluster.query_with(algo, &bad, 4).unwrap_err(), refused, "{algo:?}");
+                // One bad query refuses the whole batch, wherever it sits.
+                let batch = [good.clone(), bad.clone()];
+                assert_eq!(cluster.query_batch_with(algo, &batch, 4).unwrap_err(), refused);
+            }
+            assert_eq!(cluster.query_approx(&bad, 4).unwrap_err(), refused);
+            assert_eq!(cluster.query_batch_approx(&[bad], 4).unwrap_err(), refused);
+            // The cluster keeps serving well-shaped queries.
+            assert_eq!(cluster.query(&good, 4).unwrap().neighbors[0].dist.as_u64(), 0);
+            assert_eq!(cluster.query_batch(&[good], 4).unwrap().answers[0].neighbors.len(), 4);
+        }
+
+        let mut bits: KnnCluster<BitsPoint> = KnnCluster::builder().machines(2).build();
+        let mut ids = IdAssigner::new(1);
+        let words = (0..10u64).map(|i| BitsPoint::new(vec![i, !i])).collect();
+        bits.load(Dataset::from_points(words, &mut ids), PartitionStrategy::RoundRobin);
+        let refused = CoreError::ShapeMismatch { expected: 2, got: 1 };
+        assert_eq!(bits.query(&BitsPoint::new(vec![1]), 3).unwrap_err(), refused);
+        assert_eq!(bits.query_batch(&[BitsPoint::new(vec![1])], 3).unwrap_err(), refused);
+        assert_eq!(bits.query(&BitsPoint::new(vec![1, !1]), 3).unwrap().neighbors.len(), 3);
     }
 
     #[test]

@@ -59,9 +59,10 @@ pub enum CoreError {
         /// Machines in the cluster.
         machines: usize,
     },
-    /// An insert carried a point whose [`Point::shape`](knn_points::Point::shape)
-    /// (dimensionality, bit-string length) differs from the data already
-    /// loaded; no distance between them is defined.
+    /// An insert or a query carried a point whose
+    /// [`Point::shape`](knn_points::Point::shape) (dimensionality,
+    /// bit-string length) differs from the data already loaded; no distance
+    /// between them is defined.
     ShapeMismatch {
         /// Shape of the points the cluster holds.
         expected: usize,
@@ -106,7 +107,7 @@ impl fmt::Display for CoreError {
                 write!(f, "insert rejected: machine {machine} of a {machines}-machine cluster")
             }
             CoreError::ShapeMismatch { expected, got } => {
-                write!(f, "insert rejected: point of shape {got}, the data has shape {expected}")
+                write!(f, "point of shape {got} rejected: the data has shape {expected}")
             }
         }
     }

@@ -24,6 +24,8 @@
 //!   locally.
 //! * [`cluster::KnnCluster`] — the user-facing facade: load data, pick an
 //!   algorithm and engine, run queries, inspect exact round/message costs.
+//! * [`report::Report`] — the one cost / fault / recovery / audit account
+//!   every answer and outcome embeds.
 //! * [`session::QuerySession`] — the **batched serving path**: one leader
 //!   election per session, one engine run per batch (queries multiplexed
 //!   over shared links), and per-shard indices ([`local::ShardIndex`]:
@@ -75,6 +77,7 @@ pub mod error;
 pub mod local;
 pub mod ml;
 pub mod protocols;
+pub mod report;
 pub mod runner;
 pub mod session;
 
@@ -82,6 +85,7 @@ pub use audit::{audit_claims, AuditReport};
 pub use cluster::{BatchAnswer, ClusterBuilder, KnnAnswer, KnnCluster, Neighbor};
 pub use error::CoreError;
 pub use local::{IndexBackend, IndexedPoint, NswIndex, NswParams, ShardIndex};
+pub use report::Report;
 pub use runner::{Algorithm, ElectionKind, QueryOptions};
 pub use session::{BatchOutcome, BatchQueryOutcome, QuerySession};
 

@@ -191,8 +191,8 @@ impl Protocol for KdBuildProtocol {
     /// delivery has real pipelining to buy under [`kmachine::Engine::Auto`].
     const QUIET_AWARE: bool = true;
 
-    /// [`Self::exchange`] ships every outgoing point in one burst and
-    /// flips the phase to [`BuildPhase::Exchange`]; from then on the
+    /// `Self::exchange` ships every outgoing point in one burst and
+    /// flips the phase to `BuildPhase::Exchange`; from then on the
     /// machine only *receives* (it waits for the remaining `last` markers
     /// and builds its tree locally), so it is silent forever.
     fn quiet_until(&self) -> Option<u64> {

@@ -6,20 +6,20 @@ use std::time::Duration;
 
 use kmachine::leader::{RandRankFlood, RandRankStar};
 use kmachine::{
-    AdversaryPlan, AuditMetrics, BandwidthMode, DeliveryMode, Engine, EngineError, FaultMetrics,
-    FaultPlan, MachineId, NetConfig, RecoveryMetrics, RecoveryPlan, RunMetrics, SkewMetrics,
-    ENVELOPE_HEADER_BITS, MUX_TAG_BITS,
+    AdversaryPlan, AuditMetrics, BandwidthMode, DeliveryMode, Engine, EngineError, FaultPlan,
+    MachineId, NetConfig, RecoveryPlan, RunMetrics, ENVELOPE_HEADER_BITS, MUX_TAG_BITS,
 };
 use knn_points::{Dataset, DistKey, Key, Metric, Point};
 
 use crate::audit;
 use crate::error::CoreError;
-use crate::local::{dist_keys, IndexBackend};
+use crate::local::{brute_top, dist_keys, IndexBackend};
 use crate::protocols::approx::ApproxKnnProtocol;
 use crate::protocols::binsearch::BinSearchProtocol;
-use crate::protocols::knn::{KnnParams, KnnProtocol, KnnStats};
+use crate::protocols::knn::{KeySource, KnnParams, KnnProtocol, KnnStats};
 use crate::protocols::saukas_song::SaukasSongProtocol;
 use crate::protocols::simple::SimpleProtocol;
+use crate::report::Report;
 use crate::splitmix64;
 
 /// Which distributed algorithm answers the query.
@@ -115,26 +115,18 @@ impl RetryPolicy {
 /// Running tally of a retry loop: attempts made and simulated rounds spent
 /// on failed runs plus backoff waits.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RetryState {
+struct RetryState {
     /// Engine runs started so far (≥ 1 once the loop is entered).
-    pub attempts: u32,
+    attempts: u32,
     /// Rounds burned by failed runs and backoff waits.
-    pub spent_rounds: u64,
+    spent_rounds: u64,
 }
 
 impl RetryState {
-    pub(crate) fn new() -> Self {
-        RetryState { attempts: 1, spent_rounds: 0 }
-    }
-
     /// Account a failed (or partial) run that consumed `rounds`, then
     /// either authorize the next attempt — charging its backoff wait — or
     /// surface [`CoreError::DeadlineExceeded`].
-    pub(crate) fn next_attempt(
-        &mut self,
-        policy: &RetryPolicy,
-        rounds: u64,
-    ) -> Result<(), CoreError> {
+    fn next_attempt(&mut self, policy: &RetryPolicy, rounds: u64) -> Result<(), CoreError> {
         self.spent_rounds = self.spent_rounds.saturating_add(rounds);
         let wait = policy.backoff_rounds(self.attempts);
         self.spent_rounds = self.spent_rounds.saturating_add(wait);
@@ -165,7 +157,7 @@ pub struct QueryOptions {
     pub bandwidth: BandwidthMode,
     /// Delivery discipline of the event engine: [`DeliveryMode::Relaxed`]
     /// lets machines pipeline past quiet peers (answers and metrics are
-    /// identical; [`QueryOutcome::skew`] reports the realized overlap).
+    /// identical; [`Report::skew`] reports the realized overlap).
     /// Ignored by the sync engine; the `KNN_DELIVERY` environment
     /// variable overrides this field for every run.
     pub delivery: DeliveryMode,
@@ -186,13 +178,13 @@ pub struct QueryOptions {
     /// the control plane, and re-elections after a leader crash must not
     /// themselves crash. When a machine crashes unsalvageably, the runner
     /// retries the query over the surviving shards and flags the answer
-    /// [`QueryOutcome::degraded`].
+    /// [`Report::degraded`].
     pub faults: FaultPlan,
     /// Crash-recovery plan (checkpoint cadence plus scheduled machine
     /// rejoins) handed to the engines with every query run. Rejoins are
     /// invisible to the answer: the machine is restored from its last
     /// checkpoint and replays the missed rounds in-engine. The realized
-    /// work is reported through [`QueryOutcome::replayed_rounds`].
+    /// work is reported through [`Report::replayed_rounds`].
     pub recovery: RecoveryPlan,
     /// Deadline-bounded retry discipline for crash re-runs.
     pub retry: RetryPolicy,
@@ -202,8 +194,8 @@ pub struct QueryOptions {
     /// integrity digests at the engine layer, plus a semantic audit of each
     /// answer against the shard-local oracles at this layer. A caught liar
     /// or corrupt-link source is **quarantined** and the query re-runs over
-    /// the honest survivors (flagged [`QueryOutcome::degraded`], accounted
-    /// in [`QueryOutcome::audit`]); a wrong answer is never returned
+    /// the honest survivors (flagged [`Report::degraded`], accounted
+    /// in [`Report::audit`]); a wrong answer is never returned
     /// silently. Elections stay adversary-free, like [`Self::faults`].
     pub adversary: AdversaryPlan,
     /// Which local index each shard builds for the batched serving path
@@ -269,14 +261,30 @@ impl QueryOptions {
             .with_adversary(self.adversary.project(alive))
     }
 
-    /// Whether original machine `m` lies at the *source*: a round-0 liar or
-    /// an equivocator perturbs its materialized local distances (the wire
+    /// Machine `m`'s candidate source: the keys `generate` materializes,
+    /// perturbed when `m` lies at the *source*. A round-0 liar or an
+    /// equivocator perturbs its materialized local distances (the wire
     /// tamper alone cannot fake the machine's own self-computed answer
     /// slice, so scheduled-from-round-0 lying is modeled where the claims
-    /// are actually born). Keyed on the original machine id, so the lie is
-    /// identical across quarantine re-runs and the batched path.
-    pub(crate) fn lies_at_source(&self, m: MachineId) -> bool {
-        self.adversary.equivocates(m) || self.adversary.lie_round(m) == 0
+    /// are actually born) by the pure seeded stream of
+    /// [`audit::perturb_input`]. Keyed on the original machine id, so the
+    /// lie is identical on every engine, across quarantine re-runs and on
+    /// the sequential and batched paths.
+    pub(crate) fn source<'a>(
+        &self,
+        m: MachineId,
+        generate: impl FnOnce() -> Vec<DistKey> + Send + 'a,
+    ) -> impl FnOnce() -> Vec<DistKey> + Send + 'a {
+        let lying = self.adversary.equivocates(m) || self.adversary.lie_round(m) == 0;
+        let seed = self.adversary.adversary_seed;
+        move || {
+            let keys = generate();
+            if lying {
+                audit::perturb_input(keys, seed, m)
+            } else {
+                keys
+            }
+        }
     }
 
     /// Keys per batch message such that one batch fills one link-round.
@@ -307,45 +315,11 @@ impl QueryOptions {
 pub struct QueryOutcome {
     /// Per-machine answer keys (machine `i`'s members of the ℓ-NN set).
     pub local_keys: Vec<Vec<DistKey>>,
-    /// Communication costs of the main protocol.
-    pub metrics: RunMetrics,
-    /// Pipelining evidence when the main protocol ran under relaxed
-    /// delivery on the event engine (machine skew, promise counters);
-    /// empty otherwise.
-    pub skew: SkewMetrics,
-    /// Wall-clock time of the main protocol run.
-    pub wall: Duration,
-    /// The elected leader.
-    pub leader: MachineId,
-    /// Election costs (`None` under [`ElectionKind::Fixed`]).
-    pub election_metrics: Option<RunMetrics>,
     /// Algorithm 2 diagnostics (`None` for the baselines).
     pub stats: Option<KnnStats>,
-    /// True when the answer may be missing candidates: one or more shards
-    /// crashed (salvaged in-run or excluded by a retry) and the selection
-    /// ran over the survivors.
-    pub degraded: bool,
-    /// Shards whose candidates actually reached the selection
-    /// (`== shards.len()` on a healthy run).
-    pub shards_used: usize,
-    /// Realized faults of the (final) protocol run. Crash retries run over
-    /// progressively smaller clusters; this records the run that produced
-    /// the answer.
-    pub faults: FaultMetrics,
-    /// True when the answer needed recovery machinery: a crash retry, a
-    /// checkpoint-restored rejoin, or in-engine round replay.
-    pub recovered: bool,
-    /// Engine runs this query took (1 on a healthy run).
-    pub attempts: u32,
-    /// Rounds re-executed from checkpoints during rejoins (final run).
-    pub replayed_rounds: u64,
-    /// Checkpoint/rejoin accounting of the run that produced the answer.
-    pub recovery: RecoveryMetrics,
-    /// Byzantine-audit accounting across the whole quarantine-and-retry
-    /// loop: digests verified by every engine run, integrity violations
-    /// caught, semantic audits executed, and suspects quarantined. Empty on
-    /// adversary-free queries; identical on every engine.
-    pub audit: AuditMetrics,
+    /// Costs and fault / recovery / audit accounting (also reachable
+    /// through `Deref`: `outcome.metrics`, `outcome.degraded`, …).
+    pub report: Report,
 }
 
 /// Elect a leader (when requested) and account its cost. The serving layer
@@ -378,10 +352,6 @@ pub(crate) struct Survivors {
 }
 
 impl Survivors {
-    pub(crate) fn new(k: usize, leader: MachineId) -> Self {
-        Survivors { alive: (0..k).collect(), leader }
-    }
-
     /// The leader's machine id within a run over `alive`.
     pub(crate) fn sub_leader(&self) -> usize {
         self.alive.iter().position(|&m| m == self.leader).expect("leader is alive")
@@ -391,17 +361,138 @@ impl Survivors {
     /// all of `alive`). If the coordinator was among them, re-elect over
     /// the survivors (fault-free, like every election) and keep the new
     /// leader under its original id.
-    pub(crate) fn exclude(
-        &mut self,
-        dead: &[MachineId],
-        opts: &QueryOptions,
-    ) -> Result<(), CoreError> {
+    fn exclude(&mut self, dead: &[MachineId], opts: &QueryOptions) -> Result<(), CoreError> {
         self.alive.retain(|m| !dead.contains(m));
         if !self.alive.contains(&self.leader) {
             let (sub, _) = elect(self.alive.len(), opts)?;
             self.leader = self.alive[sub];
         }
         Ok(())
+    }
+}
+
+/// Refuse a query or insert `point` whose [`Point::shape`] differs from the
+/// loaded data's — no distance between them is defined, and the metric
+/// would panic mid-run. Any resident record tells the data's shape, so an
+/// empty shard borrows it from the rest of the cluster.
+pub(crate) fn check_shape<P: Point>(shards: &[Dataset<P>], point: &P) -> Result<(), CoreError> {
+    if let Some(resident) = shards.iter().find_map(|shard| shard.records.first()) {
+        let (expected, got) = (resident.point.shape(), point.shape());
+        if expected != got {
+            return Err(CoreError::ShapeMismatch { expected, got });
+        }
+    }
+    Ok(())
+}
+
+/// How one attempt of [`recover`] ended, beside the [`Report`] of its run.
+pub(crate) enum Attempt<T> {
+    /// Complete and (where audited) certified: the value to return.
+    Done(T),
+    /// Unfinished: drop the machines that crashed in-run, quarantine these
+    /// suspects (original ids; empty when the only loss was to a crash)
+    /// and go again.
+    Retry(Vec<MachineId>),
+}
+
+/// Spread a subset run's per-machine keys back over the full `k`-shard
+/// layout: machine `i` of the run worked shard `alive[i]`; excluded shards
+/// contribute nothing.
+pub(crate) fn scatter(
+    sub_keys: Vec<Vec<DistKey>>,
+    alive: &[MachineId],
+    k: usize,
+) -> Vec<Vec<DistKey>> {
+    let mut local_keys = vec![Vec::new(); k];
+    for (i, keys) in sub_keys.into_iter().enumerate() {
+        local_keys[alive[i]] = keys;
+    }
+    local_keys
+}
+
+/// The one recovery loop behind every exact query, single or batched.
+///
+/// `attempt(survivors, n)` makes the `n`-th engine run over the surviving
+/// machines and judges it. A run that comes back unfinished — an audit
+/// named suspects, or a crashed machine took queries with it — or fails
+/// with [`EngineError::Crashed`] / [`EngineError::IntegrityViolation`] (a
+/// corrupt link is pinned on its sender) costs the dead and the suspects
+/// their place: they are excluded, the leader is re-elected over the
+/// survivors if it was among them, and the next attempt runs with the
+/// fault, recovery and adversary plans projected onto who is left — which
+/// drops every plan entry touching an excluded machine, so the loop
+/// terminates. Each re-run is charged to the [`RetryPolicy`]; other engine
+/// errors (a lossy link exhausting its retransmits, …) are not retried.
+///
+/// When nobody would be left the loop gives up *before* charging the retry
+/// budget — no further run could certify anything, so it is not a budget
+/// failure: [`CoreError::AuditFailed`] if misbehaviour emptied the
+/// cluster, the crash itself otherwise.
+///
+/// The finished [`Report`] is the final run's, with `attempts`,
+/// `recovered`, `replayed_rounds` and `audit` totalled over the loop.
+pub(crate) fn recover<T>(
+    k: usize,
+    leader: MachineId,
+    opts: &QueryOptions,
+    mut attempt: impl FnMut(&Survivors, u32) -> Result<(Report, Attempt<T>), EngineError>,
+) -> Result<(T, Report), CoreError> {
+    let mut survivors = Survivors { alive: (0..k).collect(), leader };
+    let mut retry = RetryState { attempts: 1, spent_rounds: 0 };
+    let mut audit = AuditMetrics::default();
+    let mut replayed_rounds = 0u64;
+    loop {
+        let alive = &survivors.alive;
+        // Who leaves before the next attempt (original ids), who of them
+        // misbehaved, and the simulated rounds the failed attempt burned.
+        // Engine errors index the failed run's subset.
+        let (mut dead, mut suspects, rounds) = match attempt(&survivors, retry.attempts) {
+            Ok((mut report, verdict)) => {
+                audit.digests_verified += report.audit.digests_verified;
+                audit.audits_run += report.audit.audits_run;
+                replayed_rounds += report.replayed_rounds;
+                match verdict {
+                    Attempt::Done(value) => {
+                        report.recovered |= retry.attempts > 1;
+                        report.attempts = retry.attempts;
+                        report.replayed_rounds = replayed_rounds;
+                        report.audit = audit;
+                        return Ok((value, report));
+                    }
+                    Attempt::Retry(suspects) => {
+                        let crashed = report.faults.crashed.iter().map(|&c| alive[c]).collect();
+                        (crashed, suspects, report.metrics.rounds)
+                    }
+                }
+            }
+            Err(EngineError::Crashed { machine, round }) if alive.len() > 1 => {
+                (vec![alive[machine]], Vec::new(), round)
+            }
+            Err(EngineError::IntegrityViolation { src, round, .. }) if alive.len() > 1 => {
+                audit.integrity_violations += 1;
+                (Vec::new(), vec![alive[src]], round)
+            }
+            Err(e) => return Err(e.into()),
+        };
+        // A batch can name one suspect once per poisoned query.
+        suspects.sort_unstable();
+        suspects.dedup();
+        audit.suspects_quarantined += suspects.len() as u64;
+        dead.extend(&suspects);
+        dead.sort_unstable();
+        dead.dedup();
+        if dead.len() >= alive.len() && !suspects.is_empty() {
+            return Err(CoreError::AuditFailed { suspects, alive: alive.len() });
+        }
+        if dead.len() >= alive.len() || dead.is_empty() {
+            // Holes without a usable survivor topology (or — impossibly —
+            // without a crash or a suspect): surface the crash instead of
+            // looping on an unanswerable plan.
+            let machine = dead.first().copied().unwrap_or(0);
+            return Err(EngineError::Crashed { machine, round: rounds }.into());
+        }
+        retry.next_attempt(&opts.retry, rounds)?;
+        survivors.exclude(&dead, opts)?;
     }
 }
 
@@ -412,22 +503,16 @@ impl Survivors {
 /// Figure 2 attributes its measured speedup to.
 ///
 /// Under a [`QueryOptions::faults`] plan the query **recovers from
-/// crashes**: when a run fails with [`EngineError::Crashed`], the dead
-/// machine is excluded, the leader is re-elected over the survivors if it
-/// was the casualty, and the query re-runs on the surviving shards (with
-/// the fault plan projected onto them). The answer is then flagged
-/// [`QueryOutcome::degraded`]. Non-crash faults (a lossy link exhausting
-/// its retry budget) are not retried — they surface as the typed error.
-///
-/// Under a [`QueryOptions::adversary`] plan the query additionally
-/// **recovers from lies**: every successful run's answer is audited
-/// against the shard-local oracles ([`crate::audit::audit_claims`]) before
-/// it is returned, and an engine run killed by a corrupt link
-/// ([`EngineError::IntegrityViolation`]) is treated like a crash of the
-/// corrupting sender. Suspects are quarantined and the query re-runs over
-/// the honest survivors, under the same [`RetryPolicy`] budget; when
-/// quarantining would empty the cluster the typed
-/// [`CoreError::AuditFailed`] surfaces instead of an uncertified answer.
+/// crashes** and under a [`QueryOptions::adversary`] plan **from lies**,
+/// through the one recovery loop it shares with the batched path: every successful run's answer is
+/// audited against the shard-local oracles ([`crate::audit::audit_claims`],
+/// truth recomputed by full scan) before it is returned, crashed and
+/// suspect machines are excluded, and the query re-runs on the surviving
+/// shards under the [`RetryPolicy`] budget. The answer is then flagged
+/// [`Report::degraded`]; [`CoreError::AuditFailed`] surfaces instead of an
+/// uncertified answer when quarantining would empty the cluster. A query
+/// of the wrong [`Point::shape`] is refused with
+/// [`CoreError::ShapeMismatch`] before anything runs.
 pub fn run_query<P: Point>(
     shards: &[Dataset<P>],
     query: &P,
@@ -439,239 +524,113 @@ pub fn run_query<P: Point>(
     if k == 0 {
         return Err(CoreError::EmptyCluster);
     }
+    check_shape(shards, query)?;
     let (leader, election_metrics) = elect(k, opts)?;
-    let mut survivors = Survivors::new(k, leader);
-    let mut retry = RetryState::new();
-    let mut audit_total = AuditMetrics::default();
-    loop {
+    let ((local_keys, stats), mut report) = recover(k, leader, opts, |survivors, _| {
         let alive = &survivors.alive;
-        match run_query_over(shards, query, ell, algorithm, opts, alive, survivors.sub_leader()) {
-            Ok((sub_keys, metrics, skew, wall, faults, recovery, run_audit, stats)) => {
-                audit_total.digests_verified += run_audit.digests_verified;
-                if !opts.adversary.is_empty() {
-                    audit_total.audits_run += 1;
-                    let truth = honest_top(shards, query, ell, opts.metric, alive, &faults);
-                    let report = audit::audit_claims(&truth, &sub_keys, ell, opts.seed);
-                    if !report.ok {
-                        audit_total.suspects_quarantined += report.suspects.len() as u64;
-                        let suspects: Vec<MachineId> =
-                            report.suspects.iter().map(|&s| alive[s]).collect();
-                        if suspects.len() >= alive.len() {
-                            return Err(CoreError::AuditFailed { suspects, alive: alive.len() });
-                        }
-                        retry.next_attempt(&opts.retry, metrics.rounds)?;
-                        survivors.exclude(&suspects, opts)?;
-                        continue;
+        let QueryOutcome { local_keys: sub_keys, stats, mut report } =
+            run_query_over(shards, query, ell, algorithm, opts, survivors)?;
+        if !opts.adversary.is_empty() {
+            report.audit.audits_run = 1;
+            // Survivor `i`'s true sorted top-ℓ, recomputed honestly from
+            // the real shard — or empty when the machine crashed in-run
+            // (it legitimately contributed nothing).
+            let truth: Vec<Vec<DistKey>> = (alive.iter().enumerate())
+                .map(|(i, &m)| {
+                    if report.faults.crashed.contains(&i) {
+                        return Vec::new();
                     }
-                }
-                let shards_used = alive.len() - faults.crashed.len();
-                let mut local_keys = vec![Vec::new(); k];
-                for (i, keys) in sub_keys.into_iter().enumerate() {
-                    local_keys[alive[i]] = keys;
-                }
-                return Ok(QueryOutcome {
-                    local_keys,
-                    metrics,
-                    skew,
-                    wall,
-                    leader: survivors.leader,
-                    election_metrics,
-                    stats,
-                    degraded: shards_used < k,
-                    shards_used,
-                    faults,
-                    recovered: retry.attempts > 1 || recovery.any(),
-                    attempts: retry.attempts,
-                    replayed_rounds: recovery.replayed_rounds,
-                    recovery,
-                    audit: audit_total,
-                });
+                    brute_top(&shards[m].records, query, ell, opts.metric)
+                })
+                .collect();
+            let verdict = audit::audit_claims(&truth, &sub_keys, ell, opts.seed);
+            if !verdict.ok {
+                let suspects = verdict.suspects.iter().map(|&s| alive[s]).collect();
+                return Ok((report, Attempt::Retry(suspects)));
             }
-            Err(CoreError::Engine(EngineError::Crashed { machine, round, .. }))
-                if alive.len() > 1 =>
-            {
-                retry.next_attempt(&opts.retry, round)?;
-                // `machine` indexes the failed run's subset.
-                survivors.exclude(&[alive[machine]], opts)?;
-            }
-            Err(CoreError::Engine(EngineError::IntegrityViolation { src, round, .. }))
-                if alive.len() > 1 =>
-            {
-                // A corrupt link is pinned on its sender: quarantine the
-                // source and retry over the survivors, exactly like a
-                // crash. Projection drops every corrupt-link entry touching
-                // the quarantined machine, so the loop terminates.
-                audit_total.integrity_violations += 1;
-                audit_total.suspects_quarantined += 1;
-                retry.next_attempt(&opts.retry, round)?;
-                survivors.exclude(&[alive[src]], opts)?;
-            }
-            Err(e) => return Err(e),
         }
-    }
+        Ok((report, Attempt::Done((scatter(sub_keys, alive, k), stats))))
+    })?;
+    report.election_metrics = election_metrics;
+    Ok(QueryOutcome { local_keys, stats, report })
 }
 
-/// The audit's shard-local oracles for one subset run: survivor `i`'s true
-/// sorted top-ℓ, recomputed honestly from the real shard — or empty when
-/// the machine crashed in-run (it legitimately contributed nothing).
-fn honest_top<P: Point>(
-    shards: &[Dataset<P>],
-    query: &P,
-    ell: usize,
-    metric: Metric,
-    alive: &[MachineId],
-    faults: &FaultMetrics,
-) -> Vec<Vec<DistKey>> {
-    alive
-        .iter()
-        .enumerate()
-        .map(|(i, &m)| {
-            if faults.crashed.contains(&i) {
-                return Vec::new();
-            }
-            let mut keys = dist_keys(&shards[m].records, query, metric);
-            keys.sort_unstable();
-            keys.truncate(ell);
-            keys
-        })
-        .collect()
-}
-
-/// Everything one subset run yields: per-survivor answer keys (subset
-/// order), costs, and diagnostics.
-type SubRun = (
-    Vec<Vec<DistKey>>,
-    RunMetrics,
-    SkewMetrics,
-    Duration,
-    FaultMetrics,
-    RecoveryMetrics,
-    AuditMetrics,
-    Option<KnnStats>,
-);
-
-/// One attempt of [`run_query`] over the surviving subset `alive`; machine
-/// `i` of the run works shard `alive[i]`, and `leader` is a subset index.
+/// One attempt of [`run_query`] over the surviving machines: machine `i` of
+/// the run works shard `alive[i]`, and the outcome's `local_keys` are in
+/// that subset order.
 fn run_query_over<P: Point>(
     shards: &[Dataset<P>],
     query: &P,
     ell: usize,
     algorithm: Algorithm,
     opts: &QueryOptions,
-    alive: &[MachineId],
-    leader: MachineId,
-) -> Result<SubRun, CoreError> {
-    let k = alive.len();
+    survivors: &Survivors,
+) -> Result<QueryOutcome, EngineError> {
+    let alive = &survivors.alive;
+    let (k, leader) = (alive.len(), survivors.sub_leader());
     let cfg = opts.subset_config(alive);
     let metric = opts.metric;
     let ell64 = ell as u64;
-    let adv_seed = opts.adversary.adversary_seed;
-
-    // A round-0 liar (or equivocator) lies where its claims are born: its
-    // materialized local distances are perturbed by the pure seeded stream,
-    // identically on every engine and across quarantine re-runs.
-    let source = |i: usize| {
-        let m = alive[i];
-        let records = &shards[m].records;
-        let lying = opts.lies_at_source(m);
-        Box::new(move || {
-            let keys = dist_keys(records, query, metric);
-            if lying {
-                audit::perturb_input(keys, adv_seed, m)
-            } else {
-                keys
-            }
-        }) as Box<dyn FnOnce() -> Vec<DistKey> + Send + '_>
+    let scan = |i: usize| {
+        let records = &shards[alive[i]].records;
+        opts.source(alive[i], move || dist_keys(records, query, metric))
     };
+    let source = |i: usize| Box::new(scan(i)) as KeySource<'_, DistKey>;
 
-    match algorithm {
+    let out = match algorithm {
         Algorithm::Knn => {
             let protos: Vec<KnnProtocol<'_, DistKey>> = (0..k)
                 .map(|i| KnnProtocol::new(i, k, leader, ell64, opts.params, source(i)))
                 .collect();
             let out = opts.engine.run(&cfg, protos)?;
             let stats = out.outputs[leader].stats;
-            Ok((
-                out.outputs.into_iter().map(|o| o.keys).collect(),
-                out.metrics,
-                out.skew,
-                out.wall,
-                out.faults,
-                out.recovery,
-                out.audit,
-                stats,
-            ))
+            let (outputs, report) = Report::from_run(out, shards.len(), survivors.leader);
+            let local_keys = outputs.into_iter().map(|o| o.keys).collect();
+            return Ok(QueryOutcome { local_keys, stats, report });
         }
         Algorithm::Simple => {
             let chunk = opts.simple_chunk();
             let protos: Vec<SimpleProtocol<'_, DistKey>> =
                 (0..k).map(|i| SimpleProtocol::new(i, leader, ell64, chunk, source(i))).collect();
-            let out = opts.engine.run(&cfg, protos)?;
-            Ok((
-                out.outputs,
-                out.metrics,
-                out.skew,
-                out.wall,
-                out.faults,
-                out.recovery,
-                out.audit,
-                None,
-            ))
+            opts.engine.run(&cfg, protos)?
         }
         Algorithm::SaukasSong => {
             // Mirror the other baselines: operate on the local top-ℓ
             // candidates (a machine can contribute at most ℓ answers).
             let protos: Vec<SaukasSongProtocol<'_, DistKey>> = (0..k)
                 .map(|i| {
-                    let m = alive[i];
-                    let records = &shards[m].records;
-                    let lying = opts.lies_at_source(m);
+                    let scan = scan(i);
                     let input = Box::new(move || {
-                        let mut keys = dist_keys(records, query, metric);
-                        if lying {
-                            keys = audit::perturb_input(keys, adv_seed, m);
-                        }
+                        let mut keys = scan();
                         if keys.len() > ell {
                             keys.select_nth_unstable(ell.max(1) - 1);
                             keys.truncate(ell);
                         }
                         keys
-                    })
-                        as Box<dyn FnOnce() -> Vec<DistKey> + Send + '_>;
+                    });
                     SaukasSongProtocol::new(i, k, leader, ell64, input)
                 })
                 .collect();
-            let out = opts.engine.run(&cfg, protos)?;
-            Ok((
-                out.outputs,
-                out.metrics,
-                out.skew,
-                out.wall,
-                out.faults,
-                out.recovery,
-                out.audit,
-                None,
-            ))
+            opts.engine.run(&cfg, protos)?
         }
         Algorithm::BinSearch => {
             let protos: Vec<BinSearchProtocol<'_, DistKey>> =
                 (0..k).map(|i| BinSearchProtocol::new(i, k, leader, ell64, source(i))).collect();
-            let out = opts.engine.run(&cfg, protos)?;
-            Ok((
-                out.outputs,
-                out.metrics,
-                out.skew,
-                out.wall,
-                out.faults,
-                out.recovery,
-                out.audit,
-                None,
-            ))
+            opts.engine.run(&cfg, protos)?
         }
-    }
+    };
+    let (local_keys, report) = Report::from_run(out, shards.len(), survivors.leader);
+    Ok(QueryOutcome { local_keys, stats: None, report })
 }
 
 /// Result of an approximate (pruning-only) query.
+///
+/// The approx path does **not** retry over survivors and runs
+/// **unaudited** — it injects no source-level lies and quarantines nobody;
+/// an unsalvageable crash surfaces as [`EngineError::Crashed`] and a
+/// corrupt link as [`EngineError::IntegrityViolation`] (rejoins under a
+/// [`RecoveryPlan`] work here too). Use the exact path when you need crash
+/// recovery or the semantic audit.
 #[derive(Debug)]
 pub struct ApproxOutcome {
     /// Per-machine surviving keys (globally: every key ≤ the prune
@@ -681,30 +640,8 @@ pub struct ApproxOutcome {
     pub total: u64,
     /// Whether the survivor set provably contains the exact ℓ-NN.
     pub contains_exact: bool,
-    /// Communication costs.
-    pub metrics: RunMetrics,
-    /// Pipelining evidence of a relaxed event run (empty otherwise).
-    pub skew: SkewMetrics,
-    /// Wall-clock time of the run.
-    pub wall: Duration,
-    /// The elected leader.
-    pub leader: MachineId,
-    /// Election costs, if an election ran.
-    pub election_metrics: Option<RunMetrics>,
-    /// Realized faults of the run. The approx path does **not** retry over
-    /// survivors — an unsalvageable crash surfaces as
-    /// [`EngineError::Crashed`]; use the exact path when you need crash
-    /// recovery.
-    pub faults: FaultMetrics,
-    /// Checkpoint/rejoin accounting of the run (rejoins under a
-    /// [`RecoveryPlan`] work on the approx path too).
-    pub recovery: RecoveryMetrics,
-    /// Integrity-digest accounting when an [`AdversaryPlan`] armed the
-    /// links. The approx path runs **unaudited** — it does not inject
-    /// source-level lies and does not quarantine; a corrupt link still
-    /// surfaces as [`EngineError::IntegrityViolation`]. Use the exact path
-    /// when you need the semantic audit.
-    pub audit: AuditMetrics,
+    /// Costs and fault accounting of the one run (`Deref` target).
+    pub report: Report,
 }
 
 /// Run one *approximate* ℓ-NN query: Algorithm 2's sampling + pruning
@@ -720,32 +657,24 @@ pub fn run_approx_query<P: Point>(
     if k == 0 {
         return Err(CoreError::EmptyCluster);
     }
+    check_shape(shards, query)?;
     let (leader, election_metrics) = elect(k, opts)?;
     let cfg = opts.net_config(k);
     let metric = opts.metric;
     let protos: Vec<ApproxKnnProtocol<'_, DistKey>> = (0..k)
         .map(|i| {
             let records = &shards[i].records;
-            let input = Box::new(move || dist_keys(records, query, metric))
-                as Box<dyn FnOnce() -> Vec<DistKey> + Send + '_>;
+            let input = Box::new(move || dist_keys(records, query, metric));
             ApproxKnnProtocol::new(i, k, leader, ell as u64, opts.params, input)
         })
         .collect();
-    let out = opts.engine.run(&cfg, protos)?;
-    let total = out.outputs[leader].total;
-    let contains_exact = out.outputs[leader].contains_exact;
+    let (outputs, mut report) = Report::from_run(opts.engine.run(&cfg, protos)?, k, leader);
+    report.election_metrics = election_metrics;
     Ok(ApproxOutcome {
-        local_keys: out.outputs.into_iter().map(|o| o.keys).collect(),
-        total,
-        contains_exact,
-        metrics: out.metrics,
-        skew: out.skew,
-        wall: out.wall,
-        leader,
-        election_metrics,
-        faults: out.faults,
-        recovery: out.recovery,
-        audit: out.audit,
+        total: outputs[leader].total,
+        contains_exact: outputs[leader].contains_exact,
+        local_keys: outputs.into_iter().map(|o| o.keys).collect(),
+        report,
     })
 }
 

@@ -30,17 +30,12 @@
 //! previous round), and [`kmachine::Engine::Auto`], which picks an engine
 //! per batch. With [`kmachine::DeliveryMode::Relaxed`] the event engine
 //! additionally pipelines machines several rounds past quiet peers
-//! (reported via [`BatchOutcome::skew`]). Answers and metrics are engine-
+//! (reported via [`Report::skew`]). Answers and metrics are engine-
 //! and delivery-invariant.
 
-use std::time::Duration;
-
 use kmachine::mux::{MuxOutput, MuxProtocol};
-use kmachine::{
-    AuditMetrics, EngineError, FaultMetrics, MachineId, Protocol, RecoveryMetrics, RunMetrics,
-    SkewMetrics, TagMetrics,
-};
-use knn_points::{Dataset, DistKey, Metric};
+use kmachine::{MachineId, Protocol, RunMetrics};
+use knn_points::{Dataset, DistKey};
 
 use crate::audit;
 use crate::error::CoreError;
@@ -50,7 +45,10 @@ use crate::protocols::binsearch::BinSearchProtocol;
 use crate::protocols::knn::{KeySource, KnnProtocol, KnnStats};
 use crate::protocols::saukas_song::SaukasSongProtocol;
 use crate::protocols::simple::SimpleProtocol;
-use crate::runner::{elect, Algorithm, QueryOptions, RetryState, Survivors};
+use crate::report::Report;
+use crate::runner::{
+    check_shape, elect, recover, scatter, Algorithm, Attempt, QueryOptions, Survivors,
+};
 
 /// Per-query result inside a batch, before point resolution.
 #[derive(Debug, Clone)]
@@ -85,47 +83,9 @@ pub struct BatchQueryOutcome {
 pub struct BatchOutcome {
     /// Per-query outcomes, in input order.
     pub queries: Vec<BatchQueryOutcome>,
-    /// Aggregate communication costs of the whole batch run (one engine
-    /// run; `per_tag` splits messages/bits by query).
-    pub metrics: RunMetrics,
-    /// Pipelining evidence when the batch ran under relaxed delivery on
-    /// the event engine (machine skew, promise counters); empty otherwise.
-    pub skew: SkewMetrics,
-    /// Wall-clock time of the batch run.
-    pub wall: Duration,
-    /// The leader that coordinated every query of this batch. Normally the
-    /// session leader; differs when the session leader crashed during the
-    /// batch and the run re-elected over the survivors.
-    pub leader: MachineId,
-    /// Cost of the session's one-time election (`None` under
-    /// [`crate::runner::ElectionKind::Fixed`]); identical for every batch
-    /// of the session — it is *not* re-paid per batch.
-    pub election_metrics: Option<RunMetrics>,
-    /// True when the batch's answers may be missing candidates: one or
-    /// more shards crashed (salvaged in-run or excluded by a retry) and
-    /// every query was answered by the survivors.
-    pub degraded: bool,
-    /// Shards whose candidates actually reached the selection
-    /// (`== k` on a healthy batch).
-    pub shards_used: usize,
-    /// Realized faults of the (final) batch run.
-    pub faults: FaultMetrics,
-    /// True when the batch needed recovery machinery: a crash retry, a
-    /// re-planned subset of lost queries, or a checkpoint-restored rejoin.
-    pub recovered: bool,
-    /// Engine runs this batch took (1 on a healthy batch). Re-planning
-    /// after a partial loss counts like a full retry.
-    pub attempts: u32,
-    /// Rounds re-executed from checkpoints during rejoins, summed over
-    /// every engine run of the batch.
-    pub replayed_rounds: u64,
-    /// Checkpoint/rejoin accounting of the final engine run.
-    pub recovery: RecoveryMetrics,
-    /// Byzantine-audit accounting summed over every engine run of the
-    /// batch: digests verified, integrity violations caught, per-query
-    /// semantic audits executed, and suspects quarantined. Empty on
-    /// adversary-free batches; identical on every engine and pool size.
-    pub audit: AuditMetrics,
+    /// Costs and fault / recovery / audit accounting of the batch as a
+    /// whole (also reachable through `Deref`: `batch.metrics`, …).
+    pub report: Report,
 }
 
 /// How one protocol instance is wired into a (possibly degraded) batch
@@ -206,39 +166,17 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
         &self.opts
     }
 
-    /// This machine's indexed top-ℓ candidate source for one query. Under
-    /// an adversary plan, a round-0 liar (or equivocator) perturbs the
-    /// candidates it materializes — the same pure seeded lie the sequential
-    /// path injects, keyed on the original machine id.
-    fn source<'b>(&'b self, machine: usize, query: &'b P, ell: usize) -> KeySource<'b, DistKey> {
-        let records = &self.shards[machine].records;
-        let index = &self.indices[machine];
-        let metric: Metric = self.opts.metric;
-        let lying = self.opts.lies_at_source(machine);
-        let adv_seed = self.opts.adversary.adversary_seed;
-        Box::new(move || {
-            let keys = index.top(records, query, ell, metric);
-            if lying {
-                audit::perturb_input(keys, adv_seed, machine)
-            } else {
-                keys
-            }
-        })
+    /// This machine's indexed top-ℓ candidates for one query, straight from
+    /// the shard index.
+    fn top(&self, machine: usize, query: &P, ell: usize) -> Vec<DistKey> {
+        self.indices[machine].top(&self.shards[machine].records, query, ell, self.opts.metric)
     }
 
-    /// This machine's indexed top-ℓ candidate source with no adversarial
-    /// perturbation. The approx path uses it: superset answers are not the
-    /// exact partition the audit certifies, so no lies are injected there.
-    fn source_honest<'b>(
-        &'b self,
-        machine: usize,
-        query: &'b P,
-        ell: usize,
-    ) -> KeySource<'b, DistKey> {
-        let records = &self.shards[machine].records;
-        let index = &self.indices[machine];
-        let metric: Metric = self.opts.metric;
-        Box::new(move || index.top(records, query, ell, metric))
+    /// [`Self::top`] as a protocol input that lies when the adversary plan
+    /// says this machine does (see [`QueryOptions::source`]) — the same
+    /// lie the sequential path injects.
+    fn source<'b>(&'b self, machine: usize, query: &'b P, ell: usize) -> KeySource<'b, DistKey> {
+        Box::new(self.opts.source(machine, move || self.top(machine, query, ell)))
     }
 
     /// Answer `queries` (all at the same ℓ) in **one engine run** with
@@ -324,7 +262,7 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
             None,
             |w: Wiring, q| {
                 ApproxKnnProtocol::new(w.id, w.k, w.leader, ell as u64, self.opts.params, {
-                    self.source_honest(w.shard, q, ell)
+                    Box::new(move || self.top(w.shard, q, ell))
                 })
             },
             |outs, j, leader| {
@@ -344,32 +282,28 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
     /// machine's instances over one engine run, and fold the outcome per
     /// query.
     ///
-    /// Crash recovery mirrors [`crate::runner::run_query`] but is
-    /// **fault-aware per query**: when a run completes with *holes* (a
-    /// crashed machine took some queries' contributions with it — its mux
-    /// output is `None` at those tags), only those lost queries are
-    /// re-planned onto the surviving topology; queries that completed keep
-    /// their full-cluster answers. An unsalvageable
-    /// [`EngineError::Crashed`] (the survivors stalled on the dead machine)
-    /// re-runs every still-pending query. Either way the dead machine is
-    /// excluded, the leader is re-elected over the survivors if it was the
-    /// casualty, and the re-run counts against the session's
-    /// [`crate::runner::RetryPolicy`]. The outcome is then flagged
-    /// [`BatchOutcome::degraded`].
+    /// Recovery is [`crate::runner::recover`] — the loop
+    /// [`crate::runner::run_query`] runs — made **fault-aware per query**:
+    /// when a run completes with *holes* (a crashed machine took some
+    /// queries' contributions with it — its mux output is `None` at those
+    /// tags), only those lost queries are re-planned onto the surviving
+    /// topology; queries that completed keep their full-cluster answers. An
+    /// unsalvageable [`kmachine::EngineError::Crashed`] (the survivors
+    /// stalled on the dead machine) re-runs every still-pending query. The
+    /// outcome is then flagged [`Report::degraded`].
     ///
     /// When `audit_ell` is `Some(ℓ)` and the session has an adversary plan,
     /// every completed query is **audited before it is kept**: its claimed
     /// per-machine contributions are checked against the true ℓ-NN
-    /// partition recomputed from the real shards
+    /// partition recomputed from the shard indices
     /// ([`crate::audit::audit_claims`]). Queries that fail the audit are
     /// treated like lost queries — the named suspects are quarantined
     /// alongside any crashed machines and the queries re-run on the honest
     /// survivors — so a wrong answer is never stored, not even one answered
     /// by a machine only caught lying on a *later* query of the same batch.
-    /// [`CoreError::AuditFailed`] surfaces when quarantining would leave no
-    /// machine standing. An [`EngineError::IntegrityViolation`] (corrupt
-    /// link caught by the digest chain) quarantines the sending machine the
-    /// same way.
+    ///
+    /// A query of the wrong [`knn_points::Point::shape`] refuses the whole
+    /// batch with [`CoreError::ShapeMismatch`] before anything runs.
     fn run_mux<'q, Proto, F, G>(
         &'q self,
         queries: &'q [P],
@@ -387,17 +321,12 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
         ) -> (Vec<Vec<DistKey>>, Option<KnnStats>, Option<u64>, Option<bool>),
     {
         let k = self.shards.len();
-        if queries.is_empty() {
-            return Ok(self.empty_outcome(k));
-        }
-        let mut survivors = Survivors::new(k, self.leader);
-        let mut retry = RetryState::new();
+        queries.iter().try_for_each(|q| check_shape(self.shards, q))?;
+        let audit_ell = audit_ell.filter(|_| !self.opts.adversary.is_empty());
         // Finished per-query outcomes by original index, filled across runs.
         let mut done: Vec<Option<BatchQueryOutcome>> = (0..queries.len()).map(|_| None).collect();
         let mut pending: Vec<usize> = (0..queries.len()).collect();
-        let mut replayed_rounds = 0u64;
-        let mut audit_total = AuditMetrics::default();
-        loop {
+        let attempt = |survivors: &Survivors, attempts: u32| {
             let alive = &survivors.alive;
             let sub_leader = survivors.sub_leader();
             let cfg = self.opts.subset_config(alive);
@@ -407,160 +336,61 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
                     MuxProtocol::new(pending.iter().map(|&j| build(w, &queries[j])).collect())
                 })
                 .collect();
-            match self.opts.engine.run(&cfg, protos) {
-                Ok(out) => {
-                    let kmachine::RunOutcome {
-                        mut outputs,
-                        metrics,
-                        skew,
-                        wall,
-                        faults,
-                        recovery,
-                        audit: run_audit,
-                    } = out;
-                    replayed_rounds += recovery.replayed_rounds;
-                    audit_total.digests_verified += run_audit.digests_verified;
-                    // A pending query is LOST when any machine's mux output
-                    // has a hole at its tag: a crashed machine died holding
-                    // that query's contribution.
-                    let lost_at = |p: usize, outs: &[MuxOutput<Proto::Output>]| {
-                        outs.iter().any(|mux| mux.outputs[p].is_none())
-                    };
-                    let mut lost: Vec<usize> = Vec::new();
-                    let mut suspects: Vec<MachineId> = Vec::new();
-                    for (p, &j) in pending.iter().enumerate() {
-                        if lost_at(p, &outputs) {
-                            lost.push(j);
-                            continue;
-                        }
-                        let (sub_keys, stats, approx_total, contains_exact) =
-                            extract(&mut outputs, p, sub_leader);
-                        if let (Some(ell), false) = (audit_ell, self.opts.adversary.is_empty()) {
-                            audit_total.audits_run += 1;
-                            // Ground truth over the audited topology: every
-                            // completed query had every alive machine's
-                            // instance finish, so no crash exclusion applies.
-                            let truth: Vec<Vec<DistKey>> = alive
-                                .iter()
-                                .map(|&m| {
-                                    self.indices[m].top(
-                                        &self.shards[m].records,
-                                        &queries[j],
-                                        ell,
-                                        self.opts.metric,
-                                    )
-                                })
-                                .collect();
-                            let report =
-                                audit::audit_claims(&truth, &sub_keys, ell, self.opts.seed);
-                            if !report.ok {
-                                lost.push(j);
-                                suspects.extend(report.suspects.iter().map(|&s| alive[s]));
-                                continue;
-                            }
-                        }
-                        let mut local_keys = vec![Vec::new(); k];
-                        for (i, keys) in sub_keys.into_iter().enumerate() {
-                            local_keys[alive[i]] = keys;
-                        }
-                        let tag: TagMetrics = metrics.tag(p as u32);
-                        let done_round =
-                            outputs.iter().map(|mux| mux.done_round[p]).max().unwrap_or(0);
-                        done[j] = Some(BatchQueryOutcome {
-                            local_keys,
-                            messages: tag.messages,
-                            bits: tag.bits,
-                            done_round,
-                            stats,
-                            approx_total,
-                            contains_exact,
-                            attempts: retry.attempts,
-                            recovered: retry.attempts > 1,
-                        });
-                    }
-                    suspects.sort_unstable();
-                    suspects.dedup();
-                    audit_total.suspects_quarantined += suspects.len() as u64;
-                    if lost.is_empty() {
-                        let shards_used = alive.len() - faults.crashed.len();
-                        return Ok(BatchOutcome {
-                            queries: done
-                                .into_iter()
-                                .map(|q| q.expect("every query answered"))
-                                .collect(),
-                            metrics,
-                            skew,
-                            wall,
-                            leader: survivors.leader,
-                            election_metrics: self.election_metrics.clone(),
-                            degraded: shards_used < k,
-                            shards_used,
-                            faults,
-                            recovered: retry.attempts > 1 || recovery.any(),
-                            attempts: retry.attempts,
-                            replayed_rounds,
-                            recovery,
-                            audit: audit_total,
-                        });
-                    }
-                    retry.next_attempt(&self.opts.retry, metrics.rounds)?;
-                    let mut dead: Vec<MachineId> =
-                        faults.crashed.iter().map(|&c| alive[c]).collect();
-                    dead.extend(suspects.iter().copied());
-                    dead.sort_unstable();
-                    dead.dedup();
-                    if dead.len() >= alive.len() && !suspects.is_empty() {
-                        // Quarantining every suspect (plus the crashed)
-                        // leaves nobody to answer from: no certifiable
-                        // answer exists.
-                        return Err(CoreError::AuditFailed { suspects, alive: alive.len() });
-                    }
-                    if dead.len() >= alive.len() || dead.is_empty() {
-                        // Holes without a usable survivor topology (or —
-                        // impossibly — without a crash or a suspect):
-                        // surface the crash instead of looping on an
-                        // unanswerable plan.
-                        let machine = dead.first().copied().unwrap_or(0);
-                        return Err(EngineError::Crashed { machine, round: metrics.rounds }.into());
-                    }
-                    survivors.exclude(&dead, &self.opts)?;
-                    pending = lost;
+            let out = self.opts.engine.run(&cfg, protos)?;
+            let (mut outputs, mut report) = Report::from_run(out, k, survivors.leader);
+            let mut lost: Vec<usize> = Vec::new();
+            let mut suspects: Vec<MachineId> = Vec::new();
+            for (p, &j) in pending.iter().enumerate() {
+                // A pending query is LOST when any machine's mux output has
+                // a hole at its tag: a crashed machine died holding that
+                // query's contribution.
+                if outputs.iter().any(|mux| mux.outputs[p].is_none()) {
+                    lost.push(j);
+                    continue;
                 }
-                Err(EngineError::Crashed { machine, round }) if alive.len() > 1 => {
-                    retry.next_attempt(&self.opts.retry, round)?;
-                    // `machine` indexes the failed run's subset.
-                    survivors.exclude(&[alive[machine]], &self.opts)?;
+                let (sub_keys, stats, approx_total, contains_exact) =
+                    extract(&mut outputs, p, sub_leader);
+                if let Some(ell) = audit_ell {
+                    report.audit.audits_run += 1;
+                    // Ground truth over the audited topology: every
+                    // completed query had every alive machine's instance
+                    // finish, so no crash exclusion applies.
+                    let truth: Vec<Vec<DistKey>> =
+                        alive.iter().map(|&m| self.top(m, &queries[j], ell)).collect();
+                    let verdict = audit::audit_claims(&truth, &sub_keys, ell, self.opts.seed);
+                    if !verdict.ok {
+                        lost.push(j);
+                        suspects.extend(verdict.suspects.iter().map(|&s| alive[s]));
+                        continue;
+                    }
                 }
-                Err(EngineError::IntegrityViolation { src, round, .. }) if alive.len() > 1 => {
-                    // The digest chain pins the corruption on the sender:
-                    // quarantine it and re-run every still-pending query.
-                    audit_total.integrity_violations += 1;
-                    audit_total.suspects_quarantined += 1;
-                    retry.next_attempt(&self.opts.retry, round)?;
-                    survivors.exclude(&[alive[src]], &self.opts)?;
-                }
-                Err(e) => return Err(e.into()),
+                let tag = report.metrics.tag(p as u32);
+                done[j] = Some(BatchQueryOutcome {
+                    local_keys: scatter(sub_keys, alive, k),
+                    messages: tag.messages,
+                    bits: tag.bits,
+                    done_round: outputs.iter().map(|mux| mux.done_round[p]).max().unwrap_or(0),
+                    stats,
+                    approx_total,
+                    contains_exact,
+                    attempts,
+                    recovered: attempts > 1,
+                });
             }
-        }
-    }
-
-    fn empty_outcome(&self, k: usize) -> BatchOutcome {
-        BatchOutcome {
-            queries: Vec::new(),
-            metrics: RunMetrics::new(k),
-            skew: SkewMetrics::default(),
-            wall: Duration::ZERO,
-            leader: self.leader,
-            election_metrics: self.election_metrics.clone(),
-            degraded: false,
-            shards_used: k,
-            faults: FaultMetrics::default(),
-            recovered: false,
-            attempts: 1,
-            replayed_rounds: 0,
-            recovery: RecoveryMetrics::default(),
-            audit: AuditMetrics::default(),
-        }
+            if lost.is_empty() {
+                return Ok((report, Attempt::Done(())));
+            }
+            pending = lost;
+            Ok((report, Attempt::Retry(suspects)))
+        };
+        let mut report = if queries.is_empty() {
+            Report::healthy(RunMetrics::new(k), k, self.leader)
+        } else {
+            recover(k, self.leader, &self.opts, attempt)?.1
+        };
+        report.election_metrics = self.election_metrics.clone();
+        let queries = done.into_iter().map(|q| q.expect("every query answered")).collect();
+        Ok(BatchOutcome { queries, report })
     }
 }
 
@@ -569,7 +399,7 @@ mod tests {
     use super::*;
     use crate::local::{IndexBackend, ShardIndex};
     use crate::runner::{merge_answers, run_query, ElectionKind};
-    use knn_points::{IdAssigner, ScalarPoint};
+    use knn_points::{IdAssigner, Metric, ScalarPoint};
     use knn_workloads::PartitionStrategy;
 
     fn shards(values: &[u64], k: usize) -> Vec<Dataset<ScalarPoint>> {

@@ -215,19 +215,19 @@ impl<M> Shared<'_, M> {
 /// [`run_sync`](super::run_sync); wall-clock time reflects genuinely
 /// parallel local computation *without* a per-round global barrier —
 /// machines synchronize only against their slowest peer's previous round
-/// (the data-flow minimum for bit-exact complete-graph delivery; see the
-/// [module docs](self) for why that bounds skew at one round) — plus
-/// [`NetConfig::round_latency`] once per round.
+/// (the data-flow minimum for bit-exact complete-graph delivery; the
+/// module docs in `engine/event.rs` say why that bounds skew at one
+/// round) — plus [`NetConfig::round_latency`] once per round.
 ///
 /// With an effective pool of one worker (including `k == 1`) the scheduler
 /// takes the degenerate path: one worker sweeping dependency-ready machines
-/// *is* the lockstep order, so it runs [`run_sync`]'s loop and pays zero
-/// scheduling overhead.
+/// *is* the lockstep order, so it runs [`run_sync`](super::run_sync)'s
+/// loop and pays zero scheduling overhead.
 ///
 /// Under [`NetConfig::delivery`]` == `[`DeliveryMode::Relaxed`], quiescence
-/// promises may stand in for empty transports (see the [module
-/// docs](self)): outputs and metrics stay byte-identical, machines may run
-/// up to `event_window − 1` rounds apart, and the realized overlap is
+/// promises may stand in for empty transports (see the module docs in
+/// `engine/event.rs`): outputs and metrics stay byte-identical, machines
+/// may run up to `event_window − 1` rounds apart, and the realized overlap is
 /// reported in [`RunOutcome::skew`] (tracked only on this path — the
 /// degenerate one-worker path cannot overlap anything and reports an empty
 /// [`SkewMetrics`]).

@@ -36,7 +36,7 @@ fn seal_digest(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Seal a checkpoint blob: append its [content digest](seal_digest) so a
+/// Seal a checkpoint blob: append its content digest so a
 /// later [`unseal`] can prove the bytes are the ones the checkpoint wrote.
 /// The inner blob format is untouched — sealing happens at the recovery
 /// layer, protocols never see it.

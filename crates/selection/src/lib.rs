@@ -4,15 +4,15 @@
 //! the ℓ-smallest of n values (§1.2, citing CLRS). This crate provides the
 //! sequential selection toolbox the distributed layer builds on:
 //!
-//! * [`quickselect`] — randomized in-place selection, expected `O(n)`; the
+//! * [`quickselect()`] — randomized in-place selection, expected `O(n)`; the
 //!   sequential analogue of the paper's Algorithm 1.
-//! * [`median_of_medians`] — the deterministic worst-case `O(n)` algorithm
+//! * [`median_of_medians()`] — the deterministic worst-case `O(n)` algorithm
 //!   (Blum–Floyd–Pratt–Rivest–Tarjan) the paper cites via CLRS \[5\].
 //! * [`select_nth`] — introselect: randomized pivots with a deterministic
 //!   fallback, the production entry point.
 //! * [`heap`] — bounded-heap streaming top-ℓ, `O(n log ℓ)`, used by every
 //!   machine to truncate its local set to its ℓ best (Algorithm 2, step 2).
-//! * [`weighted_median`] — the weighted median of medians underlying the
+//! * [`weighted_median()`] — the weighted median of medians underlying the
 //!   Saukas–Song deterministic distributed baseline \[16\].
 //! * [`floyd_rivest_select`] — Floyd–Rivest SELECT, the strongest
 //!   sequential competitor, for the substrate benchmarks.

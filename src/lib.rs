@@ -32,6 +32,7 @@ pub mod prelude {
     pub use knn_core::cluster::{BatchAnswer, KnnAnswer, KnnCluster, Neighbor};
     pub use knn_core::local::IndexedPoint;
     pub use knn_core::ml::{KnnClassifier, KnnRegressor};
+    pub use knn_core::report::Report;
     pub use knn_core::runner::{Algorithm, ElectionKind, QueryOptions};
     pub use knn_core::session::QuerySession;
     pub use knn_points::{

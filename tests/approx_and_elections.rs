@@ -66,7 +66,7 @@ fn election_cost_is_separated_from_query_cost() {
         b.neighbors.iter().map(|n| n.id).collect::<Vec<_>>(),
     );
     assert_eq!(a.election_metrics, None);
-    let em = b.election_metrics.unwrap();
+    let em = b.report.election_metrics.unwrap();
     assert_eq!(em.messages, 14); // 2(k-1)
     assert_eq!(em.rounds, 2);
 }

@@ -2,6 +2,9 @@
 //! what sequential `query` calls return — for every algorithm and every
 //! election mode — while paying one election and one engine run per batch.
 
+use knn_repro::core::runner::RetryPolicy;
+use knn_repro::core::CoreError;
+use knn_repro::kmachine::{AdversaryPlan, FaultPlan};
 use knn_repro::prelude::*;
 use proptest::prelude::*;
 
@@ -145,6 +148,75 @@ fn empty_batch_and_unloaded_cluster() {
 
     let unloaded: KnnCluster = KnnCluster::builder().machines(3).build();
     assert!(unloaded.query_batch(&[ScalarPoint(1)], 2).is_err());
+}
+
+/// A cluster whose machine `m` holds the values `100m .. 100(m+1)`, so a
+/// query can be aimed at one machine's points.
+fn range_cluster(k: u64, builder: knn_repro::core::ClusterBuilder) -> KnnCluster {
+    let mut ids = IdAssigner::new(0);
+    let shards = (0..k)
+        .map(|m| {
+            Dataset::from_points((m * 100..(m + 1) * 100).map(ScalarPoint).collect(), &mut ids)
+        })
+        .collect();
+    let mut cluster: KnnCluster = builder.machines(k as usize).seed(3).build();
+    cluster.load_shards(shards).unwrap();
+    cluster
+}
+
+#[test]
+fn a_single_query_is_a_batch_of_one_through_every_recovery() {
+    // Machine 1 owns the query's neighborhood, so its lie is material;
+    // machine 0 is the (fixed) leader, so its crash forces a re-election.
+    let scenarios = [
+        ("healthy", KnnCluster::builder()),
+        ("leader crash", KnnCluster::builder().faults(FaultPlan::default().with_crash(0, 0))),
+        ("liar", KnnCluster::builder().adversary(AdversaryPlan::default().with_lie(1, 0))),
+        (
+            "corrupt link",
+            KnnCluster::builder().adversary(AdversaryPlan::default().with_corrupt_link(1, 0, 1000)),
+        ),
+    ];
+    let q = ScalarPoint(150);
+    for (name, builder) in scenarios {
+        let cluster = range_cluster(4, builder);
+        for algo in Algorithm::ALL {
+            let single = cluster.query_with(algo, &q, 6).unwrap();
+            let batch = cluster.query_batch_with(algo, &[q], 6).unwrap();
+            let of_one = &batch.answers[0];
+            assert_eq!(of_one.neighbors, single.neighbors, "{name} / {algo:?}");
+            let health =
+                |r: &Report| (r.degraded, r.shards_used, r.leader, r.attempts, r.recovered);
+            assert_eq!(health(&batch), health(&single), "{name} / {algo:?}: the batch");
+            assert_eq!(health(of_one), health(&single), "{name} / {algo:?}: its one answer");
+            assert_eq!(
+                (batch.audit.suspects_quarantined, batch.audit.integrity_violations),
+                (single.audit.suspects_quarantined, single.audit.integrity_violations),
+                "{name} / {algo:?}"
+            );
+            assert_eq!(single.attempts, if name == "healthy" { 1 } else { 2 }, "{name} / {algo:?}");
+        }
+    }
+}
+
+#[test]
+fn nobody_left_to_certify_is_audit_failed_not_a_budget_failure() {
+    // Both machines own part of the answer and both lie: no further run
+    // could certify anything, so even with no retry budget at all the
+    // failure is the audit's — on the sequential and the batched path.
+    let builder = KnnCluster::builder()
+        .adversary(AdversaryPlan::default().with_lie(0, 0).with_lie(1, 0))
+        .retry(RetryPolicy { max_attempts: 1, ..Default::default() });
+    let cluster = range_cluster(2, builder);
+    let q = ScalarPoint(100);
+    let all_suspect = |err: CoreError| {
+        assert!(
+            matches!(&err, CoreError::AuditFailed { suspects, alive: 2 } if suspects == &[0, 1]),
+            "want AuditFailed naming both liars, got {err:?}"
+        );
+    };
+    all_suspect(cluster.query_with(Algorithm::Knn, &q, 6).unwrap_err());
+    all_suspect(cluster.query_batch_with(Algorithm::Knn, &[q], 6).unwrap_err());
 }
 
 proptest! {

@@ -61,9 +61,9 @@ fn serve(
             .iter()
             .map(|a| (a.metrics.messages, a.metrics.bits, a.metrics.rounds))
             .collect(),
-        batch.metrics,
+        batch.report.metrics,
         single.neighbors,
-        single.metrics,
+        single.report.metrics,
     )
 }
 
@@ -290,7 +290,7 @@ fn auto_engine_keeps_relaxed_delivery_for_quiet_aware_algorithms() {
             let batch = cluster.query_batch_with(algo, &queries, ell).expect("batch");
             let answers: Vec<Vec<Neighbor>> =
                 batch.answers.iter().map(|a| a.neighbors.clone()).collect();
-            ((answers, batch.metrics), batch.skew)
+            ((answers, batch.report.metrics), batch.report.skew)
         });
         assert_eq!(got.0, want.0, "auto/relaxed answers diverged: {algo:?}");
         assert_eq!(got.1, want.2, "auto/relaxed aggregate metrics: {algo:?}");

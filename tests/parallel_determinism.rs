@@ -47,9 +47,9 @@ fn scalar_pipeline(
     let single = cluster.query_with(algo, &queries[0], ell).expect("single");
     (
         batch.answers.into_iter().map(|a| a.neighbors).collect(),
-        batch.metrics,
+        batch.report.metrics,
         single.neighbors,
-        single.metrics,
+        single.report.metrics,
     )
 }
 
@@ -265,7 +265,7 @@ fn vector_pipeline_identical_across_pool_sizes() {
         cluster.load(dataset, knn_workloads::PartitionStrategy::Shuffled);
         let q = VecPoint::new(vec![0.5, -0.25, 1.0]);
         let ans = cluster.query(&q, 9).expect("query");
-        (ans.neighbors, ans.metrics)
+        (ans.neighbors, ans.report.metrics)
     };
     let reference = with_pool(1, run);
     for pool in POOLS {

@@ -82,13 +82,14 @@ fn simple_method_rounds_linear_and_beaten_past_crossover() {
     cluster.load_shards(shards).unwrap();
     let q = ScalarPoint(1 << 31);
 
-    let simple = |ell: usize| cluster.query_with(Algorithm::Simple, &q, ell).unwrap().metrics;
+    let simple =
+        |ell: usize| cluster.query_with(Algorithm::Simple, &q, ell).unwrap().report.metrics;
     let s512 = simple(512);
     let s2048 = simple(2048);
     let ratio = s2048.rounds as f64 / s512.rounds as f64;
     assert!((2.5..6.0).contains(&ratio), "4x ell should ~4x simple rounds, got {ratio:.2}");
 
-    let fast = cluster.query_with(Algorithm::Knn, &q, 2048).unwrap().metrics;
+    let fast = cluster.query_with(Algorithm::Knn, &q, 2048).unwrap().report.metrics;
     assert!(
         fast.rounds < s2048.rounds,
         "Algorithm 2 ({}) must beat simple ({}) at ell = 2048",
