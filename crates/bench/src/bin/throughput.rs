@@ -13,13 +13,9 @@
 //! * `msgs/q`, `kbits/q` — traffic per query (tag framing included);
 //! * `elections` — leader elections run for the whole sweep.
 //!
-//! Reading the rounds column: for `alg2-knn`, `simple`, and the sequential
-//! `saukas-song` path the batch>1 rows differ from batch=1 only by
-//! election amortization and pipelining, since both paths feed the
-//! protocols the local top-ℓ. For `binsearch` the indexed candidates
-//! *additionally* shrink the bisection's value interval (the sequential
-//! baseline faithfully bisects the full local key sets), so its drop
-//! overstates pure batching gains.
+//! Reading the rounds column: for every algorithm the batch>1 rows differ
+//! from batch=1 only by election amortization and pipelining — both paths
+//! feed the protocols the same sorted local top-ℓ.
 //!
 //! The `--engines` flag (comma-separated: `sync`, `event`, `auto`;
 //! default `sync`) repeats the sweep per engine and records an

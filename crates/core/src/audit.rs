@@ -52,6 +52,10 @@ const LIE_SALT: u64 = 0x11E5_0F7E_11E5_0F7E;
 /// keeps blame *sound*: the liar's true nearest points vanish from the
 /// global answer, and only the machine owning those points could have made
 /// them vanish.
+///
+/// The keys come back in their input positions, **no longer sorted** (each
+/// offset is independent of its neighbors'): a caller that feeds them to a
+/// protocol re-sorts first, as [`crate::QueryOptions`]'s source does.
 pub fn perturb_input(mut keys: Vec<DistKey>, seed: u64, machine: MachineId) -> Vec<DistKey> {
     for key in &mut keys {
         let w = splitmix64(

@@ -43,6 +43,10 @@ pub struct KnnAnswer {
     pub neighbors: Vec<Neighbor>,
     /// Algorithm 2 diagnostics (sampling / pruning / iterations).
     pub stats: Option<KnnStats>,
+    /// Approximate answers only (`None` on the exact paths): whether the
+    /// leader verified that the returned superset contains the exact ℓ-NN —
+    /// `Some(false)` marks the rare under-pruned answer Lemma 2.3 allows.
+    pub contains_exact: Option<bool>,
     /// Costs and fault / recovery / audit accounting (also reachable
     /// through `Deref`: `answer.metrics`, `answer.degraded`, …).
     #[serde(flatten)]
@@ -215,8 +219,9 @@ impl ClusterBuilder {
     /// [`IndexBackend::Exact`] (the default — brute-force parity) or
     /// [`IndexBackend::Nsw`] (the navigable-small-world graph with `ef`/`m`
     /// recall knobs and cheap [`KnnCluster::insert`]). The sequential
-    /// [`KnnCluster::query`] path always scans the full shard either way —
-    /// it is the oracle the conformance suite checks the backends against.
+    /// [`KnnCluster::query`] path uses no index either way — it scans every
+    /// point of the shard, keeping the ℓ best as it goes — and is the oracle
+    /// the conformance suite checks the backends against.
     pub fn index_backend(mut self, backend: IndexBackend) -> Self {
         self.opts.backend = backend;
         self
@@ -420,15 +425,20 @@ impl<P: IndexedPoint> KnnCluster<P> {
     }
 
     /// Answer an *approximate* ℓ-NN query: one pruning pass, no iterated
-    /// selection. Returns a superset of the exact ℓ-NN (≈1.75ℓ neighbors,
-    /// `contains_exact` tells you the guarantee held) in fewer rounds —
-    /// ideal for majority-vote or averaging consumers.
+    /// selection. Returns a superset of the exact ℓ-NN (≈1.75ℓ neighbors;
+    /// [`KnnAnswer::contains_exact`] tells you the guarantee held) in fewer
+    /// rounds — ideal for majority-vote or averaging consumers.
     pub fn query_approx(&self, q: &P, ell: usize) -> Result<KnnAnswer, CoreError> {
         if self.shards.is_empty() {
             return Err(CoreError::NotLoaded);
         }
         let out = run_approx_query(&self.shards, q, ell, &self.opts)?;
-        Ok(KnnAnswer { neighbors: self.resolve(&out.local_keys), stats: None, report: out.report })
+        Ok(KnnAnswer {
+            neighbors: self.resolve(&out.local_keys),
+            stats: None,
+            contains_exact: Some(out.contains_exact),
+            report: out.report,
+        })
     }
 
     /// Answer an ℓ-NN query with a specific algorithm.
@@ -445,6 +455,7 @@ impl<P: IndexedPoint> KnnCluster<P> {
         Ok(KnnAnswer {
             neighbors: self.resolve(&out.local_keys),
             stats: out.stats,
+            contains_exact: None,
             report: out.report,
         })
     }
@@ -508,6 +519,7 @@ impl<P: IndexedPoint> KnnCluster<P> {
                 KnnAnswer {
                     neighbors: self.resolve(&q.local_keys),
                     stats: q.stats,
+                    contains_exact: q.contains_exact,
                     report: Report {
                         degraded: report.degraded,
                         shards_used: report.shards_used,
@@ -908,6 +920,52 @@ mod tests {
         assert_eq!(bits.query(&BitsPoint::new(vec![1]), 3).unwrap_err(), refused);
         assert_eq!(bits.query_batch(&[BitsPoint::new(vec![1])], 3).unwrap_err(), refused);
         assert_eq!(bits.query(&BitsPoint::new(vec![1, !1]), 3).unwrap().neighbors.len(), 3);
+    }
+
+    /// ℓ past the population (up to "everything": `usize::MAX`) answers
+    /// every resident point on every path — no reservation, sample buffer or
+    /// index search may be sized by ℓ itself.
+    fn huge_ell_answers_everything<P: IndexedPoint>(points: Vec<P>, q: P) {
+        let n = points.len();
+        for backend in [IndexBackend::Exact, IndexBackend::nsw()] {
+            let mut cluster: KnnCluster<P> =
+                KnnCluster::builder().machines(4).seed(3).index_backend(backend).build();
+            let mut ids = IdAssigner::new(0);
+            cluster
+                .load(Dataset::from_points(points.clone(), &mut ids), PartitionStrategy::Shuffled);
+            for ell in [n + 1, 1 << 40, usize::MAX] {
+                let all = |answer: &KnnAnswer, path: &str| {
+                    assert_eq!(answer.neighbors.len(), n, "{backend:?} ell {ell} {path}");
+                };
+                all(&cluster.query(&q, ell).unwrap(), "query");
+                all(
+                    &cluster.query_batch(std::slice::from_ref(&q), ell).unwrap().answers[0],
+                    "query_batch",
+                );
+                let approx = cluster.query_approx(&q, ell).unwrap();
+                all(&approx, "query_approx");
+                assert_eq!(approx.contains_exact, Some(true));
+                let approx = cluster.query_batch_approx(std::slice::from_ref(&q), ell).unwrap();
+                all(&approx.answers[0], "query_batch_approx");
+            }
+        }
+    }
+
+    #[test]
+    fn ell_beyond_the_population_answers_every_point_on_every_path() {
+        use knn_points::{BitsPoint, VecPoint};
+        huge_ell_answers_everything(
+            (0..400u64).map(|i| ScalarPoint(i * 10)).collect(),
+            ScalarPoint(7),
+        );
+        huge_ell_answers_everything(
+            (0..200u64).map(|i| VecPoint::new(vec![i as f64, (i * 7 % 13) as f64])).collect(),
+            VecPoint::new(vec![3.5, 2.0]),
+        );
+        huge_ell_answers_everything(
+            (0..200u64).map(|i| BitsPoint::new(vec![i.wrapping_mul(0x9E37_79B9)])).collect(),
+            BitsPoint::new(vec![0xF0F0]),
+        );
     }
 
     #[test]

@@ -5,37 +5,35 @@
 //! across machines under the event engine — matching where the paper's
 //! cluster spends its local time.
 //!
-//! Three candidate-generation paths exist:
+//! One contract, two producers. Every protocol instance takes as input its
+//! machine's **candidates: the shard's ℓ best, sorted ascending by
+//! `(distance, id)`** — step 1 of the paper's Algorithm 2, and sufficient for
+//! every protocol in this crate (any global top-ℓ member is in its machine's
+//! local top-ℓ, and per-machine counts clamp without crossing the ℓ decision
+//! boundary). Exactly two functions produce that input, and each is also the
+//! truth its path's Byzantine audit holds the claims against:
 //!
-//! * [`dist_keys`] — the paper's reduction verbatim: compute the distance of
-//!   the query to *all* local points, `O(n)` per query. Used by the one-shot
-//!   [`crate::runner::run_query`] path.
-//! * [`IndexedPoint`] — a per-shard **exact** index built at load time and
-//!   updated in place on every [`crate::cluster::KnnCluster::insert`] (the
-//!   dataset is *not* frozen after load, and a write costs one search, not
-//!   one build), so the serving path
-//!   ([`crate::session::QuerySession`]) generates the local top-ℓ
-//!   candidates in `O(ℓ log n)` instead of `O(n)` per query. Since a
-//!   machine can contribute at most ℓ answers, the local top-ℓ is a
-//!   sufficient input for every protocol in this crate: the answer is
-//!   provably identical (any global top-ℓ member is in its machine's local
-//!   top-ℓ, and per-machine counts clamp without crossing the ℓ decision
-//!   boundary). Note that only Algorithm 2, Simple, and the approx path
-//!   truncate to the local top-ℓ themselves on the sequential path —
-//!   BinSearch sequentially bisects over the *full* local key set, so its
-//!   batched rounds improve both from amortization and from the index
-//!   shrinking its value interval; cost comparisons across the two paths
-//!   should say which effect they measure.
-//! * [`nsw::NswIndex`] — an **approximate** navigable-small-world graph with
-//!   insert-as-query construction, selected per cluster via
-//!   [`IndexBackend::Nsw`]. It trades exactness for an `ef`/`m` recall ↔
-//!   latency dial (saturating at exact when `ef` covers the shard) and gives
-//!   every point type — including high-dimensional [`VecPoint`] and
-//!   [`BitsPoint`], which the exact path serves by brute scan — a sublinear
-//!   serving path plus cheap online inserts.
+//! * [`brute_top`] — the paper's reduction with the truncation fused in: the
+//!   distance of the query to *all* local points, `O(n)` time per query, but
+//!   only the running ℓ best kept (`O(ℓ)` memory). The one-shot
+//!   [`crate::runner::run_query`] path, which uses no index and so stays the
+//!   full-scan oracle the conformance suite checks the indices against.
+//! * [`ShardIndex::top`] — the serving path
+//!   ([`crate::session::QuerySession`]), through the index each cluster keeps
+//!   per shard: an [`IndexedPoint`] **exact** structure, built at load time
+//!   and updated in place on every [`crate::cluster::KnnCluster::insert`]
+//!   (the dataset is *not* frozen after load, and a write costs one search,
+//!   not one build), answering in `O(ℓ log n)`; or [`nsw::NswIndex`], an
+//!   **approximate** navigable-small-world graph with insert-as-query
+//!   construction, selected per cluster via [`IndexBackend::Nsw`]. It trades
+//!   exactness for an `ef`/`m` recall ↔ latency dial (saturating at exact
+//!   when `ef` covers the shard) and gives every point type — including
+//!   high-dimensional [`VecPoint`] and [`BitsPoint`], which the exact path
+//!   serves by brute scan — a sublinear serving path plus cheap online
+//!   inserts.
 //!
-//! [`ShardIndex`] is the dispatch between the last two: clusters store one
-//! per shard and route every local top-ℓ request through it.
+//! [`dist_keys`] is the unfused reduction — every distance, materialized —
+//! kept for measurements and as the oracle the producers are tested against.
 
 use knn_points::{BitsPoint, DistKey, Metric, Point, PointId, Record, ScalarPoint, VecPoint};
 use knn_selection::TopK;
@@ -52,7 +50,7 @@ pub fn dist_keys<P: Point>(records: &[Record<P>], query: &P, metric: Metric) -> 
 }
 
 /// The ℓ smallest distance keys by full scan, ascending by `(distance, id)`
-/// — the index-free fallback, `O(n)` per query but `O(ℓ)` memory.
+/// — the index-free producer, `O(n)` per query but `O(ℓ)` memory.
 pub fn brute_top<P: Point>(
     records: &[Record<P>],
     query: &P,

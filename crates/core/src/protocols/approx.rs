@@ -22,7 +22,8 @@ use kmachine::{Ctx, MachineId, Payload, Protocol, Step};
 use knn_points::Key;
 use rand::RngExt;
 
-use super::knn::{KeySource, KnnParams};
+use super::knn::KnnParams;
+use super::KeySource;
 
 /// Messages of the approximate protocol.
 #[derive(Debug, Clone)]
@@ -132,7 +133,7 @@ impl<'a, K: Key> ApproxKnnProtocol<'a, K> {
         }
     }
 
-    /// Materialized-keys constructor for tests.
+    /// Raw-materialized-keys constructor for tests (sorts and truncates).
     pub fn from_keys(
         id: MachineId,
         k: usize,
@@ -141,7 +142,7 @@ impl<'a, K: Key> ApproxKnnProtocol<'a, K> {
         params: KnnParams,
         keys: Vec<K>,
     ) -> Self {
-        Self::new(id, k, leader, ell, params, Box::new(move || keys))
+        Self::new(id, k, leader, ell, params, super::raw_source(keys, ell))
     }
 
     fn output(&self, total: u64, contains: bool) -> ApproxOutput<K> {
@@ -159,8 +160,7 @@ impl<'a, K: Key> Protocol for ApproxKnnProtocol<'a, K> {
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, ApproxMsg<K>>) -> Step<ApproxOutput<K>> {
         if matches!(self.phase, APhase::Init) {
-            let keys = (self.input.take().expect("init once"))();
-            self.candidates = knn_selection::smallest_k_sorted(&keys, self.ell as usize, ctx.rng());
+            self.candidates = super::candidates(&mut self.input, self.ell);
             if ctx.k() == 1 {
                 self.kept = self.candidates.len();
                 let total = self.kept as u64;

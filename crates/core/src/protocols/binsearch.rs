@@ -13,7 +13,7 @@
 use kmachine::{Ctx, MachineId, Payload, Protocol, SnapshotReader, SnapshotWriter, Step};
 use knn_points::NumericKey;
 
-use super::knn::KeySource;
+use super::KeySource;
 
 /// Messages of the value-domain bisection protocol. Key values travel as
 /// order-preserving `u128` ordinals.
@@ -72,7 +72,7 @@ pub struct BinSearchProtocol<'a, K: NumericKey> {
     leader: MachineId,
     ell: u64,
     input: Option<KeySource<'a, K>>,
-    /// Local keys sorted by ordinal (== key order).
+    /// Local top-ℓ candidates, sorted by ordinal (== key order).
     local: Vec<K>,
     ordinals: Vec<u128>,
     phase: BsPhase,
@@ -127,9 +127,9 @@ impl<'a, K: NumericKey> BinSearchProtocol<'a, K> {
         }
     }
 
-    /// Materialized-keys constructor for tests.
+    /// Raw-materialized-keys constructor for tests (sorts and truncates).
     pub fn from_keys(id: MachineId, k: usize, leader: MachineId, ell: u64, keys: Vec<K>) -> Self {
-        Self::new(id, k, leader, ell, Box::new(move || keys))
+        Self::new(id, k, leader, ell, super::raw_source(keys, ell))
     }
 
     fn count_leq(&self, threshold: u128) -> u64 {
@@ -300,10 +300,8 @@ impl<'a, K: NumericKey> Protocol for BinSearchProtocol<'a, K> {
     fn on_round(&mut self, ctx: &mut Ctx<'_, BsMsg>) -> Step<Vec<K>> {
         debug_assert_eq!(ctx.id(), self.id, "protocol wired to the wrong machine");
         if matches!(self.phase, BsPhase::Init) {
-            let mut keys = (self.input.take().expect("init once"))();
-            keys.sort_unstable();
-            self.ordinals = keys.iter().map(|k| k.to_ordinal()).collect();
-            self.local = keys;
+            self.local = super::candidates(&mut self.input, self.ell);
+            self.ordinals = self.local.iter().map(|k| k.to_ordinal()).collect();
             if ctx.id() == self.leader {
                 if ctx.k() == 1 {
                     let end = (self.ell as usize).min(self.local.len());

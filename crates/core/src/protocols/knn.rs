@@ -26,12 +26,7 @@ use knn_points::Key;
 use rand::RngExt;
 
 use super::select_core::{CoreStatus, SelMsg, SelectCore};
-
-/// A closure producing this machine's local keys, run inside round 0 so the
-/// distance computation executes *inside the machine's own step*, in
-/// parallel across machines under the event engine — exactly where the
-/// paper's experiment spends its local time.
-pub type KeySource<'a, K> = Box<dyn FnOnce() -> Vec<K> + Send + 'a>;
+use super::KeySource;
 
 /// Tunables of Algorithm 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,7 +170,7 @@ pub struct KnnProtocol<'a, K: Key> {
 
 impl<'a, K: Key> KnnProtocol<'a, K> {
     /// Machine `id` of `k`: find the global `ell`-smallest keys among the
-    /// keys produced by `input` on each machine.
+    /// candidates `input` produces on each machine (its sorted local ℓ best).
     pub fn new(
         id: MachineId,
         k: usize,
@@ -203,7 +198,8 @@ impl<'a, K: Key> KnnProtocol<'a, K> {
         }
     }
 
-    /// Convenience constructor from materialized keys.
+    /// Convenience constructor from raw materialized keys (sorted and
+    /// truncated to the ℓ best here, as the contract of [`Self::new`] asks).
     pub fn from_keys(
         id: MachineId,
         k: usize,
@@ -212,7 +208,7 @@ impl<'a, K: Key> KnnProtocol<'a, K> {
         params: KnnParams,
         keys: Vec<K>,
     ) -> Self {
-        Self::new(id, k, leader, ell, params, Box::new(move || keys))
+        Self::new(id, k, leader, ell, params, super::raw_source(keys, ell))
     }
 
     fn is_leader(&self) -> bool {
@@ -228,10 +224,9 @@ impl<'a, K: Key> KnnProtocol<'a, K> {
         }
     }
 
-    /// Round 0: materialize keys, keep the local ℓ best, draw samples.
+    /// Round 0: materialize the local ℓ best, draw samples.
     fn setup(&mut self, ctx: &mut Ctx<'_, KnnMsg<K>>) -> Option<Vec<K>> {
-        let keys = (self.input.take().expect("setup runs once"))();
-        self.candidates = knn_selection::smallest_k_sorted(&keys, self.ell as usize, ctx.rng());
+        self.candidates = super::candidates(&mut self.input, self.ell);
         self.stats.sample_size = self.params.sample_size(self.ell) as u64;
         self.stats.prune_rank = self.params.prune_rank(self.ell) as u64;
 

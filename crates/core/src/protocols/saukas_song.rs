@@ -13,7 +13,7 @@ use kmachine::{Ctx, MachineId, Payload, Protocol, Step};
 use knn_points::Key;
 use knn_selection::weighted_median;
 
-use super::knn::KeySource;
+use super::KeySource;
 
 /// Answer boundary of a selection over a possibly-unbounded range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,8 +87,7 @@ pub struct SaukasSongProtocol<'a, K: Key> {
     leader: MachineId,
     ell: u64,
     input: Option<KeySource<'a, K>>,
-    /// Local keys, sorted. (For the ℓ-NN problem the runner feeds the local
-    /// top-ℓ candidates, mirroring the other baselines.)
+    /// Local top-ℓ candidates, sorted.
     local: Vec<K>,
     phase: SsPhase<K>,
     // Leader state.
@@ -129,9 +128,9 @@ impl<'a, K: Key> SaukasSongProtocol<'a, K> {
         }
     }
 
-    /// Materialized-keys constructor for tests.
+    /// Raw-materialized-keys constructor for tests (sorts and truncates).
     pub fn from_keys(id: MachineId, k: usize, leader: MachineId, ell: u64, keys: Vec<K>) -> Self {
-        Self::new(id, k, leader, ell, Box::new(move || keys))
+        Self::new(id, k, leader, ell, super::raw_source(keys, ell))
     }
 
     fn range_bounds(&self, lo: &Option<K>, hi: &Option<K>) -> (usize, usize) {
@@ -236,9 +235,7 @@ impl<'a, K: Key> Protocol for SaukasSongProtocol<'a, K> {
     fn on_round(&mut self, ctx: &mut Ctx<'_, SsMsg<K>>) -> Step<Vec<K>> {
         debug_assert_eq!(ctx.id(), self.id, "protocol wired to the wrong machine");
         if matches!(self.phase, SsPhase::Init) {
-            let mut keys = (self.input.take().expect("init once"))();
-            keys.sort_unstable();
-            self.local = keys;
+            self.local = super::candidates(&mut self.input, self.ell);
             if ctx.id() == self.leader {
                 if ctx.k() == 1 {
                     // Select locally: the answer is the ℓ-smallest prefix.

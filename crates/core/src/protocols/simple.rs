@@ -12,7 +12,7 @@ use kmachine::{
 };
 use knn_points::{Key, NumericKey};
 
-use super::knn::KeySource;
+use super::KeySource;
 
 /// Messages of the simple gather baseline.
 #[derive(Debug, Clone)]
@@ -138,7 +138,7 @@ impl<'a, K: NumericKey> SimpleProtocol<'a, K> {
         }
     }
 
-    /// Materialized-keys constructor for tests.
+    /// Raw-materialized-keys constructor for tests (sorts and truncates).
     pub fn from_keys(
         id: MachineId,
         leader: MachineId,
@@ -146,7 +146,7 @@ impl<'a, K: NumericKey> SimpleProtocol<'a, K> {
         chunk: usize,
         keys: Vec<K>,
     ) -> Self {
-        Self::new(id, leader, ell, chunk, Box::new(move || keys))
+        Self::new(id, leader, ell, chunk, super::raw_source(keys, ell))
     }
 
     fn finish(&self, boundary: Option<K>) -> Vec<K> {
@@ -236,8 +236,7 @@ impl<'a, K: NumericKey> Protocol for SimpleProtocol<'a, K> {
     fn on_round(&mut self, ctx: &mut Ctx<'_, SimpleMsg<K>>) -> Step<Vec<K>> {
         debug_assert_eq!(ctx.id(), self.id, "protocol wired to the wrong machine");
         if ctx.round() == 0 {
-            let keys = (self.input.take().expect("round 0 runs once"))();
-            self.candidates = knn_selection::smallest_k_sorted(&keys, self.ell as usize, ctx.rng());
+            self.candidates = super::candidates(&mut self.input, self.ell);
             if ctx.id() != self.leader {
                 // Stream the whole local top-ℓ; the bandwidth-limited link
                 // delivers it over ⌈ℓ/chunk⌉ rounds.

@@ -25,9 +25,9 @@ use kmachine::{
 /// inside a batch carry only what is attributable to one query (see
 /// [`BatchAnswer`](crate::cluster::BatchAnswer)).
 ///
-/// The approximate paths neither retry nor audit: an unsalvageable crash or
-/// a corrupt link surfaces as the typed [`kmachine::EngineError`], `attempts`
-/// stays 1, and `audit` counts verified link digests only.
+/// The approximate paths go through the same recovery loop as the exact
+/// ones (a crash or a corrupt link costs the machine its place and the query
+/// re-runs) but are never semantically audited: `audit.audits_run` stays 0.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct Report {
     /// Rounds / messages / bits of the main protocol — the engine run that

@@ -5,20 +5,22 @@
 use std::time::Duration;
 
 use kmachine::leader::{RandRankFlood, RandRankStar};
+use kmachine::mux::MuxProtocol;
 use kmachine::{
     AdversaryPlan, AuditMetrics, BandwidthMode, DeliveryMode, Engine, EngineError, FaultPlan,
-    MachineId, NetConfig, RecoveryPlan, RunMetrics, ENVELOPE_HEADER_BITS, MUX_TAG_BITS,
+    MachineId, NetConfig, Protocol, RecoveryPlan, RunMetrics, ENVELOPE_HEADER_BITS, MUX_TAG_BITS,
 };
 use knn_points::{Dataset, DistKey, Key, Metric, Point};
 
 use crate::audit;
 use crate::error::CoreError;
-use crate::local::{brute_top, dist_keys, IndexBackend};
-use crate::protocols::approx::ApproxKnnProtocol;
+use crate::local::{brute_top, IndexBackend};
+use crate::protocols::approx::{ApproxKnnProtocol, ApproxOutput};
 use crate::protocols::binsearch::BinSearchProtocol;
-use crate::protocols::knn::{KeySource, KnnParams, KnnProtocol, KnnStats};
+use crate::protocols::knn::{KnnOutput, KnnParams, KnnProtocol, KnnStats};
 use crate::protocols::saukas_song::SaukasSongProtocol;
 use crate::protocols::simple::SimpleProtocol;
+use crate::protocols::KeySource;
 use crate::report::Report;
 use crate::splitmix64;
 
@@ -201,10 +203,11 @@ pub struct QueryOptions {
     /// Which local index each shard builds for the batched serving path
     /// (see [`crate::local::IndexBackend`]): the exact per-type structure
     /// (default) or the approximate NSW graph with its `ef`/`m` recall
-    /// knobs. The sequential [`run_query`] path always scans the full shard
-    /// — it is the exact oracle the conformance suite checks the index
-    /// against — so this field only shapes
-    /// [`crate::session::QuerySession`] candidates and audit truth.
+    /// knobs. The sequential [`run_query`] path uses no index: it scans
+    /// every point of the shard, keeping only the ℓ best as it goes — the
+    /// exact oracle the conformance suite checks the index against — so
+    /// this field only shapes [`crate::session::QuerySession`] candidates
+    /// and audit truth.
     pub backend: IndexBackend,
 }
 
@@ -243,13 +246,6 @@ impl QueryOptions {
             .with_max_rounds(self.max_rounds)
     }
 
-    pub(crate) fn net_config(&self, k: usize) -> NetConfig {
-        self.fault_free_config(k)
-            .with_faults(self.faults.clone())
-            .with_recovery(self.recovery.clone())
-            .with_adversary(self.adversary.clone())
-    }
-
     /// Config for a (re)run over the surviving subset `alive` (original
     /// machine ids, ascending): the fault, recovery, and adversary plans
     /// are projected onto the survivors, so the crash (or quarantined liar)
@@ -261,30 +257,31 @@ impl QueryOptions {
             .with_adversary(self.adversary.project(alive))
     }
 
-    /// Machine `m`'s candidate source: the keys `generate` materializes,
-    /// perturbed when `m` lies at the *source*. A round-0 liar or an
-    /// equivocator perturbs its materialized local distances (the wire
-    /// tamper alone cannot fake the machine's own self-computed answer
-    /// slice, so scheduled-from-round-0 lying is modeled where the claims
-    /// are actually born) by the pure seeded stream of
-    /// [`audit::perturb_input`]. Keyed on the original machine id, so the
-    /// lie is identical on every engine, across quarantine re-runs and on
-    /// the sequential and batched paths.
+    /// Machine `m`'s candidate source on the exact paths ([`Seating::run`]):
+    /// its sorted top-ℓ from `top`, perturbed when `m` lies at the *source*. A round-0 liar or
+    /// an equivocator perturbs its local distances (the wire tamper alone
+    /// cannot fake the machine's own self-computed answer slice, so
+    /// scheduled-from-round-0 lying is modeled where the claims are actually
+    /// born) by the pure seeded stream of [`audit::perturb_input`], and
+    /// re-sorts: the per-key offsets reorder the list, and every protocol
+    /// takes its input sorted. Keyed on the original machine id, so the lie
+    /// is identical on every engine, across quarantine re-runs and on the
+    /// sequential and batched paths.
     pub(crate) fn source<'a>(
         &self,
         m: MachineId,
-        generate: impl FnOnce() -> Vec<DistKey> + Send + 'a,
-    ) -> impl FnOnce() -> Vec<DistKey> + Send + 'a {
+        top: impl FnOnce() -> Vec<DistKey> + Send + 'a,
+    ) -> KeySource<'a, DistKey> {
         let lying = self.adversary.equivocates(m) || self.adversary.lie_round(m) == 0;
         let seed = self.adversary.adversary_seed;
-        move || {
-            let keys = generate();
-            if lying {
-                audit::perturb_input(keys, seed, m)
-            } else {
-                keys
+        Box::new(move || {
+            if !lying {
+                return top();
             }
-        }
+            let mut keys = audit::perturb_input(top(), seed, m);
+            keys.sort_unstable();
+            keys
+        })
     }
 
     /// Keys per batch message such that one batch fills one link-round.
@@ -496,17 +493,214 @@ pub(crate) fn recover<T>(
     }
 }
 
+/// What one machine's finished protocol instance reports, whichever of the
+/// five protocols it ran.
+struct Claim {
+    keys: Vec<DistKey>,
+    /// Algorithm 2 diagnostics (its leader only).
+    stats: Option<KnnStats>,
+    /// Approx only: the global survivor total, and whether the survivors
+    /// provably contain the exact ℓ-NN.
+    approx: Option<(u64, bool)>,
+}
+
+impl From<Vec<DistKey>> for Claim {
+    fn from(keys: Vec<DistKey>) -> Claim {
+        Claim { keys, stats: None, approx: None }
+    }
+}
+
+impl From<KnnOutput<DistKey>> for Claim {
+    fn from(out: KnnOutput<DistKey>) -> Claim {
+        Claim { keys: out.keys, stats: out.stats, approx: None }
+    }
+}
+
+impl From<ApproxOutput<DistKey>> for Claim {
+    fn from(out: ApproxOutput<DistKey>) -> Claim {
+        Claim { keys: out.keys, stats: None, approx: Some((out.total, out.contains_exact)) }
+    }
+}
+
+/// One query's answer as one engine run left it.
+pub(crate) struct Answered {
+    /// Per-machine answer keys, in the run's subset order until the caller
+    /// that keeps the answer [`scatter`]s them over the full shard layout.
+    pub(crate) local_keys: Vec<Vec<DistKey>>,
+    /// The leader instance's [`Claim::stats`].
+    pub(crate) stats: Option<KnnStats>,
+    /// The leader instance's [`Claim::approx`].
+    pub(crate) approx: Option<(u64, bool)>,
+    /// Round in which the query completed (max over machines).
+    pub(crate) done_round: u64,
+}
+
+/// How one protocol instance is wired into a (possibly degraded) run: `id`,
+/// `k`, and `leader` are positions in the run's surviving subset; `shard` is
+/// the original shard the instance draws candidates from.
+#[derive(Clone, Copy)]
+struct Wiring {
+    id: usize,
+    shard: MachineId,
+    k: usize,
+    leader: MachineId,
+}
+
+/// One engine run of one protocol over the surviving machines — the one
+/// place a protocol is seated and its output read, for the sequential and
+/// the batched path, exact and approximate alike.
+pub(crate) struct Seating<'r> {
+    /// The exact algorithm, or `None` for the pruning-only approximate
+    /// protocol ([`crate::protocols::approx`]).
+    pub(crate) kind: Option<Algorithm>,
+    pub(crate) ell: usize,
+    pub(crate) opts: &'r QueryOptions,
+    pub(crate) survivors: &'r Survivors,
+    /// Machines of the whole cluster (`survivors` included).
+    pub(crate) k: usize,
+    /// `Some(m)`: every machine multiplexes `m` tagged instances, one per
+    /// query, over its links ([`MuxProtocol`]). `None`: one query, one
+    /// untagged instance per machine — the paper's per-query accounting.
+    pub(crate) mux: Option<usize>,
+}
+
+impl Seating<'_> {
+    /// Run with `top(shard, j)` as shard `shard`'s candidates for query `j`:
+    /// sorted ascending by `(distance, id)`, at most ℓ of them. Returns one
+    /// entry per query — `None` where a crashed machine took its
+    /// contribution to that query with it (multiplexed runs only).
+    pub(crate) fn run<'a>(
+        &self,
+        top: impl Fn(MachineId, usize) -> Vec<DistKey> + Copy + Send + 'a,
+    ) -> Result<(Vec<Option<Answered>>, Report), EngineError> {
+        let (opts, ell, params) = (self.opts, self.ell as u64, self.opts.params);
+        let chunk = if self.mux.is_some() { opts.mux_chunk() } else { opts.simple_chunk() };
+        let exact = self.kind.is_some();
+        let source = move |w: Wiring, j| -> KeySource<'a, DistKey> {
+            let top = move || top(w.shard, j);
+            // Approximate answers are supersets no audit certifies, so that
+            // path injects no source-level lies either.
+            if exact {
+                opts.source(w.shard, top)
+            } else {
+                Box::new(top)
+            }
+        };
+        match self.kind {
+            Some(Algorithm::Knn) => self.engine_run(|w, j| {
+                KnnProtocol::new(w.id, w.k, w.leader, ell, params, source(w, j))
+            }),
+            Some(Algorithm::Simple) => self
+                .engine_run(|w, j| SimpleProtocol::new(w.id, w.leader, ell, chunk, source(w, j))),
+            Some(Algorithm::SaukasSong) => self
+                .engine_run(|w, j| SaukasSongProtocol::new(w.id, w.k, w.leader, ell, source(w, j))),
+            Some(Algorithm::BinSearch) => self
+                .engine_run(|w, j| BinSearchProtocol::new(w.id, w.k, w.leader, ell, source(w, j))),
+            None => self.engine_run(|w, j| {
+                ApproxKnnProtocol::new(w.id, w.k, w.leader, ell, params, source(w, j))
+            }),
+        }
+    }
+
+    fn engine_run<Proto>(
+        &self,
+        build: impl Fn(Wiring, usize) -> Proto,
+    ) -> Result<(Vec<Option<Answered>>, Report), EngineError>
+    where
+        Proto: Protocol,
+        Proto::Output: Into<Claim>,
+    {
+        let alive = &self.survivors.alive;
+        let leader = self.survivors.sub_leader();
+        let cfg = self.opts.subset_config(alive);
+        let seat = |id, j| build(Wiring { id, shard: alive[id], k: alive.len(), leader }, j);
+        let read = |outputs: Vec<Proto::Output>, done_round| {
+            let claims: Vec<Claim> = outputs.into_iter().map(Into::into).collect();
+            let (stats, approx) = (claims[leader].stats, claims[leader].approx);
+            let local_keys = claims.into_iter().map(|claim| claim.keys).collect();
+            Answered { local_keys, stats, approx, done_round }
+        };
+        let Some(m) = self.mux else {
+            let protos = (0..alive.len()).map(|i| seat(i, 0)).collect();
+            let out = self.opts.engine.run(&cfg, protos)?;
+            let (outputs, report) = Report::from_run(out, self.k, self.survivors.leader);
+            return Ok((vec![Some(read(outputs, report.metrics.rounds))], report));
+        };
+        let protos = (0..alive.len())
+            .map(|i| MuxProtocol::new((0..m).map(|j| seat(i, j)).collect()))
+            .collect();
+        let out = self.opts.engine.run(&cfg, protos)?;
+        let (mut outputs, report) = Report::from_run(out, self.k, self.survivors.leader);
+        let answers = (0..m)
+            .map(|j| {
+                // A hole at the query's tag in any machine's mux output: a
+                // crashed machine died holding that query's contribution.
+                let outs: Option<Vec<_>> =
+                    outputs.iter_mut().map(|o| o.outputs[j].take()).collect();
+                let done_round = outputs.iter().map(|o| o.done_round[j]).max().unwrap_or(0);
+                outs.map(|outs| read(outs, done_round))
+            })
+            .collect();
+        Ok((answers, report))
+    }
+}
+
+/// One query, exact (`kind` an algorithm) or approximate (`None`), through
+/// the recovery loop: the body of [`run_query`] and [`run_approx_query`].
+fn run_one<P: Point>(
+    shards: &[Dataset<P>],
+    query: &P,
+    ell: usize,
+    kind: Option<Algorithm>,
+    opts: &QueryOptions,
+) -> Result<(Answered, Report), CoreError> {
+    let k = shards.len();
+    if k == 0 {
+        return Err(CoreError::EmptyCluster);
+    }
+    check_shape(shards, query)?;
+    let (leader, election_metrics) = elect(k, opts)?;
+    // A machine's sorted top-ℓ by full scan: what it feeds its protocol
+    // instance when honest, and what the audit holds its claims against.
+    let top = |m: MachineId| brute_top(&shards[m].records, query, ell, opts.metric);
+    let (answer, mut report) = recover(k, leader, opts, |survivors, _| {
+        let alive = &survivors.alive;
+        let seating = Seating { kind, ell, opts, survivors, k, mux: None };
+        let (mut answers, mut report) = seating.run(|m, _| top(m))?;
+        let mut answer = answers.pop().flatten().expect("an unmultiplexed run answers its query");
+        if kind.is_some() && !opts.adversary.is_empty() {
+            report.audit.audits_run = 1;
+            // A machine that crashed in-run legitimately contributed
+            // nothing, so nothing is held against it.
+            let truth: Vec<Vec<DistKey>> = (alive.iter().enumerate())
+                .map(|(i, &m)| if report.faults.crashed.contains(&i) { Vec::new() } else { top(m) })
+                .collect();
+            let verdict = audit::audit_claims(&truth, &answer.local_keys, ell, opts.seed);
+            if !verdict.ok {
+                let suspects = verdict.suspects.iter().map(|&s| alive[s]).collect();
+                return Ok((report, Attempt::Retry(suspects)));
+            }
+        }
+        answer.local_keys = scatter(answer.local_keys, alive, k);
+        Ok((report, Attempt::Done(answer)))
+    })?;
+    report.election_metrics = election_metrics;
+    Ok((answer, report))
+}
+
 /// Run one ℓ-NN query over `shards` with the chosen algorithm.
 ///
-/// Distance computation happens inside each machine's round 0, so under the
-/// event engine it runs genuinely in parallel — the effect the paper's
-/// Figure 2 attributes its measured speedup to.
+/// Distance computation — a full scan of the shard that keeps only the ℓ
+/// best ([`brute_top`]: no index, `O(ℓ)` memory) — happens inside each
+/// machine's round 0, so under the event engine it runs genuinely in
+/// parallel: the effect the paper's Figure 2 attributes its measured speedup
+/// to.
 ///
 /// Under a [`QueryOptions::faults`] plan the query **recovers from
 /// crashes** and under a [`QueryOptions::adversary`] plan **from lies**,
 /// through the one recovery loop it shares with the batched path: every successful run's answer is
 /// audited against the shard-local oracles ([`crate::audit::audit_claims`],
-/// truth recomputed by full scan) before it is returned, crashed and
+/// truth recomputed by the same full scan) before it is returned, crashed and
 /// suspect machines are excluded, and the query re-runs on the surviving
 /// shards under the [`RetryPolicy`] budget. The answer is then flagged
 /// [`Report::degraded`]; [`CoreError::AuditFailed`] surfaces instead of an
@@ -520,117 +714,17 @@ pub fn run_query<P: Point>(
     algorithm: Algorithm,
     opts: &QueryOptions,
 ) -> Result<QueryOutcome, CoreError> {
-    let k = shards.len();
-    if k == 0 {
-        return Err(CoreError::EmptyCluster);
-    }
-    check_shape(shards, query)?;
-    let (leader, election_metrics) = elect(k, opts)?;
-    let ((local_keys, stats), mut report) = recover(k, leader, opts, |survivors, _| {
-        let alive = &survivors.alive;
-        let QueryOutcome { local_keys: sub_keys, stats, mut report } =
-            run_query_over(shards, query, ell, algorithm, opts, survivors)?;
-        if !opts.adversary.is_empty() {
-            report.audit.audits_run = 1;
-            // Survivor `i`'s true sorted top-ℓ, recomputed honestly from
-            // the real shard — or empty when the machine crashed in-run
-            // (it legitimately contributed nothing).
-            let truth: Vec<Vec<DistKey>> = (alive.iter().enumerate())
-                .map(|(i, &m)| {
-                    if report.faults.crashed.contains(&i) {
-                        return Vec::new();
-                    }
-                    brute_top(&shards[m].records, query, ell, opts.metric)
-                })
-                .collect();
-            let verdict = audit::audit_claims(&truth, &sub_keys, ell, opts.seed);
-            if !verdict.ok {
-                let suspects = verdict.suspects.iter().map(|&s| alive[s]).collect();
-                return Ok((report, Attempt::Retry(suspects)));
-            }
-        }
-        Ok((report, Attempt::Done((scatter(sub_keys, alive, k), stats))))
-    })?;
-    report.election_metrics = election_metrics;
-    Ok(QueryOutcome { local_keys, stats, report })
-}
-
-/// One attempt of [`run_query`] over the surviving machines: machine `i` of
-/// the run works shard `alive[i]`, and the outcome's `local_keys` are in
-/// that subset order.
-fn run_query_over<P: Point>(
-    shards: &[Dataset<P>],
-    query: &P,
-    ell: usize,
-    algorithm: Algorithm,
-    opts: &QueryOptions,
-    survivors: &Survivors,
-) -> Result<QueryOutcome, EngineError> {
-    let alive = &survivors.alive;
-    let (k, leader) = (alive.len(), survivors.sub_leader());
-    let cfg = opts.subset_config(alive);
-    let metric = opts.metric;
-    let ell64 = ell as u64;
-    let scan = |i: usize| {
-        let records = &shards[alive[i]].records;
-        opts.source(alive[i], move || dist_keys(records, query, metric))
-    };
-    let source = |i: usize| Box::new(scan(i)) as KeySource<'_, DistKey>;
-
-    let out = match algorithm {
-        Algorithm::Knn => {
-            let protos: Vec<KnnProtocol<'_, DistKey>> = (0..k)
-                .map(|i| KnnProtocol::new(i, k, leader, ell64, opts.params, source(i)))
-                .collect();
-            let out = opts.engine.run(&cfg, protos)?;
-            let stats = out.outputs[leader].stats;
-            let (outputs, report) = Report::from_run(out, shards.len(), survivors.leader);
-            let local_keys = outputs.into_iter().map(|o| o.keys).collect();
-            return Ok(QueryOutcome { local_keys, stats, report });
-        }
-        Algorithm::Simple => {
-            let chunk = opts.simple_chunk();
-            let protos: Vec<SimpleProtocol<'_, DistKey>> =
-                (0..k).map(|i| SimpleProtocol::new(i, leader, ell64, chunk, source(i))).collect();
-            opts.engine.run(&cfg, protos)?
-        }
-        Algorithm::SaukasSong => {
-            // Mirror the other baselines: operate on the local top-ℓ
-            // candidates (a machine can contribute at most ℓ answers).
-            let protos: Vec<SaukasSongProtocol<'_, DistKey>> = (0..k)
-                .map(|i| {
-                    let scan = scan(i);
-                    let input = Box::new(move || {
-                        let mut keys = scan();
-                        if keys.len() > ell {
-                            keys.select_nth_unstable(ell.max(1) - 1);
-                            keys.truncate(ell);
-                        }
-                        keys
-                    });
-                    SaukasSongProtocol::new(i, k, leader, ell64, input)
-                })
-                .collect();
-            opts.engine.run(&cfg, protos)?
-        }
-        Algorithm::BinSearch => {
-            let protos: Vec<BinSearchProtocol<'_, DistKey>> =
-                (0..k).map(|i| BinSearchProtocol::new(i, k, leader, ell64, source(i))).collect();
-            opts.engine.run(&cfg, protos)?
-        }
-    };
-    let (local_keys, report) = Report::from_run(out, shards.len(), survivors.leader);
-    Ok(QueryOutcome { local_keys, stats: None, report })
+    let (answer, report) = run_one(shards, query, ell, Some(algorithm), opts)?;
+    Ok(QueryOutcome { local_keys: answer.local_keys, stats: answer.stats, report })
 }
 
 /// Result of an approximate (pruning-only) query.
 ///
-/// The approx path does **not** retry over survivors and runs
-/// **unaudited** — it injects no source-level lies and quarantines nobody;
-/// an unsalvageable crash surfaces as [`EngineError::Crashed`] and a
-/// corrupt link as [`EngineError::IntegrityViolation`] (rejoins under a
-/// [`RecoveryPlan`] work here too). Use the exact path when you need crash
-/// recovery or the semantic audit.
+/// The approx path recovers from crashes and corrupt links like the exact
+/// one — the dead machine or the corrupting sender is excluded and the query
+/// re-runs over the survivors, flagged [`Report::degraded`] — but it runs
+/// **unaudited**: it injects no source-level lies and no semantic audit
+/// certifies its supersets. Use the exact path when you need the audit.
 #[derive(Debug)]
 pub struct ApproxOutcome {
     /// Per-machine surviving keys (globally: every key ≤ the prune
@@ -640,7 +734,7 @@ pub struct ApproxOutcome {
     pub total: u64,
     /// Whether the survivor set provably contains the exact ℓ-NN.
     pub contains_exact: bool,
-    /// Costs and fault accounting of the one run (`Deref` target).
+    /// Costs and fault / recovery accounting (`Deref` target).
     pub report: Report,
 }
 
@@ -653,29 +747,9 @@ pub fn run_approx_query<P: Point>(
     ell: usize,
     opts: &QueryOptions,
 ) -> Result<ApproxOutcome, CoreError> {
-    let k = shards.len();
-    if k == 0 {
-        return Err(CoreError::EmptyCluster);
-    }
-    check_shape(shards, query)?;
-    let (leader, election_metrics) = elect(k, opts)?;
-    let cfg = opts.net_config(k);
-    let metric = opts.metric;
-    let protos: Vec<ApproxKnnProtocol<'_, DistKey>> = (0..k)
-        .map(|i| {
-            let records = &shards[i].records;
-            let input = Box::new(move || dist_keys(records, query, metric));
-            ApproxKnnProtocol::new(i, k, leader, ell as u64, opts.params, input)
-        })
-        .collect();
-    let (outputs, mut report) = Report::from_run(opts.engine.run(&cfg, protos)?, k, leader);
-    report.election_metrics = election_metrics;
-    Ok(ApproxOutcome {
-        total: outputs[leader].total,
-        contains_exact: outputs[leader].contains_exact,
-        local_keys: outputs.into_iter().map(|o| o.keys).collect(),
-        report,
-    })
+    let (answer, report) = run_one(shards, query, ell, None, opts)?;
+    let (total, contains_exact) = answer.approx.expect("the approx protocol reports its guarantee");
+    Ok(ApproxOutcome { local_keys: answer.local_keys, total, contains_exact, report })
 }
 
 /// Merge per-machine answer keys into one globally sorted answer,
@@ -1062,16 +1136,25 @@ mod tests {
         assert_eq!(out.audit.audits_run, 0);
         assert_eq!(out.audit.suspects_quarantined, 0);
         assert!(out.audit.digests_verified > 0, "armed links still verify digests");
-        // A corrupt link is still a typed error — never a silent wrong answer.
+        // A corrupt link never yields a silent wrong answer either: the
+        // digest chain catches it and — as on the batched approx path and
+        // both exact paths — the sender is quarantined and the query re-runs
+        // over the survivors.
         let opts = QueryOptions {
             adversary: AdversaryPlan::default().with_corrupt_link(1, 0, 1000),
             ..Default::default()
         };
-        let err = run_approx_query(&sh, &ScalarPoint(300), 10, &opts).unwrap_err();
-        assert!(
-            matches!(err, CoreError::Engine(EngineError::IntegrityViolation { src: 1, .. })),
-            "want IntegrityViolation pinned on the sender, got {err:?}"
-        );
+        let out = run_approx_query(&sh, &ScalarPoint(300), 10, &opts).unwrap();
+        assert_eq!(out.audit.integrity_violations, 1);
+        assert_eq!(out.audit.suspects_quarantined, 1);
+        assert_eq!(out.audit.audits_run, 0, "still no semantic audit");
+        assert!(out.degraded);
+        assert_eq!(out.attempts, 2);
+        assert!(out.local_keys[1].is_empty(), "the corrupting sender is quarantined");
+        let survivors = [sh[0].clone(), sh[2].clone()];
+        let want =
+            run_approx_query(&survivors, &ScalarPoint(300), 10, &QueryOptions::default()).unwrap();
+        assert_eq!(answer_of(&out.local_keys), answer_of(&want.local_keys));
     }
 
     #[test]

@@ -33,21 +33,16 @@
 //! (reported via [`Report::skew`]). Answers and metrics are engine-
 //! and delivery-invariant.
 
-use kmachine::mux::{MuxOutput, MuxProtocol};
-use kmachine::{MachineId, Protocol, RunMetrics};
+use kmachine::{MachineId, RunMetrics};
 use knn_points::{Dataset, DistKey};
 
 use crate::audit;
 use crate::error::CoreError;
 use crate::local::{IndexedPoint, ShardIndex};
-use crate::protocols::approx::ApproxKnnProtocol;
-use crate::protocols::binsearch::BinSearchProtocol;
-use crate::protocols::knn::{KeySource, KnnProtocol, KnnStats};
-use crate::protocols::saukas_song::SaukasSongProtocol;
-use crate::protocols::simple::SimpleProtocol;
+use crate::protocols::knn::KnnStats;
 use crate::report::Report;
 use crate::runner::{
-    check_shape, elect, recover, scatter, Algorithm, Attempt, QueryOptions, Survivors,
+    check_shape, elect, recover, scatter, Algorithm, Attempt, QueryOptions, Seating, Survivors,
 };
 
 /// Per-query result inside a batch, before point resolution.
@@ -86,38 +81,6 @@ pub struct BatchOutcome {
     /// Costs and fault / recovery / audit accounting of the batch as a
     /// whole (also reachable through `Deref`: `batch.metrics`, …).
     pub report: Report,
-}
-
-/// How one protocol instance is wired into a (possibly degraded) batch
-/// run: `id`, `k`, and `leader` are positions in the run's surviving
-/// subset; `shard` is the original shard the instance draws candidates
-/// from.
-#[derive(Clone, Copy)]
-struct Wiring {
-    id: usize,
-    shard: usize,
-    k: usize,
-    leader: MachineId,
-}
-
-/// Extractor for protocols whose per-machine output already *is* the answer
-/// key vector (Simple, Saukas–Song, BinSearch). Extractors take the mux
-/// outputs by `&mut` so they can move the answer vectors out instead of
-/// cloning them; they are only called for queries that completed on every
-/// machine (no crash holes), so the `Option` unwraps are guaranteed.
-fn plain_keys(
-    outs: &mut [MuxOutput<Vec<DistKey>>],
-    j: usize,
-    _leader: MachineId,
-) -> (Vec<Vec<DistKey>>, Option<KnnStats>, Option<u64>, Option<bool>) {
-    (
-        outs.iter_mut()
-            .map(|m| m.outputs[j].take().expect("query completed on every machine"))
-            .collect(),
-        None,
-        None,
-        None,
-    )
 }
 
 /// A serving session over a loaded, indexed cluster: elects the leader once
@@ -172,13 +135,6 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
         self.indices[machine].top(&self.shards[machine].records, query, ell, self.opts.metric)
     }
 
-    /// [`Self::top`] as a protocol input that lies when the adversary plan
-    /// says this machine does (see [`QueryOptions::source`]) — the same
-    /// lie the sequential path injects.
-    fn source<'b>(&'b self, machine: usize, query: &'b P, ell: usize) -> KeySource<'b, DistKey> {
-        Box::new(self.opts.source(machine, move || self.top(machine, query, ell)))
-    }
-
     /// Answer `queries` (all at the same ℓ) in **one engine run** with
     /// `algorithm`, multiplexing one protocol instance per query on every
     /// machine. Answers are exactly what sequential
@@ -189,175 +145,81 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
         ell: usize,
         algorithm: Algorithm,
     ) -> Result<BatchOutcome, CoreError> {
-        let ell64 = ell as u64;
-        match algorithm {
-            Algorithm::Knn => self.run_mux(
-                queries,
-                Some(ell),
-                |w: Wiring, q| {
-                    KnnProtocol::new(w.id, w.k, w.leader, ell64, self.opts.params, {
-                        self.source(w.shard, q, ell)
-                    })
-                },
-                |outs, j, leader| {
-                    let stats =
-                        outs[leader].outputs[j].as_ref().expect("completed on the leader").stats;
-                    let keys = outs
-                        .iter_mut()
-                        .map(|m| {
-                            m.outputs[j].take().expect("query completed on every machine").keys
-                        })
-                        .collect();
-                    (keys, stats, None, None)
-                },
-            ),
-            Algorithm::Simple => {
-                let chunk = self.opts.mux_chunk();
-                self.run_mux(
-                    queries,
-                    Some(ell),
-                    |w: Wiring, q| {
-                        SimpleProtocol::new(w.id, w.leader, ell64, chunk, {
-                            self.source(w.shard, q, ell)
-                        })
-                    },
-                    plain_keys,
-                )
-            }
-            Algorithm::SaukasSong => self.run_mux(
-                queries,
-                Some(ell),
-                |w: Wiring, q| {
-                    SaukasSongProtocol::new(
-                        w.id,
-                        w.k,
-                        w.leader,
-                        ell64,
-                        self.source(w.shard, q, ell),
-                    )
-                },
-                plain_keys,
-            ),
-            Algorithm::BinSearch => self.run_mux(
-                queries,
-                Some(ell),
-                |w: Wiring, q| {
-                    BinSearchProtocol::new(w.id, w.k, w.leader, ell64, self.source(w.shard, q, ell))
-                },
-                plain_keys,
-            ),
-        }
+        self.run_mux(queries, ell, Some(algorithm))
     }
 
     /// Answer `queries` approximately (pruning-only supersets, see
     /// [`crate::protocols::approx`]) in one multiplexed engine run.
     ///
-    /// The approx path runs **unaudited** (`audit_ell = None`): its answers
-    /// are supersets, not the exact partition the semantic audit certifies.
-    /// It also injects no source-level lies; corrupt links still surface as
-    /// [`kmachine::EngineError::IntegrityViolation`].
+    /// The approx path runs **unaudited**: its answers are supersets, not
+    /// the exact partition the semantic audit certifies. It also injects no
+    /// source-level lies; a crash or a corrupt link is recovered from like
+    /// on the exact path (the sender of a corrupt link is quarantined).
     pub fn run_batch_approx(&self, queries: &[P], ell: usize) -> Result<BatchOutcome, CoreError> {
-        self.run_mux(
-            queries,
-            None,
-            |w: Wiring, q| {
-                ApproxKnnProtocol::new(w.id, w.k, w.leader, ell as u64, self.opts.params, {
-                    Box::new(move || self.top(w.shard, q, ell))
-                })
-            },
-            |outs, j, leader| {
-                let lead = outs[leader].outputs[j].as_ref().expect("completed on the leader");
-                let (total, contains) = (lead.total, lead.contains_exact);
-                let keys = outs
-                    .iter_mut()
-                    .map(|m| m.outputs[j].take().expect("query completed on every machine").keys)
-                    .collect();
-                (keys, None, Some(total), Some(contains))
-            },
-        )
+        self.run_mux(queries, ell, None)
     }
 
-    /// The shared batched-run skeleton: build one `build(wiring, query)`
-    /// protocol instance per (machine, pending query), multiplex each
-    /// machine's instances over one engine run, and fold the outcome per
-    /// query.
+    /// The batched run behind both entry points: seat one protocol instance
+    /// of `kind` (`None`: the approximate protocol) per (machine, pending
+    /// query), multiplex each machine's instances over one engine run
+    /// ([`Seating`]), and fold the outcome per query.
     ///
     /// Recovery is [`crate::runner::recover`] — the loop
     /// [`crate::runner::run_query`] runs — made **fault-aware per query**:
     /// when a run completes with *holes* (a crashed machine took some
-    /// queries' contributions with it — its mux output is `None` at those
-    /// tags), only those lost queries are re-planned onto the surviving
-    /// topology; queries that completed keep their full-cluster answers. An
-    /// unsalvageable [`kmachine::EngineError::Crashed`] (the survivors
-    /// stalled on the dead machine) re-runs every still-pending query. The
-    /// outcome is then flagged [`Report::degraded`].
+    /// queries' contributions with it), only those lost queries are
+    /// re-planned onto the surviving topology; queries that completed keep
+    /// their full-cluster answers. An unsalvageable
+    /// [`kmachine::EngineError::Crashed`] (the survivors stalled on the dead
+    /// machine) re-runs every still-pending query. The outcome is then
+    /// flagged [`Report::degraded`].
     ///
-    /// When `audit_ell` is `Some(ℓ)` and the session has an adversary plan,
-    /// every completed query is **audited before it is kept**: its claimed
+    /// On the exact path, when the session has an adversary plan, every
+    /// completed query is **audited before it is kept**: its claimed
     /// per-machine contributions are checked against the true ℓ-NN
     /// partition recomputed from the shard indices
-    /// ([`crate::audit::audit_claims`]). Queries that fail the audit are
-    /// treated like lost queries — the named suspects are quarantined
-    /// alongside any crashed machines and the queries re-run on the honest
-    /// survivors — so a wrong answer is never stored, not even one answered
-    /// by a machine only caught lying on a *later* query of the same batch.
+    /// ([`crate::audit::audit_claims`]; [`Self::top`] is both what an honest
+    /// machine feeds its instance and the truth its claims are held
+    /// against). Queries that fail the audit are treated like lost queries —
+    /// the named suspects are quarantined alongside any crashed machines and
+    /// the queries re-run on the honest survivors — so a wrong answer is
+    /// never stored, not even one answered by a machine only caught lying on
+    /// a *later* query of the same batch.
     ///
     /// A query of the wrong [`knn_points::Point::shape`] refuses the whole
     /// batch with [`CoreError::ShapeMismatch`] before anything runs.
-    fn run_mux<'q, Proto, F, G>(
-        &'q self,
-        queries: &'q [P],
-        audit_ell: Option<usize>,
-        build: F,
-        extract: G,
-    ) -> Result<BatchOutcome, CoreError>
-    where
-        Proto: Protocol,
-        F: Fn(Wiring, &'q P) -> Proto,
-        G: Fn(
-            &mut [MuxOutput<Proto::Output>],
-            usize,
-            MachineId,
-        ) -> (Vec<Vec<DistKey>>, Option<KnnStats>, Option<u64>, Option<bool>),
-    {
-        let k = self.shards.len();
+    fn run_mux(
+        &self,
+        queries: &[P],
+        ell: usize,
+        kind: Option<Algorithm>,
+    ) -> Result<BatchOutcome, CoreError> {
+        let (k, opts) = (self.shards.len(), &self.opts);
         queries.iter().try_for_each(|q| check_shape(self.shards, q))?;
-        let audit_ell = audit_ell.filter(|_| !self.opts.adversary.is_empty());
+        let audited = kind.is_some() && !opts.adversary.is_empty();
         // Finished per-query outcomes by original index, filled across runs.
         let mut done: Vec<Option<BatchQueryOutcome>> = (0..queries.len()).map(|_| None).collect();
         let mut pending: Vec<usize> = (0..queries.len()).collect();
         let attempt = |survivors: &Survivors, attempts: u32| {
             let alive = &survivors.alive;
-            let sub_leader = survivors.sub_leader();
-            let cfg = self.opts.subset_config(alive);
-            let protos: Vec<MuxProtocol<Proto>> = (0..alive.len())
-                .map(|i| {
-                    let w = Wiring { id: i, shard: alive[i], k: alive.len(), leader: sub_leader };
-                    MuxProtocol::new(pending.iter().map(|&j| build(w, &queries[j])).collect())
-                })
-                .collect();
-            let out = self.opts.engine.run(&cfg, protos)?;
-            let (mut outputs, mut report) = Report::from_run(out, k, survivors.leader);
+            let seating = Seating { kind, ell, opts, survivors, k, mux: Some(pending.len()) };
+            let (answers, mut report) =
+                seating.run(|m, p| self.top(m, &queries[pending[p]], ell))?;
             let mut lost: Vec<usize> = Vec::new();
             let mut suspects: Vec<MachineId> = Vec::new();
-            for (p, &j) in pending.iter().enumerate() {
-                // A pending query is LOST when any machine's mux output has
-                // a hole at its tag: a crashed machine died holding that
-                // query's contribution.
-                if outputs.iter().any(|mux| mux.outputs[p].is_none()) {
+            for (p, (&j, answer)) in pending.iter().zip(answers).enumerate() {
+                let Some(answer) = answer else {
                     lost.push(j);
                     continue;
-                }
-                let (sub_keys, stats, approx_total, contains_exact) =
-                    extract(&mut outputs, p, sub_leader);
-                if let Some(ell) = audit_ell {
+                };
+                if audited {
                     report.audit.audits_run += 1;
                     // Ground truth over the audited topology: every
                     // completed query had every alive machine's instance
                     // finish, so no crash exclusion applies.
                     let truth: Vec<Vec<DistKey>> =
                         alive.iter().map(|&m| self.top(m, &queries[j], ell)).collect();
-                    let verdict = audit::audit_claims(&truth, &sub_keys, ell, self.opts.seed);
+                    let verdict = audit::audit_claims(&truth, &answer.local_keys, ell, opts.seed);
                     if !verdict.ok {
                         lost.push(j);
                         suspects.extend(verdict.suspects.iter().map(|&s| alive[s]));
@@ -366,13 +228,13 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
                 }
                 let tag = report.metrics.tag(p as u32);
                 done[j] = Some(BatchQueryOutcome {
-                    local_keys: scatter(sub_keys, alive, k),
+                    local_keys: scatter(answer.local_keys, alive, k),
                     messages: tag.messages,
                     bits: tag.bits,
-                    done_round: outputs.iter().map(|mux| mux.done_round[p]).max().unwrap_or(0),
-                    stats,
-                    approx_total,
-                    contains_exact,
+                    done_round: answer.done_round,
+                    stats: answer.stats,
+                    approx_total: answer.approx.map(|(total, _)| total),
+                    contains_exact: answer.approx.map(|(_, contains)| contains),
                     attempts,
                     recovered: attempts > 1,
                 });
@@ -386,7 +248,7 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
         let mut report = if queries.is_empty() {
             Report::healthy(RunMetrics::new(k), k, self.leader)
         } else {
-            recover(k, self.leader, &self.opts, attempt)?.1
+            recover(k, self.leader, opts, attempt)?.1
         };
         report.election_metrics = self.election_metrics.clone();
         let queries = done.into_iter().map(|q| q.expect("every query answered")).collect();
@@ -690,6 +552,45 @@ mod tests {
             .run_batch(&queries[1..], 4, Algorithm::Knn)
             .unwrap();
         assert_eq!(answer_of(&batch.queries[1].local_keys), answer_of(&sur.queries[0].local_keys));
+    }
+
+    #[test]
+    fn a_liars_input_is_sorted_and_both_paths_quarantine_it() {
+        use crate::local::brute_top;
+        use kmachine::AdversaryPlan;
+        let sh = range_shards(&[0..100, 100..200, 200..300, 300..400]);
+        let idx = indices(&sh);
+        let q = ScalarPoint(150);
+        let opts = QueryOptions {
+            adversary: AdversaryPlan::default().with_lie(1, 0),
+            ..Default::default()
+        };
+        // The two producers agree on the liar's honest top-ℓ; the source
+        // perturbs it and hands it on sorted, as every protocol expects.
+        let honest = idx[1].top(&sh[1].records, &q, 6, Metric::Euclidean);
+        assert_eq!(honest, brute_top(&sh[1].records, &q, 6, Metric::Euclidean));
+        let raw_lie = audit::perturb_input(honest.clone(), opts.adversary.adversary_seed, 1);
+        assert!(!raw_lie.is_sorted(), "the per-key offsets reorder the list");
+        let lied = opts.source(1, || honest.clone())();
+        assert!(lied.is_sorted());
+        assert_eq!(lied.len(), raw_lie.len());
+        assert!(lied.iter().all(|key| raw_lie.contains(key)), "the same lie, in order");
+        // Same lie, same verdict: machine 1 and nobody else is excluded.
+        let session = QuerySession::new(&sh, &idx, opts.clone()).unwrap();
+        for algo in Algorithm::ALL {
+            let single = run_query(&sh, &q, 6, algo, &opts).unwrap();
+            let batch = session.run_batch(&[q], 6, algo).unwrap();
+            let of_one = &batch.queries[0].local_keys;
+            for (path, keys, report) in
+                [("single", &single.local_keys, &single.report), ("batch", of_one, &batch.report)]
+            {
+                assert_eq!(report.audit.suspects_quarantined, 1, "{algo:?} {path}");
+                assert_eq!(report.shards_used, 3, "{algo:?} {path}");
+                assert!(keys[1].is_empty(), "{algo:?} {path}: the liar is the one excluded");
+                assert_eq!(keys.iter().map(Vec::len).sum::<usize>(), 6, "{algo:?} {path}");
+            }
+            assert_eq!(of_one, &single.local_keys, "{algo:?}");
+        }
     }
 
     #[test]

@@ -2,6 +2,9 @@
 
 use std::collections::BinaryHeap;
 
+/// Most slots [`TopK::new`] reserves before seeing an item.
+const MAX_RESERVE: usize = 1024;
+
 /// Streaming accumulator of the `k` smallest items seen, `O(log k)` per
 /// push. This is what each machine uses to truncate its local input to its
 /// ℓ best candidates (Algorithm 2, step 2) in one pass and `O(ℓ)` memory.
@@ -14,8 +17,12 @@ pub struct TopK<T: Ord> {
 
 impl<T: Ord + Copy> TopK<T> {
     /// An accumulator keeping the `k` smallest items.
+    ///
+    /// `k` is a caller's ℓ and may be anything up to `usize::MAX` ("every
+    /// point"), so the up-front reservation is capped: past
+    /// `MAX_RESERVE` slots the heap grows as items actually arrive.
     pub fn new(k: usize) -> Self {
-        TopK { k, heap: BinaryHeap::with_capacity(k.saturating_add(1)) }
+        TopK { k, heap: BinaryHeap::with_capacity(k.min(MAX_RESERVE)) }
     }
 
     /// Offer one item.
@@ -100,6 +107,16 @@ mod tests {
         assert_eq!(t.threshold(), Some(3));
         assert_eq!(t.len(), 2);
         assert_eq!(t.into_sorted(), vec![1, 3]);
+    }
+
+    #[test]
+    fn reservation_does_not_scale_with_k() {
+        // `k = usize::MAX` means "keep everything"; reserving by it aborts
+        // the process inside the allocator.
+        for k in [MAX_RESERVE + 1, 1 << 40, usize::MAX] {
+            assert!(TopK::<u64>::new(k).heap.capacity() <= 2 * MAX_RESERVE, "k = {k}");
+            assert_eq!(smallest_k([3u64, 1, 2], k), vec![1, 2, 3]);
+        }
     }
 
     #[test]

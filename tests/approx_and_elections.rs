@@ -21,6 +21,34 @@ fn approx_superset_on_every_engine() {
         assert!(approx.neighbors.len() >= 100, "{engine:?}");
         assert_eq!(&approx.neighbors[..100], &exact.neighbors[..], "{engine:?}");
         assert!(approx.metrics.rounds < exact.metrics.rounds, "{engine:?}");
+        // The guarantee is on the answer itself, from both approx facades;
+        // exact answers have none to report.
+        assert_eq!(approx.contains_exact, Some(true), "{engine:?}");
+        assert_eq!(exact.contains_exact, None, "{engine:?}");
+        let batch = cluster.query_batch_approx(&[q], 100).unwrap();
+        assert_eq!(batch.answers[0].contains_exact, Some(true), "{engine:?}");
+        assert_eq!(&batch.answers[0].neighbors[..100], &exact.neighbors[..], "{engine:?}");
+        let batch = cluster.query_batch(&[q], 100).unwrap();
+        assert_eq!(batch.answers[0].contains_exact, None, "{engine:?}");
+    }
+}
+
+#[test]
+fn an_under_pruned_approx_answer_says_so() {
+    // Pruning at the smallest of very few samples keeps far fewer than ℓ
+    // candidates: the answer is no superset, and the caller can tell.
+    use knn_repro::core::protocols::KnnParams;
+    let shards = ScalarWorkload { per_machine: 2000, lo: 0, hi: 1 << 24 }.generate(6, 17);
+    let params = KnnParams { sample_factor: 1, rank_factor: 1, harden: true };
+    let mut cluster: KnnCluster =
+        KnnCluster::builder().machines(6).seed(5).knn_params(params).build();
+    cluster.load_shards(shards).unwrap();
+    let q = ScalarPoint(1 << 23);
+    let single = cluster.query_approx(&q, 100).unwrap();
+    let batch = cluster.query_batch_approx(&[q], 100).unwrap();
+    for answer in [&single, &batch.answers[0]] {
+        assert!(answer.neighbors.len() < 100);
+        assert_eq!(answer.contains_exact, Some(false));
     }
 }
 

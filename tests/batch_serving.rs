@@ -87,6 +87,27 @@ fn batched_rounds_per_query_strictly_below_sequential_for_simple() {
 }
 
 #[test]
+fn deterministic_baselines_cost_the_same_alone_and_as_a_batch_of_one() {
+    // Each shard's 1,000 values span 2²⁰ while its 10 nearest span a few
+    // thousand: a bisection over all of a shard's keys takes about twice the
+    // rounds of one over its local top-ℓ. Both paths feed every protocol the
+    // same sorted local top-ℓ, so for the two selection baselines that draw
+    // no randomness the costs agree to the message.
+    let cluster = loaded_cluster(4, 1000, ElectionKind::Fixed, 1);
+    let q = ScalarPoint(1 << 19);
+    for algo in [Algorithm::SaukasSong, Algorithm::BinSearch] {
+        let single = cluster.query_with(algo, &q, 10).unwrap();
+        let batch = cluster.query_batch_with(algo, &[q], 10).unwrap();
+        assert_eq!(batch.answers[0].neighbors, single.neighbors, "{algo:?}");
+        assert_eq!(
+            (batch.metrics.rounds, batch.metrics.messages),
+            (single.metrics.rounds, single.metrics.messages),
+            "{algo:?}: (rounds, messages)"
+        );
+    }
+}
+
+#[test]
 fn batch_metrics_attribute_traffic_per_query() {
     let cluster = loaded_cluster(4, 800, ElectionKind::Fixed, 1);
     let queries: Vec<ScalarPoint> = QueryStream::scalar(5, 5, 0, 1 << 20, 4).next().unwrap();
@@ -178,6 +199,8 @@ fn a_single_query_is_a_batch_of_one_through_every_recovery() {
         ),
     ];
     let q = ScalarPoint(150);
+    let health = |r: &Report| (r.degraded, r.shards_used, r.leader, r.attempts, r.recovered);
+    let caught = |r: &Report| (r.audit.suspects_quarantined, r.audit.integrity_violations);
     for (name, builder) in scenarios {
         let cluster = range_cluster(4, builder);
         for algo in Algorithm::ALL {
@@ -185,18 +208,52 @@ fn a_single_query_is_a_batch_of_one_through_every_recovery() {
             let batch = cluster.query_batch_with(algo, &[q], 6).unwrap();
             let of_one = &batch.answers[0];
             assert_eq!(of_one.neighbors, single.neighbors, "{name} / {algo:?}");
-            let health =
-                |r: &Report| (r.degraded, r.shards_used, r.leader, r.attempts, r.recovered);
             assert_eq!(health(&batch), health(&single), "{name} / {algo:?}: the batch");
             assert_eq!(health(of_one), health(&single), "{name} / {algo:?}: its one answer");
-            assert_eq!(
-                (batch.audit.suspects_quarantined, batch.audit.integrity_violations),
-                (single.audit.suspects_quarantined, single.audit.integrity_violations),
-                "{name} / {algo:?}"
-            );
+            assert_eq!(caught(&batch), caught(&single), "{name} / {algo:?}");
             assert_eq!(single.attempts, if name == "healthy" { 1 } else { 2 }, "{name} / {algo:?}");
         }
+        // The approximate protocol, the fifth column, goes through the same
+        // recovery loop. Which survivors it keeps depends on its sampling
+        // stream (a tagged instance draws a different one than an untagged
+        // one), so the two paths are compared on what they promise — the
+        // exact answer over the machines that served is a prefix — and on
+        // health, not key for key. It is unaudited: a liar costs no retry.
+        let single = cluster.query_approx(&q, 6).unwrap();
+        let batch = cluster.query_batch_approx(&[q], 6).unwrap();
+        let of_one = &batch.answers[0];
+        assert_eq!(health(&batch), health(&single), "{name} / approx: the batch");
+        assert_eq!(health(of_one), health(&single), "{name} / approx: its one answer");
+        assert_eq!(caught(&batch), caught(&single), "{name} / approx");
+        assert_eq!(single.audit.audits_run + batch.audit.audits_run, 0, "{name} / approx");
+        let unhurt = matches!(name, "healthy" | "liar");
+        assert_eq!(single.attempts, if unhurt { 1 } else { 2 }, "{name} / approx");
+        let exact: Vec<_> = if name == "liar" {
+            range_cluster(4, KnnCluster::builder()).query(&q, 6).unwrap().neighbors
+        } else {
+            cluster.query(&q, 6).unwrap().neighbors
+        };
+        for (path, approx) in [("single", &single), ("batch of one", of_one)] {
+            assert_eq!(approx.contains_exact, Some(true), "{name} / approx / {path}");
+            assert_eq!(approx.neighbors[..exact.len()], exact[..], "{name} / approx / {path}");
+        }
     }
+}
+
+#[test]
+fn approx_recovers_from_a_mid_run_worker_crash_on_both_paths() {
+    // Machine 2 dies in round 1, after its samples left: the survivors
+    // stall on it, and both approx entry points re-run without it.
+    let builder = KnnCluster::builder().faults(FaultPlan::default().with_crash(2, 1));
+    let cluster = range_cluster(4, builder);
+    let q = ScalarPoint(150);
+    let single = cluster.query_approx(&q, 10).unwrap();
+    let batch = cluster.query_batch_approx(&[q], 10).unwrap();
+    for (path, report) in [("single", &single.report), ("batch", &batch.report)] {
+        assert!(report.degraded, "{path}");
+        assert_eq!((report.attempts, report.shards_used), (2, 3), "{path}");
+    }
+    assert!(single.neighbors.iter().all(|n| n.machine != 2));
 }
 
 #[test]
