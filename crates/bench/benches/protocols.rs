@@ -2,12 +2,15 @@
 //! engine: simulation throughput of Algorithm 1, Algorithm 2, and the
 //! baselines at a fixed workload. These measure *simulator* cost, not the
 //! model's round complexity (that's `rounds_table`); they guard against
-//! regressions in the engine hot path.
+//! regressions in the engine hot path. The multiplexed case is the serving
+//! shape: 64 Algorithm-2 instances per machine sharing the links, where
+//! almost every instance spends almost every round waiting for bandwidth —
+//! the cost wake-driven stepping removes.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kmachine::{engine::run_sync, NetConfig};
+use kmachine::{engine::run_sync, MuxProtocol, NetConfig};
 use knn_core::protocols::knn::{KnnParams, KnnProtocol};
 use knn_core::protocols::selection::SelectProtocol;
 use knn_core::protocols::simple::SimpleProtocol;
@@ -62,6 +65,27 @@ fn bench_protocols(c: &mut Criterion) {
                 .iter()
                 .enumerate()
                 .map(|(i, local)| SimpleProtocol::from_keys(i, 0, ell, 3, local.clone()))
+                .collect();
+            black_box(run_sync(&cfg, protos).unwrap().metrics.rounds)
+        });
+    });
+
+    // One batch of 64 queries: instance j of every machine runs Algorithm 2
+    // over that machine's keys as query j sees them.
+    let (instances, ell) = (64u64, 64u64);
+    group.bench_with_input(BenchmarkId::new("algorithm2-mux64", k), &data, |b, data| {
+        b.iter(|| {
+            let cfg = NetConfig::new(k).with_seed(3);
+            let protos: Vec<MuxProtocol<KnnProtocol<'_, u64>>> = data
+                .iter()
+                .enumerate()
+                .map(|(i, local)| {
+                    let seat = |j: u64| {
+                        let keys = local.iter().map(|x| x ^ j.wrapping_mul(0x9E37_79B9)).collect();
+                        KnnProtocol::from_keys(i, k, 0, ell, KnnParams::default(), keys)
+                    };
+                    MuxProtocol::new((0..instances).map(seat).collect())
+                })
                 .collect();
             black_box(run_sync(&cfg, protos).unwrap().metrics.rounds)
         });

@@ -5,14 +5,15 @@
 //! points per process, random queries, y-axis = time(simple) / time(Alg 2),
 //! x-axis = ℓ. The ratio grows with ℓ and with k (80× at k = 128).
 //!
-//! Our substitution (DESIGN.md §6): the event engine runs the machines on
-//! a worker pool with a synthetic per-round latency. On a host with fewer
-//! cores than simulated machines the *local-computation* part of the
-//! speedup saturates at the core count, so alongside the wall-clock ratio
-//! we report the hardware-independent **round ratio** from the exact
-//! engine — the paper's own explanation of the effect ("the number of
-//! rounds does not depend on the number of machines … the speed up
-//! [in wall clock] is due to local computation").
+//! Our substitution (README "Performance", the engine and delivery mode
+//! bullet): the event engine runs the machines on a worker pool with a
+//! synthetic per-round latency. On a host with fewer cores than simulated
+//! machines the *local-computation* part of the speedup saturates at the
+//! core count, so alongside the wall-clock ratio we report the
+//! hardware-independent **round ratio** from the exact engine — the paper's
+//! own explanation of the effect ("the number of rounds does not depend on
+//! the number of machines … the speed up [in wall clock] is due to local
+//! computation").
 //!
 //! ```text
 //! cargo run -p knn-bench --release --bin fig2 [--full]

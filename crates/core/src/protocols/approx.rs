@@ -186,14 +186,14 @@ impl<'a, K: Key> Protocol for ApproxKnnProtocol<'a, K> {
                 );
                 self.phase = APhase::AwaitThreshold;
             }
-            return Step::Continue;
+            return Step::Wait;
         }
 
-        for i in 0..ctx.inbox().len() {
-            let msg = ctx.inbox()[i].msg.clone();
-            match msg {
+        // Every phase past round 0 only reacts to mail.
+        for env in ctx.inbox() {
+            match &env.msg {
                 ApproxMsg::Samples { keys, count } => {
-                    self.samples.extend_from_slice(&keys);
+                    self.samples.extend_from_slice(keys);
                     self.total_candidates += count;
                     self.pending -= 1;
                     if self.pending == 0 {
@@ -219,7 +219,7 @@ impl<'a, K: Key> Protocol for ApproxKnnProtocol<'a, K> {
                 ApproxMsg::Threshold { r } => {
                     self.kept = match r {
                         None => self.candidates.len(),
-                        Some(r) => self.candidates.partition_point(|x| *x <= r),
+                        Some(r) => self.candidates.partition_point(|x| x <= r),
                     };
                     ctx.send(self.leader, ApproxMsg::Count(self.kept as u64));
                     self.phase = APhase::AwaitDone;
@@ -234,12 +234,12 @@ impl<'a, K: Key> Protocol for ApproxKnnProtocol<'a, K> {
                         return Step::Done(self.output(total, contains));
                     }
                 }
-                ApproxMsg::Done { total, contains } => {
+                &ApproxMsg::Done { total, contains } => {
                     return Step::Done(self.output(total, contains));
                 }
             }
         }
-        Step::Continue
+        Step::Wait
     }
 }
 

@@ -316,13 +316,14 @@ impl<'a, K: NumericKey> Protocol for BinSearchProtocol<'a, K> {
             } else {
                 self.phase = BsPhase::Worker;
             }
-            return Step::Continue;
+            return Step::Wait;
         }
 
+        // Workers answer probes and the leader collects replies: both only
+        // ever react to mail.
         if ctx.id() != self.leader {
-            for i in 0..ctx.inbox().len() {
-                let msg = ctx.inbox()[i].msg.clone();
-                match msg {
+            for env in ctx.inbox() {
+                match env.msg {
                     BsMsg::Query => {
                         ctx.send(
                             self.leader,
@@ -342,15 +343,14 @@ impl<'a, K: NumericKey> Protocol for BinSearchProtocol<'a, K> {
                         }
                     }
                     BsMsg::Finished { threshold } => return Step::Done(self.output_for(threshold)),
-                    other => panic!("worker received a leader-only message {other:?}"),
+                    ref other => panic!("worker received a leader-only message {other:?}"),
                 }
             }
-            return Step::Continue;
+            return Step::Wait;
         }
 
-        for i in 0..ctx.inbox().len() {
-            let msg = ctx.inbox()[i].msg.clone();
-            match msg {
+        for env in ctx.inbox() {
+            match env.msg {
                 BsMsg::Report { count, min, max } => {
                     self.total += count;
                     if count > 0 {
@@ -403,10 +403,10 @@ impl<'a, K: NumericKey> Protocol for BinSearchProtocol<'a, K> {
                         }
                     }
                 }
-                other => panic!("leader received an unexpected message {other:?}"),
+                ref other => panic!("leader received an unexpected message {other:?}"),
             }
         }
-        Step::Continue
+        Step::Wait
     }
 }
 

@@ -178,7 +178,8 @@ impl KdBuildProtocol {
             points.sort_by_key(|(id, _)| *id);
             Step::Done(BuiltShard { tree: KdTree::build(points), splits: self.splits.clone() })
         } else {
-            Step::Continue
+            // Only another `last` marker can finish the build.
+            Step::Wait
         }
     }
 }
@@ -231,18 +232,13 @@ impl Protocol for KdBuildProtocol {
                 ctx.send(self.leader, KdMsg::Sample(samples));
                 self.phase = BuildPhase::AwaitSplits;
             }
-            return Step::Continue;
+            return Step::Wait;
         }
 
-        for i in 0..ctx.inbox().len() {
-            let (src, msg) = {
-                let env = &ctx.inbox()[i];
-                (env.src, env.msg.clone())
-            };
-            let _ = src;
-            match msg {
+        for env in ctx.inbox() {
+            match &env.msg {
                 KdMsg::Sample(v) => {
-                    self.samples.extend_from_slice(&v);
+                    self.samples.extend_from_slice(v);
                     self.pending_samples -= 1;
                     if self.pending_samples == 0 {
                         // Quantile splits from the pooled sample.
@@ -262,20 +258,20 @@ impl Protocol for KdBuildProtocol {
                     }
                 }
                 KdMsg::Splits(splits) => {
-                    self.splits = splits;
+                    self.splits.clone_from(splits);
                     self.exchange(ctx);
                 }
                 KdMsg::Points { batch, last } => {
-                    self.received
-                        .extend(batch.into_iter().map(|p| (p.id, p.coords.into_boxed_slice())));
-                    self.finished_senders += usize::from(last);
+                    self.received.extend(batch.iter().map(|p| (p.id, p.coords.as_slice().into())));
+                    self.finished_senders += usize::from(*last);
                 }
             }
         }
         if matches!(self.phase, BuildPhase::Exchange) {
             return self.try_finish();
         }
-        Step::Continue
+        // Collecting samples or awaiting the splits: reply-driven.
+        Step::Wait
     }
 }
 

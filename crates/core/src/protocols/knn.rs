@@ -13,13 +13,13 @@
 //!    survive, with probability `≥ 1 − 2/ℓ²`;
 //! 5. Algorithm 1 selects the ℓ smallest among the survivors.
 //!
-//! **Hardening deviation (documented in DESIGN.md §4.3):** the paper's
-//! pruning leaves at least ℓ survivors only with high probability *in ℓ*.
-//! With `KnnParams::harden` (default), machines report their survivor
-//! counts (+2 rounds, O(k) messages); if fewer than ℓ survive, the leader
-//! orders a rollback and Algorithm 1 runs on the unpruned candidates. The
-//! result is exact selection with certainty, and the fallback rate is
-//! itself measured by the Lemma 2.3 experiment.
+//! **Hardening deviation (documented here and on [`KnnParams::harden`]):**
+//! the paper's pruning leaves at least ℓ survivors only with high
+//! probability *in ℓ*. With `KnnParams::harden` (default), machines report
+//! their survivor counts (+2 rounds, O(k) messages); if fewer than ℓ
+//! survive, the leader orders a rollback and Algorithm 1 runs on the
+//! unpruned candidates. The result is exact selection with certainty, and
+//! the fallback rate is itself measured by the Lemma 2.3 experiment.
 
 use kmachine::{Ctx, MachineId, Payload, Protocol, Step};
 use knn_points::Key;
@@ -161,6 +161,9 @@ pub struct KnnProtocol<'a, K: Key> {
     phase: KPhase,
     core: Option<SelectCore<K>>,
     stats: KnnStats,
+    /// Scratch for the embedded core's outgoing messages, reused across
+    /// `Sel` deliveries.
+    sel_out: Vec<(MachineId, SelMsg<K>)>,
     // Leader scratch.
     samples: Vec<K>,
     pending: usize,
@@ -191,6 +194,7 @@ impl<'a, K: Key> KnnProtocol<'a, K> {
             phase: KPhase::Init,
             core: None,
             stats: KnnStats::default(),
+            sel_out: Vec::new(),
             samples: Vec::new(),
             pending: 0,
             kept_sum: 0,
@@ -294,9 +298,8 @@ impl<'a, K: Key> KnnProtocol<'a, K> {
         let active = self.active(rollback);
         let mut core = SelectCore::new(self.id, self.k, self.leader, self.ell, active);
         if self.is_leader() {
-            let mut out = Vec::new();
-            let status = core.start(ctx.rng(), &mut out);
-            for (dst, msg) in out {
+            let status = core.start(ctx.rng(), &mut self.sel_out);
+            for (dst, msg) in self.sel_out.drain(..) {
                 ctx.send(dst, KnnMsg::Sel(msg));
             }
             debug_assert!(
@@ -339,24 +342,24 @@ impl<'a, K: Key> Protocol for KnnProtocol<'a, K> {
             if let Some(keys) = self.setup(ctx) {
                 return Step::Done(KnnOutput { keys, stats: Some(self.stats) });
             }
-            return Step::Continue;
+            return Step::Wait;
         }
 
+        // Every phase past round 0 only reacts to mail, so between
+        // deliveries the protocol waits.
         let mut finished: Option<Option<K>> = None;
-        for i in 0..ctx.inbox().len() {
-            let env = &ctx.inbox()[i];
-            let (src, msg) = (env.src, env.msg.clone());
-            match msg {
+        for env in ctx.inbox() {
+            match &env.msg {
                 KnnMsg::Samples(batch) => {
                     debug_assert!(self.is_leader());
-                    self.samples.extend_from_slice(&batch);
+                    self.samples.extend_from_slice(batch);
                     self.pending -= 1;
                     if self.pending == 0 {
                         self.leader_after_samples(ctx);
                     }
                 }
                 KnnMsg::Prune { r } => {
-                    self.pruned_len = self.candidates.partition_point(|x| *x <= r);
+                    self.pruned_len = self.candidates.partition_point(|x| x <= r);
                     if self.params.harden {
                         ctx.send(
                             self.leader,
@@ -384,7 +387,7 @@ impl<'a, K: Key> Protocol for KnnProtocol<'a, K> {
                         self.start_selection(rollback, ctx);
                     }
                 }
-                KnnMsg::PruneDecision { rollback } => {
+                &KnnMsg::PruneDecision { rollback } => {
                     if self.core.is_none() {
                         // `rollback = true` can also mean "pruning skipped":
                         // make sure the full candidate set is active.
@@ -396,9 +399,8 @@ impl<'a, K: Key> Protocol for KnnProtocol<'a, K> {
                 }
                 KnnMsg::Sel(sel) => {
                     let core = self.core.as_mut().expect("selection traffic before setup");
-                    let mut out = Vec::new();
-                    let status = core.handle(src, &sel, ctx.rng(), &mut out);
-                    for (dst, m) in out {
+                    let status = core.handle(env.src, sel, ctx.rng(), &mut self.sel_out);
+                    for (dst, m) in self.sel_out.drain(..) {
                         ctx.send(dst, KnnMsg::Sel(m));
                     }
                     if let CoreStatus::Finished { boundary } = status {
@@ -415,7 +417,7 @@ impl<'a, K: Key> Protocol for KnnProtocol<'a, K> {
             let stats = self.is_leader().then_some(self.stats);
             return Step::Done(KnnOutput { keys, stats });
         }
-        Step::Continue
+        Step::Wait
     }
 }
 
@@ -426,6 +428,8 @@ mod tests {
     use kmachine::NetConfig;
     use knn_workloads::partition::{PartitionStrategy, ALL_STRATEGIES};
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn run_knn(
         shards: Vec<Vec<u64>>,
@@ -638,6 +642,50 @@ mod tests {
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.metrics.rounds, b.metrics.rounds);
         assert_eq!(a.metrics.messages, b.metrics.messages);
+    }
+
+    /// Counts `on_round` calls into the shared tally; otherwise `P`.
+    struct Counted<P>(P, Arc<AtomicU64>);
+
+    impl<P: Protocol> Protocol for Counted<P> {
+        type Msg = P::Msg;
+        type Output = P::Output;
+        fn on_round(&mut self, ctx: &mut Ctx<'_, P::Msg>) -> Step<P::Output> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.on_round(ctx)
+        }
+    }
+
+    /// A multiplexed batch steps an instance for round 0 and for its mail,
+    /// never for the rounds it spends waiting on the shared links.
+    #[test]
+    fn muxed_batch_steps_track_deliveries_not_rounds() {
+        let (k, m, ell) = (8usize, 64usize, 64u64);
+        let calls = Arc::new(AtomicU64::new(0));
+        let protos: Vec<_> = (0..k)
+            .map(|i| {
+                let instances = (0..m as u64).map(|j| {
+                    let keys = (0..256u64)
+                        .map(|x| {
+                            (x * k as u64 + i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15 ^ j)
+                        })
+                        .collect();
+                    let p = KnnProtocol::from_keys(i, k, 0, ell, KnnParams::default(), keys);
+                    Counted(p, calls.clone())
+                });
+                kmachine::MuxProtocol::new(instances.collect())
+            })
+            .collect();
+        let out = run_sync(&NetConfig::new(k).with_seed(3), protos).expect("muxed knn run");
+        let calls = calls.load(Ordering::Relaxed);
+        let delivered = out.metrics.messages - out.metrics.delivered_after_done;
+        let ticking = (out.metrics.rounds + 1) * (k * m) as u64;
+        assert!(
+            calls <= delivered + (k * m) as u64,
+            "{calls} inner steps for {delivered} delivered envelopes over {} rounds",
+            out.metrics.rounds
+        );
+        assert!(calls * 4 < ticking, "the batch must be bandwidth-bound: {calls} vs {ticking}");
     }
 
     #[test]

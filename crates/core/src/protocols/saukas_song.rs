@@ -246,33 +246,33 @@ impl<'a, K: Key> Protocol for SaukasSongProtocol<'a, K> {
             } else {
                 self.phase = SsPhase::Worker;
             }
-            return Step::Continue;
+            return Step::Wait;
         }
 
+        // Workers answer probes and the leader collects replies: both only
+        // ever react to mail.
         if ctx.id() != self.leader {
-            for i in 0..ctx.inbox().len() {
-                let msg = ctx.inbox()[i].msg.clone();
-                match msg {
+            for env in ctx.inbox() {
+                match &env.msg {
                     SsMsg::MedianReq { lo, hi } => {
-                        let (med, count) = self.local_median(&lo, &hi);
+                        let (med, count) = self.local_median(lo, hi);
                         ctx.send(self.leader, SsMsg::Median { med, count });
                     }
                     SsMsg::GetSize { lo, pivot } => {
-                        let (a, b) = self.range_bounds(&lo, &Some(pivot));
+                        let (a, b) = self.range_bounds(lo, &Some(*pivot));
                         ctx.send(self.leader, SsMsg::Size((b - a) as u64));
                     }
-                    SsMsg::Finished { cut } => return Step::Done(self.output_for(cut)),
+                    SsMsg::Finished { cut } => return Step::Done(self.output_for(*cut)),
                     other => panic!("worker received a leader-only message {other:?}"),
                 }
             }
-            return Step::Continue;
+            return Step::Wait;
         }
 
         // Leader.
-        for i in 0..ctx.inbox().len() {
-            let msg = ctx.inbox()[i].msg.clone();
-            match msg {
-                SsMsg::Median { med, count } => {
+        for env in ctx.inbox() {
+            match &env.msg {
+                &SsMsg::Median { med, count } => {
                     if let Some(m) = med {
                         self.medians.push((m, count));
                     }
@@ -295,7 +295,7 @@ impl<'a, K: Key> Protocol for SaukasSongProtocol<'a, K> {
                 other => panic!("leader received an unexpected message {other:?}"),
             }
         }
-        Step::Continue
+        Step::Wait
     }
 }
 

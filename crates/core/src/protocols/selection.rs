@@ -17,6 +17,8 @@ use super::select_core::{CoreStatus, SelMsg, SelectCore};
 pub struct SelectProtocol<K: Key> {
     core: SelectCore<K>,
     leader: MachineId,
+    /// Scratch for the core's outgoing messages, reused across rounds.
+    out: Vec<(MachineId, SelMsg<K>)>,
     /// Pivot iterations observed (leader only) — exposed for the
     /// Theorem 2.2 experiments.
     pub iterations: u64,
@@ -26,7 +28,12 @@ impl<K: Key> SelectProtocol<K> {
     /// Machine `id` of `k`, selecting the `ell` smallest keys; `local` is
     /// this machine's share (any order, any size, may be empty).
     pub fn new(id: MachineId, k: usize, leader: MachineId, ell: u64, local: Vec<K>) -> Self {
-        SelectProtocol { core: SelectCore::new(id, k, leader, ell, local), leader, iterations: 0 }
+        SelectProtocol {
+            core: SelectCore::new(id, k, leader, ell, local),
+            leader,
+            out: Vec::new(),
+            iterations: 0,
+        }
     }
 }
 
@@ -35,31 +42,30 @@ impl<K: Key> Protocol for SelectProtocol<K> {
     type Output = Vec<K>;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, SelMsg<K>>) -> Step<Vec<K>> {
-        let mut out = Vec::new();
+        let out = &mut self.out;
         let mut status = CoreStatus::Running;
         if ctx.round() == 0 {
             if ctx.id() == self.leader {
-                status = self.core.start(ctx.rng(), &mut out);
+                status = self.core.start(ctx.rng(), out);
                 // Single-machine clusters run the whole search locally.
                 while ctx.k() == 1 && status == CoreStatus::Running {
-                    status = self.core.poke(ctx.rng(), &mut out);
+                    status = self.core.poke(ctx.rng(), out);
                 }
             }
         } else {
-            for i in 0..ctx.inbox().len() {
-                let env = &ctx.inbox()[i];
-                let (src, msg) = (env.src, env.msg.clone());
-                let st = self.core.handle(src, &msg, ctx.rng(), &mut out);
+            for env in ctx.inbox() {
+                let st = self.core.handle(env.src, &env.msg, ctx.rng(), out);
                 if let CoreStatus::Finished { .. } = st {
                     status = st;
                 }
             }
         }
-        for (dst, msg) in out {
+        for (dst, msg) in out.drain(..) {
             ctx.send(dst, msg);
         }
         match status {
-            CoreStatus::Running => Step::Continue,
+            // The core only ever reacts to mail.
+            CoreStatus::Running => Step::Wait,
             CoreStatus::Finished { boundary } => {
                 self.iterations = self.core.iterations();
                 Step::Done(self.core.output_for(boundary))

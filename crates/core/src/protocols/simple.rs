@@ -252,7 +252,8 @@ impl<'a, K: NumericKey> Protocol for SimpleProtocol<'a, K> {
                         );
                     }
                 }
-                return Step::Continue;
+                // From here on a worker only reads the leader's boundary.
+                return Step::Wait;
             }
             if ctx.k() == 1 {
                 return Step::Done(self.candidates.clone());
@@ -292,13 +293,15 @@ impl<'a, K: NumericKey> Protocol for SimpleProtocol<'a, K> {
                 ctx.broadcast(SimpleMsg::Boundary { boundary });
                 return Step::Done(self.finish(boundary));
             }
+            // Not `Wait`: `ctx.crashed(s)` turns true with the round number,
+            // not with mail, so an empty inbox can still complete the gather.
             return Step::Continue;
         }
 
         if let Some(SimpleMsg::Boundary { boundary }) = ctx.first_from(self.leader) {
             return Step::Done(self.finish(*boundary));
         }
-        Step::Continue
+        Step::Wait
     }
 }
 

@@ -104,9 +104,11 @@ impl<'a, M: Payload> Ctx<'a, M> {
         self.round
     }
 
-    /// Messages delivered this round, ordered by `(src, seq)`.
+    /// Messages delivered this round, ordered by `(src, seq)`. The slice
+    /// borrows the round's inbox, not this `Ctx`, so a protocol can
+    /// [`Ctx::send`] while it reads.
     #[inline]
-    pub fn inbox(&self) -> &[Envelope<M>] {
+    pub fn inbox(&self) -> &'a [Envelope<M>] {
         self.inbox
     }
 

@@ -618,7 +618,7 @@ mod tests {
     use super::*;
     use crate::config::{BandwidthMode, FaultPlan};
     use crate::ctx::Ctx;
-    use crate::engine::fixtures::{CrashAwareGossip, GossipSum, Stream, WaitForever};
+    use crate::engine::fixtures::{CrashAwareGossip, GossipSum, SleepForever, Stream, WaitForever};
     use crate::engine::{run_sync, Engine};
     use crate::protocol::Step;
 
@@ -712,6 +712,10 @@ mod tests {
         let err =
             run_event(&cfg, vec![WaitForever, WaitForever, WaitForever, WaitForever]).unwrap_err();
         assert!(matches!(err, EngineError::Stalled { .. }));
+        // Machines that declare the wait are never stepped after round 0;
+        // the stall is the same one, at the same round.
+        let waiting = run_event(&cfg, (0..4).map(|_| SleepForever).collect()).unwrap_err();
+        assert_eq!(waiting, err);
     }
 
     #[test]

@@ -51,6 +51,18 @@ impl Protocol for WaitForever {
     }
 }
 
+/// The same deadlock, declared: everyone [waits](Step::Wait) for mail that
+/// never comes, so after round 0 no machine is stepped at all.
+pub(super) struct SleepForever;
+
+impl Protocol for SleepForever {
+    type Msg = ();
+    type Output = ();
+    fn on_round(&mut self, _ctx: &mut Ctx<'_, ()>) -> Step<()> {
+        Step::Wait
+    }
+}
+
 /// Everyone broadcasts its id; everyone outputs the sum of what it saw.
 pub(super) struct GossipSum {
     acc: u64,

@@ -2,7 +2,8 @@
 //!
 //! One simulated round of one machine is a **compute step**
 //! ([`Machine::step`] then [`Machine::enqueue`]: crash horizon and salvage,
-//! late-delivery billing, the protocol's `on_round` behind a panic guard,
+//! late-delivery billing, the protocol's `on_round` behind a panic guard —
+//! skipped while the protocol is [waiting](Step::Wait) on an empty inbox —
 //! outbox → per-destination FIFOs with send accounting) followed by a
 //! **transport step** ([`Machine::transport`]: one bandwidth budget per busy
 //! outbound link, integrity / link-down detection, backlog accounting).
@@ -154,6 +155,9 @@ pub(super) struct Machine<'l, P: Protocol> {
     /// (`fifos[id]` stays empty — the model has no self-loops).
     fifos: &'l mut [LinkFifo<P::Msg>],
     halt: Halt,
+    /// The protocol's last step returned [`Step::Wait`]: until mail arrives
+    /// its `on_round` is a no-op by contract, and [`Machine::step`] skips it.
+    waiting: bool,
     output: Option<P::Output>,
     /// Non-empty inboxes discarded after this machine halted, as
     /// `(round, count)`. [`collect`] bills only rounds up to the run's final
@@ -180,6 +184,7 @@ pub(super) fn machines<'l, P: Protocol>(
             seq: 0,
             fifos,
             halt: Halt::Running,
+            waiting: false,
             output: None,
             late: Vec::new(),
             sends: 0,
@@ -253,6 +258,10 @@ impl<'l, P: Protocol> Machine<'l, P> {
             self.halt = Halt::Crashed;
             return Ok(true);
         }
+        if self.waiting && inbox.is_empty() {
+            // What the no-op step would have shown: not halted, nothing sent.
+            return Ok(false);
+        }
         // Keys (src, seq) are unique per delivery, so stability buys
         // nothing — unstable sort avoids the temp-buffer allocation.
         inbox.sort_unstable_by_key(|e| (e.src, e.seq));
@@ -271,7 +280,14 @@ impl<'l, P: Protocol> Machine<'l, P> {
         let step = catch_unwind(AssertUnwindSafe(|| self.proto.on_round(&mut ctx)));
         inbox.clear();
         match step {
-            Ok(Step::Continue) => Ok(false),
+            Ok(Step::Continue) => {
+                self.waiting = false;
+                Ok(false)
+            }
+            Ok(Step::Wait) => {
+                self.waiting = true;
+                Ok(false)
+            }
             Ok(Step::Done(out)) => {
                 self.output = Some(out);
                 self.halt = Halt::Done;

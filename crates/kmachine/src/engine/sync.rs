@@ -113,8 +113,10 @@ mod tests {
     use super::*;
     use crate::config::{AdversaryPlan, BandwidthMode, FaultPlan};
     use crate::ctx::Ctx;
-    use crate::engine::fixtures::{CrashAwareGossip, GossipSum, Stream, WaitForever};
+    use crate::engine::fixtures::{CrashAwareGossip, GossipSum, SleepForever, Stream, WaitForever};
     use crate::protocol::Step;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn bandwidth_dictates_round_count() {
@@ -141,6 +143,90 @@ mod tests {
         let cfg = NetConfig::new(3);
         let err = run_sync(&cfg, vec![WaitForever, WaitForever, WaitForever]).unwrap_err();
         assert!(matches!(err, EngineError::Stalled { .. }));
+    }
+
+    #[test]
+    fn waiting_stall_is_reported_at_the_same_round() {
+        let cfg = NetConfig::new(3);
+        let ticking = run_sync(&cfg, vec![WaitForever, WaitForever, WaitForever]).unwrap_err();
+        let waiting = run_sync(&cfg, vec![SleepForever, SleepForever, SleepForever]).unwrap_err();
+        assert_eq!(waiting, ticking);
+        assert_eq!(waiting, EngineError::Stalled { round: 0 });
+    }
+
+    /// Machine 0 publishes the round it is executing (it runs first in every
+    /// lockstep sweep), mails machine 1 in rounds 0 and 6, and keeps the run
+    /// alive to round 8 by mailing the sink, machine 2, every round. Machine
+    /// 1 reads its mail and otherwise waits — or, with `wait` off, ticks
+    /// through the same no-op steps.
+    enum ClockOrSleeper {
+        Clock(Arc<AtomicU64>),
+        Sleeper { clock: Arc<AtomicU64>, wait: bool, steps: u64, got: u64 },
+        Sink,
+    }
+
+    impl Protocol for ClockOrSleeper {
+        type Msg = u64;
+        /// `(steps executed, messages read, round `on_crash` ran in)`.
+        type Output = (u64, u64, u64);
+        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<Self::Output> {
+            match self {
+                ClockOrSleeper::Clock(clock) => {
+                    clock.store(ctx.round(), Ordering::SeqCst);
+                    if ctx.round() == 0 || ctx.round() == 6 {
+                        ctx.send(1, ctx.round());
+                    }
+                    ctx.send(2, ctx.round());
+                    if ctx.round() == 8 {
+                        Step::Done((0, 0, 0))
+                    } else {
+                        Step::Continue
+                    }
+                }
+                ClockOrSleeper::Sleeper { wait, steps, got, .. } => {
+                    *steps += 1;
+                    *got += ctx.inbox().len() as u64;
+                    if *wait {
+                        Step::Wait
+                    } else {
+                        Step::Continue
+                    }
+                }
+                ClockOrSleeper::Sink => match ctx.first_from(0) {
+                    Some(8) => Step::Done((0, 0, 0)),
+                    _ => Step::Wait,
+                },
+            }
+        }
+        fn on_crash(&mut self) -> Option<Self::Output> {
+            match self {
+                ClockOrSleeper::Clock(_) | ClockOrSleeper::Sink => None,
+                ClockOrSleeper::Sleeper { clock, steps, got, .. } => {
+                    Some((*steps, *got, clock.load(Ordering::SeqCst)))
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn waiting_machine_still_crashes_on_schedule_and_bills_late_mail() {
+        let run = |wait| {
+            let clock = Arc::new(AtomicU64::new(0));
+            let cfg = NetConfig::new(3).with_faults(FaultPlan::default().with_crash(1, 4));
+            let sleeper = ClockOrSleeper::Sleeper { clock: clock.clone(), wait, steps: 0, got: 0 };
+            run_sync(&cfg, vec![ClockOrSleeper::Clock(clock), sleeper, ClockOrSleeper::Sink])
+                .unwrap()
+        };
+        let (waiting, ticking) = (run(true), run(false));
+        // Stepped in round 0 and for the round-1 delivery, skipped in rounds
+        // 2 and 3 — and still crashed at round 4, not at its next mail.
+        assert_eq!(waiting.outputs[1], (2, 1, 4));
+        assert_eq!(ticking.outputs[1], (4, 1, 4));
+        assert_eq!(waiting.faults.crashed, vec![1]);
+        // The round-6 message reaches a corpse either way.
+        assert_eq!(waiting.metrics.delivered_after_done, 1);
+        assert_eq!(waiting.metrics, ticking.metrics);
+        assert_eq!(waiting.faults, ticking.faults);
     }
 
     /// Ping-pong `rounds` times between machines 0 and 1.

@@ -95,7 +95,7 @@ impl Protocol for RandRankStar {
             } else {
                 ctx.send(0, StarMsg::Rank(self.my_rank));
             }
-            return Step::Continue;
+            return Step::Wait;
         }
         if ctx.id() == 0 {
             for env in ctx.inbox() {
@@ -114,12 +114,12 @@ impl Protocol for RandRankStar {
                 ctx.broadcast(StarMsg::Winner(winner as u64));
                 return Step::Done(winner);
             }
-            return Step::Continue;
+            return Step::Wait;
         }
         if let Some(StarMsg::Winner(w)) = ctx.first_from(0) {
             return Step::Done(*w as MachineId);
         }
-        Step::Continue
+        Step::Wait
     }
 }
 
@@ -151,7 +151,7 @@ impl Protocol for RandRankFlood {
                 return Step::Done(0);
             }
             ctx.broadcast(Rank(self.my_rank));
-            return Step::Continue;
+            return Step::Wait;
         }
         for env in ctx.inbox() {
             self.got += 1;
@@ -163,7 +163,7 @@ impl Protocol for RandRankFlood {
         if self.got == ctx.k() {
             Step::Done(self.best.expect("has own rank").1)
         } else {
-            Step::Continue
+            Step::Wait
         }
     }
 }

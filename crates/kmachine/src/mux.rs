@@ -13,6 +13,12 @@
 //! execute in tag order every round — so a multiplexed run is a pure
 //! function of `(protocols, seed)` on both engines, exactly like a solo run.
 //!
+//! Cost: stepping is wake-driven. A round steps only the *awake* instances
+//! — those whose last step returned [`Step::Continue`] plus those with mail
+//! this round — so an instance that [waits](Step::Wait) costs nothing until
+//! an envelope carries its tag, and a machine-round costs O(envelopes
+//! delivered), not O(instances).
+//!
 //! Attribution: the engines split message/bit totals by tag into
 //! [`RunMetrics::per_tag`](crate::RunMetrics::per_tag) (via
 //! [`Payload::mux_tag`]), and [`MuxOutput::done_round`] records the round in
@@ -82,6 +88,8 @@ struct Slot<P> {
     rng: StdRng,
     seq: u64,
     live: bool,
+    /// Whether this instance's tag is in [`MuxProtocol::awake`].
+    awake: bool,
 }
 
 /// Runs m instances of `P` as one protocol, multiplexing their messages
@@ -95,10 +103,14 @@ pub struct MuxProtocol<P: Protocol> {
     outputs: Vec<Option<P::Output>>,
     done_round: Vec<u64>,
     remaining: usize,
-    /// Per-tag demux buffers, cleared and refilled every round — kept in the
-    /// struct so the per-round hot path reuses their allocations instead of
-    /// building m fresh `Vec`s per machine per round.
+    /// Per-tag demux buffers, empty between rounds (each is cleared right
+    /// after its instance's step) — kept in the struct so the per-round hot
+    /// path reuses their allocations instead of building fresh `Vec`s.
     parts: Vec<Vec<Envelope<P::Msg>>>,
+    /// Tags the coming round steps. Between rounds: the instances whose last
+    /// step returned [`Step::Continue`], in tag order; `on_round` adds the
+    /// tags that have mail.
+    awake: Vec<u32>,
     /// Scratch outbox handed to each instance's inner `Ctx`, same reuse.
     inner_outbox: Vec<Envelope<P::Msg>>,
 }
@@ -120,12 +132,19 @@ impl<P: Protocol> MuxProtocol<P> {
             // RNG; a placeholder seed keeps the slot layout simple.
             slots: instances
                 .into_iter()
-                .map(|proto| Slot { proto, rng: StdRng::seed_from_u64(0), seq: 0, live: true })
+                .map(|proto| Slot {
+                    proto,
+                    rng: StdRng::seed_from_u64(0),
+                    seq: 0,
+                    live: true,
+                    awake: true,
+                })
                 .collect(),
             outputs: (0..m).map(|_| None).collect(),
             done_round: vec![0; m],
             remaining: m,
             parts: (0..m).map(|_| Vec::new()).collect(),
+            awake: (0..m as u32).collect(),
             inner_outbox: Vec::new(),
         }
     }
@@ -210,16 +229,21 @@ impl<P: Protocol> Protocol for MuxProtocol<P> {
     /// replay recomputes it). Instances the blob marks done must already
     /// hold their output (completion is monotone: a checkpoint never knows
     /// *more* finished instances than the state being restored), and keep
-    /// it.
+    /// it. Every live instance comes back awake: whether it was waiting is
+    /// not part of the blob, and one extra step of a waiting instance is a
+    /// no-op by [`Step::Wait`]'s contract.
     fn restore(&mut self, blob: &[u8]) -> bool {
         let mut r = SnapshotReader::new(blob);
         if r.u64() != Some(self.slots.len() as u64) {
             return false;
         }
         let mut remaining = 0usize;
+        self.awake.clear();
         for (tag, slot) in self.slots.iter_mut().enumerate() {
             let Some(live) = r.flag() else { return false };
+            slot.awake = live;
             if live {
+                self.awake.push(tag as u32);
                 let Some(inner) = r.bytes() else { return false };
                 if !slot.proto.restore(inner) {
                     return false;
@@ -263,14 +287,17 @@ impl<P: Protocol> Protocol for MuxProtocol<P> {
 
         // Demultiplex this round's inbox by tag into the reused per-tag
         // buffers, preserving the engine's deterministic (src, seq) delivery
-        // order within each instance.
-        for part in &mut self.parts {
-            part.clear();
-        }
+        // order within each instance. Mail wakes its instance.
+        let carried = self.awake.len();
         for env in ctx.inbox() {
             let tag = env.msg.tag as usize;
             assert!(tag < m, "message for unknown mux tag {tag} (m = {m})");
-            if self.slots[tag].live {
+            let slot = &mut self.slots[tag];
+            if slot.live {
+                if !slot.awake {
+                    slot.awake = true;
+                    self.awake.push(env.msg.tag);
+                }
                 self.parts[tag].push(Envelope {
                     src: env.src,
                     dst: env.dst,
@@ -281,19 +308,23 @@ impl<P: Protocol> Protocol for MuxProtocol<P> {
                 });
             }
         }
+        // Woken tags were appended in arrival order; instances execute in
+        // tag order.
+        if self.awake.len() > carried {
+            self.awake.sort_unstable();
+        }
 
         let inner_outbox = &mut self.inner_outbox;
-        for (tag, part) in self.parts.iter().enumerate() {
+        let mut still_awake = 0;
+        for i in 0..self.awake.len() {
+            let tag = self.awake[i] as usize;
             let slot = &mut self.slots[tag];
-            if !slot.live {
-                continue;
-            }
             let step = {
                 let mut inner = Ctx {
                     id: ctx.id,
                     k: ctx.k,
                     round: ctx.round,
-                    inbox: part,
+                    inbox: &self.parts[tag],
                     outbox: inner_outbox,
                     rng: &mut slot.rng,
                     next_seq: &mut slot.seq,
@@ -307,19 +338,29 @@ impl<P: Protocol> Protocol for MuxProtocol<P> {
                 };
                 slot.proto.on_round(&mut inner)
             };
+            self.parts[tag].clear();
             // Re-wrap the instance's sends; the outer ctx re-sequences them,
             // which keeps the global (src, seq) order consistent with the
             // tag-ordered execution above.
             for env in inner_outbox.drain(..) {
                 ctx.send(env.dst, Tagged { tag: tag as u32, msg: env.msg });
             }
-            if let Step::Done(out) = step {
-                self.outputs[tag] = Some(out);
-                self.done_round[tag] = ctx.round();
-                self.slots[tag].live = false;
-                self.remaining -= 1;
+            match step {
+                Step::Continue => {
+                    self.awake[still_awake] = tag as u32;
+                    still_awake += 1;
+                }
+                Step::Wait => slot.awake = false,
+                Step::Done(out) => {
+                    slot.awake = false;
+                    slot.live = false;
+                    self.outputs[tag] = Some(out);
+                    self.done_round[tag] = ctx.round();
+                    self.remaining -= 1;
+                }
             }
         }
+        self.awake.truncate(still_awake);
 
         if self.remaining == 0 {
             Step::Done(MuxOutput {
@@ -330,6 +371,9 @@ impl<P: Protocol> Protocol for MuxProtocol<P> {
                     .collect(),
                 done_round: std::mem::take(&mut self.done_round),
             })
+        } else if self.awake.is_empty() {
+            // Every live instance waits, so this machine does.
+            Step::Wait
         } else {
             Step::Continue
         }
@@ -630,6 +674,103 @@ mod tests {
             assert!(out.recovery.checkpoints > 0);
             assert!(out.faults.crashed.is_empty());
         }
+    }
+
+    /// Counts its own steps (the one liberty this fixture takes with the
+    /// [`Step::Wait`] contract); waits for mail; a nonzero word finishes it.
+    struct Sleeper {
+        steps: u64,
+    }
+
+    impl Protocol for Sleeper {
+        type Msg = u64;
+        type Output = u64;
+        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
+            self.steps += 1;
+            if ctx.inbox().iter().any(|e| e.msg != 0) {
+                Step::Done(self.steps)
+            } else {
+                Step::Wait
+            }
+        }
+        fn checkpoint(&self) -> Option<Vec<u8>> {
+            Some(self.steps.to_le_bytes().to_vec())
+        }
+        fn restore(&mut self, blob: &[u8]) -> bool {
+            blob.try_into().map(|b| self.steps = u64::from_le_bytes(b)).is_ok()
+        }
+    }
+
+    /// One round of machine 1 of 2, with `mail` as `(tag, word)` from
+    /// machine 0.
+    fn mux_round(
+        mux: &mut MuxProtocol<Sleeper>,
+        round: u64,
+        mail: &[(u32, u64)],
+    ) -> Step<MuxOutput<u64>> {
+        let inbox: Vec<_> = (mail.iter().enumerate())
+            .map(|(i, &(tag, msg))| Envelope {
+                src: 0,
+                dst: 1,
+                sent_round: round - 1,
+                seq: i as u64,
+                digest: 0,
+                msg: Tagged { tag, msg },
+            })
+            .collect();
+        let mut outbox = Vec::new();
+        let mut rng = crate::rng::machine_rng(0, 1);
+        let mut ctx = Ctx {
+            id: 1,
+            k: 2,
+            round,
+            inbox: &inbox,
+            outbox: &mut outbox,
+            rng: &mut rng,
+            next_seq: &mut 0,
+            crash_rounds: &[u64::MAX; 2],
+            rejoin_rounds: &[u64::MAX; 2],
+            adversary: None,
+        };
+        mux.on_round(&mut ctx)
+    }
+
+    #[test]
+    fn waiting_instances_are_stepped_only_by_their_own_mail() {
+        let mut mux = MuxProtocol::new((0..4).map(|_| Sleeper { steps: 0 }).collect());
+        let steps = |mux: &MuxProtocol<Sleeper>| -> Vec<u64> {
+            mux.slots.iter().map(|s| s.proto.steps).collect()
+        };
+        // Round 0 steps everyone; all four then wait, so the machine does.
+        assert!(matches!(mux_round(&mut mux, 0, &[]), Step::Wait));
+        assert_eq!(steps(&mux), [1, 1, 1, 1]);
+        // No mail: nobody is stepped.
+        assert!(matches!(mux_round(&mut mux, 1, &[]), Step::Wait));
+        assert_eq!(steps(&mux), [1, 1, 1, 1]);
+        // One envelope wakes exactly its tag — for that round only.
+        assert!(matches!(mux_round(&mut mux, 2, &[(2, 0)]), Step::Wait));
+        assert_eq!(steps(&mux), [1, 1, 2, 1]);
+        assert!(matches!(mux_round(&mut mux, 3, &[]), Step::Wait));
+        assert_eq!(steps(&mux), [1, 1, 2, 1]);
+        // Woken tags run in tag order whatever order their mail came in, and
+        // a finished instance's mail wakes nobody.
+        let blob = mux.checkpoint().expect("sleepers checkpoint");
+        assert!(matches!(mux_round(&mut mux, 4, &[(3, 0), (1, 1)]), Step::Wait));
+        assert_eq!(steps(&mux), [1, 2, 2, 2]);
+        assert_eq!((mux.done_round[1], mux.remaining), (4, 3));
+        assert!(matches!(mux_round(&mut mux, 5, &[(1, 0)]), Step::Wait));
+        assert_eq!(steps(&mux), [1, 2, 2, 2]);
+        // A restore rewinds to the checkpoint and wakes every instance that
+        // was live in it — one step each, mail or no mail — exactly once.
+        assert!(mux.restore(&blob));
+        assert!(matches!(mux_round(&mut mux, 4, &[]), Step::Wait));
+        assert_eq!(steps(&mux), [2, 2, 3, 2]);
+        assert!(matches!(mux_round(&mut mux, 5, &[]), Step::Wait));
+        assert_eq!(steps(&mux), [2, 2, 3, 2]);
+        // The last instances finishing ends the machine.
+        let done = mux_round(&mut mux, 6, &[(0, 1), (1, 1), (2, 1), (3, 1)]);
+        let Step::Done(out) = done else { panic!("all four finished") };
+        assert_eq!(out.outputs, [Some(3), Some(3), Some(4), Some(3)]);
     }
 
     #[test]

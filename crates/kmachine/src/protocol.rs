@@ -8,6 +8,17 @@ use crate::payload::Payload;
 pub enum Step<T> {
     /// Keep running; the engine will call `on_round` again next round.
     Continue,
+    /// Keep running, but there is nothing to do until mail arrives. The
+    /// promise: **until this machine's inbox is next non-empty, `on_round`
+    /// would send nothing, draw no randomness, change no state, and return
+    /// `Wait` again.** A scheduler may therefore skip those calls — the
+    /// machine step both [engines](crate::engine) drive does not step a
+    /// waiting machine whose inbox is empty, and
+    /// [`MuxProtocol`](crate::mux::MuxProtocol) does not step a waiting
+    /// instance without mail — or make them anyway (a restored mux steps
+    /// every live instance once): by the promise the two executions are
+    /// byte-identical. See [`Protocol`] for who may and may not return it.
+    Wait,
     /// This machine is finished and yields its local output. The engine
     /// stops scheduling it; late messages addressed to it are discarded
     /// (and counted in [`crate::RunMetrics::delivered_after_done`]).
@@ -21,6 +32,32 @@ pub enum Step<T> {
 /// happen). Protocol code must be a deterministic function of its own state,
 /// the inbox contents, and the private RNG — both engines then produce
 /// bit-identical executions.
+///
+/// # Waiting
+///
+/// `on_round` is called every round only while it returns
+/// [`Step::Continue`]. A state whose every action is a reaction to mail —
+/// a worker awaiting the leader's next probe, a leader collecting replies —
+/// should return [`Step::Wait`] instead: the schedulers then spend nothing
+/// on it until a message for it is delivered, so a run's simulation cost
+/// tracks messages rather than rounds × machines (× multiplexed instances).
+///
+/// * **After a `Wait`** the next `on_round` call either carries a non-empty
+///   inbox, or is one the scheduler was free to skip — it must send nothing,
+///   leave the RNG and every field untouched, and return `Wait` again. The
+///   round number may have advanced by any amount in between.
+/// * **A waiting machine is still in the run.** It crashes at its
+///   [`crate::config::FaultPlan`] round ([`Protocol::on_crash`] is called on
+///   schedule), counts toward stall detection and `max_rounds` exactly as a
+///   no-op step would, and [`Protocol::quiet_until`] is still consulted.
+/// * **Never return `Wait` from a state that watches the clock.** Anything
+///   that reads [`Ctx::round`], [`Ctx::crashed`] or [`Ctx::rejoined`] to
+///   decide what to do can change its mind on an empty inbox, so it must
+///   keep `Continue`: the gather leader of `SimpleProtocol` (knn-core)
+///   writes off a sender once `ctx.crashed(s)` turns true, and the crate's
+///   recovery wrapper needs its per-round checkpoint / retain / rejoin
+///   ticks until the scheduled rejoin has happened, so it reports `Wait` as
+///   `Continue` until then.
 pub trait Protocol: Send {
     /// Message type exchanged by this protocol.
     type Msg: Payload;

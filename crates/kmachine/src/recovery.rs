@@ -250,7 +250,8 @@ struct Ckpt {
 
 /// Protocol wrapper implementing checkpoint / crash / rejoin-with-replay
 /// around an inner protocol. Machines outside the rejoin plan pass through
-/// untouched.
+/// untouched, and so does a machine that has rejoined — [`Step::Wait`]
+/// included; until then the wrapper's own per-round duties keep it awake.
 pub(crate) struct Recovering<P: Protocol> {
     id: usize,
     inner: P,
@@ -425,7 +426,13 @@ impl<P: Protocol> Protocol for Recovering<P> {
         if r < spec.crash {
             self.maybe_checkpoint(r, spec.crash, ctx.rng, *ctx.next_seq);
             self.retained.push_back((r, ctx.inbox.to_vec()));
-            return self.inner.on_round(ctx);
+            // The checkpoint schedule, the retained inboxes and the crash
+            // round itself all tick per round, so this machine must keep
+            // being stepped however idle its inner protocol is.
+            return match self.inner.on_round(ctx) {
+                Step::Wait | Step::Continue => Step::Continue,
+                Step::Done(out) => Step::Done(out),
+            };
         }
         if r == spec.crash && !self.offline {
             // Checkpoint-then-crash: a checkpoint scheduled for the crash
@@ -492,7 +499,7 @@ mod tests {
         type Output = u64;
 
         fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            for env in ctx.inbox().to_vec() {
+            for env in ctx.inbox() {
                 if env.msg & HELLO != 0 {
                     self.hellos += 1;
                     self.acc += env.msg & 0xffff_ffff;
