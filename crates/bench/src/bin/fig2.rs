@@ -5,9 +5,9 @@
 //! points per process, random queries, y-axis = time(simple) / time(Alg 2),
 //! x-axis = ℓ. The ratio grows with ℓ and with k (80× at k = 128).
 //!
-//! Our substitution (README "Performance", the engine and delivery mode
-//! bullet): the event engine runs the machines on a worker pool with a
-//! synthetic per-round latency. On a host with fewer cores than simulated
+//! Our substitution (README "Performance", the engines paragraph): the
+//! event engine runs the machines on a worker pool with a synthetic
+//! per-round latency. On a host with fewer cores than simulated
 //! machines the *local-computation* part of the speedup saturates at the
 //! core count, so alongside the wall-clock ratio we report the
 //! hardware-independent **round ratio** from the exact engine — the paper's

@@ -14,19 +14,14 @@
 //!    ≥ 4 is enforced only when the host actually offers ≥ 4 CPUs (you
 //!    cannot buy parallelism the kernel doesn't offer, and a 1-CPU runner
 //!    must not assert impossible parallelism).
-//! 2. **Engine × delivery-mode loop rounds/sec + allocations.** A
-//!    bandwidth-bound all-pairs streaming protocol is pushed through both
-//!    engines — sync and event (per-link dependency scheduling on a worker
-//!    pool, one row per `--pools` entry) — with the event engine measured
-//!    under **both
-//!    delivery modes** (exact lockstep-equivalent delivery, and relaxed
-//!    PANDA-style quiescence promises). Each row reports simulated rounds
-//!    per second (best of `ENGINE_REPS` repetitions) and — via a counting
-//!    global allocator — heap allocations per round. Asserted: the event
-//!    engine at one worker stays within 10% of sync (the scheduler must
-//!    cost only watermark bookkeeping), and relaxed delivery stays within
-//!    10% of exact at every pool (promise bookkeeping must be ~free even
-//!    when the workload offers little to pipeline).
+//! 2. **Engine loop rounds/sec + allocations.** A bandwidth-bound
+//!    all-pairs streaming protocol is pushed through both engines — sync
+//!    and event (per-link dependency scheduling on a worker pool, one row
+//!    per `--pools` entry). Each row reports simulated rounds per second
+//!    (best of `ENGINE_REPS` repetitions) and — via a counting global
+//!    allocator — heap allocations per round. Asserted: the event engine
+//!    at one worker stays within 10% of sync (the scheduler must cost only
+//!    watermark bookkeeping).
 //!
 //! `--paper-full` additionally runs the §3 full-scale path from
 //! `tests/scale_paper_full.rs` — generate 4×2²² points, load the cluster,
@@ -45,7 +40,7 @@ use std::time::Instant;
 
 use kmachine::{
     engine::{run_event, run_sync},
-    BandwidthMode, Ctx, DeliveryMode, NetConfig, Payload, Protocol, Step,
+    BandwidthMode, Ctx, NetConfig, Payload, Protocol, Step,
 };
 use knn_bench::args::Args;
 use knn_bench::table::Table;
@@ -145,7 +140,6 @@ struct GenRow {
 #[derive(Debug)]
 struct EngineRow {
     engine: String,
-    delivery: String,
     pool: usize,
     rounds: u64,
     seconds: f64,
@@ -293,25 +287,16 @@ fn main() {
             .map(|_| AllPairsStream { n: stream, expected, received: 0, checksum: 0 })
             .collect::<Vec<_>>()
     };
-    // (engine name, delivery mode, pool column, config). The sync engine
-    // is sequential and inherently exact; the event engine gets one row per
-    // requested pool size — its scheduler's worker count — under each
-    // delivery mode, so the report is the full engine × mode table.
-    let mut engine_cfgs: Vec<(&str, DeliveryMode, usize, NetConfig)> =
-        vec![("sync", DeliveryMode::Exact, 1, cfg.clone())];
-    for mode in [DeliveryMode::Exact, DeliveryMode::Relaxed] {
-        for &pool in &pools {
-            engine_cfgs.push((
-                "event",
-                mode,
-                pool,
-                cfg.clone().with_event_workers(pool).with_delivery(mode),
-            ));
-        }
+    // (engine name, pool column, config). The sync engine is sequential;
+    // the event engine gets one row per requested pool size — its
+    // scheduler's worker count.
+    let mut engine_cfgs: Vec<(&str, usize, NetConfig)> = vec![("sync", 1, cfg.clone())];
+    for &pool in &pools {
+        engine_cfgs.push(("event", pool, cfg.clone().with_event_workers(pool)));
     }
     let mut engine_rows: Vec<EngineRow> = Vec::new();
     let mut checksum: Option<Vec<u64>> = None;
-    for (name, mode, pool, run_cfg) in &engine_cfgs {
+    for (name, pool, run_cfg) in &engine_cfgs {
         let mut seconds = f64::INFINITY;
         let mut rounds = 0;
         let mut allocs = 0;
@@ -322,7 +307,7 @@ fn main() {
                 "sync" => run_sync(run_cfg, mk()),
                 _ => run_event(run_cfg, mk()),
             }
-            .unwrap_or_else(|e| panic!("{name} ({}) run failed: {e}", mode.name()));
+            .unwrap_or_else(|e| panic!("{name} run failed: {e}"));
             seconds = seconds.min(start.elapsed().as_secs_f64());
             if rep == 0 {
                 allocs = allocations() - before;
@@ -330,17 +315,14 @@ fn main() {
                 match &checksum {
                     None => checksum = Some(out.outputs),
                     Some(want) => assert_eq!(
-                        &out.outputs,
-                        want,
-                        "engine {name} ({}, pool {pool}) diverged from the reference outputs",
-                        mode.name()
+                        &out.outputs, want,
+                        "engine {name} (pool {pool}) diverged from the reference outputs"
                     ),
                 }
             }
         }
         engine_rows.push(EngineRow {
             engine: name.to_string(),
-            delivery: mode.name().to_string(),
             pool: *pool,
             rounds,
             seconds,
@@ -349,19 +331,11 @@ fn main() {
         });
     }
 
-    let mut engine_table = Table::new(&[
-        "engine",
-        "delivery",
-        "pool",
-        "rounds",
-        "seconds",
-        "rounds/s",
-        "allocs/round",
-    ]);
+    let mut engine_table =
+        Table::new(&["engine", "pool", "rounds", "seconds", "rounds/s", "allocs/round"]);
     for r in &engine_rows {
         engine_table.row(vec![
             r.engine.clone(),
-            r.delivery.clone(),
             r.pool.to_string(),
             r.rounds.to_string(),
             format!("{:.3}", r.seconds),
@@ -372,17 +346,17 @@ fn main() {
     println!("\n-- engine loop (all-pairs stream of {stream} words, B = 512) --");
     engine_table.print();
 
-    let rps = |name: &str, delivery: &str, pool: usize| {
+    let rps = |name: &str, pool: usize| {
         engine_rows
             .iter()
-            .find(|r| r.engine == name && r.delivery == delivery && r.pool == pool)
+            .find(|r| r.engine == name && r.pool == pool)
             .map(|r| r.rounds_per_sec)
             .unwrap_or(0.0)
     };
-    let sync_rps = rps("sync", "exact", 1);
+    let sync_rps = rps("sync", 1);
     // A one-worker event run measures pure scheduler overhead, so the bar
     // needs no second CPU and is asserted on every host.
-    let event_seq = rps("event", "exact", 1);
+    let event_seq = rps("event", 1);
     if event_seq > 0.0 {
         assert!(
             event_seq >= sync_rps * 0.9,
@@ -394,26 +368,6 @@ fn main() {
             event_seq / sync_rps.max(1e-12)
         );
     }
-    // Relaxed vs exact, pool by pool: promises must not tax the round
-    // loop (10% noise margin, same as the other bars; on this all-pairs
-    // workload every machine streams until the end, so the promise path
-    // measures pure bookkeeping cost, the floor of the relaxed win).
-    for &pool in &pools {
-        let exact = rps("event", "exact", pool);
-        let relaxed = rps("event", "relaxed", pool);
-        if exact > 0.0 && relaxed > 0.0 {
-            assert!(
-                relaxed >= exact * 0.9,
-                "relaxed delivery at pool {pool} ({relaxed:.0} rounds/s) regressed more than \
-                 10% below exact ({exact:.0} rounds/s)"
-            );
-            println!(
-                "event relaxed vs exact @{pool}: {:.2}x rounds/sec (>= 0.9x required) -> ok",
-                relaxed / exact.max(1e-12)
-            );
-        }
-    }
-
     // -- Optional: the paper's full-scale path, per engine -------------------
     let paper_full = paper_full.then(|| {
         let pk = 16;
@@ -484,7 +438,7 @@ fn main() {
         })
         .chain(report.engine.iter().map(|r| {
             vec![
-                format!("engine-{}-{}@{}", r.engine, r.delivery, r.pool),
+                format!("engine-{}@{}", r.engine, r.pool),
                 r.rounds.to_string(),
                 format!("{:.4}", r.seconds),
                 format!("{:.1}", r.rounds_per_sec),

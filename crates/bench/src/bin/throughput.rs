@@ -23,11 +23,9 @@
 //! as qps on the same simulated workload — rounds/q, msgs/q, and kbits/q
 //! are engine-invariant by the determinism contract.
 //!
-//! Fault and skew accounting ride every row: `--loss` (per-mille message
-//! loss, seeded and engine-invariant) realizes drops and retransmissions
-//! that show up in the `dropped`/`rexmit_kbits` columns, and
-//! `--delivery relaxed` on the event engine records the pipelining
-//! evidence (`max_skew`, `promised_rounds`). Fault-free exact rows carry
+//! Fault accounting rides every row: `--loss` (per-mille message loss,
+//! seeded and engine-invariant) realizes drops and retransmissions that
+//! show up in the `dropped`/`rexmit_kbits` columns. Fault-free rows carry
 //! zeros — the columns are always present so CI diffs line up.
 //!
 //! Byzantine accounting rides the rows the same way: `--lie M` makes
@@ -40,7 +38,7 @@
 //! ```text
 //! cargo run -p knn-bench --release --bin throughput
 //!     [--k 8] [--per-machine 4096] [--ell 64] [--queries 64]
-//!     [--batches 1,8,64] [--engines sync] [--delivery exact]
+//!     [--batches 1,8,64] [--engines sync]
 //!     [--loss 0] [--loss-retries 64] [--lie M] [--corrupt SRC,DST[,P]]
 //!     [--seed 7]
 //! ```
@@ -50,7 +48,7 @@
 
 use std::time::Instant;
 
-use kmachine::{AdversaryPlan, DeliveryMode, Engine, FaultPlan};
+use kmachine::{AdversaryPlan, Engine, FaultPlan};
 use knn_bench::args::Args;
 use knn_bench::table::Table;
 use knn_bench::{write_csv, write_json};
@@ -73,10 +71,6 @@ struct Row {
     crashes: u64,
     dropped_messages: u64,
     retransmitted_kilobits: f64,
-    /// Pipelining evidence across the sweep's runs (relaxed event runs
-    /// only; zero elsewhere).
-    max_skew: u64,
-    promised_rounds: u64,
     /// Byzantine-audit work across the sweep's runs (engine-invariant;
     /// zero without `--lie` / `--corrupt`).
     audits_run: u64,
@@ -96,10 +90,6 @@ fn main() {
         .split(',')
         .map(|s| s.parse().unwrap_or_else(|e| panic!("--engines: {e}")))
         .collect();
-    let delivery: DeliveryMode = args
-        .get_str("delivery", "exact")
-        .parse()
-        .unwrap_or_else(|e: String| panic!("--delivery: {e}"));
     let loss = args.get_u64("loss", 0);
     let loss_retries = args.get_u64("loss-retries", 64) as u32;
     let seed = args.get_u64("seed", 7);
@@ -135,7 +125,6 @@ fn main() {
         .machines(k)
         .seed(seed)
         .election(ElectionKind::Star)
-        .delivery(delivery)
         .faults(faults)
         .adversary(adversary)
         .build();
@@ -155,7 +144,6 @@ fn main() {
         "kbits/q",
         "elections",
         "dropped",
-        "skew",
         "audits",
         "quarantined",
     ]);
@@ -172,8 +160,6 @@ fn main() {
                 let mut crashes = 0u64;
                 let mut dropped = 0u64;
                 let mut rexmit_bits = 0u64;
-                let mut max_skew = 0u64;
-                let mut promised = 0u64;
                 let mut audits = 0u64;
                 let mut violations = 0u64;
                 let mut quarantined = 0u64;
@@ -211,8 +197,6 @@ fn main() {
                         audits += out.audit.audits_run;
                         violations += out.audit.integrity_violations;
                         quarantined += out.audit.suspects_quarantined;
-                        max_skew = max_skew.max(out.skew.max_skew);
-                        promised += out.skew.promised_rounds;
                         if let Some(em) = &out.election_metrics {
                             elections += 1;
                             rounds += em.rounds;
@@ -235,8 +219,6 @@ fn main() {
                     crashes,
                     dropped_messages: dropped,
                     retransmitted_kilobits: rexmit_bits as f64 / 1000.0,
-                    max_skew,
-                    promised_rounds: promised,
                     audits_run: audits,
                     integrity_violations: violations,
                     suspects_quarantined: quarantined,
@@ -251,7 +233,6 @@ fn main() {
                     format!("{:.2}", row.kilobits_per_query),
                     row.elections.to_string(),
                     row.dropped_messages.to_string(),
-                    row.max_skew.to_string(),
                     row.audits_run.to_string(),
                     row.suspects_quarantined.to_string(),
                 ]);
@@ -263,9 +244,7 @@ fn main() {
 
     // Simulated costs are engine-invariant: every engine must report the
     // same rounds/messages/bits — and the same realized faults — per
-    // (algorithm, batch) cell. (Skew is deliberately excluded: it is the
-    // one column that legitimately differs, recording relaxed-event
-    // pipelining the lockstep engines cannot express.)
+    // (algorithm, batch) cell.
     if engines.len() > 1 {
         for r in &rows {
             let reference = rows
@@ -341,8 +320,6 @@ fn main() {
                 r.crashes.to_string(),
                 r.dropped_messages.to_string(),
                 format!("{:.3}", r.retransmitted_kilobits),
-                r.max_skew.to_string(),
-                r.promised_rounds.to_string(),
                 r.audits_run.to_string(),
                 r.integrity_violations.to_string(),
                 r.suspects_quarantined.to_string(),
@@ -364,8 +341,6 @@ fn main() {
             "crashes",
             "dropped_messages",
             "retransmitted_kilobits",
-            "max_skew",
-            "promised_rounds",
             "audits_run",
             "integrity_violations",
             "suspects_quarantined",

@@ -5,8 +5,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use kmachine::{
-    AdversaryPlan, BandwidthMode, DeliveryMode, Engine, FaultPlan, MachineId, RecoveryPlan,
-    RunMetrics,
+    AdversaryPlan, BandwidthMode, Engine, FaultPlan, MachineId, RecoveryPlan, RunMetrics,
 };
 use knn_points::{Dataset, Dist, Label, Metric, PointId, Record, ScalarPoint};
 use knn_workloads::PartitionStrategy;
@@ -63,9 +62,9 @@ pub struct KnnAnswer {
 /// (per-machine sends are accounted only on the aggregate), `attempts` /
 /// `recovered` say which engine run answered it, and `leader`, `degraded`,
 /// `shards_used` mirror the batch-level values. Everything the batch pays
-/// or suffers once — `wall`, `election_metrics`, `skew`, `faults`,
-/// `recovery`, `replayed_rounds`, `audit` — is reported once, on this
-/// struct, and stays zero / `None` / empty per query.
+/// or suffers once — `wall`, `election_metrics`, `faults`, `recovery`,
+/// `replayed_rounds`, `audit` — is reported once, on this struct, and stays
+/// zero / `None` / empty per query.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct BatchAnswer {
     /// Per-query answers, in input order.
@@ -122,22 +121,13 @@ impl ClusterBuilder {
 
     /// Execution engine. [`Engine::Auto`] picks sync / event per
     /// run from the cluster size, per-round payload budget, and pool size;
-    /// [`Engine::Event`] is the barrier-free engine batched serving wants
-    /// on multi-core hosts. Answers and metrics are identical under every
-    /// engine; the `KNN_ENGINE` environment variable overrides this choice.
+    /// [`Engine::Event`] is the barrier-free engine — which on the
+    /// benchmark's batch shape (`scalar_batch_event` vs `scalar_batch`,
+    /// 2 vCPUs, 2 workers) measured ≈ 0.5× of [`Engine::Sync`], an open
+    /// ROADMAP item. Answers and metrics are identical under every engine;
+    /// the `KNN_ENGINE` environment variable overrides this choice.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.opts.engine = engine;
-        self
-    }
-
-    /// Delivery discipline of the event engine.
-    /// [`DeliveryMode::Relaxed`] lets machines pipeline several rounds past
-    /// quiet peers (PANDA-style quiescence promises) — answers and metrics
-    /// are identical to exact delivery, and the realized overlap is
-    /// reported in [`Report::skew`]. Ignored by the sync engine; the
-    /// `KNN_DELIVERY` environment variable overrides this choice.
-    pub fn delivery(mut self, delivery: DeliveryMode) -> Self {
-        self.opts.delivery = delivery;
         self
     }
 
@@ -301,14 +291,6 @@ impl<P: IndexedPoint> KnnCluster<P> {
     /// ([`Engine::Event`]) on a live cluster.
     pub fn set_engine(&mut self, engine: Engine) {
         self.opts.engine = engine;
-    }
-
-    /// Switch the event engine's delivery discipline on a live cluster —
-    /// the relaxed-mode counterpart of [`Self::set_engine`]. Answers and
-    /// metrics are delivery-invariant; only wall-clock overlap (and the
-    /// [`Report::skew`] evidence) changes.
-    pub fn set_delivery(&mut self, delivery: DeliveryMode) {
-        self.opts.delivery = delivery;
     }
 
     /// Distribute a global dataset across the machines.

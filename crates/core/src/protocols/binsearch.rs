@@ -189,20 +189,6 @@ impl<'a, K: NumericKey> Protocol for BinSearchProtocol<'a, K> {
     type Msg = BsMsg;
     type Output = Vec<K>;
 
-    /// Empty workers have a provable silent phase (below), so relaxed
-    /// delivery has real pipelining to buy under [`kmachine::Engine::Auto`].
-    const QUIET_AWARE: bool = true;
-
-    /// A worker with no local keys answers the census once and then never
-    /// speaks again: it skips every [`BsMsg::Count`] probe (its count is
-    /// always 0, and the leader only waits for nonzero workers) and the
-    /// final [`BsMsg::Finished`] terminates it without a reply. Nonzero
-    /// workers and the leader stay unpromised — their sends depend on
-    /// what arrives.
-    fn quiet_until(&self) -> Option<u64> {
-        (self.id != self.leader && self.reported && self.ordinals.is_empty()).then_some(u64::MAX)
-    }
-
     /// A machine that ran its census and holds no keys provably
     /// contributes nothing, so a crash there salvages an (exact!) empty
     /// output. Any other crash — keys on board, or dead before round 0

@@ -188,18 +188,6 @@ impl Protocol for KdBuildProtocol {
     type Msg = KdMsg;
     type Output = BuiltShard;
 
-    /// The exchange phase is a provable silent horizon (below), so relaxed
-    /// delivery has real pipelining to buy under [`kmachine::Engine::Auto`].
-    const QUIET_AWARE: bool = true;
-
-    /// `Self::exchange` ships every outgoing point in one burst and
-    /// flips the phase to `BuildPhase::Exchange`; from then on the
-    /// machine only *receives* (it waits for the remaining `last` markers
-    /// and builds its tree locally), so it is silent forever.
-    fn quiet_until(&self) -> Option<u64> {
-        matches!(self.phase, BuildPhase::Exchange).then_some(u64::MAX)
-    }
-
     /// A build machine that already ran its exchange burst can salvage: all
     /// its outgoing points are on the wire (in-flight sends still deliver
     /// after a fail-stop), so the survivors' bins stay complete, and the

@@ -316,15 +316,6 @@ impl<'a, K: Key> Protocol for KnnProtocol<'a, K> {
     type Msg = KnnMsg<K>;
     type Output = KnnOutput<K>;
 
-    /// Algorithm 2 is reply-driven — every round's sends depend on what
-    /// just arrived, so no live instance can promise a silent horizon and
-    /// [`kmachine::Protocol::quiet_until`] stays `None`. Opting in is
-    /// still correct and meaningful: it keeps [`kmachine::Engine::Auto`]
-    /// from silently downgrading a requested relaxed delivery to exact,
-    /// and *done* instances' drained links still publish quiescence
-    /// promises — which is where multiplexed batches pipeline.
-    const QUIET_AWARE: bool = true;
-
     /// A machine that materialized its input and holds no candidates
     /// provably contributes no answer members, so a crash there salvages an
     /// empty output (mirroring the BinSearch baseline). Any other crash —

@@ -164,20 +164,6 @@ impl<'a, K: NumericKey> Protocol for SimpleProtocol<'a, K> {
     type Msg = SimpleMsg<K>;
     type Output = Vec<K>;
 
-    /// Non-leaders have a provable silent phase (below), so relaxed
-    /// delivery has real pipelining to buy under [`kmachine::Engine::Auto`].
-    const QUIET_AWARE: bool = true;
-
-    /// A non-leader sends its entire local top-ℓ in round 0 and then only
-    /// ever *receives* (the boundary broadcast terminates it without a
-    /// reply), so once round 0 has run it is silent forever — the leader
-    /// may drain the gather and select without waiting for the senders'
-    /// empty transports. The leader itself must stay unpromised: its
-    /// boundary broadcast depends on when the last batch arrives.
-    fn quiet_until(&self) -> Option<u64> {
-        (self.id != self.leader && self.input.is_none()).then_some(u64::MAX)
-    }
-
     /// A crashed machine's candidates are simply missing from the gather:
     /// the protocol still terminates (the leader writes off observably
     /// crashed senders) and every survivor's output stays well-defined, so

@@ -10,9 +10,7 @@
 use std::ops::Deref;
 use std::time::Duration;
 
-use kmachine::{
-    AuditMetrics, FaultMetrics, MachineId, RecoveryMetrics, RunMetrics, RunOutcome, SkewMetrics,
-};
+use kmachine::{AuditMetrics, FaultMetrics, MachineId, RecoveryMetrics, RunMetrics, RunOutcome};
 
 /// Costs, leadership and fault / recovery / audit accounting of one answer.
 ///
@@ -46,10 +44,6 @@ pub struct Report {
     /// session elects once: every batch reports the same cost, it is *not*
     /// re-paid per batch.
     pub election_metrics: Option<RunMetrics>,
-    /// Pipelining evidence when the run used relaxed delivery on the event
-    /// engine — per-machine max round skew and promise counters; empty
-    /// ([`SkewMetrics::tracked`] is false) otherwise.
-    pub skew: SkewMetrics,
     /// Realized faults of the final engine run. Retries run over
     /// progressively smaller clusters; this records the run that produced
     /// the answer.
@@ -90,7 +84,6 @@ impl Report {
             wall: Duration::ZERO,
             leader,
             election_metrics: None,
-            skew: SkewMetrics::default(),
             faults: FaultMetrics::default(),
             recovery: RecoveryMetrics::default(),
             audit: AuditMetrics::default(),
@@ -105,11 +98,10 @@ impl Report {
     /// Split one engine run over `out.outputs.len()` of a cluster's `k`
     /// machines into its outputs and its report.
     pub(crate) fn from_run<T>(out: RunOutcome<T>, k: usize, leader: MachineId) -> (Vec<T>, Report) {
-        let RunOutcome { outputs, metrics, skew, wall, faults, recovery, audit } = out;
+        let RunOutcome { outputs, metrics, wall, faults, recovery, audit, .. } = out;
         let shards_used = outputs.len() - faults.crashed.len();
         let report = Report {
             wall,
-            skew,
             degraded: shards_used < k,
             shards_used,
             recovered: recovery.any(),

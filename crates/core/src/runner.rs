@@ -7,8 +7,8 @@ use std::time::Duration;
 use kmachine::leader::{RandRankFlood, RandRankStar};
 use kmachine::mux::MuxProtocol;
 use kmachine::{
-    AdversaryPlan, AuditMetrics, BandwidthMode, DeliveryMode, Engine, EngineError, FaultPlan,
-    MachineId, NetConfig, Protocol, RecoveryPlan, RunMetrics, ENVELOPE_HEADER_BITS, MUX_TAG_BITS,
+    AdversaryPlan, AuditMetrics, BandwidthMode, Engine, EngineError, FaultPlan, MachineId,
+    NetConfig, Protocol, RecoveryPlan, RunMetrics, ENVELOPE_HEADER_BITS, MUX_TAG_BITS,
 };
 use knn_points::{Dataset, DistKey, Key, Metric, Point};
 
@@ -157,12 +157,6 @@ pub struct QueryOptions {
     pub engine: Engine,
     /// Link bandwidth.
     pub bandwidth: BandwidthMode,
-    /// Delivery discipline of the event engine: [`DeliveryMode::Relaxed`]
-    /// lets machines pipeline past quiet peers (answers and metrics are
-    /// identical; [`Report::skew`] reports the realized overlap).
-    /// Ignored by the sync engine; the `KNN_DELIVERY` environment
-    /// variable overrides this field for every run.
-    pub delivery: DeliveryMode,
     /// Master seed for all protocol randomness.
     pub seed: u64,
     /// Distance metric.
@@ -218,7 +212,6 @@ impl Default for QueryOptions {
             bandwidth: BandwidthMode::Enforce {
                 bits_per_round: kmachine::config::DEFAULT_BANDWIDTH_BITS,
             },
-            delivery: DeliveryMode::Exact,
             seed: 0,
             metric: Metric::Euclidean,
             params: KnnParams::default(),
@@ -241,7 +234,6 @@ impl QueryOptions {
         NetConfig::new(k)
             .with_seed(self.seed)
             .with_bandwidth(self.bandwidth)
-            .with_delivery(self.delivery)
             .with_round_latency(self.round_latency)
             .with_max_rounds(self.max_rounds)
     }

@@ -27,11 +27,9 @@
 //! The engine is whatever the session's [`QueryOptions`] request — including
 //! [`kmachine::Engine::Event`], which runs the batch without any global
 //! round barrier (machines synchronize only against their slowest peer's
-//! previous round), and [`kmachine::Engine::Auto`], which picks an engine
-//! per batch. With [`kmachine::DeliveryMode::Relaxed`] the event engine
-//! additionally pipelines machines several rounds past quiet peers
-//! (reported via [`Report::skew`]). Answers and metrics are engine-
-//! and delivery-invariant.
+//! previous round, so they are never more than one round apart), and
+//! [`kmachine::Engine::Auto`], which picks an engine per batch. Answers and
+//! metrics are engine-invariant.
 
 use kmachine::{MachineId, RunMetrics};
 use knn_points::{Dataset, DistKey};

@@ -38,58 +38,6 @@ impl BandwidthMode {
 /// number of `(value, id)` keys per round, the model's `Θ(log n)` regime.
 pub const DEFAULT_BANDWIDTH_BITS: u64 = 512;
 
-/// Delivery discipline of the event engine.
-///
-/// Lockstep simulation on a complete graph has an inherent skew bound: a
-/// machine's round-r inbox is defined only once *every* peer has finished
-/// its round r−1 transport, because an **empty** transport is information
-/// too. [`DeliveryMode::Relaxed`] recovers multi-round pipelining (the
-/// PANDA-style idea) by letting senders substitute a *quiescence promise*
-/// — "nothing from me before round X", published when a done machine's
-/// backlog drains or a protocol declares a silent horizon via
-/// [`crate::Protocol::quiet_until`] — for the empty transports themselves,
-/// so a machine may run up to [`NetConfig::event_window`] − 1 rounds ahead
-/// of a quiet peer. Outputs, rounds, and every [`crate::RunMetrics`] field
-/// are identical in both modes (promises only ever replace provably-empty
-/// transports); what changes is wall-clock overlap, reported through
-/// [`crate::metrics::SkewMetrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DeliveryMode {
-    /// Bit-exact complete-graph delivery: every receiver observes every
-    /// peer's transport each round, even an empty one. Machine skew is
-    /// bounded at one round.
-    #[default]
-    Exact,
-    /// Quiescence promises may stand in for empty transports: machines run
-    /// ahead of quiet peers, bounded by the staging-ring depth
-    /// ([`NetConfig::event_window`]).
-    Relaxed,
-}
-
-impl DeliveryMode {
-    /// Short stable name for tables, CSV output, and the `KNN_DELIVERY`
-    /// environment variable.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DeliveryMode::Exact => "exact",
-            DeliveryMode::Relaxed => "relaxed",
-        }
-    }
-}
-
-impl std::str::FromStr for DeliveryMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "exact" => Ok(DeliveryMode::Exact),
-            "relaxed" => Ok(DeliveryMode::Relaxed),
-            "" => Err("empty delivery mode: expected exact|relaxed".to_string()),
-            other => Err(format!("unknown delivery mode {other:?}: expected exact|relaxed")),
-        }
-    }
-}
-
 /// Deterministic fault-injection plan: which machines straggle, which
 /// crash, and how lossy the links are.
 ///
@@ -112,8 +60,10 @@ impl std::str::FromStr for DeliveryMode {
 pub struct FaultPlan {
     /// `(machine, factor)` speed multipliers: the event engine delays the
     /// machine by `(factor − 1)` scheduling quanta per round. Factor 1 (or
-    /// an absent entry) means full speed. Realized skew shows up in
-    /// [`crate::metrics::SkewMetrics`] under relaxed delivery.
+    /// an absent entry) means full speed. The other machines wait for it
+    /// every round (they are never more than one round ahead), so this
+    /// perturbs timing — which is what the determinism tests use it for —
+    /// and nothing else.
     pub stragglers: Vec<(crate::message::MachineId, u32)>,
     /// `(machine, round)` fail-stop injections: the machine executes rounds
     /// `< round` and then stops (round 0: it never runs at all).
@@ -455,25 +405,6 @@ pub struct NetConfig {
     /// govern it like every other parallel path). A pure wall-clock knob:
     /// outputs and metrics are identical at every value.
     pub event_workers: Option<usize>,
-    /// Depth of the event engine's per-destination staging rings (slots of
-    /// in-flight rounds). A pure wall-clock knob; clamped to ≥ 2 — at
-    /// depth 1 a machine's transport of round r would wait for every peer
-    /// to consume round r while their consumption waits on the same
-    /// round's publishes, re-creating the lockstep circular wait the
-    /// engine exists to avoid. Under [`DeliveryMode::Exact`] values above 2
-    /// change nothing: bit-exact complete-graph delivery bounds machine
-    /// skew at one round (a machine must see every peer's previous
-    /// transport, even an empty one, before its inbox is defined), so at
-    /// most two slots are ever in flight. Under [`DeliveryMode::Relaxed`]
-    /// the window is the real run-ahead budget: a machine may execute up to
-    /// `event_window − 1` rounds past a quiet peer, so deeper rings buy
-    /// genuine pipelining depth.
-    pub event_window: u64,
-    /// Delivery discipline of the event engine (the sync engine is
-    /// inherently exact and ignores this). See [`DeliveryMode`];
-    /// the `KNN_DELIVERY` environment variable overrides it for every
-    /// [`crate::Engine::run`] call.
-    pub delivery: DeliveryMode,
     /// Deterministic fault injection (default: no faults). See
     /// [`FaultPlan`].
     pub faults: FaultPlan,
@@ -487,11 +418,6 @@ pub struct NetConfig {
     pub adversary: AdversaryPlan,
 }
 
-/// Default event-engine run-ahead window: deep enough to absorb scheduling
-/// jitter and pipeline multiplexed batches, shallow enough to keep the
-/// per-link rings small.
-pub const DEFAULT_EVENT_WINDOW: u64 = 4;
-
 impl NetConfig {
     /// A config with `k` machines, enforced default bandwidth, seed 0.
     pub fn new(k: usize) -> Self {
@@ -502,8 +428,6 @@ impl NetConfig {
             max_rounds: 10_000_000,
             round_latency: Duration::ZERO,
             event_workers: None,
-            event_window: DEFAULT_EVENT_WINDOW,
-            delivery: DeliveryMode::Exact,
             faults: FaultPlan::default(),
             recovery: RecoveryPlan::default(),
             adversary: AdversaryPlan::default(),
@@ -537,19 +461,6 @@ impl NetConfig {
     /// Pin the event engine's worker count (default: ambient rayon pool).
     pub fn with_event_workers(mut self, workers: usize) -> Self {
         self.event_workers = Some(workers.max(1));
-        self
-    }
-
-    /// Set the event engine's run-ahead window (clamped to ≥ 2; see
-    /// [`NetConfig::event_window`]).
-    pub fn with_event_window(mut self, window: u64) -> Self {
-        self.event_window = window.max(2);
-        self
-    }
-
-    /// Set the event engine's delivery discipline (see [`DeliveryMode`]).
-    pub fn with_delivery(mut self, delivery: DeliveryMode) -> Self {
-        self.delivery = delivery;
         self
     }
 
@@ -633,27 +544,20 @@ mod tests {
             .with_bandwidth(BandwidthMode::Unlimited)
             .with_max_rounds(99)
             .with_round_latency(Duration::from_micros(50))
-            .with_event_workers(3)
-            .with_event_window(6);
+            .with_event_workers(3);
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.bandwidth, BandwidthMode::Unlimited);
         assert_eq!(cfg.max_rounds, 99);
         assert_eq!(cfg.round_latency, Duration::from_micros(50));
         assert_eq!(cfg.event_workers, Some(3));
-        assert_eq!(cfg.event_window, 6);
     }
 
     #[test]
     fn event_knobs_default_and_clamp() {
         let cfg = NetConfig::new(2);
         assert_eq!(cfg.event_workers, None);
-        assert_eq!(cfg.event_window, DEFAULT_EVENT_WINDOW);
-        assert_eq!(cfg.delivery, DeliveryMode::Exact);
-        let cfg = cfg.with_event_workers(0).with_event_window(0);
+        let cfg = cfg.with_event_workers(0);
         assert_eq!(cfg.event_workers, Some(1));
-        assert_eq!(cfg.event_window, 2);
-        let cfg = cfg.with_delivery(DeliveryMode::Relaxed);
-        assert_eq!(cfg.delivery, DeliveryMode::Relaxed);
     }
 
     #[test]
@@ -790,18 +694,5 @@ mod tests {
         // Quarantining a corrupt link's endpoint silences that link.
         let sub = plan.project(&[1, 2]);
         assert_eq!(sub.corrupt_links, Vec::<(usize, usize, u16)>::new());
-    }
-
-    #[test]
-    fn delivery_mode_parses_normalized() {
-        for mode in [DeliveryMode::Exact, DeliveryMode::Relaxed] {
-            assert_eq!(mode.name().parse::<DeliveryMode>().unwrap(), mode);
-        }
-        assert_eq!(" Relaxed \n".parse::<DeliveryMode>().unwrap(), DeliveryMode::Relaxed);
-        assert_eq!("EXACT".parse::<DeliveryMode>().unwrap(), DeliveryMode::Exact);
-        let err = "lossy".parse::<DeliveryMode>().unwrap_err();
-        assert!(err.contains("exact|relaxed"), "error must list the variants: {err}");
-        let err = "   ".parse::<DeliveryMode>().unwrap_err();
-        assert!(err.contains("exact|relaxed"), "empty input lists the variants too: {err}");
     }
 }

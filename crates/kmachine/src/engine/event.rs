@@ -9,7 +9,7 @@
 //! * every machine gets two watermarks — `published` (how many transport
 //!   phases it has completed, one release store per round no matter how
 //!   many links it drove) and `consumed` (how many rounds it has drained) —
-//!   and a round-slotted inbound staging ring: slot `t % window` of
+//!   and a round-slotted inbound staging ring: slot `t % RING` of
 //!   machine m's ring collects what every source's transport phase `t`
 //!   delivered toward m. Sources append at different times; the core's
 //!   `(src, seq)` inbox sort restores the deterministic order, so
@@ -17,33 +17,20 @@
 //!   idle link cost literally zero (an empty transport is just the one
 //!   watermark store);
 //! * machine `m` may execute round `r` as soon as every peer has
-//!   `published ≥ r` (its inputs exist) and `consumed + window > r` (the
+//!   `published ≥ r` (its inputs exist) and `consumed + RING > r` (the
 //!   staging slots it may write are free) — nothing else in the cluster
-//!   matters. Note the honest limit of bit-exact simulation on a complete
-//!   graph: because any peer may send to m in any round, m can only know
-//!   its round-r inbox is complete once *every* peer has finished round
-//!   r−1 (an empty transport is information too), so compute overlap
-//!   between machines is inherently bounded at one round of skew. What
-//!   the scheduler removes is the *cost* of synchronization, not its
-//!   data-flow edges: no machine ever waits at a global round boundary, k
-//!   machines share a few worker threads instead of owning one each, and a
+//!   matters. That is the one readiness rule, and it bounds machine skew
+//!   at **one round**: because any peer may send to m in any round, m can
+//!   only know its round-r inbox is complete once *every* peer has
+//!   finished round r−1 (an empty transport is information too). What the
+//!   scheduler removes is the *cost* of synchronization, not its data-flow
+//!   edges: no machine ever waits at a global round boundary, k machines
+//!   share a few worker threads instead of owning one each, and a
 //!   machine's synchronization is wait-free whenever its peers have kept
-//!   pace;
-//! * under [`DeliveryMode::Relaxed`] the one-round bound itself falls:
-//!   senders publish **quiescence promises** — a monotone per-machine
-//!   round horizon meaning "no messages from me before round X" — when a
-//!   done machine's backlog drains (horizon ∞) or a protocol declares a
-//!   silent phase via [`Protocol::quiet_until`] and its FIFOs are empty.
-//!   The readiness check accepts a peer's promise in place of its
-//!   published (empty) transport, so a machine runs up to `window − 1`
-//!   rounds ahead of a quiet peer — real multi-round pipelining, PANDA
-//!   style. A promise only ever substitutes for a **provably empty**
-//!   transport, so every inbox is byte-identical to the lockstep sweep's
-//!   and outputs, rounds, and all of [`RunMetrics`](crate::RunMetrics) are
-//!   unchanged; a send inside a promised window aborts the run with
-//!   [`EngineError::PromiseViolated`] (promises are load-bearing and can
-//!   never be revoked). The realized overlap is reported via
-//!   [`SkewMetrics`] on the outcome;
+//!   pace. Running further ahead would buy nothing: every machine must
+//!   execute every round up to the final one, so passing a slow peer does
+//!   not shorten that peer's own critical path (CHANGES.md, PR 23, has the
+//!   measurement);
 //! * [`NetConfig::round_latency`] gates each machine on its own clock: it
 //!   may not start a round until that long after its previous transport, so
 //!   every round costs the latency once however many machines share a
@@ -71,12 +58,11 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::config::{DeliveryMode, NetConfig};
+use crate::config::NetConfig;
 use crate::engine::machine::{self, Inbound, Machine, RunEnv};
 use crate::engine::RunOutcome;
 use crate::error::EngineError;
 use crate::message::{Envelope, MachineId};
-use crate::metrics::SkewMetrics;
 use crate::protocol::Protocol;
 use crate::recovery;
 
@@ -88,11 +74,15 @@ const IDLE_PARK: Duration = Duration::from_micros(200);
 /// Wall-clock quantum a straggling machine loses per unit of slowdown: a
 /// [`crate::config::FaultPlan`] speed factor of `f` delays each of the
 /// machine's rounds by `(f − 1)` quanta. Purely a scheduling delay — the
-/// simulated execution is unchanged, only the realized skew (and wall
-/// clock) moves.
+/// simulated execution is unchanged, only the wall clock moves.
 const STRAGGLE_QUANTUM: Duration = Duration::from_micros(200);
 
-/// One machine's inbound staging ring: slot `t % window` collects what
+/// Depth of every staging ring. Two keeps the minimum-round machine always
+/// runnable (its consumers' `consumed` trails its round by at most one), and
+/// the one-round skew bound means no more than two slots are ever in flight.
+const RING: u64 = 2;
+
+/// One machine's inbound staging ring: slot `t % RING` collects what
 /// every source's transport phase `t` delivered toward this machine,
 /// consumed whole at round `t + 1`. Sources may append interleaved — the
 /// `(src, seq)` inbox sort restores the deterministic delivery order — and
@@ -125,37 +115,16 @@ struct Task<'l, P: Protocol> {
     /// [`NetConfig::round_latency`]: the earliest instant this machine may
     /// start its next round.
     not_before: Instant,
-    /// Relaxed delivery: this machine's own outstanding silence horizon
-    /// (monotone mirror of `Shared::promised[id]`), used to detect
-    /// promise violations without re-reading the atomic.
-    promise: u64,
-    /// Relaxed delivery: max of `executing round − slowest peer's
-    /// published round` this machine ever observed at readiness.
-    max_skew: u64,
-    /// Relaxed delivery: rounds executed with a promise standing in for at
-    /// least one peer's unpublished transport.
-    promised_rounds: u64,
-    /// Relaxed delivery: promise-horizon extensions this machine published.
-    promises: u64,
 }
 
 /// Cross-machine coordination state.
 struct Shared<'a, M> {
     env: RunEnv<'a>,
-    window: u64,
     /// Transport phases machine i has completed (one release store per
     /// round; transport `t` feeds every destination's round `t + 1`).
     published: Vec<AtomicU64>,
     /// Rounds machine i has consumed; gates writers of its staging ring.
     consumed: Vec<AtomicU64>,
-    /// Relaxed delivery only: quiescence promises. `promised[i] = q` means
-    /// machine i's unexecuted transport phases before round `q` are
-    /// guaranteed empty (its backlog was drained and it will not send in
-    /// any round `< q`), so peers may execute rounds `≤ q` without its
-    /// publishes. Monotone (`fetch_max`); `u64::MAX` = silent forever.
-    promised: Vec<AtomicU64>,
-    /// Whether promises participate in readiness (cfg.delivery).
-    relaxed: bool,
     /// Per-destination round-slotted staging rings.
     inbound: Vec<InboundRing<M>>,
     /// All machines finished (or an error was recorded); exit after
@@ -224,14 +193,6 @@ impl<M> Shared<'_, M> {
 /// *is* the lockstep order, so it runs [`run_sync`](super::run_sync)'s
 /// loop and pays zero scheduling overhead.
 ///
-/// Under [`NetConfig::delivery`]` == `[`DeliveryMode::Relaxed`], quiescence
-/// promises may stand in for empty transports (see the module docs in
-/// `engine/event.rs`): outputs and metrics stay byte-identical, machines
-/// may run up to `event_window − 1` rounds apart, and the realized overlap is
-/// reported in [`RunOutcome::skew`] (tracked only on this path — the
-/// degenerate one-worker path cannot overlap anything and reports an empty
-/// [`SkewMetrics`]).
-///
 /// # Panics
 /// If `protocols.len() != cfg.k`, bandwidth is `Enforce { 0 }`, or
 /// `k > 65535` (the stall detector packs per-round quiet counts in 16 bits).
@@ -265,25 +226,19 @@ fn event_core<P: Protocol>(
 ) -> Result<RunOutcome<P::Output>, EngineError> {
     let k = protocols.len();
     let env = RunEnv::new(cfg, recovering);
-    // Depth ≥ 2 keeps the minimum-round machine always runnable (its
-    // consumers' `consumed` trails its round by at most one).
-    let window = cfg.event_window.max(2);
     assert!(k <= u16::MAX as usize, "event engine supports at most 65535 machines");
 
     let shared = Shared::<P::Msg> {
-        window,
         published: (0..k).map(|_| AtomicU64::new(0)).collect(),
         consumed: (0..k).map(|_| AtomicU64::new(0)).collect(),
-        promised: (0..k).map(|_| AtomicU64::new(0)).collect(),
-        relaxed: cfg.delivery == DeliveryMode::Relaxed,
-        inbound: (0..k).map(|_| Mutex::new((0..window).map(|_| Vec::new()).collect())).collect(),
+        inbound: (0..k).map(|_| Mutex::new((0..RING).map(|_| Vec::new()).collect())).collect(),
         stop: AtomicBool::new(false),
         abort: AtomicBool::new(false),
         final_round: AtomicU64::new(0),
         done_count: AtomicUsize::new(0),
         exited_count: AtomicUsize::new(0),
         error: Mutex::new(None),
-        quiet: (0..window + 2).map(|_| AtomicU64::new(0)).collect(),
+        quiet: (0..RING + 2).map(|_| AtomicU64::new(0)).collect(),
         epoch: AtomicU64::new(0),
         sleepers: AtomicUsize::new(0),
         idle: Mutex::new(()),
@@ -303,10 +258,6 @@ fn event_core<P: Protocol>(
                 inbox: Vec::with_capacity(k),
                 exited: false,
                 not_before: start,
-                promise: 0,
-                max_skew: 0,
-                promised_rounds: 0,
-                promises: 0,
             })
         })
         .collect();
@@ -324,21 +275,9 @@ fn event_core<P: Protocol>(
         return Err(err);
     }
 
-    let mut skew = if shared.relaxed { SkewMetrics::new(k) } else { SkewMetrics::default() };
-    let cores = tasks.into_iter().enumerate().map(|(i, task)| {
-        let task = task.into_inner();
-        if shared.relaxed {
-            skew.max_skew_per_machine[i] = task.max_skew;
-            skew.max_skew = skew.max_skew.max(task.max_skew);
-            skew.promised_rounds += task.promised_rounds;
-            skew.promises_published += task.promises;
-        }
-        task.core
-    });
+    let cores = tasks.into_iter().map(|task| task.into_inner().core);
     let fin = shared.final_round.load(Ordering::Acquire);
-    let mut out = machine::collect(cores, &shared.env, fin, wall)?;
-    out.skew = skew;
-    Ok(out)
+    machine::collect(cores, &shared.env, fin, wall)
 }
 
 /// Worker loop: sweep the machines (staggered start per worker so workers
@@ -432,35 +371,18 @@ fn advance<P: Protocol>(
             return progressed;
         }
         // Inbound dependency: every peer has published its round r-1
-        // transport — or, under relaxed delivery, has promised that its
-        // unexecuted transports through r-1 are empty. Outbound space:
-        // slot r % window of every peer's staging ring is free (its round
-        // r-window contents were consumed). Promises are only published
-        // under relaxed delivery, so exact delivery is this rule with
-        // `promised` stuck at zero.
-        let mut min_pub = u64::MAX;
-        let mut waived = false;
+        // transport. Outbound space: slot r % RING of every peer's staging
+        // ring is free (its round r-RING contents were consumed).
         let ready = (0..k).filter(|&peer| peer != id).all(|peer| {
-            let published = sh.published[peer].load(Ordering::Acquire);
-            min_pub = min_pub.min(published);
-            waived |= published < r;
-            (published >= r || sh.promised[peer].load(Ordering::Acquire) >= r)
-                && sh.consumed[peer].load(Ordering::Acquire) + sh.window > r
+            sh.published[peer].load(Ordering::Acquire) >= r
+                && sh.consumed[peer].load(Ordering::Acquire) + RING > r
         });
         if !ready {
             return progressed;
         }
-        if sh.relaxed {
-            // Every peer was inspected, so this is exactly how far this
-            // round ran ahead of the slowest one — the overlap exact
-            // delivery forbids.
-            st.max_skew = st.max_skew.max(r.saturating_sub(min_pub));
-            st.promised_rounds += u64::from(waived);
-        }
 
         // Straggler injection: a slowed machine loses wall-clock on every
-        // round it executes. The simulated execution is untouched — under
-        // relaxed delivery the realized skew shows up in [`SkewMetrics`].
+        // round it executes. The simulated execution is untouched.
         let slow = sh.slowdowns[id];
         if slow > 1 && !st.core.halted() {
             std::thread::sleep(STRAGGLE_QUANTUM * (slow - 1));
@@ -472,17 +394,6 @@ fn advance<P: Protocol>(
             Ok(halted) => halted,
             Err(err) => return fail(st, err),
         };
-        if sh.relaxed && st.promise > r && !outbox.is_empty() {
-            // The machine sent inside a window it promised to keep silent.
-            // Peers already executed rounds on the strength of that
-            // promise, so the send cannot be honored.
-            outbox.clear();
-            let promised_until = st.promise;
-            return fail(
-                st,
-                EngineError::PromiseViolated { machine: id, round: r, promised_until },
-            );
-        }
         let sent = st.core.enqueue(outbox);
         if became_done {
             if st.core.crashed() {
@@ -491,22 +402,17 @@ fn advance<P: Protocol>(
             sh.final_round.fetch_max(r, Ordering::AcqRel);
             let done_now = sh.done_count.fetch_add(1, Ordering::AcqRel) + 1;
             if done_now == k {
-                // Under exact delivery the wall-clock-last finisher
-                // always holds the highest done round: any machine that
-                // reached a higher round needed this one's transports
-                // to get there, so this one would already have passed
-                // that round (crashed machines keep publishing empty
-                // transports as done machines, so the argument covers
-                // them too). Like run_sync's break, round `r` sees no
-                // transport. Under relaxed delivery a peer may have
-                // raced past this machine on its promise and finished
-                // in a *later* round, so the finisher drains the
-                // remaining rounds through the stop branch above like
-                // everyone else (nothing to drain when `r == fin`, i.e.
-                // always in exact mode).
+                // The wall-clock-last finisher always holds the highest
+                // done round: any machine that reached a higher round
+                // needed this one's transports to get there, so this one
+                // would already have passed that round (crashed machines
+                // keep publishing empty transports as done machines, so
+                // the argument covers them too). Like run_sync's break,
+                // round `r` sees no transport, and the stop branch above
+                // has nothing left to drain for this machine.
                 debug_assert!(
-                    sh.relaxed || sh.final_round.load(Ordering::Acquire) == r,
-                    "exact delivery: last finisher must hold the final round"
+                    sh.final_round.load(Ordering::Acquire) == r,
+                    "last finisher must hold the final round"
                 );
                 st.round = r + 1;
                 sh.stop.store(true, Ordering::Release);
@@ -518,7 +424,7 @@ fn advance<P: Protocol>(
         // --- transport: one budget round per busy outbound FIFO into the
         // destination's staging slot; idle links cost nothing and the whole
         // phase publishes with one release store ---
-        let mut ring = RingSlot { inbound: &sh.inbound, slot: (r % sh.window) as usize };
+        let mut ring = RingSlot { inbound: &sh.inbound, slot: (r % RING) as usize };
         let moved = match st.core.transport(r, &sh.env, &mut ring) {
             Ok(moved) => moved,
             Err(err) => return fail(st, err),
@@ -526,29 +432,6 @@ fn advance<P: Protocol>(
         sh.published[id].store(r + 1, Ordering::Release);
         if !sh.env.latency.is_zero() {
             st.not_before = Instant::now() + sh.env.latency;
-        }
-
-        // --- quiescence promises (relaxed delivery): with every outbound
-        // FIFO drained, this machine's future transports are empty for as
-        // long as it will not send — forever once done, or through the
-        // protocol's declared silent horizon. Publishing the horizon lets
-        // peers execute rounds up to it without waiting for the (empty)
-        // publishes. Monotone: horizons only ever grow. ---
-        if sh.relaxed && moved.pending_bits == 0 {
-            let horizon = if st.core.halted() {
-                u64::MAX
-            } else {
-                // A horizon at or below the next round promises nothing
-                // the publish watermark doesn't already say.
-                st.core.quiet_until().filter(|&q| q > r + 1).unwrap_or(0)
-            };
-            if horizon > st.promise {
-                st.promise = horizon;
-                st.promises += 1;
-                sh.promised[id].fetch_max(horizon, Ordering::AcqRel);
-                sh.epoch.fetch_add(1, Ordering::AcqRel);
-                sh.wake();
-            }
         }
 
         // --- stall accounting: run_sync's per-round conjunction, split per
@@ -563,8 +446,8 @@ fn advance<P: Protocol>(
             let slot = &sh.quiet[(r % slots) as usize];
             let stalled = loop {
                 let cur = slot.load(Ordering::Acquire);
-                // Machines can spread at most `window` rounds, and the ring
-                // has window + 2 slots, so a stale entry is always for an
+                // Machines can spread at most `RING` rounds, and the ring
+                // has RING + 2 slots, so a stale entry is always for an
                 // older round — never a newer one.
                 let count = if cur >> 16 == r { (cur & 0xffff) + 1 } else { 1 };
                 let next = (r << 16) | count;
@@ -600,7 +483,7 @@ fn consume_round<P: Protocol>(
         return;
     }
     let mut ring = sh.inbound[id].lock();
-    st.inbox.append(&mut ring[((r - 1) % sh.window) as usize]);
+    st.inbox.append(&mut ring[((r - 1) % RING) as usize]);
     drop(ring);
     sh.consumed[id].store(r, Ordering::Release);
 }
@@ -779,7 +662,7 @@ mod tests {
 
     #[test]
     fn stragglers_do_not_change_the_outcome() {
-        let cfg = NetConfig::new(4).with_seed(9).with_event_workers(3).with_event_window(4);
+        let cfg = NetConfig::new(4).with_seed(9).with_event_workers(3);
         let mk = || (0..4).map(|_| Straggler { rounds: 24, acc: 0 }).collect::<Vec<_>>();
         let want = run_sync(&cfg, mk()).unwrap();
         for _ in 0..3 {
@@ -790,340 +673,14 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_and_window_are_pure_wall_clock_knobs() {
+    fn worker_count_is_a_pure_wall_clock_knob() {
         let base = NetConfig::new(6).with_seed(3);
         let want = run_sync(&base, GossipSum::cluster(6)).unwrap();
         for workers in [1, 2, 6, 16] {
-            for window in [2, 3, 8] {
-                let cfg = base.clone().with_event_workers(workers).with_event_window(window);
-                let got = run_event(&cfg, GossipSum::cluster(6)).unwrap();
-                assert_eq!(got.outputs, want.outputs, "workers {workers}, window {window}");
-                assert_eq!(got.metrics, want.metrics, "workers {workers}, window {window}");
-            }
-        }
-    }
-
-    // ---- relaxed delivery: promises, skew, and the edge cases ----
-
-    fn relaxed(k: usize) -> NetConfig {
-        cfg(k).with_delivery(DeliveryMode::Relaxed)
-    }
-
-    /// Relaxed delivery with promise-less protocols degenerates gracefully:
-    /// done machines still promise once drained, and outputs/metrics stay
-    /// byte-identical to the lockstep engine.
-    #[test]
-    fn relaxed_matches_sync_for_promiseless_protocols() {
-        let cfg = relaxed(8).with_seed(5);
-        let want = run_sync(&cfg, GossipSum::cluster(8)).unwrap();
-        let got = run_event(&cfg, GossipSum::cluster(8)).unwrap();
-        assert_eq!(want.outputs, got.outputs);
-        assert_eq!(want.metrics, got.metrics);
-        assert!(got.skew.tracked(), "relaxed multi-worker runs must record skew");
-        assert_eq!(got.skew.max_skew_per_machine.len(), 8);
-        assert!(!want.skew.tracked(), "lockstep engines report no skew");
-    }
-
-    /// Exact-mode runs must not report skew — the readiness rule forbids
-    /// overlap, and the accounting must say so.
-    #[test]
-    fn exact_mode_reports_no_skew() {
-        let cfg = cfg(4).with_seed(2);
-        let out = run_event(&cfg, GossipSum::cluster(4)).unwrap();
-        assert!(!out.skew.tracked());
-        assert_eq!(out.skew, SkewMetrics::default());
-    }
-
-    /// Machine 0 feeds machine 1 one word per round; machine 1 never sends
-    /// (a declared silent horizon of forever) and is slow. Under relaxed
-    /// delivery machine 0 must pipeline multiple rounds past it — bounded
-    /// by the staging window — while the outcome stays byte-identical.
-    struct Pump {
-        rounds: u64,
-    }
-    impl Protocol for Pump {
-        type Msg = u64;
-        type Output = u64;
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            if ctx.round() < self.rounds {
-                ctx.send(1, ctx.round());
-                return Step::Continue;
-            }
-            Step::Done(ctx.round())
-        }
-    }
-    struct QuietReceiver {
-        expect: u64,
-        got: u64,
-        sleep: Duration,
-    }
-    impl Protocol for QuietReceiver {
-        type Msg = u64;
-        type Output = u64;
-        fn quiet_until(&self) -> Option<u64> {
-            Some(u64::MAX) // receives and accumulates, never sends
-        }
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            if !self.sleep.is_zero() {
-                std::thread::sleep(self.sleep);
-            }
-            self.got += ctx.inbox().len() as u64;
-            if self.got == self.expect {
-                Step::Done(self.got)
-            } else {
-                Step::Continue
-            }
-        }
-    }
-
-    /// Two-variant protocol so one run can mix a pump and a quiet receiver.
-    enum PumpCluster {
-        Pump(Pump),
-        Quiet(QuietReceiver),
-    }
-    impl Protocol for PumpCluster {
-        type Msg = u64;
-        type Output = u64;
-        fn quiet_until(&self) -> Option<u64> {
-            match self {
-                PumpCluster::Pump(_) => None,
-                PumpCluster::Quiet(q) => q.quiet_until(),
-            }
-        }
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            match self {
-                PumpCluster::Pump(p) => p.on_round(ctx),
-                PumpCluster::Quiet(q) => q.on_round(ctx),
-            }
-        }
-    }
-
-    fn pump_protocols(rounds: u64, sleep: Duration) -> Vec<PumpCluster> {
-        vec![
-            PumpCluster::Pump(Pump { rounds }),
-            PumpCluster::Quiet(QuietReceiver { expect: rounds, got: 0, sleep }),
-        ]
-    }
-
-    /// Window-saturation fairness: the pump runs ahead of the sleeping
-    /// quiet receiver, but never farther than the staging window allows —
-    /// and the skew counters prove multi-round pipelining actually
-    /// happened, which exact delivery cannot express.
-    #[test]
-    fn relaxed_pipelines_past_a_quiet_straggler_bounded_by_window() {
-        let window = 4u64;
-        let cfg = NetConfig::new(2)
-            .with_seed(3)
-            .with_event_workers(2)
-            .with_event_window(window)
-            .with_delivery(DeliveryMode::Relaxed);
-        let rounds = 24;
-        let want = run_sync(&cfg, pump_protocols(rounds, Duration::ZERO)).unwrap();
-        let got = run_event(&cfg, pump_protocols(rounds, Duration::from_micros(500))).unwrap();
-        assert_eq!(want.outputs, got.outputs);
-        assert_eq!(want.metrics, got.metrics);
-        assert!(
-            got.skew.max_skew <= window,
-            "skew {} must stay within the window {window}",
-            got.skew.max_skew
-        );
-        assert!(
-            got.skew.max_skew > 1,
-            "a 500µs/round straggler must force multi-round pipelining, got skew {}",
-            got.skew.max_skew
-        );
-        assert!(got.skew.promised_rounds > 0, "the pump must have run on the promise");
-        assert!(got.skew.promises_published >= 1);
-    }
-
-    /// A promise can never be revoked: sending inside the promised window
-    /// aborts the run with a clean, attributed error instead of delivering
-    /// a message that peers' executed rounds already assumed away.
-    struct PromiseBreaker {
-        breaker: bool,
-    }
-    impl Protocol for PromiseBreaker {
-        type Msg = u64;
-        type Output = u64;
-        fn quiet_until(&self) -> Option<u64> {
-            self.breaker.then_some(10)
-        }
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            if self.breaker {
-                if ctx.round() == 3 {
-                    ctx.send(1, 7); // breaks the round-10 promise
-                }
-                return Step::Continue;
-            }
-            // The honest machine keeps the run alive and finishes on its
-            // own, so the only error the run can end with is the violation.
-            if ctx.round() < 3 {
-                ctx.send(0, ctx.round());
-                return Step::Continue;
-            }
-            if ctx.round() == 4 {
-                return Step::Done(0);
-            }
-            Step::Continue
-        }
-    }
-
-    #[test]
-    fn promise_then_revoke_fails_cleanly() {
-        // Machine 0's round-10 horizon is published after its silent round
-        // 0 — and broken by the round-3 send: the run must abort with the
-        // violation attributed to the breaker, not deliver the message.
-        let cfg = relaxed(2);
-        let err = run_event(
-            &cfg,
-            vec![PromiseBreaker { breaker: true }, PromiseBreaker { breaker: false }],
-        )
-        .unwrap_err();
-        assert_eq!(err, EngineError::PromiseViolated { machine: 0, round: 3, promised_until: 10 });
-    }
-
-    /// A promise reaching past `max_rounds` cannot smuggle a run over the
-    /// limit: the round guard trips exactly as the lockstep engine's does.
-    struct EndlessSender;
-    impl Protocol for EndlessSender {
-        type Msg = u64;
-        type Output = u64;
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            if ctx.id() == 1 {
-                ctx.send(0, ctx.round());
-            }
-            Step::Continue
-        }
-    }
-    struct QuietForever;
-    impl Protocol for QuietForever {
-        type Msg = u64;
-        type Output = u64;
-        fn quiet_until(&self) -> Option<u64> {
-            Some(u64::MAX)
-        }
-        fn on_round(&mut self, _ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            Step::Continue
-        }
-    }
-
-    /// Heterogeneous pair for the max-rounds boundary case.
-    enum Boundary {
-        Quiet(QuietForever),
-        Sender(EndlessSender),
-    }
-    impl Protocol for Boundary {
-        type Msg = u64;
-        type Output = u64;
-        fn quiet_until(&self) -> Option<u64> {
-            match self {
-                Boundary::Quiet(q) => q.quiet_until(),
-                Boundary::Sender(_) => None,
-            }
-        }
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            match self {
-                Boundary::Quiet(q) => q.on_round(ctx),
-                Boundary::Sender(s) => s.on_round(ctx),
-            }
-        }
-    }
-
-    #[test]
-    fn promise_at_max_rounds_boundary_still_trips_the_limit() {
-        let mk = || vec![Boundary::Quiet(QuietForever), Boundary::Sender(EndlessSender)];
-        let cfg = relaxed(2).with_max_rounds(5);
-        let want = run_sync(&cfg, mk()).unwrap_err();
-        assert_eq!(want, EngineError::MaxRounds { limit: 5 });
-        let got = run_event(&cfg, mk()).unwrap_err();
-        assert_eq!(got, want);
-    }
-
-    /// An all-quiet, never-done cluster is a stall in relaxed mode too —
-    /// promises let machines spin a few rounds ahead, but the per-round
-    /// quiet conjunction still detects round 0 exactly like `run_sync`.
-    #[test]
-    fn all_promised_quiet_cluster_stalls_like_sync() {
-        let cfg = relaxed(4);
-        let err = run_event(&cfg, vec![QuietForever, QuietForever, QuietForever, QuietForever])
-            .unwrap_err();
-        assert_eq!(err, EngineError::Stalled { round: 0 });
-    }
-
-    /// A quiet machine woken by a message mid-promise: it may absorb the
-    /// wakeup (state change, no send) and answer once its horizon passes —
-    /// outputs and rounds match the lockstep engine exactly.
-    struct LateWakeup {
-        horizon: u64,
-        pinged: bool,
-    }
-    impl Protocol for LateWakeup {
-        type Msg = u64;
-        type Output = u64;
-        fn quiet_until(&self) -> Option<u64> {
-            (self.horizon > 0).then_some(self.horizon)
-        }
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            if ctx.id() == 0 {
-                if ctx.first_from(1).is_some() {
-                    return Step::Done(ctx.round());
-                }
-                // Ping every round: a machine idling on a round *number*
-                // with nothing in flight is a stall by the model's rules,
-                // so the waiter must keep the network alive itself.
-                ctx.send(1, 1);
-                return Step::Continue;
-            }
-            // Machine 1: promised silence until `horizon`; pings land from
-            // round 1 on, the pong may only go out at rounds >= horizon.
-            self.pinged |= ctx.first_from(0).is_some();
-            if self.pinged && ctx.round() >= self.horizon {
-                ctx.send(0, 2);
-                return Step::Done(ctx.round());
-            }
-            Step::Continue
-        }
-    }
-
-    #[test]
-    fn quiet_machine_handles_late_wakeup_and_answers_after_horizon() {
-        let mk = || {
-            vec![LateWakeup { horizon: 0, pinged: false }, LateWakeup { horizon: 6, pinged: false }]
-        };
-        let cfg = relaxed(2);
-        let want = run_sync(&cfg, mk()).unwrap();
-        assert_eq!(want.outputs, vec![7, 6], "pong sent at the horizon, received next round");
-        let got = run_event(&cfg, mk()).unwrap();
-        assert_eq!(want.outputs, got.outputs);
-        assert_eq!(want.metrics, got.metrics);
-    }
-
-    /// Late deliveries to finished machines are counted identically under
-    /// relaxed delivery (the done machine's drained-backlog promise races
-    /// ahead, but its late accounting is filtered to the lockstep rounds).
-    #[test]
-    fn relaxed_delivered_after_done_matches_sync() {
-        let cfg = relaxed(3).with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 });
-        let mk = || (0..3).map(|_| EarlyQuit { n: 16, received: 0 }).collect::<Vec<_>>();
-        let want = run_sync(&cfg, mk()).unwrap();
-        assert!(want.metrics.delivered_after_done > 0);
-        let got = run_event(&cfg, mk()).unwrap();
-        assert_eq!(want.outputs, got.outputs);
-        assert_eq!(want.metrics, got.metrics);
-    }
-
-    /// Worker count and window stay pure wall-clock knobs in relaxed mode.
-    #[test]
-    fn relaxed_workers_and_window_do_not_change_outcomes() {
-        let base = NetConfig::new(6).with_seed(3).with_delivery(DeliveryMode::Relaxed);
-        let want = run_sync(&base, GossipSum::cluster(6)).unwrap();
-        for workers in [2, 6, 16] {
-            for window in [2, 3, 8] {
-                let cfg = base.clone().with_event_workers(workers).with_event_window(window);
-                let got = run_event(&cfg, GossipSum::cluster(6)).unwrap();
-                assert_eq!(got.outputs, want.outputs, "workers {workers}, window {window}");
-                assert_eq!(got.metrics, want.metrics, "workers {workers}, window {window}");
-            }
+            let cfg = base.clone().with_event_workers(workers);
+            let got = run_event(&cfg, GossipSum::cluster(6)).unwrap();
+            assert_eq!(got.outputs, want.outputs, "workers {workers}");
+            assert_eq!(got.metrics, want.metrics, "workers {workers}");
         }
     }
 

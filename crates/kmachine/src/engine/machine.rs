@@ -22,11 +22,10 @@ use crate::config::NetConfig;
 use crate::ctx::{AdversaryCtx, Ctx};
 use crate::engine::RunOutcome;
 use crate::error::EngineError;
+use crate::frozen::SkewMetrics;
 use crate::link::{IntegrityConfig, LinkFifo, LossConfig};
 use crate::message::{Envelope, MachineId};
-use crate::metrics::{
-    AuditMetrics, FaultMetrics, RecoveryMetrics, RunMetrics, SkewMetrics, TagMetrics,
-};
+use crate::metrics::{AuditMetrics, FaultMetrics, RecoveryMetrics, RunMetrics, TagMetrics};
 use crate::payload::Payload;
 use crate::protocol::{Protocol, Step};
 use crate::recovery::{self, RecoveryShared};
@@ -219,11 +218,6 @@ impl<'l, P: Protocol> Machine<'l, P> {
         self.halt == Halt::Crashed
     }
 
-    /// The protocol's declared silent horizon ([`Protocol::quiet_until`]).
-    pub(super) fn quiet_until(&self) -> Option<u64> {
-        self.proto.quiet_until()
-    }
-
     /// Discard a halted machine's `inbox`, remembering it as late traffic.
     pub(super) fn bill_late(&mut self, round: u64, inbox: &mut Vec<Envelope<P::Msg>>) {
         if !inbox.is_empty() {
@@ -398,7 +392,7 @@ pub(super) fn collect<'l, P: Protocol + 'l>(
     Ok(RunOutcome {
         outputs,
         metrics,
-        skew: SkewMetrics::default(),
+        skew: SkewMetrics { max_skew: 0 },
         wall,
         faults,
         recovery: RecoveryMetrics::default(),

@@ -10,9 +10,8 @@
 //! [`run_sync`] sweeps the machines sequentially, one lockstep round at a
 //! time, and scales to thousands of simulated machines; [`run_event`] drops
 //! the global round boundary for per-link dependency scheduling on a small
-//! worker pool, letting fast machines run rounds ahead of slow ones — the
-//! scheduler to use for wall-clock measurements. Both pay
-//! [`NetConfig::round_latency`] once per round.
+//! worker pool, so machines compute in parallel and never more than one
+//! round apart. Both pay [`NetConfig::round_latency`] once per round.
 
 mod event;
 #[cfg(test)]
@@ -27,9 +26,10 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::{DeliveryMode, NetConfig};
+use crate::config::NetConfig;
 use crate::error::EngineError;
-use crate::metrics::{AuditMetrics, FaultMetrics, RecoveryMetrics, RunMetrics, SkewMetrics};
+use crate::frozen::SkewMetrics;
+use crate::metrics::{AuditMetrics, FaultMetrics, RecoveryMetrics, RunMetrics};
 use crate::protocol::Protocol;
 
 /// Environment variable that, when set, overrides every [`Engine::run`]
@@ -37,12 +37,6 @@ use crate::protocol::Protocol;
 /// (see [`Engine::Threaded`]). Used by CI to force the whole test suite
 /// through one engine.
 pub const ENGINE_ENV: &str = "KNN_ENGINE";
-
-/// Environment variable that, when set, overrides every [`Engine::run`]
-/// call's delivery mode — `exact` or `relaxed`. Used by CI to force the
-/// whole test suite through relaxed delivery (answers and metrics are
-/// identical by contract; only wall-clock overlap changes).
-pub const DELIVERY_ENV: &str = "KNN_DELIVERY";
 
 /// Below this much potential per-round work (`k × per-link budget bits`),
 /// [`Engine::Auto`] keeps the sequential engine: rounds are too cheap for
@@ -54,22 +48,20 @@ const AUTO_MIN_ROUND_BITS: u64 = 2048;
 pub struct RunOutcome<T> {
     /// Per-machine outputs, indexed by machine id.
     pub outputs: Vec<T>,
-    /// Exact communication accounting. Identical across engines and
-    /// delivery modes for deterministic protocols.
+    /// Exact communication accounting. Identical across engines for
+    /// deterministic protocols.
     pub metrics: RunMetrics,
-    /// Pipelining evidence of a relaxed event run (max machine skew,
-    /// promise counters); empty — [`SkewMetrics::tracked`] is false — for
-    /// the lockstep engines and exact event runs.
+    /// Always zero; a name the frozen benchmark spells (see `frozen.rs`).
     pub skew: SkewMetrics,
     /// Wall-clock time of the run, [`NetConfig::round_latency`] included.
     /// Local computation overlaps only on the event engine; on the sync
     /// engine this is simulation CPU time plus the latency.
     pub wall: Duration,
     /// Realized faults of the run (crashed machines, dropped and
-    /// retransmitted traffic from the [`crate::config::FaultPlan`]). Like
-    /// [`RunOutcome::skew`], this lives outside [`RunMetrics`] — the
-    /// engine-equivalence contract covers it separately (same plan, same
-    /// faults on every engine), and fault-free runs report it empty.
+    /// retransmitted traffic from the [`crate::config::FaultPlan`]). Lives
+    /// outside [`RunMetrics`] — the engine-equivalence contract covers it
+    /// separately (same plan, same faults on every engine), and fault-free
+    /// runs report it empty.
     pub faults: FaultMetrics,
     /// Realized crash-recoveries of the run (checkpoints taken, rounds
     /// replayed, machines rejoined — from the
@@ -95,7 +87,7 @@ pub enum Engine {
     /// per machine.
     Threaded,
     /// Per-link dependency scheduling on a worker pool — no global barrier;
-    /// machines may run up to [`NetConfig::event_window`] rounds apart.
+    /// machines are never more than one round apart.
     Event,
     /// Pick sync / event per run from the cluster size, the per-round
     /// payload budget, and the ambient pool size (see [`Engine::resolve`]).
@@ -112,8 +104,11 @@ impl Engine {
     /// 2. rounds with little potential work — fewer than
     ///    `AUTO_MIN_ROUND_BITS` of `k × per-link budget` payload bits — are
     ///    cheaper to simulate than to schedule → `Sync`;
-    /// 3. otherwise → `Event`, the faster engine wherever parallelism
-    ///    exists.
+    /// 3. otherwise → `Event`. Whether that is the faster choice is open:
+    ///    on the benchmark's batch shape (`scalar_batch` vs
+    ///    `scalar_batch_event`, 2 vCPUs) event at 2 workers measured ≈ 0.5×
+    ///    of sync, and ROADMAP's "why does a second event worker cost
+    ///    40–50 %" item decides what this rule should become.
     pub fn resolve(self, cfg: &NetConfig) -> Engine {
         match self {
             Engine::Auto => {
@@ -150,13 +145,7 @@ impl Engine {
     ///
     /// The [`ENGINE_ENV`] environment variable, when set, overrides `self`;
     /// [`Engine::Auto`] (from either source) is resolved per run via
-    /// [`Engine::resolve`]. The delivery mode is
-    /// [`NetConfig::delivery`] unless [`DELIVERY_ENV`] overrides it, with
-    /// one guard: an **Auto** engine downgrades relaxed delivery to exact
-    /// for protocols that do not opt in ([`Protocol::QUIET_AWARE`]) —
-    /// without declared quiet phases, relaxed mode is bookkeeping with no
-    /// pipelining to buy. Explicitly chosen engines honor the requested
-    /// mode as-is.
+    /// [`Engine::resolve`].
     ///
     /// A set-but-unparseable override fails the run with
     /// [`EngineError::BadEnvOverride`] before any protocol executes.
@@ -165,34 +154,12 @@ impl Engine {
         cfg: &NetConfig,
         protocols: Vec<P>,
     ) -> Result<RunOutcome<P::Output>, EngineError> {
-        let engine = env_engine()?.unwrap_or(self);
-        let delivery =
-            effective_delivery(engine, env_delivery()?.unwrap_or(cfg.delivery), P::QUIET_AWARE);
-        let relaxed_cfg;
-        let cfg = if delivery == cfg.delivery {
-            cfg
-        } else {
-            relaxed_cfg = cfg.clone().with_delivery(delivery);
-            &relaxed_cfg
-        };
-        match engine.resolve(cfg) {
+        match env_engine()?.unwrap_or(self).resolve(cfg) {
             Engine::Sync => run_sync(cfg, protocols),
             Engine::Threaded => run_event(&cfg.clone().with_event_workers(cfg.k), protocols),
             Engine::Event => run_event(cfg, protocols),
             Engine::Auto => unreachable!("resolve() always returns a concrete engine"),
         }
-    }
-}
-
-/// The delivery mode a run actually uses: `requested`, except that an
-/// [`Engine::Auto`] choice keeps exact delivery for protocols that never
-/// declare quiet phases (`quiet_aware == false`). Pure so the policy is
-/// testable without touching process environment.
-fn effective_delivery(engine: Engine, requested: DeliveryMode, quiet_aware: bool) -> DeliveryMode {
-    if engine == Engine::Auto && !quiet_aware {
-        DeliveryMode::Exact
-    } else {
-        requested
     }
 }
 
@@ -211,40 +178,28 @@ impl std::str::FromStr for Engine {
     }
 }
 
-/// Shared normalization for the [`ENGINE_ENV`] / [`DELIVERY_ENV`]
-/// overrides: an unset or whitespace-only variable means "no override"
-/// (`Ok(None)`), and anything else must parse — a forced-engine CI run with
-/// a typo must fail loudly (with the variants listed), not silently fall
-/// back. The failure is a typed [`EngineError::BadEnvOverride`] surfaced
-/// through [`Engine::run`], never a panic: library callers embed the engine
+/// Normalization of the [`ENGINE_ENV`] override: an unset or
+/// whitespace-only variable means "no override" (`Ok(None)`), and anything
+/// else must parse — a forced-engine CI run with a typo must fail loudly
+/// (with the variants listed), not silently fall back. The failure is a
+/// typed [`EngineError::BadEnvOverride`] surfaced through
+/// [`Engine::run`], never a panic: library callers embed the engine
 /// in long-lived services, and a typo in a deploy environment should be an
 /// error they can report, not a process abort (the bench binaries turn it
 /// back into a loud exit via `unwrap`/`expect`). Pure in the raw value so
-/// the policy is testable without mutating process environment; both
-/// FromStr impls trim and lowercase, so `" Event "` and `"RELAXED"` are
-/// accepted.
-fn parse_env_override<T: std::str::FromStr<Err = String>>(
-    var: &'static str,
-    raw: &str,
-) -> Result<Option<T>, EngineError> {
+/// the policy is testable without mutating process environment; `FromStr`
+/// trims and lowercases, so `" Event "` is accepted.
+fn parse_env_override(raw: &str) -> Result<Option<Engine>, EngineError> {
     if raw.trim().is_empty() {
         return Ok(None);
     }
-    raw.parse().map(Some).map_err(|reason| EngineError::BadEnvOverride { var, reason })
+    raw.parse().map(Some).map_err(|reason| EngineError::BadEnvOverride { var: ENGINE_ENV, reason })
 }
 
 /// The [`ENGINE_ENV`] override, if set (see [`parse_env_override`]).
 fn env_engine() -> Result<Option<Engine>, EngineError> {
     match std::env::var(ENGINE_ENV) {
-        Ok(raw) => parse_env_override(ENGINE_ENV, &raw),
-        Err(_) => Ok(None),
-    }
-}
-
-/// The [`DELIVERY_ENV`] override, if set (see [`parse_env_override`]).
-fn env_delivery() -> Result<Option<DeliveryMode>, EngineError> {
-    match std::env::var(DELIVERY_ENV) {
-        Ok(raw) => parse_env_override(DELIVERY_ENV, &raw),
+        Ok(raw) => parse_env_override(&raw),
         Err(_) => Ok(None),
     }
 }
@@ -270,21 +225,16 @@ mod tests {
     #[test]
     fn env_override_parsing_is_normalized() {
         // Unset-like values mean "no override"...
-        assert_eq!(parse_env_override::<Engine>(ENGINE_ENV, "").unwrap(), None);
-        assert_eq!(parse_env_override::<Engine>(ENGINE_ENV, "  \t").unwrap(), None);
-        assert_eq!(parse_env_override::<DeliveryMode>(DELIVERY_ENV, "").unwrap(), None);
+        assert_eq!(parse_env_override("").unwrap(), None);
+        assert_eq!(parse_env_override("  \t").unwrap(), None);
         // ...valid values parse case/whitespace-insensitively...
-        assert_eq!(parse_env_override(ENGINE_ENV, " Event ").unwrap(), Some(Engine::Event));
-        assert_eq!(
-            parse_env_override(DELIVERY_ENV, "RELAXED").unwrap(),
-            Some(DeliveryMode::Relaxed)
-        );
-        assert_eq!(parse_env_override(DELIVERY_ENV, "exact\n").unwrap(), Some(DeliveryMode::Exact));
+        assert_eq!(parse_env_override(" Event ").unwrap(), Some(Engine::Event));
+        assert_eq!(parse_env_override("SYNC\n").unwrap(), Some(Engine::Sync));
     }
 
     #[test]
     fn invalid_engine_env_is_a_typed_error() {
-        let err = parse_env_override::<Engine>(ENGINE_ENV, "barrier").unwrap_err();
+        let err = parse_env_override("barrier").unwrap_err();
         match &err {
             EngineError::BadEnvOverride { var, reason } => {
                 assert_eq!(*var, ENGINE_ENV);
@@ -293,44 +243,6 @@ mod tests {
             other => panic!("expected BadEnvOverride, got {other:?}"),
         }
         assert!(err.to_string().contains("KNN_ENGINE"), "{err}");
-    }
-
-    #[test]
-    fn invalid_delivery_env_is_a_typed_error() {
-        let err = parse_env_override::<DeliveryMode>(DELIVERY_ENV, "lossy").unwrap_err();
-        match &err {
-            EngineError::BadEnvOverride { var, reason } => {
-                assert_eq!(*var, DELIVERY_ENV);
-                assert!(reason.contains("exact|relaxed"), "{reason}");
-            }
-            other => panic!("expected BadEnvOverride, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn auto_downgrades_relaxed_without_protocol_opt_in() {
-        // Auto + a protocol that never declares quiet phases: exact.
-        assert_eq!(
-            effective_delivery(Engine::Auto, DeliveryMode::Relaxed, false),
-            DeliveryMode::Exact
-        );
-        // Auto + an opted-in protocol keeps the requested mode.
-        assert_eq!(
-            effective_delivery(Engine::Auto, DeliveryMode::Relaxed, true),
-            DeliveryMode::Relaxed
-        );
-        // Explicit engines honor the request regardless of opt-in.
-        for engine in [Engine::Sync, Engine::Threaded, Engine::Event] {
-            assert_eq!(
-                effective_delivery(engine, DeliveryMode::Relaxed, false),
-                DeliveryMode::Relaxed
-            );
-        }
-        // Exact stays exact everywhere.
-        assert_eq!(
-            effective_delivery(Engine::Auto, DeliveryMode::Exact, true),
-            DeliveryMode::Exact
-        );
     }
 
     #[test]

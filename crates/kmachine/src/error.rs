@@ -22,19 +22,6 @@ pub enum EngineError {
         /// Machine whose protocol panicked.
         machine: usize,
     },
-    /// Under relaxed delivery, a machine sent a message inside a round it
-    /// had promised to stay silent for (see
-    /// [`crate::Protocol::quiet_until`]). Promises are load-bearing —
-    /// peers already executed rounds on the strength of this one — so the
-    /// run aborts instead of delivering the contradicting message.
-    PromiseViolated {
-        /// Machine that broke its own promise.
-        machine: usize,
-        /// Round in which the forbidden send happened.
-        round: u64,
-        /// The silent horizon the machine had promised.
-        promised_until: u64,
-    },
     /// A machine crashed (fail-stop, injected via
     /// [`crate::config::FaultPlan`]) and the run could not complete
     /// without it: either the protocol's [`crate::Protocol::on_crash`]
@@ -110,7 +97,7 @@ pub enum EngineError {
         /// Round of the checkpoint the blob claimed to be.
         round: u64,
     },
-    /// A `KNN_ENGINE` / `KNN_DELIVERY` environment override did not parse.
+    /// The `KNN_ENGINE` environment override did not parse.
     /// Surfaced as an error (not a panic) so long-running serving binaries
     /// report a typo instead of aborting.
     BadEnvOverride {
@@ -135,13 +122,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::WorkerPanic { machine } => {
                 write!(f, "worker thread for machine {machine} panicked")
-            }
-            EngineError::PromiseViolated { machine, round, promised_until } => {
-                write!(
-                    f,
-                    "machine {machine} sent in round {round} after promising silence until \
-                     round {promised_until}"
-                )
             }
             EngineError::Crashed { machine, round } => {
                 write!(f, "machine {machine} crashed at round {round} and the run cannot complete without it")
@@ -204,9 +184,6 @@ mod tests {
         assert!(s.contains("10"));
         let s = EngineError::WorkerPanic { machine: 3 }.to_string();
         assert!(s.contains("3"));
-        let s =
-            EngineError::PromiseViolated { machine: 2, round: 7, promised_until: 12 }.to_string();
-        assert!(s.contains("machine 2") && s.contains("round 7") && s.contains("12"));
         let s = EngineError::Crashed { machine: 1, round: 4 }.to_string();
         assert!(s.contains("machine 1") && s.contains("round 4"));
         let s = EngineError::LinkDown { src: 0, dst: 2, round: 9, retries: 3 }.to_string();

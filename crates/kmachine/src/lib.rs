@@ -18,15 +18,11 @@
 //!     with exact round/message/bit accounting (scales to thousands of
 //!     simulated machines);
 //!   * [`engine::run_event`] — no global barrier: per-link dependency
-//!     scheduling over round-slotted links on a worker pool, so fast
-//!     machines run rounds ahead of slow ones ([`Engine::Auto`] picks an
+//!     scheduling over round-slotted links on a worker pool. A machine
+//!     runs round r once every peer has published round r − 1, so machines
+//!     are never more than one round apart ([`Engine::Auto`] picks an
 //!     engine per run, and the `KNN_ENGINE` environment variable forces
-//!     one). With [`DeliveryMode::Relaxed`] (`KNN_DELIVERY=relaxed`),
-//!     quiescence promises — "nothing from me before round X", published
-//!     by drained done machines or via [`Protocol::quiet_until`] — stand
-//!     in for empty transports, unlocking multi-round pipelining with
-//!     byte-identical outputs and metrics (skew is reported in
-//!     [`RunOutcome::skew`]);
+//!     one);
 //! * bandwidth-limited links ([`BandwidthMode::Enforce`]): each ordered link
 //!   drains at most `B` bits per round, store-and-forward, so protocols that
 //!   ship a lot of data genuinely pay for it in rounds;
@@ -113,6 +109,7 @@ pub mod config;
 pub mod ctx;
 pub mod engine;
 pub mod error;
+mod frozen;
 pub mod leader;
 pub mod link;
 pub mod message;
@@ -124,15 +121,14 @@ pub(crate) mod recovery;
 pub mod rng;
 pub mod snapshot;
 
-pub use config::{AdversaryPlan, BandwidthMode, DeliveryMode, FaultPlan, NetConfig, RecoveryPlan};
+pub use config::{AdversaryPlan, BandwidthMode, FaultPlan, NetConfig, RecoveryPlan};
 pub use ctx::Ctx;
-pub use engine::{run_event, run_sync, Engine, RunOutcome, DELIVERY_ENV, ENGINE_ENV};
+pub use engine::{run_event, run_sync, Engine, RunOutcome, ENGINE_ENV};
 pub use error::EngineError;
+pub use frozen::{DeliveryMode, SkewMetrics, DELIVERY_ENV};
 pub use link::{IntegrityConfig, LinkFifo, LossConfig};
 pub use message::{Envelope, MachineId, ENVELOPE_HEADER_BITS};
-pub use metrics::{
-    AuditMetrics, FaultMetrics, RecoveryMetrics, RunMetrics, SkewMetrics, TagMetrics,
-};
+pub use metrics::{AuditMetrics, FaultMetrics, RecoveryMetrics, RunMetrics, TagMetrics};
 pub use mux::{MuxOutput, MuxProtocol, Tagged, MUX_TAG_BITS};
 pub use payload::Payload;
 pub use protocol::{Protocol, Step};

@@ -17,58 +17,14 @@ pub struct TagMetrics {
     pub bits: u64,
 }
 
-/// Pipelining observability of one relaxed-delivery event-engine run.
-///
-/// Skew is how far a machine's executing round ran **ahead of its slowest
-/// peer's published transport** at the moment the round became ready —
-/// exactly the overlap that exact delivery forbids (under
-/// [`crate::config::DeliveryMode::Exact`] the readiness rule forces it to
-/// zero, so these counters are reported only by relaxed runs; the lockstep
-/// engines leave the struct empty). Carried on
-/// [`crate::RunOutcome::skew`], *not* inside [`RunMetrics`]: the
-/// engine-equivalence contract — identical outputs and identical
-/// `RunMetrics` in every engine and delivery mode — stays byte-exact,
-/// while the wall-clock-shape evidence lives here.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SkewMetrics {
-    /// Per-machine maximum of `executing round − min peer published round`,
-    /// indexed by machine id. Empty unless a relaxed event run recorded it.
-    pub max_skew_per_machine: Vec<u64>,
-    /// Cluster-wide maximum skew; > 1 proves multi-round pipelining that
-    /// exact delivery cannot express.
-    pub max_skew: u64,
-    /// Rounds executed with a quiescence promise standing in for at least
-    /// one peer's unpublished transport.
-    pub promised_rounds: u64,
-    /// Promise-horizon extensions published across all machines (a done
-    /// machine draining its backlog publishes one `u64::MAX` horizon; a
-    /// [`crate::Protocol::quiet_until`] horizon counts each time it grows).
-    pub promises_published: u64,
-}
-
-impl SkewMetrics {
-    /// New zeroed skew counters for `k` machines (marks the run as having
-    /// tracked skew, unlike the empty [`Default`]).
-    pub fn new(k: usize) -> Self {
-        SkewMetrics { max_skew_per_machine: vec![0; k], ..Default::default() }
-    }
-
-    /// Whether this run tracked skew at all (relaxed event runs do; the
-    /// lockstep engines and exact event runs return an empty struct).
-    pub fn tracked(&self) -> bool {
-        !self.max_skew_per_machine.is_empty()
-    }
-}
-
 /// Realized-fault accounting of one run under a
 /// [`crate::config::FaultPlan`].
 ///
-/// Carried on [`crate::RunOutcome::faults`], *not* inside [`RunMetrics`],
-/// for the same reason as [`SkewMetrics`]: the engine-equivalence contract
-/// compares `RunMetrics` byte-for-byte across engines, and retransmission
-/// traffic is fault-layer bookkeeping, not protocol cost — the protocol's
-/// bill stays identical whether or not the network dropped and re-sent
-/// under it.
+/// Carried on [`crate::RunOutcome::faults`], *not* inside [`RunMetrics`]:
+/// the engine-equivalence contract compares `RunMetrics` byte-for-byte
+/// across engines, and retransmission traffic is fault-layer bookkeeping,
+/// not protocol cost — the protocol's bill stays identical whether or not
+/// the network dropped and re-sent under it.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultMetrics {
     /// Machines that executed their scheduled crash during this run,
@@ -84,8 +40,8 @@ pub struct FaultMetrics {
 
 impl FaultMetrics {
     /// True when the run realized at least one injected fault (a crash or
-    /// a dropped message; stragglers are wall-clock-only and show up in
-    /// [`SkewMetrics`] instead).
+    /// a dropped message; stragglers are wall-clock-only and leave no
+    /// trace).
     pub fn any(&self) -> bool {
         !self.crashed.is_empty() || self.dropped_messages > 0
     }
@@ -300,16 +256,5 @@ mod tests {
         assert!(a.any());
         let s = serde_json::to_string(&a).unwrap();
         assert!(s.contains("\"suspects_quarantined\":1"));
-    }
-
-    #[test]
-    fn skew_tracking_is_explicit() {
-        assert!(!SkewMetrics::default().tracked());
-        let mut s = SkewMetrics::new(3);
-        assert!(s.tracked());
-        assert_eq!(s.max_skew_per_machine, vec![0, 0, 0]);
-        s.max_skew_per_machine[1] = 4;
-        s.max_skew = 4;
-        assert_eq!(s.max_skew, *s.max_skew_per_machine.iter().max().unwrap());
     }
 }

@@ -48,8 +48,8 @@ pub enum Step<T> {
 ///   round number may have advanced by any amount in between.
 /// * **A waiting machine is still in the run.** It crashes at its
 ///   [`crate::config::FaultPlan`] round ([`Protocol::on_crash`] is called on
-///   schedule), counts toward stall detection and `max_rounds` exactly as a
-///   no-op step would, and [`Protocol::quiet_until`] is still consulted.
+///   schedule) and counts toward stall detection and `max_rounds` exactly
+///   as a no-op step would.
 /// * **Never return `Wait` from a state that watches the clock.** Anything
 ///   that reads [`Ctx::round`], [`Ctx::crashed`] or [`Ctx::rejoined`] to
 ///   decide what to do can change its mind on an empty inbox, so it must
@@ -64,32 +64,8 @@ pub trait Protocol: Send {
     /// Per-machine output.
     type Output: Send;
 
-    /// Whether this protocol declares meaningful silent horizons through
-    /// [`Protocol::quiet_until`]. [`crate::Engine::Auto`] upgrades to
-    /// relaxed delivery only for opted-in protocols — without the hook,
-    /// relaxed mode adds promise bookkeeping that only pays off in narrow
-    /// end-of-run windows. Explicitly requested engines honor
-    /// [`crate::config::NetConfig::delivery`] regardless of this flag.
-    const QUIET_AWARE: bool = false;
-
     /// Execute one round.
     fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>) -> Step<Self::Output>;
-
-    /// Declare a silent horizon: `Some(q)` promises that this machine will
-    /// not hand **any** message to the network in any round `< q`, *no
-    /// matter what it receives in the meantime* (`u64::MAX`: never again).
-    ///
-    /// The relaxed-delivery event engine ([`crate::config::DeliveryMode::
-    /// Relaxed`]) consults this after every non-final round; once the
-    /// machine's outbound backlog drains, the promise lets peers execute
-    /// rounds up to `q` without waiting for this machine's (empty)
-    /// transports. Promises are monotone — they can be extended, never
-    /// revoked — and a send inside a promised window aborts the run with
-    /// [`crate::EngineError::PromiseViolated`]. The default declares
-    /// nothing; the lockstep engines never call this.
-    fn quiet_until(&self) -> Option<u64> {
-        None
-    }
 
     /// Salvage hook for fail-stop crash injection (see
     /// [`crate::config::FaultPlan::crashes`]): called exactly once, in
@@ -148,12 +124,6 @@ mod tests {
         // Compile-time check that a trivial protocol satisfies the bounds.
         fn assert_protocol<P: Protocol>(_p: P) {}
         assert_protocol(Nop);
-    }
-
-    #[test]
-    fn quiet_hook_defaults_to_no_promise() {
-        assert_eq!(Nop.quiet_until(), None);
-        const _: () = assert!(!Nop::QUIET_AWARE, "default is opted out");
     }
 
     #[test]

@@ -408,7 +408,6 @@ impl<P: Protocol> Recovering<P> {
 impl<P: Protocol> Protocol for Recovering<P> {
     type Msg = P::Msg;
     type Output = P::Output;
-    const QUIET_AWARE: bool = P::QUIET_AWARE;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>) -> Step<Self::Output> {
         let Some(spec) = self.spec else {
@@ -452,16 +451,6 @@ impl<P: Protocol> Protocol for Recovering<P> {
             return Step::Continue;
         }
         self.rejoin(ctx, spec)
-    }
-
-    fn quiet_until(&self) -> Option<u64> {
-        // No *new* promises while offline or failed; promises published
-        // before the crash stay valid (replayed sends regenerate only from
-        // rounds at-or-after the promised horizon).
-        if self.spec.is_some() && !self.joined && (self.offline || self.failed) {
-            return None;
-        }
-        self.inner.quiet_until()
     }
 
     fn on_crash(&mut self) -> Option<Self::Output> {

@@ -3,9 +3,7 @@
 //! randomized traffic patterns.
 
 use kmachine::engine::{run_event, run_sync};
-use kmachine::{
-    BandwidthMode, Ctx, DeliveryMode, Engine, EngineError, NetConfig, Payload, Protocol, Step,
-};
+use kmachine::{BandwidthMode, Ctx, Engine, EngineError, NetConfig, Payload, Protocol, Step};
 use proptest::prelude::*;
 use rand::RngExt;
 
@@ -107,12 +105,9 @@ fn scatter_run(
     bits_per_round: u64,
     max_msgs: usize,
     engine: Engine,
-    delivery: DeliveryMode,
 ) -> (Vec<(u64, u64)>, u64, u64) {
-    let cfg = NetConfig::new(k)
-        .with_seed(seed)
-        .with_bandwidth(BandwidthMode::Enforce { bits_per_round })
-        .with_delivery(delivery);
+    let cfg =
+        NetConfig::new(k).with_seed(seed).with_bandwidth(BandwidthMode::Enforce { bits_per_round });
     let protos: Vec<Scatter> = (0..k)
         .map(|_| Scatter {
             max_msgs,
@@ -166,19 +161,11 @@ proptest! {
         bits in prop_oneof![Just(64u64), Just(512), Just(4096)],
         max_msgs in 0usize..12,
     ) {
-        let a = scatter_run(k, seed, bits, max_msgs, Engine::Sync, DeliveryMode::Exact);
-        for (engine, delivery) in [
-            (Engine::Event, DeliveryMode::Exact),
-            (Engine::Event, DeliveryMode::Relaxed),
-        ] {
-            let b = scatter_run(k, seed, bits, max_msgs, engine, delivery);
-            prop_assert_eq!(
-                &a.0, &b.0,
-                "per-machine digests must match ({:?}, {:?})", engine, delivery
-            );
-            prop_assert_eq!(a.1, b.1, "message totals must match ({:?}, {:?})", engine, delivery);
-            prop_assert_eq!(a.2, b.2, "bit totals must match ({:?}, {:?})", engine, delivery);
-        }
+        let a = scatter_run(k, seed, bits, max_msgs, Engine::Sync);
+        let b = scatter_run(k, seed, bits, max_msgs, Engine::Event);
+        prop_assert_eq!(&a.0, &b.0, "per-machine digests must match");
+        prop_assert_eq!(a.1, b.1, "message totals must match");
+        prop_assert_eq!(a.2, b.2, "bit totals must match");
     }
 
     #[test]
@@ -187,8 +174,7 @@ proptest! {
         seed in any::<u64>(),
         max_msgs in 0usize..12,
     ) {
-        let (outputs, sent_total, _) =
-            scatter_run(k, seed, 256, max_msgs, Engine::Sync, DeliveryMode::Exact);
+        let (outputs, sent_total, _) = scatter_run(k, seed, 256, max_msgs, Engine::Sync);
         let received: u64 = outputs.iter().map(|&(_, r)| r).sum();
         let headers = (k * (k - 1)) as u64;
         prop_assert_eq!(

@@ -26,9 +26,7 @@ pub use knn_workloads as workloads;
 
 /// Everything a typical user needs in scope.
 pub mod prelude {
-    pub use kmachine::{
-        BandwidthMode, DeliveryMode, Engine, NetConfig, RunMetrics, SkewMetrics, TagMetrics,
-    };
+    pub use kmachine::{BandwidthMode, Engine, NetConfig, RunMetrics, TagMetrics};
     pub use knn_core::cluster::{BatchAnswer, KnnAnswer, KnnCluster, Neighbor};
     pub use knn_core::local::IndexedPoint;
     pub use knn_core::ml::{KnnClassifier, KnnRegressor};

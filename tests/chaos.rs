@@ -14,7 +14,7 @@
 //! chaos leg uploads.
 
 use kmachine::error::EngineError;
-use kmachine::{AdversaryPlan, DeliveryMode, Engine, FaultPlan, RecoveryPlan};
+use kmachine::{AdversaryPlan, Engine, FaultPlan, RecoveryPlan};
 use knn_core::cluster::{KnnCluster, Neighbor};
 use knn_core::error::CoreError;
 use knn_core::runner::{Algorithm, ElectionKind};
@@ -30,20 +30,13 @@ fn with_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 
 /// A loaded cluster over the standard scalar workload: Fixed election
 /// (leader is machine 0 until a crash forces a re-election), seeded
-/// shards, the given engine/delivery/fault plan.
-fn cluster(
-    k: usize,
-    seed: u64,
-    engine: Engine,
-    delivery: DeliveryMode,
-    faults: FaultPlan,
-) -> KnnCluster {
+/// shards, the given engine and fault plan.
+fn cluster(k: usize, seed: u64, engine: Engine, faults: FaultPlan) -> KnnCluster {
     let shards = ScalarWorkload::small(512).generate(k, seed);
     let mut cluster: KnnCluster = KnnCluster::builder()
         .machines(k)
         .seed(seed)
         .engine(engine)
-        .delivery(delivery)
         .election(ElectionKind::Fixed)
         .faults(faults)
         .build();
@@ -79,14 +72,14 @@ fn ids_and_dists(neighbors: &[Neighbor]) -> Vec<(knn_points::PointId, knn_points
 
 /// Stragglers are pure wall-clock: every answer, every metric, and every
 /// flag of a straggling run — on every engine, every pool size — is
-/// byte-identical to the fault-free lockstep reference. Only the clock
-/// (and, under relaxed delivery, the recorded skew) may differ.
+/// byte-identical to the fault-free lockstep reference. Only the clock may
+/// differ.
 #[test]
 fn stragglers_change_nothing_but_wall_clock() {
     let (seed, k, ell) = (9u64, 4usize, 8usize);
     let qs = queries(seed, 5);
     let want = with_pool(1, || {
-        let c = cluster(k, seed, Engine::Sync, DeliveryMode::Exact, FaultPlan::default());
+        let c = cluster(k, seed, Engine::Sync, FaultPlan::default());
         c.query_batch_with(Algorithm::Knn, &qs, ell).expect("baseline")
     });
     assert!(!want.degraded);
@@ -95,7 +88,7 @@ fn stragglers_change_nothing_but_wall_clock() {
     for engine in [Engine::Sync, Engine::Event] {
         for pool in [1usize, 8] {
             let got = with_pool(pool, || {
-                let c = cluster(k, seed, engine, DeliveryMode::Exact, plan.clone());
+                let c = cluster(k, seed, engine, plan.clone());
                 c.query_batch_with(Algorithm::Knn, &qs, ell).expect("straggling batch")
             });
             let label = format!("{engine:?}/pool {pool}");
@@ -125,13 +118,7 @@ fn leader_crash_re_elects_and_degrades_for_every_algorithm() {
         KnnCluster::builder().machines(k - 1).seed(seed).election(ElectionKind::Fixed).build();
     survivors.load_shards(shards[1..].to_vec()).expect("shard count");
     for algo in Algorithm::ALL {
-        let crashed = cluster(
-            k,
-            seed,
-            Engine::Sync,
-            DeliveryMode::Exact,
-            FaultPlan::default().with_crash(0, 0),
-        );
+        let crashed = cluster(k, seed, Engine::Sync, FaultPlan::default().with_crash(0, 0));
         let ans = crashed.query_with(algo, &q, ell).expect("crash must be survivable");
         assert!(ans.degraded, "{algo:?}: answers over survivors must be flagged");
         assert_eq!(ans.shards_used, k - 1, "{algo:?}");
@@ -155,8 +142,7 @@ fn leader_crash_re_elects_and_degrades_for_every_algorithm() {
 fn batched_queries_survive_a_leader_crash() {
     let (seed, k, ell) = (29u64, 5usize, 6usize);
     let qs = queries(seed, 4);
-    let crashed =
-        cluster(k, seed, Engine::Sync, DeliveryMode::Exact, FaultPlan::default().with_crash(0, 0));
+    let crashed = cluster(k, seed, Engine::Sync, FaultPlan::default().with_crash(0, 0));
     let batch = crashed.query_batch_with(Algorithm::Knn, &qs, ell).expect("batch recovery");
     assert!(batch.degraded);
     assert_eq!(batch.shards_used, k - 1);
@@ -181,8 +167,7 @@ fn batched_queries_survive_a_leader_crash() {
 fn worker_crash_under_simple_is_salvaged_in_run() {
     let (seed, k, ell) = (31u64, 4usize, 6usize);
     let q = ScalarPoint(seed.wrapping_mul(127));
-    let crashed =
-        cluster(k, seed, Engine::Sync, DeliveryMode::Exact, FaultPlan::default().with_crash(2, 0));
+    let crashed = cluster(k, seed, Engine::Sync, FaultPlan::default().with_crash(2, 0));
     let ans = crashed.query_with(Algorithm::Simple, &q, ell).expect("salvage");
     assert!(ans.degraded);
     assert_eq!(ans.shards_used, k - 1);
@@ -198,13 +183,8 @@ fn worker_crash_under_simple_is_salvaged_in_run() {
 fn exhausted_retries_surface_a_typed_link_down() {
     let (seed, k, ell) = (41u64, 3usize, 5usize);
     let q = ScalarPoint(seed.wrapping_mul(127));
-    let lossy = cluster(
-        k,
-        seed,
-        Engine::Sync,
-        DeliveryMode::Exact,
-        FaultPlan::default().with_loss(1000, 2).with_fault_seed(7),
-    );
+    let lossy =
+        cluster(k, seed, Engine::Sync, FaultPlan::default().with_loss(1000, 2).with_fault_seed(7));
     match lossy.query_with(Algorithm::Knn, &q, ell) {
         Err(CoreError::Engine(EngineError::LinkDown { retries, .. })) => {
             assert_eq!(retries, 2, "the error reports the exhausted budget");
@@ -233,13 +213,13 @@ proptest! {
             .with_straggler(1, 2)
             .with_fault_seed(fault_seed);
         let want = with_pool(1, || {
-            let c = cluster(k, seed, Engine::Sync, DeliveryMode::Exact, plan.clone());
+            let c = cluster(k, seed, Engine::Sync, plan.clone());
             c.query_batch_with(Algorithm::Knn, &qs, ell).expect("sync chaos run")
         });
         let engine = Engine::Event;
         for pool in [2usize, 8] {
             let got = with_pool(pool, || {
-                let c = cluster(k, seed, engine, DeliveryMode::Exact, plan.clone());
+                let c = cluster(k, seed, engine, plan.clone());
                 c.query_batch_with(Algorithm::Knn, &qs, ell).expect("chaos run")
             });
             for (g, w) in got.answers.iter().zip(&want.answers) {
@@ -265,14 +245,14 @@ proptest! {
         let qs = queries(seed, 2);
         let plan = FaultPlan::default().with_crash(victim, 0);
         let want = with_pool(1, || {
-            let c = cluster(k, seed, Engine::Sync, DeliveryMode::Exact, plan.clone());
+            let c = cluster(k, seed, Engine::Sync, plan.clone());
             c.query_batch_with(Algorithm::Knn, &qs, ell).expect("sync crash run")
         });
         prop_assert!(want.degraded);
         prop_assert_eq!(want.shards_used, k - 1);
         let engine = Engine::Event;
         let got = with_pool(8, || {
-            let c = cluster(k, seed, engine, DeliveryMode::Exact, plan.clone());
+            let c = cluster(k, seed, engine, plan.clone());
             c.query_batch_with(Algorithm::Knn, &qs, ell).expect("crash run")
         });
         for (g, w) in got.answers.iter().zip(&want.answers) {
@@ -316,7 +296,7 @@ fn rejoin_is_byte_identical_on_every_engine() {
     let (seed, k, ell) = (67u64, 4usize, 6usize);
     let qs = queries(seed, 4);
     let want = with_pool(1, || {
-        let c = cluster(k, seed, Engine::Sync, DeliveryMode::Exact, FaultPlan::default());
+        let c = cluster(k, seed, Engine::Sync, FaultPlan::default());
         c.query_batch_with(Algorithm::Simple, &qs, ell).expect("fault-free reference")
     });
     assert!(!want.recovered);
@@ -360,10 +340,9 @@ fn rejoin_is_byte_identical_on_every_engine() {
 fn rejoin_clears_the_degraded_flag_a_bare_crash_sets() {
     let (seed, k, ell) = (71u64, 4usize, 6usize);
     let q = ScalarPoint(seed.wrapping_mul(127));
-    let clean = cluster(k, seed, Engine::Sync, DeliveryMode::Exact, FaultPlan::default());
+    let clean = cluster(k, seed, Engine::Sync, FaultPlan::default());
     let want = clean.query_with(Algorithm::BinSearch, &q, ell).expect("fault-free reference");
-    let bare =
-        cluster(k, seed, Engine::Sync, DeliveryMode::Exact, FaultPlan::default().with_crash(2, 2));
+    let bare = cluster(k, seed, Engine::Sync, FaultPlan::default().with_crash(2, 2));
     let degraded = bare.query_with(Algorithm::BinSearch, &q, ell).expect("survivor retry");
     assert!(degraded.degraded, "an unhealed crash degrades the answer");
     assert_eq!(degraded.shards_used, k - 1);
@@ -417,7 +396,6 @@ fn byzantine_cluster(
     k: usize,
     seed: u64,
     engine: Engine,
-    delivery: DeliveryMode,
     adversary: AdversaryPlan,
     faults: FaultPlan,
     recovery: RecoveryPlan,
@@ -427,7 +405,6 @@ fn byzantine_cluster(
         .machines(k)
         .seed(seed)
         .engine(engine)
-        .delivery(delivery)
         .election(ElectionKind::Fixed)
         .adversary(adversary)
         .faults(faults)
@@ -439,9 +416,8 @@ fn byzantine_cluster(
 
 /// Byzantine detection, quarantine, and the certified answer are engine-
 /// and pool-invariant: the same lie is fabricated, caught, and recovered
-/// from identically on sync and event (exact *and* relaxed
-/// delivery), at every pool size — audits, violations, and quarantine
-/// counts included.
+/// from identically on sync and event, at every pool size — audits,
+/// violations, and quarantine counts included.
 #[test]
 fn byzantine_recovery_is_engine_and_pool_invariant() {
     let (seed, k, ell) = (83u64, 4usize, 8usize);
@@ -452,7 +428,6 @@ fn byzantine_recovery_is_engine_and_pool_invariant() {
             k,
             seed,
             Engine::Sync,
-            DeliveryMode::Exact,
             plan.clone(),
             FaultPlan::default(),
             RecoveryPlan::default(),
@@ -462,25 +437,20 @@ fn byzantine_recovery_is_engine_and_pool_invariant() {
     assert_eq!(want.audit.suspects_quarantined, 1, "the liar must be caught");
     assert!(want.audit.audits_run > 0);
     assert!(want.degraded, "the quarantined shard degrades the batch");
-    for (engine, delivery) in [
-        (Engine::Sync, DeliveryMode::Exact),
-        (Engine::Event, DeliveryMode::Exact),
-        (Engine::Event, DeliveryMode::Relaxed),
-    ] {
+    for engine in [Engine::Sync, Engine::Event] {
         for pool in [1usize, 8] {
             let got = with_pool(pool, || {
                 let c = byzantine_cluster(
                     k,
                     seed,
                     engine,
-                    delivery,
                     plan.clone(),
                     FaultPlan::default(),
                     RecoveryPlan::default(),
                 );
                 c.query_batch_with(Algorithm::Knn, &qs, ell).expect("byzantine batch")
             });
-            let label = format!("{engine:?}/{delivery:?}/pool {pool}");
+            let label = format!("{engine:?}/pool {pool}");
             for (g, w) in got.answers.iter().zip(&want.answers) {
                 assert_eq!(g.neighbors, w.neighbors, "byzantine answers diverged: {label}");
                 assert_eq!(g.attempts, w.attempts, "{label}");
@@ -507,7 +477,6 @@ fn loss_plus_rejoin_compound_is_engine_and_pool_invariant() {
             k,
             seed,
             Engine::Sync,
-            DeliveryMode::Exact,
             AdversaryPlan::default(),
             faults.clone(),
             recovery.clone(),
@@ -525,7 +494,6 @@ fn loss_plus_rejoin_compound_is_engine_and_pool_invariant() {
                 k,
                 seed,
                 engine,
-                DeliveryMode::Exact,
                 AdversaryPlan::default(),
                 faults.clone(),
                 recovery.clone(),
@@ -557,7 +525,6 @@ fn lie_during_a_replay_window_is_caught_and_invariant() {
             k,
             seed,
             Engine::Sync,
-            DeliveryMode::Exact,
             adversary.clone(),
             FaultPlan::default(),
             recovery.clone(),
@@ -587,7 +554,6 @@ fn lie_during_a_replay_window_is_caught_and_invariant() {
             k,
             seed,
             engine,
-            DeliveryMode::Exact,
             adversary.clone(),
             FaultPlan::default(),
             recovery.clone(),
@@ -762,7 +728,6 @@ proptest! {
             k,
             seed,
             Engine::Sync,
-            DeliveryMode::Exact,
             plan,
             FaultPlan::default(),
             RecoveryPlan::default(),
@@ -817,7 +782,6 @@ fn audit_metrics_artifact() {
             k,
             seed,
             Engine::Event,
-            DeliveryMode::Relaxed,
             AdversaryPlan::default().with_lie(1, 0),
             FaultPlan::default(),
             RecoveryPlan::default(),
@@ -833,7 +797,7 @@ fn audit_metrics_artifact() {
 }
 
 /// A representative chaos run — survivable loss plus a straggler plus a
-/// crashed worker, relaxed delivery on the event engine — written to
+/// crashed worker, on the event engine — written to
 /// `results/chaos_metrics.json` for the CI chaos leg's artifact upload.
 #[test]
 fn chaos_metrics_artifact() {
@@ -845,7 +809,7 @@ fn chaos_metrics_artifact() {
         .with_crash(0, 0)
         .with_fault_seed(11);
     let batch = with_pool(4, || {
-        let c = cluster(k, seed, Engine::Event, DeliveryMode::Relaxed, plan);
+        let c = cluster(k, seed, Engine::Event, plan);
         c.query_batch_with(Algorithm::Knn, &qs, ell).expect("chaos batch")
     });
     assert!(batch.degraded, "the crashed shard degrades the batch");
