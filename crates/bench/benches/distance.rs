@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the distance kernels (B-LOCAL) — the inner loop of
-//! every machine's round-0 local computation.
+//! every machine's local computation (the candidate stage).
 
 use std::hint::black_box;
 

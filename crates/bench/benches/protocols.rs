@@ -47,7 +47,7 @@ fn bench_protocols(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("algorithm2", k), &data, |b, data| {
         b.iter(|| {
             let cfg = NetConfig::new(k).with_seed(3);
-            let protos: Vec<KnnProtocol<'_, u64>> = data
+            let protos: Vec<KnnProtocol<u64>> = data
                 .iter()
                 .enumerate()
                 .map(|(i, local)| {
@@ -61,7 +61,7 @@ fn bench_protocols(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("simple", k), &data, |b, data| {
         b.iter(|| {
             let cfg = NetConfig::new(k).with_seed(3);
-            let protos: Vec<SimpleProtocol<'_, u64>> = data
+            let protos: Vec<SimpleProtocol<u64>> = data
                 .iter()
                 .enumerate()
                 .map(|(i, local)| SimpleProtocol::from_keys(i, 0, ell, 3, local.clone()))
@@ -76,7 +76,7 @@ fn bench_protocols(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("algorithm2-mux64", k), &data, |b, data| {
         b.iter(|| {
             let cfg = NetConfig::new(k).with_seed(3);
-            let protos: Vec<MuxProtocol<KnnProtocol<'_, u64>>> = data
+            let protos: Vec<MuxProtocol<KnnProtocol<u64>>> = data
                 .iter()
                 .enumerate()
                 .map(|(i, local)| {

@@ -66,7 +66,7 @@ fn main() {
             let mut msgs = Vec::new();
             for t in 0..trials {
                 let cfg = NetConfig::new(k).with_seed(t);
-                let protos: Vec<KnnProtocol<'_, u64>> = (0..k)
+                let protos: Vec<KnnProtocol<u64>> = (0..k)
                     .map(|i| {
                         let mut rng = StdRng::seed_from_u64(
                             t ^ ((i as u64) << 20) ^ ((sample_factor as u64) << 40),

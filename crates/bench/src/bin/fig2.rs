@@ -5,15 +5,17 @@
 //! points per process, random queries, y-axis = time(simple) / time(Alg 2),
 //! x-axis = ℓ. The ratio grows with ℓ and with k (80× at k = 128).
 //!
-//! Our substitution (README "Performance", the engines paragraph): the
-//! event engine runs the machines on a worker pool with a synthetic
-//! per-round latency. On a host with fewer cores than simulated
-//! machines the *local-computation* part of the speedup saturates at the
-//! core count, so alongside the wall-clock ratio we report the
-//! hardware-independent **round ratio** from the exact engine — the paper's
-//! own explanation of the effect ("the number of rounds does not depend on
-//! the number of machines … the speed up [in wall clock] is due to local
-//! computation").
+//! Our substitution (README "Performance"): every machine's local
+//! computation — the scan of its shard — runs as one stage on the rayon
+//! pool before the protocols are seated (`knn_core::local::candidate_stage`),
+//! and the event engine then runs the message rounds on a worker pool with
+//! a synthetic per-round latency; `wall` covers both. On a host with fewer
+//! cores than simulated machines the *local-computation* part of the
+//! speedup saturates at the core count, so alongside the wall-clock ratio
+//! we report the hardware-independent **round ratio** from the exact engine
+//! — the paper's own explanation of the effect ("the number of rounds does
+//! not depend on the number of machines … the speed up [in wall clock] is
+//! due to local computation").
 //!
 //! ```text
 //! cargo run -p knn-bench --release --bin fig2 [--full]

@@ -57,7 +57,7 @@ fn main() {
             let mut rollbacks = 0u64;
             for t in 0..trials {
                 let cfg = NetConfig::new(k).with_seed(t);
-                let protos: Vec<KnnProtocol<'_, u64>> = (0..k)
+                let protos: Vec<KnnProtocol<u64>> = (0..k)
                     .map(|i| {
                         let mut rng = StdRng::seed_from_u64(
                             t ^ ((i as u64) << 24) ^ ((ell as u64) << 48) ^ k as u64,

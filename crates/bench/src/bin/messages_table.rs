@@ -63,7 +63,7 @@ fn main() {
                 let mk_keys =
                     |i: usize| uniform_keys(per_machine, s ^ ((i as u64) << 32) ^ ell as u64);
                 let cfg = NetConfig::new(k).with_seed(s);
-                let protos: Vec<KnnProtocol<'_, u64>> = (0..k)
+                let protos: Vec<KnnProtocol<u64>> = (0..k)
                     .map(|i| {
                         KnnProtocol::from_keys(
                             i,
@@ -79,7 +79,7 @@ fn main() {
                 knn_msgs.push(out.metrics.messages);
                 knn_bits.push(out.metrics.bits);
 
-                let protos: Vec<SimpleProtocol<'_, u64>> = (0..k)
+                let protos: Vec<SimpleProtocol<u64>> = (0..k)
                     .map(|i| SimpleProtocol::from_keys(i, 0, ell as u64, 7, mk_keys(i)))
                     .collect();
                 let out = run_sync(&cfg, protos).expect("simple");

@@ -116,7 +116,7 @@ fn main() {
             let mut msgs = Vec::new();
             for s in 0..seeds {
                 let cfg = NetConfig::new(k).with_seed(s);
-                let protos: Vec<KnnProtocol<'_, u64>> = (0..k)
+                let protos: Vec<KnnProtocol<u64>> = (0..k)
                     .map(|i| {
                         let keys = uniform_keys(
                             per_machine,

@@ -55,7 +55,7 @@ const LIE_SALT: u64 = 0x11E5_0F7E_11E5_0F7E;
 ///
 /// The keys come back in their input positions, **no longer sorted** (each
 /// offset is independent of its neighbors'): a caller that feeds them to a
-/// protocol re-sorts first, as [`crate::QueryOptions`]'s source does.
+/// protocol re-sorts first, as the runner does for a lying machine's cells.
 pub fn perturb_input(mut keys: Vec<DistKey>, seed: u64, machine: MachineId) -> Vec<DistKey> {
     for key in &mut keys {
         let w = splitmix64(

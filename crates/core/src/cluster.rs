@@ -119,13 +119,18 @@ impl ClusterBuilder {
         self
     }
 
-    /// Execution engine. [`Engine::Auto`] picks sync / event per
-    /// run from the cluster size, per-round payload budget, and pool size;
-    /// [`Engine::Event`] is the barrier-free engine — which on the
-    /// benchmark's batch shape (`scalar_batch_event` vs `scalar_batch`,
-    /// 2 vCPUs, 2 workers) measured ≈ 0.5× of [`Engine::Sync`], an open
-    /// ROADMAP item. Answers and metrics are identical under every engine;
-    /// the `KNN_ENGINE` environment variable overrides this choice.
+    /// Execution engine: who schedules the *message rounds*. Local
+    /// computation is not the engine's — every machine's candidates are
+    /// computed before the protocols are seated, on the rayon pool, under
+    /// any engine ([`crate::local::candidate_stage`]) — so choosing
+    /// [`Engine::Event`] buys parallel rounds only: the barrier-free
+    /// scheduler, which on the benchmark's batch shape
+    /// (`scalar_batch_event` vs `scalar_batch`, 2 vCPUs, 2 workers)
+    /// measured ≈ 0.5× of [`Engine::Sync`], an open ROADMAP item.
+    /// [`Engine::Auto`] picks sync / event per run from the cluster size,
+    /// per-round payload budget, and pool size. Answers and metrics are
+    /// identical under every engine; the `KNN_ENGINE` environment variable
+    /// overrides this choice.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.opts.engine = engine;
         self

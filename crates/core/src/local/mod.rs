@@ -1,9 +1,11 @@
 //! Local (per-machine) computation helpers and shard indices.
 //!
-//! The model charges nothing for local computation, but the wall-clock
-//! experiments do: these run inside each machine's round 0 — in parallel
-//! across machines under the event engine — matching where the paper's
-//! cluster spends its local time.
+//! The model charges nothing for local computation and lets all k machines
+//! do theirs at once; the wall-clock experiments charge for it, and here it
+//! is most of a query. So it is a stage of its own: [`candidate_stage`]
+//! computes every machine's candidates for every pending query once per
+//! engine run, before the protocols are seated, on the ambient rayon pool —
+//! on every engine, since the engines only move messages.
 //!
 //! One contract, two producers. Every protocol instance takes as input its
 //! machine's **candidates: the shard's ℓ best, sorted ascending by
@@ -35,8 +37,13 @@
 //! [`dist_keys`] is the unfused reduction — every distance, materialized —
 //! kept for measurements and as the oracle the producers are tested against.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
+
+use kmachine::{EngineError, MachineId};
 use knn_points::{BitsPoint, DistKey, Metric, Point, PointId, Record, ScalarPoint, VecPoint};
 use knn_selection::TopK;
+use rayon::prelude::*;
 
 pub mod nsw;
 
@@ -61,6 +68,74 @@ pub fn brute_top<P: Point>(
         records.iter().map(|r| DistKey::new(r.point.distance(query, metric), r.id)),
         ell,
     )
+}
+
+/// Wall clock a stage must be worth before it goes to the pool; anything
+/// cheaper runs inline on the calling thread. Measured on the 2-vCPU
+/// development host: the rayon shim spawns and joins its threads per
+/// operation (50–55 µs at pool 2 for 16 trivial items), and 16 cells
+/// spinning for a fixed total, inline against forced onto pool 2, take
+/// 52 / 74 µs at 50 µs of work, 102 / 100 at 100, 152 / 110 at 150,
+/// 203 / 139 at 200 and 403 / 260 at 400 (medians of 2 000 stages). Break-even
+/// is 100 µs; the threshold is twice that, where the pool is 1.46× ahead and
+/// a costlier spawn (73–80 µs at pool 4) still repays. Below it sit a
+/// one-query batch on 16 sorted-array shards (16 cells × 3.3 µs) and the
+/// tier-1 suite's thousands of 4-machine, 100-point queries.
+const POOL_REPAYS: Duration = Duration::from_micros(200);
+
+/// What one point of a [`brute_top`] scan costs at the least: 1.85 ns for a
+/// [`ScalarPoint`] (the ledger's `local.scan_ns_per_point`), more for every
+/// other point type — so a scan judged worth the pool by this figure is.
+const SCAN_NS_PER_POINT: u128 = 2;
+
+/// The candidate stage: every alive machine's candidates for every pending
+/// query, `result[i][j] = top(alive[i], j)` — step 1 of Algorithm 2 for the
+/// whole engine run at once, before any protocol is seated.
+///
+/// The `alive.len() × queries` cells are independent and pure, so they run
+/// on the ambient rayon pool and are assembled in cell order: the result is
+/// the same bytes at any pool size. A stage too small to repay a pool
+/// operation (200 µs of work) runs inline, and so does everything at pool
+/// size 1. `scan_points` is how the stage knows: `Some(n)` when the cells
+/// are full scans of `n` points in total (the sequential path, whose few
+/// large cells must not wait for a probe), `None` when an index decides what
+/// it visits — then the first cell is timed and stands for the rest.
+///
+/// Each cell runs behind a panic guard — [`Point::distance`] is user code,
+/// and [`Metric::Minkowski`] below 1 asserts — so a panicking producer is
+/// [`EngineError::WorkerPanic`] naming the lowest position in `alive` whose
+/// cell panicked, exactly what the engines report for a panicking protocol.
+pub fn candidate_stage(
+    alive: &[MachineId],
+    queries: usize,
+    scan_points: Option<usize>,
+    top: impl Fn(MachineId, usize) -> Vec<DistKey> + Sync,
+) -> Result<Vec<Vec<Vec<DistKey>>>, EngineError> {
+    let cells = alive.len() * queries;
+    let cell = |c: usize| {
+        let machine = c / queries;
+        catch_unwind(AssertUnwindSafe(|| top(alive[machine], c % queries)))
+            .map_err(|_| EngineError::WorkerPanic { machine })
+    };
+    let mut done = Vec::with_capacity(cells);
+    let pooled = cells > 1
+        && rayon::current_num_threads() > 1
+        && match scan_points {
+            Some(points) => points as u128 * SCAN_NS_PER_POINT >= POOL_REPAYS.as_nanos(),
+            None => {
+                let start = Instant::now();
+                done.push(cell(0));
+                start.elapsed().as_nanos() * (cells - 1) as u128 >= POOL_REPAYS.as_nanos()
+            }
+        };
+    if pooled {
+        done.extend((done.len()..cells).into_par_iter().map(cell).collect::<Vec<_>>());
+    } else {
+        done.extend((done.len()..cells).map(cell));
+    }
+    // Machine-major cell order: the first error is the lowest machine's.
+    let mut done = done.into_iter();
+    alive.iter().map(|_| done.by_ref().take(queries).collect::<Result<Vec<_>, _>>()).collect()
 }
 
 /// A point type with a per-shard **exact** index for repeated-query serving.
@@ -378,6 +453,65 @@ mod tests {
         assert_eq!(keys[0].dist.as_u64(), 2);
         assert_eq!(keys[0].id, records[0].id);
         assert_eq!(keys[1].dist.as_u64(), 18);
+    }
+
+    /// A cell that says where it ran: `(machine, query)` as its one key.
+    fn cell_key(machine: MachineId, query: usize) -> Vec<DistKey> {
+        vec![DistKey::new(knn_points::Dist::from_u64(machine as u64), PointId(query as u64))]
+    }
+
+    fn with_pool<R>(n: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new().num_threads(n).build().expect("pool").install(f)
+    }
+
+    /// Hints on either side of [`POOL_REPAYS`], and the timed path.
+    const HINTS: [Option<usize>; 3] = [Some(0), Some(usize::MAX), None];
+
+    #[test]
+    fn stage_lays_cells_out_by_alive_position_then_query() {
+        let alive = [4usize, 1, 7];
+        let want: Vec<Vec<Vec<DistKey>>> =
+            alive.iter().map(|&m| (0..5).map(|j| cell_key(m, j)).collect()).collect();
+        for pool in [1, 2, 8] {
+            for hint in HINTS {
+                let got = with_pool(pool, || candidate_stage(&alive, 5, hint, cell_key));
+                assert_eq!(got.as_ref(), Ok(&want), "pool {pool}, hint {hint:?}");
+            }
+        }
+        assert_eq!(candidate_stage(&alive, 0, None, cell_key), Ok(vec![Vec::new(); 3]));
+        assert_eq!(candidate_stage(&[], 5, None, cell_key), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn a_small_stage_never_leaves_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let here = |m, j| {
+            assert_eq!(std::thread::current().id(), caller, "cell ({m}, {j}) left the caller");
+            cell_key(m, j)
+        };
+        let alive: Vec<MachineId> = (0..16).collect();
+        // Known to scan next to nothing; and 16 cells that take no time.
+        for hint in [Some(400), None] {
+            with_pool(8, || candidate_stage(&alive, 1, hint, here)).expect("no cell panics");
+        }
+        // Pool size 1 is a plain loop whatever the stage is worth.
+        with_pool(1, || candidate_stage(&alive, 4, Some(usize::MAX), here)).expect("no panics");
+    }
+
+    #[test]
+    fn a_panicking_cell_is_a_typed_error_naming_the_lowest_position() {
+        let alive = [3usize, 5, 6, 9];
+        let top = |m: MachineId, j: usize| {
+            assert!(!(m == 6 && j == 0 || m == 5 && j == 2), "cell ({m}, {j}) panics");
+            cell_key(m, j)
+        };
+        for pool in [1, 2, 8] {
+            for hint in HINTS {
+                let got = with_pool(pool, || candidate_stage(&alive, 3, hint, top));
+                // Machine 5 sits at position 1 of `alive`, ahead of machine 6.
+                assert_eq!(got, Err(EngineError::WorkerPanic { machine: 1 }), "{pool} {hint:?}");
+            }
+        }
     }
 
     fn scalar_records(values: &[u64], seed: u64) -> Vec<Record<ScalarPoint>> {

@@ -23,7 +23,6 @@ use knn_points::Key;
 use rand::RngExt;
 
 use super::knn::KnnParams;
-use super::KeySource;
 
 /// Messages of the approximate protocol.
 #[derive(Debug, Clone)]
@@ -88,13 +87,13 @@ enum APhase {
 }
 
 /// Approximate ℓ-NN: pruning-only superset search.
-pub struct ApproxKnnProtocol<'a, K: Key> {
+pub struct ApproxKnnProtocol<K: Key> {
     id: MachineId,
     k: usize,
     leader: MachineId,
     ell: u64,
     params: KnnParams,
-    input: Option<KeySource<'a, K>>,
+    /// Local candidates (ℓ best), sorted ascending.
     candidates: Vec<K>,
     kept: usize,
     phase: APhase,
@@ -105,25 +104,26 @@ pub struct ApproxKnnProtocol<'a, K: Key> {
     total_candidates: u64,
 }
 
-impl<'a, K: Key> ApproxKnnProtocol<'a, K> {
+impl<K: Key> ApproxKnnProtocol<K> {
     /// Machine `id` of `k`, returning a cheap superset of the `ell`
-    /// nearest keys.
+    /// nearest keys among every machine's `candidates` (sorted ascending,
+    /// at most `ell`).
     pub fn new(
         id: MachineId,
         k: usize,
         leader: MachineId,
         ell: u64,
         params: KnnParams,
-        input: KeySource<'a, K>,
+        candidates: Vec<K>,
     ) -> Self {
+        super::debug_assert_candidates(&candidates, ell);
         ApproxKnnProtocol {
             id,
             k,
             leader,
             ell,
             params,
-            input: Some(input),
-            candidates: Vec::new(),
+            candidates,
             kept: 0,
             phase: APhase::Init,
             samples: Vec::new(),
@@ -142,7 +142,7 @@ impl<'a, K: Key> ApproxKnnProtocol<'a, K> {
         params: KnnParams,
         keys: Vec<K>,
     ) -> Self {
-        Self::new(id, k, leader, ell, params, super::raw_source(keys, ell))
+        Self::new(id, k, leader, ell, params, super::top_ell(keys, ell))
     }
 
     fn output(&self, total: u64, contains: bool) -> ApproxOutput<K> {
@@ -154,13 +154,12 @@ impl<'a, K: Key> ApproxKnnProtocol<'a, K> {
     }
 }
 
-impl<'a, K: Key> Protocol for ApproxKnnProtocol<'a, K> {
+impl<K: Key> Protocol for ApproxKnnProtocol<K> {
     type Msg = ApproxMsg<K>;
     type Output = ApproxOutput<K>;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, ApproxMsg<K>>) -> Step<ApproxOutput<K>> {
         if matches!(self.phase, APhase::Init) {
-            self.candidates = super::candidates(&mut self.input, self.ell);
             if ctx.k() == 1 {
                 self.kept = self.candidates.len();
                 let total = self.kept as u64;
@@ -258,7 +257,7 @@ mod tests {
     ) -> (Vec<ApproxOutput<u64>>, kmachine::RunMetrics) {
         let k = shards.len();
         let cfg = NetConfig::new(k).with_seed(seed);
-        let protos: Vec<ApproxKnnProtocol<'_, u64>> = shards
+        let protos: Vec<ApproxKnnProtocol<u64>> = shards
             .into_iter()
             .enumerate()
             .map(|(i, local)| {
@@ -317,7 +316,7 @@ mod tests {
         let (_, approx_metrics) = run_approx(shards.clone(), ell, 2);
 
         let cfg = NetConfig::new(k).with_seed(2);
-        let protos: Vec<KnnProtocol<'_, u64>> = shards
+        let protos: Vec<KnnProtocol<u64>> = shards
             .into_iter()
             .enumerate()
             .map(|(i, local)| KnnProtocol::from_keys(i, k, 0, ell, KnnParams::default(), local))

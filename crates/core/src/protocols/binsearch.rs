@@ -13,8 +13,6 @@
 use kmachine::{Ctx, MachineId, Payload, Protocol, SnapshotReader, SnapshotWriter, Step};
 use knn_points::NumericKey;
 
-use super::KeySource;
-
 /// Messages of the value-domain bisection protocol. Key values travel as
 /// order-preserving `u128` ordinals.
 #[derive(Debug, Clone)]
@@ -66,12 +64,11 @@ enum BsPhase {
 }
 
 /// Per-machine instance of value-domain bisection selection.
-pub struct BinSearchProtocol<'a, K: NumericKey> {
+pub struct BinSearchProtocol<K: NumericKey> {
     id: MachineId,
     k: usize,
     leader: MachineId,
     ell: u64,
-    input: Option<KeySource<'a, K>>,
     /// Local top-ℓ candidates, sorted by ordinal (== key order).
     local: Vec<K>,
     ordinals: Vec<u128>,
@@ -95,23 +92,18 @@ pub struct BinSearchProtocol<'a, K: NumericKey> {
     pub iterations: u64,
 }
 
-impl<'a, K: NumericKey> BinSearchProtocol<'a, K> {
-    /// Machine `id` of `k`, selecting the `ell` smallest keys.
-    pub fn new(
-        id: MachineId,
-        k: usize,
-        leader: MachineId,
-        ell: u64,
-        input: KeySource<'a, K>,
-    ) -> Self {
+impl<K: NumericKey> BinSearchProtocol<K> {
+    /// Machine `id` of `k`, selecting the `ell` smallest keys among every
+    /// machine's `local` candidates (sorted ascending, at most `ell`).
+    pub fn new(id: MachineId, k: usize, leader: MachineId, ell: u64, local: Vec<K>) -> Self {
+        super::debug_assert_candidates(&local, ell);
         BinSearchProtocol {
             id,
             k,
             leader,
             ell,
-            input: Some(input),
-            local: Vec::new(),
-            ordinals: Vec::new(),
+            ordinals: local.iter().map(|k| k.to_ordinal()).collect(),
+            local,
             phase: BsPhase::Init,
             lo: 0,
             hi: 0,
@@ -129,7 +121,7 @@ impl<'a, K: NumericKey> BinSearchProtocol<'a, K> {
 
     /// Raw-materialized-keys constructor for tests (sorts and truncates).
     pub fn from_keys(id: MachineId, k: usize, leader: MachineId, ell: u64, keys: Vec<K>) -> Self {
-        Self::new(id, k, leader, ell, super::raw_source(keys, ell))
+        Self::new(id, k, leader, ell, super::top_ell(keys, ell))
     }
 
     fn count_leq(&self, threshold: u128) -> u64 {
@@ -185,27 +177,24 @@ impl<'a, K: NumericKey> BinSearchProtocol<'a, K> {
     }
 }
 
-impl<'a, K: NumericKey> Protocol for BinSearchProtocol<'a, K> {
+impl<K: NumericKey> Protocol for BinSearchProtocol<K> {
     type Msg = BsMsg;
     type Output = Vec<K>;
 
-    /// A machine that ran its census and holds no keys provably
+    /// A machine that ran its round 0 and holds no keys provably
     /// contributes nothing, so a crash there salvages an (exact!) empty
-    /// output. Any other crash — keys on board, or dead before round 0
-    /// materialized the input — may lose answer members: unsalvageable,
-    /// and the runner retries over the survivors.
+    /// output. Any other crash — keys on board, or dead before round 0 ran
+    /// — may lose answer members or the coordinator: unsalvageable, and the
+    /// runner retries over the survivors.
     fn on_crash(&mut self) -> Option<Vec<K>> {
-        (self.input.is_none() && self.ordinals.is_empty()).then(Vec::new)
+        (!matches!(self.phase, BsPhase::Init) && self.ordinals.is_empty()).then(Vec::new)
     }
 
     /// Full bisection state — keys as ordinals, the phase discriminant, and
     /// every leader counter — so a rejoining machine resumes mid-bisection.
-    /// Not checkpointable before round 0 (the input closure cannot be
-    /// serialized); a pre-round-0 crash replays from the pristine protocol.
+    /// Nothing to checkpoint before round 0 has run: a pre-round-0 crash
+    /// replays from the pristine protocol.
     fn checkpoint(&self) -> Option<Vec<u8>> {
-        if self.input.is_some() {
-            return None;
-        }
         let mut w = SnapshotWriter::new();
         match self.phase {
             BsPhase::Init => return None,
@@ -265,7 +254,6 @@ impl<'a, K: NumericKey> Protocol for BinSearchProtocol<'a, K> {
         if !r.done() {
             return false;
         }
-        self.input = None;
         self.local = ordinals.iter().map(|&o| K::from_ordinal(o)).collect();
         self.ordinals = ordinals;
         self.phase = phase;
@@ -286,8 +274,6 @@ impl<'a, K: NumericKey> Protocol for BinSearchProtocol<'a, K> {
     fn on_round(&mut self, ctx: &mut Ctx<'_, BsMsg>) -> Step<Vec<K>> {
         debug_assert_eq!(ctx.id(), self.id, "protocol wired to the wrong machine");
         if matches!(self.phase, BsPhase::Init) {
-            self.local = super::candidates(&mut self.input, self.ell);
-            self.ordinals = self.local.iter().map(|k| k.to_ordinal()).collect();
             if ctx.id() == self.leader {
                 if ctx.k() == 1 {
                     let end = (self.ell as usize).min(self.local.len());
@@ -407,7 +393,7 @@ mod tests {
     fn run_bs(shards: Vec<Vec<u64>>, ell: u64, seed: u64) -> (Vec<u64>, kmachine::RunMetrics) {
         let k = shards.len();
         let cfg = NetConfig::new(k).with_seed(seed);
-        let protos: Vec<BinSearchProtocol<'_, u64>> = shards
+        let protos: Vec<BinSearchProtocol<u64>> = shards
             .into_iter()
             .enumerate()
             .map(|(i, local)| BinSearchProtocol::from_keys(i, k, 0, ell, local))
@@ -489,10 +475,8 @@ mod tests {
     #[test]
     fn checkpoint_round_trips_mid_bisection() {
         let mut p = BinSearchProtocol::<u64>::from_keys(0, 3, 0, 4, vec![9, 3, 7]);
-        assert!(p.checkpoint().is_none(), "round-0 closures cannot be serialized");
-        p.input = None;
-        p.local = vec![3, 7, 9];
-        p.ordinals = vec![3, 7, 9];
+        assert!(p.checkpoint().is_none(), "nothing to checkpoint before round 0 has run");
+        assert_eq!((&p.local, &p.ordinals), (&vec![3, 7, 9], &vec![3, 7, 9]));
         p.phase = BsPhase::AwaitSizes { mid: 6 };
         p.lo = 3;
         p.hi = 9;
@@ -504,7 +488,7 @@ mod tests {
         p.pending = 2;
         p.active = 2;
         p.iterations = 3;
-        let blob = p.checkpoint().expect("materialized state is serializable");
+        let blob = p.checkpoint().expect("a started protocol is serializable");
         let mut q = BinSearchProtocol::<u64>::from_keys(0, 3, 0, 4, vec![1]);
         assert!(q.restore(&blob));
         assert_eq!(q.local, vec![3, 7, 9]);
@@ -513,7 +497,6 @@ mod tests {
         assert_eq!((q.lo, q.hi, q.ell_cap, q.total, q.acc), (3, 9, 4, 8, 1));
         assert_eq!((q.min_seen, q.max_seen), (Some(1), Some(42)));
         assert_eq!((q.pending, q.active, q.iterations), (2, 2, 3));
-        assert!(q.input.is_none());
         assert!(!q.restore(&blob[..blob.len() - 2]), "truncated blobs are rejected");
     }
 

@@ -26,7 +26,6 @@ use knn_points::Key;
 use rand::RngExt;
 
 use super::select_core::{CoreStatus, SelMsg, SelectCore};
-use super::KeySource;
 
 /// Tunables of Algorithm 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,13 +146,12 @@ enum KPhase {
 }
 
 /// Per-machine instance of the paper's Algorithm 2.
-pub struct KnnProtocol<'a, K: Key> {
+pub struct KnnProtocol<K: Key> {
     id: MachineId,
     k: usize,
     leader: MachineId,
     ell: u64,
     params: KnnParams,
-    input: Option<KeySource<'a, K>>,
     /// Local candidates (ℓ best), sorted ascending.
     candidates: Vec<K>,
     /// Prefix length of `candidates` surviving the prune.
@@ -171,25 +169,26 @@ pub struct KnnProtocol<'a, K: Key> {
     total_sum: u64,
 }
 
-impl<'a, K: Key> KnnProtocol<'a, K> {
-    /// Machine `id` of `k`: find the global `ell`-smallest keys among the
-    /// candidates `input` produces on each machine (its sorted local ℓ best).
+impl<K: Key> KnnProtocol<K> {
+    /// Machine `id` of `k`: find the global `ell`-smallest keys among every
+    /// machine's `candidates` — its local ℓ best, sorted ascending, at most
+    /// `ell` of them.
     pub fn new(
         id: MachineId,
         k: usize,
         leader: MachineId,
         ell: u64,
         params: KnnParams,
-        input: KeySource<'a, K>,
+        candidates: Vec<K>,
     ) -> Self {
+        super::debug_assert_candidates(&candidates, ell);
         KnnProtocol {
             id,
             k,
             leader,
             ell,
             params,
-            input: Some(input),
-            candidates: Vec::new(),
+            candidates,
             pruned_len: 0,
             phase: KPhase::Init,
             core: None,
@@ -212,7 +211,7 @@ impl<'a, K: Key> KnnProtocol<'a, K> {
         params: KnnParams,
         keys: Vec<K>,
     ) -> Self {
-        Self::new(id, k, leader, ell, params, super::raw_source(keys, ell))
+        Self::new(id, k, leader, ell, params, super::top_ell(keys, ell))
     }
 
     fn is_leader(&self) -> bool {
@@ -228,9 +227,8 @@ impl<'a, K: Key> KnnProtocol<'a, K> {
         }
     }
 
-    /// Round 0: materialize the local ℓ best, draw samples.
+    /// Round 0: draw samples from the local ℓ best.
     fn setup(&mut self, ctx: &mut Ctx<'_, KnnMsg<K>>) -> Option<Vec<K>> {
-        self.candidates = super::candidates(&mut self.input, self.ell);
         self.stats.sample_size = self.params.sample_size(self.ell) as u64;
         self.stats.prune_rank = self.params.prune_rank(self.ell) as u64;
 
@@ -312,18 +310,18 @@ impl<'a, K: Key> KnnProtocol<'a, K> {
     }
 }
 
-impl<'a, K: Key> Protocol for KnnProtocol<'a, K> {
+impl<K: Key> Protocol for KnnProtocol<K> {
     type Msg = KnnMsg<K>;
     type Output = KnnOutput<K>;
 
-    /// A machine that materialized its input and holds no candidates
-    /// provably contributes no answer members, so a crash there salvages an
-    /// empty output (mirroring the BinSearch baseline). Any other crash —
-    /// candidates on board, or dead before round 0 ran — may lose answer
-    /// members or the coordinator itself: unsalvageable, and the runner
-    /// retries over the survivors.
+    /// A machine that ran its round 0 and holds no candidates provably
+    /// contributes no answer members, so a crash there salvages an empty
+    /// output (mirroring the BinSearch baseline). Any other crash —
+    /// candidates on board, or dead before round 0 ran, when its peers have
+    /// heard nothing from it — may lose answer members or the coordinator
+    /// itself: unsalvageable, and the runner retries over the survivors.
     fn on_crash(&mut self) -> Option<KnnOutput<K>> {
-        (self.input.is_none() && self.candidates.is_empty())
+        (!matches!(self.phase, KPhase::Init) && self.candidates.is_empty())
             .then(|| KnnOutput { keys: Vec::new(), stats: None })
     }
 
@@ -430,7 +428,7 @@ mod tests {
     ) -> (Vec<u64>, kmachine::RunMetrics, KnnStats) {
         let k = shards.len();
         let cfg = NetConfig::new(k).with_seed(seed);
-        let protos: Vec<KnnProtocol<'_, u64>> = shards
+        let protos: Vec<KnnProtocol<u64>> = shards
             .into_iter()
             .enumerate()
             .map(|(i, local)| KnnProtocol::from_keys(i, k, 0, ell, params, local))
@@ -472,13 +470,13 @@ mod tests {
         let mut p = KnnProtocol::<u64>::from_keys(1, 3, 0, 4, KnnParams::default(), vec![]);
         assert!(
             p.on_crash().is_none(),
-            "dead before round 0: the input closure never ran, so the loss is unknowable"
+            "dead before round 0: nobody has heard from it, so nothing is written off"
         );
-        p.input = None;
+        p.phase = KPhase::AwaitPrune;
         assert_eq!(
             p.on_crash(),
             Some(KnnOutput { keys: Vec::new(), stats: None }),
-            "materialized and empty: provably contributes nothing"
+            "started and empty: provably contributes nothing"
         );
         p.candidates = vec![3, 7];
         assert!(p.on_crash().is_none(), "candidates on board may be answer members");

@@ -13,8 +13,6 @@ use kmachine::{Ctx, MachineId, Payload, Protocol, Step};
 use knn_points::Key;
 use knn_selection::weighted_median;
 
-use super::KeySource;
-
 /// Answer boundary of a selection over a possibly-unbounded range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cut<K: Key> {
@@ -81,12 +79,11 @@ enum SsPhase<K: Key> {
 }
 
 /// Per-machine instance of Saukas–Song selection.
-pub struct SaukasSongProtocol<'a, K: Key> {
+pub struct SaukasSongProtocol<K: Key> {
     id: MachineId,
     k: usize,
     leader: MachineId,
     ell: u64,
-    input: Option<KeySource<'a, K>>,
     /// Local top-ℓ candidates, sorted.
     local: Vec<K>,
     phase: SsPhase<K>,
@@ -101,22 +98,17 @@ pub struct SaukasSongProtocol<'a, K: Key> {
     pub iterations: u64,
 }
 
-impl<'a, K: Key> SaukasSongProtocol<'a, K> {
-    /// Machine `id` of `k`, selecting the `ell` smallest keys.
-    pub fn new(
-        id: MachineId,
-        k: usize,
-        leader: MachineId,
-        ell: u64,
-        input: KeySource<'a, K>,
-    ) -> Self {
+impl<K: Key> SaukasSongProtocol<K> {
+    /// Machine `id` of `k`, selecting the `ell` smallest keys among every
+    /// machine's `local` candidates (sorted ascending, at most `ell`).
+    pub fn new(id: MachineId, k: usize, leader: MachineId, ell: u64, local: Vec<K>) -> Self {
+        super::debug_assert_candidates(&local, ell);
         SaukasSongProtocol {
             id,
             k,
             leader,
             ell,
-            input: Some(input),
-            local: Vec::new(),
+            local,
             phase: SsPhase::Init,
             lo: None,
             hi: None,
@@ -130,7 +122,7 @@ impl<'a, K: Key> SaukasSongProtocol<'a, K> {
 
     /// Raw-materialized-keys constructor for tests (sorts and truncates).
     pub fn from_keys(id: MachineId, k: usize, leader: MachineId, ell: u64, keys: Vec<K>) -> Self {
-        Self::new(id, k, leader, ell, super::raw_source(keys, ell))
+        Self::new(id, k, leader, ell, super::top_ell(keys, ell))
     }
 
     fn range_bounds(&self, lo: &Option<K>, hi: &Option<K>) -> (usize, usize) {
@@ -228,14 +220,13 @@ impl<'a, K: Key> SaukasSongProtocol<'a, K> {
     }
 }
 
-impl<'a, K: Key> Protocol for SaukasSongProtocol<'a, K> {
+impl<K: Key> Protocol for SaukasSongProtocol<K> {
     type Msg = SsMsg<K>;
     type Output = Vec<K>;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, SsMsg<K>>) -> Step<Vec<K>> {
         debug_assert_eq!(ctx.id(), self.id, "protocol wired to the wrong machine");
         if matches!(self.phase, SsPhase::Init) {
-            self.local = super::candidates(&mut self.input, self.ell);
             if ctx.id() == self.leader {
                 if ctx.k() == 1 {
                     // Select locally: the answer is the ℓ-smallest prefix.
@@ -310,7 +301,7 @@ mod tests {
     fn run_ss(shards: Vec<Vec<u64>>, ell: u64, seed: u64) -> (Vec<u64>, kmachine::RunMetrics) {
         let k = shards.len();
         let cfg = NetConfig::new(k).with_seed(seed);
-        let protos: Vec<SaukasSongProtocol<'_, u64>> = shards
+        let protos: Vec<SaukasSongProtocol<u64>> = shards
             .into_iter()
             .enumerate()
             .map(|(i, local)| SaukasSongProtocol::from_keys(i, k, 0, ell, local))

@@ -12,8 +12,6 @@ use kmachine::{
 };
 use knn_points::{Key, NumericKey};
 
-use super::KeySource;
-
 /// Messages of the simple gather baseline.
 #[derive(Debug, Clone)]
 pub enum SimpleMsg<K: Key> {
@@ -97,7 +95,7 @@ fn ord_mask<K: NumericKey>() -> u128 {
 /// `K: NumericKey` (not just [`Key`]) so the protocol can serialize its
 /// state through the keys' total-order ordinals for
 /// [`Protocol::checkpoint`] / [`Protocol::restore`].
-pub struct SimpleProtocol<'a, K: NumericKey> {
+pub struct SimpleProtocol<K: NumericKey> {
     id: MachineId,
     leader: MachineId,
     ell: u64,
@@ -105,9 +103,10 @@ pub struct SimpleProtocol<'a, K: NumericKey> {
     /// `⌊(B − ENVELOPE_HEADER_BITS) / K::BITS⌋.max(1)` to model one full
     /// link-round per message.
     chunk: usize,
-    input: Option<KeySource<'a, K>>,
     /// Local top-ℓ, sorted.
     candidates: Vec<K>,
+    /// Round 0 has run (or a checkpoint taken after it was restored).
+    started: bool,
     // Leader scratch.
     gathered: Vec<K>,
     /// Leader: which machines have delivered their final chunk (`true` for
@@ -116,23 +115,25 @@ pub struct SimpleProtocol<'a, K: NumericKey> {
     finished: Vec<bool>,
 }
 
-impl<'a, K: NumericKey> SimpleProtocol<'a, K> {
-    /// Machine `id`, gathering everyone's local top-`ell` at `leader`.
+impl<K: NumericKey> SimpleProtocol<K> {
+    /// Machine `id`, gathering everyone's `candidates` — the local top-`ell`,
+    /// sorted ascending — at `leader`.
     pub fn new(
         id: MachineId,
         leader: MachineId,
         ell: u64,
         chunk: usize,
-        input: KeySource<'a, K>,
+        candidates: Vec<K>,
     ) -> Self {
         assert!(chunk >= 1, "chunk must be at least 1 key");
+        super::debug_assert_candidates(&candidates, ell);
         SimpleProtocol {
             id,
             leader,
             ell,
             chunk,
-            input: Some(input),
-            candidates: Vec::new(),
+            candidates,
+            started: false,
             gathered: Vec::new(),
             finished: Vec::new(),
         }
@@ -146,7 +147,7 @@ impl<'a, K: NumericKey> SimpleProtocol<'a, K> {
         chunk: usize,
         keys: Vec<K>,
     ) -> Self {
-        Self::new(id, leader, ell, chunk, super::raw_source(keys, ell))
+        Self::new(id, leader, ell, chunk, super::top_ell(keys, ell))
     }
 
     fn finish(&self, boundary: Option<K>) -> Vec<K> {
@@ -160,7 +161,7 @@ impl<'a, K: NumericKey> SimpleProtocol<'a, K> {
     }
 }
 
-impl<'a, K: NumericKey> Protocol for SimpleProtocol<'a, K> {
+impl<K: NumericKey> Protocol for SimpleProtocol<K> {
     type Msg = SimpleMsg<K>;
     type Output = Vec<K>;
 
@@ -172,13 +173,12 @@ impl<'a, K: NumericKey> Protocol for SimpleProtocol<'a, K> {
         Some(Vec::new())
     }
 
-    /// Serializable once round 0 has materialized the input: candidates,
-    /// the leader's gather scratch, and the per-sender finish flags, all
-    /// keys as total-order ordinals. Round 0 itself is not checkpointable —
-    /// the input closure cannot be serialized — so a pre-round-0 crash
-    /// replays from the pristine protocol instead.
+    /// Serializable once round 0 has run: candidates, the leader's gather
+    /// scratch, and the per-sender finish flags, all keys as total-order
+    /// ordinals. Before that there is nothing to checkpoint: a pre-round-0
+    /// crash replays from the pristine protocol instead.
     fn checkpoint(&self) -> Option<Vec<u8>> {
-        if self.input.is_some() {
+        if !self.started {
             return None;
         }
         let mut w = SnapshotWriter::new();
@@ -212,7 +212,7 @@ impl<'a, K: NumericKey> Protocol for SimpleProtocol<'a, K> {
         if !r.done() {
             return false;
         }
-        self.input = None;
+        self.started = true;
         self.candidates = candidates;
         self.gathered = gathered;
         self.finished = finished;
@@ -222,7 +222,7 @@ impl<'a, K: NumericKey> Protocol for SimpleProtocol<'a, K> {
     fn on_round(&mut self, ctx: &mut Ctx<'_, SimpleMsg<K>>) -> Step<Vec<K>> {
         debug_assert_eq!(ctx.id(), self.id, "protocol wired to the wrong machine");
         if ctx.round() == 0 {
-            self.candidates = super::candidates(&mut self.input, self.ell);
+            self.started = true;
             if ctx.id() != self.leader {
                 // Stream the whole local top-ℓ; the bandwidth-limited link
                 // delivers it over ⌈ℓ/chunk⌉ rounds.
@@ -307,7 +307,7 @@ mod tests {
     ) -> (Vec<u64>, kmachine::RunMetrics) {
         let k = shards.len();
         let cfg = NetConfig::new(k).with_seed(seed);
-        let protos: Vec<SimpleProtocol<'_, u64>> = shards
+        let protos: Vec<SimpleProtocol<u64>> = shards
             .into_iter()
             .enumerate()
             .map(|(i, local)| SimpleProtocol::from_keys(i, 0, ell, chunk, local))
@@ -358,7 +358,7 @@ mod tests {
             let cfg = NetConfig::new(k)
                 .with_seed(1)
                 .with_bandwidth(BandwidthMode::Enforce { bits_per_round: 97 });
-            let protos: Vec<SimpleProtocol<'_, u64>> = shards
+            let protos: Vec<SimpleProtocol<u64>> = shards
                 .into_iter()
                 .enumerate()
                 .map(|(i, local)| SimpleProtocol::from_keys(i, 0, ell, 1, local))
@@ -393,7 +393,7 @@ mod tests {
         // machine salvages an empty output — no stall, no error.
         let shards = vec![vec![10u64, 20, 30], vec![1, 2, 3], vec![100, 200, 300]];
         let cfg = NetConfig::new(3).with_faults(FaultPlan::default().with_crash(1, 0));
-        let protos: Vec<SimpleProtocol<'_, u64>> = shards
+        let protos: Vec<SimpleProtocol<u64>> = shards
             .into_iter()
             .enumerate()
             .map(|(i, local)| SimpleProtocol::from_keys(i, 0, 4, 2, local))
@@ -439,18 +439,18 @@ mod tests {
     #[test]
     fn checkpoint_round_trips_and_gates_on_materialization() {
         let mut p = SimpleProtocol::<u64>::from_keys(0, 0, 4, 2, vec![30, 10, 20]);
-        assert!(p.checkpoint().is_none(), "round-0 closures cannot be serialized");
-        p.input = None;
-        p.candidates = vec![10, 20, 30];
+        assert!(p.checkpoint().is_none(), "nothing to checkpoint before round 0 has run");
+        p.started = true;
+        assert_eq!(p.candidates, vec![10, 20, 30]);
         p.gathered = vec![10, 20, 30, 5];
         p.finished = vec![true, false, true];
-        let blob = p.checkpoint().expect("materialized state is serializable");
+        let blob = p.checkpoint().expect("a started protocol is serializable");
         let mut q = SimpleProtocol::<u64>::from_keys(0, 0, 4, 2, vec![99]);
         assert!(q.restore(&blob));
         assert_eq!(q.candidates, vec![10, 20, 30]);
         assert_eq!(q.gathered, vec![10, 20, 30, 5]);
         assert_eq!(q.finished, vec![true, false, true]);
-        assert!(q.input.is_none());
+        assert!(q.started);
         assert!(!q.restore(&blob[..blob.len() - 1]), "truncated blobs are rejected");
     }
 

@@ -32,8 +32,10 @@ pub struct Report {
     /// produced the answer. For a batch: the aggregate of its one run
     /// (`per_tag` splits messages/bits by query).
     pub metrics: RunMetrics,
-    /// Wall-clock time of that run (synthetic round latency included;
-    /// local computation overlaps on the event engine).
+    /// Wall-clock time of the attempt that produced the answer: its
+    /// candidate stage ([`crate::local::candidate_stage`] — every machine's
+    /// local computation, on the rayon pool) plus its engine run (synthetic
+    /// round latency included). Earlier, failed attempts are not in it.
     pub wall: Duration,
     /// The leader that coordinated the answer. Normally the elected (for a
     /// batch: the session's) leader; differs when that machine crashed or

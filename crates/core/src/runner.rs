@@ -2,7 +2,7 @@
 //! one distributed ℓ-NN query; collect outputs and exact communication
 //! costs.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use kmachine::leader::{RandRankFlood, RandRankStar};
 use kmachine::mux::MuxProtocol;
@@ -14,13 +14,12 @@ use knn_points::{Dataset, DistKey, Key, Metric, Point};
 
 use crate::audit;
 use crate::error::CoreError;
-use crate::local::{brute_top, IndexBackend};
+use crate::local::{brute_top, candidate_stage, IndexBackend};
 use crate::protocols::approx::{ApproxKnnProtocol, ApproxOutput};
 use crate::protocols::binsearch::BinSearchProtocol;
 use crate::protocols::knn::{KnnOutput, KnnParams, KnnProtocol, KnnStats};
 use crate::protocols::saukas_song::SaukasSongProtocol;
 use crate::protocols::simple::SimpleProtocol;
-use crate::protocols::KeySource;
 use crate::report::Report;
 use crate::splitmix64;
 
@@ -149,11 +148,13 @@ impl RetryState {
 /// Everything configurable about a query run.
 #[derive(Debug, Clone)]
 pub struct QueryOptions {
-    /// Simulation engine: sync for exact accounting, event for
-    /// barrier-free parallel wall clock, or [`Engine::Auto`] to pick per
-    /// run from k, the per-round payload budget, and the pool size. All
-    /// engines return bit-identical answers and metrics; the `KNN_ENGINE`
-    /// environment variable overrides this field for every run.
+    /// Simulation engine: sync for a sequential lockstep sweep, event for
+    /// barrier-free parallel message rounds, or [`Engine::Auto`] to pick
+    /// per run from k, the per-round payload budget, and the pool size.
+    /// Local computation runs before any of them, on the rayon pool
+    /// ([`candidate_stage`]). All engines return bit-identical answers and
+    /// metrics; the `KNN_ENGINE` environment variable overrides this field
+    /// for every run.
     pub engine: Engine,
     /// Link bandwidth.
     pub bandwidth: BandwidthMode,
@@ -249,31 +250,23 @@ impl QueryOptions {
             .with_adversary(self.adversary.project(alive))
     }
 
-    /// Machine `m`'s candidate source on the exact paths ([`Seating::run`]):
-    /// its sorted top-ℓ from `top`, perturbed when `m` lies at the *source*. A round-0 liar or
-    /// an equivocator perturbs its local distances (the wire tamper alone
-    /// cannot fake the machine's own self-computed answer slice, so
-    /// scheduled-from-round-0 lying is modeled where the claims are actually
-    /// born) by the pure seeded stream of [`audit::perturb_input`], and
-    /// re-sorts: the per-key offsets reorder the list, and every protocol
-    /// takes its input sorted. Keyed on the original machine id, so the lie
-    /// is identical on every engine, across quarantine re-runs and on the
-    /// sequential and batched paths.
-    pub(crate) fn source<'a>(
-        &self,
-        m: MachineId,
-        top: impl FnOnce() -> Vec<DistKey> + Send + 'a,
-    ) -> KeySource<'a, DistKey> {
-        let lying = self.adversary.equivocates(m) || self.adversary.lie_round(m) == 0;
-        let seed = self.adversary.adversary_seed;
-        Box::new(move || {
-            if !lying {
-                return top();
-            }
-            let mut keys = audit::perturb_input(top(), seed, m);
-            keys.sort_unstable();
-            keys
-        })
+    /// What machine `m` feeds its protocol instance on the exact paths
+    /// ([`Seating::run`]), given its `honest` sorted top-ℓ: that, unless `m`
+    /// lies at the *source*. A round-0 liar or an equivocator perturbs its
+    /// local distances (the wire tamper alone cannot fake the machine's own
+    /// self-computed answer slice, so scheduled-from-round-0 lying is
+    /// modeled where the claims are actually born) by the pure seeded stream
+    /// of [`audit::perturb_input`], and re-sorts: the per-key offsets reorder
+    /// the list, and every protocol takes its input sorted. Keyed on the
+    /// original machine id, so the lie is identical on every engine, across
+    /// quarantine re-runs and on the sequential and batched paths.
+    pub(crate) fn fed_by(&self, m: MachineId, honest: Vec<DistKey>) -> Vec<DistKey> {
+        if !self.adversary.equivocates(m) && self.adversary.lie_round(m) != 0 {
+            return honest;
+        }
+        let mut keys = audit::perturb_input(honest, self.adversary.adversary_seed, m);
+        keys.sort_unstable();
+        keys
     }
 
     /// Keys per batch message such that one batch fills one link-round.
@@ -527,20 +520,18 @@ pub(crate) struct Answered {
     pub(crate) done_round: u64,
 }
 
-/// How one protocol instance is wired into a (possibly degraded) run: `id`,
-/// `k`, and `leader` are positions in the run's surviving subset; `shard` is
-/// the original shard the instance draws candidates from.
+/// How one protocol instance is wired into a (possibly degraded) run:
+/// positions in the run's surviving subset.
 #[derive(Clone, Copy)]
 struct Wiring {
     id: usize,
-    shard: MachineId,
     k: usize,
     leader: MachineId,
 }
 
 /// One engine run of one protocol over the surviving machines — the one
-/// place a protocol is seated and its output read, for the sequential and
-/// the batched path, exact and approximate alike.
+/// place the candidate stage runs, a protocol is seated and its output read,
+/// for the sequential and the batched path, exact and approximate alike.
 pub(crate) struct Seating<'r> {
     /// The exact algorithm, or `None` for the pruning-only approximate
     /// protocol ([`crate::protocols::approx`]).
@@ -556,47 +547,72 @@ pub(crate) struct Seating<'r> {
     pub(crate) mux: Option<usize>,
 }
 
+/// What [`Seating::run`] leaves behind.
+pub(crate) struct Seated {
+    /// One entry per query — `None` where a crashed machine took its
+    /// contribution to that query with it (multiplexed runs only).
+    pub(crate) answers: Vec<Option<Answered>>,
+    /// The run's report; `wall` covers the candidate stage and the engine.
+    pub(crate) report: Report,
+    /// On a run whose answers must be audited (an exact protocol under an
+    /// adversary plan): the stage's honest output, `[alive position][query]`
+    /// — what every machine would have fed its instances had nobody lied,
+    /// and so the truth its claims are held against. `None` otherwise.
+    pub(crate) truth: Option<Vec<Vec<Vec<DistKey>>>>,
+}
+
 impl Seating<'_> {
     /// Run with `top(shard, j)` as shard `shard`'s candidates for query `j`:
-    /// sorted ascending by `(distance, id)`, at most ℓ of them. Returns one
-    /// entry per query — `None` where a crashed machine took its
-    /// contribution to that query with it (multiplexed runs only).
-    pub(crate) fn run<'a>(
+    /// sorted ascending by `(distance, id)`, at most ℓ of them. Every cell is
+    /// computed once, up front and on the rayon pool
+    /// ([`candidate_stage`], which `scan_points` is for); the protocols are
+    /// then seated on their candidates and the engine moves messages only.
+    pub(crate) fn run(
         &self,
-        top: impl Fn(MachineId, usize) -> Vec<DistKey> + Copy + Send + 'a,
-    ) -> Result<(Vec<Option<Answered>>, Report), EngineError> {
+        scan_points: Option<usize>,
+        top: impl Fn(MachineId, usize) -> Vec<DistKey> + Sync,
+    ) -> Result<Seated, EngineError> {
         let (opts, ell, params) = (self.opts, self.ell as u64, self.opts.params);
+        let alive = &self.survivors.alive;
         let chunk = if self.mux.is_some() { opts.mux_chunk() } else { opts.simple_chunk() };
-        let exact = self.kind.is_some();
-        let source = move |w: Wiring, j| -> KeySource<'a, DistKey> {
-            let top = move || top(w.shard, j);
-            // Approximate answers are supersets no audit certifies, so that
-            // path injects no source-level lies either.
-            if exact {
-                opts.source(w.shard, top)
-            } else {
-                Box::new(top)
+        let start = Instant::now();
+        let mut fed = candidate_stage(alive, self.mux.unwrap_or(1), scan_points, top)?;
+        // Approximate answers are supersets no audit certifies, so that path
+        // keeps no truth and injects no source-level lies either.
+        let audited = self.kind.is_some() && !opts.adversary.is_empty();
+        let truth = audited.then(|| fed.clone());
+        if audited {
+            for (row, &m) in fed.iter_mut().zip(alive) {
+                for keys in row {
+                    *keys = opts.fed_by(m, std::mem::take(keys));
+                }
             }
-        };
-        match self.kind {
-            Some(Algorithm::Knn) => self.engine_run(|w, j| {
-                KnnProtocol::new(w.id, w.k, w.leader, ell, params, source(w, j))
+        }
+        let stage = start.elapsed();
+        let (answers, mut report) = match self.kind {
+            Some(Algorithm::Knn) => self.engine_run(fed, |w, keys| {
+                KnnProtocol::new(w.id, w.k, w.leader, ell, params, keys)
             }),
             Some(Algorithm::Simple) => self
-                .engine_run(|w, j| SimpleProtocol::new(w.id, w.leader, ell, chunk, source(w, j))),
+                .engine_run(fed, |w, keys| SimpleProtocol::new(w.id, w.leader, ell, chunk, keys)),
             Some(Algorithm::SaukasSong) => self
-                .engine_run(|w, j| SaukasSongProtocol::new(w.id, w.k, w.leader, ell, source(w, j))),
+                .engine_run(fed, |w, keys| SaukasSongProtocol::new(w.id, w.k, w.leader, ell, keys)),
             Some(Algorithm::BinSearch) => self
-                .engine_run(|w, j| BinSearchProtocol::new(w.id, w.k, w.leader, ell, source(w, j))),
-            None => self.engine_run(|w, j| {
-                ApproxKnnProtocol::new(w.id, w.k, w.leader, ell, params, source(w, j))
+                .engine_run(fed, |w, keys| BinSearchProtocol::new(w.id, w.k, w.leader, ell, keys)),
+            None => self.engine_run(fed, |w, keys| {
+                ApproxKnnProtocol::new(w.id, w.k, w.leader, ell, params, keys)
             }),
-        }
+        }?;
+        report.wall += stage;
+        Ok(Seated { answers, report, truth })
     }
 
+    /// Seat one instance per cell of `fed` (`[alive position][query]`) and
+    /// run the engine over them.
     fn engine_run<Proto>(
         &self,
-        build: impl Fn(Wiring, usize) -> Proto,
+        fed: Vec<Vec<Vec<DistKey>>>,
+        build: impl Fn(Wiring, Vec<DistKey>) -> Proto,
     ) -> Result<(Vec<Option<Answered>>, Report), EngineError>
     where
         Proto: Protocol,
@@ -605,7 +621,10 @@ impl Seating<'_> {
         let alive = &self.survivors.alive;
         let leader = self.survivors.sub_leader();
         let cfg = self.opts.subset_config(alive);
-        let seat = |id, j| build(Wiring { id, shard: alive[id], k: alive.len(), leader }, j);
+        let build = &build;
+        let seats = fed.into_iter().enumerate().map(|(id, row)| {
+            row.into_iter().map(move |keys| build(Wiring { id, k: alive.len(), leader }, keys))
+        });
         let read = |outputs: Vec<Proto::Output>, done_round| {
             let claims: Vec<Claim> = outputs.into_iter().map(Into::into).collect();
             let (stats, approx) = (claims[leader].stats, claims[leader].approx);
@@ -613,14 +632,12 @@ impl Seating<'_> {
             Answered { local_keys, stats, approx, done_round }
         };
         let Some(m) = self.mux else {
-            let protos = (0..alive.len()).map(|i| seat(i, 0)).collect();
+            let protos = seats.map(|mut row| row.next().expect("one query, one cell")).collect();
             let out = self.opts.engine.run(&cfg, protos)?;
             let (outputs, report) = Report::from_run(out, self.k, self.survivors.leader);
             return Ok((vec![Some(read(outputs, report.metrics.rounds))], report));
         };
-        let protos = (0..alive.len())
-            .map(|i| MuxProtocol::new((0..m).map(|j| seat(i, j)).collect()))
-            .collect();
+        let protos = seats.map(|row| MuxProtocol::new(row.collect())).collect();
         let out = self.opts.engine.run(&cfg, protos)?;
         let (mut outputs, report) = Report::from_run(out, self.k, self.survivors.leader);
         let answers = (0..m)
@@ -652,20 +669,27 @@ fn run_one<P: Point>(
     }
     check_shape(shards, query)?;
     let (leader, election_metrics) = elect(k, opts)?;
-    // A machine's sorted top-ℓ by full scan: what it feeds its protocol
-    // instance when honest, and what the audit holds its claims against.
-    let top = |m: MachineId| brute_top(&shards[m].records, query, ell, opts.metric);
     let (answer, mut report) = recover(k, leader, opts, |survivors, _| {
         let alive = &survivors.alive;
         let seating = Seating { kind, ell, opts, survivors, k, mux: None };
-        let (mut answers, mut report) = seating.run(|m, _| top(m))?;
+        // A machine's sorted top-ℓ by full scan: what it feeds its protocol
+        // instance when honest, and what the audit holds its claims against.
+        let scanned = alive.iter().map(|&m| shards[m].records.len()).sum();
+        let Seated { mut answers, mut report, truth } = seating
+            .run(Some(scanned), |m, _| brute_top(&shards[m].records, query, ell, opts.metric))?;
         let mut answer = answers.pop().flatten().expect("an unmultiplexed run answers its query");
-        if kind.is_some() && !opts.adversary.is_empty() {
+        if let Some(truth) = truth {
             report.audit.audits_run = 1;
             // A machine that crashed in-run legitimately contributed
             // nothing, so nothing is held against it.
-            let truth: Vec<Vec<DistKey>> = (alive.iter().enumerate())
-                .map(|(i, &m)| if report.faults.crashed.contains(&i) { Vec::new() } else { top(m) })
+            let truth: Vec<Vec<DistKey>> = (truth.into_iter().enumerate())
+                .map(|(i, mut row)| {
+                    if report.faults.crashed.contains(&i) {
+                        Vec::new()
+                    } else {
+                        row.swap_remove(0)
+                    }
+                })
                 .collect();
             let verdict = audit::audit_claims(&truth, &answer.local_keys, ell, opts.seed);
             if !verdict.ok {
@@ -683,18 +707,20 @@ fn run_one<P: Point>(
 /// Run one ℓ-NN query over `shards` with the chosen algorithm.
 ///
 /// Distance computation — a full scan of the shard that keeps only the ℓ
-/// best ([`brute_top`]: no index, `O(ℓ)` memory) — happens inside each
-/// machine's round 0, so under the event engine it runs genuinely in
-/// parallel: the effect the paper's Figure 2 attributes its measured speedup
-/// to.
+/// best ([`brute_top`]: no index, `O(ℓ)` memory) — is a stage of its own
+/// ([`candidate_stage`]): all k scans run before the protocols are seated, on
+/// the rayon pool and on every engine — the model's "all machines compute at
+/// once", and the effect the paper's Figure 2 attributes its measured speedup
+/// to. The engine then moves messages only.
 ///
 /// Under a [`QueryOptions::faults`] plan the query **recovers from
 /// crashes** and under a [`QueryOptions::adversary`] plan **from lies**,
-/// through the one recovery loop it shares with the batched path: every successful run's answer is
-/// audited against the shard-local oracles ([`crate::audit::audit_claims`],
-/// truth recomputed by the same full scan) before it is returned, crashed and
-/// suspect machines are excluded, and the query re-runs on the surviving
-/// shards under the [`RetryPolicy`] budget. The answer is then flagged
+/// through the one recovery loop it shares with the batched path: every
+/// successful run's answer is audited against the shard-local oracles
+/// ([`crate::audit::audit_claims`]; the truth is the stage's own honest
+/// output, not a second scan) before it is returned, crashed and suspect
+/// machines are excluded, and the query re-runs on the surviving shards
+/// under the [`RetryPolicy`] budget. The answer is then flagged
 /// [`Report::degraded`]; [`CoreError::AuditFailed`] surfaces instead of an
 /// uncertified answer when quarantining would empty the cluster. A query
 /// of the wrong [`Point::shape`] is refused with

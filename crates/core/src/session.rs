@@ -40,7 +40,8 @@ use crate::local::{IndexedPoint, ShardIndex};
 use crate::protocols::knn::KnnStats;
 use crate::report::Report;
 use crate::runner::{
-    check_shape, elect, recover, scatter, Algorithm, Attempt, QueryOptions, Seating, Survivors,
+    check_shape, elect, recover, scatter, Algorithm, Attempt, QueryOptions, Seated, Seating,
+    Survivors,
 };
 
 /// Per-query result inside a batch, before point resolution.
@@ -175,9 +176,9 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
     /// On the exact path, when the session has an adversary plan, every
     /// completed query is **audited before it is kept**: its claimed
     /// per-machine contributions are checked against the true ℓ-NN
-    /// partition recomputed from the shard indices
-    /// ([`crate::audit::audit_claims`]; [`Self::top`] is both what an honest
-    /// machine feeds its instance and the truth its claims are held
+    /// partition ([`crate::audit::audit_claims`]; [`Self::top`] is computed
+    /// once per (machine, query) by the candidate stage, and is both what an
+    /// honest machine feeds its instance and the truth its claims are held
     /// against). Queries that fail the audit are treated like lost queries —
     /// the named suspects are quarantined alongside any crashed machines and
     /// the queries re-run on the honest survivors — so a wrong answer is
@@ -194,15 +195,14 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
     ) -> Result<BatchOutcome, CoreError> {
         let (k, opts) = (self.shards.len(), &self.opts);
         queries.iter().try_for_each(|q| check_shape(self.shards, q))?;
-        let audited = kind.is_some() && !opts.adversary.is_empty();
         // Finished per-query outcomes by original index, filled across runs.
         let mut done: Vec<Option<BatchQueryOutcome>> = (0..queries.len()).map(|_| None).collect();
         let mut pending: Vec<usize> = (0..queries.len()).collect();
         let attempt = |survivors: &Survivors, attempts: u32| {
             let alive = &survivors.alive;
             let seating = Seating { kind, ell, opts, survivors, k, mux: Some(pending.len()) };
-            let (answers, mut report) =
-                seating.run(|m, p| self.top(m, &queries[pending[p]], ell))?;
+            let Seated { answers, mut report, mut truth } =
+                seating.run(None, |m, p| self.top(m, &queries[pending[p]], ell))?;
             let mut lost: Vec<usize> = Vec::new();
             let mut suspects: Vec<MachineId> = Vec::new();
             for (p, (&j, answer)) in pending.iter().zip(answers).enumerate() {
@@ -210,13 +210,13 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
                     lost.push(j);
                     continue;
                 };
-                if audited {
+                if let Some(truth) = &mut truth {
                     report.audit.audits_run += 1;
                     // Ground truth over the audited topology: every
                     // completed query had every alive machine's instance
                     // finish, so no crash exclusion applies.
                     let truth: Vec<Vec<DistKey>> =
-                        alive.iter().map(|&m| self.top(m, &queries[j], ell)).collect();
+                        truth.iter_mut().map(|row| std::mem::take(&mut row[p])).collect();
                     let verdict = audit::audit_claims(&truth, &answer.local_keys, ell, opts.seed);
                     if !verdict.ok {
                         lost.push(j);
@@ -563,13 +563,13 @@ mod tests {
             adversary: AdversaryPlan::default().with_lie(1, 0),
             ..Default::default()
         };
-        // The two producers agree on the liar's honest top-ℓ; the source
+        // The two producers agree on the liar's honest top-ℓ; the runner
         // perturbs it and hands it on sorted, as every protocol expects.
         let honest = idx[1].top(&sh[1].records, &q, 6, Metric::Euclidean);
         assert_eq!(honest, brute_top(&sh[1].records, &q, 6, Metric::Euclidean));
         let raw_lie = audit::perturb_input(honest.clone(), opts.adversary.adversary_seed, 1);
         assert!(!raw_lie.is_sorted(), "the per-key offsets reorder the list");
-        let lied = opts.source(1, || honest.clone())();
+        let lied = opts.fed_by(1, honest.clone());
         assert!(lied.is_sorted());
         assert_eq!(lied.len(), raw_lie.len());
         assert!(lied.iter().all(|key| raw_lie.contains(key)), "the same lie, in order");

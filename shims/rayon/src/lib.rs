@@ -20,13 +20,18 @@
 //! * **Pool size** resolves, in order: an enclosing
 //!   [`ThreadPool::install`] scope → a [`ThreadPoolBuilder::build_global`]
 //!   override → the `RAYON_NUM_THREADS` environment variable → the number
-//!   of available CPUs. Size 1 short-circuits to plain sequential
-//!   execution with zero thread traffic.
+//!   of available CPUs (those two read once per process). Size 1
+//!   short-circuits to plain sequential execution with zero thread traffic.
 //! * Workers are **scoped threads** spawned per parallel operation
 //!   (`std::thread::scope`), so non-`'static` borrows work exactly like
 //!   real rayon and a panicking closure propagates to the caller. The
-//!   spawn cost (~tens of µs) is noise for the workloads this crate
-//!   parallelizes (point generation, shard indexing).
+//!   calling thread is worker 0 and only the others are spawned: measured on
+//!   the 2-vCPU development host, one operation over 16 trivial items costs
+//!   50–55 µs at pool 2 and 73–80 µs at pool 4 (66 and 104 µs when the
+//!   caller parked and every worker was spawned). That is noise for point
+//!   generation and shard indexing; a caller with less work than that per
+//!   operation should not come here (`knn_core::local::candidate_stage`
+//!   decides per call).
 //!
 //! Swapping the real crate back in (when a registry is available) requires
 //! no source changes at call sites.
@@ -54,27 +59,32 @@ thread_local! {
     static INSTALLED_POOL_SIZE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-fn env_pool_size() -> Option<usize> {
-    std::env::var("RAYON_NUM_THREADS").ok()?.trim().parse::<usize>().ok().filter(|&n| n > 0)
+/// The size of a pool nobody sized: `RAYON_NUM_THREADS`, else the available
+/// CPUs. Resolved once per process, as real rayon does when it builds its
+/// global pool — `available_parallelism` re-reads the affinity mask and the
+/// cgroup quota files on every call (13 µs here), which every parallel
+/// operation outside an [`ThreadPool::install`] scope used to pay twice.
+fn default_pool_size() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        let env = std::env::var("RAYON_NUM_THREADS").ok();
+        env.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n > 0).unwrap_or_else(|| {
+            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
+        })
+    })
 }
 
 /// Number of worker threads parallel operations on this thread will use.
 ///
 /// Resolution order: enclosing [`ThreadPool::install`] → global override
 /// ([`ThreadPoolBuilder::build_global`]) → `RAYON_NUM_THREADS` → available
-/// CPUs.
+/// CPUs (the last two as of the first call in the process).
 pub fn current_num_threads() -> usize {
     let installed = INSTALLED_POOL_SIZE.with(std::cell::Cell::get);
     if installed > 0 {
         return installed;
     }
-    if let Some(&n) = GLOBAL_POOL_SIZE.get() {
-        return n;
-    }
-    if let Some(n) = env_pool_size() {
-        return n;
-    }
-    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
+    GLOBAL_POOL_SIZE.get().copied().unwrap_or_else(default_pool_size)
 }
 
 /// Error returned when a pool cannot be (re)configured.
@@ -110,9 +120,7 @@ impl ThreadPoolBuilder {
     }
 
     fn resolved(&self) -> usize {
-        self.num_threads.or_else(env_pool_size).unwrap_or_else(|| {
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-        })
+        self.num_threads.unwrap_or_else(default_pool_size)
     }
 
     /// Build a pool handle whose size applies inside [`ThreadPool::install`].
@@ -214,39 +222,45 @@ where
         deques[owner.min(threads - 1)].get_mut().expect("fresh deque").push_back(chunk);
     }
 
-    // Workers inherit the caller's resolved pool size (fresh threads have
-    // no install scope), so nested parallel operations keep honoring it —
-    // real rayon's nested ops likewise stay inside the enclosing pool.
+    // Spawned workers inherit the caller's resolved pool size (fresh threads
+    // have no install scope), so nested parallel operations keep honoring
+    // it — real rayon's nested ops likewise stay inside the enclosing pool.
     let inherited = current_num_threads();
     let done = Mutex::new(Vec::with_capacity(threads * CHUNKS_PER_WORKER));
+    let work = |w: usize| {
+        let mut local: Vec<(usize, Vec<R>)> = Vec::new();
+        loop {
+            // Own deque first (front = original order), then steal from
+            // the back of the others'. The own-deque guard must drop before
+            // stealing (separate statement): a `pop_front().or_else(steal)`
+            // chain would hold it across the steal and deadlock two
+            // mutually-stealing workers whose deques run dry together.
+            let mut task = deques[w].lock().expect("deque lock").pop_front();
+            if task.is_none() {
+                task = (1..threads).find_map(|off| {
+                    deques[(w + off) % threads].lock().expect("deque lock").pop_back()
+                });
+            }
+            let Some((idx, chunk)) = task else { break };
+            local.push((idx, chunk.into_iter().map(f).collect()));
+        }
+        if !local.is_empty() {
+            done.lock().expect("result lock").extend(local);
+        }
+    };
+    // The calling thread is worker 0: `threads − 1` spawns per operation,
+    // and at pool 2 the caller starts on its own deque while the one other
+    // worker is still being created. A panic on either side reaches the
+    // caller when the scope ends, after every worker has been joined.
     std::thread::scope(|scope| {
-        for w in 0..threads {
-            let deques = &deques;
-            let done = &done;
+        let work = &work;
+        for w in 1..threads {
             scope.spawn(move || {
                 INSTALLED_POOL_SIZE.with(|c| c.set(inherited));
-                let mut local: Vec<(usize, Vec<R>)> = Vec::new();
-                loop {
-                    // Own deque first (front = original order), then steal
-                    // from the back of the others'. The own-deque guard
-                    // must drop before stealing (separate statement): a
-                    // `pop_front().or_else(steal)` chain would hold it
-                    // across the steal and deadlock two mutually-stealing
-                    // workers whose deques run dry together.
-                    let mut task = deques[w].lock().expect("deque lock").pop_front();
-                    if task.is_none() {
-                        task = (1..threads).find_map(|off| {
-                            deques[(w + off) % threads].lock().expect("deque lock").pop_back()
-                        });
-                    }
-                    let Some((idx, chunk)) = task else { break };
-                    local.push((idx, chunk.into_iter().map(f).collect()));
-                }
-                if !local.is_empty() {
-                    done.lock().expect("result lock").extend(local);
-                }
+                work(w);
             });
         }
+        work(0);
     });
 
     let mut parts = done.into_inner().expect("result lock");

@@ -67,15 +67,15 @@ fn keys(machine: usize) -> Vec<u64> {
     (0..8u64).map(|i| (i * K as u64 + machine as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect()
 }
 
-fn simple(machine: usize) -> SimpleProtocol<'static, u64> {
+fn simple(machine: usize) -> SimpleProtocol<u64> {
     SimpleProtocol::from_keys(machine, 0, 6, 1, keys(machine))
 }
 
-fn binsearch(machine: usize) -> BinSearchProtocol<'static, u64> {
+fn binsearch(machine: usize) -> BinSearchProtocol<u64> {
     BinSearchProtocol::from_keys(machine, K, 0, 6, keys(machine))
 }
 
-fn mux(machine: usize) -> MuxProtocol<SimpleProtocol<'static, u64>> {
+fn mux(machine: usize) -> MuxProtocol<SimpleProtocol<u64>> {
     MuxProtocol::new(vec![simple(machine), simple(machine)])
 }
 

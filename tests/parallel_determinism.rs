@@ -10,12 +10,13 @@
 
 use kmachine::engine::{run_event, run_sync};
 use kmachine::{
-    BandwidthMode, Ctx, MuxOutput, MuxProtocol, NetConfig, Payload, Protocol, RunMetrics,
-    RunOutcome, Step,
+    AdversaryPlan, AuditMetrics, BandwidthMode, Ctx, FaultMetrics, FaultPlan, MuxOutput,
+    MuxProtocol, NetConfig, Payload, Protocol, RunMetrics, RunOutcome, Step,
 };
 use knn_core::cluster::{KnnCluster, Neighbor};
 use knn_core::runner::Algorithm;
-use knn_points::{ScalarPoint, VecPoint};
+use knn_core::Report;
+use knn_points::{Dataset, ScalarPoint, VecPoint};
 use knn_workloads::{GaussianMixture, ScalarWorkload};
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -270,5 +271,109 @@ fn vector_pipeline_identical_across_pool_sizes() {
     let reference = with_pool(1, run);
     for pool in POOLS {
         assert_eq!(with_pool(pool, run), reference, "pool {pool}");
+    }
+}
+
+/// Everything of an answer that must not depend on how it was scheduled.
+#[derive(Debug, PartialEq)]
+struct Bytes {
+    neighbors: Vec<Vec<Neighbor>>,
+    metrics: RunMetrics,
+    audit: AuditMetrics,
+    faults: FaultMetrics,
+    attempts: u32,
+    degraded: bool,
+    shards_used: usize,
+    leader: usize,
+}
+
+impl Bytes {
+    fn of(neighbors: Vec<Vec<Neighbor>>, report: Report) -> Bytes {
+        Bytes {
+            neighbors,
+            metrics: report.metrics,
+            audit: report.audit,
+            faults: report.faults,
+            attempts: report.attempts,
+            degraded: report.degraded,
+            shards_used: report.shards_used,
+            leader: report.leader,
+        }
+    }
+}
+
+/// One answer per (protocol, call shape): `Algorithm::ALL` and the
+/// approximate protocol (`None`), each asked sequentially, as a batch of 1
+/// and as a batch of 17.
+fn every_path(cluster: &KnnCluster, ell: usize) -> Vec<Bytes> {
+    let queries: Vec<ScalarPoint> =
+        (0..17u64).map(|i| ScalarPoint(i.wrapping_mul(0x9E37_79B9) % (1 << 32))).collect();
+    let kinds = Algorithm::ALL.into_iter().map(Some).chain([None]);
+    kinds
+        .flat_map(|kind| {
+            let single = match kind {
+                Some(algo) => cluster.query_with(algo, &queries[0], ell),
+                None => cluster.query_approx(&queries[0], ell),
+            }
+            .expect("sequential query");
+            let batches = [1, 17].map(|m| {
+                let batch = match kind {
+                    Some(algo) => cluster.query_batch_with(algo, &queries[..m], ell),
+                    None => cluster.query_batch_approx(&queries[..m], ell),
+                }
+                .expect("batch");
+                Bytes::of(batch.answers.into_iter().map(|a| a.neighbors).collect(), batch.report)
+            });
+            [Bytes::of(vec![single.neighbors], single.report)].into_iter().chain(batches)
+        })
+        .collect()
+}
+
+/// The candidate stage is invisible in the bytes: every protocol, asked
+/// every way, gives the pool-1 sync answer — neighbors, `RunMetrics`
+/// (per-tag and per-machine tables included), audit, faults, attempts — at
+/// pools 1, 2 and 8 on both engines. At 25 600 points a shard the
+/// sequential stage is worth the pool and the batched ones are timed into
+/// it; at 64 points a shard everything stays inline. Same again with a
+/// liar to quarantine, with a machine dead before its round 0, and with an
+/// empty shard in the layout.
+#[test]
+fn candidate_stage_is_invisible_in_the_bytes() {
+    let shards = |per_machine: usize, emptied: Option<usize>| {
+        let mut shards = ScalarWorkload::small(per_machine).generate(4, 23);
+        if let Some(m) = emptied {
+            shards[m] = Dataset::new(Vec::new());
+        }
+        shards
+    };
+    let healthy = KnnCluster::builder().machines(4).seed(23);
+    let liar = healthy.clone().adversary(AdversaryPlan::default().with_lie(1, 0));
+    let dead = healthy.clone().faults(FaultPlan::default().with_crash(2, 0));
+    // Per scenario: what some path of the reference run must show, so that
+    // the scenario is the one its name says.
+    type Shows = fn(&Bytes) -> bool;
+    let clean: Shows = |b| b.attempts == 1 && !b.degraded;
+    let scenarios = [
+        ("healthy", healthy.clone(), shards(25_600, None), clean),
+        ("inline", healthy.clone(), shards(64, None), clean),
+        ("liar", liar, shards(25_600, None), |b| b.audit.suspects_quarantined == 1),
+        ("dead before round 0", dead, shards(25_600, None), |b| b.attempts == 2 && b.degraded),
+        // Three shards to scan, so larger ones for the same stage.
+        ("empty shard", healthy, shards(34_200, Some(3)), clean),
+    ];
+    for (name, builder, shards, shows) in scenarios {
+        let mut cluster: KnnCluster = builder.build();
+        cluster.load_shards(shards).expect("four shards");
+        let reference = with_pool(1, || every_path(&cluster, 12));
+        assert!(reference.iter().any(shows), "{name}: the scenario did not happen");
+        for engine in ENGINES {
+            cluster.set_engine(engine);
+            for pool in POOLS {
+                let got = with_pool(pool, || every_path(&cluster, 12));
+                for (path, (got, want)) in got.iter().zip(&reference).enumerate() {
+                    assert_eq!(got, want, "{name}: path {path}, pool {pool}, {engine:?}");
+                }
+            }
+        }
     }
 }
