@@ -1,8 +1,9 @@
 //! The candidate stage (`knn_core::local::candidate_stage`) under a 1-thread
 //! pool against the ambient pool, on the benchmark's three cell shapes:
 //!
-//! * `scan-8x2^17` — `scalar_single`: 8 full scans of 2¹⁷ scalar points
-//!   (≈ 240 µs a cell), known up front to be worth the pool;
+//! * `scan-8x2^17` — the full-scan `run_query` over `scalar_single`'s
+//!   shards: 8 scans of 2¹⁷ scalar points (≈ 240 µs a cell), known up front
+//!   to be worth the pool;
 //! * `kdtree-8x8` — `vector_exact_churn`: 8 machines × 8 queries through
 //!   16-d k-d trees of 2¹² points at ℓ = 10 (≈ 35 µs a cell), timed into
 //!   the pool by its first cell;

@@ -15,8 +15,7 @@ use crate::local::{IndexBackend, IndexedPoint, ShardIndex};
 use crate::protocols::knn::{KnnParams, KnnStats};
 use crate::report::Report;
 use crate::runner::{
-    check_shape, merge_answers, run_approx_query, run_query, Algorithm, ElectionKind, QueryOptions,
-    RetryPolicy,
+    check_shape, merge_answers, Algorithm, ElectionKind, QueryOptions, RetryPolicy,
 };
 use crate::session::{BatchOutcome, QuerySession};
 use crate::splitmix64;
@@ -210,13 +209,14 @@ impl ClusterBuilder {
         self
     }
 
-    /// Which local index each shard builds for the batched serving path:
-    /// [`IndexBackend::Exact`] (the default — brute-force parity) or
-    /// [`IndexBackend::Nsw`] (the navigable-small-world graph with `ef`/`m`
-    /// recall knobs and cheap [`KnnCluster::insert`]). The sequential
-    /// [`KnnCluster::query`] path uses no index either way — it scans every
-    /// point of the shard, keeping the ℓ best as it goes — and is the oracle
-    /// the conformance suite checks the backends against.
+    /// Which local index each shard builds: [`IndexBackend::Exact`] (the
+    /// default — brute-force parity) or [`IndexBackend::Nsw`] (the
+    /// navigable-small-world graph with `ef`/`m` recall knobs and cheap
+    /// [`KnnCluster::insert`]). It is the cluster's one candidate source:
+    /// sequential and batched, exact and approximate queries all read it,
+    /// so on either backend [`KnnCluster::query_batch`] answers exactly what
+    /// sequential [`KnnCluster::query`] calls would — on NSW, both read the
+    /// graph.
     pub fn index_backend(mut self, backend: IndexBackend) -> Self {
         self.opts.backend = backend;
         self
@@ -249,8 +249,7 @@ pub struct KnnCluster<P: IndexedPoint = ScalarPoint> {
     /// rejecting duplicate-id inserts.
     index: Vec<HashMap<PointId, usize>>,
     /// Per-shard candidate-generation indices, built at load, kept current
-    /// by [`Self::insert`], and reused by every serving-path query (see
-    /// [`ShardIndex`]).
+    /// by [`Self::insert`], and read by every query (see [`ShardIndex`]).
     shard_indices: Vec<ShardIndex<P>>,
     opts: QueryOptions,
     algorithm: Algorithm,
@@ -414,36 +413,42 @@ impl<P: IndexedPoint> KnnCluster<P> {
     /// Answer an *approximate* ℓ-NN query: one pruning pass, no iterated
     /// selection. Returns a superset of the exact ℓ-NN (≈1.75ℓ neighbors;
     /// [`KnnAnswer::contains_exact`] tells you the guarantee held) in fewer
-    /// rounds — ideal for majority-vote or averaging consumers.
+    /// rounds — ideal for majority-vote or averaging consumers. It recovers
+    /// from crashes and corrupt links like the exact queries, but runs
+    /// **unaudited**: no semantic audit certifies its supersets.
     pub fn query_approx(&self, q: &P, ell: usize) -> Result<KnnAnswer, CoreError> {
-        if self.shards.is_empty() {
-            return Err(CoreError::NotLoaded);
-        }
-        let out = run_approx_query(&self.shards, q, ell, &self.opts)?;
-        Ok(KnnAnswer {
-            neighbors: self.resolve(&out.local_keys),
-            stats: None,
-            contains_exact: Some(out.contains_exact),
-            report: out.report,
-        })
+        self.query_one(None, q, ell)
     }
 
-    /// Answer an ℓ-NN query with a specific algorithm.
+    /// Answer an ℓ-NN query with a specific algorithm: a per-call election,
+    /// then the paper's per-query protocol over candidates read from the
+    /// shard indices ([`ShardIndex::top`]). On the exact backend the answer
+    /// and every counter equal the full-scan [`crate::runner::run_query`]'s.
     pub fn query_with(
         &self,
         algorithm: Algorithm,
         q: &P,
         ell: usize,
     ) -> Result<KnnAnswer, CoreError> {
-        if self.shards.is_empty() {
-            return Err(CoreError::NotLoaded);
-        }
-        let out = run_query(&self.shards, q, ell, algorithm, &self.opts)?;
+        self.query_one(Some(algorithm), q, ell)
+    }
+
+    /// One query, unmultiplexed, through a session (an election) of its own.
+    fn query_one(
+        &self,
+        kind: Option<Algorithm>,
+        q: &P,
+        ell: usize,
+    ) -> Result<KnnAnswer, CoreError> {
+        let session = self.session()?;
+        let BatchOutcome { mut queries, report } =
+            session.serve(std::slice::from_ref(q), ell, kind, false)?;
+        let answer = queries.pop().expect("one query, one outcome");
         Ok(KnnAnswer {
-            neighbors: self.resolve(&out.local_keys),
-            stats: out.stats,
-            contains_exact: None,
-            report: out.report,
+            neighbors: self.resolve(&answer.local_keys),
+            stats: answer.stats,
+            contains_exact: answer.contains_exact,
+            report,
         })
     }
 
@@ -610,6 +615,51 @@ mod tests {
         );
         assert!(approx.metrics.rounds < exact.metrics.rounds);
         assert!(approx.neighbors.iter().all(|n| n.label.is_some()));
+    }
+
+    #[test]
+    fn approx_path_is_unaudited_but_integrity_checked() {
+        let mut ids = IdAssigner::new(0);
+        let shards: Vec<Dataset<ScalarPoint>> = [0..200u64, 200..400, 400..600]
+            .into_iter()
+            .map(|r| Dataset::from_points(r.map(ScalarPoint).collect(), &mut ids))
+            .collect();
+        let cluster = |builder: ClusterBuilder, shards: Vec<Dataset<ScalarPoint>>| {
+            let mut cluster: KnnCluster<ScalarPoint> = builder.machines(shards.len()).build();
+            cluster.load_shards(shards).unwrap();
+            cluster
+        };
+        let q = ScalarPoint(300);
+        // A lie plan does not perturb the approx path (its supersets are
+        // not the partition the audit certifies), so the answer matches the
+        // adversary-free run and no audits are counted.
+        let liar = KnnCluster::builder().adversary(AdversaryPlan::default().with_lie(1, 0));
+        let out = cluster(liar, shards.clone()).query_approx(&q, 10).unwrap();
+        let clean = cluster(KnnCluster::builder(), shards.clone()).query_approx(&q, 10).unwrap();
+        assert_eq!(out.neighbors, clean.neighbors);
+        assert_eq!(out.audit.audits_run, 0);
+        assert_eq!(out.audit.suspects_quarantined, 0);
+        assert!(out.audit.digests_verified > 0, "armed links still verify digests");
+        // A corrupt link never yields a silent wrong answer either: the
+        // digest chain catches it and — as on the batched approx path and
+        // both exact paths — the sender is quarantined and the query re-runs
+        // over the survivors.
+        let corrupt =
+            KnnCluster::builder().adversary(AdversaryPlan::default().with_corrupt_link(1, 0, 1000));
+        let out = cluster(corrupt, shards.clone()).query_approx(&q, 10).unwrap();
+        assert_eq!(out.audit.integrity_violations, 1);
+        assert_eq!(out.audit.suspects_quarantined, 1);
+        assert_eq!(out.audit.audits_run, 0, "still no semantic audit");
+        assert!(out.degraded);
+        assert_eq!(out.attempts, 2);
+        assert!(
+            out.neighbors.iter().all(|n| n.machine != 1),
+            "the corrupting sender is quarantined"
+        );
+        let survivors = cluster(KnnCluster::builder(), vec![shards[0].clone(), shards[2].clone()]);
+        let want = survivors.query_approx(&q, 10).unwrap();
+        let keys = |a: &KnnAnswer| a.neighbors.iter().map(|n| (n.dist, n.id)).collect::<Vec<_>>();
+        assert_eq!(keys(&out), keys(&want));
     }
 
     #[test]

@@ -24,17 +24,18 @@
 //!   locally.
 //! * [`cluster::KnnCluster`] — the user-facing facade: load data, pick an
 //!   algorithm and engine, run queries, inspect exact round/message costs.
+//!   Every query reads per-shard indices ([`local::ShardIndex`]: exact
+//!   [`local::IndexedPoint`] structures or the approximate
+//!   [`local::NswIndex`] graph, chosen via [`local::IndexBackend`]) that
+//!   generate local candidates in `O(ℓ log n)` instead of `O(n)`. Both
+//!   backends stay live under [`cluster::KnnCluster::insert`]: a new point
+//!   is absorbed into its shard's index in place, with no reload and no
+//!   rebuild.
 //! * [`report::Report`] — the one cost / fault / recovery / audit account
 //!   every answer and outcome embeds.
 //! * [`session::QuerySession`] — the **batched serving path**: one leader
 //!   election per session, one engine run per batch (queries multiplexed
-//!   over shared links), and per-shard indices ([`local::ShardIndex`]:
-//!   exact [`local::IndexedPoint`] structures or the approximate
-//!   [`local::NswIndex`] graph, chosen via [`local::IndexBackend`])
-//!   generating local candidates in `O(ℓ log n)` instead of `O(n)`. Both
-//!   backends stay live under [`cluster::KnnCluster::insert`]: a new point
-//!   is absorbed into its shard's index in place, with no reload and no
-//!   rebuild.
+//!   over shared links).
 //! * [`ml`] — ℓ-NN classification (majority vote) and regression (mean),
 //!   the applications motivating the paper.
 //!

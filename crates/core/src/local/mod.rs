@@ -17,12 +17,13 @@
 //!
 //! * [`brute_top`] — the paper's reduction with the truncation fused in: the
 //!   distance of the query to *all* local points, `O(n)` time per query, but
-//!   only the running ℓ best kept (`O(ℓ)` memory). The one-shot
-//!   [`crate::runner::run_query`] path, which uses no index and so stays the
-//!   full-scan oracle the conformance suite checks the indices against.
-//! * [`ShardIndex::top`] — the serving path
-//!   ([`crate::session::QuerySession`]), through the index each cluster keeps
-//!   per shard: an [`IndexedPoint`] **exact** structure, built at load time
+//!   only the running ℓ best kept (`O(ℓ)` memory). The shards-only
+//!   [`crate::runner::run_query`] path: the paper's full-scan setting, and
+//!   the index-free reference the indices are measured against.
+//! * [`ShardIndex::top`] — every [`crate::cluster::KnnCluster`] query,
+//!   sequential or batched ([`crate::session::QuerySession`]), exact or
+//!   approximate, through the index each cluster keeps per shard: an
+//!   [`IndexedPoint`] **exact** structure, built at load time
 //!   and updated in place on every [`crate::cluster::KnnCluster::insert`]
 //!   (the dataset is *not* frozen after load, and a write costs one search,
 //!   not one build), answering in `O(ℓ log n)`; or [`nsw::NswIndex`], an
@@ -85,7 +86,9 @@ const POOL_REPAYS: Duration = Duration::from_micros(200);
 
 /// What one point of a [`brute_top`] scan costs at the least: 1.85 ns for a
 /// [`ScalarPoint`] (the ledger's `local.scan_ns_per_point`), more for every
-/// other point type — so a scan judged worth the pool by this figure is.
+/// other point type (17.3 ns for a 16-dim [`VecPoint`]) — so a scan judged
+/// worth the pool by this figure is, and one judged not worth it may still
+/// be: that is left to the timed first cell.
 const SCAN_NS_PER_POINT: u128 = 2;
 
 /// The candidate stage: every alive machine's candidates for every pending
@@ -96,10 +99,13 @@ const SCAN_NS_PER_POINT: u128 = 2;
 /// on the ambient rayon pool and are assembled in cell order: the result is
 /// the same bytes at any pool size. A stage too small to repay a pool
 /// operation (200 µs of work) runs inline, and so does everything at pool
-/// size 1. `scan_points` is how the stage knows: `Some(n)` when the cells
-/// are full scans of `n` points in total (the sequential path, whose few
-/// large cells must not wait for a probe), `None` when an index decides what
-/// it visits — then the first cell is timed and stands for the rest.
+/// size 1. The first cell is timed and stands for the rest — unless
+/// `scan_points`, the points the cells scan in total when they are full
+/// scans ([`crate::runner::run_query`]; `None` when an index decides what a
+/// cell visits), already prices the stage at the threshold by the cheapest
+/// point's cost: then a few large cells go to the pool at once instead of
+/// one of them waiting out the probe. Below that floor the probe decides,
+/// so a costlier point type is not kept on one core by a scalar price.
 ///
 /// Each cell runs behind a panic guard — [`Point::distance`] is user code,
 /// and [`Metric::Minkowski`] below 1 asserts — so a panicking producer is
@@ -118,16 +124,14 @@ pub fn candidate_stage(
             .map_err(|_| EngineError::WorkerPanic { machine })
     };
     let mut done = Vec::with_capacity(cells);
+    let repays = POOL_REPAYS.as_nanos();
     let pooled = cells > 1
         && rayon::current_num_threads() > 1
-        && match scan_points {
-            Some(points) => points as u128 * SCAN_NS_PER_POINT >= POOL_REPAYS.as_nanos(),
-            None => {
-                let start = Instant::now();
-                done.push(cell(0));
-                start.elapsed().as_nanos() * (cells - 1) as u128 >= POOL_REPAYS.as_nanos()
-            }
-        };
+        && (scan_points.is_some_and(|points| points as u128 * SCAN_NS_PER_POINT >= repays) || {
+            let start = Instant::now();
+            done.push(cell(0));
+            start.elapsed().as_nanos() * (cells - 1) as u128 >= repays
+        });
     if pooled {
         done.extend((done.len()..cells).into_par_iter().map(cell).collect::<Vec<_>>());
     } else {
@@ -146,8 +150,9 @@ pub fn candidate_stage(
 /// candidates" per query.
 /// The contract is **exact parity with the brute-force scan**: `index_top`
 /// must return precisely the ℓ smallest `(distance, id)` keys the full
-/// [`dist_keys`] scan would yield, in ascending order — the batched and
-/// sequential serving paths rely on this to give identical answers.
+/// [`dist_keys`] scan would yield, in ascending order — a cluster's queries
+/// rely on this to answer exactly what the full-scan
+/// [`crate::runner::run_query`] over the same shards would.
 ///
 /// Custom point types can opt out of real indexing the way [`BitsPoint`]
 /// does: `type Index = ()`, an empty `build_index`, and an `index_top` that
@@ -496,6 +501,37 @@ mod tests {
         }
         // Pool size 1 is a plain loop whatever the stage is worth.
         with_pool(1, || candidate_stage(&alive, 4, Some(usize::MAX), here)).expect("no panics");
+    }
+
+    #[test]
+    fn a_scan_priced_below_the_floor_is_still_timed_into_the_pool() {
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        // A hint of nothing to scan is a floor, not a verdict: 16 cells of
+        // ≈ 100 µs each are worth the pool, and the first cell says so.
+        let caller = std::thread::current().id();
+        let (started, elsewhere) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        // On a busy host the caller could drain every cell before the pool's
+        // second worker is scheduled, so after the timed first cell it
+        // waits (up to a second in all) until a cell has run elsewhere.
+        let deadline = Instant::now() + Duration::from_secs(1);
+        let spin = |m, j| {
+            let probe = started.fetch_add(1, Relaxed) == 0;
+            let start = Instant::now();
+            while start.elapsed() < Duration::from_micros(100) {
+                std::hint::spin_loop();
+            }
+            if std::thread::current().id() != caller {
+                elsewhere.fetch_add(1, Relaxed);
+            } else if !probe {
+                while elsewhere.load(Relaxed) == 0 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            }
+            cell_key(m, j)
+        };
+        let alive: Vec<MachineId> = (0..16).collect();
+        with_pool(2, || candidate_stage(&alive, 1, Some(0), spin)).expect("no cell panics");
+        assert!(elsewhere.into_inner() > 0, "every cell ran on the calling thread");
     }
 
     #[test]

@@ -165,12 +165,16 @@ impl<K: NumericKey> Protocol for SimpleProtocol<K> {
     type Msg = SimpleMsg<K>;
     type Output = Vec<K>;
 
-    /// A crashed machine's candidates are simply missing from the gather:
-    /// the protocol still terminates (the leader writes off observably
-    /// crashed senders) and every survivor's output stays well-defined, so
-    /// the crash is salvageable with an empty contribution.
+    /// A machine that crashed before round 0, or had no candidates, sent the
+    /// gather nothing: the protocol still terminates (the leader writes off
+    /// observably crashed senders) and the survivors' outputs are exactly
+    /// their share of the survivors' answer, so the crash is salvageable
+    /// with an empty contribution. One that already streamed candidates may
+    /// have placed them in the leader's gather and boundary — an answer it
+    /// can no longer claim — so it salvages nothing and the run is retried
+    /// over the survivors.
     fn on_crash(&mut self) -> Option<Vec<K>> {
-        Some(Vec::new())
+        (!self.started || self.candidates.is_empty()).then(Vec::new)
     }
 
     /// Serializable once round 0 has run: candidates, the leader's gather

@@ -15,7 +15,6 @@ use kmachine::{AuditMetrics, FaultMetrics, MachineId, RecoveryMetrics, RunMetric
 /// Costs, leadership and fault / recovery / audit accounting of one answer.
 ///
 /// Embedded in [`QueryOutcome`](crate::runner::QueryOutcome),
-/// [`ApproxOutcome`](crate::runner::ApproxOutcome),
 /// [`BatchOutcome`](crate::session::BatchOutcome),
 /// [`KnnAnswer`](crate::cluster::KnnAnswer) and
 /// [`BatchAnswer`](crate::cluster::BatchAnswer). For a batch it describes the
@@ -130,7 +129,6 @@ macro_rules! deref_to_report {
 
 deref_to_report!(
     crate::runner::QueryOutcome,
-    crate::runner::ApproxOutcome,
     crate::session::BatchOutcome,
     crate::cluster::KnnAnswer,
     crate::cluster::BatchAnswer

@@ -1,6 +1,6 @@
 //! Query orchestration: pick an algorithm, an engine, and an election; run
-//! one distributed ℓ-NN query; collect outputs and exact communication
-//! costs.
+//! distributed ℓ-NN queries through the one serving loop every query path
+//! shares; collect outputs and exact communication costs.
 
 use std::time::{Duration, Instant};
 
@@ -21,6 +21,7 @@ use crate::protocols::knn::{KnnOutput, KnnParams, KnnProtocol, KnnStats};
 use crate::protocols::saukas_song::SaukasSongProtocol;
 use crate::protocols::simple::SimpleProtocol;
 use crate::report::Report;
+use crate::session::BatchQueryOutcome;
 use crate::splitmix64;
 
 /// Which distributed algorithm answers the query.
@@ -195,14 +196,14 @@ pub struct QueryOptions {
     /// in [`Report::audit`]); a wrong answer is never returned
     /// silently. Elections stay adversary-free, like [`Self::faults`].
     pub adversary: AdversaryPlan,
-    /// Which local index each shard builds for the batched serving path
-    /// (see [`crate::local::IndexBackend`]): the exact per-type structure
+    /// Which local index each shard builds (see
+    /// [`crate::local::IndexBackend`]): the exact per-type structure
     /// (default) or the approximate NSW graph with its `ef`/`m` recall
-    /// knobs. The sequential [`run_query`] path uses no index: it scans
-    /// every point of the shard, keeping only the ℓ best as it goes — the
-    /// exact oracle the conformance suite checks the index against — so
-    /// this field only shapes [`crate::session::QuerySession`] candidates
-    /// and audit truth.
+    /// knobs. Every [`crate::cluster::KnnCluster`] query — sequential or
+    /// batched, exact or approximate — takes its candidates and its audit
+    /// truth from that index, so on either backend a batch answers exactly
+    /// what sequential queries would. Only the shards-only [`run_query`]
+    /// ignores it: it scans every point of every shard.
     pub backend: IndexBackend,
 }
 
@@ -328,14 +329,14 @@ pub(crate) fn elect(
 /// The machines still serving a query, by original id, and which of them
 /// coordinates. A retry runs over `alive` only: machine `i` of that run
 /// works shard `alive[i]`.
-pub(crate) struct Survivors {
-    pub(crate) alive: Vec<MachineId>,
-    pub(crate) leader: MachineId,
+struct Survivors {
+    alive: Vec<MachineId>,
+    leader: MachineId,
 }
 
 impl Survivors {
     /// The leader's machine id within a run over `alive`.
-    pub(crate) fn sub_leader(&self) -> usize {
+    fn sub_leader(&self) -> usize {
         self.alive.iter().position(|&m| m == self.leader).expect("leader is alive")
     }
 
@@ -368,9 +369,9 @@ pub(crate) fn check_shape<P: Point>(shards: &[Dataset<P>], point: &P) -> Result<
 }
 
 /// How one attempt of [`recover`] ended, beside the [`Report`] of its run.
-pub(crate) enum Attempt<T> {
-    /// Complete and (where audited) certified: the value to return.
-    Done(T),
+enum Attempt {
+    /// Complete and (where audited) certified.
+    Done,
     /// Unfinished: drop the machines that crashed in-run, quarantine these
     /// suspects (original ids; empty when the only loss was to a crash)
     /// and go again.
@@ -380,11 +381,7 @@ pub(crate) enum Attempt<T> {
 /// Spread a subset run's per-machine keys back over the full `k`-shard
 /// layout: machine `i` of the run worked shard `alive[i]`; excluded shards
 /// contribute nothing.
-pub(crate) fn scatter(
-    sub_keys: Vec<Vec<DistKey>>,
-    alive: &[MachineId],
-    k: usize,
-) -> Vec<Vec<DistKey>> {
+fn scatter(sub_keys: Vec<Vec<DistKey>>, alive: &[MachineId], k: usize) -> Vec<Vec<DistKey>> {
     let mut local_keys = vec![Vec::new(); k];
     for (i, keys) in sub_keys.into_iter().enumerate() {
         local_keys[alive[i]] = keys;
@@ -392,7 +389,8 @@ pub(crate) fn scatter(
     local_keys
 }
 
-/// The one recovery loop behind every exact query, single or batched.
+/// The recovery discipline of [`Seating::serve`], the one loop behind every
+/// query, single or batched, exact or approximate.
 ///
 /// `attempt(survivors, n)` makes the `n`-th engine run over the surviving
 /// machines and judges it. A run that comes back unfinished — an audit
@@ -413,12 +411,12 @@ pub(crate) fn scatter(
 ///
 /// The finished [`Report`] is the final run's, with `attempts`,
 /// `recovered`, `replayed_rounds` and `audit` totalled over the loop.
-pub(crate) fn recover<T>(
+fn recover(
     k: usize,
     leader: MachineId,
     opts: &QueryOptions,
-    mut attempt: impl FnMut(&Survivors, u32) -> Result<(Report, Attempt<T>), EngineError>,
-) -> Result<(T, Report), CoreError> {
+    mut attempt: impl FnMut(&Survivors, u32) -> Result<(Report, Attempt), EngineError>,
+) -> Result<Report, CoreError> {
     let mut survivors = Survivors { alive: (0..k).collect(), leader };
     let mut retry = RetryState { attempts: 1, spent_rounds: 0 };
     let mut audit = AuditMetrics::default();
@@ -434,12 +432,12 @@ pub(crate) fn recover<T>(
                 audit.audits_run += report.audit.audits_run;
                 replayed_rounds += report.replayed_rounds;
                 match verdict {
-                    Attempt::Done(value) => {
+                    Attempt::Done => {
                         report.recovered |= retry.attempts > 1;
                         report.attempts = retry.attempts;
                         report.replayed_rounds = replayed_rounds;
                         report.audit = audit;
-                        return Ok((value, report));
+                        return Ok(report);
                     }
                     Attempt::Retry(suspects) => {
                         let crashed = report.faults.crashed.iter().map(|&c| alive[c]).collect();
@@ -508,16 +506,16 @@ impl From<ApproxOutput<DistKey>> for Claim {
 }
 
 /// One query's answer as one engine run left it.
-pub(crate) struct Answered {
-    /// Per-machine answer keys, in the run's subset order until the caller
-    /// that keeps the answer [`scatter`]s them over the full shard layout.
-    pub(crate) local_keys: Vec<Vec<DistKey>>,
+struct Answered {
+    /// Per-machine answer keys, in the run's subset order until the loop
+    /// keeps the answer and [`scatter`]s them over the full shard layout.
+    local_keys: Vec<Vec<DistKey>>,
     /// The leader instance's [`Claim::stats`].
-    pub(crate) stats: Option<KnnStats>,
+    stats: Option<KnnStats>,
     /// The leader instance's [`Claim::approx`].
-    pub(crate) approx: Option<(u64, bool)>,
+    approx: Option<(u64, bool)>,
     /// Round in which the query completed (max over machines).
-    pub(crate) done_round: u64,
+    done_round: u64,
 }
 
 /// How one protocol instance is wired into a (possibly degraded) run:
@@ -529,54 +527,146 @@ struct Wiring {
     leader: MachineId,
 }
 
-/// One engine run of one protocol over the surviving machines — the one
-/// place the candidate stage runs, a protocol is seated and its output read,
-/// for the sequential and the batched path, exact and approximate alike.
+/// What is served, and how. [`Seating::serve`] is the one loop behind every
+/// query path — [`run_query`], a [`crate::cluster::KnnCluster`]'s sequential
+/// queries, [`crate::session::QuerySession`] batches — and [`Seating::run`]
+/// one engine run of it: the one place a protocol is seated and read.
 pub(crate) struct Seating<'r> {
     /// The exact algorithm, or `None` for the pruning-only approximate
     /// protocol ([`crate::protocols::approx`]).
     pub(crate) kind: Option<Algorithm>,
     pub(crate) ell: usize,
     pub(crate) opts: &'r QueryOptions,
-    pub(crate) survivors: &'r Survivors,
-    /// Machines of the whole cluster (`survivors` included).
+    /// Machines of the whole cluster.
     pub(crate) k: usize,
-    /// `Some(m)`: every machine multiplexes `m` tagged instances, one per
-    /// query, over its links ([`MuxProtocol`]). `None`: one query, one
+    /// `true`: every machine multiplexes one tagged instance per pending
+    /// query over its links ([`MuxProtocol`]). `false`: one query, one
     /// untagged instance per machine — the paper's per-query accounting.
-    pub(crate) mux: Option<usize>,
+    pub(crate) mux: bool,
 }
 
 /// What [`Seating::run`] leaves behind.
-pub(crate) struct Seated {
+struct Seated {
     /// One entry per query — `None` where a crashed machine took its
     /// contribution to that query with it (multiplexed runs only).
-    pub(crate) answers: Vec<Option<Answered>>,
+    answers: Vec<Option<Answered>>,
     /// The run's report; `wall` covers the candidate stage and the engine.
-    pub(crate) report: Report,
+    report: Report,
     /// On a run whose answers must be audited (an exact protocol under an
     /// adversary plan): the stage's honest output, `[alive position][query]`
     /// — what every machine would have fed its instances had nobody lied,
     /// and so the truth its claims are held against. `None` otherwise.
-    pub(crate) truth: Option<Vec<Vec<Vec<DistKey>>>>,
+    truth: Option<Vec<Vec<Vec<DistKey>>>>,
 }
 
 impl Seating<'_> {
-    /// Run with `top(shard, j)` as shard `shard`'s candidates for query `j`:
-    /// sorted ascending by `(distance, id)`, at most ℓ of them. Every cell is
-    /// computed once, up front and on the rayon pool
-    /// ([`candidate_stage`], which `scan_points` is for); the protocols are
-    /// then seated on their candidates and the engine moves messages only.
-    pub(crate) fn run(
+    /// Answer `queries` queries led by `leader`, `top(machine, j)` being
+    /// shard `machine`'s candidates for query `j` (sorted by
+    /// `(distance, id)`, at most ℓ). `scan_sizes`: every shard's length when
+    /// `top` is a full scan, so the stage knows its least cost up front.
+    ///
+    /// [`recover`], made **fault-aware per query**: a query whose answer a
+    /// crashed machine took with it (a hole; multiplexed runs only) is
+    /// re-planned onto the survivors while completed queries keep theirs,
+    /// and an unsalvageable [`EngineError::Crashed`] re-runs every pending
+    /// query. On an exact protocol under an adversary plan every completed
+    /// query is **audited before it is kept** ([`audit::audit_claims`]
+    /// against the stage's honest output); one that fails is re-run like a
+    /// lost one with its suspects quarantined, so no wrong answer is kept —
+    /// not even one a machine answered before it was caught lying on a
+    /// later query of the same batch. Per query, `messages` / `bits` are its
+    /// tag's share (zero unmultiplexed, where the report holds the totals).
+    pub(crate) fn serve(
         &self,
-        scan_points: Option<usize>,
+        leader: MachineId,
+        queries: usize,
+        scan_sizes: Option<&[usize]>,
+        top: impl Fn(MachineId, usize) -> Vec<DistKey> + Sync,
+    ) -> Result<(Vec<BatchQueryOutcome>, Report), CoreError> {
+        let (k, ell, opts) = (self.k, self.ell, self.opts);
+        debug_assert!(self.mux || queries == 1, "an unmultiplexed run answers one query");
+        if queries == 0 {
+            return Ok((Vec::new(), Report::healthy(RunMetrics::new(k), k, leader)));
+        }
+        // Finished per-query outcomes by original index, filled across runs.
+        let mut done: Vec<Option<BatchQueryOutcome>> = (0..queries).map(|_| None).collect();
+        let mut pending: Vec<usize> = (0..queries).collect();
+        let report = recover(k, leader, opts, |survivors, attempts| {
+            let alive = &survivors.alive;
+            let Seated { answers, mut report, mut truth } =
+                self.run(survivors, pending.len(), scan_sizes, |m, p| top(m, pending[p]))?;
+            let mut lost: Vec<usize> = Vec::new();
+            let mut suspects: Vec<MachineId> = Vec::new();
+            for (p, (&j, answer)) in pending.iter().zip(answers).enumerate() {
+                let Some(answer) = answer else {
+                    lost.push(j);
+                    continue;
+                };
+                if let Some(truth) = &mut truth {
+                    report.audit.audits_run += 1;
+                    // No machine is excluded, crashed or not (`Seating::run`).
+                    let truth: Vec<Vec<DistKey>> =
+                        truth.iter_mut().map(|row| std::mem::take(&mut row[p])).collect();
+                    let verdict = audit::audit_claims(&truth, &answer.local_keys, ell, opts.seed);
+                    if !verdict.ok {
+                        lost.push(j);
+                        suspects.extend(verdict.suspects.iter().map(|&s| alive[s]));
+                        continue;
+                    }
+                }
+                let tag = report.metrics.tag(p as u32);
+                done[j] = Some(BatchQueryOutcome {
+                    local_keys: scatter(answer.local_keys, alive, k),
+                    messages: tag.messages,
+                    bits: tag.bits,
+                    done_round: answer.done_round,
+                    stats: answer.stats,
+                    approx_total: answer.approx.map(|(total, _)| total),
+                    contains_exact: answer.approx.map(|(_, contains)| contains),
+                    attempts,
+                    recovered: attempts > 1,
+                });
+            }
+            if lost.is_empty() {
+                return Ok((report, Attempt::Done));
+            }
+            pending = lost;
+            Ok((report, Attempt::Retry(suspects)))
+        })?;
+        let outcomes = done.into_iter().map(|q| q.expect("every query answered")).collect();
+        Ok((outcomes, report))
+    }
+
+    /// One engine run over `survivors` for `queries` pending queries (`top`
+    /// indexed by pending position): the candidate stage computes every cell
+    /// once, on the rayon pool ([`candidate_stage`]), then the engine moves
+    /// messages only. A machine that never runs round 0 (crash round 0 in
+    /// the [`FaultPlan`]) is fed nothing — the one audit-truth rule: a
+    /// machine contributes nothing exactly when its instance is salvaged,
+    /// and every protocol salvages a started instance only when it holds no
+    /// candidates, so every machine's truth is its stage output. Rejoins
+    /// ([`RecoveryPlan`]) are pauses, not crashes, and keep theirs.
+    fn run(
+        &self,
+        survivors: &Survivors,
+        queries: usize,
+        scan_sizes: Option<&[usize]>,
         top: impl Fn(MachineId, usize) -> Vec<DistKey> + Sync,
     ) -> Result<Seated, EngineError> {
         let (opts, ell, params) = (self.opts, self.ell as u64, self.opts.params);
-        let alive = &self.survivors.alive;
-        let chunk = if self.mux.is_some() { opts.mux_chunk() } else { opts.simple_chunk() };
+        let alive = &survivors.alive;
+        let chunk = if self.mux { opts.mux_chunk() } else { opts.simple_chunk() };
         let start = Instant::now();
-        let mut fed = candidate_stage(alive, self.mux.unwrap_or(1), scan_points, top)?;
+        let runs = |m: MachineId| opts.faults.crash_round(m) > 0;
+        let scan_points =
+            scan_sizes.map(|sizes| alive.iter().filter(|&&m| runs(m)).map(|&m| sizes[m]).sum());
+        let mut fed = candidate_stage(alive, queries, scan_points, |m, j| {
+            if runs(m) {
+                top(m, j)
+            } else {
+                Vec::new()
+            }
+        })?;
         // Approximate answers are supersets no audit certifies, so that path
         // keeps no truth and injects no source-level lies either.
         let audited = self.kind.is_some() && !opts.adversary.is_empty();
@@ -589,17 +679,21 @@ impl Seating<'_> {
             }
         }
         let stage = start.elapsed();
+        let s = survivors;
         let (answers, mut report) = match self.kind {
-            Some(Algorithm::Knn) => self.engine_run(fed, |w, keys| {
+            Some(Algorithm::Knn) => self.engine_run(s, fed, |w, keys| {
                 KnnProtocol::new(w.id, w.k, w.leader, ell, params, keys)
             }),
-            Some(Algorithm::Simple) => self
-                .engine_run(fed, |w, keys| SimpleProtocol::new(w.id, w.leader, ell, chunk, keys)),
-            Some(Algorithm::SaukasSong) => self
-                .engine_run(fed, |w, keys| SaukasSongProtocol::new(w.id, w.k, w.leader, ell, keys)),
-            Some(Algorithm::BinSearch) => self
-                .engine_run(fed, |w, keys| BinSearchProtocol::new(w.id, w.k, w.leader, ell, keys)),
-            None => self.engine_run(fed, |w, keys| {
+            Some(Algorithm::Simple) => self.engine_run(s, fed, |w, keys| {
+                SimpleProtocol::new(w.id, w.leader, ell, chunk, keys)
+            }),
+            Some(Algorithm::SaukasSong) => self.engine_run(s, fed, |w, keys| {
+                SaukasSongProtocol::new(w.id, w.k, w.leader, ell, keys)
+            }),
+            Some(Algorithm::BinSearch) => self.engine_run(s, fed, |w, keys| {
+                BinSearchProtocol::new(w.id, w.k, w.leader, ell, keys)
+            }),
+            None => self.engine_run(s, fed, |w, keys| {
                 ApproxKnnProtocol::new(w.id, w.k, w.leader, ell, params, keys)
             }),
         }?;
@@ -611,6 +705,7 @@ impl Seating<'_> {
     /// run the engine over them.
     fn engine_run<Proto>(
         &self,
+        survivors: &Survivors,
         fed: Vec<Vec<Vec<DistKey>>>,
         build: impl Fn(Wiring, Vec<DistKey>) -> Proto,
     ) -> Result<(Vec<Option<Answered>>, Report), EngineError>
@@ -618,8 +713,9 @@ impl Seating<'_> {
         Proto: Protocol,
         Proto::Output: Into<Claim>,
     {
-        let alive = &self.survivors.alive;
-        let leader = self.survivors.sub_leader();
+        let alive = &survivors.alive;
+        let leader = survivors.sub_leader();
+        let queries = fed[0].len();
         let cfg = self.opts.subset_config(alive);
         let build = &build;
         let seats = fed.into_iter().enumerate().map(|(id, row)| {
@@ -631,16 +727,16 @@ impl Seating<'_> {
             let local_keys = claims.into_iter().map(|claim| claim.keys).collect();
             Answered { local_keys, stats, approx, done_round }
         };
-        let Some(m) = self.mux else {
+        if !self.mux {
             let protos = seats.map(|mut row| row.next().expect("one query, one cell")).collect();
             let out = self.opts.engine.run(&cfg, protos)?;
-            let (outputs, report) = Report::from_run(out, self.k, self.survivors.leader);
+            let (outputs, report) = Report::from_run(out, self.k, survivors.leader);
             return Ok((vec![Some(read(outputs, report.metrics.rounds))], report));
-        };
+        }
         let protos = seats.map(|row| MuxProtocol::new(row.collect())).collect();
         let out = self.opts.engine.run(&cfg, protos)?;
-        let (mut outputs, report) = Report::from_run(out, self.k, self.survivors.leader);
-        let answers = (0..m)
+        let (mut outputs, report) = Report::from_run(out, self.k, survivors.leader);
+        let answers = (0..queries)
             .map(|j| {
                 // A hole at the query's tag in any machine's mux output: a
                 // crashed machine died holding that query's contribution.
@@ -654,60 +750,13 @@ impl Seating<'_> {
     }
 }
 
-/// One query, exact (`kind` an algorithm) or approximate (`None`), through
-/// the recovery loop: the body of [`run_query`] and [`run_approx_query`].
-fn run_one<P: Point>(
-    shards: &[Dataset<P>],
-    query: &P,
-    ell: usize,
-    kind: Option<Algorithm>,
-    opts: &QueryOptions,
-) -> Result<(Answered, Report), CoreError> {
-    let k = shards.len();
-    if k == 0 {
-        return Err(CoreError::EmptyCluster);
-    }
-    check_shape(shards, query)?;
-    let (leader, election_metrics) = elect(k, opts)?;
-    let (answer, mut report) = recover(k, leader, opts, |survivors, _| {
-        let alive = &survivors.alive;
-        let seating = Seating { kind, ell, opts, survivors, k, mux: None };
-        // A machine's sorted top-ℓ by full scan: what it feeds its protocol
-        // instance when honest, and what the audit holds its claims against.
-        let scanned = alive.iter().map(|&m| shards[m].records.len()).sum();
-        let Seated { mut answers, mut report, truth } = seating
-            .run(Some(scanned), |m, _| brute_top(&shards[m].records, query, ell, opts.metric))?;
-        let mut answer = answers.pop().flatten().expect("an unmultiplexed run answers its query");
-        if let Some(truth) = truth {
-            report.audit.audits_run = 1;
-            // A machine that crashed in-run legitimately contributed
-            // nothing, so nothing is held against it.
-            let truth: Vec<Vec<DistKey>> = (truth.into_iter().enumerate())
-                .map(|(i, mut row)| {
-                    if report.faults.crashed.contains(&i) {
-                        Vec::new()
-                    } else {
-                        row.swap_remove(0)
-                    }
-                })
-                .collect();
-            let verdict = audit::audit_claims(&truth, &answer.local_keys, ell, opts.seed);
-            if !verdict.ok {
-                let suspects = verdict.suspects.iter().map(|&s| alive[s]).collect();
-                return Ok((report, Attempt::Retry(suspects)));
-            }
-        }
-        answer.local_keys = scatter(answer.local_keys, alive, k);
-        Ok((report, Attempt::Done(answer)))
-    })?;
-    report.election_metrics = election_metrics;
-    Ok((answer, report))
-}
-
-/// Run one ℓ-NN query over `shards` with the chosen algorithm.
+/// Run one ℓ-NN query over `shards` with the chosen algorithm: the paper's
+/// full-scan setting, and the index-free reference for the
+/// [`crate::cluster::KnnCluster`] queries that read shard indices instead
+/// (on the exact backend the answers and every counter are the same).
 ///
-/// Distance computation — a full scan of the shard that keeps only the ℓ
-/// best ([`brute_top`]: no index, `O(ℓ)` memory) — is a stage of its own
+/// Each machine's candidates are a full scan of its shard that keeps only
+/// the ℓ best ([`brute_top`]: `O(ℓ)` memory), computed as a stage of its own
 /// ([`candidate_stage`]): all k scans run before the protocols are seated, on
 /// the rayon pool and on every engine — the model's "all machines compute at
 /// once", and the effect the paper's Figure 2 attributes its measured speedup
@@ -715,16 +764,14 @@ fn run_one<P: Point>(
 ///
 /// Under a [`QueryOptions::faults`] plan the query **recovers from
 /// crashes** and under a [`QueryOptions::adversary`] plan **from lies**,
-/// through the one recovery loop it shares with the batched path: every
-/// successful run's answer is audited against the shard-local oracles
-/// ([`crate::audit::audit_claims`]; the truth is the stage's own honest
-/// output, not a second scan) before it is returned, crashed and suspect
-/// machines are excluded, and the query re-runs on the surviving shards
-/// under the [`RetryPolicy`] budget. The answer is then flagged
+/// through the one serving loop every query path shares: every successful
+/// run's answer is audited ([`crate::audit::audit_claims`]) before it is
+/// returned, crashed and suspect machines are excluded, and the query
+/// re-runs on the surviving shards under the [`RetryPolicy`] budget, flagged
 /// [`Report::degraded`]; [`CoreError::AuditFailed`] surfaces instead of an
-/// uncertified answer when quarantining would empty the cluster. A query
-/// of the wrong [`Point::shape`] is refused with
-/// [`CoreError::ShapeMismatch`] before anything runs.
+/// uncertified answer when quarantining would empty the cluster. A query of
+/// the wrong [`Point::shape`] is refused with [`CoreError::ShapeMismatch`]
+/// before anything runs.
 pub fn run_query<P: Point>(
     shards: &[Dataset<P>],
     query: &P,
@@ -732,42 +779,20 @@ pub fn run_query<P: Point>(
     algorithm: Algorithm,
     opts: &QueryOptions,
 ) -> Result<QueryOutcome, CoreError> {
-    let (answer, report) = run_one(shards, query, ell, Some(algorithm), opts)?;
+    let k = shards.len();
+    if k == 0 {
+        return Err(CoreError::EmptyCluster);
+    }
+    check_shape(shards, query)?;
+    let (leader, election_metrics) = elect(k, opts)?;
+    let seating = Seating { kind: Some(algorithm), ell, opts, k, mux: false };
+    let sizes: Vec<usize> = shards.iter().map(|shard| shard.records.len()).collect();
+    let (mut answers, mut report) = seating.serve(leader, 1, Some(&sizes), |m, _| {
+        brute_top(&shards[m].records, query, ell, opts.metric)
+    })?;
+    report.election_metrics = election_metrics;
+    let answer = answers.pop().expect("one query, one outcome");
     Ok(QueryOutcome { local_keys: answer.local_keys, stats: answer.stats, report })
-}
-
-/// Result of an approximate (pruning-only) query.
-///
-/// The approx path recovers from crashes and corrupt links like the exact
-/// one — the dead machine or the corrupting sender is excluded and the query
-/// re-runs over the survivors, flagged [`Report::degraded`] — but it runs
-/// **unaudited**: it injects no source-level lies and no semantic audit
-/// certifies its supersets. Use the exact path when you need the audit.
-#[derive(Debug)]
-pub struct ApproxOutcome {
-    /// Per-machine surviving keys (globally: every key ≤ the prune
-    /// threshold; a superset of the exact answer when `contains_exact`).
-    pub local_keys: Vec<Vec<DistKey>>,
-    /// Total survivors across the cluster.
-    pub total: u64,
-    /// Whether the survivor set provably contains the exact ℓ-NN.
-    pub contains_exact: bool,
-    /// Costs and fault / recovery accounting (`Deref` target).
-    pub report: Report,
-}
-
-/// Run one *approximate* ℓ-NN query: Algorithm 2's sampling + pruning
-/// stages only (see [`crate::protocols::approx`]). Returns ≈1.75ℓ
-/// candidates in fewer rounds than the exact protocol.
-pub fn run_approx_query<P: Point>(
-    shards: &[Dataset<P>],
-    query: &P,
-    ell: usize,
-    opts: &QueryOptions,
-) -> Result<ApproxOutcome, CoreError> {
-    let (answer, report) = run_one(shards, query, ell, None, opts)?;
-    let (total, contains_exact) = answer.approx.expect("the approx protocol reports its guarantee");
-    Ok(ApproxOutcome { local_keys: answer.local_keys, total, contains_exact, report })
 }
 
 /// Merge per-machine answer keys into one globally sorted answer,
@@ -1136,43 +1161,6 @@ mod tests {
             assert_eq!(out.metrics, reference.metrics, "{engine:?}");
             assert_eq!(out.audit, reference.audit, "{engine:?}");
         }
-    }
-
-    #[test]
-    fn approx_path_is_unaudited_but_integrity_checked() {
-        let sh = range_shards(&[0..200, 200..400, 400..600]);
-        // A lie plan does not perturb the approx path (its supersets are
-        // not the partition the audit certifies), so the answer matches the
-        // adversary-free run and no audits are counted.
-        let opts = QueryOptions {
-            adversary: AdversaryPlan::default().with_lie(1, 0),
-            ..Default::default()
-        };
-        let out = run_approx_query(&sh, &ScalarPoint(300), 10, &opts).unwrap();
-        let clean = run_approx_query(&sh, &ScalarPoint(300), 10, &QueryOptions::default()).unwrap();
-        assert_eq!(out.local_keys, clean.local_keys);
-        assert_eq!(out.audit.audits_run, 0);
-        assert_eq!(out.audit.suspects_quarantined, 0);
-        assert!(out.audit.digests_verified > 0, "armed links still verify digests");
-        // A corrupt link never yields a silent wrong answer either: the
-        // digest chain catches it and — as on the batched approx path and
-        // both exact paths — the sender is quarantined and the query re-runs
-        // over the survivors.
-        let opts = QueryOptions {
-            adversary: AdversaryPlan::default().with_corrupt_link(1, 0, 1000),
-            ..Default::default()
-        };
-        let out = run_approx_query(&sh, &ScalarPoint(300), 10, &opts).unwrap();
-        assert_eq!(out.audit.integrity_violations, 1);
-        assert_eq!(out.audit.suspects_quarantined, 1);
-        assert_eq!(out.audit.audits_run, 0, "still no semantic audit");
-        assert!(out.degraded);
-        assert_eq!(out.attempts, 2);
-        assert!(out.local_keys[1].is_empty(), "the corrupting sender is quarantined");
-        let survivors = [sh[0].clone(), sh[2].clone()];
-        let want =
-            run_approx_query(&survivors, &ScalarPoint(300), 10, &QueryOptions::default()).unwrap();
-        assert_eq!(answer_of(&out.local_keys), answer_of(&want.local_keys));
     }
 
     #[test]

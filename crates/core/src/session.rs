@@ -1,24 +1,27 @@
 //! Batched query serving: one leader election, one engine run per batch,
 //! indexed local candidate generation.
 //!
-//! [`crate::runner::run_query`] models the paper's *per-query* cost
-//! exactly: every call elects a leader, builds k fresh protocol instances,
-//! and scans every shard. A serving system answering a stream of queries
+//! A sequential [`crate::cluster::KnnCluster::query`] models the paper's
+//! *per-query* cost exactly: every call elects a leader and builds k fresh
+//! protocol instances. A serving system answering a stream of queries
 //! against one loaded cluster (the paper's own §3 experimental setup, and
-//! the PANDA \[14\] amortization argument) should pay none of that per
-//! query — which is what [`QuerySession`] provides:
+//! the PANDA \[14\] amortization argument) should pay neither per query —
+//! which is what [`QuerySession`] provides:
 //!
 //! * the **leader is elected once per session** and reused by every query;
 //! * a batch of m queries runs as **one engine run**: each machine
 //!   multiplexes m protocol instances over its links via
 //!   [`kmachine::mux::MuxProtocol`], so the per-run fixed rounds (round-0
 //!   scheduling, completion broadcasts) are paid once and the instances
-//!   pipeline through the shared bandwidth;
-//! * local candidate generation goes through the **per-shard indices**
-//!   ([`crate::local::ShardIndex`]: exact structures or the approximate NSW
-//!   graph, built at load and kept current by
-//!   [`crate::cluster::KnnCluster::insert`]) — `O(ℓ log n)` per query
-//!   instead of the `O(n)` full scan.
+//!   pipeline through the shared bandwidth.
+//!
+//! Both read their candidates from the **per-shard indices**
+//! ([`crate::local::ShardIndex`]: exact structures or the approximate NSW
+//! graph, built at load and kept current by
+//! [`crate::cluster::KnnCluster::insert`]) — `O(ℓ log n)` per query instead
+//! of the `O(n)` full scan of the shards-only [`crate::runner::run_query`] —
+//! and both run the one serving loop, so a batch answers exactly what the
+//! same queries asked one at a time would.
 //!
 //! Per-query costs stay observable: message/bit totals are attributed by
 //! query tag ([`kmachine::RunMetrics::per_tag`]) and each query reports the
@@ -34,15 +37,11 @@
 use kmachine::{MachineId, RunMetrics};
 use knn_points::{Dataset, DistKey};
 
-use crate::audit;
 use crate::error::CoreError;
 use crate::local::{IndexedPoint, ShardIndex};
 use crate::protocols::knn::KnnStats;
 use crate::report::Report;
-use crate::runner::{
-    check_shape, elect, recover, scatter, Algorithm, Attempt, QueryOptions, Seated, Seating,
-    Survivors,
-};
+use crate::runner::{check_shape, elect, Algorithm, QueryOptions, Seating};
 
 /// Per-query result inside a batch, before point resolution.
 #[derive(Debug, Clone)]
@@ -137,14 +136,15 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
     /// Answer `queries` (all at the same ℓ) in **one engine run** with
     /// `algorithm`, multiplexing one protocol instance per query on every
     /// machine. Answers are exactly what sequential
-    /// [`crate::runner::run_query`] calls would return.
+    /// [`crate::cluster::KnnCluster::query_with`] calls over the same shards
+    /// and indices would return.
     pub fn run_batch(
         &self,
         queries: &[P],
         ell: usize,
         algorithm: Algorithm,
     ) -> Result<BatchOutcome, CoreError> {
-        self.run_mux(queries, ell, Some(algorithm))
+        self.serve(queries, ell, Some(algorithm), true)
     }
 
     /// Answer `queries` approximately (pruning-only supersets, see
@@ -155,101 +155,31 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
     /// source-level lies; a crash or a corrupt link is recovered from like
     /// on the exact path (the sender of a corrupt link is quarantined).
     pub fn run_batch_approx(&self, queries: &[P], ell: usize) -> Result<BatchOutcome, CoreError> {
-        self.run_mux(queries, ell, None)
+        self.serve(queries, ell, None, true)
     }
 
-    /// The batched run behind both entry points: seat one protocol instance
-    /// of `kind` (`None`: the approximate protocol) per (machine, pending
-    /// query), multiplex each machine's instances over one engine run
-    /// ([`Seating`]), and fold the outcome per query.
-    ///
-    /// Recovery is [`crate::runner::recover`] — the loop
-    /// [`crate::runner::run_query`] runs — made **fault-aware per query**:
-    /// when a run completes with *holes* (a crashed machine took some
-    /// queries' contributions with it), only those lost queries are
-    /// re-planned onto the surviving topology; queries that completed keep
-    /// their full-cluster answers. An unsalvageable
-    /// [`kmachine::EngineError::Crashed`] (the survivors stalled on the dead
-    /// machine) re-runs every still-pending query. The outcome is then
-    /// flagged [`Report::degraded`].
-    ///
-    /// On the exact path, when the session has an adversary plan, every
-    /// completed query is **audited before it is kept**: its claimed
-    /// per-machine contributions are checked against the true ℓ-NN
-    /// partition ([`crate::audit::audit_claims`]; [`Self::top`] is computed
-    /// once per (machine, query) by the candidate stage, and is both what an
-    /// honest machine feeds its instance and the truth its claims are held
-    /// against). Queries that fail the audit are treated like lost queries —
-    /// the named suspects are quarantined alongside any crashed machines and
-    /// the queries re-run on the honest survivors — so a wrong answer is
-    /// never stored, not even one answered by a machine only caught lying on
-    /// a *later* query of the same batch.
+    /// Answer `queries` with protocol `kind` (`None`: the approximate one)
+    /// from the shard indices, coordinated by the session leader: in one
+    /// engine run per attempt, multiplexed when `mux`, and otherwise — a
+    /// single query, as [`crate::cluster::KnnCluster`]'s sequential calls
+    /// ask — untagged, as the paper accounts a query. Recovery, audit and
+    /// per-query re-planning are the serving loop's, the same one
+    /// [`crate::runner::run_query`] runs.
     ///
     /// A query of the wrong [`knn_points::Point::shape`] refuses the whole
-    /// batch with [`CoreError::ShapeMismatch`] before anything runs.
-    fn run_mux(
+    /// call with [`CoreError::ShapeMismatch`] before any query runs.
+    pub(crate) fn serve(
         &self,
         queries: &[P],
         ell: usize,
         kind: Option<Algorithm>,
+        mux: bool,
     ) -> Result<BatchOutcome, CoreError> {
-        let (k, opts) = (self.shards.len(), &self.opts);
         queries.iter().try_for_each(|q| check_shape(self.shards, q))?;
-        // Finished per-query outcomes by original index, filled across runs.
-        let mut done: Vec<Option<BatchQueryOutcome>> = (0..queries.len()).map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..queries.len()).collect();
-        let attempt = |survivors: &Survivors, attempts: u32| {
-            let alive = &survivors.alive;
-            let seating = Seating { kind, ell, opts, survivors, k, mux: Some(pending.len()) };
-            let Seated { answers, mut report, mut truth } =
-                seating.run(None, |m, p| self.top(m, &queries[pending[p]], ell))?;
-            let mut lost: Vec<usize> = Vec::new();
-            let mut suspects: Vec<MachineId> = Vec::new();
-            for (p, (&j, answer)) in pending.iter().zip(answers).enumerate() {
-                let Some(answer) = answer else {
-                    lost.push(j);
-                    continue;
-                };
-                if let Some(truth) = &mut truth {
-                    report.audit.audits_run += 1;
-                    // Ground truth over the audited topology: every
-                    // completed query had every alive machine's instance
-                    // finish, so no crash exclusion applies.
-                    let truth: Vec<Vec<DistKey>> =
-                        truth.iter_mut().map(|row| std::mem::take(&mut row[p])).collect();
-                    let verdict = audit::audit_claims(&truth, &answer.local_keys, ell, opts.seed);
-                    if !verdict.ok {
-                        lost.push(j);
-                        suspects.extend(verdict.suspects.iter().map(|&s| alive[s]));
-                        continue;
-                    }
-                }
-                let tag = report.metrics.tag(p as u32);
-                done[j] = Some(BatchQueryOutcome {
-                    local_keys: scatter(answer.local_keys, alive, k),
-                    messages: tag.messages,
-                    bits: tag.bits,
-                    done_round: answer.done_round,
-                    stats: answer.stats,
-                    approx_total: answer.approx.map(|(total, _)| total),
-                    contains_exact: answer.approx.map(|(_, contains)| contains),
-                    attempts,
-                    recovered: attempts > 1,
-                });
-            }
-            if lost.is_empty() {
-                return Ok((report, Attempt::Done(())));
-            }
-            pending = lost;
-            Ok((report, Attempt::Retry(suspects)))
-        };
-        let mut report = if queries.is_empty() {
-            Report::healthy(RunMetrics::new(k), k, self.leader)
-        } else {
-            recover(k, self.leader, opts, attempt)?.1
-        };
+        let seating = Seating { kind, ell, opts: &self.opts, k: self.shards.len(), mux };
+        let (queries, mut report) = seating
+            .serve(self.leader, queries.len(), None, |m, j| self.top(m, &queries[j], ell))?;
         report.election_metrics = self.election_metrics.clone();
-        let queries = done.into_iter().map(|q| q.expect("every query answered")).collect();
         Ok(BatchOutcome { queries, report })
     }
 }
@@ -554,6 +484,7 @@ mod tests {
 
     #[test]
     fn a_liars_input_is_sorted_and_both_paths_quarantine_it() {
+        use crate::audit;
         use crate::local::brute_top;
         use kmachine::AdversaryPlan;
         let sh = range_shards(&[0..100, 100..200, 200..300, 300..400]);

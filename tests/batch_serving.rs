@@ -256,6 +256,71 @@ fn approx_recovers_from_a_mid_run_worker_crash_on_both_paths() {
     assert!(single.neighbors.iter().all(|n| n.machine != 2));
 }
 
+/// Machine 2 of [`range_cluster`]`(4, …)` crashes in round `crash` under the
+/// gather baseline while it owns the whole neighbourhood of the query, which
+/// is then answered sequentially and as a batch of one. `armed` adds a
+/// corrupt link that never fires: the audit runs, and nobody misbehaves.
+fn simple_crash_probe(crash: u64, armed: bool, engine: Engine) -> (KnnAnswer, BatchAnswer) {
+    let faults = FaultPlan::default().with_crash(2, crash);
+    let mut builder =
+        KnnCluster::builder().algorithm(Algorithm::Simple).engine(engine).faults(faults);
+    if armed {
+        builder = builder.adversary(AdversaryPlan::default().with_corrupt_link(3, 0, 0));
+    }
+    let cluster = range_cluster(4, builder);
+    let q = ScalarPoint(250);
+    (cluster.query(&q, 6).unwrap(), cluster.query_batch(&[q], 6).unwrap())
+}
+
+#[test]
+fn a_worker_crashing_mid_stream_costs_simple_a_retry_not_its_answer() {
+    let dists_on = |a: &KnnAnswer| -> Vec<(u64, usize)> {
+        a.neighbors.iter().map(|n| (n.dist.as_u64(), n.machine)).collect()
+    };
+    let survivors = [(50, 3), (51, 1), (51, 3), (52, 1), (52, 3), (53, 1)];
+    let full = [(0, 2), (1, 2), (1, 2), (2, 2), (2, 2), (3, 2)];
+    for engine in [Engine::Sync, Engine::Event] {
+        for crash in 0..=5 {
+            let (single, batch) = simple_crash_probe(crash, false, engine);
+            let label = format!("crash in round {crash}, {engine:?}");
+            // Round 0: machine 2 never sends, and the run salvages it. Rounds
+            // 1–3: its candidates already reached the leader's gather, so the
+            // run is retried over the survivors. Later: it finished first.
+            let (want, degraded, attempts) = match crash {
+                0 => (&survivors, true, 1),
+                1..=3 => (&survivors, true, 2),
+                _ => (&full, false, 1),
+            };
+            assert_eq!(dists_on(&single), want, "{label}");
+            assert_eq!(batch.answers[0].neighbors, single.neighbors, "{label}");
+            for (path, report) in [("single", &single.report), ("batch", &batch.report)] {
+                assert_eq!(
+                    (report.degraded, report.attempts),
+                    (degraded, attempts),
+                    "{label} {path}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn an_armed_audit_never_quarantines_an_honest_cluster() {
+    for engine in [Engine::Sync, Engine::Event] {
+        for crash in 0..=5 {
+            let (single, batch) = simple_crash_probe(crash, true, engine);
+            let (want, want_batch) = simple_crash_probe(crash, false, engine);
+            let label = format!("crash in round {crash}, {engine:?}");
+            for (path, report) in [("single", &single.report), ("batch", &batch.report)] {
+                assert!(report.audit.audits_run > 0, "{label} {path}: the audit must run");
+                assert_eq!(report.audit.suspects_quarantined, 0, "{label} {path}");
+            }
+            assert_eq!(single.neighbors, want.neighbors, "{label}");
+            assert_eq!(batch.answers[0].neighbors, want_batch.answers[0].neighbors, "{label}");
+        }
+    }
+}
+
 #[test]
 fn nobody_left_to_certify_is_audit_failed_not_a_budget_failure() {
     // Both machines own part of the answer and both lie: no further run

@@ -18,9 +18,9 @@ fn with_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// Distance evaluations of [`Counted`] points so far.
 static DISTANCES: AtomicU64 = AtomicU64::new(0);
 
-/// A point on the line whose every distance evaluation is counted. It has no
-/// index of its own, so the batched path scans too and each cell costs
-/// exactly its shard's length.
+/// A point on the line whose every distance evaluation is counted. Its
+/// index is a scan, so one `top` — one cell — costs exactly its shard's
+/// length on every path.
 #[derive(Debug, Clone)]
 struct Counted(u64);
 
@@ -54,9 +54,9 @@ fn distances_of<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (out, DISTANCES.load(Ordering::Relaxed) - before)
 }
 
-/// One scan per (alive machine, attempt) on the sequential path and one per
+/// One `top` per (alive machine, attempt) on the sequential path and one per
 /// (alive machine, query, attempt) on the batched one, audited or not: the
-/// audit's truth is the stage's honest output, not a second scan.
+/// audit's truth is the stage's honest output, not a second computation.
 #[test]
 fn an_audited_answer_scans_each_cell_once() {
     // Machine 1 lies from round 0. Its 100 points are far from query 50 (the

@@ -7,11 +7,12 @@
 //!   at the index level — recall at the default `ef`, *exact parity* once
 //!   `ef` covers the shard (the knob saturates at exact by construction),
 //!   genuineness of every claim, and deterministic tie-breaks;
-//! * the **exact protocols** at the cluster level — the sequential
-//!   [`KnnCluster::query`] path never uses an index (it scans every shard
-//!   inside the protocol run), so it is the end-to-end reference the
-//!   NSW-backed batched path is measured against, including after live
-//!   [`KnnCluster::insert`]s.
+//! * the **brute-force ℓ-NN over every record the test holds**
+//!   ([`knn_points::brute_force_knn`]: the loaded data plus each record it
+//!   inserted, under the id `insert` returned) at the cluster level — the
+//!   end-to-end reference the served answers are measured against,
+//!   including after live [`KnnCluster::insert`]s. Every cluster query
+//!   reads the shard index, so the reference is kept outside the cluster.
 //!
 //! The insert-as-query equivalence tests pin the other tentpole property:
 //! bulk load and empty-then-insert produce byte-identical serving behavior,
@@ -22,7 +23,10 @@ use knn_core::cluster::KnnCluster;
 use knn_core::local::{brute_top, dist_keys, recall};
 use knn_core::runner::Algorithm;
 use knn_core::{IndexBackend, IndexedPoint, NswIndex, NswParams, ShardIndex};
-use knn_points::{BitsPoint, Dataset, DistKey, IdAssigner, Metric, Record, ScalarPoint, VecPoint};
+use knn_points::{
+    brute_force_knn, BitsPoint, Dataset, DistKey, IdAssigner, Metric, Point, Record, ScalarPoint,
+    VecPoint,
+};
 use knn_workloads::vector::uniform_cube;
 use knn_workloads::{GaussianMixture, PartitionStrategy};
 use proptest::prelude::*;
@@ -69,22 +73,25 @@ fn answer_keys(answer: &knn_core::cluster::KnnAnswer) -> Vec<DistKey> {
     answer.neighbors.iter().map(|n| DistKey::new(n.dist, n.id)).collect()
 }
 
+/// The exact ℓ-NN of `q` over `records`, by full sort — no cluster, no index.
+fn oracle<P: Point>(records: &[Record<P>], q: &P, ell: usize) -> Vec<DistKey> {
+    brute_force_knn(records, q, ell, Metric::Euclidean).into_iter().map(|(key, _)| key).collect()
+}
+
 /// **Acceptance criterion.** On the seeded vector workload, the NSW-backed
 /// batched path reaches mean recall ≥ 0.95 at the default `ef` against the
-/// exact-protocol oracle — the sequential query path of the *same* cluster,
-/// which scans every shard inside the protocol run and never touches the
-/// graph.
+/// brute-force ℓ-NN over the records the cluster was loaded with.
 #[test]
 fn nsw_recall_beats_095_at_default_ef_on_the_seeded_vector_workload() {
     let (k, per_shard, dims, ell, seed) = (4usize, 1024usize, 8usize, 10usize, 42u64);
     let shards = vector_shards(k, per_shard, dims, seed);
+    let records: Vec<Record<VecPoint>> = shards.iter().flat_map(|d| d.records.clone()).collect();
     let cluster = vec_cluster(k, seed, IndexBackend::nsw(), Engine::Sync, shards);
     let queries = vector_queries(32, dims, seed);
     let batch = cluster.query_batch(&queries, ell).expect("nsw batch");
     let mut total = 0.0;
     for (q, got) in queries.iter().zip(&batch.answers) {
-        let oracle = cluster.query(q, ell).expect("exact oracle");
-        let r = recall(&answer_keys(got), &answer_keys(&oracle));
+        let r = recall(&answer_keys(got), &oracle(&records, q, ell));
         assert!(r >= 0.5, "catastrophic recall {r} on one query");
         total += r;
     }
@@ -164,7 +171,7 @@ fn bulk_load_equals_empty_then_insert_across_engines_and_pools() {
 /// points without a reload: points inserted into a live NSW cluster in a
 /// region the loaded data never touched are found by the very next batch,
 /// identically across engines × pools, and in exact agreement with the
-/// sequential full-scan oracle.
+/// brute-force ℓ-NN over the loaded and the inserted records.
 #[test]
 fn live_inserts_serve_without_reload_deterministically() {
     let (k, per_shard, dims, ell, seed) = (3usize, 150usize, 6usize, 5usize, 13u64);
@@ -176,10 +183,14 @@ fn live_inserts_serve_without_reload_deterministically() {
         for pool in [1usize, 2, 8] {
             let neighbors = with_pool(pool, || {
                 let mut cluster = vec_cluster(k, seed, IndexBackend::nsw(), engine, shards.clone());
+                let mut records: Vec<Record<VecPoint>> =
+                    shards.iter().flat_map(|d| d.records.clone()).collect();
                 let mut inserted = Vec::new();
                 for i in 0..ell {
-                    let p = VecPoint::new(vec![60.0 + i as f64 * 0.25; 6]);
-                    inserted.push(cluster.insert(p).expect("insert"));
+                    let point = VecPoint::new(vec![60.0 + i as f64 * 0.25; 6]);
+                    let (id, machine) = cluster.insert(point.clone()).expect("insert");
+                    records.push(Record { id, point, label: None });
+                    inserted.push((id, machine));
                 }
                 let batch = cluster.query_batch(std::slice::from_ref(&probe), ell).expect("batch");
                 let got = batch.answers[0].neighbors.clone();
@@ -191,10 +202,8 @@ fn live_inserts_serve_without_reload_deterministically() {
                         "answer {n:?} is not one of the live inserts"
                     );
                 }
-                // The sequential path scans the mutated shards directly:
-                // the exact oracle agrees over the inserted points.
-                let oracle = cluster.query(&probe, ell).expect("oracle");
-                assert_eq!(answer_keys(&batch.answers[0]), answer_keys(&oracle));
+                // The exact ℓ-NN over everything loaded and inserted agrees.
+                assert_eq!(answer_keys(&batch.answers[0]), oracle(&records, &probe, ell));
                 got
             });
             let want = reference.get_or_insert(neighbors.clone());
@@ -205,10 +214,10 @@ fn live_inserts_serve_without_reload_deterministically() {
 
 /// **Exact-backend churn.** The exact indices take inserts in place — a
 /// shifted sorted array, a grown and occasionally re-balanced k-d tree — so
-/// the serving path is checked against the one path that never reads an
-/// index: after every burst of inserts, `query_batch` under each of the four
-/// algorithms must equal the sequential scanning `query`, on sync and on
-/// event at pool 2.
+/// every serving path is checked against an index-free oracle: after every
+/// burst of inserts, `query_batch` under each of the four algorithms and
+/// the sequential `query` must equal the brute-force ℓ-NN over the records
+/// the test loaded and inserted, on sync and on event at pool 2.
 fn exact_churn_equals_the_scanning_oracle<P: IndexedPoint>(
     base: Vec<P>,
     inserts: Vec<P>,
@@ -220,19 +229,25 @@ fn exact_churn_equals_the_scanning_oracle<P: IndexedPoint>(
             let mut cluster: KnnCluster<P> =
                 KnnCluster::builder().machines(k).seed(seed).engine(engine).build();
             let mut ids = IdAssigner::new(seed);
-            cluster.load(Dataset::from_points(base.clone(), &mut ids), PartitionStrategy::Shuffled);
+            let data = Dataset::from_points(base.clone(), &mut ids);
+            let mut records = data.records.clone();
+            cluster.load(data, PartitionStrategy::Shuffled);
             for (burst, points) in inserts.chunks(8).enumerate() {
                 for point in points {
-                    cluster.insert(point.clone()).expect("insert");
+                    let (id, _) = cluster.insert(point.clone()).expect("insert");
+                    records.push(Record { id, point: point.clone(), label: None });
                 }
-                let oracle: Vec<Vec<DistKey>> = queries
+                let want: Vec<Vec<DistKey>> =
+                    queries.iter().map(|q| oracle(&records, q, ell)).collect();
+                let sequential: Vec<Vec<DistKey>> = queries
                     .iter()
-                    .map(|q| answer_keys(&cluster.query(q, ell).expect("oracle")))
+                    .map(|q| answer_keys(&cluster.query(q, ell).expect("query")))
                     .collect();
+                assert_eq!(sequential, want, "query/{engine:?}@{pool} after burst {burst}");
                 for algo in Algorithm::ALL {
                     let batch = cluster.query_batch_with(algo, &queries, ell).expect("batch");
                     let got: Vec<Vec<DistKey>> = batch.answers.iter().map(answer_keys).collect();
-                    assert_eq!(got, oracle, "{algo:?}/{engine:?}@{pool} after burst {burst}");
+                    assert_eq!(got, want, "{algo:?}/{engine:?}@{pool} after burst {burst}");
                 }
             }
             assert_eq!(cluster.total_points(), base.len() + inserts.len());

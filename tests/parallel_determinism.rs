@@ -13,11 +13,11 @@ use kmachine::{
     AdversaryPlan, AuditMetrics, BandwidthMode, Ctx, FaultMetrics, FaultPlan, MuxOutput,
     MuxProtocol, NetConfig, Payload, Protocol, RunMetrics, RunOutcome, Step,
 };
-use knn_core::cluster::{KnnCluster, Neighbor};
-use knn_core::runner::Algorithm;
-use knn_core::Report;
-use knn_points::{Dataset, ScalarPoint, VecPoint};
-use knn_workloads::{GaussianMixture, ScalarWorkload};
+use knn_core::cluster::{ClusterBuilder, KnnCluster, Neighbor};
+use knn_core::runner::{merge_answers, run_query, Algorithm};
+use knn_core::{IndexedPoint, Report};
+use knn_points::{BitsPoint, Dataset, DistKey, IdAssigner, Metric, ScalarPoint, VecPoint};
+use knn_workloads::{GaussianMixture, PartitionStrategy, ScalarWorkload};
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 
@@ -277,7 +277,8 @@ fn vector_pipeline_identical_across_pool_sizes() {
 /// Everything of an answer that must not depend on how it was scheduled.
 #[derive(Debug, PartialEq)]
 struct Bytes {
-    neighbors: Vec<Vec<Neighbor>>,
+    /// Per query: `(key, machine)` ascending, as [`merge_answers`] lays out.
+    neighbors: Vec<Vec<(DistKey, usize)>>,
     metrics: RunMetrics,
     audit: AuditMetrics,
     faults: FaultMetrics,
@@ -288,9 +289,10 @@ struct Bytes {
 }
 
 impl Bytes {
-    fn of(neighbors: Vec<Vec<Neighbor>>, report: Report) -> Bytes {
+    fn of<'a>(answers: impl IntoIterator<Item = &'a [Neighbor]>, report: Report) -> Bytes {
+        let keyed = |n: &Neighbor| (DistKey::new(n.dist, n.id), n.machine);
         Bytes {
-            neighbors,
+            neighbors: answers.into_iter().map(|ns| ns.iter().map(keyed).collect()).collect(),
             metrics: report.metrics,
             audit: report.audit,
             faults: report.faults,
@@ -304,39 +306,79 @@ impl Bytes {
 
 /// One answer per (protocol, call shape): `Algorithm::ALL` and the
 /// approximate protocol (`None`), each asked sequentially, as a batch of 1
-/// and as a batch of 17.
-fn every_path(cluster: &KnnCluster, ell: usize) -> Vec<Bytes> {
-    let queries: Vec<ScalarPoint> =
-        (0..17u64).map(|i| ScalarPoint(i.wrapping_mul(0x9E37_79B9) % (1 << 32))).collect();
+/// and as a batch of all `queries`; then each exact algorithm once more
+/// through the full-scan [`run_query`] over the cluster's own `shards`.
+fn every_path<P: IndexedPoint>(
+    cluster: &KnnCluster<P>,
+    shards: &[Dataset<P>],
+    queries: &[P],
+    ell: usize,
+) -> Vec<Bytes> {
     let kinds = Algorithm::ALL.into_iter().map(Some).chain([None]);
-    kinds
-        .flat_map(|kind| {
-            let single = match kind {
-                Some(algo) => cluster.query_with(algo, &queries[0], ell),
-                None => cluster.query_approx(&queries[0], ell),
+    let served = kinds.flat_map(|kind| {
+        let single = match kind {
+            Some(algo) => cluster.query_with(algo, &queries[0], ell),
+            None => cluster.query_approx(&queries[0], ell),
+        }
+        .expect("sequential query");
+        let batches = [1, queries.len()].map(|m| {
+            let batch = match kind {
+                Some(algo) => cluster.query_batch_with(algo, &queries[..m], ell),
+                None => cluster.query_batch_approx(&queries[..m], ell),
             }
-            .expect("sequential query");
-            let batches = [1, 17].map(|m| {
-                let batch = match kind {
-                    Some(algo) => cluster.query_batch_with(algo, &queries[..m], ell),
-                    None => cluster.query_batch_approx(&queries[..m], ell),
-                }
-                .expect("batch");
-                Bytes::of(batch.answers.into_iter().map(|a| a.neighbors).collect(), batch.report)
-            });
-            [Bytes::of(vec![single.neighbors], single.report)].into_iter().chain(batches)
-        })
-        .collect()
+            .expect("batch");
+            Bytes::of(batch.answers.iter().map(|a| &a.neighbors[..]), batch.report)
+        });
+        [Bytes::of([&single.neighbors[..]], single.report)].into_iter().chain(batches)
+    });
+    let scanned = Algorithm::ALL.map(|algo| {
+        let out = run_query(shards, &queries[0], ell, algo, cluster.options()).expect("run_query");
+        let neighbors = merge_answers(&out.local_keys);
+        Bytes { neighbors: vec![neighbors], ..Bytes::of([], out.report) }
+    });
+    served.chain(scanned).collect()
+}
+
+/// `cluster`, loaded with `shards`, answers every path with the bytes of
+/// its pool-1 sync run at pools 1, 2 and 8 on both engines — and on the
+/// reference run `shows` the scenario happened, and each exact algorithm's
+/// indexed sequential query equals its full scan.
+fn assert_invisible<P: IndexedPoint>(
+    name: &str,
+    builder: ClusterBuilder,
+    shards: Vec<Dataset<P>>,
+    queries: &[P],
+    shows: fn(&Bytes) -> bool,
+) {
+    let mut cluster: KnnCluster<P> = builder.build();
+    cluster.load_shards(shards.clone()).expect("four shards");
+    let reference = with_pool(1, || every_path(&cluster, &shards, queries, 12));
+    assert!(reference.iter().any(shows), "{name}: the scenario did not happen");
+    for (a, _) in Algorithm::ALL.iter().enumerate() {
+        assert_eq!(reference[3 * a], reference[15 + a], "{name}: index and scan disagree");
+    }
+    for engine in ENGINES {
+        cluster.set_engine(engine);
+        for pool in POOLS {
+            let got = with_pool(pool, || every_path(&cluster, &shards, queries, 12));
+            for (path, (got, want)) in got.iter().zip(&reference).enumerate() {
+                assert_eq!(got, want, "{name}: path {path}, pool {pool}, {engine:?}");
+            }
+        }
+    }
 }
 
 /// The candidate stage is invisible in the bytes: every protocol, asked
 /// every way, gives the pool-1 sync answer — neighbors, `RunMetrics`
 /// (per-tag and per-machine tables included), audit, faults, attempts — at
-/// pools 1, 2 and 8 on both engines. At 25 600 points a shard the
-/// sequential stage is worth the pool and the batched ones are timed into
-/// it; at 64 points a shard everything stays inline. Same again with a
-/// liar to quarantine, with a machine dead before its round 0, and with an
-/// empty shard in the layout.
+/// pools 1, 2 and 8 on both engines, and the indexed sequential query gives
+/// what the full scan does. The full scans of 25 600 points a shard are
+/// priced into the pool up front; sorted-array cells are cheap and stay
+/// inline but in the 17-query batches, and at 64 points a shard everything
+/// stays inline. Same again with a liar to quarantine, with a machine dead
+/// before its round 0, with an empty shard in the layout, and on bit
+/// points, whose index is a scan: their indexed cells — sequential ones
+/// included — are timed into the pool (batches of 3 there, for time).
 #[test]
 fn candidate_stage_is_invisible_in_the_bytes() {
     let shards = |per_machine: usize, emptied: Option<usize>| {
@@ -346,6 +388,8 @@ fn candidate_stage_is_invisible_in_the_bytes() {
         }
         shards
     };
+    let queries: Vec<ScalarPoint> =
+        (0..17u64).map(|i| ScalarPoint(i.wrapping_mul(0x9E37_79B9) % (1 << 32))).collect();
     let healthy = KnnCluster::builder().machines(4).seed(23);
     let liar = healthy.clone().adversary(AdversaryPlan::default().with_lie(1, 0));
     let dead = healthy.clone().faults(FaultPlan::default().with_crash(2, 0));
@@ -353,27 +397,25 @@ fn candidate_stage_is_invisible_in_the_bytes() {
     // the scenario is the one its name says.
     type Shows = fn(&Bytes) -> bool;
     let clean: Shows = |b| b.attempts == 1 && !b.degraded;
-    let scenarios = [
+    let scenarios: [(_, _, _, Shows); 5] = [
         ("healthy", healthy.clone(), shards(25_600, None), clean),
         ("inline", healthy.clone(), shards(64, None), clean),
         ("liar", liar, shards(25_600, None), |b| b.audit.suspects_quarantined == 1),
         ("dead before round 0", dead, shards(25_600, None), |b| b.attempts == 2 && b.degraded),
         // Three shards to scan, so larger ones for the same stage.
-        ("empty shard", healthy, shards(34_200, Some(3)), clean),
+        ("empty shard", healthy.clone(), shards(34_200, Some(3)), clean),
     ];
     for (name, builder, shards, shows) in scenarios {
-        let mut cluster: KnnCluster = builder.build();
-        cluster.load_shards(shards).expect("four shards");
-        let reference = with_pool(1, || every_path(&cluster, 12));
-        assert!(reference.iter().any(shows), "{name}: the scenario did not happen");
-        for engine in ENGINES {
-            cluster.set_engine(engine);
-            for pool in POOLS {
-                let got = with_pool(pool, || every_path(&cluster, 12));
-                for (path, (got, want)) in got.iter().zip(&reference).enumerate() {
-                    assert_eq!(got, want, "{name}: path {path}, pool {pool}, {engine:?}");
-                }
-            }
-        }
+        assert_invisible(name, builder, shards, &queries, shows);
     }
+    // A bit-point shard's index is a scan: 8 192 points of two words cost
+    // ≈ 0.1 ms a cell in release and ≈ 0.9 ms in the test profile (2 vCPUs),
+    // so even a sequential query's four cells are timed into the pool.
+    let word = |i: u64| BitsPoint::new(vec![i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i >> 3]);
+    let mut ids = IdAssigner::new(23);
+    let bits = Dataset::from_points((0..4 * 8_192).map(word).collect(), &mut ids);
+    let bits = PartitionStrategy::RoundRobin.split(bits.records, 4, 23);
+    let queries: Vec<BitsPoint> = (0..3).map(|i| word(i * 7_919 + 1)).collect();
+    let bits = bits.into_iter().map(Dataset::new).collect();
+    assert_invisible("bit points", healthy.metric(Metric::Hamming), bits, &queries, clean);
 }
