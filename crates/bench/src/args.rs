@@ -104,8 +104,8 @@ mod tests {
         assert_eq!(a.get_list("ks", &[9]), vec![9]);
         assert_eq!(a.get_u64("seed", 7), 7);
         assert_eq!(a.get_f64("alpha", 0.5), 0.5);
-        assert_eq!(parse("--engines sync,event").get_str("engines", "sync"), "sync,event");
-        assert_eq!(parse("").get_str("engines", "sync"), "sync");
+        assert_eq!(parse("--corrupt 0,1").get_str("corrupt", ""), "0,1");
+        assert_eq!(parse("").get_str("lie", "none"), "none");
     }
 
     #[test]

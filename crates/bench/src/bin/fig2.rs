@@ -8,8 +8,8 @@
 //! Our substitution (README "Performance"): every machine's local
 //! computation — the scan of its shard — runs as one stage on the rayon
 //! pool before the protocols are seated (`knn_core::local::candidate_stage`),
-//! and the event engine then runs the message rounds on a worker pool with
-//! a synthetic per-round latency; `wall` covers both. On a host with fewer
+//! and the lockstep engine then runs the message rounds with a synthetic
+//! per-round latency; `wall` covers both. On a host with fewer
 //! cores than simulated machines the *local-computation* part of the
 //! speedup saturates at the core count, so alongside the wall-clock ratio
 //! we report the hardware-independent **round ratio** from the exact engine
@@ -25,7 +25,6 @@
 
 use std::time::Duration;
 
-use kmachine::Engine;
 use knn_bench::args::Args;
 use knn_bench::stats::Summary;
 use knn_bench::table::Table;
@@ -87,7 +86,6 @@ fn main() {
             for (rep, q) in queries.iter().enumerate() {
                 for (slot, algo) in [Algorithm::Simple, Algorithm::Knn].into_iter().enumerate() {
                     let opts = QueryOptions {
-                        engine: Engine::Event,
                         seed: seed.wrapping_add(rep as u64),
                         round_latency: latency,
                         ..Default::default()

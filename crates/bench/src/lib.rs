@@ -11,7 +11,6 @@
 //! | `lemma23`        | Lemma 2.3: survivor distribution after pruning    |
 //! | `baselines`      | All algorithms: rounds / messages / bits          |
 //! | `throughput`     | Serving layer: batch size × algorithm sweep       |
-//! | `hotpath`        | Engine loop rounds/sec + allocations, pool-size speedup |
 //! | `recall`         | NSW graph index: `m × ef` vs recall@ℓ and latency |
 //!
 //! plus Criterion micro-benchmarks of the sequential substrates
@@ -29,16 +28,6 @@ pub mod table;
 
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// CPUs the kernel offers this process (cgroup/affinity aware), detected
-/// via `available_parallelism`. Bench bins detect this **once**, record it
-/// in their reports, and gate every parallel-speedup assertion on the
-/// recorded value — a 1-CPU CI runner must never be asked to prove a
-/// speedup the hardware cannot deliver (nor trusted when timing jitter
-/// fakes one).
-pub fn host_cpus() -> usize {
-    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-}
 
 /// Directory where experiment outputs are written.
 pub fn results_dir() -> PathBuf {

@@ -45,8 +45,8 @@ const LIE_SALT: u64 = 0x11E5_0F7E_11E5_0F7E;
 /// [`kmachine::AdversaryPlan`] liar (or an equivocator) tells.
 ///
 /// Every key's distance is inflated by a nonzero seeded offset keyed on
-/// `(seed, machine, point id)`, so the lie is pure: byte-identical on every
-/// engine, across retries, and across the sequential and batched paths.
+/// `(seed, machine, point id)`, so the lie is pure: byte-identical across
+/// retries, pool sizes, and the sequential and batched paths.
 /// Inflation (rather than arbitrary flips) keeps the lie *order-safe* —
 /// encodings only grow, which both distance families order correctly — and
 /// keeps blame *sound*: the liar's true nearest points vanish from the
@@ -92,7 +92,7 @@ pub struct AuditReport {
 ///   crashed in-run and legitimately contributed nothing).
 /// * `claims[m]` — the answer keys machine `m` reported.
 /// * `ell` — the query's ℓ.
-/// * `seed` — drives the attribution sampling (pure, engine-invariant).
+/// * `seed` — drives the attribution sampling (pure).
 ///
 /// Returns [`AuditReport::ok`] iff the claims partition the true global
 /// top-ℓ over the audited machines exactly.

@@ -4,9 +4,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use kmachine::{
-    AdversaryPlan, BandwidthMode, Engine, FaultPlan, MachineId, RecoveryPlan, RunMetrics,
-};
+use kmachine::{AdversaryPlan, BandwidthMode, FaultPlan, MachineId, RecoveryPlan, RunMetrics};
 use knn_points::{Dataset, Dist, Label, Metric, PointId, Record, ScalarPoint};
 use knn_workloads::PartitionStrategy;
 
@@ -118,23 +116,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Execution engine: who schedules the *message rounds*. Local
-    /// computation is not the engine's — every machine's candidates are
-    /// computed before the protocols are seated, on the rayon pool, under
-    /// any engine ([`crate::local::candidate_stage`]) — so choosing
-    /// [`Engine::Event`] buys parallel rounds only: the barrier-free
-    /// scheduler, which on the benchmark's batch shape
-    /// (`scalar_batch_event` vs `scalar_batch`, 2 vCPUs, 2 workers)
-    /// measured ≈ 0.5× of [`Engine::Sync`], an open ROADMAP item.
-    /// [`Engine::Auto`] picks sync / event per run from the cluster size,
-    /// per-round payload budget, and pool size. Answers and metrics are
-    /// identical under every engine; the `KNN_ENGINE` environment variable
-    /// overrides this choice.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.opts.engine = engine;
-        self
-    }
-
     /// Distance metric.
     pub fn metric(mut self, metric: Metric) -> Self {
         self.opts.metric = metric;
@@ -159,14 +140,14 @@ impl ClusterBuilder {
         self
     }
 
-    /// Synthetic per-round latency, paid once per round on every engine.
+    /// Synthetic per-round latency, paid once per round.
     pub fn round_latency(mut self, latency: Duration) -> Self {
         self.opts.round_latency = latency;
         self
     }
 
-    /// Deterministic fault injection for every query run: stragglers,
-    /// fail-stop crashes, lossy links (see [`FaultPlan`]). Elections stay
+    /// Deterministic fault injection for every query run: fail-stop
+    /// crashes and lossy links (see [`FaultPlan`]). Elections stay
     /// fault-free, crashes are recovered by retrying over the surviving
     /// shards (answers come back flagged [`Report::degraded`]), and a
     /// link exhausting its retry budget surfaces as the typed error
@@ -288,15 +269,6 @@ impl<P: IndexedPoint> KnnCluster<P> {
         &self.opts
     }
 
-    /// Switch the execution engine without reloading the data or rebuilding
-    /// the indices. Answers and metrics are engine-invariant; only the wall
-    /// clock changes — so a serving deployment can move between exact
-    /// accounting ([`Engine::Sync`]) and barrier-free parallel execution
-    /// ([`Engine::Event`]) on a live cluster.
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.opts.engine = engine;
-    }
-
     /// Distribute a global dataset across the machines.
     pub fn load(&mut self, data: Dataset<P>, strategy: PartitionStrategy) {
         let shards = strategy
@@ -347,8 +319,8 @@ impl<P: IndexedPoint> KnnCluster<P> {
     /// and hosting machine.
     ///
     /// Routing is a seeded hash of the id, so a cluster built with the same
-    /// seed places the same stream of inserts identically on any engine at
-    /// any pool size. Either backend absorbs the point at the cost of one
+    /// seed places the same stream of inserts identically at any pool
+    /// size. Either backend absorbs the point at the cost of one
     /// search, not one build: [`IndexBackend::Nsw`] reuses the graph's
     /// search path, the exact sorted array shifts in place and the exact
     /// k-d tree hangs a leaf (rebuilding a subtree only when inserts have
@@ -660,31 +632,6 @@ mod tests {
         let want = survivors.query_approx(&q, 10).unwrap();
         let keys = |a: &KnnAnswer| a.neighbors.iter().map(|n| (n.dist, n.id)).collect::<Vec<_>>();
         assert_eq!(keys(&out), keys(&want));
-    }
-
-    #[test]
-    fn query_batch_can_request_the_event_engine() {
-        let mut event_cluster: KnnCluster<ScalarPoint> =
-            KnnCluster::builder().machines(4).seed(3).engine(Engine::Event).build();
-        let mut ids = IdAssigner::new(0);
-        let data =
-            Dataset::from_points((0..200u64).map(|i| ScalarPoint(i * 7)).collect(), &mut ids);
-        event_cluster.load(data, PartitionStrategy::Shuffled);
-        let queries: Vec<ScalarPoint> = (0..5).map(|i| ScalarPoint(i * 250)).collect();
-        let batch = event_cluster.query_batch(&queries, 4).unwrap();
-        assert_eq!(batch.answers.len(), 5);
-        // Same cluster layout through the sync engine gives the same batch.
-        let mut sync_cluster: KnnCluster<ScalarPoint> =
-            KnnCluster::builder().machines(4).seed(3).engine(Engine::Sync).build();
-        let mut ids = IdAssigner::new(0);
-        let data =
-            Dataset::from_points((0..200u64).map(|i| ScalarPoint(i * 7)).collect(), &mut ids);
-        sync_cluster.load(data, PartitionStrategy::Shuffled);
-        let want = sync_cluster.query_batch(&queries, 4).unwrap();
-        assert_eq!(batch.metrics, want.metrics);
-        for (a, b) in batch.answers.iter().zip(&want.answers) {
-            assert_eq!(a.neighbors, b.neighbors);
-        }
     }
 
     #[test]

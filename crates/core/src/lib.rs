@@ -23,7 +23,7 @@
 //!   pays a large redistribution cost up front, then answers queries
 //!   locally.
 //! * [`cluster::KnnCluster`] — the user-facing facade: load data, pick an
-//!   algorithm and engine, run queries, inspect exact round/message costs.
+//!   algorithm, run queries, inspect exact round/message costs.
 //!   Every query reads per-shard indices ([`local::ShardIndex`]: exact
 //!   [`local::IndexedPoint`] structures or the approximate
 //!   [`local::NswIndex`] graph, chosen via [`local::IndexBackend`]) that
@@ -75,6 +75,7 @@
 pub mod audit;
 pub mod cluster;
 pub mod error;
+mod frozen;
 pub mod local;
 pub mod ml;
 pub mod protocols;
@@ -92,7 +93,7 @@ pub use session::{BatchOutcome, BatchQueryOutcome, QuerySession};
 
 /// SplitMix64 finalizer: the one pure `u64 → u64` scrambler behind insert
 /// routing, NSW level draws, audit sampling, source-level lies and retry
-/// jitter — stateless, so each is the same on every engine and pool size.
+/// jitter — stateless, so each is the same at every pool size.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

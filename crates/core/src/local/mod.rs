@@ -4,8 +4,8 @@
 //! do theirs at once; the wall-clock experiments charge for it, and here it
 //! is most of a query. So it is a stage of its own: [`candidate_stage`]
 //! computes every machine's candidates for every pending query once per
-//! engine run, before the protocols are seated, on the ambient rayon pool —
-//! on every engine, since the engines only move messages.
+//! engine run, before the protocols are seated, on the ambient rayon pool;
+//! the engine then only moves messages.
 //!
 //! One contract, two producers. Every protocol instance takes as input its
 //! machine's **candidates: the shard's ℓ best, sorted ascending by
@@ -110,7 +110,7 @@ const SCAN_NS_PER_POINT: u128 = 2;
 /// Each cell runs behind a panic guard — [`Point::distance`] is user code,
 /// and [`Metric::Minkowski`] below 1 asserts — so a panicking producer is
 /// [`EngineError::WorkerPanic`] naming the lowest position in `alive` whose
-/// cell panicked, exactly what the engines report for a panicking protocol.
+/// cell panicked, exactly what the engine reports for a panicking protocol.
 pub fn candidate_stage(
     alive: &[MachineId],
     queries: usize,

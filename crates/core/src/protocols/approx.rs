@@ -245,7 +245,7 @@ impl<K: Key> Protocol for ApproxKnnProtocol<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kmachine::engine::{run_event, run_sync};
+    use kmachine::engine::run_sync;
     use kmachine::NetConfig;
     use knn_workloads::partition::PartitionStrategy;
     use proptest::prelude::*;
@@ -350,26 +350,6 @@ mod tests {
         assert_eq!(outputs[0].total, 5);
         assert!(outputs.iter().all(|o| o.contains_exact));
         assert_eq!(merged(&outputs), vec![1, 2, 4, 7, 9]);
-    }
-
-    #[test]
-    fn engines_agree() {
-        let shards = vec![vec![5u64, 9, 1], vec![2, 8], vec![7, 3, 4, 6]];
-        let k = shards.len();
-        let cfg = NetConfig::new(k).with_seed(9).with_event_workers(2);
-        let mk = |shards: &[Vec<u64>]| {
-            shards
-                .iter()
-                .enumerate()
-                .map(|(i, l)| {
-                    ApproxKnnProtocol::from_keys(i, k, 0, 3, KnnParams::default(), l.clone())
-                })
-                .collect::<Vec<_>>()
-        };
-        let a = run_sync(&cfg, mk(&shards)).unwrap();
-        let b = run_event(&cfg, mk(&shards)).unwrap();
-        assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.metrics.rounds, b.metrics.rounds);
     }
 
     proptest! {

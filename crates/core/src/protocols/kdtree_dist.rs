@@ -19,7 +19,7 @@
 //!   baselines experiment tabulates.
 //!
 //! The build is implemented as a protocol over the k-machine model so its
-//! rounds/messages/bits are measured by the same engines as everything
+//! rounds/messages/bits are measured by the same engine as everything
 //! else; points travel as `64·d`-bit payloads, unlike the id+distance keys
 //! of the paper's algorithms — that asymmetry *is* the finding.
 

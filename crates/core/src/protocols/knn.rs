@@ -413,7 +413,7 @@ impl<K: Key> Protocol for KnnProtocol<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kmachine::engine::{run_event, run_sync};
+    use kmachine::engine::run_sync;
     use kmachine::NetConfig;
     use knn_workloads::partition::{PartitionStrategy, ALL_STRATEGIES};
     use proptest::prelude::*;
@@ -610,27 +610,6 @@ mod tests {
         let a4 = r4.iter().sum::<u64>() as f64 / 4.0;
         let a64 = r64.iter().sum::<u64>() as f64 / 4.0;
         assert!(a64 < a4 * 2.5, "rounds grew with k: avg(k=4) = {a4}, avg(k=64) = {a64}");
-    }
-
-    #[test]
-    fn engines_agree() {
-        let shards = vec![vec![100u64, 5, 200, 42], vec![7, 300, 2], vec![50, 60, 1, 99]];
-        let k = shards.len();
-        let cfg = NetConfig::new(k).with_seed(17).with_event_workers(2);
-        let mk = |shards: &[Vec<u64>]| {
-            shards
-                .iter()
-                .enumerate()
-                .map(|(i, local)| {
-                    KnnProtocol::from_keys(i, k, 0, 3, KnnParams::default(), local.clone())
-                })
-                .collect::<Vec<_>>()
-        };
-        let a = run_sync(&cfg, mk(&shards)).unwrap();
-        let b = run_event(&cfg, mk(&shards)).unwrap();
-        assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.metrics.rounds, b.metrics.rounds);
-        assert_eq!(a.metrics.messages, b.metrics.messages);
     }
 
     /// Counts `on_round` calls into the shared tally; otherwise `P`.

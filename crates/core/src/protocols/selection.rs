@@ -77,7 +77,7 @@ impl<K: Key> Protocol for SelectProtocol<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kmachine::engine::{run_event, run_sync};
+    use kmachine::engine::run_sync;
     use kmachine::{BandwidthMode, NetConfig};
     use knn_workloads::partition::{PartitionStrategy, ALL_STRATEGIES};
     use proptest::prelude::*;
@@ -205,25 +205,6 @@ mod tests {
         // Each iteration costs ~3k messages; O(log n) iterations.
         let bound = 3 * (k as u64) * 40;
         assert!(m.messages <= bound, "messages = {} > {bound}", m.messages);
-    }
-
-    #[test]
-    fn event_engine_agrees_with_sync() {
-        let shards = vec![vec![10u64, 40, 70, 15], vec![20, 50, 80], vec![30, 60, 90, 5, 6]];
-        let k = shards.len();
-        let cfg = NetConfig::new(k).with_seed(13).with_event_workers(2);
-        let mk = |shards: &[Vec<u64>]| {
-            shards
-                .iter()
-                .enumerate()
-                .map(|(i, local)| SelectProtocol::new(i, k, 0, 5, local.clone()))
-                .collect::<Vec<_>>()
-        };
-        let a = run_sync(&cfg, mk(&shards)).unwrap();
-        let b = run_event(&cfg, mk(&shards)).unwrap();
-        assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.metrics.rounds, b.metrics.rounds);
-        assert_eq!(a.metrics.messages, b.metrics.messages);
     }
 
     #[test]

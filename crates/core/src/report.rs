@@ -55,7 +55,7 @@ pub struct Report {
     /// quarantine-and-retry loop: digests verified by every engine run,
     /// integrity violations caught, semantic audits executed, suspects
     /// quarantined. Empty without an [`kmachine::AdversaryPlan`]; identical
-    /// on every engine and pool size.
+    /// at every pool size.
     pub audit: AuditMetrics,
     /// True when the answer may be missing candidates: one or more shards
     /// crashed or were quarantined (salvaged in-run or excluded by a retry)

@@ -1,4 +1,4 @@
-//! Query orchestration: pick an algorithm, an engine, and an election; run
+//! Query orchestration: pick an algorithm and an election; run
 //! distributed ℓ-NN queries through the one serving loop every query path
 //! shares; collect outputs and exact communication costs.
 
@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 use kmachine::leader::{RandRankFlood, RandRankStar};
 use kmachine::mux::MuxProtocol;
 use kmachine::{
-    AdversaryPlan, AuditMetrics, BandwidthMode, Engine, EngineError, FaultPlan, MachineId,
-    NetConfig, Protocol, RecoveryPlan, RunMetrics, ENVELOPE_HEADER_BITS, MUX_TAG_BITS,
+    run_sync, AdversaryPlan, AuditMetrics, BandwidthMode, Engine, EngineError, FaultPlan,
+    MachineId, NetConfig, Protocol, RecoveryPlan, RunMetrics, ENVELOPE_HEADER_BITS, MUX_TAG_BITS,
 };
 use knn_points::{Dataset, DistKey, Key, Metric, Point};
 
@@ -69,7 +69,7 @@ pub enum ElectionKind {
 
 /// Deadline-bounded, deterministic retry discipline for fault-aware
 /// re-runs. Every budget is counted in **simulated rounds**, never wall
-/// clock, so retries stay reproducible across engines and pool sizes.
+/// clock, so retries stay reproducible at every pool size.
 ///
 /// The default policy replicates the historical behavior: retry until the
 /// cluster is down to one machine, with no backoff and no deadline.
@@ -149,13 +149,10 @@ impl RetryState {
 /// Everything configurable about a query run.
 #[derive(Debug, Clone)]
 pub struct QueryOptions {
-    /// Simulation engine: sync for a sequential lockstep sweep, event for
-    /// barrier-free parallel message rounds, or [`Engine::Auto`] to pick
-    /// per run from k, the per-round payload budget, and the pool size.
-    /// Local computation runs before any of them, on the rayon pool
-    /// ([`candidate_stage`]). All engines return bit-identical answers and
-    /// metrics; the `KNN_ENGINE` environment variable overrides this field
-    /// for every run.
+    /// Inert: read by nothing. Every run is [`run_sync`]'s lockstep loop,
+    /// after the candidate stage ([`candidate_stage`]) has done the local
+    /// computation on the rayon pool. A name the frozen benchmark spells
+    /// (see `frozen.rs`).
     pub engine: Engine,
     /// Link bandwidth.
     pub bandwidth: BandwidthMode,
@@ -167,7 +164,7 @@ pub struct QueryOptions {
     pub params: KnnParams,
     /// Leader election.
     pub election: ElectionKind,
-    /// Synthetic per-round latency, paid once per round on every engine.
+    /// Synthetic per-round latency, paid once per round.
     pub round_latency: Duration,
     /// Stall safety limit.
     pub max_rounds: u64,
@@ -179,7 +176,7 @@ pub struct QueryOptions {
     /// [`Report::degraded`].
     pub faults: FaultPlan,
     /// Crash-recovery plan (checkpoint cadence plus scheduled machine
-    /// rejoins) handed to the engines with every query run. Rejoins are
+    /// rejoins) handed to the engine with every query run. Rejoins are
     /// invisible to the answer: the machine is restored from its last
     /// checkpoint and replays the missed rounds in-engine. The realized
     /// work is reported through [`Report::replayed_rounds`].
@@ -259,7 +256,7 @@ impl QueryOptions {
     /// modeled where the claims are actually born) by the pure seeded stream
     /// of [`audit::perturb_input`], and re-sorts: the per-key offsets reorder
     /// the list, and every protocol takes its input sorted. Keyed on the
-    /// original machine id, so the lie is identical on every engine, across
+    /// original machine id, so the lie is identical across
     /// quarantine re-runs and on the sequential and batched paths.
     pub(crate) fn fed_by(&self, m: MachineId, honest: Vec<DistKey>) -> Vec<DistKey> {
         if !self.adversary.equivocates(m) && self.adversary.lie_round(m) != 0 {
@@ -316,11 +313,11 @@ pub(crate) fn elect(
     match opts.election {
         ElectionKind::Fixed => Ok((0, None)),
         ElectionKind::Star => {
-            let out = opts.engine.run(&cfg, (0..k).map(|_| RandRankStar::new()).collect())?;
+            let out = run_sync(&cfg, (0..k).map(|_| RandRankStar::new()).collect())?;
             Ok((out.outputs[0], Some(out.metrics)))
         }
         ElectionKind::Flood => {
-            let out = opts.engine.run(&cfg, (0..k).map(|_| RandRankFlood::new()).collect())?;
+            let out = run_sync(&cfg, (0..k).map(|_| RandRankFlood::new()).collect())?;
             Ok((out.outputs[0], Some(out.metrics)))
         }
     }
@@ -729,12 +726,12 @@ impl Seating<'_> {
         };
         if !self.mux {
             let protos = seats.map(|mut row| row.next().expect("one query, one cell")).collect();
-            let out = self.opts.engine.run(&cfg, protos)?;
+            let out = run_sync(&cfg, protos)?;
             let (outputs, report) = Report::from_run(out, self.k, survivors.leader);
             return Ok((vec![Some(read(outputs, report.metrics.rounds))], report));
         }
         let protos = seats.map(|row| MuxProtocol::new(row.collect())).collect();
-        let out = self.opts.engine.run(&cfg, protos)?;
+        let out = run_sync(&cfg, protos)?;
         let (mut outputs, report) = Report::from_run(out, self.k, survivors.leader);
         let answers = (0..queries)
             .map(|j| {
@@ -758,9 +755,9 @@ impl Seating<'_> {
 /// Each machine's candidates are a full scan of its shard that keeps only
 /// the ℓ best ([`brute_top`]: `O(ℓ)` memory), computed as a stage of its own
 /// ([`candidate_stage`]): all k scans run before the protocols are seated, on
-/// the rayon pool and on every engine — the model's "all machines compute at
-/// once", and the effect the paper's Figure 2 attributes its measured speedup
-/// to. The engine then moves messages only.
+/// the rayon pool — the model's "all machines compute at once", and the
+/// effect the paper's Figure 2 attributes its measured speedup to. The
+/// engine then moves messages only.
 ///
 /// Under a [`QueryOptions::faults`] plan the query **recovers from
 /// crashes** and under a [`QueryOptions::adversary`] plan **from lies**,
@@ -864,20 +861,6 @@ mod tests {
             );
         }
         assert!(answers.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn event_and_auto_engines_answer_identically() {
-        let values: Vec<u64> = (0..600u64).map(|i| i.wrapping_mul(2654435761) % 80_000).collect();
-        let sh = shards(&values, 6);
-        let q = ScalarPoint(41_000);
-        let reference = run_query(&sh, &q, 8, Algorithm::Knn, &QueryOptions::default()).unwrap();
-        for engine in [Engine::Event, Engine::Auto] {
-            let opts = QueryOptions { engine, ..Default::default() };
-            let out = run_query(&sh, &q, 8, Algorithm::Knn, &opts).unwrap();
-            assert_eq!(out.local_keys, reference.local_keys, "{engine:?}");
-            assert_eq!(out.metrics, reference.metrics, "{engine:?}");
-        }
     }
 
     #[test]
@@ -1142,25 +1125,6 @@ mod tests {
             run_query(&survivors, &ScalarPoint(150), 5, Algorithm::Knn, &QueryOptions::default())
                 .unwrap();
         assert_eq!(answer_of(&out.local_keys), answer_of(&want.local_keys));
-    }
-
-    #[test]
-    fn adversarial_recovery_is_engine_invariant() {
-        let sh = range_shards(&[0..100, 100..200, 200..300, 300..400]);
-        let q = ScalarPoint(150);
-        let mk = |engine| QueryOptions {
-            engine,
-            adversary: AdversaryPlan::default().with_lie(1, 0),
-            ..Default::default()
-        };
-        let reference = run_query(&sh, &q, 6, Algorithm::Knn, &mk(Engine::Sync)).unwrap();
-        assert_eq!(reference.audit.suspects_quarantined, 1);
-        for engine in [Engine::Event, Engine::Auto] {
-            let out = run_query(&sh, &q, 6, Algorithm::Knn, &mk(engine)).unwrap();
-            assert_eq!(out.local_keys, reference.local_keys, "{engine:?}");
-            assert_eq!(out.metrics, reference.metrics, "{engine:?}");
-            assert_eq!(out.audit, reference.audit, "{engine:?}");
-        }
     }
 
     #[test]

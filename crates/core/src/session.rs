@@ -27,12 +27,10 @@
 //! query tag ([`kmachine::RunMetrics::per_tag`]) and each query reports the
 //! round in which it completed.
 //!
-//! The engine is whatever the session's [`QueryOptions`] request — including
-//! [`kmachine::Engine::Event`], which runs the batch without any global
-//! round barrier (machines synchronize only against their slowest peer's
-//! previous round, so they are never more than one round apart), and
-//! [`kmachine::Engine::Auto`], which picks an engine per batch. Answers and
-//! metrics are engine-invariant.
+//! Every machine's candidates for every query of a batch are computed once,
+//! on the rayon pool ([`crate::local::candidate_stage`]), before the
+//! protocols are seated; the lockstep engine ([`kmachine::run_sync`]) then
+//! runs the batch's message rounds.
 
 use kmachine::{MachineId, RunMetrics};
 use knn_points::{Dataset, DistKey};
@@ -280,31 +278,6 @@ mod tests {
             assert_eq!(survivors as u64, total, "query {j}");
             assert!(bq.contains_exact.unwrap(), "paper constants should not under-prune");
             assert!(total >= 40);
-        }
-    }
-
-    #[test]
-    fn batch_is_engine_invariant_including_event_and_auto() {
-        use kmachine::Engine;
-        let values: Vec<u64> = (0..600u64).map(|i| i.wrapping_mul(48271) % 70_000).collect();
-        let sh = shards(&values, 5);
-        let idx = indices(&sh);
-        let queries: Vec<ScalarPoint> = (0..8).map(|i| ScalarPoint(i * 9_000)).collect();
-        let reference = QuerySession::new(&sh, &idx, QueryOptions::default())
-            .unwrap()
-            .run_batch(&queries, 6, Algorithm::Knn)
-            .unwrap();
-        for engine in [Engine::Event, Engine::Auto] {
-            let opts = QueryOptions { engine, ..Default::default() };
-            let session = QuerySession::new(&sh, &idx, opts).unwrap();
-            let batch = session.run_batch(&queries, 6, Algorithm::Knn).unwrap();
-            assert_eq!(batch.metrics, reference.metrics, "{engine:?}");
-            for (j, (got, want)) in batch.queries.iter().zip(&reference.queries).enumerate() {
-                assert_eq!(got.local_keys, want.local_keys, "{engine:?} query {j}");
-                assert_eq!(got.done_round, want.done_round, "{engine:?} query {j}");
-                assert_eq!(got.messages, want.messages, "{engine:?} query {j}");
-                assert_eq!(got.bits, want.bits, "{engine:?} query {j}");
-            }
         }
     }
 
@@ -559,36 +532,6 @@ mod tests {
         assert!(batch.degraded);
         for bq in &batch.queries {
             assert!(bq.local_keys[2].is_empty(), "the corrupting sender is quarantined");
-        }
-    }
-
-    #[test]
-    fn adversarial_batch_is_engine_invariant_including_audit_metrics() {
-        use kmachine::{AdversaryPlan, Engine};
-        let sh = range_shards(&[0..100, 100..200, 200..300, 300..400]);
-        let idx = indices(&sh);
-        let queries = [ScalarPoint(150), ScalarPoint(350)];
-        let mk = |engine| QueryOptions {
-            engine,
-            adversary: AdversaryPlan::default().with_lie(1, 0),
-            ..Default::default()
-        };
-        let reference = QuerySession::new(&sh, &idx, mk(Engine::Sync))
-            .unwrap()
-            .run_batch(&queries, 5, Algorithm::Knn)
-            .unwrap();
-        assert_eq!(reference.audit.suspects_quarantined, 1);
-        for engine in [Engine::Event, Engine::Auto] {
-            let batch = QuerySession::new(&sh, &idx, mk(engine))
-                .unwrap()
-                .run_batch(&queries, 5, Algorithm::Knn)
-                .unwrap();
-            assert_eq!(batch.metrics, reference.metrics, "{engine:?}");
-            assert_eq!(batch.audit, reference.audit, "{engine:?}");
-            for (got, want) in batch.queries.iter().zip(&reference.queries) {
-                assert_eq!(got.local_keys, want.local_keys, "{engine:?}");
-                assert_eq!(got.attempts, want.attempts, "{engine:?}");
-            }
         }
     }
 

@@ -38,14 +38,12 @@ impl BandwidthMode {
 /// number of `(value, id)` keys per round, the model's `Θ(log n)` regime.
 pub const DEFAULT_BANDWIDTH_BITS: u64 = 512;
 
-/// Deterministic fault-injection plan: which machines straggle, which
-/// crash, and how lossy the links are.
+/// Deterministic fault-injection plan: which machines crash, and how lossy
+/// the links are.
 ///
 /// Everything here is seeded and pure — two runs with the same
-/// [`NetConfig`] (including the same plan) inject byte-identical faults,
-/// on every engine and at every pool size. Stragglers are a pure
-/// wall-clock knob (the event engine delays their scheduling; outputs and
-/// metrics never change). Crashes are fail-stop: a machine with crash
+/// [`NetConfig`] (including the same plan) inject byte-identical faults at
+/// every pool size. Crashes are fail-stop: a machine with crash
 /// round `r` executes rounds `< r` and is then treated as done — its
 /// in-flight messages still drain, peers observe the horizon through
 /// [`crate::Ctx::crashed`], and the salvage hook
@@ -58,13 +56,6 @@ pub const DEFAULT_BANDWIDTH_BITS: u64 = 512;
 /// [`crate::EngineError::LinkDown`].
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultPlan {
-    /// `(machine, factor)` speed multipliers: the event engine delays the
-    /// machine by `(factor − 1)` scheduling quanta per round. Factor 1 (or
-    /// an absent entry) means full speed. The other machines wait for it
-    /// every round (they are never more than one round ahead), so this
-    /// perturbs timing — which is what the determinism tests use it for —
-    /// and nothing else.
-    pub stragglers: Vec<(crate::message::MachineId, u32)>,
     /// `(machine, round)` fail-stop injections: the machine executes rounds
     /// `< round` and then stops (round 0: it never runs at all).
     pub crashes: Vec<(crate::message::MachineId, u64)>,
@@ -82,7 +73,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// True when the plan injects nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.stragglers.is_empty() && self.crashes.is_empty() && self.loss_per_mille == 0
+        self.crashes.is_empty() && self.loss_per_mille == 0
     }
 
     /// Round at which `machine` crashes (`u64::MAX`: never).
@@ -93,17 +84,6 @@ impl FaultPlan {
             .map(|&(_, r)| r)
             .min()
             .unwrap_or(u64::MAX)
-    }
-
-    /// Speed factor of `machine` (≥ 1; 1 = full speed).
-    pub fn slowdown(&self, machine: crate::message::MachineId) -> u32 {
-        self.stragglers.iter().find(|(m, _)| *m == machine).map_or(1, |&(_, f)| f.max(1))
-    }
-
-    /// Add a straggler entry.
-    pub fn with_straggler(mut self, machine: crate::message::MachineId, factor: u32) -> Self {
-        self.stragglers.push((machine, factor));
-        self
     }
 
     /// Add a crash entry.
@@ -137,11 +117,6 @@ impl FaultPlan {
     pub fn project(&self, alive: &[crate::message::MachineId]) -> FaultPlan {
         let remap = |m: crate::message::MachineId| alive.iter().position(|&a| a == m);
         FaultPlan {
-            stragglers: self
-                .stragglers
-                .iter()
-                .filter_map(|&(m, f)| remap(m).map(|i| (i, f)))
-                .collect(),
             crashes: self.crashes.iter().filter_map(|&(m, r)| remap(m).map(|i| (i, r))).collect(),
             loss_per_mille: self.loss_per_mille,
             max_retries: self.max_retries,
@@ -154,8 +129,8 @@ impl FaultPlan {
 /// corrupt payloads in flight, and which machines equivocate.
 ///
 /// Everything here is seeded and pure, mirroring [`FaultPlan`]: two runs
-/// with the same plan inject byte-identical wrong-answer faults on every
-/// engine and at every pool size. The three fault families are
+/// with the same plan inject byte-identical wrong-answer faults at every
+/// pool size. The three fault families are
 ///
 /// * **Lies** — `(machine, round)`: from `round` on, the machine perturbs
 ///   the candidate distances/ids it announces (a lie scheduled for round 0
@@ -165,7 +140,7 @@ impl FaultPlan {
 /// * **Link corruption** — `(src, dst, per_mille)`: fully-transmitted
 ///   messages on the ordered link `src → dst` are bit-flipped in flight
 ///   with the given probability. The decision is a pure splitmix64 roll
-///   (same scheme as [`FaultPlan`] loss), so both engines corrupt the
+///   (same scheme as [`FaultPlan`] loss), so every run corrupts the
 ///   *same* messages; the flip lands on the link-layer integrity digest
 ///   and is caught at delivery as
 ///   [`crate::EngineError::IntegrityViolation`].
@@ -295,10 +270,10 @@ pub const DEFAULT_RETENTION_ROUNDS: u64 = 64;
 /// outage is a pause, not a fail-stop); they observe the rejoin through
 /// [`crate::Ctx::rejoined`] one round after `rejoin_round`. A machine
 /// listed here must **not** also appear in [`FaultPlan::crashes`] — the
-/// engines reject such plans with [`crate::EngineError::InvalidPlan`].
+/// engine rejects such plans with [`crate::EngineError::InvalidPlan`].
 ///
 /// Everything is seeded and pure: the same plan realizes byte-identical
-/// recoveries (and [`crate::metrics::RecoveryMetrics`]) on every engine.
+/// recoveries (and [`crate::metrics::RecoveryMetrics`]) on every run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryPlan {
     /// `(machine, crash_round, rejoin_round)` entries, one per recovering
@@ -394,17 +369,9 @@ pub struct NetConfig {
     pub seed: u64,
     /// Abort the run with [`crate::EngineError::MaxRounds`] past this round.
     pub max_rounds: u64,
-    /// Synthetic per-round network latency (models cluster RTT), paid once
-    /// per round on every engine: the sync engine sleeps it after each
-    /// round's transport; the event engine holds each machine back that
-    /// long after its own transport, so machines sharing a worker overlap
-    /// their waits.
+    /// Synthetic per-round network latency (models cluster RTT): the engine
+    /// sleeps it after each round's transport.
     pub round_latency: Duration,
-    /// Worker threads of the event engine's scheduler (`None`: the ambient
-    /// rayon pool size, so `RAYON_NUM_THREADS` and `ThreadPool::install`
-    /// govern it like every other parallel path). A pure wall-clock knob:
-    /// outputs and metrics are identical at every value.
-    pub event_workers: Option<usize>,
     /// Deterministic fault injection (default: no faults). See
     /// [`FaultPlan`].
     pub faults: FaultPlan,
@@ -427,7 +394,6 @@ impl NetConfig {
             seed: 0,
             max_rounds: 10_000_000,
             round_latency: Duration::ZERO,
-            event_workers: None,
             faults: FaultPlan::default(),
             recovery: RecoveryPlan::default(),
             adversary: AdversaryPlan::default(),
@@ -446,7 +412,7 @@ impl NetConfig {
         self
     }
 
-    /// Set the per-round latency every engine pays.
+    /// Set the per-round latency.
     pub fn with_round_latency(mut self, latency: Duration) -> Self {
         self.round_latency = latency;
         self
@@ -455,12 +421,6 @@ impl NetConfig {
     /// Set the stall safety limit.
     pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
         self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Pin the event engine's worker count (default: ambient rayon pool).
-    pub fn with_event_workers(mut self, workers: usize) -> Self {
-        self.event_workers = Some(workers.max(1));
         self
     }
 
@@ -543,21 +503,11 @@ mod tests {
             .with_seed(7)
             .with_bandwidth(BandwidthMode::Unlimited)
             .with_max_rounds(99)
-            .with_round_latency(Duration::from_micros(50))
-            .with_event_workers(3);
+            .with_round_latency(Duration::from_micros(50));
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.bandwidth, BandwidthMode::Unlimited);
         assert_eq!(cfg.max_rounds, 99);
         assert_eq!(cfg.round_latency, Duration::from_micros(50));
-        assert_eq!(cfg.event_workers, Some(3));
-    }
-
-    #[test]
-    fn event_knobs_default_and_clamp() {
-        let cfg = NetConfig::new(2);
-        assert_eq!(cfg.event_workers, None);
-        let cfg = cfg.with_event_workers(0);
-        assert_eq!(cfg.event_workers, Some(1));
     }
 
     #[test]
@@ -565,29 +515,20 @@ mod tests {
         let cfg = NetConfig::new(3);
         assert!(cfg.faults.is_empty());
         assert_eq!(cfg.faults.crash_round(0), u64::MAX);
-        assert_eq!(cfg.faults.slowdown(2), 1);
     }
 
     #[test]
     fn fault_plan_builders_and_lookups() {
-        let plan = FaultPlan::default()
-            .with_straggler(1, 8)
-            .with_crash(2, 5)
-            .with_loss(50, 3)
-            .with_fault_seed(99);
+        let plan = FaultPlan::default().with_crash(2, 5).with_loss(50, 3).with_fault_seed(99);
         assert!(!plan.is_empty());
-        assert_eq!(plan.slowdown(1), 8);
-        assert_eq!(plan.slowdown(0), 1);
         assert_eq!(plan.crash_round(2), 5);
         assert_eq!(plan.crash_round(1), u64::MAX);
         assert_eq!(plan.loss_per_mille, 50);
         assert_eq!(plan.max_retries, 3);
         assert_eq!(plan.fault_seed, 99);
-        // Multiple crash entries for one machine: the earliest wins; a
-        // straggler factor of 0 is clamped to full speed.
-        let plan = plan.with_crash(2, 3).with_straggler(3, 0);
+        // Multiple crash entries for one machine: the earliest wins.
+        let plan = plan.with_crash(2, 3);
         assert_eq!(plan.crash_round(2), 3);
-        assert_eq!(plan.slowdown(3), 1);
         let cfg = NetConfig::new(4).with_faults(plan.clone());
         assert_eq!(cfg.faults, plan);
     }
@@ -595,15 +536,12 @@ mod tests {
     #[test]
     fn fault_plan_projection_drops_and_remaps() {
         let plan = FaultPlan::default()
-            .with_straggler(0, 2)
-            .with_straggler(3, 4)
             .with_crash(1, 7)
             .with_crash(3, 9)
             .with_loss(10, 5)
             .with_fault_seed(42);
         // Machine 1 was excluded; 0, 2, 3 survive as 0, 1, 2.
         let sub = plan.project(&[0, 2, 3]);
-        assert_eq!(sub.stragglers, vec![(0, 2), (2, 4)]);
         assert_eq!(sub.crashes, vec![(2, 9)]);
         assert_eq!(sub.loss_per_mille, 10);
         assert_eq!(sub.max_retries, 5);

@@ -7,9 +7,9 @@ use crate::message::{Envelope, MachineId};
 use crate::payload::Payload;
 
 /// Per-run lying context derived from the [`AdversaryPlan`], shared by
-/// every machine of a run (the engines build it once at entry). Holds only
+/// every machine of a run (the engine builds it once at entry). Holds only
 /// what [`Ctx::send`] needs to decide, purely, whether and how an outgoing
-/// message is perturbed — so both engines fabricate identical lies.
+/// message is perturbed — so every run of a plan fabricates identical lies.
 #[derive(Debug)]
 pub(crate) struct AdversaryCtx {
     /// Per-machine round from which the machine lies (`u64::MAX`: honest).
@@ -112,7 +112,7 @@ impl<'a, M: Payload> Ctx<'a, M> {
         self.inbox
     }
 
-    /// This machine's private random stream (identical across engines).
+    /// This machine's private random stream (derived from the master seed).
     #[inline]
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
@@ -132,7 +132,7 @@ impl<'a, M: Payload> Ctx<'a, M> {
         if let Some(adv) = self.adversary {
             if adv.lying(self.id, self.round) {
                 // A Byzantine machine perturbs what it announces; the lie
-                // is deterministic so every engine fabricates the same one.
+                // is deterministic so every run fabricates the same one.
                 msg.tamper(adv.tamper_word(self.id, dst, self.round));
             }
         }

@@ -1,4 +1,4 @@
-//! The machine-step core both schedulers drive.
+//! The machine-step core [`run_sync`](super::run_sync) drives.
 //!
 //! One simulated round of one machine is a **compute step**
 //! ([`Machine::step`] then [`Machine::enqueue`]: crash horizon and salvage,
@@ -9,9 +9,8 @@
 //! outbound link, integrity / link-down detection, backlog accounting).
 //! [`collect`] folds the per-machine tallies and link counters into a
 //! [`RunOutcome`]. Fault, adversary, and recovery injection live here and
-//! only here; [`run_sync`](super::run_sync) and
-//! [`run_event`](super::run_event) decide *when* each machine takes each
-//! step, nothing else — which is why they agree byte for byte.
+//! only here; the scheduler decides *when* each machine takes each step,
+//! nothing else.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -70,8 +69,7 @@ pub(super) fn lattice<M>(cfg: &NetConfig) -> Vec<LinkFifo<M>> {
 pub(super) struct RunEnv<'a> {
     pub(super) k: usize,
     pub(super) max_rounds: u64,
-    /// [`NetConfig::round_latency`]: the delay each scheduler adds to every
-    /// round.
+    /// [`NetConfig::round_latency`]: the delay added to every round.
     pub(super) latency: Duration,
     budget: u64,
     /// Per-machine fail-stop horizons from the fault plan (`u64::MAX`:
@@ -158,10 +156,8 @@ pub(super) struct Machine<'l, P: Protocol> {
     /// its `on_round` is a no-op by contract, and [`Machine::step`] skips it.
     waiting: bool,
     output: Option<P::Output>,
-    /// Non-empty inboxes discarded after this machine halted, as
-    /// `(round, count)`. [`collect`] bills only rounds up to the run's final
-    /// round: the event scheduler's machines may speculate past it.
-    late: Vec<(u64, u64)>,
+    /// Envelopes delivered after this machine halted, discarded unread.
+    late: u64,
     sends: u64,
     bits: u64,
     max_backlog: u64,
@@ -185,7 +181,7 @@ pub(super) fn machines<'l, P: Protocol>(
             halt: Halt::Running,
             waiting: false,
             output: None,
-            late: Vec::new(),
+            late: 0,
             sends: 0,
             bits: 0,
             max_backlog: 0,
@@ -202,15 +198,9 @@ pub(super) struct Transported {
     pub(super) pending_bits: u64,
 }
 
-/// Where a transport step delivers to: the scheduler's inbound buffer of
-/// machine `dst` for the round being transported.
-pub(super) trait Inbound<M> {
-    fn with<R>(&mut self, dst: MachineId, f: impl FnOnce(&mut Vec<Envelope<M>>) -> R) -> R;
-}
-
 impl<'l, P: Protocol> Machine<'l, P> {
     /// Whether this machine has produced its output or crashed.
-    pub(super) fn halted(&self) -> bool {
+    fn halted(&self) -> bool {
         self.halt != Halt::Running
     }
 
@@ -218,19 +208,16 @@ impl<'l, P: Protocol> Machine<'l, P> {
         self.halt == Halt::Crashed
     }
 
-    /// Discard a halted machine's `inbox`, remembering it as late traffic.
-    pub(super) fn bill_late(&mut self, round: u64, inbox: &mut Vec<Envelope<P::Msg>>) {
-        if !inbox.is_empty() {
-            self.late.push((round, inbox.len() as u64));
-            inbox.clear();
-        }
+    /// Discard a halted machine's `inbox`, counting it as late traffic.
+    fn bill_late(&mut self, inbox: &mut Vec<Envelope<P::Msg>>) {
+        self.late += inbox.len() as u64;
+        inbox.clear();
     }
 
     /// Execute `round` against `inbox` (consumed), leaving the round's sends
     /// in `outbox` for [`Machine::enqueue`]. Returns whether the machine
     /// halted in this round — produced its output, or hit its crash horizon.
-    /// A panicking protocol is [`EngineError::WorkerPanic`] on every
-    /// scheduler.
+    /// A panicking protocol is [`EngineError::WorkerPanic`].
     #[inline]
     pub(super) fn step(
         &mut self,
@@ -240,14 +227,14 @@ impl<'l, P: Protocol> Machine<'l, P> {
         env: &RunEnv<'_>,
     ) -> Result<bool, EngineError> {
         if self.halted() {
-            self.bill_late(round, inbox);
+            self.bill_late(inbox);
             return Ok(false);
         }
         if round >= env.crash_rounds[self.id] {
             // Fail-stop: the machine never executes this round. Its salvage
             // hook may still account for its output; messages delivered to
             // the corpse count as late, and earlier sends keep draining.
-            self.bill_late(round, inbox);
+            self.bill_late(inbox);
             self.output = self.proto.on_crash();
             self.halt = Halt::Crashed;
             return Ok(true);
@@ -314,24 +301,23 @@ impl<'l, P: Protocol> Machine<'l, P> {
     }
 
     /// Drain one round of budget from each busy outbound link into the
-    /// destination's `inbound` buffer; idle links cost one emptiness check.
+    /// destination's next-round inbox; idle links cost one emptiness check.
     #[inline]
     pub(super) fn transport(
         &mut self,
         round: u64,
         env: &RunEnv<'_>,
-        inbound: &mut (impl Inbound<P::Msg> + ?Sized),
+        inboxes: &mut [Vec<Envelope<P::Msg>>],
     ) -> Result<Transported, EngineError> {
         let mut moved = Transported { delivered: false, pending_bits: 0 };
         for (dst, fifo) in self.fifos.iter_mut().enumerate() {
             if fifo.is_empty() {
                 continue;
             }
-            moved.delivered |= inbound.with(dst, |slot| {
-                let before = slot.len();
-                fifo.drain_round(env.budget, slot);
-                slot.len() > before
-            });
+            let slot = &mut inboxes[dst];
+            let before = slot.len();
+            fifo.drain_round(env.budget, slot);
+            moved.delivered |= slot.len() > before;
             if fifo.integrity_violated() {
                 return Err(EngineError::IntegrityViolation { src: self.id, dst, round });
             }
@@ -373,8 +359,7 @@ pub(super) fn collect<'l, P: Protocol + 'l>(
         metrics.bits += m.bits;
         metrics.sends_per_machine[m.id] = m.sends;
         metrics.max_link_backlog_bits = metrics.max_link_backlog_bits.max(m.max_backlog);
-        metrics.delivered_after_done +=
-            m.late.iter().filter(|&&(r, _)| r <= final_round).map(|&(_, c)| c).sum::<u64>();
+        metrics.delivered_after_done += m.late;
         if metrics.per_tag.len() < m.tags.len() {
             metrics.per_tag.resize(m.tags.len(), TagMetrics::default());
         }

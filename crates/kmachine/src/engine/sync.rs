@@ -1,13 +1,13 @@
-//! Sequential scheduler: one lockstep sweep of the machine-step core per
-//! round.
+//! The lockstep scheduler: one sequential sweep of the machine-step core
+//! per round.
 
 use std::time::Instant;
 
 use crate::config::NetConfig;
-use crate::engine::machine::{self, Inbound, RunEnv};
+use crate::engine::machine::{self, RunEnv};
 use crate::engine::RunOutcome;
 use crate::error::EngineError;
-use crate::message::{Envelope, MachineId};
+use crate::message::Envelope;
 use crate::protocol::Protocol;
 use crate::recovery;
 
@@ -35,13 +35,6 @@ pub fn run_sync<P: Protocol>(
     }
     let (wrapped, state) = recovery::wrap(cfg, protocols);
     recovery::finish(sync_core(cfg, wrapped, Some(&state)), &state)
-}
-
-/// Transport delivers straight into the destination's next-round inbox.
-impl<M> Inbound<M> for [Vec<Envelope<M>>] {
-    fn with<R>(&mut self, dst: MachineId, f: impl FnOnce(&mut Vec<Envelope<M>>) -> R) -> R {
-        f(&mut self[dst])
-    }
 }
 
 /// The lockstep loop itself; `recovering` carries the shared rejoin state
@@ -82,7 +75,7 @@ fn sync_core<P: Protocol>(
         let mut delivered = false;
         let mut backlog_bits = 0u64;
         for m in &mut machines {
-            let moved = m.transport(round, &env, inboxes.as_mut_slice())?;
+            let moved = m.transport(round, &env, &mut inboxes)?;
             delivered |= moved.delivered;
             backlog_bits += moved.pending_bits;
         }
@@ -136,6 +129,76 @@ mod tests {
         let cfg = NetConfig::new(2).with_bandwidth(BandwidthMode::Unlimited);
         let out = run_sync(&cfg, Stream::pair(64)).unwrap();
         assert_eq!(out.metrics.rounds, 1);
+    }
+
+    #[test]
+    fn round_latency_slows_wall_clock() {
+        let latency = std::time::Duration::from_millis(2);
+        let cfg = NetConfig::new(2)
+            .with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 })
+            .with_round_latency(latency);
+        let out = run_sync(&cfg, Stream::pair(8)).unwrap();
+        // 8 × 64 bits over a 128-bit link: 4 transport rounds.
+        assert_eq!(out.metrics.rounds, 4);
+        assert!(out.wall >= latency * 4, "wall = {:?}", out.wall);
+    }
+
+    /// Machine 0 ships 16 values to machine 1, which quits after the first
+    /// delivery, and one to machine 2, which keeps the run alive to round 6
+    /// while the rest of the backlog lands on the finished machine 1.
+    struct EarlyQuit {
+        received: u64,
+    }
+    impl Protocol for EarlyQuit {
+        type Msg = u64;
+        type Output = u64;
+        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
+            self.received += ctx.inbox().len() as u64;
+            match ctx.id() {
+                0 => {
+                    for v in 0..16 {
+                        ctx.send(1, v);
+                    }
+                    ctx.send(2, 16);
+                    Step::Done(0)
+                }
+                1 if ctx.round() >= 1 => Step::Done(self.received),
+                2 if ctx.round() == 6 => Step::Done(self.received),
+                _ => Step::Continue,
+            }
+        }
+    }
+
+    #[test]
+    fn delivered_after_done_counts_mail_to_finished_machines() {
+        let cfg = NetConfig::new(3).with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 });
+        let mk = || (0..3).map(|_| EarlyQuit { received: 0 }).collect::<Vec<_>>();
+        let out = run_sync(&cfg, mk()).unwrap();
+        assert_eq!(out.outputs, vec![0, 2, 1]);
+        assert_eq!(out.metrics.rounds, 6);
+        // Two values a round reach machine 1 in rounds 2–6, after its done.
+        assert_eq!(out.metrics.delivered_after_done, 10);
+    }
+
+    #[test]
+    fn single_machine_cluster_finishes() {
+        struct Solo;
+        impl Protocol for Solo {
+            type Msg = ();
+            type Output = u64;
+            fn on_round(&mut self, _ctx: &mut Ctx<'_, ()>) -> Step<u64> {
+                Step::Done(7)
+            }
+        }
+        // A lone machine that keeps "continuing" without traffic is a stall
+        // (there is nothing left that could wake it); one that finishes
+        // immediately reports zero rounds.
+        let cfg = NetConfig::new(1);
+        let err = run_sync(&cfg, vec![WaitForever]).unwrap_err();
+        assert!(matches!(err, EngineError::Stalled { round: 0 }));
+        let out = run_sync(&cfg, vec![Solo]).unwrap();
+        assert_eq!(out.outputs, vec![7]);
+        assert_eq!(out.metrics.rounds, 0);
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub enum EngineError {
         /// The configured limit.
         limit: u64,
     },
-    /// A protocol's `on_round` panicked (caught on every engine).
+    /// A protocol's `on_round` panicked (caught by the engine).
     WorkerPanic {
         /// Machine whose protocol panicked.
         machine: usize,
@@ -53,8 +53,7 @@ pub enum EngineError {
     /// RecoveryPlan`] pair is self-contradictory (a loss rate above 100%,
     /// duplicate crash entries for one machine, a rejoin scheduled
     /// at-or-before its crash round, a machine both fail-stopped and
-    /// scheduled to rejoin, …). Rejected by every engine before any
-    /// protocol executes.
+    /// scheduled to rejoin, …). Rejected before any protocol executes.
     InvalidPlan {
         /// Human-readable description of the contradiction.
         reason: String,
@@ -96,15 +95,6 @@ pub enum EngineError {
         machine: usize,
         /// Round of the checkpoint the blob claimed to be.
         round: u64,
-    },
-    /// The `KNN_ENGINE` environment override did not parse.
-    /// Surfaced as an error (not a panic) so long-running serving binaries
-    /// report a typo instead of aborting.
-    BadEnvOverride {
-        /// The offending environment variable.
-        var: &'static str,
-        /// Why its value was rejected.
-        reason: String,
     },
 }
 
@@ -163,9 +153,6 @@ impl fmt::Display for EngineError {
                      blob failed its integrity seal (truncated or corrupted)"
                 )
             }
-            EngineError::BadEnvOverride { var, reason } => {
-                write!(f, "invalid {var} environment override: {reason}")
-            }
         }
     }
 }
@@ -188,9 +175,6 @@ mod tests {
         assert!(s.contains("machine 1") && s.contains("round 4"));
         let s = EngineError::LinkDown { src: 0, dst: 2, round: 9, retries: 3 }.to_string();
         assert!(s.contains("0 -> 2") && s.contains("round 9") && s.contains("3"));
-        let s =
-            EngineError::BadEnvOverride { var: "KNN_ENGINE", reason: "nope".into() }.to_string();
-        assert!(s.contains("KNN_ENGINE") && s.contains("nope"));
         let s = EngineError::InvalidPlan { reason: "duplicate crash".into() }.to_string();
         assert!(s.contains("duplicate crash"));
         let s = EngineError::CheckpointTooOld {

@@ -1,29 +1,57 @@
-//! **Frozen names.** The four spellings below — [`DeliveryMode`],
-//! [`NetConfig::with_delivery`], [`DELIVERY_ENV`] and
-//! [`RunOutcome::skew`](crate::RunOutcome::skew)`.max_skew` — are all that
-//! is left of a second, promise-based delivery discipline that was measured
-//! (0.95–1.01× of the one rule in `engine/event.rs`) and deleted. They do
-//! nothing. They exist because the frozen benchmark package (`ledger/`)
-//! compiles against them; nothing else in the workspace may mention them,
-//! and they go in the next `[benchmark]` refresh (ROADMAP).
+//! **Frozen names.** Everything below is what is left of two mechanisms
+//! that were measured and deleted: a second, event-driven scheduler
+//! (0.19–0.97× of the lockstep loop on every serving and full-scan shape it
+//! was measured on) and its promise-based delivery discipline (0.95–1.01× of
+//! the one rule it had). They do nothing: every name runs
+//! [`run_sync`](crate::run_sync). They exist because the frozen benchmark
+//! package (`ledger/`) compiles against them; nothing else in the workspace
+//! may mention them, and they go in the next `[benchmark]` refresh (ROADMAP).
 
 use crate::config::NetConfig;
+use crate::engine::{run_sync, RunOutcome};
+use crate::error::EngineError;
+use crate::protocol::Protocol;
+
+/// Not read by anything in this workspace: setting `KNN_ENGINE` has no
+/// effect.
+pub const ENGINE_ENV: &str = "KNN_ENGINE";
 
 /// Not read by anything in this workspace: setting `KNN_DELIVERY` has no
-/// effect on [`Engine::run`](crate::Engine::run).
+/// effect.
 pub const DELIVERY_ENV: &str = "KNN_DELIVERY";
 
-/// Inert: the event scheduler has one delivery discipline.
+/// Inert: every variant runs [`run_sync`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Engine {
+    /// The lockstep loop.
+    Sync,
+    /// The lockstep loop.
+    Event,
+    /// The lockstep loop.
+    Threaded,
+}
+
+impl Engine {
+    /// [`run_sync`], whatever the variant.
+    pub fn run<P: Protocol>(
+        self,
+        cfg: &NetConfig,
+        protocols: Vec<P>,
+    ) -> Result<RunOutcome<P::Output>, EngineError> {
+        run_sync(cfg, protocols)
+    }
+}
+
+/// Inert: there is one delivery discipline.
 #[derive(Debug, Clone, Copy)]
 pub enum DeliveryMode {
-    /// The one discipline (see `engine/event.rs`).
+    /// The one discipline.
     Exact,
     /// Accepted and ignored.
     Relaxed,
 }
 
-/// Always `max_skew == 0`: machines never run more than the one round apart
-/// that the readiness rule allows.
+/// Always `max_skew == 0`: every machine executes every round in lockstep.
 #[derive(Debug, Clone, Copy)]
 pub struct SkewMetrics {
     /// Always 0.
@@ -35,26 +63,39 @@ impl NetConfig {
     pub fn with_delivery(self, _delivery: DeliveryMode) -> Self {
         self
     }
+
+    /// Inert: returns `self` unchanged.
+    pub fn with_event_workers(self, _workers: usize) -> Self {
+        self
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::leader::RandRankFlood;
-    use crate::Engine;
 
     #[test]
     fn the_frozen_names_are_inert() {
-        // Nothing reads the variable any more, so setting it here cannot
-        // disturb the tests running beside this one.
+        // Nothing reads either variable any more, so setting them here
+        // cannot disturb the tests running beside this one.
+        std::env::set_var(ENGINE_ENV, "garbage");
         std::env::set_var(DELIVERY_ENV, "garbage");
-        let plain = NetConfig::new(4).with_seed(3).with_event_workers(2);
-        let spelled = plain.clone().with_delivery(DeliveryMode::Relaxed);
+        let plain = NetConfig::new(4).with_seed(3);
         let election = || (0..4).map(|_| RandRankFlood::new()).collect();
-        let want = Engine::Event.run(&plain, election()).unwrap();
-        let got = Engine::Event.run(&spelled, election()).unwrap();
-        assert_eq!(got.outputs, want.outputs);
-        assert_eq!(got.metrics, want.metrics);
-        assert_eq!(got.skew.max_skew, 0);
+        let want = run_sync(&plain, election()).unwrap();
+        let spelled = [
+            plain.clone().with_delivery(DeliveryMode::Relaxed),
+            plain.clone().with_event_workers(1),
+            plain.clone().with_event_workers(2),
+        ];
+        for engine in [Engine::Sync, Engine::Event, Engine::Threaded] {
+            for cfg in std::iter::once(&plain).chain(&spelled) {
+                let got = engine.run(cfg, election()).unwrap();
+                assert_eq!(got.outputs, want.outputs, "{engine:?}");
+                assert_eq!(got.metrics, want.metrics, "{engine:?}");
+                assert_eq!(got.skew.max_skew, 0);
+            }
+        }
     }
 }

@@ -11,18 +11,9 @@
 //!
 //! * a [`Protocol`] trait — distributed algorithms are written once as
 //!   per-machine state machines driven round by round;
-//! * two schedulers over one machine-step core, so they execute the *same*
-//!   protocol code bit-identically and both pay
-//!   [`NetConfig::round_latency`] per round:
-//!   * [`engine::run_sync`] — a deterministic sequential lockstep simulator
-//!     with exact round/message/bit accounting (scales to thousands of
-//!     simulated machines);
-//!   * [`engine::run_event`] — no global barrier: per-link dependency
-//!     scheduling over round-slotted links on a worker pool. A machine
-//!     runs round r once every peer has published round r − 1, so machines
-//!     are never more than one round apart ([`Engine::Auto`] picks an
-//!     engine per run, and the `KNN_ENGINE` environment variable forces
-//!     one);
+//! * [`engine::run_sync`] — a deterministic lockstep simulator with exact
+//!   round/message/bit accounting that pays [`NetConfig::round_latency`]
+//!   per round and scales to thousands of simulated machines;
 //! * bandwidth-limited links ([`BandwidthMode::Enforce`]): each ordered link
 //!   drains at most `B` bits per round, store-and-forward, so protocols that
 //!   ship a lot of data genuinely pay for it in rounds;
@@ -34,16 +25,16 @@
 //! * deterministic fault injection ([`FaultPlan`]): seeded per-link message
 //!   loss with bounded retransmission ([`EngineError::LinkDown`] once the
 //!   retry budget is exhausted), fail-stop crashes with a salvage hook
-//!   ([`Protocol::on_crash`], observed by peers via [`Ctx::crashed`]), and
-//!   wall-clock stragglers — the realized faults are identical on every
-//!   engine and reported in [`RunOutcome::faults`];
+//!   ([`Protocol::on_crash`], observed by peers via [`Ctx::crashed`]) — the
+//!   realized faults are a pure function of the plan and reported in
+//!   [`RunOutcome::faults`];
 //! * deterministic Byzantine injection ([`AdversaryPlan`]): machines that
 //!   lie from a scheduled round on ([`Payload::tamper`] perturbs their
 //!   outgoing values with pure seeded words, equivocators telling each peer
 //!   a *different* lie) and links that corrupt payload bits in flight —
 //!   caught at delivery by chained per-link integrity digests
 //!   ([`EngineError::IntegrityViolation`]); verification counts ride
-//!   [`RunOutcome::audit`], identically on every engine. Semantic detection
+//!   [`RunOutcome::audit`]. Semantic detection
 //!   of lies (and quarantine of liars) is the query layer's job, built on
 //!   the same seeded determinism;
 //! * deterministic crash-recovery ([`config::RecoveryPlan`]): protocols
@@ -56,7 +47,7 @@
 //!   [`EngineError::CheckpointTooOld`]). Peers observe the comeback via
 //!   [`Ctx::rejoined`]; realized recoveries ride
 //!   [`RunOutcome::recovery`] and the recovered run's outputs are
-//!   byte-identical to the fault-free run on every engine;
+//!   byte-identical to the fault-free run;
 //! * reproducible per-machine randomness derived from a single master seed.
 //!
 //! ## Example
@@ -123,9 +114,9 @@ pub mod snapshot;
 
 pub use config::{AdversaryPlan, BandwidthMode, FaultPlan, NetConfig, RecoveryPlan};
 pub use ctx::Ctx;
-pub use engine::{run_event, run_sync, Engine, RunOutcome, ENGINE_ENV};
+pub use engine::{run_sync, RunOutcome};
 pub use error::EngineError;
-pub use frozen::{DeliveryMode, SkewMetrics, DELIVERY_ENV};
+pub use frozen::{DeliveryMode, Engine, SkewMetrics, DELIVERY_ENV, ENGINE_ENV};
 pub use link::{IntegrityConfig, LinkFifo, LossConfig};
 pub use message::{Envelope, MachineId, ENVELOPE_HEADER_BITS};
 pub use metrics::{AuditMetrics, FaultMetrics, RecoveryMetrics, RunMetrics, TagMetrics};

@@ -16,8 +16,8 @@ use crate::message::{Envelope, MachineId};
 /// Loss process of one lossy link, derived from the run's
 /// [`crate::config::FaultPlan`]. The drop decision for a message is a pure
 /// hash of `(seed, src, dst, message index on this link, attempt)` — no
-/// shared RNG, no dependence on drain cadence — so every engine at every
-/// pool size loses exactly the same messages.
+/// shared RNG, no dependence on drain cadence — so every run at every pool
+/// size loses exactly the same messages.
 #[derive(Debug, Clone, Copy)]
 pub struct LossConfig {
     /// Drop probability in thousandths (≤ 1000).
@@ -38,8 +38,8 @@ pub struct LossConfig {
 /// chained digest into every pushed envelope and verifies the chain at
 /// delivery; the corruption decision for a message is a pure hash of
 /// `(seed, src, dst, message index on this link)` — the same scheme as
-/// [`LossConfig`] — so every engine at every pool size corrupts exactly
-/// the same messages.
+/// [`LossConfig`] — so every run at every pool size corrupts exactly the
+/// same messages.
 #[derive(Debug, Clone, Copy)]
 pub struct IntegrityConfig {
     /// In-flight corruption probability in thousandths (≤ 1000; 0 = the
@@ -63,7 +63,7 @@ struct InFlight<M> {
     /// Wire size of the message.
     full: u64,
     /// Position of this message in the link's push order (the loss hash
-    /// key, engine-invariant because pushes happen in execution order).
+    /// key, deterministic because pushes happen in execution order).
     index: u64,
     /// Transmission attempts so far (0 = first try).
     tries: u32,
@@ -195,10 +195,10 @@ impl<M> LinkFifo<M> {
     /// instead of delivered: it re-enqueues at full size (the retransmit
     /// pays bandwidth again, immediately competing for the remaining
     /// budget) until its retry budget runs out, at which point the link is
-    /// [`LinkFifo::is_down`] and stops transmitting — the engines turn
+    /// [`LinkFifo::is_down`] and stops transmitting — the engine turns
     /// that into [`crate::EngineError::LinkDown`].
     ///
-    /// Idle links return immediately — the engines additionally use
+    /// Idle links return immediately — the engine additionally uses
     /// [`LinkFifo::is_empty`] to skip them without a call at all, so a
     /// mostly-quiet k² lattice costs one flag check per link per round.
     pub fn drain_round(&mut self, mut budget: u64, out: &mut Vec<Envelope<M>>) {
@@ -240,8 +240,8 @@ impl<M> LinkFifo<M> {
                         head.env.sent_round,
                     );
                     if head.env.digest != self.recv_chain {
-                        // Poisoned payload: never deliver it. The engines
-                        // observe the violation and abort the run with a
+                        // Poisoned payload: never deliver it. The engine
+                        // observes the violation and aborts the run with a
                         // typed error instead of executing on bad data.
                         self.violated = true;
                         return;
@@ -296,7 +296,7 @@ impl<M> LinkFifo<M> {
     }
 
     /// True once a delivery found a digest mismatch: the link saw a
-    /// corrupted payload and the engines must abort with
+    /// corrupted payload and the engine must abort with
     /// [`crate::EngineError::IntegrityViolation`].
     #[inline]
     pub fn integrity_violated(&self) -> bool {

@@ -24,7 +24,7 @@ pub struct Envelope<M> {
     /// Round in which the sender handed this to the network.
     pub sent_round: u64,
     /// Per-sender monotone sequence number; with `src` it gives every
-    /// delivery a deterministic total order, so both engines present
+    /// delivery a deterministic total order, so every run presents
     /// identical inboxes.
     pub seq: u64,
     /// Link-layer integrity digest: a chained per-link digest stamped by

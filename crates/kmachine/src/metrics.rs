@@ -21,9 +21,7 @@ pub struct TagMetrics {
 /// [`crate::config::FaultPlan`].
 ///
 /// Carried on [`crate::RunOutcome::faults`], *not* inside [`RunMetrics`]:
-/// the engine-equivalence contract compares `RunMetrics` byte-for-byte
-/// across engines, and retransmission traffic is fault-layer bookkeeping,
-/// not protocol cost — the protocol's bill stays identical whether or not
+/// retransmission traffic is fault-layer bookkeeping, not protocol cost — the protocol's bill stays identical whether or not
 /// the network dropped and re-sent under it.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultMetrics {
@@ -40,8 +38,7 @@ pub struct FaultMetrics {
 
 impl FaultMetrics {
     /// True when the run realized at least one injected fault (a crash or
-    /// a dropped message; stragglers are wall-clock-only and leave no
-    /// trace).
+    /// a dropped message).
     pub fn any(&self) -> bool {
         !self.crashed.is_empty() || self.dropped_messages > 0
     }
@@ -53,10 +50,9 @@ impl FaultMetrics {
 /// Carried on [`crate::RunOutcome::recovery`], *not* inside [`RunMetrics`],
 /// for the same reason as [`FaultMetrics`]: checkpointing and replay are
 /// recovery-layer bookkeeping — the protocol's communication bill stays
-/// identical whether or not a machine paused and caught back up under it —
-/// so the cross-engine `RunMetrics` equality asserts survive unchanged.
+/// identical whether or not a machine paused and caught back up under it.
 /// The recovery realization itself is deterministic too: the same plan
-/// yields byte-identical `RecoveryMetrics` on every engine.
+/// yields byte-identical `RecoveryMetrics` on every run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryMetrics {
     /// Checkpoints recorded across all machines in the rejoin plan (the
@@ -85,10 +81,9 @@ impl RecoveryMetrics {
 /// Carried on [`crate::RunOutcome::audit`], *not* inside [`RunMetrics`],
 /// for the same reason as [`FaultMetrics`]: integrity verification and
 /// semantic auditing are defense-layer bookkeeping — the protocol's
-/// communication bill stays identical whether or not anyone was checking —
-/// so the cross-engine `RunMetrics` equality asserts survive unchanged.
+/// communication bill stays identical whether or not anyone was checking.
 /// The audit realization is deterministic: the same plan yields
-/// byte-identical `AuditMetrics` on every engine and at every pool size.
+/// byte-identical `AuditMetrics` at every pool size.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AuditMetrics {
     /// Messages whose chained link digest was verified at delivery (zero
@@ -136,7 +131,7 @@ pub struct RunMetrics {
     pub max_link_backlog_bits: u64,
     /// Messages that arrived at a machine after it had already produced its
     /// output (they are discarded; a nonzero value is normal for protocols
-    /// whose completion broadcast races with stragglers).
+    /// whose completion broadcast races with traffic still in flight).
     pub delivered_after_done: u64,
     /// Per-tag message and bit totals, indexed by multiplexing tag. Empty
     /// unless the protocol's payload reports [`crate::Payload::mux_tag`]s

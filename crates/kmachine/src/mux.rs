@@ -11,7 +11,7 @@
 //! Determinism: each instance gets its own RNG stream (derived from the
 //! machine RNG at round 0) and its own send-sequence counter, and instances
 //! execute in tag order every round — so a multiplexed run is a pure
-//! function of `(protocols, seed)` on both engines, exactly like a solo run.
+//! function of `(protocols, seed)`, exactly like a solo run.
 //!
 //! Cost: stepping is wake-driven. A round steps only the *awake* instances
 //! — those whose last step returned [`Step::Continue`] plus those with mail
@@ -19,7 +19,7 @@
 //! an envelope carries its tag, and a machine-round costs O(envelopes
 //! delivered), not O(instances).
 //!
-//! Attribution: the engines split message/bit totals by tag into
+//! Attribution: the engine splits message/bit totals by tag into
 //! [`RunMetrics::per_tag`](crate::RunMetrics::per_tag) (via
 //! [`Payload::mux_tag`]), and [`MuxOutput::done_round`] records the round in
 //! which each instance finished on each machine, so per-query costs survive
@@ -365,7 +365,7 @@ impl<P: Protocol> Protocol for MuxProtocol<P> {
 mod tests {
     use super::*;
     use crate::config::{BandwidthMode, FaultPlan, NetConfig};
-    use crate::engine::{run_event, run_sync};
+    use crate::engine::run_sync;
 
     /// Every non-leader streams `payload` values to machine 0; machine 0
     /// acknowledges once everything arrived and outputs the sum; workers
@@ -496,7 +496,7 @@ mod tests {
     }
 
     #[test]
-    fn mux_is_deterministic_and_engine_agnostic() {
+    fn mux_is_deterministic() {
         let k = 3;
         let payloads = [5u64, 2, 8, 1];
         let mk = || {
@@ -518,11 +518,6 @@ mod tests {
         let b = run_sync(&cfg, mk()).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.metrics, b.metrics);
-        // The event engine lets instances pipeline rounds ahead of each
-        // other; the outcome must still be the lockstep one, byte for byte.
-        let d = run_event(&cfg.with_event_workers(2), mk()).unwrap();
-        assert_eq!(a.outputs, d.outputs);
-        assert_eq!(a.metrics, d.metrics);
     }
 
     #[test]

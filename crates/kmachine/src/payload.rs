@@ -7,7 +7,7 @@
 /// can be enforced and message/bit totals reported. Implementations should
 /// return the information-theoretic size of the fields they carry (e.g. a
 /// 64-bit value plus a 64-bit id is 128 bits). Sizes are clamped to a minimum
-/// of 1 bit by the engines so that "free" messages cannot bypass links.
+/// of 1 bit by the engine so that "free" messages cannot bypass links.
 pub trait Payload: Clone + Send + 'static {
     /// Wire size of this message in bits.
     fn size_bits(&self) -> u64;
@@ -15,7 +15,7 @@ pub trait Payload: Clone + Send + 'static {
     /// Multiplexing tag of this message, when it belongs to one instance of
     /// a [multiplexed protocol](crate::mux::MuxProtocol).
     ///
-    /// The engines use this to attribute per-instance message and bit counts
+    /// The engine uses this to attribute per-instance message and bit counts
     /// in [`crate::RunMetrics::per_tag`]. Plain (non-multiplexed) payloads
     /// return `None` and are accounted only in the aggregate totals.
     fn mux_tag(&self) -> Option<u32> {
@@ -25,15 +25,15 @@ pub trait Payload: Clone + Send + 'static {
     /// Byzantine lying hook: perturb this message's announced data using
     /// the deterministic `word` (a pure splitmix64 draw keyed by the
     /// [`crate::config::AdversaryPlan`] seed and the send site, so
-    /// every engine fabricates the *same* lies). Returns `true` when the
+    /// every run fabricates the *same* lies). Returns `true` when the
     /// message actually changed.
     ///
     /// The default is a no-op — a payload opts in by overriding this, and
     /// implementations must preserve the message's variant structure
     /// (protocols are entitled to panic on impossible variants; a lie is a
     /// wrong *value*, not a malformed message). Size accounting
-    /// ([`Payload::size_bits`]) must be unchanged by tampering so that
-    /// every cross-engine metric-equality assert survives.
+    /// ([`Payload::size_bits`]) must be unchanged by tampering so that a
+    /// liar's run costs what the honest run does.
     fn tamper(&mut self, word: u64) -> bool {
         let _ = word;
         false

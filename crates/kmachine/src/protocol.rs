@@ -12,7 +12,7 @@ pub enum Step<T> {
     /// promise: **until this machine's inbox is next non-empty, `on_round`
     /// would send nothing, draw no randomness, change no state, and return
     /// `Wait` again.** A scheduler may therefore skip those calls — the
-    /// machine step both [engines](crate::engine) drive does not step a
+    /// machine step the [engine](crate::engine) drives does not step a
     /// waiting machine whose inbox is empty, and
     /// [`MuxProtocol`](crate::mux::MuxProtocol) does not step a waiting
     /// instance without mail — or make them anyway (a restored mux steps
@@ -27,11 +27,11 @@ pub enum Step<T> {
 
 /// A distributed algorithm written from the point of view of one machine.
 ///
-/// The engines call [`Protocol::on_round`] once per synchronous round, with
+/// The engine calls [`Protocol::on_round`] once per synchronous round, with
 /// round 0 having an empty inbox (the "initial" round in which first sends
 /// happen). Protocol code must be a deterministic function of its own state,
-/// the inbox contents, and the private RNG — both engines then produce
-/// bit-identical executions.
+/// the inbox contents, and the private RNG — every run is then a pure
+/// function of the protocols and the config.
 ///
 /// # Waiting
 ///

@@ -4,12 +4,11 @@
 //! rejoin*: go dark at a crash round, come back at a rejoin round restored
 //! from their last [`crate::Protocol::checkpoint`], and catch up by
 //! replaying the rounds in between from retained per-round inboxes. The
-//! whole mechanism lives in one engine-agnostic protocol wrapper,
-//! [`Recovering`], that each engine entry point applies when the plan is
-//! non-empty — so the sync and event engines recover machines
-//! byte-identically *by construction*, and each engine's own footprint
-//! shrinks to plan validation, stall suppression while a rejoin is still
-//! pending, and attaching [`RecoveryMetrics`] to the outcome.
+//! whole mechanism lives in one protocol wrapper,
+//! [`Recovering`], that the engine applies when the plan is non-empty — so
+//! the engine's own footprint shrinks to plan validation, stall
+//! suppression while a rejoin is still pending, and attaching
+//! [`RecoveryMetrics`] to the outcome.
 //!
 //! # Why the recovered run's answers match the fault-free run's
 //!
@@ -51,7 +50,7 @@ pub(crate) fn rejoin_horizons(cfg: &NetConfig) -> Vec<u64> {
 }
 
 /// Reject self-contradictory fault/recovery plans before any protocol
-/// executes, identically in every engine.
+/// executes.
 pub(crate) fn validate(cfg: &NetConfig) -> Result<(), EngineError> {
     let invalid = |reason: String| Err(EngineError::InvalidPlan { reason });
     if cfg.faults.loss_per_mille > 1000 {
@@ -164,8 +163,7 @@ impl RecoveryShared {
         }
     }
 
-    /// Drain the realized metrics (rejoined list sorted for determinism
-    /// across engine scheduling orders).
+    /// Drain the realized metrics (rejoined list sorted by machine id).
     pub(crate) fn take_metrics(&self) -> RecoveryMetrics {
         let mut m = std::mem::take(&mut *self.metrics.lock());
         m.rejoined.sort_unstable();
@@ -445,7 +443,7 @@ impl<P: Protocol> Protocol for Recovering<P> {
         }
         if r < spec.rejoin {
             // Outage: buffer the inbox for replay, execute nothing, send
-            // nothing. The machine keeps cycling rounds so every engine's
+            // nothing. The machine keeps cycling rounds so the engine's
             // transport bookkeeping stays uniform.
             self.retained.push_back((r, ctx.inbox.to_vec()));
             return Step::Continue;

@@ -3,7 +3,7 @@
 //! The model gives each machine a private source of true random bits. For
 //! reproducibility every machine's stream is derived from the run's master
 //! seed and the machine id through SplitMix64, so a run is a pure function
-//! of `(protocols, NetConfig)` regardless of which engine executes it.
+//! of `(protocols, NetConfig)`.
 
 use rand::{rngs::StdRng, SeedableRng};
 

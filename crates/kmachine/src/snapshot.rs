@@ -1,6 +1,6 @@
 //! Tiny byte codec for [`crate::Protocol::checkpoint`] blobs.
 //!
-//! Checkpoint blobs are opaque to the engines, but every protocol that
+//! Checkpoint blobs are opaque to the engine, but every protocol that
 //! implements them needs the same few primitives: fixed-width integers,
 //! flags, and length-prefixed byte runs, written and read in one
 //! deterministic order. This module provides exactly that — little-endian,
@@ -8,7 +8,7 @@
 //! encode/decode pairs stay obviously symmetric. [`SnapshotReader`] returns
 //! `Option` everywhere: a truncated or misaligned blob decodes to `None`,
 //! which [`crate::Protocol::restore`] maps to `false` (rejoin unsupported)
-//! instead of panicking inside an engine.
+//! instead of panicking inside the engine.
 
 /// Domain-separation salt of the checkpoint seal digest (distinct from the
 /// link-layer chain and corruption salts).

@@ -1,9 +1,8 @@
-//! Property tests: the engines are observationally identical for
-//! deterministic protocols, and the network conserves messages, under
-//! randomized traffic patterns.
+//! Engine properties under randomized traffic: the network conserves
+//! messages, and a panicking protocol is a typed error.
 
-use kmachine::engine::{run_event, run_sync};
-use kmachine::{BandwidthMode, Ctx, Engine, EngineError, NetConfig, Payload, Protocol, Step};
+use kmachine::engine::run_sync;
+use kmachine::{BandwidthMode, Ctx, EngineError, NetConfig, Payload, Protocol, Step};
 use proptest::prelude::*;
 use rand::RngExt;
 
@@ -79,8 +78,7 @@ impl Protocol for Scatter {
                 Msg::Data { tag, .. } => {
                     self.got[env.src] += 1;
                     self.received_data += 1;
-                    // Order-sensitive digest: catches delivery-order
-                    // divergence between the engines.
+                    // Order-sensitive digest of the delivery order.
                     self.digest = self
                         .digest
                         .rotate_left(7)
@@ -104,8 +102,7 @@ fn scatter_run(
     seed: u64,
     bits_per_round: u64,
     max_msgs: usize,
-    engine: Engine,
-) -> (Vec<(u64, u64)>, u64, u64) {
+) -> (Vec<(u64, u64)>, u64) {
     let cfg =
         NetConfig::new(k).with_seed(seed).with_bandwidth(BandwidthMode::Enforce { bits_per_round });
     let protos: Vec<Scatter> = (0..k)
@@ -117,12 +114,8 @@ fn scatter_run(
             received_data: 0,
         })
         .collect();
-    let out = match engine {
-        Engine::Sync => run_sync(&cfg, protos),
-        _ => run_event(&cfg, protos),
-    }
-    .expect("scatter run");
-    (out.outputs, out.metrics.messages, out.metrics.bits)
+    let out = run_sync(&cfg, protos).expect("scatter run");
+    (out.outputs, out.metrics.messages)
 }
 
 /// Machine 1 panics in its first round.
@@ -139,42 +132,20 @@ impl Protocol for Panics {
 }
 
 #[test]
-fn panicking_protocol_is_the_same_typed_error_on_every_engine() {
-    let cfg = NetConfig::new(3);
-    let runs = [
-        ("sync", run_sync(&cfg, vec![Panics, Panics, Panics])),
-        ("event@1", run_event(&cfg.clone().with_event_workers(1), vec![Panics, Panics, Panics])),
-        ("event@2", run_event(&cfg.clone().with_event_workers(2), vec![Panics, Panics, Panics])),
-        ("threaded", Engine::Threaded.run(&cfg, vec![Panics, Panics, Panics])),
-    ];
-    for (name, out) in runs {
-        assert_eq!(out.unwrap_err(), EngineError::WorkerPanic { machine: 1 }, "{name}");
-    }
+fn panicking_protocol_is_a_typed_error() {
+    let out = run_sync(&NetConfig::new(3), vec![Panics, Panics, Panics]);
+    assert_eq!(out.unwrap_err(), EngineError::WorkerPanic { machine: 1 });
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-    #[test]
-    fn engines_agree_under_random_traffic(
-        k in 1usize..7,
-        seed in any::<u64>(),
-        bits in prop_oneof![Just(64u64), Just(512), Just(4096)],
-        max_msgs in 0usize..12,
-    ) {
-        let a = scatter_run(k, seed, bits, max_msgs, Engine::Sync);
-        let b = scatter_run(k, seed, bits, max_msgs, Engine::Event);
-        prop_assert_eq!(&a.0, &b.0, "per-machine digests must match");
-        prop_assert_eq!(a.1, b.1, "message totals must match");
-        prop_assert_eq!(a.2, b.2, "bit totals must match");
-    }
-
     #[test]
     fn network_conserves_messages(
         k in 2usize..7,
         seed in any::<u64>(),
         max_msgs in 0usize..12,
     ) {
-        let (outputs, sent_total, _) = scatter_run(k, seed, 256, max_msgs, Engine::Sync);
+        let (outputs, sent_total) = scatter_run(k, seed, 256, max_msgs);
         let received: u64 = outputs.iter().map(|&(_, r)| r).sum();
         let headers = (k * (k - 1)) as u64;
         prop_assert_eq!(

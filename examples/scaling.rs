@@ -5,8 +5,8 @@
 //! ```
 //!
 //! For a grid of (k, ℓ) it runs both Algorithm 2 and the simple baseline
-//! on the event engine (machines on a worker pool, 20 µs synthetic
-//! per-round latency) and prints the wall-clock ratio — the paper's
+//! (local computation on the rayon pool, 20 µs synthetic per-round
+//! latency) and prints the wall-clock ratio — the paper's
 //! Figure 2 y-axis. The full-scale reproduction lives in
 //! `cargo run -p knn-bench --release --bin fig2`.
 
@@ -24,7 +24,6 @@ fn main() {
         let mut cluster: KnnCluster = KnnCluster::builder()
             .machines(k)
             .seed(1)
-            .engine(Engine::Event)
             .round_latency(Duration::from_micros(20))
             .build();
         cluster.load_shards(shards).expect("shards");

@@ -2,7 +2,7 @@
 //!
 //! Re-exports the full public API of the workspace:
 //!
-//! * [`kmachine`] — the k-machine model simulator (engines, bandwidth,
+//! * [`kmachine`] — the k-machine model simulator (engine, bandwidth,
 //!   metrics, leader election);
 //! * [`points`] — points, metrics, distance keys;
 //! * [`selection`] — sequential selection algorithms;
@@ -26,7 +26,7 @@ pub use knn_workloads as workloads;
 
 /// Everything a typical user needs in scope.
 pub mod prelude {
-    pub use kmachine::{BandwidthMode, Engine, NetConfig, RunMetrics, TagMetrics};
+    pub use kmachine::{BandwidthMode, NetConfig, RunMetrics, TagMetrics};
     pub use knn_core::cluster::{BatchAnswer, KnnAnswer, KnnCluster, Neighbor};
     pub use knn_core::local::IndexedPoint;
     pub use knn_core::ml::{KnnClassifier, KnnRegressor};

@@ -3,34 +3,32 @@
 
 use knn_repro::prelude::*;
 
-fn loaded(k: usize, election: ElectionKind, engine: Engine) -> KnnCluster {
+fn loaded(k: usize, election: ElectionKind) -> KnnCluster {
     let shards = ScalarWorkload { per_machine: 2000, lo: 0, hi: 1 << 24 }.generate(k, 17);
     let mut cluster: KnnCluster =
-        KnnCluster::builder().machines(k).seed(5).election(election).engine(engine).build();
+        KnnCluster::builder().machines(k).seed(5).election(election).build();
     cluster.load_shards(shards).unwrap();
     cluster
 }
 
 #[test]
 fn approx_superset_on_every_engine() {
-    for engine in [Engine::Sync, Engine::Event] {
-        let cluster = loaded(6, ElectionKind::Fixed, engine);
-        let q = ScalarPoint(1 << 23);
-        let exact = cluster.query(&q, 100).unwrap();
-        let approx = cluster.query_approx(&q, 100).unwrap();
-        assert!(approx.neighbors.len() >= 100, "{engine:?}");
-        assert_eq!(&approx.neighbors[..100], &exact.neighbors[..], "{engine:?}");
-        assert!(approx.metrics.rounds < exact.metrics.rounds, "{engine:?}");
-        // The guarantee is on the answer itself, from both approx facades;
-        // exact answers have none to report.
-        assert_eq!(approx.contains_exact, Some(true), "{engine:?}");
-        assert_eq!(exact.contains_exact, None, "{engine:?}");
-        let batch = cluster.query_batch_approx(&[q], 100).unwrap();
-        assert_eq!(batch.answers[0].contains_exact, Some(true), "{engine:?}");
-        assert_eq!(&batch.answers[0].neighbors[..100], &exact.neighbors[..], "{engine:?}");
-        let batch = cluster.query_batch(&[q], 100).unwrap();
-        assert_eq!(batch.answers[0].contains_exact, None, "{engine:?}");
-    }
+    let cluster = loaded(6, ElectionKind::Fixed);
+    let q = ScalarPoint(1 << 23);
+    let exact = cluster.query(&q, 100).unwrap();
+    let approx = cluster.query_approx(&q, 100).unwrap();
+    assert!(approx.neighbors.len() >= 100);
+    assert_eq!(&approx.neighbors[..100], &exact.neighbors[..]);
+    assert!(approx.metrics.rounds < exact.metrics.rounds);
+    // The guarantee is on the answer itself, from both approx facades;
+    // exact answers have none to report.
+    assert_eq!(approx.contains_exact, Some(true));
+    assert_eq!(exact.contains_exact, None);
+    let batch = cluster.query_batch_approx(&[q], 100).unwrap();
+    assert_eq!(batch.answers[0].contains_exact, Some(true));
+    assert_eq!(&batch.answers[0].neighbors[..100], &exact.neighbors[..]);
+    let batch = cluster.query_batch(&[q], 100).unwrap();
+    assert_eq!(batch.answers[0].contains_exact, None);
 }
 
 #[test]
@@ -54,7 +52,7 @@ fn an_under_pruned_approx_answer_says_so() {
 
 #[test]
 fn approx_with_huge_ell_returns_everything() {
-    let cluster = loaded(4, ElectionKind::Fixed, Engine::Sync);
+    let cluster = loaded(4, ElectionKind::Fixed);
     let approx = cluster.query_approx(&ScalarPoint(9), 1_000_000).unwrap();
     assert_eq!(approx.neighbors.len(), cluster.total_points());
 }
@@ -81,8 +79,8 @@ fn elected_leader_is_respected_by_the_protocol() {
 
 #[test]
 fn election_cost_is_separated_from_query_cost() {
-    let fixed = loaded(8, ElectionKind::Fixed, Engine::Sync);
-    let star = loaded(8, ElectionKind::Star, Engine::Sync);
+    let fixed = loaded(8, ElectionKind::Fixed);
+    let star = loaded(8, ElectionKind::Star);
     let q = ScalarPoint(42);
     let a = fixed.query(&q, 20).unwrap();
     let b = star.query(&q, 20).unwrap();

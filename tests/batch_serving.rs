@@ -126,27 +126,6 @@ fn batch_metrics_attribute_traffic_per_query() {
 }
 
 #[test]
-fn batch_on_both_engines_agrees() {
-    let shards = ScalarWorkload { per_machine: 700, lo: 0, hi: 1 << 18 }.generate(4, 13);
-    let queries: Vec<ScalarPoint> = QueryStream::scalar(4, 4, 0, 1 << 18, 6).next().unwrap();
-    let run = |engine| {
-        let mut cluster: KnnCluster =
-            KnnCluster::builder().machines(4).seed(2).engine(engine).build();
-        cluster.load_shards(shards.clone()).unwrap();
-        cluster.query_batch_with(Algorithm::Knn, &queries, 12).unwrap()
-    };
-    let a = run(Engine::Sync);
-    let b = run(Engine::Event);
-    for j in 0..queries.len() {
-        assert_eq!(a.answers[j].neighbors, b.answers[j].neighbors, "query {j}");
-    }
-    assert_eq!(a.metrics.rounds, b.metrics.rounds);
-    assert_eq!(a.metrics.messages, b.metrics.messages);
-    assert_eq!(a.metrics.bits, b.metrics.bits);
-    assert_eq!(a.metrics.per_tag, b.metrics.per_tag);
-}
-
-#[test]
 fn batch_approx_contains_the_exact_batch() {
     let cluster = loaded_cluster(6, 3000, ElectionKind::Fixed, 8);
     let queries: Vec<ScalarPoint> = QueryStream::scalar(3, 3, 0, 1 << 20, 5).next().unwrap();
@@ -260,10 +239,9 @@ fn approx_recovers_from_a_mid_run_worker_crash_on_both_paths() {
 /// gather baseline while it owns the whole neighbourhood of the query, which
 /// is then answered sequentially and as a batch of one. `armed` adds a
 /// corrupt link that never fires: the audit runs, and nobody misbehaves.
-fn simple_crash_probe(crash: u64, armed: bool, engine: Engine) -> (KnnAnswer, BatchAnswer) {
+fn simple_crash_probe(crash: u64, armed: bool) -> (KnnAnswer, BatchAnswer) {
     let faults = FaultPlan::default().with_crash(2, crash);
-    let mut builder =
-        KnnCluster::builder().algorithm(Algorithm::Simple).engine(engine).faults(faults);
+    let mut builder = KnnCluster::builder().algorithm(Algorithm::Simple).faults(faults);
     if armed {
         builder = builder.adversary(AdversaryPlan::default().with_corrupt_link(3, 0, 0));
     }
@@ -279,45 +257,37 @@ fn a_worker_crashing_mid_stream_costs_simple_a_retry_not_its_answer() {
     };
     let survivors = [(50, 3), (51, 1), (51, 3), (52, 1), (52, 3), (53, 1)];
     let full = [(0, 2), (1, 2), (1, 2), (2, 2), (2, 2), (3, 2)];
-    for engine in [Engine::Sync, Engine::Event] {
-        for crash in 0..=5 {
-            let (single, batch) = simple_crash_probe(crash, false, engine);
-            let label = format!("crash in round {crash}, {engine:?}");
-            // Round 0: machine 2 never sends, and the run salvages it. Rounds
-            // 1–3: its candidates already reached the leader's gather, so the
-            // run is retried over the survivors. Later: it finished first.
-            let (want, degraded, attempts) = match crash {
-                0 => (&survivors, true, 1),
-                1..=3 => (&survivors, true, 2),
-                _ => (&full, false, 1),
-            };
-            assert_eq!(dists_on(&single), want, "{label}");
-            assert_eq!(batch.answers[0].neighbors, single.neighbors, "{label}");
-            for (path, report) in [("single", &single.report), ("batch", &batch.report)] {
-                assert_eq!(
-                    (report.degraded, report.attempts),
-                    (degraded, attempts),
-                    "{label} {path}"
-                );
-            }
+    for crash in 0..=5 {
+        let (single, batch) = simple_crash_probe(crash, false);
+        let label = format!("crash in round {crash}");
+        // Round 0: machine 2 never sends, and the run salvages it. Rounds
+        // 1–3: its candidates already reached the leader's gather, so the
+        // run is retried over the survivors. Later: it finished first.
+        let (want, degraded, attempts) = match crash {
+            0 => (&survivors, true, 1),
+            1..=3 => (&survivors, true, 2),
+            _ => (&full, false, 1),
+        };
+        assert_eq!(dists_on(&single), want, "{label}");
+        assert_eq!(batch.answers[0].neighbors, single.neighbors, "{label}");
+        for (path, report) in [("single", &single.report), ("batch", &batch.report)] {
+            assert_eq!((report.degraded, report.attempts), (degraded, attempts), "{label} {path}");
         }
     }
 }
 
 #[test]
 fn an_armed_audit_never_quarantines_an_honest_cluster() {
-    for engine in [Engine::Sync, Engine::Event] {
-        for crash in 0..=5 {
-            let (single, batch) = simple_crash_probe(crash, true, engine);
-            let (want, want_batch) = simple_crash_probe(crash, false, engine);
-            let label = format!("crash in round {crash}, {engine:?}");
-            for (path, report) in [("single", &single.report), ("batch", &batch.report)] {
-                assert!(report.audit.audits_run > 0, "{label} {path}: the audit must run");
-                assert_eq!(report.audit.suspects_quarantined, 0, "{label} {path}");
-            }
-            assert_eq!(single.neighbors, want.neighbors, "{label}");
-            assert_eq!(batch.answers[0].neighbors, want_batch.answers[0].neighbors, "{label}");
+    for crash in 0..=5 {
+        let (single, batch) = simple_crash_probe(crash, true);
+        let (want, want_batch) = simple_crash_probe(crash, false);
+        let label = format!("crash in round {crash}");
+        for (path, report) in [("single", &single.report), ("batch", &batch.report)] {
+            assert!(report.audit.audits_run > 0, "{label} {path}: the audit must run");
+            assert_eq!(report.audit.suspects_quarantined, 0, "{label} {path}");
         }
+        assert_eq!(single.neighbors, want.neighbors, "{label}");
+        assert_eq!(batch.answers[0].neighbors, want_batch.answers[0].neighbors, "{label}");
     }
 }
 

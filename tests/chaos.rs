@@ -2,19 +2,18 @@
 //!
 //! The [`kmachine::FaultPlan`] injectors are *seeded, not sampled*: the
 //! same plan produces the same drops, the same crash observations, and
-//! the same recovery path on every engine and every pool size. That turns
-//! fault testing into the same metamorphic game the engine-conformance
-//! suite plays — a faulty run either equals its fault-free reference
-//! byte-for-byte (stragglers), or degrades along an exactly reproducible
-//! path (crashes: re-election, surviving-shard answers, `degraded`
-//! flags), or fails with a typed error (lossy links past the retry
-//! budget) — never a hang, never a silently wrong answer.
+//! the same recovery path at every pool size. That turns fault testing
+//! into a metamorphic game — a faulty run either equals its fault-free
+//! reference byte-for-byte (a healed rejoin), or degrades along an exactly
+//! reproducible path (crashes: re-election, surviving-shard answers,
+//! `degraded` flags), or fails with a typed error (lossy links past the
+//! retry budget) — never a hang, never a silently wrong answer.
 //!
 //! One test also writes `results/chaos_metrics.json`, the artifact the CI
 //! chaos leg uploads.
 
 use kmachine::error::EngineError;
-use kmachine::{AdversaryPlan, Engine, FaultPlan, RecoveryPlan};
+use kmachine::{AdversaryPlan, FaultPlan, RecoveryPlan};
 use knn_core::cluster::{KnnCluster, Neighbor};
 use knn_core::error::CoreError;
 use knn_core::runner::{Algorithm, ElectionKind};
@@ -30,13 +29,12 @@ fn with_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 
 /// A loaded cluster over the standard scalar workload: Fixed election
 /// (leader is machine 0 until a crash forces a re-election), seeded
-/// shards, the given engine and fault plan.
-fn cluster(k: usize, seed: u64, engine: Engine, faults: FaultPlan) -> KnnCluster {
+/// shards, the given fault plan.
+fn cluster(k: usize, seed: u64, faults: FaultPlan) -> KnnCluster {
     let shards = ScalarWorkload::small(512).generate(k, seed);
     let mut cluster: KnnCluster = KnnCluster::builder()
         .machines(k)
         .seed(seed)
-        .engine(engine)
         .election(ElectionKind::Fixed)
         .faults(faults)
         .build();
@@ -46,12 +44,11 @@ fn cluster(k: usize, seed: u64, engine: Engine, faults: FaultPlan) -> KnnCluster
 
 /// A loaded cluster scheduled to self-heal: no fail-stop faults, but a
 /// crash-then-rejoin recovery plan (checkpoint/restore inside the run).
-fn healing_cluster(k: usize, seed: u64, engine: Engine, recovery: RecoveryPlan) -> KnnCluster {
+fn healing_cluster(k: usize, seed: u64, recovery: RecoveryPlan) -> KnnCluster {
     let shards = ScalarWorkload::small(512).generate(k, seed);
     let mut cluster: KnnCluster = KnnCluster::builder()
         .machines(k)
         .seed(seed)
-        .engine(engine)
         .election(ElectionKind::Fixed)
         .recovery(recovery)
         .build();
@@ -70,39 +67,6 @@ fn ids_and_dists(neighbors: &[Neighbor]) -> Vec<(knn_points::PointId, knn_points
     neighbors.iter().map(|n| (n.id, n.dist)).collect()
 }
 
-/// Stragglers are pure wall-clock: every answer, every metric, and every
-/// flag of a straggling run — on every engine, every pool size — is
-/// byte-identical to the fault-free lockstep reference. Only the clock may
-/// differ.
-#[test]
-fn stragglers_change_nothing_but_wall_clock() {
-    let (seed, k, ell) = (9u64, 4usize, 8usize);
-    let qs = queries(seed, 5);
-    let want = with_pool(1, || {
-        let c = cluster(k, seed, Engine::Sync, FaultPlan::default());
-        c.query_batch_with(Algorithm::Knn, &qs, ell).expect("baseline")
-    });
-    assert!(!want.degraded);
-    assert!(!want.faults.any());
-    let plan = FaultPlan::default().with_straggler(1, 4).with_straggler(3, 8);
-    for engine in [Engine::Sync, Engine::Event] {
-        for pool in [1usize, 8] {
-            let got = with_pool(pool, || {
-                let c = cluster(k, seed, engine, plan.clone());
-                c.query_batch_with(Algorithm::Knn, &qs, ell).expect("straggling batch")
-            });
-            let label = format!("{engine:?}/pool {pool}");
-            for (g, w) in got.answers.iter().zip(&want.answers) {
-                assert_eq!(g.neighbors, w.neighbors, "straggler answers diverged: {label}");
-            }
-            assert_eq!(got.metrics, want.metrics, "straggler metrics diverged: {label}");
-            assert!(!got.degraded, "a slow machine is not a failure: {label}");
-            assert_eq!(got.shards_used, k, "{label}");
-            assert!(!got.faults.any(), "stragglers realize no faults: {label}");
-        }
-    }
-}
-
 /// A crashed leader is survivable: the query layer re-elects over the
 /// survivors, re-runs fault-free, and flags the answer as degraded with
 /// the surviving shard count — for **every** algorithm. The degraded
@@ -118,7 +82,7 @@ fn leader_crash_re_elects_and_degrades_for_every_algorithm() {
         KnnCluster::builder().machines(k - 1).seed(seed).election(ElectionKind::Fixed).build();
     survivors.load_shards(shards[1..].to_vec()).expect("shard count");
     for algo in Algorithm::ALL {
-        let crashed = cluster(k, seed, Engine::Sync, FaultPlan::default().with_crash(0, 0));
+        let crashed = cluster(k, seed, FaultPlan::default().with_crash(0, 0));
         let ans = crashed.query_with(algo, &q, ell).expect("crash must be survivable");
         assert!(ans.degraded, "{algo:?}: answers over survivors must be flagged");
         assert_eq!(ans.shards_used, k - 1, "{algo:?}");
@@ -142,7 +106,7 @@ fn leader_crash_re_elects_and_degrades_for_every_algorithm() {
 fn batched_queries_survive_a_leader_crash() {
     let (seed, k, ell) = (29u64, 5usize, 6usize);
     let qs = queries(seed, 4);
-    let crashed = cluster(k, seed, Engine::Sync, FaultPlan::default().with_crash(0, 0));
+    let crashed = cluster(k, seed, FaultPlan::default().with_crash(0, 0));
     let batch = crashed.query_batch_with(Algorithm::Knn, &qs, ell).expect("batch recovery");
     assert!(batch.degraded);
     assert_eq!(batch.shards_used, k - 1);
@@ -167,7 +131,7 @@ fn batched_queries_survive_a_leader_crash() {
 fn worker_crash_under_simple_is_salvaged_in_run() {
     let (seed, k, ell) = (31u64, 4usize, 6usize);
     let q = ScalarPoint(seed.wrapping_mul(127));
-    let crashed = cluster(k, seed, Engine::Sync, FaultPlan::default().with_crash(2, 0));
+    let crashed = cluster(k, seed, FaultPlan::default().with_crash(2, 0));
     let ans = crashed.query_with(Algorithm::Simple, &q, ell).expect("salvage");
     assert!(ans.degraded);
     assert_eq!(ans.shards_used, k - 1);
@@ -183,8 +147,7 @@ fn worker_crash_under_simple_is_salvaged_in_run() {
 fn exhausted_retries_surface_a_typed_link_down() {
     let (seed, k, ell) = (41u64, 3usize, 5usize);
     let q = ScalarPoint(seed.wrapping_mul(127));
-    let lossy =
-        cluster(k, seed, Engine::Sync, FaultPlan::default().with_loss(1000, 2).with_fault_seed(7));
+    let lossy = cluster(k, seed, FaultPlan::default().with_loss(1000, 2).with_fault_seed(7));
     match lossy.query_with(Algorithm::Knn, &q, ell) {
         Err(CoreError::Engine(EngineError::LinkDown { retries, .. })) => {
             assert_eq!(retries, 2, "the error reports the exhausted budget");
@@ -197,9 +160,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// Determinism under fire: the same seed and the same fault plan —
-    /// survivable loss, a straggler, a mid-run worker crash — produce
-    /// byte-identical answers, metrics, **and realized faults** (drop and
-    /// retransmission counts included) on every engine and pool size.
+    /// survivable link loss — produce byte-identical answers, metrics,
+    /// **and realized faults** (drop and retransmission counts included)
+    /// at every pool size.
     #[test]
     fn prop_faulty_runs_are_engine_invariant(
         seed in 0u64..500,
@@ -208,34 +171,30 @@ proptest! {
     ) {
         let (k, ell) = (4usize, 6usize);
         let qs = queries(seed, 3);
-        let plan = FaultPlan::default()
-            .with_loss(loss, 64)
-            .with_straggler(1, 2)
-            .with_fault_seed(fault_seed);
+        let plan = FaultPlan::default().with_loss(loss, 64).with_fault_seed(fault_seed);
         let want = with_pool(1, || {
-            let c = cluster(k, seed, Engine::Sync, plan.clone());
-            c.query_batch_with(Algorithm::Knn, &qs, ell).expect("sync chaos run")
+            let c = cluster(k, seed, plan.clone());
+            c.query_batch_with(Algorithm::Knn, &qs, ell).expect("chaos run at pool 1")
         });
-        let engine = Engine::Event;
         for pool in [2usize, 8] {
             let got = with_pool(pool, || {
-                let c = cluster(k, seed, engine, plan.clone());
+                let c = cluster(k, seed, plan.clone());
                 c.query_batch_with(Algorithm::Knn, &qs, ell).expect("chaos run")
             });
             for (g, w) in got.answers.iter().zip(&want.answers) {
-                prop_assert_eq!(&g.neighbors, &w.neighbors, "{:?}/pool {}", engine, pool);
+                prop_assert_eq!(&g.neighbors, &w.neighbors, "pool {}", pool);
             }
-            prop_assert_eq!(&got.metrics, &want.metrics, "{:?}/pool {}", engine, pool);
+            prop_assert_eq!(&got.metrics, &want.metrics, "pool {}", pool);
             prop_assert_eq!(&got.faults, &want.faults,
-                "realized faults must be engine-invariant: {:?}/pool {}", engine, pool);
+                "realized faults must be pool-invariant: pool {}", pool);
             prop_assert_eq!(got.degraded, want.degraded);
             prop_assert_eq!(got.shards_used, want.shards_used);
         }
     }
 
     /// Crash recovery is deterministic too: the same crash plan takes the
-    /// same re-election path and yields the same degraded answers on
-    /// every engine.
+    /// same re-election path and yields the same degraded answers at every
+    /// pool size.
     #[test]
     fn prop_crash_recovery_is_engine_invariant(
         seed in 0u64..500,
@@ -245,21 +204,20 @@ proptest! {
         let qs = queries(seed, 2);
         let plan = FaultPlan::default().with_crash(victim, 0);
         let want = with_pool(1, || {
-            let c = cluster(k, seed, Engine::Sync, plan.clone());
-            c.query_batch_with(Algorithm::Knn, &qs, ell).expect("sync crash run")
+            let c = cluster(k, seed, plan.clone());
+            c.query_batch_with(Algorithm::Knn, &qs, ell).expect("crash run at pool 1")
         });
         prop_assert!(want.degraded);
         prop_assert_eq!(want.shards_used, k - 1);
-        let engine = Engine::Event;
         let got = with_pool(8, || {
-            let c = cluster(k, seed, engine, plan.clone());
+            let c = cluster(k, seed, plan.clone());
             c.query_batch_with(Algorithm::Knn, &qs, ell).expect("crash run")
         });
         for (g, w) in got.answers.iter().zip(&want.answers) {
-            prop_assert_eq!(&g.neighbors, &w.neighbors, "{:?}", engine);
+            prop_assert_eq!(&g.neighbors, &w.neighbors);
         }
-        prop_assert_eq!(&got.metrics, &want.metrics, "{:?}", engine);
-        prop_assert_eq!(got.leader, want.leader, "same re-election path: {:?}", engine);
+        prop_assert_eq!(&got.metrics, &want.metrics);
+        prop_assert_eq!(got.leader, want.leader, "same re-election path");
         prop_assert_eq!(got.degraded, want.degraded);
         prop_assert_eq!(got.shards_used, want.shards_used);
     }
@@ -284,8 +242,8 @@ fn empty_shards_are_healthy_not_degraded() {
     }
 }
 
-/// Crash-then-rejoin is **invisible to the answer** on every engine and
-/// every pool size: a machine that goes dark mid-batch, restores from its
+/// Crash-then-rejoin is **invisible to the answer** at every pool size: a
+/// machine that goes dark mid-batch, restores from its
 /// last protocol checkpoint, and replays the retained rounds produces a
 /// batch byte-identical to the fault-free reference — same neighbors,
 /// same aggregate metrics — with `degraded` cleared (the rejoined shard
@@ -296,39 +254,34 @@ fn rejoin_is_byte_identical_on_every_engine() {
     let (seed, k, ell) = (67u64, 4usize, 6usize);
     let qs = queries(seed, 4);
     let want = with_pool(1, || {
-        let c = cluster(k, seed, Engine::Sync, FaultPlan::default());
+        let c = cluster(k, seed, FaultPlan::default());
         c.query_batch_with(Algorithm::Simple, &qs, ell).expect("fault-free reference")
     });
     assert!(!want.recovered);
     assert_eq!(want.replayed_rounds, 0);
     let plan = RecoveryPlan::default().with_rejoin(2, 2, 5);
     let mut replayed = Vec::new();
-    for engine in [Engine::Sync, Engine::Event] {
-        for pool in [1usize, 8] {
-            let got = with_pool(pool, || {
-                let c = healing_cluster(k, seed, engine, plan.clone());
-                c.query_batch_with(Algorithm::Simple, &qs, ell).expect("healing batch")
-            });
-            let label = format!("{engine:?}/pool {pool}");
-            for (g, w) in got.answers.iter().zip(&want.answers) {
-                assert_eq!(g.neighbors, w.neighbors, "rejoin changed an answer: {label}");
-            }
-            assert_eq!(got.metrics, want.metrics, "rejoin changed the metrics: {label}");
-            assert!(!got.degraded, "the rejoined shard serves; nothing is degraded: {label}");
-            assert_eq!(got.shards_used, k, "{label}");
-            assert!(
-                got.faults.crashed.is_empty(),
-                "a healed crash is not a realized fault: {label}"
-            );
-            assert!(got.recovered, "the recovery work must be reported: {label}");
-            assert_eq!(got.attempts, 1, "rejoin heals in-run, without a retry: {label}");
-            assert!(got.replayed_rounds >= 1, "{label}");
-            replayed.push(got.replayed_rounds);
+    for pool in [1usize, 8] {
+        let got = with_pool(pool, || {
+            let c = healing_cluster(k, seed, plan.clone());
+            c.query_batch_with(Algorithm::Simple, &qs, ell).expect("healing batch")
+        });
+        let label = format!("pool {pool}");
+        for (g, w) in got.answers.iter().zip(&want.answers) {
+            assert_eq!(g.neighbors, w.neighbors, "rejoin changed an answer: {label}");
         }
+        assert_eq!(got.metrics, want.metrics, "rejoin changed the metrics: {label}");
+        assert!(!got.degraded, "the rejoined shard serves; nothing is degraded: {label}");
+        assert_eq!(got.shards_used, k, "{label}");
+        assert!(got.faults.crashed.is_empty(), "a healed crash is not a realized fault: {label}");
+        assert!(got.recovered, "the recovery work must be reported: {label}");
+        assert_eq!(got.attempts, 1, "rejoin heals in-run, without a retry: {label}");
+        assert!(got.replayed_rounds >= 1, "{label}");
+        replayed.push(got.replayed_rounds);
     }
     assert!(
         replayed.windows(2).all(|w| w[0] == w[1]),
-        "recovery metrics must be engine-invariant: {replayed:?}"
+        "recovery metrics must be pool-invariant: {replayed:?}"
     );
 }
 
@@ -340,16 +293,15 @@ fn rejoin_is_byte_identical_on_every_engine() {
 fn rejoin_clears_the_degraded_flag_a_bare_crash_sets() {
     let (seed, k, ell) = (71u64, 4usize, 6usize);
     let q = ScalarPoint(seed.wrapping_mul(127));
-    let clean = cluster(k, seed, Engine::Sync, FaultPlan::default());
+    let clean = cluster(k, seed, FaultPlan::default());
     let want = clean.query_with(Algorithm::BinSearch, &q, ell).expect("fault-free reference");
-    let bare = cluster(k, seed, Engine::Sync, FaultPlan::default().with_crash(2, 2));
+    let bare = cluster(k, seed, FaultPlan::default().with_crash(2, 2));
     let degraded = bare.query_with(Algorithm::BinSearch, &q, ell).expect("survivor retry");
     assert!(degraded.degraded, "an unhealed crash degrades the answer");
     assert_eq!(degraded.shards_used, k - 1);
     assert!(degraded.recovered, "the survivor retry is recovery work");
     assert!(degraded.attempts > 1);
-    let healing =
-        healing_cluster(k, seed, Engine::Sync, RecoveryPlan::default().with_rejoin(2, 2, 5));
+    let healing = healing_cluster(k, seed, RecoveryPlan::default().with_rejoin(2, 2, 5));
     let healed = healing.query_with(Algorithm::BinSearch, &q, ell).expect("healed query");
     assert!(!healed.degraded, "the rejoined shard clears the flag");
     assert_eq!(healed.shards_used, k);
@@ -377,7 +329,6 @@ fn recovery_metrics_artifact() {
         let c = healing_cluster(
             k,
             seed,
-            Engine::Event,
             RecoveryPlan::default().with_rejoin(1, 2, 6).with_checkpoint_interval(2),
         );
         c.query_batch_with(Algorithm::Simple, &qs, ell).expect("healing batch")
@@ -395,7 +346,6 @@ fn recovery_metrics_artifact() {
 fn byzantine_cluster(
     k: usize,
     seed: u64,
-    engine: Engine,
     adversary: AdversaryPlan,
     faults: FaultPlan,
     recovery: RecoveryPlan,
@@ -404,7 +354,6 @@ fn byzantine_cluster(
     let mut cluster: KnnCluster = KnnCluster::builder()
         .machines(k)
         .seed(seed)
-        .engine(engine)
         .election(ElectionKind::Fixed)
         .adversary(adversary)
         .faults(faults)
@@ -414,58 +363,49 @@ fn byzantine_cluster(
     cluster
 }
 
-/// Byzantine detection, quarantine, and the certified answer are engine-
-/// and pool-invariant: the same lie is fabricated, caught, and recovered
-/// from identically on sync and event, at every pool size — audits,
-/// violations, and quarantine counts included.
+/// Byzantine detection, quarantine, and the certified answer are
+/// pool-invariant: the same lie is fabricated, caught, and recovered from
+/// identically at every pool size — audits, violations, and quarantine
+/// counts included.
 #[test]
 fn byzantine_recovery_is_engine_and_pool_invariant() {
     let (seed, k, ell) = (83u64, 4usize, 8usize);
     let qs = queries(seed, 4);
     let plan = AdversaryPlan::default().with_lie(1, 0);
     let want = with_pool(1, || {
-        let c = byzantine_cluster(
-            k,
-            seed,
-            Engine::Sync,
-            plan.clone(),
-            FaultPlan::default(),
-            RecoveryPlan::default(),
-        );
+        let c =
+            byzantine_cluster(k, seed, plan.clone(), FaultPlan::default(), RecoveryPlan::default());
         c.query_batch_with(Algorithm::Knn, &qs, ell).expect("byzantine batch")
     });
     assert_eq!(want.audit.suspects_quarantined, 1, "the liar must be caught");
     assert!(want.audit.audits_run > 0);
     assert!(want.degraded, "the quarantined shard degrades the batch");
-    for engine in [Engine::Sync, Engine::Event] {
-        for pool in [1usize, 8] {
-            let got = with_pool(pool, || {
-                let c = byzantine_cluster(
-                    k,
-                    seed,
-                    engine,
-                    plan.clone(),
-                    FaultPlan::default(),
-                    RecoveryPlan::default(),
-                );
-                c.query_batch_with(Algorithm::Knn, &qs, ell).expect("byzantine batch")
-            });
-            let label = format!("{engine:?}/pool {pool}");
-            for (g, w) in got.answers.iter().zip(&want.answers) {
-                assert_eq!(g.neighbors, w.neighbors, "byzantine answers diverged: {label}");
-                assert_eq!(g.attempts, w.attempts, "{label}");
-            }
-            assert_eq!(got.metrics, want.metrics, "{label}");
-            assert_eq!(got.audit, want.audit, "audit metrics diverged: {label}");
-            assert_eq!(got.degraded, want.degraded, "{label}");
-            assert_eq!(got.shards_used, want.shards_used, "{label}");
+    for pool in [2usize, 8] {
+        let got = with_pool(pool, || {
+            let c = byzantine_cluster(
+                k,
+                seed,
+                plan.clone(),
+                FaultPlan::default(),
+                RecoveryPlan::default(),
+            );
+            c.query_batch_with(Algorithm::Knn, &qs, ell).expect("byzantine batch")
+        });
+        let label = format!("pool {pool}");
+        for (g, w) in got.answers.iter().zip(&want.answers) {
+            assert_eq!(g.neighbors, w.neighbors, "byzantine answers diverged: {label}");
+            assert_eq!(g.attempts, w.attempts, "{label}");
         }
+        assert_eq!(got.metrics, want.metrics, "{label}");
+        assert_eq!(got.audit, want.audit, "audit metrics diverged: {label}");
+        assert_eq!(got.degraded, want.degraded, "{label}");
+        assert_eq!(got.shards_used, want.shards_used, "{label}");
     }
 }
 
 /// Compound faults in one run: survivable link loss **and** a crash-then-
 /// rejoin window together. The rejoin heals in-run, the loss retransmits,
-/// and the whole thing stays byte-identical across engines and pool sizes.
+/// and the whole thing stays byte-identical across pool sizes.
 #[test]
 fn loss_plus_rejoin_compound_is_engine_and_pool_invariant() {
     let (seed, k, ell) = (89u64, 4usize, 6usize);
@@ -473,34 +413,26 @@ fn loss_plus_rejoin_compound_is_engine_and_pool_invariant() {
     let faults = FaultPlan::default().with_loss(40, 16).with_fault_seed(13);
     let recovery = RecoveryPlan::default().with_rejoin(2, 2, 5);
     let want = with_pool(1, || {
-        let c = byzantine_cluster(
-            k,
-            seed,
-            Engine::Sync,
-            AdversaryPlan::default(),
-            faults.clone(),
-            recovery.clone(),
-        );
+        let c =
+            byzantine_cluster(k, seed, AdversaryPlan::default(), faults.clone(), recovery.clone());
         c.query_batch_with(Algorithm::Simple, &qs, ell).expect("compound batch")
     });
     assert!(want.recovered, "the rejoin is recovery work");
     assert!(!want.degraded, "the healed shard serves");
     assert!(want.replayed_rounds >= 1);
     assert!(want.faults.dropped_messages > 0, "the loss process must actually bite");
-    let engine = Engine::Event;
-    for pool in [1usize, 8] {
+    for pool in [2usize, 8] {
         let got = with_pool(pool, || {
             let c = byzantine_cluster(
                 k,
                 seed,
-                engine,
                 AdversaryPlan::default(),
                 faults.clone(),
                 recovery.clone(),
             );
             c.query_batch_with(Algorithm::Simple, &qs, ell).expect("compound batch")
         });
-        let label = format!("{engine:?}/pool {pool}");
+        let label = format!("pool {pool}");
         for (g, w) in got.answers.iter().zip(&want.answers) {
             assert_eq!(g.neighbors, w.neighbors, "compound answers diverged: {label}");
         }
@@ -512,8 +444,8 @@ fn loss_plus_rejoin_compound_is_engine_and_pool_invariant() {
 
 /// An adversary lying while another machine is inside its crash-rejoin
 /// replay window: the rejoiner heals, the liar is caught and quarantined,
-/// and the certified answer equals the honest survivors' — identically on
-/// every engine.
+/// and the certified answer equals the honest survivors' — identically at
+/// every pool size.
 #[test]
 fn lie_during_a_replay_window_is_caught_and_invariant() {
     let (seed, k, ell) = (97u64, 4usize, 6usize);
@@ -521,14 +453,8 @@ fn lie_during_a_replay_window_is_caught_and_invariant() {
     let adversary = AdversaryPlan::default().with_lie(1, 0);
     let recovery = RecoveryPlan::default().with_rejoin(2, 2, 5);
     let want = with_pool(1, || {
-        let c = byzantine_cluster(
-            k,
-            seed,
-            Engine::Sync,
-            adversary.clone(),
-            FaultPlan::default(),
-            recovery.clone(),
-        );
+        let c =
+            byzantine_cluster(k, seed, adversary.clone(), FaultPlan::default(), recovery.clone());
         c.query_batch_with(Algorithm::Simple, &qs, ell).expect("lie-during-replay batch")
     });
     assert_eq!(want.audit.suspects_quarantined, 1, "the liar must be caught");
@@ -548,22 +474,15 @@ fn lie_during_a_replay_window_is_caught_and_invariant() {
             "the certified answer must equal the honest survivors'"
         );
     }
-    let engine = Engine::Event;
     let got = with_pool(8, || {
-        let c = byzantine_cluster(
-            k,
-            seed,
-            engine,
-            adversary.clone(),
-            FaultPlan::default(),
-            recovery.clone(),
-        );
+        let c =
+            byzantine_cluster(k, seed, adversary.clone(), FaultPlan::default(), recovery.clone());
         c.query_batch_with(Algorithm::Simple, &qs, ell).expect("lie-during-replay batch")
     });
     for (g, w) in got.answers.iter().zip(&want.answers) {
-        assert_eq!(g.neighbors, w.neighbors, "{engine:?}");
+        assert_eq!(g.neighbors, w.neighbors, "pool 8");
     }
-    assert_eq!(got.audit, want.audit, "{engine:?}");
+    assert_eq!(got.audit, want.audit, "pool 8");
 }
 
 /// A Byzantine cluster whose shards were **mutated by live inserts** after
@@ -571,18 +490,18 @@ fn lie_during_a_replay_window_is_caught_and_invariant() {
 /// shards (through the same [`knn_core::ShardIndex`] the honest machines
 /// answer from), so the liar is still caught and quarantined, and the
 /// certified answer equals the honest survivors' — with the surviving
-/// machines' inserts included — identically on every engine, both backends.
+/// machines' inserts included — identically at every pool size, on both
+/// backends.
 #[test]
 fn audit_after_live_inserts_still_catches_the_liar() {
     let (seed, k, ell) = (101u64, 4usize, 8usize);
     let qs = queries(seed, 3);
     for backend in [IndexBackend::Exact, IndexBackend::nsw()] {
-        let build = |engine: Engine, adversary: AdversaryPlan| {
+        let build = |adversary: AdversaryPlan| {
             let shards = ScalarWorkload::small(512).generate(k, seed);
             let mut cluster: KnnCluster = KnnCluster::builder()
                 .machines(k)
                 .seed(seed)
-                .engine(engine)
                 .election(ElectionKind::Fixed)
                 .adversary(adversary)
                 .index_backend(backend)
@@ -600,8 +519,9 @@ fn audit_after_live_inserts_still_catches_the_liar() {
             (cluster, placed)
         };
         let plan = AdversaryPlan::default().with_lie(1, 0);
-        let (byz, placed) = build(Engine::Sync, plan.clone());
-        let want = byz.query_batch_with(Algorithm::Simple, &qs, ell).expect("byzantine batch");
+        let (byz, placed) = build(plan.clone());
+        let want = with_pool(1, || byz.query_batch_with(Algorithm::Simple, &qs, ell))
+            .expect("byzantine batch");
         assert_eq!(
             want.audit.suspects_quarantined,
             1,
@@ -639,10 +559,9 @@ fn audit_after_live_inserts_still_catches_the_liar() {
                 backend.name()
             );
         }
-        let engine = Engine::Event;
-        let (byz, _) = build(engine, plan.clone());
-        let got = byz.query_batch_with(Algorithm::Simple, &qs, ell).expect("byzantine batch");
-        let label = format!("{}/{engine:?}", backend.name());
+        let got = with_pool(8, || byz.query_batch_with(Algorithm::Simple, &qs, ell))
+            .expect("byzantine batch");
+        let label = format!("{}/pool 8", backend.name());
         for (g, w) in got.answers.iter().zip(&want.answers) {
             assert_eq!(g.neighbors, w.neighbors, "{label}");
         }
@@ -724,14 +643,7 @@ proptest! {
             _ => AdversaryPlan::default().with_corrupt_link(villain, (villain + 1) % k, 400),
         }
         .with_adversary_seed(adv_seed);
-        let c = byzantine_cluster(
-            k,
-            seed,
-            Engine::Sync,
-            plan,
-            FaultPlan::default(),
-            RecoveryPlan::default(),
-        );
+        let c = byzantine_cluster(k, seed, plan, FaultPlan::default(), RecoveryPlan::default());
         match c.query_with(Algorithm::Knn, &q, ell) {
             Ok(ans) => {
                 // The answer claims a topology; it must be exact over it.
@@ -760,7 +672,7 @@ proptest! {
                 );
             }
             // Every failure is typed — quarantine exhaustion, retry budget,
-            // or a corruption the engines refused to deliver.
+            // or a corruption the engine refused to deliver.
             Err(CoreError::AuditFailed { .. })
             | Err(CoreError::DeadlineExceeded { .. })
             | Err(CoreError::Engine(EngineError::IntegrityViolation { .. }))
@@ -781,7 +693,6 @@ fn audit_metrics_artifact() {
         let c = byzantine_cluster(
             k,
             seed,
-            Engine::Event,
             AdversaryPlan::default().with_lie(1, 0),
             FaultPlan::default(),
             RecoveryPlan::default(),
@@ -796,20 +707,16 @@ fn audit_metrics_artifact() {
     std::fs::write("results/audit_metrics.json", json).expect("write artifact");
 }
 
-/// A representative chaos run — survivable loss plus a straggler plus a
-/// crashed worker, on the event engine — written to
+/// A representative chaos run — survivable loss plus a crashed worker —
+/// written to
 /// `results/chaos_metrics.json` for the CI chaos leg's artifact upload.
 #[test]
 fn chaos_metrics_artifact() {
     let (seed, k, ell) = (61u64, 5usize, 6usize);
     let qs = queries(seed, 4);
-    let plan = FaultPlan::default()
-        .with_loss(50, 16)
-        .with_straggler(1, 4)
-        .with_crash(0, 0)
-        .with_fault_seed(11);
+    let plan = FaultPlan::default().with_loss(50, 16).with_crash(0, 0).with_fault_seed(11);
     let batch = with_pool(4, || {
-        let c = cluster(k, seed, Engine::Event, plan);
+        let c = cluster(k, seed, plan);
         c.query_batch_with(Algorithm::Knn, &qs, ell).expect("chaos batch")
     });
     assert!(batch.degraded, "the crashed shard degrades the batch");

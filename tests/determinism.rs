@@ -2,10 +2,9 @@
 
 use knn_repro::prelude::*;
 
-fn cluster_with_seed(seed: u64, engine: Engine) -> KnnCluster {
+fn cluster_with_seed(seed: u64) -> KnnCluster {
     let shards = ScalarWorkload { per_machine: 3000, lo: 0, hi: 1 << 28 }.generate(6, 1234);
-    let mut cluster: KnnCluster =
-        KnnCluster::builder().machines(6).seed(seed).engine(engine).build();
+    let mut cluster: KnnCluster = KnnCluster::builder().machines(6).seed(seed).build();
     cluster.load_shards(shards).unwrap();
     cluster
 }
@@ -13,8 +12,8 @@ fn cluster_with_seed(seed: u64, engine: Engine) -> KnnCluster {
 #[test]
 fn same_seed_same_everything() {
     let q = ScalarPoint(99_999_999);
-    let a = cluster_with_seed(42, Engine::Sync).query(&q, 40).unwrap();
-    let b = cluster_with_seed(42, Engine::Sync).query(&q, 40).unwrap();
+    let a = cluster_with_seed(42).query(&q, 40).unwrap();
+    let b = cluster_with_seed(42).query(&q, 40).unwrap();
     assert_eq!(a.neighbors, b.neighbors);
     assert_eq!(a.metrics, b.metrics);
     assert_eq!(a.stats, b.stats);
@@ -23,8 +22,8 @@ fn same_seed_same_everything() {
 #[test]
 fn different_seed_same_answer_different_trace() {
     let q = ScalarPoint(99_999_999);
-    let a = cluster_with_seed(42, Engine::Sync).query(&q, 40).unwrap();
-    let b = cluster_with_seed(43, Engine::Sync).query(&q, 40).unwrap();
+    let a = cluster_with_seed(42).query(&q, 40).unwrap();
+    let b = cluster_with_seed(43).query(&q, 40).unwrap();
     // The answer is the answer...
     assert_eq!(a.neighbors, b.neighbors);
     // ...but the random pivots differ, so the execution trace should too
@@ -36,21 +35,8 @@ fn different_seed_same_answer_different_trace() {
 }
 
 #[test]
-fn threaded_engine_is_deterministic_despite_scheduling() {
-    let q = ScalarPoint(5);
-    let runs: Vec<_> =
-        (0..3).map(|_| cluster_with_seed(7, Engine::Threaded).query(&q, 25).unwrap()).collect();
-    for pair in runs.windows(2) {
-        assert_eq!(pair[0].neighbors, pair[1].neighbors);
-        assert_eq!(pair[0].metrics.rounds, pair[1].metrics.rounds);
-        assert_eq!(pair[0].metrics.messages, pair[1].metrics.messages);
-        assert_eq!(pair[0].metrics.bits, pair[1].metrics.bits);
-    }
-}
-
-#[test]
 fn repeated_queries_on_one_cluster_are_stable() {
-    let cluster = cluster_with_seed(11, Engine::Sync);
+    let cluster = cluster_with_seed(11);
     let q = ScalarPoint(1 << 27);
     let a = cluster.query(&q, 16).unwrap();
     let b = cluster.query(&q, 16).unwrap();

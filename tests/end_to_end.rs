@@ -1,6 +1,6 @@
 //! End-to-end integration: workloads → partitions → distributed protocols
-//! → answers, validated against the sequential brute-force oracle, on both
-//! engines and all algorithms.
+//! → answers, validated against the sequential brute-force oracle, for all
+//! algorithms.
 
 use knn_repro::points::brute_force_knn;
 use knn_repro::prelude::*;
@@ -18,38 +18,13 @@ fn every_algorithm_on_every_engine_matches_brute_force() {
     let ell = 50;
     let want = oracle_ids(&shards, &q, ell);
 
-    for engine in [Engine::Sync, Engine::Event] {
-        let mut cluster: KnnCluster =
-            KnnCluster::builder().machines(k).seed(9).engine(engine).build();
-        cluster.load_shards(shards.clone()).unwrap();
-        for algo in Algorithm::ALL {
-            let ans = cluster.query_with(algo, &q, ell).unwrap();
-            let got: Vec<PointId> = ans.neighbors.iter().map(|n| n.id).collect();
-            assert_eq!(got, want, "{algo:?} on {engine:?}");
-            assert_eq!(ans.neighbors.len(), ell);
-        }
-    }
-}
-
-#[test]
-fn sync_and_threaded_engines_agree_exactly() {
-    let k = 5;
-    let shards = ScalarWorkload { per_machine: 1500, lo: 0, hi: 1 << 24 }.generate(k, 8);
-    let q = ScalarPoint(12345);
-
+    let mut cluster: KnnCluster = KnnCluster::builder().machines(k).seed(9).build();
+    cluster.load_shards(shards).unwrap();
     for algo in Algorithm::ALL {
-        let run = |engine| {
-            let mut cluster: KnnCluster =
-                KnnCluster::builder().machines(k).seed(4).engine(engine).build();
-            cluster.load_shards(shards.clone()).unwrap();
-            cluster.query_with(algo, &q, 31).unwrap()
-        };
-        let a = run(Engine::Sync);
-        let b = run(Engine::Threaded);
-        assert_eq!(a.neighbors, b.neighbors, "{algo:?}");
-        assert_eq!(a.metrics.rounds, b.metrics.rounds, "{algo:?}");
-        assert_eq!(a.metrics.messages, b.metrics.messages, "{algo:?}");
-        assert_eq!(a.metrics.bits, b.metrics.bits, "{algo:?}");
+        let ans = cluster.query_with(algo, &q, ell).unwrap();
+        let got: Vec<PointId> = ans.neighbors.iter().map(|n| n.id).collect();
+        assert_eq!(got, want, "{algo:?}");
+        assert_eq!(ans.neighbors.len(), ell);
     }
 }
 

@@ -15,10 +15,9 @@
 //!   reads the shard index, so the reference is kept outside the cluster.
 //!
 //! The insert-as-query equivalence tests pin the other tentpole property:
-//! bulk load and empty-then-insert produce byte-identical serving behavior,
-//! on every engine at every pool size.
+//! bulk load and empty-then-insert produce byte-identical serving behavior
+//! at every pool size.
 
-use kmachine::Engine;
 use knn_core::cluster::KnnCluster;
 use knn_core::local::{brute_top, dist_keys, recall};
 use knn_core::runner::Algorithm;
@@ -60,11 +59,10 @@ fn vec_cluster(
     k: usize,
     seed: u64,
     backend: IndexBackend,
-    engine: Engine,
     shards: Vec<Dataset<VecPoint>>,
 ) -> KnnCluster<VecPoint> {
     let mut cluster: KnnCluster<VecPoint> =
-        KnnCluster::builder().machines(k).seed(seed).engine(engine).index_backend(backend).build();
+        KnnCluster::builder().machines(k).seed(seed).index_backend(backend).build();
     cluster.load_shards(shards).expect("shard count");
     cluster
 }
@@ -86,7 +84,7 @@ fn nsw_recall_beats_095_at_default_ef_on_the_seeded_vector_workload() {
     let (k, per_shard, dims, ell, seed) = (4usize, 1024usize, 8usize, 10usize, 42u64);
     let shards = vector_shards(k, per_shard, dims, seed);
     let records: Vec<Record<VecPoint>> = shards.iter().flat_map(|d| d.records.clone()).collect();
-    let cluster = vec_cluster(k, seed, IndexBackend::nsw(), Engine::Sync, shards);
+    let cluster = vec_cluster(k, seed, IndexBackend::nsw(), shards);
     let queries = vector_queries(32, dims, seed);
     let batch = cluster.query_batch(&queries, ell).expect("nsw batch");
     let mut total = 0.0;
@@ -112,8 +110,8 @@ fn saturated_nsw_cluster_equals_the_exact_backend_end_to_end() {
     let (k, per_shard, dims, ell, seed) = (3usize, 60usize, 5usize, 7usize, 7u64);
     assert!(per_shard <= NswParams::default().ef_search);
     let shards = vector_shards(k, per_shard, dims, seed);
-    let exact = vec_cluster(k, seed, IndexBackend::Exact, Engine::Sync, shards.clone());
-    let nsw = vec_cluster(k, seed, IndexBackend::nsw(), Engine::Sync, shards);
+    let exact = vec_cluster(k, seed, IndexBackend::Exact, shards.clone());
+    let nsw = vec_cluster(k, seed, IndexBackend::nsw(), shards);
     let queries = vector_queries(6, dims, seed);
     for algo in Algorithm::ALL {
         let want = exact.query_batch_with(algo, &queries, ell).expect("exact batch");
@@ -128,8 +126,7 @@ fn saturated_nsw_cluster_equals_the_exact_backend_end_to_end() {
 /// **Insert-as-query equivalence.** A cluster bulk-loaded with P and a
 /// cluster loaded empty then fed every record of P through
 /// `insert_record_into` serve byte-identical batches — answers and
-/// per-batch costs — across all three engines and RAYON pool sizes
-/// {1, 2, 8}, on both backends.
+/// per-batch costs — across RAYON pool sizes {1, 2, 8}, on both backends.
 #[test]
 fn bulk_load_equals_empty_then_insert_across_engines_and_pools() {
     let (k, per_shard, dims, ell, seed) = (3usize, 150usize, 6usize, 9usize, 11u64);
@@ -137,31 +134,29 @@ fn bulk_load_equals_empty_then_insert_across_engines_and_pools() {
     let queries = vector_queries(5, dims, seed);
     for backend in [IndexBackend::Exact, IndexBackend::nsw()] {
         let mut reference: Option<knn_core::cluster::BatchAnswer> = None;
-        for engine in [Engine::Sync, Engine::Event] {
-            for pool in [1usize, 2, 8] {
-                let (bulk, grown) = with_pool(pool, || {
-                    let bulk = vec_cluster(k, seed, backend, engine, shards.clone());
-                    let empty = vec![Dataset::new(Vec::new()); k];
-                    let mut grown = vec_cluster(k, seed, backend, engine, empty);
-                    for (m, shard) in shards.iter().enumerate() {
-                        for record in &shard.records {
-                            grown.insert_record_into(m, record.clone()).expect("insert");
-                        }
+        for pool in [1usize, 2, 8] {
+            let (bulk, grown) = with_pool(pool, || {
+                let bulk = vec_cluster(k, seed, backend, shards.clone());
+                let empty = vec![Dataset::new(Vec::new()); k];
+                let mut grown = vec_cluster(k, seed, backend, empty);
+                for (m, shard) in shards.iter().enumerate() {
+                    for record in &shard.records {
+                        grown.insert_record_into(m, record.clone()).expect("insert");
                     }
-                    let bulk = bulk.query_batch(&queries, ell).expect("bulk batch");
-                    let grown = grown.query_batch(&queries, ell).expect("grown batch");
-                    (bulk, grown)
-                });
-                let label = format!("{:?}/{engine:?}/pool {pool}", backend.name());
-                assert_eq!(bulk.metrics, grown.metrics, "costs diverged: {label}");
-                for (b, g) in bulk.answers.iter().zip(&grown.answers) {
-                    assert_eq!(b.neighbors, g.neighbors, "answers diverged: {label}");
                 }
-                let want = reference.get_or_insert(bulk.clone());
-                assert_eq!(bulk.metrics, want.metrics, "engine/pool variance: {label}");
-                for (b, w) in bulk.answers.iter().zip(&want.answers) {
-                    assert_eq!(b.neighbors, w.neighbors, "engine/pool variance: {label}");
-                }
+                let bulk = bulk.query_batch(&queries, ell).expect("bulk batch");
+                let grown = grown.query_batch(&queries, ell).expect("grown batch");
+                (bulk, grown)
+            });
+            let label = format!("{:?}/pool {pool}", backend.name());
+            assert_eq!(bulk.metrics, grown.metrics, "costs diverged: {label}");
+            for (b, g) in bulk.answers.iter().zip(&grown.answers) {
+                assert_eq!(b.neighbors, g.neighbors, "answers diverged: {label}");
+            }
+            let want = reference.get_or_insert(bulk.clone());
+            assert_eq!(bulk.metrics, want.metrics, "pool variance: {label}");
+            for (b, w) in bulk.answers.iter().zip(&want.answers) {
+                assert_eq!(b.neighbors, w.neighbors, "pool variance: {label}");
             }
         }
     }
@@ -170,7 +165,7 @@ fn bulk_load_equals_empty_then_insert_across_engines_and_pools() {
 /// **Acceptance criterion.** `KnnCluster::insert` serves queries over new
 /// points without a reload: points inserted into a live NSW cluster in a
 /// region the loaded data never touched are found by the very next batch,
-/// identically across engines × pools, and in exact agreement with the
+/// identically across pool sizes, and in exact agreement with the
 /// brute-force ℓ-NN over the loaded and the inserted records.
 #[test]
 fn live_inserts_serve_without_reload_deterministically() {
@@ -179,36 +174,34 @@ fn live_inserts_serve_without_reload_deterministically() {
     // The mixture lives in roughly [-25, 25]^d; the probe region is far out.
     let probe = VecPoint::new(vec![60.0; 6]);
     let mut reference: Option<Vec<knn_core::cluster::Neighbor>> = None;
-    for engine in [Engine::Sync, Engine::Event] {
-        for pool in [1usize, 2, 8] {
-            let neighbors = with_pool(pool, || {
-                let mut cluster = vec_cluster(k, seed, IndexBackend::nsw(), engine, shards.clone());
-                let mut records: Vec<Record<VecPoint>> =
-                    shards.iter().flat_map(|d| d.records.clone()).collect();
-                let mut inserted = Vec::new();
-                for i in 0..ell {
-                    let point = VecPoint::new(vec![60.0 + i as f64 * 0.25; 6]);
-                    let (id, machine) = cluster.insert(point.clone()).expect("insert");
-                    records.push(Record { id, point, label: None });
-                    inserted.push((id, machine));
-                }
-                let batch = cluster.query_batch(std::slice::from_ref(&probe), ell).expect("batch");
-                let got = batch.answers[0].neighbors.clone();
-                // Every answer is an inserted point — nothing loaded is
-                // within 35 units of the probe region.
-                for n in &got {
-                    assert!(
-                        inserted.iter().any(|&(id, m)| id == n.id && m == n.machine),
-                        "answer {n:?} is not one of the live inserts"
-                    );
-                }
-                // The exact ℓ-NN over everything loaded and inserted agrees.
-                assert_eq!(answer_keys(&batch.answers[0]), oracle(&records, &probe, ell));
-                got
-            });
-            let want = reference.get_or_insert(neighbors.clone());
-            assert_eq!(&neighbors, want, "{engine:?}/pool {pool} diverged");
-        }
+    for pool in [1usize, 2, 8] {
+        let neighbors = with_pool(pool, || {
+            let mut cluster = vec_cluster(k, seed, IndexBackend::nsw(), shards.clone());
+            let mut records: Vec<Record<VecPoint>> =
+                shards.iter().flat_map(|d| d.records.clone()).collect();
+            let mut inserted = Vec::new();
+            for i in 0..ell {
+                let point = VecPoint::new(vec![60.0 + i as f64 * 0.25; 6]);
+                let (id, machine) = cluster.insert(point.clone()).expect("insert");
+                records.push(Record { id, point, label: None });
+                inserted.push((id, machine));
+            }
+            let batch = cluster.query_batch(std::slice::from_ref(&probe), ell).expect("batch");
+            let got = batch.answers[0].neighbors.clone();
+            // Every answer is an inserted point — nothing loaded is
+            // within 35 units of the probe region.
+            for n in &got {
+                assert!(
+                    inserted.iter().any(|&(id, m)| id == n.id && m == n.machine),
+                    "answer {n:?} is not one of the live inserts"
+                );
+            }
+            // The exact ℓ-NN over everything loaded and inserted agrees.
+            assert_eq!(answer_keys(&batch.answers[0]), oracle(&records, &probe, ell));
+            got
+        });
+        let want = reference.get_or_insert(neighbors.clone());
+        assert_eq!(&neighbors, want, "pool {pool} diverged");
     }
 }
 
@@ -217,17 +210,16 @@ fn live_inserts_serve_without_reload_deterministically() {
 /// every serving path is checked against an index-free oracle: after every
 /// burst of inserts, `query_batch` under each of the four algorithms and
 /// the sequential `query` must equal the brute-force ℓ-NN over the records
-/// the test loaded and inserted, on sync and on event at pool 2.
+/// the test loaded and inserted, at pools 1 and 2.
 fn exact_churn_equals_the_scanning_oracle<P: IndexedPoint>(
     base: Vec<P>,
     inserts: Vec<P>,
     queries: Vec<P>,
 ) {
     let (k, ell, seed) = (3usize, 6usize, 23u64);
-    for (engine, pool) in [(Engine::Sync, 1usize), (Engine::Event, 2)] {
+    for pool in [1usize, 2] {
         with_pool(pool, || {
-            let mut cluster: KnnCluster<P> =
-                KnnCluster::builder().machines(k).seed(seed).engine(engine).build();
+            let mut cluster: KnnCluster<P> = KnnCluster::builder().machines(k).seed(seed).build();
             let mut ids = IdAssigner::new(seed);
             let data = Dataset::from_points(base.clone(), &mut ids);
             let mut records = data.records.clone();
@@ -243,11 +235,11 @@ fn exact_churn_equals_the_scanning_oracle<P: IndexedPoint>(
                     .iter()
                     .map(|q| answer_keys(&cluster.query(q, ell).expect("query")))
                     .collect();
-                assert_eq!(sequential, want, "query/{engine:?}@{pool} after burst {burst}");
+                assert_eq!(sequential, want, "query@{pool} after burst {burst}");
                 for algo in Algorithm::ALL {
                     let batch = cluster.query_batch_with(algo, &queries, ell).expect("batch");
                     let got: Vec<Vec<DistKey>> = batch.answers.iter().map(answer_keys).collect();
-                    assert_eq!(got, want, "{algo:?}/{engine:?}@{pool} after burst {burst}");
+                    assert_eq!(got, want, "{algo:?}@{pool} after burst {burst}");
                 }
             }
             assert_eq!(cluster.total_points(), base.len() + inserts.len());

@@ -1,14 +1,13 @@
 //! Determinism under real parallelism.
 //!
-//! The rayon shim runs pipelines on a genuine work-stealing pool, the
-//! workload generators / cluster load path ride on it, and the event engine
-//! additionally schedules machines on a worker pool sized from it. These
-//! tests pin the contract that makes all of that safe: **pool size is a
-//! pure wall-clock knob** — every generated dataset, every query answer,
+//! The rayon shim runs pipelines on a genuine work-stealing pool, and the
+//! workload generators, the cluster load path and the candidate stage ride
+//! on it. These tests pin the contract that makes that safe: **pool size is
+//! a pure wall-clock knob** — every generated dataset, every query answer,
 //! and every engine `RunOutcome` (outputs *and* metrics) is bit-identical
-//! at pool sizes 1, 2, and 8, on the sync and event engines.
+//! at pool sizes 1, 2, and 8.
 
-use kmachine::engine::{run_event, run_sync};
+use kmachine::engine::run_sync;
 use kmachine::{
     AdversaryPlan, AuditMetrics, BandwidthMode, Ctx, FaultMetrics, FaultPlan, MuxOutput,
     MuxProtocol, NetConfig, Payload, Protocol, RunMetrics, RunOutcome, Step,
@@ -22,7 +21,6 @@ use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 
 const POOLS: [usize; 3] = [1, 2, 8];
-const ENGINES: [kmachine::Engine; 2] = [kmachine::Engine::Sync, kmachine::Engine::Event];
 
 fn with_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     ThreadPoolBuilder::new().num_threads(threads).build().expect("pool").install(f)
@@ -32,15 +30,13 @@ fn with_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// everything observable (answers and aggregate metrics).
 #[allow(clippy::type_complexity)]
 fn scalar_pipeline(
-    engine: kmachine::Engine,
     seed: u64,
     k: usize,
     ell: usize,
     algo: Algorithm,
 ) -> (Vec<Vec<Neighbor>>, RunMetrics, Vec<Neighbor>, RunMetrics) {
     let shards = ScalarWorkload::small(512).generate(k, seed);
-    let mut cluster: KnnCluster =
-        KnnCluster::builder().machines(k).seed(seed).engine(engine).build();
+    let mut cluster: KnnCluster = KnnCluster::builder().machines(k).seed(seed).build();
     cluster.load_shards(shards).expect("shard count");
     let queries: Vec<ScalarPoint> =
         (0..6u64).map(|i| ScalarPoint(seed.wrapping_mul(31).wrapping_add(i * 977))).collect();
@@ -58,8 +54,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The full serving pipeline — parallel generation, parallel index
-    /// build, mux'd batch run — is bit-identical across pool sizes on all
-    /// three engines.
+    /// build, mux'd batch run — is bit-identical across pool sizes.
     #[test]
     fn prop_pipeline_identical_across_pool_sizes(
         seed in 0u64..1000,
@@ -67,29 +62,21 @@ proptest! {
         ell in 1usize..24,
     ) {
         for algo in [Algorithm::Simple, Algorithm::Knn] {
-            let reference = with_pool(1, || {
-                scalar_pipeline(kmachine::Engine::Sync, seed, k, ell, algo)
-            });
-            for engine in ENGINES {
-                for pool in POOLS {
-                    let got = with_pool(pool, || scalar_pipeline(engine, seed, k, ell, algo));
-                    prop_assert_eq!(
-                        &got.0, &reference.0,
-                        "batch answers diverged: pool {}, {:?}, {:?}", pool, engine, algo
-                    );
-                    prop_assert_eq!(
-                        &got.1, &reference.1,
-                        "batch metrics diverged: pool {}, {:?}, {:?}", pool, engine, algo
-                    );
-                    prop_assert_eq!(
-                        &got.2, &reference.2,
-                        "single answer diverged: pool {}, {:?}, {:?}", pool, engine, algo
-                    );
-                    prop_assert_eq!(
-                        &got.3, &reference.3,
-                        "single metrics diverged: pool {}, {:?}, {:?}", pool, engine, algo
-                    );
-                }
+            let reference = with_pool(1, || scalar_pipeline(seed, k, ell, algo));
+            for pool in POOLS {
+                let got = with_pool(pool, || scalar_pipeline(seed, k, ell, algo));
+                prop_assert_eq!(
+                    &got.0, &reference.0, "batch answers diverged: pool {}, {:?}", pool, algo
+                );
+                prop_assert_eq!(
+                    &got.1, &reference.1, "batch metrics diverged: pool {}, {:?}", pool, algo
+                );
+                prop_assert_eq!(
+                    &got.2, &reference.2, "single answer diverged: pool {}, {:?}", pool, algo
+                );
+                prop_assert_eq!(
+                    &got.3, &reference.3, "single metrics diverged: pool {}, {:?}", pool, algo
+                );
             }
         }
     }
@@ -157,7 +144,7 @@ impl Protocol for StreamSum {
     }
 }
 
-fn mux_run(engine: kmachine::Engine, seed: u64) -> RunOutcome<MuxOutput<u64>> {
+fn mux_run(seed: u64) -> RunOutcome<MuxOutput<u64>> {
     let k = 4;
     let cfg = NetConfig::new(k)
         .with_seed(seed)
@@ -172,52 +159,31 @@ fn mux_run(engine: kmachine::Engine, seed: u64) -> RunOutcome<MuxOutput<u64>> {
             )
         })
         .collect();
-    engine.run(&cfg, protos).expect("mux run")
+    run_sync(&cfg, protos).expect("mux run")
 }
 
 /// Raw engine-level `RunOutcome` (outputs + metrics) is bit-identical
-/// across pool sizes on all three engines, including per-tag attribution.
-/// For the event engine the pool size additionally sizes its scheduler's
-/// worker pool, so this is the 3-engine × pool {1, 2, 8} matrix of the
-/// barrier-removal contract.
+/// across pool sizes, including per-tag attribution.
 #[test]
 fn mux_run_outcome_identical_across_pool_sizes() {
     for seed in [1u64, 42, 977] {
-        let reference = with_pool(1, || mux_run(kmachine::Engine::Sync, seed));
-        for engine in ENGINES {
-            for pool in POOLS {
-                let got = with_pool(pool, || mux_run(engine, seed));
-                assert_eq!(got.outputs, reference.outputs, "pool {pool}, {engine:?}");
-                assert_eq!(got.metrics, reference.metrics, "pool {pool}, {engine:?}");
-            }
+        let reference = with_pool(1, || mux_run(seed));
+        for pool in POOLS {
+            let got = with_pool(pool, || mux_run(seed));
+            assert_eq!(got.outputs, reference.outputs, "pool {pool}");
+            assert_eq!(got.metrics, reference.metrics, "pool {pool}");
         }
     }
-}
-
-/// The raw engine runs above go through `Engine::run`; pin the free
-/// functions too, since the bench bins call them directly.
-#[test]
-fn free_function_engines_agree() {
-    let cfg = NetConfig::new(3)
-        .with_seed(5)
-        .with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 });
-    let mk = || (0..3).map(|_| StreamSum { payload: 7, acc: 0, finished: 0 }).collect::<Vec<_>>();
-    let a = run_sync(&cfg, mk()).expect("sync");
-    let c = run_event(&cfg, mk()).expect("event");
-    assert_eq!(a.outputs, c.outputs);
-    assert_eq!(a.metrics, c.metrics);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Metrics conservation under the event engine: with machines running
-    /// rounds ahead of each other (skewed payloads over enforced bandwidth,
-    /// multi-worker scheduling), the per-tag message/bit totals of a mux'd
-    /// run still partition the aggregate `RunMetrics` exactly, and the
-    /// whole metrics struct matches `run_sync` byte for byte.
+    /// Metrics conservation: with skewed payloads contending for enforced
+    /// bandwidth, the per-tag message/bit totals of a mux'd run partition
+    /// the aggregate `RunMetrics` exactly.
     #[test]
-    fn prop_event_mux_metrics_conserve_and_match_sync(
+    fn prop_mux_metrics_conserve(
         seed in any::<u64>(),
         k in 2usize..6,
         payloads in proptest::collection::vec(0u64..32, 1..6),
@@ -237,19 +203,14 @@ proptest! {
                 })
                 .collect::<Vec<_>>()
         };
-        let want = run_sync(&cfg, mk()).expect("sync mux run");
-        for pool in POOLS {
-            let got = with_pool(pool, || run_event(&cfg, mk())).expect("event mux run");
-            prop_assert_eq!(&got.outputs, &want.outputs, "outputs diverged at pool {}", pool);
-            prop_assert_eq!(&got.metrics, &want.metrics, "metrics diverged at pool {}", pool);
-            // Every message of a mux'd run carries a tag, so the per-tag
-            // table is a partition of the aggregate, not just a subset.
-            prop_assert_eq!(got.metrics.per_tag.len(), payloads.len());
-            let tag_msgs: u64 = got.metrics.per_tag.iter().map(|t| t.messages).sum();
-            let tag_bits: u64 = got.metrics.per_tag.iter().map(|t| t.bits).sum();
-            prop_assert_eq!(tag_msgs, got.metrics.messages, "per-tag messages must partition");
-            prop_assert_eq!(tag_bits, got.metrics.bits, "per-tag bits must partition");
-        }
+        let got = run_sync(&cfg, mk()).expect("mux run");
+        // Every message of a mux'd run carries a tag, so the per-tag table
+        // is a partition of the aggregate, not just a subset.
+        prop_assert_eq!(got.metrics.per_tag.len(), payloads.len());
+        let tag_msgs: u64 = got.metrics.per_tag.iter().map(|t| t.messages).sum();
+        let tag_bits: u64 = got.metrics.per_tag.iter().map(|t| t.bits).sum();
+        prop_assert_eq!(tag_msgs, got.metrics.messages, "per-tag messages must partition");
+        prop_assert_eq!(tag_bits, got.metrics.bits, "per-tag bits must partition");
     }
 }
 
@@ -340,7 +301,7 @@ fn every_path<P: IndexedPoint>(
 }
 
 /// `cluster`, loaded with `shards`, answers every path with the bytes of
-/// its pool-1 sync run at pools 1, 2 and 8 on both engines — and on the
+/// its pool-1 run at pools 1, 2 and 8 — and on the
 /// reference run `shows` the scenario happened, and each exact algorithm's
 /// indexed sequential query equals its full scan.
 fn assert_invisible<P: IndexedPoint>(
@@ -357,21 +318,18 @@ fn assert_invisible<P: IndexedPoint>(
     for (a, _) in Algorithm::ALL.iter().enumerate() {
         assert_eq!(reference[3 * a], reference[15 + a], "{name}: index and scan disagree");
     }
-    for engine in ENGINES {
-        cluster.set_engine(engine);
-        for pool in POOLS {
-            let got = with_pool(pool, || every_path(&cluster, &shards, queries, 12));
-            for (path, (got, want)) in got.iter().zip(&reference).enumerate() {
-                assert_eq!(got, want, "{name}: path {path}, pool {pool}, {engine:?}");
-            }
+    for pool in POOLS {
+        let got = with_pool(pool, || every_path(&cluster, &shards, queries, 12));
+        for (path, (got, want)) in got.iter().zip(&reference).enumerate() {
+            assert_eq!(got, want, "{name}: path {path}, pool {pool}");
         }
     }
 }
 
 /// The candidate stage is invisible in the bytes: every protocol, asked
-/// every way, gives the pool-1 sync answer — neighbors, `RunMetrics`
+/// every way, gives the pool-1 answer — neighbors, `RunMetrics`
 /// (per-tag and per-machine tables included), audit, faults, attempts — at
-/// pools 1, 2 and 8 on both engines, and the indexed sequential query gives
+/// pools 1, 2 and 8, and the indexed sequential query gives
 /// what the full scan does. The full scans of 25 600 points a shard are
 /// priced into the pool up front; sorted-array cells are cheap and stay
 /// inline but in the 17-query batches, and at 64 points a shard everything
