@@ -41,7 +41,8 @@ pub struct KnnAnswer {
     pub stats: Option<KnnStats>,
     /// Approximate answers only (`None` on the exact paths): whether the
     /// leader verified that the returned superset contains the exact ℓ-NN —
-    /// `Some(false)` marks the rare under-pruned answer Lemma 2.3 allows.
+    /// `Some(false)` marks the rare under-pruned answer Lemma 2.3 allows,
+    /// returned only with [`crate::protocols::KnnParams::harden`] off.
     pub contains_exact: Option<bool>,
     /// Costs and fault / recovery / audit accounting (also reachable
     /// through `Deref`: `answer.metrics`, `answer.degraded`, …).
@@ -382,12 +383,18 @@ impl<P: IndexedPoint> KnnCluster<P> {
         self.query_with(self.algorithm, q, ell)
     }
 
-    /// Answer an *approximate* ℓ-NN query: one pruning pass, no iterated
-    /// selection. Returns a superset of the exact ℓ-NN (≈1.75ℓ neighbors;
-    /// [`KnnAnswer::contains_exact`] tells you the guarantee held) in fewer
-    /// rounds — ideal for majority-vote or averaging consumers. It recovers
-    /// from crashes and corrupt links like the exact queries, but runs
-    /// **unaudited**: no semantic audit certifies its supersets.
+    /// Answer an *approximate* ℓ-NN query: Algorithm 2 stopped at its
+    /// pruning decision ([`crate::protocols::KnnProtocol::prune_only`]) —
+    /// one pruning pass, no iterated selection. Returns a superset of the
+    /// exact ℓ-NN (≈1.75ℓ neighbors) in fewer rounds — ideal for
+    /// majority-vote or averaging consumers. Under
+    /// [`crate::protocols::KnnParams::harden`] (the default) a prune that
+    /// keeps fewer than ℓ rolls back to every candidate, so the superset is
+    /// certain; without it [`KnnAnswer::contains_exact`] says whether the
+    /// guarantee held. [`KnnAnswer::stats`] is `Some`, with the survivor
+    /// count of Lemma 2.3. It recovers from crashes and corrupt links like
+    /// the exact queries, but runs **unaudited**: no semantic audit
+    /// certifies its supersets.
     pub fn query_approx(&self, q: &P, ell: usize) -> Result<KnnAnswer, CoreError> {
         self.query_one(None, q, ell)
     }
@@ -459,7 +466,8 @@ impl<P: IndexedPoint> KnnCluster<P> {
     }
 
     /// Answer a batch of *approximate* ℓ-NN queries (pruning-only
-    /// supersets, as [`Self::query_approx`]) in one engine run.
+    /// supersets, rolled back and reported as [`Self::query_approx`]'s) in
+    /// one engine run.
     pub fn query_batch_approx(&self, queries: &[P], ell: usize) -> Result<BatchAnswer, CoreError> {
         let session = self.session()?;
         let out = session.run_batch_approx(queries, ell)?;

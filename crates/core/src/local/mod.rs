@@ -404,28 +404,6 @@ impl<P: IndexedPoint> ShardIndex<P> {
         }
     }
 
-    /// [`ShardIndex::top`] with a per-call `ef` override. The exact backend
-    /// ignores `ef` (it is already exact); the NSW backend uses it as the
-    /// frontier breadth, so `ef ≥ records.len()` forces exact parity.
-    pub fn top_ef(
-        &self,
-        records: &[Record<P>],
-        query: &P,
-        ell: usize,
-        ef: usize,
-        metric: Metric,
-    ) -> Vec<DistKey> {
-        match self {
-            ShardIndex::Exact(index) => P::index_top(index, records, query, ell, metric),
-            ShardIndex::Nsw(index) => {
-                if metric != index.metric() {
-                    return brute_top(records, query, ell, metric);
-                }
-                index.search(records, query, ell, ef)
-            }
-        }
-    }
-
     /// Absorb the record just appended at `records[pos]` (the shard's new
     /// last element). NSW inserts it through the same search path bulk
     /// construction uses; the exact index takes it through
@@ -684,7 +662,6 @@ mod tests {
         // A query under a different metric cannot use the graph: scan.
         let want_h = oracle(&records, &q, 3, Metric::Hamming);
         assert_eq!(nsw.top(&records, &q, 3, Metric::Hamming), want_h);
-        assert_eq!(nsw.top_ef(&records, &q, 3, 1, Metric::Hamming), want_h);
     }
 
     #[test]

@@ -20,6 +20,18 @@
 //! survive, the leader orders a rollback and Algorithm 1 runs on the
 //! unpruned candidates. The result is exact selection with certainty, and
 //! the fallback rate is itself measured by the Lemma 2.3 experiment.
+//!
+//! **Prune-only mode ([`KnnProtocol::prune_only`]) — the approximate
+//! query.** For consumers that a slightly larger neighbor set serves as
+//! well (majority vote, averaging), the instance stops at stage 4: the
+//! survivor-count round always runs, the leader's prune decision ends it,
+//! and every machine answers with its survivors. That is a superset of the
+//! exact ℓ-NN whenever [`KnnStats::contains_exact`] holds — always under
+//! [`KnnParams::harden`], which rolls an undershot prune back to every
+//! candidate — of `≈ (rank_factor / sample_factor)·ℓ ≈ 1.75ℓ` keys with the
+//! paper's constants (at most `11ℓ` whp), for the sampling transfer plus
+//! one short message per link each way (threshold, count, decision)
+//! instead of Algorithm 1's `O(log ℓ)` iterations.
 
 use kmachine::{Ctx, MachineId, Payload, Protocol, Step};
 use knn_points::Key;
@@ -36,8 +48,13 @@ pub struct KnnParams {
     /// Pruning threshold rank = `max(1, ⌈rank_factor · log₂ ℓ⌉)`; the paper
     /// uses 21.
     pub rank_factor: u32,
-    /// Verify that pruning kept at least ℓ candidates and roll back if not
-    /// (see module docs). Disable to run the paper's algorithm verbatim.
+    /// Verify that pruning kept at least `min(ℓ, candidates)` and roll back
+    /// to every candidate if not (see module docs). It governs both paths:
+    /// the exact answer stays exact with certainty, and the prune-only
+    /// (approximate) answer stays a superset. Disable to run the paper's
+    /// algorithm verbatim: an undershot prune then leaves an exact answer
+    /// short, and an approximate one under-pruned and flagged so by
+    /// [`KnnStats::contains_exact`].
     pub harden: bool,
 }
 
@@ -75,7 +92,8 @@ pub struct KnnStats {
     pub prune_rank: u64,
     /// Total candidates before pruning (Σ per-machine `min(ℓ, |input|)`).
     pub total_candidates: u64,
-    /// Candidates surviving the prune (only known when hardening is on).
+    /// Candidates surviving the prune (only known when the count round
+    /// runs: under hardening, and always in prune-only mode).
     pub survivors: u64,
     /// Whether the hardening check rolled the prune back.
     pub rolled_back: bool,
@@ -83,10 +101,20 @@ pub struct KnnStats {
     pub select_iterations: u64,
 }
 
+impl KnnStats {
+    /// Whether a prune-only answer provably contains the exact ℓ-NN: the
+    /// prune was rolled back, or at least `min(ℓ, total_candidates)`
+    /// candidates survived it.
+    pub fn contains_exact(&self, ell: u64) -> bool {
+        self.rolled_back || self.survivors >= ell.min(self.total_candidates)
+    }
+}
+
 /// Per-machine output of Algorithm 2.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KnnOutput<K: Key> {
-    /// This machine's members of the global ℓ-NN set.
+    /// This machine's members of the global ℓ-NN set (prune-only: its
+    /// survivors).
     pub keys: Vec<K>,
     /// Leader-side diagnostics (`None` on non-leaders).
     pub stats: Option<KnnStats>,
@@ -102,16 +130,18 @@ pub enum KnnMsg<K: Key> {
         /// The pruning threshold (the rank-`⌈21 log₂ ℓ⌉` sample).
         r: K,
     },
-    /// Machine → leader (hardening): survivor and total candidate counts.
+    /// Machine → leader (hardening, prune-only): survivor and total
+    /// candidate counts.
     PrunedCount {
         /// Candidates with key `≤ r`.
         kept: u64,
         /// Candidates before pruning.
         total: u64,
     },
-    /// Leader → all (hardening): whether to roll the prune back.
+    /// Leader → all (hardening, prune-only, or no candidates anywhere):
+    /// whether to roll the prune back.
     PruneDecision {
-        /// `true`: run selection on the *unpruned* candidates.
+        /// `true`: continue on the *unpruned* candidates.
         rollback: bool,
     },
     /// Embedded Algorithm 1 traffic.
@@ -137,9 +167,9 @@ enum KPhase {
     CollectSamples,
     /// Worker: waiting for the prune threshold.
     AwaitPrune,
-    /// Leader: collecting survivor counts (hardening).
+    /// Leader: collecting survivor counts (hardening, prune-only).
     CollectCounts,
-    /// Worker: waiting for the rollback decision (hardening).
+    /// Worker: waiting for the rollback decision (hardening, prune-only).
     AwaitDecision,
     /// Embedded Algorithm 1 running.
     Selection,
@@ -156,6 +186,8 @@ pub struct KnnProtocol<K: Key> {
     candidates: Vec<K>,
     /// Prefix length of `candidates` surviving the prune.
     pruned_len: usize,
+    /// Answer with the survivors at the prune decision ([`Self::prune_only`]).
+    prune_only: bool,
     phase: KPhase,
     core: Option<SelectCore<K>>,
     stats: KnnStats,
@@ -190,6 +222,7 @@ impl<K: Key> KnnProtocol<K> {
             params,
             candidates,
             pruned_len: 0,
+            prune_only: false,
             phase: KPhase::Init,
             core: None,
             stats: KnnStats::default(),
@@ -214,17 +247,18 @@ impl<K: Key> KnnProtocol<K> {
         Self::new(id, k, leader, ell, params, super::top_ell(keys, ell))
     }
 
-    fn is_leader(&self) -> bool {
-        self.id == self.leader
+    /// Stop at the prune decision — the approximate query: the
+    /// survivor-count round runs whatever [`KnnParams::harden`] says, the
+    /// leader's decision ends the instance, and every machine outputs its
+    /// survivors (all its candidates on a rollback) instead of running
+    /// Algorithm 1.
+    pub fn prune_only(mut self) -> Self {
+        self.prune_only = true;
+        self
     }
 
-    /// Active candidate set for the selection stage.
-    fn active(&self, rollback: bool) -> Vec<K> {
-        if rollback {
-            self.candidates.clone()
-        } else {
-            self.candidates[..self.pruned_len].to_vec()
-        }
+    fn is_leader(&self) -> bool {
+        self.id == self.leader
     }
 
     /// Round 0: draw samples from the local ℓ best.
@@ -265,35 +299,55 @@ impl<K: Key> KnnProtocol<K> {
         None
     }
 
+    /// Whether the survivor-count round runs.
+    fn counts(&self) -> bool {
+        self.params.harden || self.prune_only
+    }
+
     /// Leader: all samples in — broadcast the prune threshold (or skip
     /// pruning entirely when nobody has any candidates to offer).
-    fn leader_after_samples(&mut self, ctx: &mut Ctx<'_, KnnMsg<K>>) {
+    fn leader_after_samples(&mut self, ctx: &mut Ctx<'_, KnnMsg<K>>) -> Option<KnnOutput<K>> {
         if self.samples.is_empty() {
-            // No candidates anywhere: skip straight to (trivial) selection.
+            // No candidates anywhere: skip straight to the (trivial) end.
             ctx.broadcast(KnnMsg::PruneDecision { rollback: true });
-            self.pruned_len = self.candidates.len();
-            self.start_selection(true, ctx);
-            return;
+            return self.decide(true, ctx);
         }
         self.samples.sort_unstable();
         let rank = self.params.prune_rank(self.ell);
         let r = self.samples[(rank - 1).min(self.samples.len() - 1)];
         ctx.broadcast(KnnMsg::Prune { r });
         self.pruned_len = self.candidates.partition_point(|x| *x <= r);
-        if self.params.harden {
+        if self.counts() {
             self.kept_sum = self.pruned_len as u64;
             self.total_sum = self.candidates.len() as u64;
             self.pending = self.k - 1;
             self.phase = KPhase::CollectCounts;
         } else {
-            self.start_selection(false, ctx);
+            self.start_selection(ctx);
         }
+        None
     }
 
-    /// Construct the embedded Algorithm 1 core (leader also kicks it off).
-    fn start_selection(&mut self, rollback: bool, ctx: &mut Ctx<'_, KnnMsg<K>>) {
+    /// The leader's prune decision, on every machine: a rollback restores
+    /// every candidate; then a prune-only instance answers with its
+    /// survivors, and any other starts Algorithm 1 on them.
+    fn decide(&mut self, rollback: bool, ctx: &mut Ctx<'_, KnnMsg<K>>) -> Option<KnnOutput<K>> {
         self.stats.rolled_back = rollback;
-        let active = self.active(rollback);
+        if rollback {
+            self.pruned_len = self.candidates.len();
+        }
+        if self.prune_only {
+            let keys = self.candidates[..self.pruned_len].to_vec();
+            return Some(KnnOutput { keys, stats: self.is_leader().then_some(self.stats) });
+        }
+        self.start_selection(ctx);
+        None
+    }
+
+    /// Construct the embedded Algorithm 1 core over the survivors (leader
+    /// also kicks it off).
+    fn start_selection(&mut self, ctx: &mut Ctx<'_, KnnMsg<K>>) {
+        let active = self.candidates[..self.pruned_len].to_vec();
         let mut core = SelectCore::new(self.id, self.k, self.leader, self.ell, active);
         if self.is_leader() {
             let status = core.start(ctx.rng(), &mut self.sel_out);
@@ -344,12 +398,14 @@ impl<K: Key> Protocol for KnnProtocol<K> {
                     self.samples.extend_from_slice(batch);
                     self.pending -= 1;
                     if self.pending == 0 {
-                        self.leader_after_samples(ctx);
+                        if let Some(out) = self.leader_after_samples(ctx) {
+                            return Step::Done(out);
+                        }
                     }
                 }
                 KnnMsg::Prune { r } => {
                     self.pruned_len = self.candidates.partition_point(|x| x <= r);
-                    if self.params.harden {
+                    if self.counts() {
                         ctx.send(
                             self.leader,
                             KnnMsg::PrunedCount {
@@ -359,7 +415,7 @@ impl<K: Key> Protocol for KnnProtocol<K> {
                         );
                         self.phase = KPhase::AwaitDecision;
                     } else {
-                        self.start_selection(false, ctx);
+                        self.start_selection(ctx);
                     }
                 }
                 KnnMsg::PrunedCount { kept, total } => {
@@ -368,22 +424,22 @@ impl<K: Key> Protocol for KnnProtocol<K> {
                     self.total_sum += total;
                     self.pending -= 1;
                     if self.pending == 0 {
-                        let needed = self.ell.min(self.total_sum);
-                        let rollback = self.kept_sum < needed;
+                        let undershot = self.kept_sum < self.ell.min(self.total_sum);
+                        let rollback = undershot && self.params.harden;
                         self.stats.total_candidates = self.total_sum;
                         self.stats.survivors = self.kept_sum;
                         ctx.broadcast(KnnMsg::PruneDecision { rollback });
-                        self.start_selection(rollback, ctx);
+                        if let Some(out) = self.decide(rollback, ctx) {
+                            return Step::Done(out);
+                        }
                     }
                 }
                 &KnnMsg::PruneDecision { rollback } => {
+                    // `rollback = true` can also mean "pruning skipped".
                     if self.core.is_none() {
-                        // `rollback = true` can also mean "pruning skipped":
-                        // make sure the full candidate set is active.
-                        if rollback {
-                            self.pruned_len = self.candidates.len();
+                        if let Some(out) = self.decide(rollback, ctx) {
+                            return Step::Done(out);
                         }
-                        self.start_selection(rollback, ctx);
                     }
                 }
                 KnnMsg::Sel(sel) => {
@@ -426,12 +482,39 @@ mod tests {
         seed: u64,
         params: KnnParams,
     ) -> (Vec<u64>, kmachine::RunMetrics, KnnStats) {
+        run(shards, ell, seed, params, false)
+    }
+
+    /// [`run_knn`] in prune-only mode: the approximate query.
+    fn run_approx(
+        shards: Vec<Vec<u64>>,
+        ell: u64,
+        seed: u64,
+        params: KnnParams,
+    ) -> (Vec<u64>, kmachine::RunMetrics, KnnStats) {
+        run(shards, ell, seed, params, true)
+    }
+
+    fn run(
+        shards: Vec<Vec<u64>>,
+        ell: u64,
+        seed: u64,
+        params: KnnParams,
+        prune_only: bool,
+    ) -> (Vec<u64>, kmachine::RunMetrics, KnnStats) {
         let k = shards.len();
         let cfg = NetConfig::new(k).with_seed(seed);
         let protos: Vec<KnnProtocol<u64>> = shards
             .into_iter()
             .enumerate()
-            .map(|(i, local)| KnnProtocol::from_keys(i, k, 0, ell, params, local))
+            .map(|(i, local)| {
+                let p = KnnProtocol::from_keys(i, k, 0, ell, params, local);
+                if prune_only {
+                    p.prune_only()
+                } else {
+                    p
+                }
+            })
             .collect();
         let out = run_sync(&cfg, protos).expect("knn run");
         let stats = out.outputs[0].stats.expect("leader stats");
@@ -657,6 +740,90 @@ mod tests {
     }
 
     #[test]
+    fn prune_only_returns_superset_of_exact_answer() {
+        let all: Vec<u64> = (0..4096u64).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15)).collect();
+        let ell = 128;
+        let want = expected(std::slice::from_ref(&all), ell);
+        let shards = PartitionStrategy::Shuffled.split(all, 16, 3);
+        let (got, _, stats) = run_approx(shards, ell as u64, 5, KnnParams::default());
+        assert!(stats.contains_exact(ell as u64));
+        assert_eq!(got.len() as u64, stats.survivors);
+        assert!(got.len() >= ell);
+        assert_eq!(&got[..ell], want, "survivors must contain the true top-ell as a prefix");
+    }
+
+    #[test]
+    fn prune_only_size_overhead_is_modest() {
+        // Expected survivors ≈ (21/12)·ℓ; far below the 11ℓ bound.
+        let all: Vec<u64> = (0..1 << 15).map(|i: u64| i.wrapping_mul(0xD1B54A32D192ED03)).collect();
+        let ell = 512u64;
+        let mut worst = 0.0f64;
+        for seed in 0..5 {
+            let shards = PartitionStrategy::Shuffled.split(all.clone(), 32, seed);
+            let (_, _, stats) = run_approx(shards, ell, seed, KnnParams::default());
+            worst = worst.max(stats.survivors as f64 / ell as f64);
+        }
+        assert!(worst <= 4.0, "survivor overhead {worst} too large");
+    }
+
+    #[test]
+    fn prune_only_is_cheaper_than_exact() {
+        let all: Vec<u64> = (0..1 << 14).map(|i: u64| i.wrapping_mul(0x2545F4914F6CDD1D)).collect();
+        let shards = PartitionStrategy::Shuffled.split(all, 16, 1);
+        let (_, approx, _) = run_approx(shards.clone(), 1024, 2, KnnParams::default());
+        let (_, exact, _) = run_knn(shards, 1024, 2, KnnParams::default());
+        assert!(
+            approx.rounds < exact.rounds,
+            "approx ({}) should cost fewer rounds than exact ({})",
+            approx.rounds,
+            exact.rounds
+        );
+        assert!(approx.messages < exact.messages);
+    }
+
+    #[test]
+    fn prune_only_edge_cases() {
+        let params = KnnParams::default();
+        // Empty cluster.
+        let (got, _, stats) = run_approx(vec![vec![], vec![]], 5, 1, params);
+        assert!(got.is_empty());
+        assert!(stats.contains_exact(5));
+        // Single machine.
+        let (got, m, _) = run_approx(vec![vec![5, 1, 9]], 2, 1, params);
+        assert_eq!(got, vec![1, 5]);
+        assert_eq!(m.messages, 0);
+        // ℓ = 0: candidates are empty everywhere, so nothing survives.
+        let (got, _, _) = run_approx(vec![vec![1, 2], vec![3]], 0, 1, params);
+        assert!(got.is_empty());
+        // ℓ ≥ population: everything survives, and the guarantee holds.
+        let (got, _, stats) = run_approx(vec![vec![9, 1], vec![4, 7, 2]], 100, 1, params);
+        assert_eq!(got, vec![1, 2, 4, 7, 9]);
+        assert!(stats.contains_exact(100));
+    }
+
+    /// Five machines of 56 keys each send their whole candidate sets as
+    /// samples (56 ≤ 92 = ⌈12·log₂ 200⌉), so the threshold is the global
+    /// rank-161 key (⌈21·log₂ 200⌉): the prune keeps 161 < ℓ = 200.
+    #[test]
+    fn prune_only_undershoot_rolls_back_to_a_superset() {
+        let all: Vec<u64> = (0..280u64).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15)).collect();
+        let want = expected(std::slice::from_ref(&all), 200);
+        let shards = PartitionStrategy::RoundRobin.split(all, 5, 0);
+        let (got, _, stats) = run_approx(shards.clone(), 200, 7, KnnParams::default());
+        assert!(stats.rolled_back);
+        assert_eq!(stats.survivors, 161);
+        assert!(stats.contains_exact(200));
+        assert_eq!(got.len(), 280, "the rollback keeps every candidate");
+        assert_eq!(&got[..200], want);
+        // The paper's algorithm verbatim: under-pruned, and flagged so.
+        let verbatim = KnnParams { harden: false, ..KnnParams::default() };
+        let (got, _, stats) = run_approx(shards, 200, 7, verbatim);
+        assert_eq!(got.len(), 161);
+        assert!(!stats.contains_exact(200));
+        assert_eq!(got, want[..161]);
+    }
+
+    #[test]
     fn param_helpers_match_paper_formulas() {
         let p = KnnParams::default();
         assert_eq!(p.sample_size(1), 1);
@@ -704,6 +871,30 @@ mod tests {
             let shards = ALL_STRATEGIES[strat_idx].split(values, k, seed);
             let (got, _, _) = run_knn(shards, ell, seed, KnnParams::default());
             prop_assert_eq!(got, want);
+        }
+
+        /// Prune-only answers are supersets whenever the leader says so —
+        /// always under hardening.
+        #[test]
+        fn prop_prune_only_superset_whenever_flag_says_so(
+            values in proptest::collection::hash_set(any::<u64>(), 1..150),
+            k in 1usize..7,
+            ell in 1u64..30,
+            seed in 0u64..200,
+            harden in any::<bool>(),
+        ) {
+            let values: Vec<u64> = values.into_iter().collect();
+            let want = expected(std::slice::from_ref(&values), ell as usize);
+            let params = KnnParams { harden, ..KnnParams::default() };
+            let shards = PartitionStrategy::RoundRobin.split(values, k, seed);
+            let (got, _, stats) = run_approx(shards, ell, seed, params);
+            let kept = if stats.rolled_back { stats.total_candidates } else { stats.survivors };
+            prop_assert_eq!(got.len() as u64, kept);
+            prop_assert!(!harden || stats.contains_exact(ell));
+            if stats.contains_exact(ell) {
+                prop_assert!(got.len() >= want.len());
+                prop_assert_eq!(&got[..want.len()], &want[..]);
+            }
         }
     }
 }

@@ -2,14 +2,15 @@
 //!
 //! * [`selection`] — the paper's **Algorithm 1** (randomized distributed
 //!   selection), with [`select_core`] holding the reusable state machine.
-//! * [`knn`] — the paper's **Algorithm 2** (ℓ-NN via sampling + selection).
-//! * [`approx`] — an extension: pruning-only *approximate* ℓ-NN.
+//! * [`knn`] — the paper's **Algorithm 2** (ℓ-NN via sampling + selection),
+//!   and, stopped at its pruning decision
+//!   ([`KnnProtocol::prune_only`]), the *approximate* ℓ-NN query.
 //! * [`simple`] — the gather-everything baseline of §3.
 //! * [`saukas_song`] — deterministic weighted-median selection \[16\].
 //! * [`binsearch`] — value-domain bisection \[3, 18\].
 //! * [`kdtree_dist`] — PANDA-like distributed k-d tree \[14\].
 //!
-//! [`knn`], [`approx`], [`simple`], [`saukas_song`] and [`binsearch`] share
+//! [`knn`] (either mode), [`simple`], [`saukas_song`] and [`binsearch`] share
 //! one input contract: the machine's candidates, by value, **sorted
 //! ascending, at most ℓ of them**. Truncating to the local ℓ best is step 1 of
 //! Algorithm 2 — local computation, free in the model and the same for every
@@ -18,7 +19,6 @@
 //! no protocol sorts, selects or draws randomness over its own input, and
 //! round 0 only starts talking about it.
 
-pub mod approx;
 pub mod binsearch;
 pub mod kdtree_dist;
 pub mod knn;
@@ -29,7 +29,6 @@ pub mod simple;
 
 use knn_points::Key;
 
-pub use approx::{ApproxKnnProtocol, ApproxOutput};
 pub use knn::{KnnOutput, KnnParams, KnnProtocol, KnnStats};
 pub use select_core::{CoreStatus, SelMsg, SelectCore};
 pub use selection::SelectProtocol;

@@ -15,7 +15,6 @@ use knn_points::{Dataset, DistKey, Key, Metric, Point};
 use crate::audit;
 use crate::error::CoreError;
 use crate::local::{brute_top, candidate_stage, IndexBackend};
-use crate::protocols::approx::{ApproxKnnProtocol, ApproxOutput};
 use crate::protocols::binsearch::BinSearchProtocol;
 use crate::protocols::knn::{KnnOutput, KnnParams, KnnProtocol, KnnStats};
 use crate::protocols::saukas_song::SaukasSongProtocol;
@@ -474,31 +473,22 @@ fn recover(
 }
 
 /// What one machine's finished protocol instance reports, whichever of the
-/// five protocols it ran.
+/// four protocols it ran.
 struct Claim {
     keys: Vec<DistKey>,
     /// Algorithm 2 diagnostics (its leader only).
     stats: Option<KnnStats>,
-    /// Approx only: the global survivor total, and whether the survivors
-    /// provably contain the exact ℓ-NN.
-    approx: Option<(u64, bool)>,
 }
 
 impl From<Vec<DistKey>> for Claim {
     fn from(keys: Vec<DistKey>) -> Claim {
-        Claim { keys, stats: None, approx: None }
+        Claim { keys, stats: None }
     }
 }
 
 impl From<KnnOutput<DistKey>> for Claim {
     fn from(out: KnnOutput<DistKey>) -> Claim {
-        Claim { keys: out.keys, stats: out.stats, approx: None }
-    }
-}
-
-impl From<ApproxOutput<DistKey>> for Claim {
-    fn from(out: ApproxOutput<DistKey>) -> Claim {
-        Claim { keys: out.keys, stats: None, approx: Some((out.total, out.contains_exact)) }
+        Claim { keys: out.keys, stats: out.stats }
     }
 }
 
@@ -509,8 +499,6 @@ struct Answered {
     local_keys: Vec<Vec<DistKey>>,
     /// The leader instance's [`Claim::stats`].
     stats: Option<KnnStats>,
-    /// The leader instance's [`Claim::approx`].
-    approx: Option<(u64, bool)>,
     /// Round in which the query completed (max over machines).
     done_round: u64,
 }
@@ -529,8 +517,8 @@ struct Wiring {
 /// queries, [`crate::session::QuerySession`] batches — and [`Seating::run`]
 /// one engine run of it: the one place a protocol is seated and read.
 pub(crate) struct Seating<'r> {
-    /// The exact algorithm, or `None` for the pruning-only approximate
-    /// protocol ([`crate::protocols::approx`]).
+    /// The exact algorithm, or `None` for the approximate query: Algorithm
+    /// 2 stopped at its pruning decision ([`KnnProtocol::prune_only`]).
     pub(crate) kind: Option<Algorithm>,
     pub(crate) ell: usize,
     pub(crate) opts: &'r QueryOptions,
@@ -617,9 +605,10 @@ impl Seating<'_> {
                     messages: tag.messages,
                     bits: tag.bits,
                     done_round: answer.done_round,
+                    contains_exact: self.kind.is_none().then(|| {
+                        answer.stats.is_some_and(|stats| stats.contains_exact(ell as u64))
+                    }),
                     stats: answer.stats,
-                    approx_total: answer.approx.map(|(total, _)| total),
-                    contains_exact: answer.approx.map(|(_, contains)| contains),
                     attempts,
                     recovered: attempts > 1,
                 });
@@ -691,7 +680,7 @@ impl Seating<'_> {
                 BinSearchProtocol::new(w.id, w.k, w.leader, ell, keys)
             }),
             None => self.engine_run(s, fed, |w, keys| {
-                ApproxKnnProtocol::new(w.id, w.k, w.leader, ell, params, keys)
+                KnnProtocol::new(w.id, w.k, w.leader, ell, params, keys).prune_only()
             }),
         }?;
         report.wall += stage;
@@ -720,9 +709,9 @@ impl Seating<'_> {
         });
         let read = |outputs: Vec<Proto::Output>, done_round| {
             let claims: Vec<Claim> = outputs.into_iter().map(Into::into).collect();
-            let (stats, approx) = (claims[leader].stats, claims[leader].approx);
+            let stats = claims[leader].stats;
             let local_keys = claims.into_iter().map(|claim| claim.keys).collect();
-            Answered { local_keys, stats, approx, done_round }
+            Answered { local_keys, stats, done_round }
         };
         if !self.mux {
             let protos = seats.map(|mut row| row.next().expect("one query, one cell")).collect();

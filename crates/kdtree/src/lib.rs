@@ -17,7 +17,6 @@
 //! * ℓ-nearest-neighbor queries with bounded-heap search and hyperplane
 //!   pruning, valid for every Minkowski norm (pruning is disabled for
 //!   Hamming, where the axis gap does not lower-bound the distance);
-//! * ball counting (`count_within`) used by range-style baselines;
 //! * structural statistics for the benchmarks.
 
 #![forbid(unsafe_code)]

@@ -1,4 +1,4 @@
-//! ℓ-NN queries and ball counting.
+//! ℓ-NN queries.
 
 use knn_points::{Dist, DistKey, Metric, PointId};
 
@@ -56,37 +56,6 @@ impl KdTree {
         }
         self.knn_rec(far, query, metric, best);
     }
-
-    /// Number of stored points within distance `radius` (inclusive) of
-    /// `query`.
-    pub fn count_within(&self, query: &[f64], radius: Dist, metric: Metric) -> usize {
-        if self.is_empty() {
-            return 0;
-        }
-        assert_eq!(query.len(), self.dims, "query dimensionality mismatch");
-        let mut count = 0usize;
-        self.count_rec(self.root, query, radius, metric, &mut count);
-        count
-    }
-
-    fn count_rec(&self, node: i32, query: &[f64], radius: Dist, metric: Metric, count: &mut usize) {
-        if node < 0 {
-            return;
-        }
-        let n = self.nodes[node as usize];
-        let coords = self.point(n.point);
-        if metric.distance(query, coords) <= radius {
-            *count += 1;
-        }
-        let axis = n.axis as usize;
-        let gap = query[axis] - coords[axis];
-        let (near, far) = if gap < 0.0 { (n.left, n.right) } else { (n.right, n.left) };
-        self.count_rec(near, query, radius, metric, count);
-        match plane_bound(gap, metric) {
-            Some(bound) if bound > radius => {}
-            _ => self.count_rec(far, query, radius, metric, count),
-        }
-    }
 }
 
 /// Lower bound on the distance from the query to *any* point on the far
@@ -104,7 +73,7 @@ fn plane_bound(gap: f64, metric: Metric) -> Option<Dist> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use knn_points::{brute_force_knn, IdAssigner, Point, Record, VecPoint};
+    use knn_points::{brute_force_knn, IdAssigner, Record, VecPoint};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, RngExt, SeedableRng};
 
@@ -165,22 +134,6 @@ mod tests {
     fn empty_tree_queries() {
         let tree = KdTree::build(vec![]);
         assert!(tree.knn(&[], 3, Metric::Euclidean).is_empty());
-        assert_eq!(tree.count_within(&[], Dist::MAX, Metric::Euclidean), 0);
-    }
-
-    #[test]
-    fn count_within_matches_linear_scan() {
-        let records = random_records(400, 2, 3);
-        let tree = KdTree::from_records(&records);
-        let q = VecPoint::new(vec![1.0, -2.0]);
-        for r in [0.5, 2.0, 5.0, 100.0] {
-            let radius = Dist::from_f64(r);
-            let expected = records
-                .iter()
-                .filter(|rec| rec.point.distance(&q, Metric::Euclidean) <= radius)
-                .count();
-            assert_eq!(tree.count_within(&q.0, radius, Metric::Euclidean), expected, "r={r}");
-        }
     }
 
     #[test]

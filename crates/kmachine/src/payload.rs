@@ -8,7 +8,7 @@
 /// return the information-theoretic size of the fields they carry (e.g. a
 /// 64-bit value plus a 64-bit id is 128 bits). Sizes are clamped to a minimum
 /// of 1 bit by the engine so that "free" messages cannot bypass links.
-pub trait Payload: Clone + Send + 'static {
+pub trait Payload: Clone + 'static {
     /// Wire size of this message in bits.
     fn size_bits(&self) -> u64;
 

@@ -58,11 +58,11 @@ pub enum Step<T> {
 ///   recovery wrapper needs its per-round checkpoint / retain / rejoin
 ///   ticks until the scheduled rejoin has happened, so it reports `Wait` as
 ///   `Continue` until then.
-pub trait Protocol: Send {
+pub trait Protocol {
     /// Message type exchanged by this protocol.
     type Msg: Payload;
     /// Per-machine output.
-    type Output: Send;
+    type Output;
 
     /// Execute one round.
     fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>) -> Step<Self::Output>;

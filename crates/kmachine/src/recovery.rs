@@ -29,10 +29,10 @@
 //! totals, and per-machine send counts therefore equal the fault-free run;
 //! only the round count may stretch.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 
 use crate::config::NetConfig;
@@ -135,8 +135,8 @@ pub(crate) fn validate(cfg: &NetConfig) -> Result<(), EngineError> {
 /// horizons the engine consults to keep a quiet cluster alive while an
 /// outage is in progress.
 pub(crate) struct RecoveryShared {
-    metrics: Mutex<RecoveryMetrics>,
-    error: Mutex<Option<EngineError>>,
+    metrics: RefCell<RecoveryMetrics>,
+    error: RefCell<Option<EngineError>>,
     /// Rejoin rounds of every planned machine (for stall suppression).
     horizons: Vec<u64>,
 }
@@ -148,16 +148,16 @@ impl RecoveryShared {
     /// yet (a failed rejoin goes permanently silent, and the resulting
     /// stall is how its error surfaces).
     pub(crate) fn pending_at(&self, round: u64) -> bool {
-        self.error.lock().is_none() && self.horizons.iter().any(|&j| j >= round)
+        self.error.borrow().is_none() && self.horizons.iter().any(|&j| j >= round)
     }
 
     /// The first recorded recovery failure, if any.
     pub(crate) fn error(&self) -> Option<EngineError> {
-        self.error.lock().clone()
+        self.error.borrow().clone()
     }
 
     fn record_error(&self, err: EngineError) {
-        let mut slot = self.error.lock();
+        let mut slot = self.error.borrow_mut();
         if slot.is_none() {
             *slot = Some(err);
         }
@@ -165,7 +165,7 @@ impl RecoveryShared {
 
     /// Drain the realized metrics (rejoined list sorted by machine id).
     pub(crate) fn take_metrics(&self) -> RecoveryMetrics {
-        let mut m = std::mem::take(&mut *self.metrics.lock());
+        let mut m = self.metrics.take();
         m.rejoined.sort_unstable();
         m
     }
@@ -190,10 +190,10 @@ pub(crate) fn finish<T>(
 pub(crate) fn wrap<P: Protocol>(
     cfg: &NetConfig,
     protocols: Vec<P>,
-) -> (Vec<Recovering<P>>, Arc<RecoveryShared>) {
-    let shared = Arc::new(RecoveryShared {
-        metrics: Mutex::new(RecoveryMetrics::default()),
-        error: Mutex::new(None),
+) -> (Vec<Recovering<P>>, Rc<RecoveryShared>) {
+    let shared = Rc::new(RecoveryShared {
+        metrics: RefCell::default(),
+        error: RefCell::default(),
         horizons: cfg.recovery.rejoins.iter().map(|&(_, _, j)| j).collect(),
     });
     let interval = cfg.recovery.checkpoint_interval.max(1);
@@ -214,7 +214,7 @@ pub(crate) fn wrap<P: Protocol>(
                 spec,
                 interval,
                 retention,
-                shared: Arc::clone(&shared),
+                shared: Rc::clone(&shared),
                 ckpt: None,
                 retained: VecDeque::new(),
                 offline: false,
@@ -256,7 +256,7 @@ pub(crate) struct Recovering<P: Protocol> {
     spec: Option<RejoinSpec>,
     interval: u64,
     retention: u64,
-    shared: Arc<RecoveryShared>,
+    shared: Rc<RecoveryShared>,
     ckpt: Option<Ckpt>,
     /// Inboxes of every round since the recorded checkpoint, in round order
     /// (pre-crash rounds for state replay, outage rounds for catch-up).
@@ -286,7 +286,7 @@ impl<P: Protocol> Recovering<P> {
         let bytes = blob.as_ref().map_or(0, |b| b.len() as u64);
         self.ckpt = Some(Ckpt { round: r, blob, rng: rng.clone(), seq });
         self.retained.clear();
-        let mut m = self.shared.metrics.lock();
+        let mut m = self.shared.metrics.borrow_mut();
         m.checkpoints += 1;
         m.checkpoint_bytes += bytes;
     }
@@ -392,7 +392,7 @@ impl<P: Protocol> Recovering<P> {
         ctx.outbox.append(&mut deferred);
         self.joined = true;
         {
-            let mut m = self.shared.metrics.lock();
+            let mut m = self.shared.metrics.borrow_mut();
             m.replayed_rounds += replayed;
             m.rejoined.push(self.id);
         }

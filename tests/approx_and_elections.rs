@@ -31,22 +31,44 @@ fn approx_superset_on_every_engine() {
     assert_eq!(batch.answers[0].contains_exact, None);
 }
 
-#[test]
-fn an_under_pruned_approx_answer_says_so() {
-    // Pruning at the smallest of very few samples keeps far fewer than ℓ
-    // candidates: the answer is no superset, and the caller can tell.
+/// A cluster whose prune, at the smallest of very few samples, keeps far
+/// fewer than ℓ = 100 candidates.
+fn under_pruning(harden: bool) -> KnnCluster {
     use knn_repro::core::protocols::KnnParams;
     let shards = ScalarWorkload { per_machine: 2000, lo: 0, hi: 1 << 24 }.generate(6, 17);
-    let params = KnnParams { sample_factor: 1, rank_factor: 1, harden: true };
+    let params = KnnParams { sample_factor: 1, rank_factor: 1, harden };
     let mut cluster: KnnCluster =
         KnnCluster::builder().machines(6).seed(5).knn_params(params).build();
     cluster.load_shards(shards).unwrap();
+    cluster
+}
+
+#[test]
+fn an_under_pruned_approx_answer_says_so() {
+    // The paper's algorithm verbatim: the answer is no superset, and the
+    // caller can tell.
+    let cluster = under_pruning(false);
     let q = ScalarPoint(1 << 23);
     let single = cluster.query_approx(&q, 100).unwrap();
     let batch = cluster.query_batch_approx(&[q], 100).unwrap();
     for answer in [&single, &batch.answers[0]] {
         assert!(answer.neighbors.len() < 100);
         assert_eq!(answer.contains_exact, Some(false));
+    }
+}
+
+#[test]
+fn a_hardened_approx_answer_rolls_an_under_prune_back() {
+    let cluster = under_pruning(true);
+    let q = ScalarPoint(1 << 23);
+    let exact = cluster.query(&q, 100).unwrap();
+    let single = cluster.query_approx(&q, 100).unwrap();
+    let batch = cluster.query_batch_approx(&[q], 100).unwrap();
+    for answer in [&single, &batch.answers[0]] {
+        assert!(answer.neighbors.len() >= 100);
+        assert_eq!(answer.contains_exact, Some(true));
+        assert!(answer.stats.unwrap().rolled_back);
+        assert_eq!(&answer.neighbors[..100], &exact.neighbors[..]);
     }
 }
 

@@ -13,7 +13,7 @@ use kmachine::{
 };
 use knn_core::protocols::binsearch::BinSearchProtocol;
 use knn_core::protocols::saukas_song::SaukasSongProtocol;
-use knn_core::protocols::{ApproxKnnProtocol, KnnParams, KnnProtocol, SimpleProtocol};
+use knn_core::protocols::{KnnParams, KnnProtocol, SimpleProtocol};
 
 /// The always-step schedule: `P` with every [`Step::Wait`] reported as
 /// [`Step::Continue`], so neither the machine step nor the mux ever skips it.
@@ -147,6 +147,7 @@ fn waiting_is_a_noop_for_binsearch() {
 #[test]
 fn waiting_is_a_noop_for_approx() {
     sweep_crashes("approx", 4, |i, j| {
-        ApproxKnnProtocol::from_keys(i, 4, 0, ORACLE_ELL, KnnParams::default(), oracle_keys(i, j))
+        KnnProtocol::from_keys(i, 4, 0, ORACLE_ELL, KnnParams::default(), oracle_keys(i, j))
+            .prune_only()
     });
 }
