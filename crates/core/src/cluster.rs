@@ -61,8 +61,8 @@ pub struct KnnAnswer {
 /// `recovered` say which engine run answered it, and `leader`, `degraded`,
 /// `shards_used` mirror the batch-level values. Everything the batch pays
 /// or suffers once — `wall`, `election_metrics`, `faults`, `recovery`,
-/// `replayed_rounds`, `audit` — is reported once, on this struct, and stays
-/// zero / `None` / empty per query.
+/// `audit` — is reported once, on this struct, and stays zero / `None` /
+/// empty per query.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct BatchAnswer {
     /// Per-query answers, in input order.
@@ -158,12 +158,11 @@ impl ClusterBuilder {
         self
     }
 
-    /// Crash-recovery plan: checkpoint cadence, retention window, and
-    /// scheduled machine rejoins (see [`RecoveryPlan`]). A rejoining
-    /// machine is restored from its last protocol checkpoint, replays the
-    /// retained rounds, and serves again — answers stay byte-identical to
-    /// the fault-free run and the work is reported on
-    /// [`Report::recovered`] / [`Report::replayed_rounds`].
+    /// Scheduled machine rejoins (see [`RecoveryPlan`]). A machine that
+    /// crashes before its rejoin round is waited for and the query re-runs
+    /// with it back, so answers and [`Report::metrics`] equal the fault-free
+    /// run's and nothing is [`Report::degraded`]; the re-run shows in
+    /// [`Report::attempts`] and the machine in [`Report::recovery`].
     pub fn recovery(mut self, recovery: RecoveryPlan) -> Self {
         self.opts.recovery = recovery;
         self
@@ -683,21 +682,23 @@ mod tests {
         let clean = build(RecoveryPlan::default());
         let healing = build(RecoveryPlan::default().with_rejoin(2, 1, 3));
         let queries: Vec<ScalarPoint> = (0..4).map(|i| ScalarPoint(i * 301)).collect();
-        let want = clean.query_batch_with(Algorithm::Simple, &queries, 5).unwrap();
-        let got = healing.query_batch_with(Algorithm::Simple, &queries, 5).unwrap();
-        // The rejoined machine serves again: answers and aggregate costs are
-        // byte-identical to the fault-free batch, and nothing is degraded.
-        assert!(!got.degraded);
-        assert_eq!(got.shards_used, 4);
-        assert!(got.recovered);
-        assert_eq!(got.attempts, 1);
-        assert!(got.replayed_rounds >= 1);
-        assert_eq!(got.metrics, want.metrics);
-        for (a, b) in got.answers.iter().zip(&want.answers) {
-            assert_eq!(a.neighbors, b.neighbors);
+        for algo in Algorithm::ALL {
+            let want = clean.query_batch_with(algo, &queries, 5).unwrap();
+            let got = healing.query_batch_with(algo, &queries, 5).unwrap();
+            // The rejoined machine serves the re-run: answers and aggregate
+            // costs equal the fault-free batch's, and nothing is degraded.
+            assert!(!got.degraded, "{algo:?}");
+            assert_eq!(got.shards_used, 4, "{algo:?}");
+            assert!(got.recovered, "{algo:?}");
+            assert_eq!(got.attempts, 2, "{algo:?}: the crashed run, then the re-run");
+            assert_eq!(got.recovery.rejoined, vec![2], "{algo:?}");
+            assert_eq!(got.metrics, want.metrics, "{algo:?}");
+            for (a, b) in got.answers.iter().zip(&want.answers) {
+                assert_eq!(a.neighbors, b.neighbors, "{algo:?}");
+            }
+            assert!(!want.recovered);
+            assert!(want.recovery.rejoined.is_empty());
         }
-        assert!(!want.recovered);
-        assert_eq!(want.replayed_rounds, 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! algorithms using only comparisons cannot beat `Ω(log n)` for median
 //! finding; bisection sidesteps the bound by exploiting value structure).
 
-use kmachine::{Ctx, MachineId, Payload, Protocol, SnapshotReader, SnapshotWriter, Step};
+use kmachine::{Ctx, MachineId, Payload, Protocol, Step};
 use knn_points::NumericKey;
 
 /// Messages of the value-domain bisection protocol. Key values travel as
@@ -188,87 +188,6 @@ impl<K: NumericKey> Protocol for BinSearchProtocol<K> {
     /// runner retries over the survivors.
     fn on_crash(&mut self) -> Option<Vec<K>> {
         (!matches!(self.phase, BsPhase::Init) && self.ordinals.is_empty()).then(Vec::new)
-    }
-
-    /// Full bisection state — keys as ordinals, the phase discriminant, and
-    /// every leader counter — so a rejoining machine resumes mid-bisection.
-    /// Nothing to checkpoint before round 0 has run: a pre-round-0 crash
-    /// replays from the pristine protocol.
-    fn checkpoint(&self) -> Option<Vec<u8>> {
-        let mut w = SnapshotWriter::new();
-        match self.phase {
-            BsPhase::Init => return None,
-            BsPhase::AwaitReports => w.u32(1),
-            BsPhase::AwaitSizes { mid } => {
-                w.u32(2);
-                w.u128(mid);
-            }
-            BsPhase::Worker => w.u32(3),
-        }
-        w.u64(self.ordinals.len() as u64);
-        for &o in &self.ordinals {
-            w.u128(o);
-        }
-        w.u128(self.lo);
-        w.u128(self.hi);
-        w.u64(self.ell_cap);
-        w.u64(self.total);
-        w.u64(self.acc);
-        for bound in [self.min_seen, self.max_seen] {
-            w.flag(bound.is_some());
-            w.u128(bound.unwrap_or(0));
-        }
-        w.u64(self.pending as u64);
-        w.u64(self.active as u64);
-        w.flag(self.reported);
-        w.u64(self.iterations);
-        Some(w.finish())
-    }
-
-    fn restore(&mut self, blob: &[u8]) -> bool {
-        let mut r = SnapshotReader::new(blob);
-        let phase = match r.u32() {
-            Some(1) => BsPhase::AwaitReports,
-            Some(2) => match r.u128() {
-                Some(mid) => BsPhase::AwaitSizes { mid },
-                None => return false,
-            },
-            Some(3) => BsPhase::Worker,
-            _ => return false,
-        };
-        let Some(n) = r.u64() else { return false };
-        let Some(ordinals) = (0..n).map(|_| r.u128()).collect::<Option<Vec<u128>>>() else {
-            return false;
-        };
-        let (Some(lo), Some(hi)) = (r.u128(), r.u128()) else { return false };
-        let (Some(ell_cap), Some(total), Some(acc)) = (r.u64(), r.u64(), r.u64()) else {
-            return false;
-        };
-        let mut bounds = [None, None];
-        for b in &mut bounds {
-            let (Some(present), Some(v)) = (r.flag(), r.u128()) else { return false };
-            *b = present.then_some(v);
-        }
-        let (Some(pending), Some(active)) = (r.u64(), r.u64()) else { return false };
-        let (Some(reported), Some(iterations)) = (r.flag(), r.u64()) else { return false };
-        if !r.done() {
-            return false;
-        }
-        self.local = ordinals.iter().map(|&o| K::from_ordinal(o)).collect();
-        self.ordinals = ordinals;
-        self.phase = phase;
-        self.lo = lo;
-        self.hi = hi;
-        self.ell_cap = ell_cap;
-        self.total = total;
-        self.acc = acc;
-        self.min_seen = bounds[0];
-        self.max_seen = bounds[1];
-        self.pending = pending as usize;
-        self.active = active as usize;
-        self.reported = reported;
-        self.iterations = iterations;
-        true
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, BsMsg>) -> Step<Vec<K>> {
@@ -473,55 +392,31 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_round_trips_mid_bisection() {
-        let mut p = BinSearchProtocol::<u64>::from_keys(0, 3, 0, 4, vec![9, 3, 7]);
-        assert!(p.checkpoint().is_none(), "nothing to checkpoint before round 0 has run");
-        assert_eq!((&p.local, &p.ordinals), (&vec![3, 7, 9], &vec![3, 7, 9]));
-        p.phase = BsPhase::AwaitSizes { mid: 6 };
-        p.lo = 3;
-        p.hi = 9;
-        p.ell_cap = 4;
-        p.total = 8;
-        p.acc = 1;
-        p.min_seen = Some(1);
-        p.max_seen = Some(42);
-        p.pending = 2;
-        p.active = 2;
-        p.iterations = 3;
-        let blob = p.checkpoint().expect("a started protocol is serializable");
-        let mut q = BinSearchProtocol::<u64>::from_keys(0, 3, 0, 4, vec![1]);
-        assert!(q.restore(&blob));
-        assert_eq!(q.local, vec![3, 7, 9]);
-        assert_eq!(q.ordinals, vec![3, 7, 9]);
-        assert!(matches!(q.phase, BsPhase::AwaitSizes { mid: 6 }));
-        assert_eq!((q.lo, q.hi, q.ell_cap, q.total, q.acc), (3, 9, 4, 8, 1));
-        assert_eq!((q.min_seen, q.max_seen), (Some(1), Some(42)));
-        assert_eq!((q.pending, q.active, q.iterations), (2, 2, 3));
-        assert!(!q.restore(&blob[..blob.len() - 2]), "truncated blobs are rejected");
-    }
-
-    #[test]
     fn rejoin_mid_bisection_is_byte_identical() {
+        use crate::runner::{run_query, Algorithm, QueryOptions};
+        use kmachine::RecoveryPlan;
+        use knn_points::{Dataset, IdAssigner, ScalarPoint};
         // A wide value domain forces dozens of bisection rounds, so the
-        // outage lands mid-search for both the leader and a worker.
+        // crash lands mid-search for both the leader and a worker; the
+        // query re-runs once the machine is back.
         let wide: Vec<u64> = (0..256u64).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15)).collect();
-        let shards = PartitionStrategy::RoundRobin.split(wide, 4, 0);
-        let mk = |shards: &[Vec<u64>]| {
-            shards
-                .iter()
-                .enumerate()
-                .map(|(i, l)| BinSearchProtocol::from_keys(i, 4, 0, 9, l.clone()))
-                .collect::<Vec<_>>()
-        };
-        let cfg = NetConfig::new(4).with_seed(3);
-        let clean = run_sync(&cfg, mk(&shards)).unwrap();
+        let mut ids = IdAssigner::new(0);
+        let shards: Vec<Dataset<ScalarPoint>> = PartitionStrategy::RoundRobin
+            .split(wide, 4, 0)
+            .into_iter()
+            .map(|vals| Dataset::from_points(vals.into_iter().map(ScalarPoint).collect(), &mut ids))
+            .collect();
+        let clean = QueryOptions { seed: 3, ..Default::default() };
+        let q = ScalarPoint(1 << 63);
+        let want = run_query(&shards, &q, 9, Algorithm::BinSearch, &clean).unwrap();
         for machine in [0usize, 1] {
-            let out = run_sync(&cfg.clone().with_rejoin(machine, 5, 9), mk(&shards)).unwrap();
-            assert_eq!(out.outputs, clean.outputs, "machine {machine}");
-            assert_eq!(out.metrics.messages, clean.metrics.messages, "machine {machine}");
-            assert_eq!(out.metrics.bits, clean.metrics.bits, "machine {machine}");
+            let recovery = RecoveryPlan::default().with_rejoin(machine, 5, 9);
+            let opts = QueryOptions { recovery, ..clean.clone() };
+            let out = run_query(&shards, &q, 9, Algorithm::BinSearch, &opts).unwrap();
+            assert_eq!(out.local_keys, want.local_keys, "machine {machine}");
+            assert_eq!(out.metrics, want.metrics, "machine {machine}");
+            assert_eq!(out.attempts, 2, "machine {machine}");
             assert_eq!(out.recovery.rejoined, vec![machine]);
-            assert!(out.recovery.replayed_rounds >= 1, "machine {machine}");
             assert!(out.faults.crashed.is_empty(), "machine {machine}");
         }
     }

@@ -7,9 +7,7 @@
 //! `Θ(ℓ)` rounds (each link carries O(1) keys per round) and `Θ(kℓ)`
 //! messages — exponentially more rounds than Algorithm 2's `O(log ℓ)`.
 
-use kmachine::{
-    Ctx, MachineId, Payload, Protocol, SnapshotReader, SnapshotWriter, Step, ENVELOPE_HEADER_BITS,
-};
+use kmachine::{Ctx, MachineId, Payload, Protocol, Step, ENVELOPE_HEADER_BITS};
 use knn_points::{Key, NumericKey};
 
 /// Messages of the simple gather baseline.
@@ -92,9 +90,8 @@ fn ord_mask<K: NumericKey>() -> u128 {
 
 /// Per-machine instance of the simple gather baseline.
 ///
-/// `K: NumericKey` (not just [`Key`]) so the protocol can serialize its
-/// state through the keys' total-order ordinals for
-/// [`Protocol::checkpoint`] / [`Protocol::restore`].
+/// `K: NumericKey` (not just [`Key`]) because a lying machine's
+/// [`SimpleMsg::tamper`] perturbs keys through their total-order ordinals.
 pub struct SimpleProtocol<K: NumericKey> {
     id: MachineId,
     leader: MachineId,
@@ -105,7 +102,7 @@ pub struct SimpleProtocol<K: NumericKey> {
     chunk: usize,
     /// Local top-ℓ, sorted.
     candidates: Vec<K>,
-    /// Round 0 has run (or a checkpoint taken after it was restored).
+    /// Round 0 has run.
     started: bool,
     // Leader scratch.
     gathered: Vec<K>,
@@ -175,52 +172,6 @@ impl<K: NumericKey> Protocol for SimpleProtocol<K> {
     /// over the survivors.
     fn on_crash(&mut self) -> Option<Vec<K>> {
         (!self.started || self.candidates.is_empty()).then(Vec::new)
-    }
-
-    /// Serializable once round 0 has run: candidates, the leader's gather
-    /// scratch, and the per-sender finish flags, all keys as total-order
-    /// ordinals. Before that there is nothing to checkpoint: a pre-round-0
-    /// crash replays from the pristine protocol instead.
-    fn checkpoint(&self) -> Option<Vec<u8>> {
-        if !self.started {
-            return None;
-        }
-        let mut w = SnapshotWriter::new();
-        w.u64(self.candidates.len() as u64);
-        for k in &self.candidates {
-            w.u128(k.to_ordinal());
-        }
-        w.u64(self.gathered.len() as u64);
-        for k in &self.gathered {
-            w.u128(k.to_ordinal());
-        }
-        w.u64(self.finished.len() as u64);
-        for &f in &self.finished {
-            w.flag(f);
-        }
-        Some(w.finish())
-    }
-
-    fn restore(&mut self, blob: &[u8]) -> bool {
-        let mut r = SnapshotReader::new(blob);
-        let read_keys = |r: &mut SnapshotReader<'_>| -> Option<Vec<K>> {
-            let n = r.u64()?;
-            (0..n).map(|_| r.u128().map(K::from_ordinal)).collect()
-        };
-        let Some(candidates) = read_keys(&mut r) else { return false };
-        let Some(gathered) = read_keys(&mut r) else { return false };
-        let Some(n) = r.u64() else { return false };
-        let Some(finished) = (0..n).map(|_| r.flag()).collect::<Option<Vec<bool>>>() else {
-            return false;
-        };
-        if !r.done() {
-            return false;
-        }
-        self.started = true;
-        self.candidates = candidates;
-        self.gathered = gathered;
-        self.finished = finished;
-        true
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, SimpleMsg<K>>) -> Step<Vec<K>> {
@@ -441,47 +392,35 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_round_trips_and_gates_on_materialization() {
-        let mut p = SimpleProtocol::<u64>::from_keys(0, 0, 4, 2, vec![30, 10, 20]);
-        assert!(p.checkpoint().is_none(), "nothing to checkpoint before round 0 has run");
-        p.started = true;
-        assert_eq!(p.candidates, vec![10, 20, 30]);
-        p.gathered = vec![10, 20, 30, 5];
-        p.finished = vec![true, false, true];
-        let blob = p.checkpoint().expect("a started protocol is serializable");
-        let mut q = SimpleProtocol::<u64>::from_keys(0, 0, 4, 2, vec![99]);
-        assert!(q.restore(&blob));
-        assert_eq!(q.candidates, vec![10, 20, 30]);
-        assert_eq!(q.gathered, vec![10, 20, 30, 5]);
-        assert_eq!(q.finished, vec![true, false, true]);
-        assert!(q.started);
-        assert!(!q.restore(&blob[..blob.len() - 1]), "truncated blobs are rejected");
-    }
-
-    #[test]
     fn leader_rejoin_is_byte_identical_to_fault_free() {
+        use crate::runner::{run_query, Algorithm, QueryOptions};
+        use kmachine::RecoveryPlan;
+        use knn_points::{Dataset, IdAssigner, ScalarPoint};
         // Tight bandwidth stretches the gather over many rounds, so the
-        // leader's outage interrupts it mid-stream; the checkpointed rejoin
-        // must replay to the exact fault-free answer and costs.
-        let shards = vec![vec![10u64, 20, 30, 40], vec![1, 2, 3, 4], vec![100, 200, 300, 400]];
-        let mk = |shards: &[Vec<u64>]| {
-            shards
+        // leader's crash interrupts it mid-stream; the query re-runs once
+        // the leader is back, to the exact fault-free answer and costs.
+        let mut ids = IdAssigner::new(0);
+        let shards: Vec<Dataset<ScalarPoint>> =
+            [[10u64, 20, 30, 40], [1, 2, 3, 4], [100, 200, 300, 400]]
                 .iter()
-                .enumerate()
-                .map(|(i, l)| SimpleProtocol::from_keys(i, 0, 6, 1, l.clone()))
-                .collect::<Vec<_>>()
+                .map(|vals| {
+                    Dataset::from_points(vals.iter().map(|&v| ScalarPoint(v)).collect(), &mut ids)
+                })
+                .collect();
+        let bandwidth = BandwidthMode::Enforce { bits_per_round: 161 };
+        let clean = QueryOptions { bandwidth, seed: 9, ..Default::default() };
+        let healing = QueryOptions {
+            recovery: RecoveryPlan::default().with_rejoin(0, 2, 4),
+            ..clean.clone()
         };
-        let base = NetConfig::new(3)
-            .with_seed(9)
-            .with_bandwidth(BandwidthMode::Enforce { bits_per_round: 161 });
-        let clean = run_sync(&base, mk(&shards)).unwrap();
-        let out = run_sync(&base.clone().with_rejoin(0, 2, 4), mk(&shards)).unwrap();
-        assert_eq!(out.outputs, clean.outputs);
-        assert_eq!(out.metrics.messages, clean.metrics.messages);
-        assert_eq!(out.metrics.bits, clean.metrics.bits);
+        let q = ScalarPoint(0);
+        let want = run_query(&shards, &q, 6, Algorithm::Simple, &clean).unwrap();
+        let out = run_query(&shards, &q, 6, Algorithm::Simple, &healing).unwrap();
+        assert_eq!(out.local_keys, want.local_keys);
+        assert_eq!(out.metrics, want.metrics);
+        assert_eq!((out.attempts, out.leader), (2, 0));
         assert_eq!(out.recovery.rejoined, vec![0]);
-        assert!(out.recovery.checkpoints > 0);
-        assert!(out.faults.crashed.is_empty(), "a rejoin is a pause, not a fail-stop");
+        assert!(out.faults.crashed.is_empty(), "the answering run had no crash");
     }
 
     proptest! {

@@ -49,7 +49,11 @@ pub struct Report {
     /// progressively smaller clusters; this records the run that produced
     /// the answer.
     pub faults: FaultMetrics,
-    /// Checkpoint/rejoin accounting of the final engine run.
+    /// The machines of the [`QueryOptions::recovery`] plan that crashed
+    /// and then served the answering run (`rejoined`). `checkpoint_bytes`
+    /// is always 0.
+    ///
+    /// [`QueryOptions::recovery`]: crate::runner::QueryOptions::recovery
     pub recovery: RecoveryMetrics,
     /// Byzantine-audit accounting summed over the whole
     /// quarantine-and-retry loop: digests verified by every engine run,
@@ -64,16 +68,13 @@ pub struct Report {
     /// Shards whose candidates actually reached the selection (`== k` on a
     /// healthy run).
     pub shards_used: usize,
-    /// True when the answer needed recovery machinery: a retry over the
-    /// survivors, a re-planned subset of lost queries, or a
-    /// checkpoint-restored rejoin.
+    /// `attempts > 1`: the answer needed a retry over the survivors, a
+    /// re-planned subset of lost queries, or a re-run after a rejoin.
     pub recovered: bool,
     /// Engine runs the answer took (1 on a healthy run). Re-planning a
-    /// batch after a partial loss counts like a full retry.
+    /// batch after a partial loss, or re-running it once a crashed machine
+    /// has rejoined, counts like a full retry.
     pub attempts: u32,
-    /// Rounds re-executed from checkpoints by rejoining machines, summed
-    /// over every engine run that completed.
-    pub replayed_rounds: u64,
 }
 
 impl Report {
@@ -92,23 +93,19 @@ impl Report {
             shards_used: k,
             recovered: false,
             attempts: 1,
-            replayed_rounds: 0,
         }
     }
 
     /// Split one engine run over `out.outputs.len()` of a cluster's `k`
     /// machines into its outputs and its report.
     pub(crate) fn from_run<T>(out: RunOutcome<T>, k: usize, leader: MachineId) -> (Vec<T>, Report) {
-        let RunOutcome { outputs, metrics, wall, faults, recovery, audit, .. } = out;
+        let RunOutcome { outputs, metrics, wall, faults, audit, .. } = out;
         let shards_used = outputs.len() - faults.crashed.len();
         let report = Report {
             wall,
             degraded: shards_used < k,
             shards_used,
-            recovered: recovery.any(),
-            replayed_rounds: recovery.replayed_rounds,
             faults,
-            recovery,
             audit,
             ..Report::healthy(metrics, k, leader)
         };

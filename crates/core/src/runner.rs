@@ -174,11 +174,14 @@ pub struct QueryOptions {
     /// retries the query over the surviving shards and flags the answer
     /// [`Report::degraded`].
     pub faults: FaultPlan,
-    /// Crash-recovery plan (checkpoint cadence plus scheduled machine
-    /// rejoins) handed to the engine with every query run. Rejoins are
-    /// invisible to the answer: the machine is restored from its last
-    /// checkpoint and replays the missed rounds in-engine. The realized
-    /// work is reported through [`Report::replayed_rounds`].
+    /// Scheduled machine rejoins (see [`RecoveryPlan`]). Until a machine
+    /// has rejoined, its entry is a fail-stop crash in every query run;
+    /// once it dies there, the query re-runs with it back (healing by
+    /// restart: a query is a pure function of seeds and shards), charged
+    /// to [`Self::retry`] up to its rejoin round. Rejoins are invisible to
+    /// the answer: it, and its [`Report::metrics`], equal the fault-free
+    /// run's, it is not [`Report::degraded`], and the rejoined machines are
+    /// listed in [`Report::recovery`].
     pub recovery: RecoveryPlan,
     /// Deadline-bounded retry discipline for crash re-runs.
     pub retry: RetryPolicy,
@@ -237,13 +240,13 @@ impl QueryOptions {
     }
 
     /// Config for a (re)run over the surviving subset `alive` (original
-    /// machine ids, ascending): the fault, recovery, and adversary plans
-    /// are projected onto the survivors, so the crash (or quarantined liar)
-    /// that triggered the retry is gone.
-    pub(crate) fn subset_config(&self, alive: &[MachineId]) -> NetConfig {
+    /// machine ids, ascending) once the machines `rejoined` are back: the
+    /// fault and adversary plans are projected onto the survivors, so the
+    /// crash (or quarantined liar) that triggered the retry is gone, and a
+    /// pending rejoin is the crash it is until then.
+    pub(crate) fn subset_config(&self, alive: &[MachineId], rejoined: &[MachineId]) -> NetConfig {
         self.fault_free_config(alive.len())
-            .with_faults(self.faults.project(alive))
-            .with_recovery(self.recovery.project(alive))
+            .with_faults(self.recovery.crashes(&self.faults, rejoined).project(alive))
             .with_adversary(self.adversary.project(alive))
     }
 
@@ -322,15 +325,24 @@ pub(crate) fn elect(
     }
 }
 
-/// The machines still serving a query, by original id, and which of them
-/// coordinates. A retry runs over `alive` only: machine `i` of that run
-/// works shard `alive[i]`.
+/// The machines still serving a query, by original id, which of them
+/// coordinates, and which of them are back from a scheduled rejoin. A retry
+/// runs over `alive` only: machine `i` of that run works shard `alive[i]`.
 struct Survivors {
     alive: Vec<MachineId>,
     leader: MachineId,
+    /// Machines of the [`RecoveryPlan`] that crashed and rejoined, in the
+    /// order they did; always a subset of `alive`.
+    rejoined: Vec<MachineId>,
 }
 
 impl Survivors {
+    /// Whether `m` has a [`RecoveryPlan`] entry it has not used yet: until
+    /// then, every run counts it crashed at its crash round.
+    fn rejoins(&self, m: MachineId, plan: &RecoveryPlan) -> bool {
+        plan.rejoin_round(m) != u64::MAX && !self.rejoined.contains(&m)
+    }
+
     /// The leader's machine id within a run over `alive`.
     fn sub_leader(&self) -> usize {
         self.alive.iter().position(|&m| m == self.leader).expect("leader is alive")
@@ -342,6 +354,7 @@ impl Survivors {
     /// leader under its original id.
     fn exclude(&mut self, dead: &[MachineId], opts: &QueryOptions) -> Result<(), CoreError> {
         self.alive.retain(|m| !dead.contains(m));
+        self.rejoined.retain(|m| !dead.contains(m));
         if !self.alive.contains(&self.leader) {
             let (sub, _) = elect(self.alive.len(), opts)?;
             self.leader = self.alive[sub];
@@ -395,10 +408,17 @@ fn scatter(sub_keys: Vec<Vec<DistKey>>, alive: &[MachineId], k: usize) -> Vec<Ve
 /// corrupt link is pinned on its sender) costs the dead and the suspects
 /// their place: they are excluded, the leader is re-elected over the
 /// survivors if it was among them, and the next attempt runs with the
-/// fault, recovery and adversary plans projected onto who is left — which
-/// drops every plan entry touching an excluded machine, so the loop
-/// terminates. Each re-run is charged to the [`RetryPolicy`]; other engine
-/// errors (a lossy link exhausting its retransmits, …) are not retried.
+/// fault and adversary plans projected onto who is left — which drops
+/// every plan entry touching an excluded machine, so the loop terminates.
+/// Other engine errors (a lossy link exhausting its retransmits, …) are not
+/// retried.
+///
+/// A dead machine with a [`RecoveryPlan`] entry it has not yet used is not
+/// excluded: it rejoins. It keeps its place (and the lead, if it had it),
+/// and the next attempt runs with it back, so that attempt answers what a
+/// run without its crash answers. The retry waits for it: it is charged
+/// `max(rounds, rejoin round)` where a plain retry is charged the rounds
+/// the failed run burned. Every re-run counts against the [`RetryPolicy`].
 ///
 /// When nobody would be left the loop gives up *before* charging the retry
 /// budget — no further run could certify anything, so it is not a budget
@@ -406,17 +426,17 @@ fn scatter(sub_keys: Vec<Vec<DistKey>>, alive: &[MachineId], k: usize) -> Vec<Ve
 /// cluster, the crash itself otherwise.
 ///
 /// The finished [`Report`] is the final run's, with `attempts`,
-/// `recovered`, `replayed_rounds` and `audit` totalled over the loop.
+/// `recovered`, `recovery.rejoined` and `audit` totalled over the loop.
 fn recover(
     k: usize,
     leader: MachineId,
     opts: &QueryOptions,
     mut attempt: impl FnMut(&Survivors, u32) -> Result<(Report, Attempt), EngineError>,
 ) -> Result<Report, CoreError> {
-    let mut survivors = Survivors { alive: (0..k).collect(), leader };
+    opts.recovery.validate(k, &opts.faults)?;
+    let mut survivors = Survivors { alive: (0..k).collect(), leader, rejoined: Vec::new() };
     let mut retry = RetryState { attempts: 1, spent_rounds: 0 };
     let mut audit = AuditMetrics::default();
-    let mut replayed_rounds = 0u64;
     loop {
         let alive = &survivors.alive;
         // Who leaves before the next attempt (original ids), who of them
@@ -426,12 +446,12 @@ fn recover(
             Ok((mut report, verdict)) => {
                 audit.digests_verified += report.audit.digests_verified;
                 audit.audits_run += report.audit.audits_run;
-                replayed_rounds += report.replayed_rounds;
                 match verdict {
                     Attempt::Done => {
-                        report.recovered |= retry.attempts > 1;
+                        report.recovered = retry.attempts > 1;
                         report.attempts = retry.attempts;
-                        report.replayed_rounds = replayed_rounds;
+                        report.recovery.rejoined = survivors.rejoined.clone();
+                        report.recovery.rejoined.sort_unstable();
                         report.audit = audit;
                         return Ok(report);
                     }
@@ -441,10 +461,10 @@ fn recover(
                     }
                 }
             }
-            Err(EngineError::Crashed { machine, round }) if alive.len() > 1 => {
+            Err(EngineError::Crashed { machine, round }) => {
                 (vec![alive[machine]], Vec::new(), round)
             }
-            Err(EngineError::IntegrityViolation { src, round, .. }) if alive.len() > 1 => {
+            Err(EngineError::IntegrityViolation { src, round, .. }) => {
                 audit.integrity_violations += 1;
                 (Vec::new(), vec![alive[src]], round)
             }
@@ -454,20 +474,27 @@ fn recover(
         suspects.sort_unstable();
         suspects.dedup();
         audit.suspects_quarantined += suspects.len() as u64;
+        // Crashed before a rejoin it has not made yet: back for the next
+        // attempt, which waits for it.
+        let back: Vec<MachineId> =
+            dead.iter().copied().filter(|&m| survivors.rejoins(m, &opts.recovery)).collect();
+        dead.retain(|m| !back.contains(m));
         dead.extend(&suspects);
         dead.sort_unstable();
         dead.dedup();
         if dead.len() >= alive.len() && !suspects.is_empty() {
             return Err(CoreError::AuditFailed { suspects, alive: alive.len() });
         }
-        if dead.len() >= alive.len() || dead.is_empty() {
+        if dead.len() >= alive.len() || (dead.is_empty() && back.is_empty()) {
             // Holes without a usable survivor topology (or — impossibly —
-            // without a crash or a suspect): surface the crash instead of
-            // looping on an unanswerable plan.
+            // without a crash, a rejoin or a suspect): surface the crash
+            // instead of looping on an unanswerable plan.
             let machine = dead.first().copied().unwrap_or(0);
             return Err(EngineError::Crashed { machine, round: rounds }.into());
         }
-        retry.next_attempt(&opts.retry, rounds)?;
+        let wait = back.iter().map(|&m| opts.recovery.rejoin_round(m)).fold(rounds, u64::max);
+        retry.next_attempt(&opts.retry, wait)?;
+        survivors.rejoined.extend(back);
         survivors.exclude(&dead, opts)?;
     }
 }
@@ -580,6 +607,13 @@ impl Seating<'_> {
             let alive = &survivors.alive;
             let Seated { answers, mut report, mut truth } =
                 self.run(survivors, pending.len(), scan_sizes, |m, p| top(m, pending[p]))?;
+            // Nothing is kept from a run a machine was down in for a rejoin
+            // (a salvaged crash may even have completed it without that
+            // shard): the next attempt, with the machine back, answers
+            // every pending query.
+            if report.faults.crashed.iter().any(|&c| survivors.rejoins(alive[c], &opts.recovery)) {
+                return Ok((report, Attempt::Retry(Vec::new())));
+            }
             let mut lost: Vec<usize> = Vec::new();
             let mut suspects: Vec<MachineId> = Vec::new();
             for (p, (&j, answer)) in pending.iter().zip(answers).enumerate() {
@@ -627,11 +661,11 @@ impl Seating<'_> {
     /// indexed by pending position): the candidate stage computes every cell
     /// once, on the rayon pool ([`candidate_stage`]), then the engine moves
     /// messages only. A machine that never runs round 0 (crash round 0 in
-    /// the [`FaultPlan`]) is fed nothing — the one audit-truth rule: a
-    /// machine contributes nothing exactly when its instance is salvaged,
-    /// and every protocol salvages a started instance only when it holds no
-    /// candidates, so every machine's truth is its stage output. Rejoins
-    /// ([`RecoveryPlan`]) are pauses, not crashes, and keep theirs.
+    /// the [`FaultPlan`], or in a [`RecoveryPlan`] entry it has not used
+    /// yet) is fed nothing — the one audit-truth rule: a machine contributes
+    /// nothing exactly when its instance is salvaged, and every protocol
+    /// salvages a started instance only when it holds no candidates, so
+    /// every machine's truth is its stage output.
     fn run(
         &self,
         survivors: &Survivors,
@@ -643,7 +677,8 @@ impl Seating<'_> {
         let alive = &survivors.alive;
         let chunk = if self.mux { opts.mux_chunk() } else { opts.simple_chunk() };
         let start = Instant::now();
-        let runs = |m: MachineId| opts.faults.crash_round(m) > 0;
+        let faults = opts.recovery.crashes(&opts.faults, &survivors.rejoined);
+        let runs = |m: MachineId| faults.crash_round(m) > 0;
         let scan_points =
             scan_sizes.map(|sizes| alive.iter().filter(|&&m| runs(m)).map(|&m| sizes[m]).sum());
         let mut fed = candidate_stage(alive, queries, scan_points, |m, j| {
@@ -702,7 +737,7 @@ impl Seating<'_> {
         let alive = &survivors.alive;
         let leader = survivors.sub_leader();
         let queries = fed[0].len();
-        let cfg = self.opts.subset_config(alive);
+        let cfg = self.opts.subset_config(alive, &survivors.rejoined);
         let build = &build;
         let seats = fed.into_iter().enumerate().map(|(id, row)| {
             row.into_iter().map(move |keys| build(Wiring { id, k: alive.len(), leader }, keys))
@@ -920,7 +955,7 @@ mod tests {
             run_query(&sh, &ScalarPoint(50), 5, Algorithm::Knn, &QueryOptions::default()).unwrap();
         assert!(!healthy.recovered);
         assert_eq!(healthy.attempts, 1);
-        assert_eq!(healthy.replayed_rounds, 0);
+        assert!(healthy.recovery.rejoined.is_empty());
         let opts =
             QueryOptions { faults: FaultPlan::default().with_crash(0, 0), ..Default::default() };
         let out = run_query(&sh, &ScalarPoint(50), 5, Algorithm::Knn, &opts).unwrap();

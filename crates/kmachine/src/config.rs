@@ -251,54 +251,24 @@ impl AdversaryPlan {
     }
 }
 
-/// Default number of rounds of per-link transports a rejoining machine's
-/// replay window may span (see [`RecoveryPlan::retention`]).
-pub const DEFAULT_RETENTION_ROUNDS: u64 = 64;
-
 /// Deterministic crash-*recovery* plan: which machines crash and later
-/// rejoin, how often they checkpoint, and how many rounds of delivered
-/// transports are retained for replay.
+/// rejoin.
 ///
 /// A rejoin entry `(machine, crash_round, rejoin_round)` is the recoverable
-/// counterpart of a [`FaultPlan`] crash: the machine goes dark at
-/// `crash_round` (it executes rounds `< crash_round`, sends nothing during
-/// the outage, and its inbound traffic is retained), then at `rejoin_round`
-/// it is restored from its last [`crate::Protocol::checkpoint`] and replays
-/// the retained rounds — emitting only the sends the fault-free execution
-/// would have produced during the outage — before executing normally again.
-/// Peers never observe the machine through [`crate::Ctx::crashed`] (the
-/// outage is a pause, not a fail-stop); they observe the rejoin through
-/// [`crate::Ctx::rejoined`] one round after `rejoin_round`. A machine
-/// listed here must **not** also appear in [`FaultPlan::crashes`] — the
-/// engine rejects such plans with [`crate::EngineError::InvalidPlan`].
-///
-/// Everything is seeded and pure: the same plan realizes byte-identical
-/// recoveries (and [`crate::metrics::RecoveryMetrics`]) on every run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// counterpart of a [`FaultPlan`] crash. Until the machine has rejoined, the
+/// entry *is* a fail-stop crash at `crash_round` ([`RecoveryPlan::crashes`]
+/// folds it into the fault plan), so the engine never sees the plan. The
+/// query layer heals the crash by restart: a query is a pure function of
+/// seeds and shards, so once `rejoin_round` has passed the machine simply
+/// takes part in the query's next run, which answers exactly what the
+/// fault-free run answers. A machine listed here must **not** also appear
+/// in [`FaultPlan::crashes`]; [`RecoveryPlan::validate`] rejects such plans
+/// with [`crate::EngineError::InvalidPlan`].
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryPlan {
     /// `(machine, crash_round, rejoin_round)` entries, one per recovering
     /// machine. `rejoin_round` must be strictly greater than `crash_round`.
     pub rejoins: Vec<(crate::message::MachineId, u64, u64)>,
-    /// Checkpoint cadence in rounds for machines in the plan: a checkpoint
-    /// is attempted at the top of every round `r` with
-    /// `r % checkpoint_interval == 0`, up to and including the crash round.
-    /// Clamped to ≥ 1 by [`RecoveryPlan::with_checkpoint_interval`].
-    pub checkpoint_interval: u64,
-    /// Maximum number of rounds the replay window (last checkpoint →
-    /// rejoin) may span; the per-round inbox copies retained for replay are
-    /// bounded by this. A rejoin whose window exceeds it fails with
-    /// [`crate::EngineError::CheckpointTooOld`].
-    pub retention: u64,
-}
-
-impl Default for RecoveryPlan {
-    fn default() -> Self {
-        RecoveryPlan {
-            rejoins: Vec::new(),
-            checkpoint_interval: 1,
-            retention: DEFAULT_RETENTION_ROUNDS,
-        }
-    }
 }
 
 impl RecoveryPlan {
@@ -328,33 +298,42 @@ impl RecoveryPlan {
         self
     }
 
-    /// Set the checkpoint cadence (clamped to ≥ 1).
-    pub fn with_checkpoint_interval(mut self, interval: u64) -> Self {
-        self.checkpoint_interval = interval.max(1);
-        self
+    /// `faults` plus a fail-stop crash at its crash round for every machine
+    /// of the plan not in `rejoined`: what a run is subject to while those
+    /// machines are still down.
+    pub fn crashes(&self, faults: &FaultPlan, rejoined: &[crate::message::MachineId]) -> FaultPlan {
+        let mut plan = faults.clone();
+        let down = self.rejoins.iter().filter(|(m, _, _)| !rejoined.contains(m));
+        plan.crashes.extend(down.map(|&(m, c, _)| (m, c)));
+        plan
     }
 
-    /// Set the replay retention window (clamped to ≥ 1).
-    pub fn with_retention(mut self, rounds: u64) -> Self {
-        self.retention = rounds.max(1);
-        self
-    }
-
-    /// Project the plan onto the surviving subset `alive` (original machine
-    /// ids, ascending), mirroring [`FaultPlan::project`]: entries for
-    /// machines outside `alive` are dropped, the rest are remapped to the
-    /// subset's indices.
-    pub fn project(&self, alive: &[crate::message::MachineId]) -> RecoveryPlan {
-        let remap = |m: crate::message::MachineId| alive.iter().position(|&a| a == m);
-        RecoveryPlan {
-            rejoins: self
-                .rejoins
-                .iter()
-                .filter_map(|&(m, c, j)| remap(m).map(|i| (i, c, j)))
-                .collect(),
-            checkpoint_interval: self.checkpoint_interval,
-            retention: self.retention,
+    /// Reject a plan that contradicts itself or `faults` on a `k`-machine
+    /// cluster: a machine out of range, a rejoin at-or-before its crash
+    /// round, duplicate entries for one machine, or a machine both
+    /// fail-stopped and scheduled to rejoin.
+    pub fn validate(&self, k: usize, faults: &FaultPlan) -> Result<(), crate::EngineError> {
+        let invalid = |reason: String| Err(crate::EngineError::InvalidPlan { reason });
+        for (i, &(m, c, j)) in self.rejoins.iter().enumerate() {
+            if m >= k {
+                return invalid(format!("rejoin entry for machine {m} out of range (k = {k})"));
+            }
+            if j <= c {
+                return invalid(format!(
+                    "machine {m} rejoins at round {j}, at-or-before its crash round {c}"
+                ));
+            }
+            if self.rejoins[..i].iter().any(|&(m2, _, _)| m2 == m) {
+                return invalid(format!("machine {m} has duplicate rejoin entries"));
+            }
+            if faults.crashes.iter().any(|&(m2, _)| m2 == m) {
+                return invalid(format!(
+                    "machine {m} is both fail-stopped (FaultPlan) and scheduled to rejoin \
+                     (RecoveryPlan)"
+                ));
+            }
         }
+        Ok(())
     }
 }
 
@@ -375,10 +354,6 @@ pub struct NetConfig {
     /// Deterministic fault injection (default: no faults). See
     /// [`FaultPlan`].
     pub faults: FaultPlan,
-    /// Deterministic crash-recovery plan (default: nobody rejoins). See
-    /// [`RecoveryPlan`].
-    #[serde(default)]
-    pub recovery: RecoveryPlan,
     /// Deterministic Byzantine-fault plan (default: everyone honest). See
     /// [`AdversaryPlan`].
     #[serde(default)]
@@ -395,7 +370,6 @@ impl NetConfig {
             max_rounds: 10_000_000,
             round_latency: Duration::ZERO,
             faults: FaultPlan::default(),
-            recovery: RecoveryPlan::default(),
             adversary: AdversaryPlan::default(),
         }
     }
@@ -427,12 +401,6 @@ impl NetConfig {
     /// Set the fault-injection plan (see [`FaultPlan`]).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Set the crash-recovery plan (see [`RecoveryPlan`]).
-    pub fn with_recovery(mut self, recovery: RecoveryPlan) -> Self {
-        self.recovery = recovery;
         self
     }
 
@@ -468,16 +436,49 @@ impl NetConfig {
         self
     }
 
-    /// Add one crash-then-rejoin entry to the recovery plan.
-    pub fn with_rejoin(
-        mut self,
-        machine: crate::message::MachineId,
-        crash_round: u64,
-        rejoin_round: u64,
-    ) -> Self {
-        self.recovery =
-            std::mem::take(&mut self.recovery).with_rejoin(machine, crash_round, rejoin_round);
-        self
+    /// Reject self-contradictory fault and adversary plans before any
+    /// protocol executes; [`run_sync`](crate::run_sync) calls this first.
+    pub(crate) fn validate(&self) -> Result<(), crate::EngineError> {
+        let invalid = |reason: String| Err(crate::EngineError::InvalidPlan { reason });
+        let (k, faults, adversary) = (self.k, &self.faults, &self.adversary);
+        if faults.loss_per_mille > 1000 {
+            return invalid(format!(
+                "loss_per_mille {} exceeds 1000 (100% loss)",
+                faults.loss_per_mille
+            ));
+        }
+        for (i, &(m, r)) in faults.crashes.iter().enumerate() {
+            if faults.crashes[..i].iter().any(|&(m2, _)| m2 == m) {
+                return invalid(format!(
+                    "machine {m} has duplicate crash entries (second at round {r})"
+                ));
+            }
+        }
+        for &(m, _) in &adversary.lies {
+            if m >= k {
+                return invalid(format!("lie entry for machine {m} out of range (k = {k})"));
+            }
+        }
+        for &m in &adversary.equivocators {
+            if m >= k {
+                return invalid(format!(
+                    "equivocator entry for machine {m} out of range (k = {k})"
+                ));
+            }
+        }
+        for &(src, dst, p) in &adversary.corrupt_links {
+            if p > 1000 {
+                return invalid(format!(
+                    "corrupt link {src} -> {dst}: per_mille {p} exceeds 1000 (100% corruption)"
+                ));
+            }
+            if src >= k || dst >= k || src == dst {
+                return invalid(format!(
+                    "corrupt link {src} -> {dst} is not an ordered link of a {k}-machine cluster"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -549,35 +550,64 @@ mod tests {
     }
 
     #[test]
-    fn recovery_plan_defaults_builders_and_lookups() {
-        let cfg = NetConfig::new(3);
-        assert!(cfg.recovery.is_empty());
-        assert_eq!(cfg.recovery.checkpoint_interval, 1);
-        assert_eq!(cfg.recovery.retention, DEFAULT_RETENTION_ROUNDS);
-        assert_eq!(cfg.recovery.rejoin_round(1), u64::MAX);
-
-        let plan = RecoveryPlan::default()
-            .with_rejoin(1, 3, 7)
-            .with_checkpoint_interval(0)
-            .with_retention(0);
+    fn recovery_plan_folds_pending_rejoins_into_crashes_and_validates() {
+        assert!(RecoveryPlan::default().is_empty());
+        assert_eq!(RecoveryPlan::default().rejoin_round(1), u64::MAX);
+        let plan = RecoveryPlan::default().with_rejoin(1, 3, 7).with_rejoin(2, 5, 9);
         assert!(!plan.is_empty());
+        assert_eq!(plan.rejoins, vec![(1, 3, 7), (2, 5, 9)]);
         assert_eq!(plan.rejoin_round(1), 7);
-        assert_eq!(plan.checkpoint_interval, 1, "interval clamps to >= 1");
-        assert_eq!(plan.retention, 1, "retention clamps to >= 1");
+        assert_eq!(plan.rejoin_round(0), u64::MAX);
 
-        let cfg = NetConfig::new(4).with_recovery(plan.clone()).with_rejoin(2, 5, 9);
-        assert_eq!(cfg.recovery.rejoins, vec![(1, 3, 7), (2, 5, 9)]);
-        assert_eq!(cfg.recovery.checkpoint_interval, plan.checkpoint_interval);
-    }
+        // Until a machine has rejoined, its entry is a fail-stop crash.
+        let faults = FaultPlan::default().with_crash(0, 4).with_loss(10, 5);
+        let folded = plan.crashes(&faults, &[]);
+        assert_eq!(folded.crashes, vec![(0, 4), (1, 3), (2, 5)]);
+        assert_eq!((folded.loss_per_mille, folded.max_retries), (10, 5));
+        assert_eq!(plan.crashes(&faults, &[2]).crashes, vec![(0, 4), (1, 3)]);
+        assert_eq!(plan.crashes(&faults, &[1, 2]), faults);
+        assert_eq!(plan.validate(3, &faults), Ok(()));
 
-    #[test]
-    fn recovery_plan_projection_drops_and_remaps() {
-        let plan = RecoveryPlan::default().with_rejoin(1, 3, 7).with_rejoin(3, 2, 5);
-        // Machine 1 was excluded; 0, 2, 3 survive as 0, 1, 2.
-        let sub = plan.project(&[0, 2, 3]);
-        assert_eq!(sub.rejoins, vec![(2, 2, 5)]);
-        assert_eq!(sub.checkpoint_interval, plan.checkpoint_interval);
-        assert_eq!(sub.retention, plan.retention);
+        // Every contradiction is refused with its reason.
+        let none = FaultPlan::default();
+        let bad = [
+            (
+                RecoveryPlan::default().with_rejoin(1, 5, 5),
+                &none,
+                3,
+                "machine 1 rejoins at round 5, at-or-before its crash round 5",
+            ),
+            (
+                RecoveryPlan::default().with_rejoin(1, 5, 3),
+                &none,
+                3,
+                "machine 1 rejoins at round 3, at-or-before its crash round 5",
+            ),
+            (
+                RecoveryPlan::default().with_rejoin(1, 2, 4).with_rejoin(1, 6, 8),
+                &none,
+                3,
+                "machine 1 has duplicate rejoin entries",
+            ),
+            (
+                RecoveryPlan::default().with_rejoin(7, 2, 4),
+                &none,
+                3,
+                "rejoin entry for machine 7 out of range (k = 3)",
+            ),
+            (
+                RecoveryPlan::default().with_rejoin(1, 2, 4),
+                &FaultPlan::default().with_crash(1, 9),
+                3,
+                "machine 1 is both fail-stopped (FaultPlan) and scheduled to rejoin (RecoveryPlan)",
+            ),
+        ];
+        for (plan, faults, k, reason) in bad {
+            assert_eq!(
+                plan.validate(k, faults),
+                Err(crate::EngineError::InvalidPlan { reason: reason.into() })
+            );
+        }
     }
 
     #[test]

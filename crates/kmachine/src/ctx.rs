@@ -75,11 +75,6 @@ pub struct Ctx<'a, M> {
     /// [`crate::config::FaultPlan`] (`u64::MAX`: never crashes). Shared by
     /// every machine of the run; observed through [`Ctx::crashed`].
     pub(crate) crash_rounds: &'a [u64],
-    /// Per-machine rejoin rounds from the run's
-    /// [`crate::config::RecoveryPlan`] (`u64::MAX`: never scheduled).
-    /// Shared by every machine of the run; observed through
-    /// [`Ctx::rejoined`].
-    pub(crate) rejoin_rounds: &'a [u64],
     /// Shared lying context of the run's [`AdversaryPlan`] (`None` when
     /// nobody lies). Applied inside [`Ctx::send`].
     pub(crate) adversary: Option<&'a AdversaryCtx>,
@@ -171,21 +166,6 @@ impl<'a, M: Payload> Ctx<'a, M> {
     pub fn crashed(&self, peer: MachineId) -> bool {
         self.round > self.crash_rounds[peer]
     }
-
-    /// Whether `peer` has observably completed a crash-then-rejoin cycle
-    /// (see [`crate::config::RecoveryPlan`]): it went dark at its crash
-    /// round, was restored from its last checkpoint at its rejoin round,
-    /// and is serving again. Like [`Ctx::crashed`], the transition becomes
-    /// observable one round after it happens — a peer rejoining at round
-    /// `j` reports `true` from round `j + 1` on. During the outage itself
-    /// the peer is simply silent: it is *not* [`Ctx::crashed`] (the pause
-    /// is recoverable), so protocols that wait on its data keep waiting —
-    /// which is exactly what makes the rejoined run's answers byte-identical
-    /// to the fault-free run's.
-    #[inline]
-    pub fn rejoined(&self, peer: MachineId) -> bool {
-        self.round > self.rejoin_rounds[peer]
-    }
 }
 
 #[cfg(test)]
@@ -193,9 +173,8 @@ mod tests {
     use super::*;
     use crate::rng::machine_rng;
 
-    /// No machine ever crashes or rejoins in these unit fixtures.
+    /// No machine ever crashes in these unit fixtures.
     static NO_CRASHES: [u64; 4] = [u64::MAX; 4];
-    static NO_REJOINS: [u64; 4] = [u64::MAX; 4];
 
     fn mk_ctx<'a>(
         inbox: &'a [Envelope<u64>],
@@ -212,7 +191,6 @@ mod tests {
             rng,
             next_seq: seq,
             crash_rounds: &NO_CRASHES,
-            rejoin_rounds: &NO_REJOINS,
             adversary: None,
         }
     }
@@ -250,10 +228,9 @@ mod tests {
         let mut outbox = Vec::new();
         let mut rng = machine_rng(0, 1);
         let mut seq = 0;
-        // Machine 2 crashed at round 2; machine 0 rejoined at round 2,
-        // machine 3 rejoins at round 3. This ctx executes round 3.
+        // Machine 2 crashed at round 2, machine 3 crashes at round 3. This
+        // ctx executes round 3.
         let horizons = [u64::MAX, u64::MAX, 2, 3];
-        let rejoins = [2, u64::MAX, u64::MAX, 3];
         let ctx = Ctx {
             id: 1,
             k: 4,
@@ -263,15 +240,11 @@ mod tests {
             rng: &mut rng,
             next_seq: &mut seq,
             crash_rounds: &horizons,
-            rejoin_rounds: &rejoins,
             adversary: None,
         };
         assert!(!ctx.crashed(0), "healthy peers are never crashed");
         assert!(ctx.crashed(2), "round 3 observes a round-2 crash");
         assert!(!ctx.crashed(3), "a crash at the current round is not yet observable");
-        assert!(ctx.rejoined(0), "round 3 observes a round-2 rejoin");
-        assert!(!ctx.rejoined(3), "a rejoin at the current round is not yet observable");
-        assert!(!ctx.rejoined(1), "machines outside the plan never report rejoined");
     }
 
     /// A payload that records tampering: the perturbation word is XORed in.
@@ -306,7 +279,6 @@ mod tests {
                 rng: &mut rng,
                 next_seq: &mut seq,
                 crash_rounds: &NO_CRASHES,
-                rejoin_rounds: &NO_REJOINS,
                 adversary: adv,
             };
             ctx.send(0, Lying(5));

@@ -8,9 +8,8 @@
 //! **transport step** ([`Machine::transport`]: one bandwidth budget per busy
 //! outbound link, integrity / link-down detection, backlog accounting).
 //! [`collect`] folds the per-machine tallies and link counters into a
-//! [`RunOutcome`]. Fault, adversary, and recovery injection live here and
-//! only here; the scheduler decides *when* each machine takes each step,
-//! nothing else.
+//! [`RunOutcome`]. Fault and adversary injection live here and only here;
+//! the scheduler decides *when* each machine takes each step, nothing else.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -24,10 +23,9 @@ use crate::error::EngineError;
 use crate::frozen::SkewMetrics;
 use crate::link::{IntegrityConfig, LinkFifo, LossConfig};
 use crate::message::{Envelope, MachineId};
-use crate::metrics::{AuditMetrics, FaultMetrics, RecoveryMetrics, RunMetrics, TagMetrics};
+use crate::metrics::{AuditMetrics, FaultMetrics, RunMetrics, TagMetrics};
 use crate::payload::Payload;
 use crate::protocol::{Protocol, Step};
-use crate::recovery::{self, RecoveryShared};
 use crate::rng::machine_rng;
 
 /// One link `src → dst`, lossy when the fault plan says so and
@@ -66,7 +64,7 @@ pub(super) fn lattice<M>(cfg: &NetConfig) -> Vec<LinkFifo<M>> {
 }
 
 /// Read-only facts of one run that every machine step consults.
-pub(super) struct RunEnv<'a> {
+pub(super) struct RunEnv {
     pub(super) k: usize,
     pub(super) max_rounds: u64,
     /// [`NetConfig::round_latency`]: the delay added to every round.
@@ -75,22 +73,17 @@ pub(super) struct RunEnv<'a> {
     /// Per-machine fail-stop horizons from the fault plan (`u64::MAX`:
     /// never crashes).
     crash_rounds: Vec<u64>,
-    /// Per-machine rejoin horizons from the recovery plan (`u64::MAX`:
-    /// never scheduled).
-    rejoin_rounds: Vec<u64>,
     /// Byzantine lying context (`None` unless the plan has liars or
     /// equivocators — the honest hot path pays one `Option` check per send).
     adversary: Option<AdversaryCtx>,
     /// Retry budget a lossy link exhausts before going down.
     max_retries: u32,
-    /// Shared rejoin state when a [`crate::config::RecoveryPlan`] is active.
-    recovering: Option<&'a RecoveryShared>,
 }
 
-impl<'a> RunEnv<'a> {
+impl RunEnv {
     /// # Panics
     /// If bandwidth is `Enforce { 0 }`.
-    pub(super) fn new(cfg: &NetConfig, recovering: Option<&'a RecoveryShared>) -> Self {
+    pub(super) fn new(cfg: &NetConfig) -> Self {
         let budget = cfg.bandwidth.budget();
         assert!(budget >= 1, "bandwidth must allow at least 1 bit per round");
         RunEnv {
@@ -99,19 +92,9 @@ impl<'a> RunEnv<'a> {
             latency: cfg.round_latency,
             budget,
             crash_rounds: (0..cfg.k).map(|i| cfg.faults.crash_round(i)).collect(),
-            rejoin_rounds: recovery::rejoin_horizons(cfg),
             adversary: AdversaryCtx::from_plan(&cfg.adversary, cfg.k),
             max_retries: cfg.faults.max_retries,
-            recovering,
         }
-    }
-
-    /// A quiet cluster waiting out a scheduled rejoin is not a deadlock: the
-    /// rejoining machine's deferred sends arrive once its rejoin round comes
-    /// (`max_rounds` still bounds the wait). A *failed* rejoin clears the
-    /// pending flag, so its recorded error surfaces through the stall.
-    pub(super) fn awaiting_rejoin(&self, round: u64) -> bool {
-        self.recovering.is_some_and(|rec| rec.pending_at(round))
     }
 
     /// The error of a round in which nothing was sent, delivered, in flight,
@@ -224,7 +207,7 @@ impl<'l, P: Protocol> Machine<'l, P> {
         round: u64,
         inbox: &mut Vec<Envelope<P::Msg>>,
         outbox: &mut Vec<Envelope<P::Msg>>,
-        env: &RunEnv<'_>,
+        env: &RunEnv,
     ) -> Result<bool, EngineError> {
         if self.halted() {
             self.bill_late(inbox);
@@ -255,7 +238,6 @@ impl<'l, P: Protocol> Machine<'l, P> {
             rng: &mut self.rng,
             next_seq: &mut self.seq,
             crash_rounds: &env.crash_rounds,
-            rejoin_rounds: &env.rejoin_rounds,
             adversary: env.adversary.as_ref(),
         };
         let step = catch_unwind(AssertUnwindSafe(|| self.proto.on_round(&mut ctx)));
@@ -306,7 +288,7 @@ impl<'l, P: Protocol> Machine<'l, P> {
     pub(super) fn transport(
         &mut self,
         round: u64,
-        env: &RunEnv<'_>,
+        env: &RunEnv,
         inboxes: &mut [Vec<Envelope<P::Msg>>],
     ) -> Result<Transported, EngineError> {
         let mut moved = Transported { delivered: false, pending_bits: 0 };
@@ -337,7 +319,7 @@ impl<'l, P: Protocol> Machine<'l, P> {
 /// into its outcome.
 pub(super) fn collect<'l, P: Protocol + 'l>(
     machines: impl IntoIterator<Item = Machine<'l, P>>,
-    env: &RunEnv<'_>,
+    env: &RunEnv,
     final_round: u64,
     wall: Duration,
 ) -> Result<RunOutcome<P::Output>, EngineError> {
@@ -374,13 +356,5 @@ pub(super) fn collect<'l, P: Protocol + 'l>(
     if outputs.len() < env.k {
         return Err(env.crashed_error(faults.crashed[0]));
     }
-    Ok(RunOutcome {
-        outputs,
-        metrics,
-        skew: SkewMetrics { max_skew: 0 },
-        wall,
-        faults,
-        recovery: RecoveryMetrics::default(),
-        audit,
-    })
+    Ok(RunOutcome { outputs, metrics, skew: SkewMetrics { max_skew: 0 }, wall, faults, audit })
 }

@@ -21,7 +21,7 @@ pub use sync::run_sync;
 use std::time::Duration;
 
 use crate::frozen::SkewMetrics;
-use crate::metrics::{AuditMetrics, FaultMetrics, RecoveryMetrics, RunMetrics};
+use crate::metrics::{AuditMetrics, FaultMetrics, RunMetrics};
 
 /// Result of a completed run.
 #[derive(Debug)]
@@ -42,11 +42,6 @@ pub struct RunOutcome<T> {
     /// retransmitted traffic from the [`crate::config::FaultPlan`]). Lives
     /// outside [`RunMetrics`]; fault-free runs report it empty.
     pub faults: FaultMetrics,
-    /// Realized crash-recoveries of the run (checkpoints taken, rounds
-    /// replayed, machines rejoined — from the
-    /// [`crate::config::RecoveryPlan`]). Lives outside [`RunMetrics`] like
-    /// [`RunOutcome::faults`]; recovery-free runs report it empty.
-    pub recovery: RecoveryMetrics,
     /// Byzantine-audit accounting of the run (link digests verified under an
     /// armed [`crate::config::AdversaryPlan`]; the query layer above adds
     /// its semantic-audit counters on top). Lives outside [`RunMetrics`]

@@ -9,7 +9,6 @@ use crate::engine::RunOutcome;
 use crate::error::EngineError;
 use crate::message::Envelope;
 use crate::protocol::Protocol;
-use crate::recovery;
 
 /// Execute one protocol instance per machine until every machine has
 /// produced its output.
@@ -29,24 +28,10 @@ pub fn run_sync<P: Protocol>(
     cfg: &NetConfig,
     protocols: Vec<P>,
 ) -> Result<RunOutcome<P::Output>, EngineError> {
-    recovery::validate(cfg)?;
-    if cfg.recovery.is_empty() {
-        return sync_core(cfg, protocols, None);
-    }
-    let (wrapped, state) = recovery::wrap(cfg, protocols);
-    recovery::finish(sync_core(cfg, wrapped, Some(&state)), &state)
-}
-
-/// The lockstep loop itself; `recovering` carries the shared rejoin state
-/// when a [`crate::config::RecoveryPlan`] is active.
-fn sync_core<P: Protocol>(
-    cfg: &NetConfig,
-    protocols: Vec<P>,
-    recovering: Option<&recovery::RecoveryShared>,
-) -> Result<RunOutcome<P::Output>, EngineError> {
+    cfg.validate()?;
     let k = protocols.len();
     assert_eq!(k, cfg.k, "protocol count {} != cfg.k {}", k, cfg.k);
-    let env = RunEnv::new(cfg, recovering);
+    let env = RunEnv::new(cfg);
 
     let start = Instant::now();
     let mut links = machine::lattice(cfg);
@@ -80,12 +65,7 @@ fn sync_core<P: Protocol>(
             backlog_bits += moved.pending_bits;
         }
 
-        if sent == 0
-            && !delivered
-            && !progressed
-            && backlog_bits == 0
-            && !env.awaiting_rejoin(round)
-        {
+        if sent == 0 && !delivered && !progressed && backlog_bits == 0 {
             let first_crashed = machines.iter().position(|m| m.crashed());
             return Err(env.stall_error(round, first_crashed));
         }
@@ -450,5 +430,57 @@ mod tests {
             .with_faults(FaultPlan::default().with_loss(1000, 2));
         let err = run_sync(&cfg, Stream::pair(4)).unwrap_err();
         assert_eq!(err, EngineError::LinkDown { src: 0, dst: 1, round: 1, retries: 2 });
+    }
+
+    #[test]
+    fn invalid_plans_are_rejected_before_execution() {
+        let k = 3;
+        let bad = [
+            (
+                FaultPlan::default().with_loss(1001, 3),
+                "loss_per_mille 1001 exceeds 1000 (100% loss)",
+            ),
+            (
+                FaultPlan::default().with_crash(1, 2).with_crash(1, 5),
+                "machine 1 has duplicate crash entries (second at round 5)",
+            ),
+        ];
+        for (plan, reason) in bad {
+            let cfg = NetConfig::new(k).with_seed(7).with_faults(plan);
+            let err = run_sync(&cfg, GossipSum::cluster(k)).unwrap_err();
+            assert_eq!(err, EngineError::InvalidPlan { reason: reason.into() });
+        }
+    }
+
+    #[test]
+    fn invalid_adversary_plans_are_rejected_before_execution() {
+        let k = 3;
+        let bad = [
+            (
+                AdversaryPlan::default().with_lie(5, 0),
+                "lie entry for machine 5 out of range (k = 3)",
+            ),
+            (
+                AdversaryPlan::default().with_equivocate(3),
+                "equivocator entry for machine 3 out of range (k = 3)",
+            ),
+            (
+                AdversaryPlan::default().with_corrupt_link(0, 1, 1001),
+                "corrupt link 0 -> 1: per_mille 1001 exceeds 1000 (100% corruption)",
+            ),
+            (
+                AdversaryPlan::default().with_corrupt_link(0, 7, 10),
+                "corrupt link 0 -> 7 is not an ordered link of a 3-machine cluster",
+            ),
+            (
+                AdversaryPlan::default().with_corrupt_link(1, 1, 10),
+                "corrupt link 1 -> 1 is not an ordered link of a 3-machine cluster",
+            ),
+        ];
+        for (plan, reason) in bad {
+            let cfg = NetConfig::new(k).with_seed(7).with_adversary(plan);
+            let err = run_sync(&cfg, GossipSum::cluster(k)).unwrap_err();
+            assert_eq!(err, EngineError::InvalidPlan { reason: reason.into() });
+        }
     }
 }

@@ -49,28 +49,15 @@ pub enum EngineError {
         /// The exhausted retry budget.
         retries: u32,
     },
-    /// The run's [`crate::config::FaultPlan`] / [`crate::config::
-    /// RecoveryPlan`] pair is self-contradictory (a loss rate above 100%,
-    /// duplicate crash entries for one machine, a rejoin scheduled
-    /// at-or-before its crash round, a machine both fail-stopped and
-    /// scheduled to rejoin, …). Rejected before any protocol executes.
+    /// A fault, adversary or recovery plan is self-contradictory (a loss
+    /// rate above 100%, duplicate crash entries for one machine, a rejoin
+    /// scheduled at-or-before its crash round, a machine both fail-stopped
+    /// and scheduled to rejoin, …). Rejected before any protocol executes:
+    /// fault and adversary plans at engine entry, a recovery plan by
+    /// [`crate::config::RecoveryPlan::validate`] before a query's first run.
     InvalidPlan {
         /// Human-readable description of the contradiction.
         reason: String,
-    },
-    /// A scheduled rejoin needs to replay more rounds than the
-    /// [`crate::config::RecoveryPlan::retention`] window keeps: the gap
-    /// between the machine's last (possible) checkpoint and its rejoin
-    /// round exceeds the retained per-link transports.
-    CheckpointTooOld {
-        /// The rejoining machine.
-        machine: usize,
-        /// Round of the newest checkpoint the replay could start from.
-        checkpoint_round: u64,
-        /// The scheduled rejoin round.
-        rejoin_round: u64,
-        /// The configured retention window the gap exceeds.
-        retention: u64,
     },
     /// A message arrived whose chained link-layer integrity digest did not
     /// match the receiver's chain: the payload was corrupted in flight
@@ -84,16 +71,6 @@ pub enum EngineError {
         /// Receiving machine of the corrupted link.
         dst: usize,
         /// Round in which the mismatch was detected at delivery.
-        round: u64,
-    },
-    /// A checkpoint blob failed its integrity seal on restore: the snapshot
-    /// was truncated or corrupted between [`crate::Protocol::checkpoint`]
-    /// and the rejoin's [`crate::Protocol::restore`]. Surfaced as a typed
-    /// error — never a panic, never a silent wrong restore.
-    SnapshotCorrupt {
-        /// The machine whose rejoin found the bad blob.
-        machine: usize,
-        /// Round of the checkpoint the blob claimed to be.
         round: u64,
     },
 }
@@ -126,31 +103,11 @@ impl fmt::Display for EngineError {
             EngineError::InvalidPlan { reason } => {
                 write!(f, "invalid fault/recovery plan: {reason}")
             }
-            EngineError::CheckpointTooOld {
-                machine,
-                checkpoint_round,
-                rejoin_round,
-                retention,
-            } => {
-                write!(
-                    f,
-                    "machine {machine} cannot rejoin at round {rejoin_round}: its last \
-                     checkpoint (round {checkpoint_round}) is outside the {retention}-round \
-                     retention window"
-                )
-            }
             EngineError::IntegrityViolation { src, dst, round } => {
                 write!(
                     f,
                     "integrity violation on link {src} -> {dst}: digest mismatch detected at \
                      delivery in round {round}"
-                )
-            }
-            EngineError::SnapshotCorrupt { machine, round } => {
-                write!(
-                    f,
-                    "machine {machine} cannot restore from its round-{round} checkpoint: the \
-                     blob failed its integrity seal (truncated or corrupted)"
                 )
             }
         }
@@ -177,17 +134,7 @@ mod tests {
         assert!(s.contains("0 -> 2") && s.contains("round 9") && s.contains("3"));
         let s = EngineError::InvalidPlan { reason: "duplicate crash".into() }.to_string();
         assert!(s.contains("duplicate crash"));
-        let s = EngineError::CheckpointTooOld {
-            machine: 2,
-            checkpoint_round: 4,
-            rejoin_round: 90,
-            retention: 64,
-        }
-        .to_string();
-        assert!(s.contains("machine 2") && s.contains("round 90") && s.contains("64"));
         let s = EngineError::IntegrityViolation { src: 1, dst: 3, round: 6 }.to_string();
         assert!(s.contains("1 -> 3") && s.contains("round 6"));
-        let s = EngineError::SnapshotCorrupt { machine: 4, round: 8 }.to_string();
-        assert!(s.contains("machine 4") && s.contains("round-8"));
     }
 }

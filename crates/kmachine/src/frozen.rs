@@ -6,6 +6,11 @@
 //! [`run_sync`](crate::run_sync). They exist because the frozen benchmark
 //! package (`ledger/`) compiles against them; nothing else in the workspace
 //! may mention them, and they go in the next `[benchmark]` refresh (ROADMAP).
+//!
+//! One frozen name lives outside this file, on a struct that is otherwise
+//! live: [`RecoveryMetrics::checkpoint_bytes`](crate::RecoveryMetrics::checkpoint_bytes)
+//! is inert and always 0. Rejoins heal by re-running the query, nothing is
+//! checkpointed, and the field stays only because the benchmark reads it.
 
 use crate::config::NetConfig;
 use crate::engine::{run_sync, RunOutcome};

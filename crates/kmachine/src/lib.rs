@@ -37,17 +37,11 @@
 //!   [`RunOutcome::audit`]. Semantic detection
 //!   of lies (and quarantine of liars) is the query layer's job, built on
 //!   the same seeded determinism;
-//! * deterministic crash-recovery ([`config::RecoveryPlan`]): protocols
-//!   serialize their state through [`Protocol::checkpoint`] /
-//!   [`Protocol::restore`] (blobs built with [`snapshot`]); a machine
-//!   scheduled to crash-then-rejoin goes dark at its crash round and is
-//!   restored from its last checkpoint at its rejoin round, replaying the
-//!   missed rounds from retained inboxes (bounded by
-//!   [`config::RecoveryPlan::retention`], else
-//!   [`EngineError::CheckpointTooOld`]). Peers observe the comeback via
-//!   [`Ctx::rejoined`]; realized recoveries ride
-//!   [`RunOutcome::recovery`] and the recovered run's outputs are
-//!   byte-identical to the fault-free run;
+//! * deterministic crash-recovery plans ([`config::RecoveryPlan`]): a
+//!   machine that crashes and later rejoins is, until it has rejoined, a
+//!   fail-stop crash ([`config::RecoveryPlan::crashes`]); the query layer
+//!   heals it by re-running the query with the machine back, so the engine
+//!   never reads the plan;
 //! * reproducible per-machine randomness derived from a single master seed.
 //!
 //! ## Example
@@ -108,9 +102,7 @@ pub mod metrics;
 pub mod mux;
 pub mod payload;
 pub mod protocol;
-pub(crate) mod recovery;
 pub mod rng;
-pub mod snapshot;
 
 pub use config::{AdversaryPlan, BandwidthMode, FaultPlan, NetConfig, RecoveryPlan};
 pub use ctx::Ctx;
@@ -123,4 +115,3 @@ pub use metrics::{AuditMetrics, FaultMetrics, RecoveryMetrics, RunMetrics, TagMe
 pub use mux::{MuxOutput, MuxProtocol, Tagged, MUX_TAG_BITS};
 pub use payload::Payload;
 pub use protocol::{Protocol, Step};
-pub use snapshot::{SnapshotReader, SnapshotWriter};

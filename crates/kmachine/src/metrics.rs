@@ -44,34 +44,20 @@ impl FaultMetrics {
     }
 }
 
-/// Realized-recovery accounting of one run under a
-/// [`crate::config::RecoveryPlan`].
+/// What healing a query's [`crate::config::RecoveryPlan`] took.
 ///
-/// Carried on [`crate::RunOutcome::recovery`], *not* inside [`RunMetrics`],
-/// for the same reason as [`FaultMetrics`]: checkpointing and replay are
-/// recovery-layer bookkeeping — the protocol's communication bill stays
-/// identical whether or not a machine paused and caught back up under it.
-/// The recovery realization itself is deterministic too: the same plan
-/// yields byte-identical `RecoveryMetrics` on every run.
+/// Filled by the query layer (`knn-core`), which heals a scheduled rejoin by
+/// re-running the query with the machine back; the engine never reads a
+/// recovery plan. Deterministic like the plan itself: the same plan yields
+/// the same `RecoveryMetrics` on every run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryMetrics {
-    /// Checkpoints recorded across all machines in the rejoin plan (the
-    /// implicit pristine round-0 snapshot counts as one).
-    pub checkpoints: u64,
-    /// Total serialized bytes of all recorded checkpoint blobs.
+    /// Always 0: nothing is checkpointed. A name the frozen benchmark
+    /// spells (see `frozen.rs`).
     pub checkpoint_bytes: u64,
-    /// Rounds re-executed from retained transports during rejoins.
-    pub replayed_rounds: u64,
-    /// Machines that completed a crash-then-rejoin cycle, ascending.
+    /// Machines that crashed before their scheduled rejoin and served the
+    /// answering run, ascending.
     pub rejoined: Vec<usize>,
-}
-
-impl RecoveryMetrics {
-    /// True when the run realized at least one recovery action (a
-    /// checkpoint, a replayed round, or a completed rejoin).
-    pub fn any(&self) -> bool {
-        self.checkpoints > 0 || self.replayed_rounds > 0 || !self.rejoined.is_empty()
-    }
 }
 
 /// Byzantine-audit accounting of one run (and, in `knn-core`, of one
@@ -226,19 +212,6 @@ mod tests {
         assert!(f.any());
         let f = FaultMetrics { crashed: vec![2], ..Default::default() };
         assert!(f.any());
-    }
-
-    #[test]
-    fn recovery_metrics_flag_realized_recoveries() {
-        let mut r = RecoveryMetrics::default();
-        assert!(!r.any());
-        r.checkpoints = 2;
-        r.checkpoint_bytes = 48;
-        assert!(r.any());
-        let r = RecoveryMetrics { rejoined: vec![1], ..Default::default() };
-        assert!(r.any());
-        let s = serde_json::to_string(&r).unwrap();
-        assert!(s.contains("\"rejoined\":[1]"));
     }
 
     #[test]

@@ -32,7 +32,6 @@ use crate::ctx::Ctx;
 use crate::message::Envelope;
 use crate::payload::Payload;
 use crate::protocol::{Protocol, Step};
-use crate::snapshot::{SnapshotReader, SnapshotWriter};
 
 /// Wire size of the multiplexing tag prepended to every tagged message.
 pub const MUX_TAG_BITS: u64 = 32;
@@ -79,10 +78,8 @@ pub struct MuxOutput<T> {
     pub done_round: Vec<u64>,
 }
 
-/// One instance plus its private determinism state. The protocol value is
-/// kept after the instance finishes (`live == false`) — never stepped
-/// again, but [`MuxProtocol::restore`] needs a body to rebuild when a
-/// checkpoint predates the instance's completion.
+/// One instance plus its private determinism state. A finished instance
+/// (`live == false`) is never stepped again.
 struct Slot<P> {
     proto: P,
     rng: StdRng,
@@ -182,79 +179,6 @@ impl<P: Protocol> Protocol for MuxProtocol<P> {
         Some(MuxOutput { outputs, done_round: std::mem::take(&mut self.done_round) })
     }
 
-    /// Snapshot every instance: finished ones as a done marker (their
-    /// output survives the crash inside this same value and is re-certified
-    /// by [`MuxProtocol::restore`]), live ones as their inner checkpoint
-    /// blob plus the per-instance RNG state and send-sequence counter. One
-    /// live instance without checkpoint support makes the whole machine
-    /// unsnapshottable (`None`).
-    fn checkpoint(&self) -> Option<Vec<u8>> {
-        let mut w = SnapshotWriter::new();
-        w.u64(self.slots.len() as u64);
-        for slot in &self.slots {
-            w.flag(slot.live);
-            if slot.live {
-                w.bytes(&slot.proto.checkpoint()?);
-                for word in slot.rng.to_state() {
-                    w.u64(word);
-                }
-                w.u64(slot.seq);
-            }
-        }
-        Some(w.finish())
-    }
-
-    /// Rebuild the batch from a [`MuxProtocol::checkpoint`] blob. Instances
-    /// the blob marks live are rewound — inner state restored, RNG stream
-    /// and sequence counter reset, any post-checkpoint output discarded (the
-    /// replay recomputes it). Instances the blob marks done must already
-    /// hold their output (completion is monotone: a checkpoint never knows
-    /// *more* finished instances than the state being restored), and keep
-    /// it. Every live instance comes back awake: whether it was waiting is
-    /// not part of the blob, and one extra step of a waiting instance is a
-    /// no-op by [`Step::Wait`]'s contract.
-    fn restore(&mut self, blob: &[u8]) -> bool {
-        let mut r = SnapshotReader::new(blob);
-        if r.u64() != Some(self.slots.len() as u64) {
-            return false;
-        }
-        let mut remaining = 0usize;
-        self.awake.clear();
-        for (tag, slot) in self.slots.iter_mut().enumerate() {
-            let Some(live) = r.flag() else { return false };
-            slot.awake = live;
-            if live {
-                self.awake.push(tag as u32);
-                let Some(inner) = r.bytes() else { return false };
-                if !slot.proto.restore(inner) {
-                    return false;
-                }
-                let mut state = [0u64; 4];
-                for word in &mut state {
-                    let Some(v) = r.u64() else { return false };
-                    *word = v;
-                }
-                let Some(seq) = r.u64() else { return false };
-                slot.rng = StdRng::from_state(state);
-                slot.seq = seq;
-                slot.live = true;
-                self.outputs[tag] = None;
-                self.done_round[tag] = 0;
-                remaining += 1;
-            } else if slot.live || self.outputs[tag].is_none() {
-                // The blob claims this instance was done at checkpoint time
-                // but the state being restored has no output for it — the
-                // blob cannot belong to this run.
-                return false;
-            }
-        }
-        if !r.done() {
-            return false;
-        }
-        self.remaining = remaining;
-        true
-    }
-
     fn on_round(&mut self, ctx: &mut Ctx<'_, Tagged<P::Msg>>) -> Step<MuxOutput<P::Output>> {
         let m = self.slots.len();
         if ctx.round() == 0 {
@@ -310,7 +234,6 @@ impl<P: Protocol> Protocol for MuxProtocol<P> {
                     rng: &mut slot.rng,
                     next_seq: &mut slot.seq,
                     crash_rounds: ctx.crash_rounds,
-                    rejoin_rounds: ctx.rejoin_rounds,
                     // The outer ctx applies the adversary when the instance's
                     // sends are re-wrapped below ([`Tagged::tamper`] passes
                     // the lie through); arming the inner ctx too would
@@ -426,28 +349,6 @@ mod tests {
             } else {
                 Step::Continue
             }
-        }
-
-        fn checkpoint(&self) -> Option<Vec<u8>> {
-            let mut w = SnapshotWriter::new();
-            w.u64(self.payload);
-            w.u64(self.acc);
-            w.u64(self.finished as u64);
-            Some(w.finish())
-        }
-
-        fn restore(&mut self, blob: &[u8]) -> bool {
-            let mut r = SnapshotReader::new(blob);
-            let (Some(payload), Some(acc), Some(finished)) = (r.u64(), r.u64(), r.u64()) else {
-                return false;
-            };
-            if !r.done() {
-                return false;
-            }
-            self.payload = payload;
-            self.acc = acc;
-            self.finished = finished as usize;
-            true
         }
     }
 
@@ -596,29 +497,6 @@ mod tests {
         assert_eq!(out.metrics.per_tag[0].messages, out.metrics.messages);
     }
 
-    #[test]
-    fn mux_crash_then_rejoin_matches_fault_free_run() {
-        let k = 3;
-        let payloads = [2u64, 9, 4];
-        let clean = muxed(k, &payloads, 13);
-        // Crash round 2 lands after the short tag finishes on the worker, so
-        // the checkpoint carries a mix of done and live instances and the
-        // restore exercises both the rewind and the kept-output branch.
-        for (crash, rejoin) in [(1u64, 3u64), (2, 6)] {
-            let cfg = NetConfig::new(k)
-                .with_seed(13)
-                .with_bandwidth(BandwidthMode::Enforce { bits_per_round: 256 })
-                .with_rejoin(1, crash, rejoin);
-            let out = run_sync(&cfg, mux_fleet(k, &payloads)).unwrap();
-            assert_eq!(out.outputs, clean.outputs, "crash {crash} rejoin {rejoin}");
-            assert_eq!(out.metrics.messages, clean.metrics.messages);
-            assert_eq!(out.metrics.bits, clean.metrics.bits);
-            assert_eq!(out.recovery.rejoined, vec![1]);
-            assert!(out.recovery.checkpoints > 0);
-            assert!(out.faults.crashed.is_empty());
-        }
-    }
-
     /// Counts its own steps (the one liberty this fixture takes with the
     /// [`Step::Wait`] contract); waits for mail; a nonzero word finishes it.
     struct Sleeper {
@@ -635,12 +513,6 @@ mod tests {
             } else {
                 Step::Wait
             }
-        }
-        fn checkpoint(&self) -> Option<Vec<u8>> {
-            Some(self.steps.to_le_bytes().to_vec())
-        }
-        fn restore(&mut self, blob: &[u8]) -> bool {
-            blob.try_into().map(|b| self.steps = u64::from_le_bytes(b)).is_ok()
         }
     }
 
@@ -672,7 +544,6 @@ mod tests {
             rng: &mut rng,
             next_seq: &mut 0,
             crash_rounds: &[u64::MAX; 2],
-            rejoin_rounds: &[u64::MAX; 2],
             adversary: None,
         };
         mux.on_round(&mut ctx)
@@ -697,23 +568,15 @@ mod tests {
         assert_eq!(steps(&mux), [1, 1, 2, 1]);
         // Woken tags run in tag order whatever order their mail came in, and
         // a finished instance's mail wakes nobody.
-        let blob = mux.checkpoint().expect("sleepers checkpoint");
         assert!(matches!(mux_round(&mut mux, 4, &[(3, 0), (1, 1)]), Step::Wait));
         assert_eq!(steps(&mux), [1, 2, 2, 2]);
         assert_eq!((mux.done_round[1], mux.remaining), (4, 3));
         assert!(matches!(mux_round(&mut mux, 5, &[(1, 0)]), Step::Wait));
         assert_eq!(steps(&mux), [1, 2, 2, 2]);
-        // A restore rewinds to the checkpoint and wakes every instance that
-        // was live in it — one step each, mail or no mail — exactly once.
-        assert!(mux.restore(&blob));
-        assert!(matches!(mux_round(&mut mux, 4, &[]), Step::Wait));
-        assert_eq!(steps(&mux), [2, 2, 3, 2]);
-        assert!(matches!(mux_round(&mut mux, 5, &[]), Step::Wait));
-        assert_eq!(steps(&mux), [2, 2, 3, 2]);
         // The last instances finishing ends the machine.
         let done = mux_round(&mut mux, 6, &[(0, 1), (1, 1), (2, 1), (3, 1)]);
         let Step::Done(out) = done else { panic!("all four finished") };
-        assert_eq!(out.outputs, [Some(3), Some(3), Some(4), Some(3)]);
+        assert_eq!(out.outputs, [Some(2), Some(2), Some(3), Some(3)]);
     }
 
     #[test]

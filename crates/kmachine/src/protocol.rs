@@ -15,9 +15,9 @@ pub enum Step<T> {
     /// machine step the [engine](crate::engine) drives does not step a
     /// waiting machine whose inbox is empty, and
     /// [`MuxProtocol`](crate::mux::MuxProtocol) does not step a waiting
-    /// instance without mail — or make them anyway (a restored mux steps
-    /// every live instance once): by the promise the two executions are
-    /// byte-identical. See [`Protocol`] for who may and may not return it.
+    /// instance without mail — or make them anyway: by the promise the two
+    /// executions are byte-identical. See [`Protocol`] for who may and may
+    /// not return it.
     Wait,
     /// This machine is finished and yields its local output. The engine
     /// stops scheduling it; late messages addressed to it are discarded
@@ -51,13 +51,10 @@ pub enum Step<T> {
 ///   schedule) and counts toward stall detection and `max_rounds` exactly
 ///   as a no-op step would.
 /// * **Never return `Wait` from a state that watches the clock.** Anything
-///   that reads [`Ctx::round`], [`Ctx::crashed`] or [`Ctx::rejoined`] to
-///   decide what to do can change its mind on an empty inbox, so it must
-///   keep `Continue`: the gather leader of `SimpleProtocol` (knn-core)
-///   writes off a sender once `ctx.crashed(s)` turns true, and the crate's
-///   recovery wrapper needs its per-round checkpoint / retain / rejoin
-///   ticks until the scheduled rejoin has happened, so it reports `Wait` as
-///   `Continue` until then.
+///   that reads [`Ctx::round`] or [`Ctx::crashed`] to decide what to do can
+///   change its mind on an empty inbox, so it must keep `Continue`: the
+///   gather leader of `SimpleProtocol` (knn-core) writes off a sender once
+///   `ctx.crashed(s)` turns true.
 pub trait Protocol {
     /// Message type exchanged by this protocol.
     type Msg: Payload;
@@ -79,30 +76,6 @@ pub trait Protocol {
     /// so callers can retry over the survivors.
     fn on_crash(&mut self) -> Option<Self::Output> {
         None
-    }
-
-    /// Serialize this machine's protocol state for crash-recovery (see
-    /// [`crate::config::RecoveryPlan`]). Called at the top of a round,
-    /// before that round executes; the blob must capture everything
-    /// [`Protocol::restore`] needs to resume from exactly that point.
-    ///
-    /// Returning `None` (the default) means the state is not serializable
-    /// right now — a scheduled rejoin that finds no usable checkpoint fails
-    /// loudly with [`crate::EngineError::Crashed`] rather than silently
-    /// degrading to a permanent fail-stop (the one exception: a machine
-    /// that crashes at round 0 never executed, so its untouched instance
-    /// rejoins from the implicit pristine snapshot even without this hook).
-    fn checkpoint(&self) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// Rebuild this instance's state from a blob produced by
-    /// [`Protocol::checkpoint`], discarding whatever state it currently
-    /// holds. Returns whether the restore succeeded; `false` (the default)
-    /// marks the rejoin unsupported and the run fails with
-    /// [`crate::EngineError::Crashed`].
-    fn restore(&mut self, _blob: &[u8]) -> bool {
-        false
     }
 }
 
@@ -129,11 +102,5 @@ mod tests {
     #[test]
     fn crash_hook_defaults_to_unsalvageable() {
         assert_eq!(Nop.on_crash(), None);
-    }
-
-    #[test]
-    fn checkpoint_hooks_default_to_unsupported() {
-        assert_eq!(Nop.checkpoint(), None);
-        assert!(!Nop.restore(&[1, 2, 3]));
     }
 }

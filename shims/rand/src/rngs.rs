@@ -22,28 +22,6 @@ pub struct StdRng {
     s: [u64; 4],
 }
 
-impl StdRng {
-    /// The generator's raw 256-bit state, for serialization (checkpoints).
-    /// Feeding the words back through [`StdRng::from_state`] resumes the
-    /// stream exactly where it left off.
-    #[inline]
-    pub fn to_state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuild a generator from a state captured by [`StdRng::to_state`].
-    /// An all-zero state is a fixed point of xoshiro256++, so it is mapped
-    /// to the seed-0 expansion instead of silently generating zeros forever.
-    #[inline]
-    pub fn from_state(s: [u64; 4]) -> Self {
-        if s == [0, 0, 0, 0] {
-            Self::seed_from_u64(0)
-        } else {
-            StdRng { s }
-        }
-    }
-}
-
 impl SeedableRng for StdRng {
     fn seed_from_u64(seed: u64) -> Self {
         // Expand via SplitMix64 per the xoshiro authors' recommendation; the
@@ -83,19 +61,6 @@ mod tests {
             let rng = StdRng::seed_from_u64(seed);
             assert_ne!(rng.s, [0, 0, 0, 0]);
         }
-    }
-
-    #[test]
-    fn state_round_trips_through_accessors() {
-        let mut rng = StdRng::seed_from_u64(42);
-        rng.next_u64();
-        let mut resumed = StdRng::from_state(rng.to_state());
-        for _ in 0..16 {
-            assert_eq!(rng.next_u64(), resumed.next_u64());
-        }
-        // The all-zero fixed point is rejected rather than honored.
-        let mut z = StdRng::from_state([0; 4]);
-        assert_ne!(z.next_u64(), 0);
     }
 
     #[test]

@@ -14,11 +14,11 @@
 
 use kmachine::error::EngineError;
 use kmachine::{AdversaryPlan, FaultPlan, RecoveryPlan};
-use knn_core::cluster::{KnnCluster, Neighbor};
+use knn_core::cluster::{BatchAnswer, ClusterBuilder, KnnAnswer, KnnCluster, Neighbor};
 use knn_core::error::CoreError;
-use knn_core::runner::{Algorithm, ElectionKind};
+use knn_core::runner::{Algorithm, ElectionKind, RetryPolicy};
 use knn_core::IndexBackend;
-use knn_points::{Dataset, Record, ScalarPoint};
+use knn_points::{Dataset, IdAssigner, Record, ScalarPoint};
 use knn_workloads::ScalarWorkload;
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -43,7 +43,7 @@ fn cluster(k: usize, seed: u64, faults: FaultPlan) -> KnnCluster {
 }
 
 /// A loaded cluster scheduled to self-heal: no fail-stop faults, but a
-/// crash-then-rejoin recovery plan (checkpoint/restore inside the run).
+/// crash-then-rejoin recovery plan (healed by re-running the query).
 fn healing_cluster(k: usize, seed: u64, recovery: RecoveryPlan) -> KnnCluster {
     let shards = ScalarWorkload::small(512).generate(k, seed);
     let mut cluster: KnnCluster = KnnCluster::builder()
@@ -242,53 +242,85 @@ fn empty_shards_are_healthy_not_degraded() {
     }
 }
 
-/// Crash-then-rejoin is **invisible to the answer** at every pool size: a
-/// machine that goes dark mid-batch, restores from its
-/// last protocol checkpoint, and replays the retained rounds produces a
-/// batch byte-identical to the fault-free reference — same neighbors,
-/// same aggregate metrics — with `degraded` cleared (the rejoined shard
-/// served), no realized crash, and the recovery work reported on the
-/// answer (`recovered`, `replayed_rounds`).
+/// Every query kind: the four exact algorithms, then the approximate query.
+const KINDS: [Option<Algorithm>; 5] = [
+    Some(Algorithm::Knn),
+    Some(Algorithm::Simple),
+    Some(Algorithm::SaukasSong),
+    Some(Algorithm::BinSearch),
+    None,
+];
+
+/// `kind`'s batch over `qs` (`None`: the approximate batch).
+fn batch_of(
+    c: &KnnCluster,
+    kind: Option<Algorithm>,
+    qs: &[ScalarPoint],
+    ell: usize,
+) -> BatchAnswer {
+    match kind {
+        Some(algo) => c.query_batch_with(algo, qs, ell),
+        None => c.query_batch_approx(qs, ell),
+    }
+    .expect("batch")
+}
+
+/// `kind`'s single query (`None`: the approximate query).
+fn query_of(c: &KnnCluster, kind: Option<Algorithm>, q: &ScalarPoint, ell: usize) -> KnnAnswer {
+    match kind {
+        Some(algo) => c.query_with(algo, q, ell),
+        None => c.query_approx(q, ell),
+    }
+    .expect("query")
+}
+
+/// Crash-then-rejoin is **invisible to the answer** for every query kind,
+/// single or batched, at every pool size: the machine that went dark is
+/// back for the query's re-run, so the answer and its costs are the
+/// fault-free run's — `degraded` clear, every shard used, no realized
+/// crash — and the rejoin shows only in `attempts` and `recovery`.
 #[test]
-fn rejoin_is_byte_identical_on_every_engine() {
+fn rejoin_heals_every_query_kind() {
     let (seed, k, ell) = (67u64, 4usize, 6usize);
     let qs = queries(seed, 4);
-    let want = with_pool(1, || {
-        let c = cluster(k, seed, FaultPlan::default());
-        c.query_batch_with(Algorithm::Simple, &qs, ell).expect("fault-free reference")
-    });
-    assert!(!want.recovered);
-    assert_eq!(want.replayed_rounds, 0);
     let plan = RecoveryPlan::default().with_rejoin(2, 2, 5);
-    let mut replayed = Vec::new();
-    for pool in [1usize, 8] {
-        let got = with_pool(pool, || {
-            let c = healing_cluster(k, seed, plan.clone());
-            c.query_batch_with(Algorithm::Simple, &qs, ell).expect("healing batch")
+    for kind in KINDS {
+        let (want, want_one) = with_pool(1, || {
+            let c = cluster(k, seed, FaultPlan::default());
+            (batch_of(&c, kind, &qs, ell), query_of(&c, kind, &qs[0], ell))
         });
-        let label = format!("pool {pool}");
-        for (g, w) in got.answers.iter().zip(&want.answers) {
-            assert_eq!(g.neighbors, w.neighbors, "rejoin changed an answer: {label}");
+        assert!(!want.recovered);
+        for pool in [1usize, 8] {
+            let (got, got_one) = with_pool(pool, || {
+                let c = healing_cluster(k, seed, plan.clone());
+                (batch_of(&c, kind, &qs, ell), query_of(&c, kind, &qs[0], ell))
+            });
+            let single = got_one.report.clone();
+            let runs =
+                [(&got.report, &want.report, "batch"), (&single, &want_one.report, "single")];
+            for (g, w, shape) in runs {
+                let label = format!("{kind:?} {shape} pool {pool}");
+                assert_eq!(g.metrics, w.metrics, "rejoin changed the metrics: {label}");
+                assert!(!g.degraded, "the rejoined shard serves; nothing is degraded: {label}");
+                assert_eq!(g.shards_used, k, "{label}");
+                assert!(g.faults.crashed.is_empty(), "the answering run had no crash: {label}");
+                assert_eq!(g.attempts, 2, "the crashed run, then the re-run: {label}");
+                assert!(g.recovered, "{label}");
+                assert_eq!(g.recovery.rejoined, vec![2], "{label}");
+                assert_eq!(g.recovery.checkpoint_bytes, 0, "{label}");
+            }
+            assert_eq!(got_one.neighbors, want_one.neighbors, "{kind:?} single pool {pool}");
+            for (g, w) in got.answers.iter().zip(&want.answers) {
+                assert_eq!(g.neighbors, w.neighbors, "rejoin changed an answer: {kind:?}");
+                assert_eq!(g.contains_exact, w.contains_exact, "{kind:?}");
+            }
         }
-        assert_eq!(got.metrics, want.metrics, "rejoin changed the metrics: {label}");
-        assert!(!got.degraded, "the rejoined shard serves; nothing is degraded: {label}");
-        assert_eq!(got.shards_used, k, "{label}");
-        assert!(got.faults.crashed.is_empty(), "a healed crash is not a realized fault: {label}");
-        assert!(got.recovered, "the recovery work must be reported: {label}");
-        assert_eq!(got.attempts, 1, "rejoin heals in-run, without a retry: {label}");
-        assert!(got.replayed_rounds >= 1, "{label}");
-        replayed.push(got.replayed_rounds);
     }
-    assert!(
-        replayed.windows(2).all(|w| w[0] == w[1]),
-        "recovery metrics must be pool-invariant: {replayed:?}"
-    );
 }
 
 /// The same crash **without** a rejoin plan degrades the answer; with the
 /// plan, the identical crash round heals. This is the self-healing
-/// contract in one contrast — and it holds on the single-query path too
-/// (BinSearch exercises the other checkpointable protocol).
+/// contract in one contrast, on the single-query path.
 #[test]
 fn rejoin_clears_the_degraded_flag_a_bare_crash_sets() {
     let (seed, k, ell) = (71u64, 4usize, 6usize);
@@ -306,36 +338,145 @@ fn rejoin_clears_the_degraded_flag_a_bare_crash_sets() {
     assert!(!healed.degraded, "the rejoined shard clears the flag");
     assert_eq!(healed.shards_used, k);
     assert!(healed.recovered);
-    assert_eq!(healed.attempts, 1);
-    assert!(healed.replayed_rounds >= 1);
+    assert_eq!(healed.attempts, 2);
+    assert_eq!(healed.recovery.rejoined, vec![2]);
     assert_eq!(healed.neighbors, want.neighbors, "healed answer is byte-identical");
-    // The leader-driven bisection genuinely waits out the offline window
-    // (its next probe needs the dark worker's report), so the round count
-    // may stretch — but the conversation itself is byte-identical: same
-    // messages, same bits.
-    assert_eq!(healed.metrics.messages, want.metrics.messages);
-    assert_eq!(healed.metrics.bits, want.metrics.bits);
-    assert!(healed.metrics.rounds >= want.metrics.rounds);
+    assert_eq!(healed.metrics, want.metrics, "the answering run is the fault-free run");
 }
 
-/// A representative self-healing run — crash, checkpoint-restore, replay,
-/// rejoin — written to `results/recovery_metrics.json` for the CI chaos
-/// leg's artifact upload.
+/// A cluster over four value ranges (machine `i` holds `100i..100i+100`),
+/// so a query can be aimed at one machine's points.
+fn range_cluster(builder: ClusterBuilder) -> KnnCluster {
+    let mut ids = IdAssigner::new(0);
+    let shards = (0..4u64)
+        .map(|i| {
+            Dataset::from_points((i * 100..i * 100 + 100).map(ScalarPoint).collect(), &mut ids)
+        })
+        .collect();
+    let mut cluster: KnnCluster = builder.machines(4).seed(5).election(ElectionKind::Fixed).build();
+    cluster.load_shards(shards).expect("shard count");
+    cluster
+}
+
+/// The edges of healing by restart: a one-machine cluster, a rejoining
+/// leader (kept, no re-election), a crash at round 0 (Simple salvages an
+/// empty claim there, which completes the run without the shard; no answer
+/// is kept from it), and two rejoiners at different rounds (one re-run
+/// each).
+#[test]
+fn rejoin_edge_cases_heal() {
+    let (seed, ell) = (41u64, 6usize);
+    let q = ScalarPoint(seed.wrapping_mul(127));
+    for algo in Algorithm::ALL {
+        // k = 1: the only machine is waited for, not given up on.
+        let want = cluster(1, seed, FaultPlan::default()).query_with(algo, &q, ell).unwrap();
+        let got = healing_cluster(1, seed, RecoveryPlan::default().with_rejoin(0, 0, 2))
+            .query_with(algo, &q, ell)
+            .expect("k = 1 heals");
+        assert_eq!(got.neighbors, want.neighbors, "{algo:?} k = 1");
+        assert_eq!((got.attempts, got.recovery.rejoined.clone()), (2, vec![0]), "{algo:?}");
+        assert!(!got.degraded, "{algo:?} k = 1");
+
+        let k = 4;
+        let clean = cluster(k, seed, FaultPlan::default());
+        let want = clean.query_with(algo, &q, ell).unwrap();
+        // The leader rejoins: it keeps the lead, nobody is re-elected.
+        let got = healing_cluster(k, seed, RecoveryPlan::default().with_rejoin(0, 1, 4))
+            .query_with(algo, &q, ell)
+            .expect("leader rejoin heals");
+        // A re-election over machines 1..k would have picked machine 1.
+        assert_eq!(got.leader, 0, "{algo:?}: a rejoining leader keeps the lead");
+        assert_eq!(got.neighbors, want.neighbors, "{algo:?} leader");
+        assert_eq!(got.metrics, want.metrics, "{algo:?} leader");
+        assert_eq!(got.recovery.rejoined, vec![0], "{algo:?}");
+        // Crash round 0: the machine never runs, whatever it salvages.
+        let got = healing_cluster(k, seed, RecoveryPlan::default().with_rejoin(2, 0, 3))
+            .query_with(algo, &q, ell)
+            .expect("round-0 rejoin heals");
+        assert_eq!(got.neighbors, want.neighbors, "{algo:?} round 0");
+        assert_eq!(got.metrics, want.metrics, "{algo:?} round 0");
+        assert_eq!((got.attempts, got.shards_used), (2, k), "{algo:?} round 0");
+        assert!(!got.degraded, "{algo:?} round 0");
+        // Two rejoiners: each unmultiplexed run stops at the first dead
+        // machine, so each rejoin costs a re-run of its own.
+        let two = RecoveryPlan::default().with_rejoin(1, 1, 3).with_rejoin(2, 3, 6);
+        let got = healing_cluster(k, seed, two).query_with(algo, &q, ell).expect("two rejoins");
+        assert_eq!(got.neighbors, want.neighbors, "{algo:?} two rejoiners");
+        assert_eq!((got.attempts, got.recovery.rejoined.clone()), (3, vec![1, 2]), "{algo:?}");
+    }
+}
+
+/// A rejoin is charged to the retry policy like any re-run, and waits for
+/// the machine: a budget of one attempt, or a round deadline below the
+/// rejoin round, is a typed [`CoreError::DeadlineExceeded`].
+#[test]
+fn rejoin_is_charged_to_the_retry_policy() {
+    let (seed, k, ell) = (43u64, 4usize, 6usize);
+    let q = ScalarPoint(seed.wrapping_mul(127));
+    let plan = RecoveryPlan::default().with_rejoin(2, 1, 40);
+    let build = |retry: RetryPolicy| {
+        let shards = ScalarWorkload::small(512).generate(k, seed);
+        let mut c: KnnCluster = KnnCluster::builder()
+            .machines(k)
+            .seed(seed)
+            .election(ElectionKind::Fixed)
+            .recovery(plan.clone())
+            .retry(retry)
+            .build();
+        c.load_shards(shards).expect("shard count");
+        c
+    };
+    let err =
+        build(RetryPolicy { max_attempts: 1, ..Default::default() }).query(&q, ell).unwrap_err();
+    assert!(matches!(err, CoreError::DeadlineExceeded { attempts: 1, .. }), "{err:?}");
+    let err = build(RetryPolicy { deadline_rounds: 39, ..Default::default() })
+        .query(&q, ell)
+        .unwrap_err();
+    assert!(
+        matches!(err, CoreError::DeadlineExceeded { spent_rounds, .. } if spent_rounds >= 40),
+        "the retry waits out the rejoin round: {err:?}"
+    );
+    let ok = build(RetryPolicy { deadline_rounds: 40, ..Default::default() }).query(&q, ell);
+    assert_eq!(ok.expect("a deadline at the rejoin round suffices").attempts, 2);
+}
+
+/// A machine that crashes before its rejoin and also lies rejoins for the
+/// next run, is caught lying there, and is quarantined: the answer is the
+/// honest survivors', and the machine is not reported rejoined.
+#[test]
+fn a_lying_rejoiner_is_quarantined() {
+    let q = ScalarPoint(250);
+    let liar = range_cluster(
+        KnnCluster::builder()
+            .adversary(AdversaryPlan::default().with_lie(2, 0))
+            .recovery(RecoveryPlan::default().with_rejoin(2, 2, 5)),
+    );
+    let got = liar.query_with(Algorithm::Knn, &q, 6).expect("quarantine");
+    assert_eq!(got.audit.suspects_quarantined, 1);
+    assert!(got.recovery.rejoined.is_empty(), "a quarantined machine is not rejoined");
+    assert!(got.degraded);
+    assert_eq!(got.shards_used, 3);
+    assert!(got.neighbors.iter().all(|n| n.machine != 2), "the liar contributes nothing");
+    let honest = range_cluster(KnnCluster::builder().faults(FaultPlan::default().with_crash(2, 0)));
+    let want = honest.query_with(Algorithm::Knn, &q, 6).expect("survivor reference");
+    assert_eq!(ids_and_dists(&got.neighbors), ids_and_dists(&want.neighbors));
+}
+
+/// A representative self-healing run — crash, wait for the rejoin, re-run —
+/// written to `results/recovery_metrics.json` for the CI chaos leg's
+/// artifact upload.
 #[test]
 fn recovery_metrics_artifact() {
     let (seed, k, ell) = (73u64, 5usize, 6usize);
     let qs = queries(seed, 4);
     let batch = with_pool(4, || {
-        let c = healing_cluster(
-            k,
-            seed,
-            RecoveryPlan::default().with_rejoin(1, 2, 6).with_checkpoint_interval(2),
-        );
+        let c = healing_cluster(k, seed, RecoveryPlan::default().with_rejoin(1, 2, 6));
         c.query_batch_with(Algorithm::Simple, &qs, ell).expect("healing batch")
     });
     assert!(batch.recovered, "the artifact must witness actual recovery work");
     assert!(!batch.degraded);
-    assert!(batch.replayed_rounds >= 1);
+    assert_eq!(batch.attempts, 2);
+    assert_eq!(batch.recovery.rejoined, vec![1]);
     std::fs::create_dir_all("results").expect("results dir");
     let json = serde_json::to_string_pretty(&batch).expect("serialize");
     std::fs::write("results/recovery_metrics.json", json).expect("write artifact");
@@ -403,9 +544,9 @@ fn byzantine_recovery_is_engine_and_pool_invariant() {
     }
 }
 
-/// Compound faults in one run: survivable link loss **and** a crash-then-
-/// rejoin window together. The rejoin heals in-run, the loss retransmits,
-/// and the whole thing stays byte-identical across pool sizes.
+/// Compound faults: survivable link loss **and** a crash-then-rejoin
+/// together. The rejoin heals by a re-run, the loss retransmits, and the
+/// whole thing stays byte-identical across pool sizes.
 #[test]
 fn loss_plus_rejoin_compound_is_engine_and_pool_invariant() {
     let (seed, k, ell) = (89u64, 4usize, 6usize);
@@ -419,7 +560,8 @@ fn loss_plus_rejoin_compound_is_engine_and_pool_invariant() {
     });
     assert!(want.recovered, "the rejoin is recovery work");
     assert!(!want.degraded, "the healed shard serves");
-    assert!(want.replayed_rounds >= 1);
+    assert_eq!(want.attempts, 2);
+    assert_eq!(want.recovery.rejoined, vec![2]);
     assert!(want.faults.dropped_messages > 0, "the loss process must actually bite");
     for pool in [2usize, 8] {
         let got = with_pool(pool, || {
@@ -438,16 +580,16 @@ fn loss_plus_rejoin_compound_is_engine_and_pool_invariant() {
         }
         assert_eq!(got.metrics, want.metrics, "{label}");
         assert_eq!(got.faults, want.faults, "realized faults diverged: {label}");
-        assert_eq!(got.replayed_rounds, want.replayed_rounds, "{label}");
+        assert_eq!(got.attempts, want.attempts, "{label}");
+        assert_eq!(got.recovery, want.recovery, "{label}");
     }
 }
 
-/// An adversary lying while another machine is inside its crash-rejoin
-/// replay window: the rejoiner heals, the liar is caught and quarantined,
-/// and the certified answer equals the honest survivors' — identically at
-/// every pool size.
+/// An adversary lying while another machine is down for a rejoin: the
+/// rejoiner heals, the liar is caught and quarantined, and the certified
+/// answer equals the honest survivors' — identically at every pool size.
 #[test]
-fn lie_during_a_replay_window_is_caught_and_invariant() {
+fn lie_during_a_rejoin_is_caught_and_invariant() {
     let (seed, k, ell) = (97u64, 4usize, 6usize);
     let qs = queries(seed, 3);
     let adversary = AdversaryPlan::default().with_lie(1, 0);
@@ -455,11 +597,11 @@ fn lie_during_a_replay_window_is_caught_and_invariant() {
     let want = with_pool(1, || {
         let c =
             byzantine_cluster(k, seed, adversary.clone(), FaultPlan::default(), recovery.clone());
-        c.query_batch_with(Algorithm::Simple, &qs, ell).expect("lie-during-replay batch")
+        c.query_batch_with(Algorithm::Simple, &qs, ell).expect("lie-during-rejoin batch")
     });
     assert_eq!(want.audit.suspects_quarantined, 1, "the liar must be caught");
-    // Honest reference: the survivors (everyone but the liar) with the
-    // same rejoin window, shifted onto the 3-machine layout.
+    assert_eq!(want.recovery.rejoined, vec![2], "the rejoiner serves the answer");
+    // Honest reference: the survivors (everyone but the liar), fault-free.
     let shards = ScalarWorkload::small(512).generate(k, seed);
     let mut honest: KnnCluster =
         KnnCluster::builder().machines(k - 1).seed(seed).election(ElectionKind::Fixed).build();
@@ -477,7 +619,7 @@ fn lie_during_a_replay_window_is_caught_and_invariant() {
     let got = with_pool(8, || {
         let c =
             byzantine_cluster(k, seed, adversary.clone(), FaultPlan::default(), recovery.clone());
-        c.query_batch_with(Algorithm::Simple, &qs, ell).expect("lie-during-replay batch")
+        c.query_batch_with(Algorithm::Simple, &qs, ell).expect("lie-during-rejoin batch")
     });
     for (g, w) in got.answers.iter().zip(&want.answers) {
         assert_eq!(g.neighbors, w.neighbors, "pool 8");

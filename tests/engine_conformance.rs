@@ -3,13 +3,11 @@
 //! Every protocol, solo and multiplexed, against [`Ticking`] — the same
 //! protocol with every `Step::Wait` reported as `Step::Continue`, i.e.
 //! stepped every round. By `Step::Wait`'s contract the two schedules must
-//! agree byte for byte — fault-free, across a crash-round sweep, and
-//! through a crash-and-rejoin.
+//! agree byte for byte — fault-free and across a crash-round sweep.
 
 use kmachine::engine::run_sync;
 use kmachine::{
-    Ctx, EngineError, FaultMetrics, FaultPlan, MuxProtocol, NetConfig, Protocol, RecoveryMetrics,
-    RunMetrics, Step,
+    Ctx, EngineError, FaultMetrics, FaultPlan, MuxProtocol, NetConfig, Protocol, RunMetrics, Step,
 };
 use knn_core::protocols::binsearch::BinSearchProtocol;
 use knn_core::protocols::saukas_song::SaukasSongProtocol;
@@ -32,22 +30,16 @@ impl<P: Protocol> Protocol for Ticking<P> {
     fn on_crash(&mut self) -> Option<P::Output> {
         self.0.on_crash()
     }
-    fn checkpoint(&self) -> Option<Vec<u8>> {
-        self.0.checkpoint()
-    }
-    fn restore(&mut self, blob: &[u8]) -> bool {
-        self.0.restore(blob)
-    }
 }
 
 /// Everything a run leaves behind except wall clock: outputs (a mux's
 /// `done_round` included), the whole of `RunMetrics` (`per_tag`,
 /// `sends_per_machine`, `max_link_backlog_bits`, `delivered_after_done`),
-/// realized faults and recoveries — or the error.
-type Observed<T> = Result<(Vec<T>, RunMetrics, FaultMetrics, RecoveryMetrics), EngineError>;
+/// realized faults — or the error.
+type Observed<T> = Result<(Vec<T>, RunMetrics, FaultMetrics), EngineError>;
 
 fn observe<P: Protocol>(cfg: &NetConfig, protos: Vec<P>) -> Observed<P::Output> {
-    run_sync(cfg, protos).map(|o| (o.outputs, o.metrics, o.faults, o.recovery))
+    run_sync(cfg, protos).map(|o| (o.outputs, o.metrics, o.faults))
 }
 
 const ORACLE_ELL: u64 = 8;
@@ -99,19 +91,6 @@ where
     }
 }
 
-/// Machine 1 of four down at `crash`, restored and replayed at `rejoin`:
-/// the two checkpointing protocols, through the recovery wrapper.
-fn sweep_rejoins<P>(what: &str, seat: impl Fn(usize, usize) -> P)
-where
-    P: Protocol,
-    P::Output: PartialEq + std::fmt::Debug,
-{
-    for (crash, rejoin) in [(0, 2), (1, 3), (2, 6), (3, 4), (5, 11)] {
-        let cfg = NetConfig::new(4).with_seed(29).with_rejoin(1, crash, rejoin);
-        assert_wait_is_a_noop(&format!("{what} rejoin {crash}->{rejoin}"), &cfg, &seat);
-    }
-}
-
 #[test]
 fn waiting_is_a_noop_for_algorithm_2() {
     sweep_crashes("knn", 4, |i, j| {
@@ -127,7 +106,6 @@ fn waiting_is_a_noop_for_simple() {
     // only a leader that keeps ticking writes it off. (At k = 4 the other
     // workers' batches happen to wake a leader that wrongly waits.)
     sweep_crashes("simple", 2, seat);
-    sweep_rejoins("simple", seat);
 }
 
 #[test]
@@ -141,7 +119,6 @@ fn waiting_is_a_noop_for_saukas_song() {
 fn waiting_is_a_noop_for_binsearch() {
     let seat = |i, j| BinSearchProtocol::from_keys(i, 4, 0, ORACLE_ELL, oracle_keys(i, j));
     sweep_crashes("binsearch", 4, seat);
-    sweep_rejoins("binsearch", seat);
 }
 
 #[test]
