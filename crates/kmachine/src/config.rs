@@ -550,7 +550,7 @@ mod tests {
     }
 
     #[test]
-    fn recovery_plan_folds_pending_rejoins_into_crashes_and_validates() {
+    fn recovery_plan_defaults_builders_and_lookups() {
         assert!(RecoveryPlan::default().is_empty());
         assert_eq!(RecoveryPlan::default().rejoin_round(1), u64::MAX);
         let plan = RecoveryPlan::default().with_rejoin(1, 3, 7).with_rejoin(2, 5, 9);
@@ -558,6 +558,23 @@ mod tests {
         assert_eq!(plan.rejoins, vec![(1, 3, 7), (2, 5, 9)]);
         assert_eq!(plan.rejoin_round(1), 7);
         assert_eq!(plan.rejoin_round(0), u64::MAX);
+    }
+
+    #[test]
+    fn recovery_plan_projection_drops_and_remaps() {
+        // A pending rejoin is projected as the fail-stop crash it folds into.
+        let plan = RecoveryPlan::default().with_rejoin(1, 3, 7).with_rejoin(3, 2, 5);
+        let faults = FaultPlan::default().with_crash(2, 4);
+        // Machine 1 was excluded; 0, 2, 3 survive as 0, 1, 2.
+        let sub = plan.crashes(&faults, &[]).project(&[0, 2, 3]);
+        assert_eq!(sub.crashes, vec![(1, 4), (2, 2)]);
+        // Once machine 3 has rejoined it is projected as a live machine.
+        assert_eq!(plan.crashes(&faults, &[3]).project(&[0, 2, 3]).crashes, vec![(1, 4)]);
+    }
+
+    #[test]
+    fn recovery_plan_folds_pending_rejoins_into_crashes_and_validates() {
+        let plan = RecoveryPlan::default().with_rejoin(1, 3, 7).with_rejoin(2, 5, 9);
 
         // Until a machine has rejoined, its entry is a fail-stop crash.
         let faults = FaultPlan::default().with_crash(0, 4).with_loss(10, 5);
