@@ -1,7 +1,9 @@
 //! A tiny `--flag value` argument parser (keeps the harness free of CLI
-//! dependencies; every binary documents its flags with `--help`).
+//! dependencies; every `paper` subcommand documents its flags in its module
+//! doc).
 
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
 /// Parsed command-line flags.
 #[derive(Debug, Default)]
@@ -11,12 +13,6 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse `std::env::args()`, treating `--key value` as a flag and a
-    /// bare `--key` (followed by another flag or nothing) as a switch.
-    pub fn parse() -> Self {
-        Self::from_tokens(std::env::args().skip(1))
-    }
-
     /// Parse from an explicit iterator (testable).
     pub fn from_tokens(iter: impl IntoIterator<Item = String>) -> Self {
         let tokens: Vec<String> = iter.into_iter().collect();
@@ -43,24 +39,11 @@ impl Args {
         self.switches.iter().any(|s| s == key)
     }
 
-    /// A numeric flag with a default.
-    pub fn get_usize(&self, key: &str, default: usize) -> usize {
+    /// A flag parsed as `T`, or `default` when absent. A value that does not
+    /// parse as `T` — malformed, or out of `T`'s range — panics.
+    pub fn get<T: FromStr>(&self, key: &str, default: T) -> T {
         self.flags.get(key).map_or(default, |v| {
-            v.parse().unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}"))
-        })
-    }
-
-    /// A u64 flag with a default.
-    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.flags.get(key).map_or(default, |v| {
-            v.parse().unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}"))
-        })
-    }
-
-    /// A float flag with a default.
-    pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.flags.get(key).map_or(default, |v| {
-            v.parse().unwrap_or_else(|_| panic!("--{key} expects a number, got {v:?}"))
+            v.parse().unwrap_or_else(|_| panic!("--{key} expects {}, got {v:?}", expected::<T>()))
         })
     }
 
@@ -86,6 +69,14 @@ impl Args {
     }
 }
 
+/// How a flag of type `T` is named in the parse-error message.
+fn expected<T>() -> String {
+    match std::any::type_name::<T>() {
+        "f32" | "f64" => "a number".to_string(),
+        ty => format!("an integer ({ty})"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,13 +88,13 @@ mod tests {
     #[test]
     fn flags_switches_lists() {
         let a = parse("--k 8 --full --ells 1,2,4");
-        assert_eq!(a.get_usize("k", 0), 8);
+        assert_eq!(a.get("k", 0usize), 8);
         assert!(a.has("full"));
         assert!(!a.has("quick"));
         assert_eq!(a.get_list("ells", &[9]), vec![1, 2, 4]);
         assert_eq!(a.get_list("ks", &[9]), vec![9]);
-        assert_eq!(a.get_u64("seed", 7), 7);
-        assert_eq!(a.get_f64("alpha", 0.5), 0.5);
+        assert_eq!(a.get("seed", 7u64), 7);
+        assert_eq!(a.get("alpha", 0.5f64), 0.5);
         assert_eq!(parse("--corrupt 0,1").get_str("corrupt", ""), "0,1");
         assert_eq!(parse("").get_str("lie", "none"), "none");
     }
@@ -112,6 +103,12 @@ mod tests {
     #[should_panic(expected = "expects an integer")]
     fn bad_value_panics() {
         let a = parse("--k banana");
-        let _ = a.get_usize("k", 0);
+        let _ = a.get("k", 0usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "--loss expects an integer (u16), got \"66000\"")]
+    fn out_of_range_value_panics() {
+        let _ = parse("--loss 66000").get("loss", 0u16);
     }
 }

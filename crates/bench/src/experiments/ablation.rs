@@ -13,18 +13,20 @@
 //! * the paper's (12, 21) sits in the cheap-and-never-rolls-back corner.
 //!
 //! ```text
-//! cargo run -p knn-bench --release --bin ablation
+//! cargo run -p knn-bench --release --bin paper -- ablation
 //!     [--trials 50] [--k 16] [--ell 256]
 //! ```
 
-use kmachine::{engine::run_sync, NetConfig};
-use knn_bench::args::Args;
-use knn_bench::stats::Summary;
-use knn_bench::table::Table;
-use knn_bench::{write_csv, write_json};
-use knn_core::protocols::knn::{KnnParams, KnnProtocol};
-use rand::{rngs::StdRng, RngExt, SeedableRng};
+use knn_core::protocols::knn::KnnParams;
 
+use super::algorithm2;
+use crate::args::Args;
+use crate::emit;
+use crate::stats::Summary;
+use crate::table::Table;
+
+// Fields are read by `emit`, through the serde shim's `Debug` encoding.
+#[allow(dead_code)]
 #[derive(Debug, serde::Serialize)]
 struct Row {
     sample_factor: u32,
@@ -35,11 +37,11 @@ struct Row {
     messages_mean: f64,
 }
 
-fn main() {
-    let args = Args::parse();
-    let trials = args.get_u64("trials", 50);
-    let k = args.get_usize("k", 16);
-    let ell = args.get_usize("ell", 256);
+/// Print the table and write `results/ablation.{json,csv}`.
+pub fn run(args: &Args) {
+    let trials = args.get("trials", 50u64);
+    let k = args.get("k", 16usize);
+    let ell = args.get("ell", 256usize);
     let per_machine = 4 * ell;
 
     println!(
@@ -65,17 +67,9 @@ fn main() {
             let mut rounds = Vec::new();
             let mut msgs = Vec::new();
             for t in 0..trials {
-                let cfg = NetConfig::new(k).with_seed(t);
-                let protos: Vec<KnnProtocol<u64>> = (0..k)
-                    .map(|i| {
-                        let mut rng = StdRng::seed_from_u64(
-                            t ^ ((i as u64) << 20) ^ ((sample_factor as u64) << 40),
-                        );
-                        let keys: Vec<u64> = (0..per_machine).map(|_| rng.random()).collect();
-                        KnnProtocol::from_keys(i, k, 0, ell as u64, params, keys)
-                    })
-                    .collect();
-                let out = run_sync(&cfg, protos).expect("ablation run");
+                let out = algorithm2(k, per_machine, ell, params, t, |i| {
+                    t ^ ((i as u64) << 20) ^ ((sample_factor as u64) << 40)
+                });
                 let stats = out.outputs[0].stats.expect("stats");
                 rollbacks += u64::from(stats.rolled_back);
                 ratios.push(stats.survivors as f64 / ell as f64);
@@ -101,38 +95,10 @@ fn main() {
             rows.push(row);
         }
     }
-    table.print();
+    emit("ablation", &table, &rows);
     println!(
         "\nreading the table: ratio 1.0 rows roll back often (wasted rounds); ratio 3.0\n\
          rows survive ~3x ell candidates into the selection phase; larger sample factors\n\
          pay more sampling rounds. The paper's 12/21 never rolled back at tiny overhead."
     );
-
-    let csv_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.sample_factor.to_string(),
-                r.rank_factor.to_string(),
-                format!("{:.3}", r.rollback_rate),
-                format!("{:.3}", r.survivors_over_ell),
-                format!("{:.2}", r.rounds_mean),
-                format!("{:.1}", r.messages_mean),
-            ]
-        })
-        .collect();
-    let csv = write_csv(
-        "ablation",
-        &[
-            "sample_factor",
-            "rank_factor",
-            "rollback_rate",
-            "survivors_over_ell",
-            "rounds",
-            "messages",
-        ],
-        &csv_rows,
-    );
-    let json = write_json("ablation", &rows);
-    println!("\nwrote {} and {}", csv.display(), json.display());
 }

@@ -9,21 +9,24 @@
 //!   (its point: amortization over many queries vs a huge build bill).
 //!
 //! ```text
-//! cargo run -p knn-bench --release --bin baselines
+//! cargo run -p knn-bench --release --bin paper -- baselines
 //!     [--ks 8,32,128] [--ells 16,128,1024] [--seeds 10]
 //! ```
 
 use kmachine::{engine::run_sync, NetConfig};
-use knn_bench::args::Args;
-use knn_bench::stats::Summary;
-use knn_bench::table::Table;
-use knn_bench::{write_csv, write_json};
-use knn_core::protocols::kdtree_dist::KdBuildProtocol;
 use knn_core::runner::{run_query, Algorithm, QueryOptions};
 use knn_points::{IdAssigner, Record, ScalarPoint, VecPoint};
 use knn_workloads::ScalarWorkload;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
+use crate::args::Args;
+use crate::emit;
+use crate::protocols::kdtree_dist::KdBuildProtocol;
+use crate::stats::Summary;
+use crate::table::Table;
+
+// Fields are read by `emit`, through the serde shim's `Debug` encoding.
+#[allow(dead_code)]
 #[derive(Debug, serde::Serialize)]
 struct Row {
     algorithm: String,
@@ -34,11 +37,11 @@ struct Row {
     kilobits: f64,
 }
 
-fn main() {
-    let args = Args::parse();
+/// Print both tables and write `results/baselines.{json,csv}`.
+pub fn run(args: &Args) {
     let ks = args.get_list("ks", &[8, 32, 128]);
     let ells = args.get_list("ells", &[16, 128, 1024]);
-    let seeds = args.get_u64("seeds", 10);
+    let seeds = args.get("seeds", 10u64);
     let per_machine = 1usize << 14;
 
     println!("== Baselines: rounds / messages / bits per query  ({seeds} seeds) ==\n");
@@ -123,32 +126,11 @@ fn main() {
             kilobits: out.metrics.bits as f64 / 1000.0,
         });
     }
-    t2.print();
+    emit("baselines", &t2, &rows);
     println!(
         "\nthe paper's qualitative claims, measured: Algorithm 2's rounds barely move with\n\
          ell or k; the simple method's grow linearly in ell; Saukas-Song sits between;\n\
          binary search depends on the value domain; and the k-d tree build moves the\n\
          whole dataset before the first query is ever answered."
     );
-
-    let csv_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.algorithm.clone(),
-                r.k.to_string(),
-                r.ell.to_string(),
-                format!("{:.1}", r.rounds),
-                format!("{:.1}", r.messages),
-                format!("{:.1}", r.kilobits),
-            ]
-        })
-        .collect();
-    let csv = write_csv(
-        "baselines",
-        &["algorithm", "k", "ell", "rounds", "messages", "kilobits"],
-        &csv_rows,
-    );
-    let json = write_json("baselines", &rows);
-    println!("\nwrote {} and {}", csv.display(), json.display());
 }

@@ -18,21 +18,24 @@
 //! due to local computation").
 //!
 //! ```text
-//! cargo run -p knn-bench --release --bin fig2 [--full]
+//! cargo run -p knn-bench --release --bin paper -- fig2 [--full]
 //!     [--ks 2,4,8,16] [--ells 16,64,256,1024,4096]
 //!     [--per-machine 65536] [--reps 3] [--latency-us 50] [--seed 1]
 //! ```
 
 use std::time::Duration;
 
-use knn_bench::args::Args;
-use knn_bench::stats::Summary;
-use knn_bench::table::Table;
-use knn_bench::{write_csv, write_json};
 use knn_core::runner::{run_query, Algorithm, QueryOptions};
 use knn_points::ScalarPoint;
 use knn_workloads::{query::scalar_queries, ScalarWorkload};
 
+use crate::args::Args;
+use crate::emit;
+use crate::stats::Summary;
+use crate::table::Table;
+
+// Fields are read by `emit`, through the serde shim's `Debug` encoding.
+#[allow(dead_code)]
 #[derive(Debug, serde::Serialize)]
 struct Cell {
     k: usize,
@@ -45,18 +48,18 @@ struct Cell {
     round_ratio: f64,
 }
 
-fn main() {
-    let args = Args::parse();
+/// Print the table and write `results/fig2.{json,csv}`.
+pub fn run(args: &Args) {
     let full = args.has("full");
     let ks = args.get_list("ks", if full { &[2, 4, 8, 16, 32, 64] } else { &[2, 4, 8, 16] });
     let ells = args.get_list(
         "ells",
         if full { &[16, 64, 256, 1024, 4096, 16384] } else { &[16, 64, 256, 1024, 4096] },
     );
-    let per_machine = args.get_usize("per-machine", if full { 1 << 18 } else { 1 << 16 });
-    let reps = args.get_usize("reps", if full { 10 } else { 3 });
-    let latency = Duration::from_micros(args.get_u64("latency-us", 50));
-    let seed = args.get_u64("seed", 1);
+    let per_machine = args.get("per-machine", if full { 1usize << 18 } else { 1 << 16 });
+    let reps = args.get("reps", if full { 10usize } else { 3 });
+    let latency = Duration::from_micros(args.get("latency-us", 50));
+    let seed = args.get("seed", 1u64);
 
     println!("Figure 2 reproduction: time(simple) / time(Algorithm 2)");
     println!(
@@ -124,37 +127,7 @@ fn main() {
         }
     }
 
-    table.print();
-    let csv = write_csv(
-        "fig2",
-        &[
-            "k",
-            "ell",
-            "wall_simple_ms",
-            "wall_knn_ms",
-            "wall_ratio",
-            "rounds_simple",
-            "rounds_knn",
-            "round_ratio",
-        ],
-        &cells
-            .iter()
-            .map(|c| {
-                vec![
-                    c.k.to_string(),
-                    c.ell.to_string(),
-                    format!("{:.4}", c.wall_simple_ms),
-                    format!("{:.4}", c.wall_knn_ms),
-                    format!("{:.4}", c.wall_ratio),
-                    format!("{:.1}", c.rounds_simple),
-                    format!("{:.1}", c.rounds_knn),
-                    format!("{:.4}", c.round_ratio),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    let json = write_json("fig2", &cells);
-    println!("\nwrote {} and {}", csv.display(), json.display());
+    emit("fig2", &table, &cells);
     println!(
         "\npaper's claim: the ratio grows with ell (and, with enough physical cores, with k);\n\
          Algorithm 2 wins by orders of magnitude once ell is past the crossover."

@@ -6,19 +6,26 @@
 //! of exceeding the 11ℓ bound, and how often the hardening fallback
 //! (survivors < ℓ) fired.
 //!
+//! Rows with `12·log₂ ℓ ≥ ℓ` (ℓ ≤ 64 at the paper's sample factor) are
+//! degenerate: every machine's sample is its whole ℓ-candidate set, so the
+//! survivor count is fixed and its mean equals its max. The sampling prune
+//! first decides anything at ℓ = 128.
+//!
 //! ```text
-//! cargo run -p knn-bench --release --bin lemma23
+//! cargo run -p knn-bench --release --bin paper -- lemma23
 //!     [--trials 200] [--ks 8,32,128] [--ells 16,64,256,1024]
 //! ```
 
-use kmachine::{engine::run_sync, NetConfig};
-use knn_bench::args::Args;
-use knn_bench::stats::Summary;
-use knn_bench::table::Table;
-use knn_bench::{write_csv, write_json};
-use knn_core::protocols::knn::{KnnParams, KnnProtocol};
-use rand::{rngs::StdRng, RngExt, SeedableRng};
+use knn_core::protocols::knn::KnnParams;
 
+use super::algorithm2;
+use crate::args::Args;
+use crate::emit;
+use crate::stats::Summary;
+use crate::table::Table;
+
+// Fields are read by `emit`, through the serde shim's `Debug` encoding.
+#[allow(dead_code)]
 #[derive(Debug, serde::Serialize)]
 struct Row {
     k: usize,
@@ -30,9 +37,9 @@ struct Row {
     rollbacks: u64,
 }
 
-fn main() {
-    let args = Args::parse();
-    let trials = args.get_u64("trials", 200);
+/// Print the table and write `results/lemma23.{json,csv}`.
+pub fn run(args: &Args) {
+    let trials = args.get("trials", 200u64);
     let ks = args.get_list("ks", &[8, 32, 128]);
     let ells = args.get_list("ells", &[16, 64, 256, 1024]);
     // Enough points that every machine holds a full ℓ candidates.
@@ -56,17 +63,9 @@ fn main() {
             let mut exceed = 0u64;
             let mut rollbacks = 0u64;
             for t in 0..trials {
-                let cfg = NetConfig::new(k).with_seed(t);
-                let protos: Vec<KnnProtocol<u64>> = (0..k)
-                    .map(|i| {
-                        let mut rng = StdRng::seed_from_u64(
-                            t ^ ((i as u64) << 24) ^ ((ell as u64) << 48) ^ k as u64,
-                        );
-                        let keys: Vec<u64> = (0..per_machine).map(|_| rng.random()).collect();
-                        KnnProtocol::from_keys(i, k, 0, ell as u64, KnnParams::default(), keys)
-                    })
-                    .collect();
-                let out = run_sync(&cfg, protos).expect("knn");
+                let out = algorithm2(k, per_machine, ell, KnnParams::default(), t, |i| {
+                    t ^ ((i as u64) << 24) ^ ((ell as u64) << 48) ^ k as u64
+                });
                 let stats = out.outputs[0].stats.expect("leader stats");
                 let ratio = stats.survivors as f64 / ell as f64;
                 ratios.push(ratio);
@@ -93,32 +92,10 @@ fn main() {
             });
         }
     }
-    table.print();
+    emit("lemma23", &table, &rows);
     println!(
         "\nLemma 2.3 predicts P(survivors > 11 ell) <= 2/ell^2 — e.g. <= 0.0078 at ell = 16,\n\
          <= 0.000002 at ell = 1024. The rollback column measures the hardening fallback\n\
          (survivors < ell), which the paper's whp analysis leaves implicit."
     );
-
-    let csv_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.k.to_string(),
-                r.ell.to_string(),
-                r.trials.to_string(),
-                format!("{:.3}", r.ratio_mean),
-                format!("{:.3}", r.ratio_max),
-                r.exceed_11ell.to_string(),
-                r.rollbacks.to_string(),
-            ]
-        })
-        .collect();
-    let csv = write_csv(
-        "lemma23",
-        &["k", "ell", "trials", "ratio_mean", "ratio_max", "exceed_11ell", "rollbacks"],
-        &csv_rows,
-    );
-    let json = write_json("lemma23", &rows);
-    println!("\nwrote {} and {}", csv.display(), json.display());
 }

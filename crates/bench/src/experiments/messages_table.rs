@@ -6,24 +6,22 @@
 //! `Θ(k·ℓ)` count is printed alongside for contrast.
 //!
 //! ```text
-//! cargo run -p knn-bench --release --bin messages_table
+//! cargo run -p knn-bench --release --bin paper -- messages_table
 //!     [--seeds 20] [--ks 4,16,64,256] [--ells 16,64,256,1024,4096]
 //! ```
 
 use kmachine::{engine::run_sync, NetConfig};
-use knn_bench::args::Args;
-use knn_bench::stats::Summary;
-use knn_bench::table::Table;
-use knn_bench::{write_csv, write_json};
-use knn_core::protocols::knn::{KnnParams, KnnProtocol};
+use knn_core::protocols::knn::KnnParams;
 use knn_core::protocols::simple::SimpleProtocol;
-use rand::{rngs::StdRng, RngExt, SeedableRng};
 
-fn uniform_keys(n: usize, seed: u64) -> Vec<u64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.random()).collect()
-}
+use super::{algorithm2, uniform_keys};
+use crate::args::Args;
+use crate::emit;
+use crate::stats::Summary;
+use crate::table::Table;
 
+// Fields are read by `emit`, through the serde shim's `Debug` encoding.
+#[allow(dead_code)]
 #[derive(Debug, serde::Serialize)]
 struct Row {
     k: usize,
@@ -35,9 +33,9 @@ struct Row {
     simple_per_k_ell: f64,
 }
 
-fn main() {
-    let args = Args::parse();
-    let seeds = args.get_u64("seeds", 20);
+/// Print the table and write `results/messages_table.{json,csv}`.
+pub fn run(args: &Args) {
+    let seeds = args.get("seeds", 20u64);
     let ks = args.get_list("ks", &[4, 16, 64, 256]);
     let ells = args.get_list("ells", &[16, 64, 256, 1024, 4096]);
     let per_machine = 1usize << 14;
@@ -60,29 +58,18 @@ fn main() {
             let mut knn_bits = Vec::new();
             let mut simple_msgs = Vec::new();
             for s in 0..seeds {
-                let mk_keys =
-                    |i: usize| uniform_keys(per_machine, s ^ ((i as u64) << 32) ^ ell as u64);
-                let cfg = NetConfig::new(k).with_seed(s);
-                let protos: Vec<KnnProtocol<u64>> = (0..k)
-                    .map(|i| {
-                        KnnProtocol::from_keys(
-                            i,
-                            k,
-                            0,
-                            ell as u64,
-                            KnnParams::default(),
-                            mk_keys(i),
-                        )
-                    })
-                    .collect();
-                let out = run_sync(&cfg, protos).expect("knn");
+                let key_seed = |i: usize| s ^ ((i as u64) << 32) ^ ell as u64;
+                let out = algorithm2(k, per_machine, ell, KnnParams::default(), s, key_seed);
                 knn_msgs.push(out.metrics.messages);
                 knn_bits.push(out.metrics.bits);
 
                 let protos: Vec<SimpleProtocol<u64>> = (0..k)
-                    .map(|i| SimpleProtocol::from_keys(i, 0, ell as u64, 7, mk_keys(i)))
+                    .map(|i| {
+                        let keys = uniform_keys(per_machine, key_seed(i));
+                        SimpleProtocol::from_keys(i, 0, ell as u64, 7, keys)
+                    })
                     .collect();
-                let out = run_sync(&cfg, protos).expect("simple");
+                let out = run_sync(&NetConfig::new(k).with_seed(s), protos).expect("simple");
                 simple_msgs.push(out.metrics.messages);
             }
             let km = Summary::of_u64(&knn_msgs);
@@ -110,8 +97,7 @@ fn main() {
             rows.push(row);
         }
     }
-    table.print();
-
+    emit("messages_table", &table, &rows);
     let max_norm = rows.iter().map(|r| r.knn_normalized).fold(0.0, f64::max);
     let min_norm = rows.iter().map(|r| r.knn_normalized).fold(f64::INFINITY, f64::min);
     println!(
@@ -119,34 +105,4 @@ fn main() {
          whole grid — a bounded constant, as O(k log ell) requires; the simple method's\n\
          msgs/(k*ell) column is likewise ~constant, pinning its Theta(k*ell) cost."
     );
-
-    let csv_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.k.to_string(),
-                r.ell.to_string(),
-                format!("{:.1}", r.knn_messages),
-                format!("{:.3}", r.knn_normalized),
-                format!("{:.0}", r.knn_bits),
-                format!("{:.1}", r.simple_messages),
-                format!("{:.4}", r.simple_per_k_ell),
-            ]
-        })
-        .collect();
-    let csv = write_csv(
-        "messages_table",
-        &[
-            "k",
-            "ell",
-            "knn_messages",
-            "knn_normalized",
-            "knn_bits",
-            "simple_messages",
-            "simple_per_k_ell",
-        ],
-        &csv_rows,
-    );
-    let json = write_json("messages_table", &rows);
-    println!("\nwrote {} and {}", csv.display(), json.display());
 }

@@ -14,11 +14,11 @@
 //!
 //! Every `m` also gets an `ef = n` row: the search knob saturates at an
 //! exact scan by construction, so that row must report recall 1.0 — the
-//! bin asserts it, and asserts mean recall ≥ 0.95 at the default knobs
+//! table asserts it, and asserts mean recall ≥ 0.95 at the default knobs
 //! (`m = 12`, `ef = 64`), the acceptance floor CI smokes on every push.
 //!
 //! ```text
-//! cargo run -p knn-bench --release --bin recall
+//! cargo run -p knn-bench --release --bin paper -- recall
 //!     [--k 4] [--per-shard 2048] [--dims 16] [--ell 10] [--queries 64]
 //!     [--ms 6,12,24] [--efs 16,32,64,128,256] [--seed 42]
 //! ```
@@ -28,14 +28,17 @@
 
 use std::time::Instant;
 
-use knn_bench::args::Args;
-use knn_bench::table::Table;
-use knn_bench::{write_csv, write_json};
 use knn_core::local::{brute_top, recall};
 use knn_core::{NswIndex, NswParams};
 use knn_points::{Dataset, DistKey, IdAssigner, Metric, Record, VecPoint};
 use knn_workloads::{GaussianMixture, PartitionStrategy};
 
+use crate::args::Args;
+use crate::emit;
+use crate::table::Table;
+
+// Fields are read by `emit`, through the serde shim's `Debug` encoding.
+#[allow(dead_code)]
 #[derive(Debug, serde::Serialize)]
 struct Row {
     m: usize,
@@ -69,16 +72,17 @@ fn merged_top(
     merged
 }
 
-fn main() {
-    let args = Args::parse();
-    let k = args.get_usize("k", 4);
-    let per_shard = args.get_usize("per-shard", 1 << 11);
-    let dims = args.get_usize("dims", 16);
-    let ell = args.get_usize("ell", 10);
-    let queries = args.get_usize("queries", 64);
+/// Print the table, check the exact rows and the default knobs' recall
+/// floor, and write `results/recall.{json,csv}`.
+pub fn run(args: &Args) {
+    let k = args.get("k", 4usize);
+    let per_shard = args.get("per-shard", 1usize << 11);
+    let dims = args.get("dims", 16usize);
+    let ell = args.get("ell", 10usize);
+    let queries = args.get("queries", 64usize);
     let ms = args.get_list("ms", &[6, 12, 24]);
     let efs = args.get_list("efs", &[16, 32, 64, 128, 256]);
-    let seed = args.get_u64("seed", 42);
+    let seed = args.get("seed", 42u64);
     let defaults = NswParams::default();
 
     // The conformance suite's seeded workload: labeled Gaussian mixture,
@@ -163,7 +167,7 @@ fn main() {
             rows.push(row);
         }
     }
-    table.print();
+    emit("recall", &table, &rows);
 
     // The acceptance floor: default knobs must clear 0.95 mean recall
     // whenever the sweep includes them.
@@ -181,39 +185,4 @@ fn main() {
             defaults.m, defaults.ef_search, default_row.recall_mean
         );
     }
-
-    let csv = write_csv(
-        "recall",
-        &[
-            "m",
-            "ef",
-            "exact",
-            "ell",
-            "queries",
-            "recall_mean",
-            "recall_min",
-            "build_ms",
-            "micros_per_query",
-            "speedup_vs_scan",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.m.to_string(),
-                    r.ef.to_string(),
-                    r.exact.to_string(),
-                    r.ell.to_string(),
-                    r.queries.to_string(),
-                    format!("{:.6}", r.recall_mean),
-                    format!("{:.6}", r.recall_min),
-                    format!("{:.3}", r.build_ms),
-                    format!("{:.3}", r.micros_per_query),
-                    format!("{:.3}", r.speedup_vs_scan),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    let json = write_json("recall", &rows);
-    println!("wrote {} and {}", csv.display(), json.display());
 }

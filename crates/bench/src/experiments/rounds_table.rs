@@ -8,25 +8,23 @@
 //! says `O(log ℓ)` whp, independent of both n and k.
 //!
 //! ```text
-//! cargo run -p knn-bench --release --bin rounds_table
+//! cargo run -p knn-bench --release --bin paper -- rounds_table
 //!     [--seeds 20] [--ks 4,16,64,256] [--full]
 //! ```
 
 use kmachine::{engine::run_sync, NetConfig};
-use knn_bench::args::Args;
-use knn_bench::stats::{linear_fit, Summary};
-use knn_bench::table::Table;
-use knn_bench::{write_csv, write_json};
-use knn_core::protocols::knn::{KnnParams, KnnProtocol};
+use knn_core::protocols::knn::KnnParams;
 use knn_core::protocols::selection::SelectProtocol;
 use knn_workloads::partition::split_round_robin;
-use rand::{rngs::StdRng, RngExt, SeedableRng};
 
-fn uniform_keys(n: usize, seed: u64) -> Vec<u64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.random()).collect()
-}
+use super::{algorithm2, uniform_keys};
+use crate::args::Args;
+use crate::emit;
+use crate::stats::{linear_fit, Summary};
+use crate::table::Table;
 
+// Fields are read by `emit`, through the serde shim's `Debug` encoding.
+#[allow(dead_code)]
 #[derive(Debug, serde::Serialize)]
 struct Row {
     section: &'static str,
@@ -38,9 +36,9 @@ struct Row {
     messages_mean: f64,
 }
 
-fn main() {
-    let args = Args::parse();
-    let seeds = args.get_u64("seeds", if args.has("full") { 50 } else { 20 });
+/// Print both tables and write `results/rounds_table.{json,csv}`.
+pub fn run(args: &Args) {
+    let seeds = args.get("seeds", if args.has("full") { 50u64 } else { 20 });
     let ks = args.get_list("ks", &[4, 16, 64, 256]);
     let mut rows: Vec<Row> = Vec::new();
 
@@ -115,17 +113,9 @@ fn main() {
             let mut rounds = Vec::new();
             let mut msgs = Vec::new();
             for s in 0..seeds {
-                let cfg = NetConfig::new(k).with_seed(s);
-                let protos: Vec<KnnProtocol<u64>> = (0..k)
-                    .map(|i| {
-                        let keys = uniform_keys(
-                            per_machine,
-                            s ^ (i as u64) << 32 ^ (ell as u64) << 8 ^ k as u64,
-                        );
-                        KnnProtocol::from_keys(i, k, 0, ell as u64, KnnParams::default(), keys)
-                    })
-                    .collect();
-                let out = run_sync(&cfg, protos).expect("knn");
+                let out = algorithm2(k, per_machine, ell, KnnParams::default(), s, |i| {
+                    s ^ ((i as u64) << 32) ^ ((ell as u64) << 8) ^ k as u64
+                });
                 rounds.push(out.metrics.rounds);
                 msgs.push(out.metrics.messages);
             }
@@ -162,27 +152,5 @@ fn main() {
             "-".into(),
         ]);
     }
-    t2.print();
-
-    let csv_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.section.to_string(),
-                r.k.to_string(),
-                r.n.to_string(),
-                r.ell.to_string(),
-                format!("{:.2}", r.rounds_mean),
-                format!("{:.2}", r.rounds_std),
-                format!("{:.1}", r.messages_mean),
-            ]
-        })
-        .collect();
-    let csv = write_csv(
-        "rounds_table",
-        &["section", "k", "n", "ell", "rounds_mean", "rounds_std", "messages_mean"],
-        &csv_rows,
-    );
-    let json = write_json("rounds_table", &rows);
-    println!("\nwrote {} and {}", csv.display(), json.display());
+    emit("rounds_table", &t2, &rows);
 }

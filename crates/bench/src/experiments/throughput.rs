@@ -29,7 +29,7 @@
 //! columns record the work.
 //!
 //! ```text
-//! cargo run -p knn-bench --release --bin throughput
+//! cargo run -p knn-bench --release --bin paper -- throughput
 //!     [--k 8] [--per-machine 4096] [--ell 64] [--queries 64]
 //!     [--batches 1,8,64]
 //!     [--loss 0] [--loss-retries 64] [--lie M] [--corrupt SRC,DST[,P]]
@@ -42,13 +42,17 @@
 use std::time::Instant;
 
 use kmachine::{AdversaryPlan, FaultPlan};
-use knn_bench::args::Args;
-use knn_bench::table::Table;
-use knn_bench::{write_csv, write_json};
 use knn_core::cluster::KnnCluster;
 use knn_core::runner::{Algorithm, ElectionKind};
+use knn_core::Report;
 use knn_workloads::{QueryStream, ScalarWorkload};
 
+use crate::args::Args;
+use crate::emit;
+use crate::table::Table;
+
+// Fields are read by `emit`, through the serde shim's `Debug` encoding.
+#[allow(dead_code)]
 #[derive(Debug, serde::Serialize)]
 struct Row {
     algorithm: String,
@@ -70,21 +74,58 @@ struct Row {
     suspects_quarantined: u64,
 }
 
-fn main() {
-    let args = Args::parse();
-    let k = args.get_usize("k", 8);
-    let per_machine = args.get_usize("per-machine", 1 << 12);
-    let ell = args.get_usize("ell", 64);
-    let total = args.get_usize("queries", 64);
+/// What a row sums over the reports of its sweep: the answering runs'
+/// costs plus every election's, and their fault and audit counters.
+#[derive(Default)]
+struct Tally {
+    rounds: u64,
+    messages: u64,
+    bits: u64,
+    elections: u64,
+    crashes: u64,
+    dropped: u64,
+    rexmit_bits: u64,
+    audits: u64,
+    violations: u64,
+    quarantined: u64,
+}
+
+impl Tally {
+    fn add(&mut self, report: &Report) {
+        self.rounds += report.metrics.rounds;
+        self.messages += report.metrics.messages;
+        self.bits += report.metrics.bits;
+        self.crashes += report.faults.crashed.len() as u64;
+        self.dropped += report.faults.dropped_messages;
+        self.rexmit_bits += report.faults.retransmitted_bits;
+        self.audits += report.audit.audits_run;
+        self.violations += report.audit.integrity_violations;
+        self.quarantined += report.audit.suspects_quarantined;
+        if let Some(em) = &report.election_metrics {
+            self.elections += 1;
+            self.rounds += em.rounds;
+            self.messages += em.messages;
+            self.bits += em.bits;
+        }
+    }
+}
+
+/// Print the table, write `results/throughput.{json,csv}`, and check that
+/// batching amortizes the simple method's rounds.
+pub fn run(args: &Args) {
+    let k = args.get("k", 8usize);
+    let per_machine = args.get("per-machine", 1usize << 12);
+    let ell = args.get("ell", 64usize);
+    let total = args.get("queries", 64usize);
     let batches = args.get_list("batches", &[1, 8, 64]);
-    let loss = args.get_u64("loss", 0);
-    let loss_retries = args.get_u64("loss-retries", 64) as u32;
-    let seed = args.get_u64("seed", 7);
+    let loss = args.get("loss", 0u16);
+    let loss_retries = args.get("loss-retries", 64u32);
+    let seed = args.get("seed", 7u64);
     let hi = 1u64 << 32;
 
     let mut faults = FaultPlan::default();
     if loss > 0 {
-        faults = faults.with_loss(loss as u16, loss_retries);
+        faults = faults.with_loss(loss, loss_retries);
     }
     let mut adversary = AdversaryPlan::default();
     let lie = args.get_str("lie", "");
@@ -94,18 +135,15 @@ fn main() {
     }
     let corrupt = args.get_str("corrupt", "");
     if !corrupt.is_empty() {
-        let parts: Vec<u64> = corrupt
-            .split(',')
-            .map(|s| {
-                s.trim().parse().unwrap_or_else(|_| panic!("--corrupt expects SRC,DST[,PERMILLE]"))
-            })
-            .collect();
-        assert!(
-            (2..=3).contains(&parts.len()),
-            "--corrupt expects SRC,DST[,PERMILLE], got {corrupt:?}"
-        );
-        let per_mille = parts.get(2).copied().unwrap_or(1000) as u16;
-        adversary = adversary.with_corrupt_link(parts[0] as usize, parts[1] as usize, per_mille);
+        let parts: Vec<&str> = corrupt.split(',').map(str::trim).collect();
+        let bad = || -> ! { panic!("--corrupt expects SRC,DST[,PERMILLE], got {corrupt:?}") };
+        if !(2..=3).contains(&parts.len()) {
+            bad();
+        }
+        let src: usize = parts[0].parse().unwrap_or_else(|_| bad());
+        let dst: usize = parts[1].parse().unwrap_or_else(|_| bad());
+        let per_mille: u16 = parts.get(2).map_or(Ok(1000), |p| p.parse()).unwrap_or_else(|_| bad());
+        adversary = adversary.with_corrupt_link(src, dst, per_mille);
     }
     let shards = ScalarWorkload { per_machine, lo: 0, hi }.generate(k, seed);
     let mut cluster: KnnCluster = KnnCluster::builder()
@@ -137,56 +175,17 @@ fn main() {
 
     for algo in Algorithm::ALL {
         for &bs in &batches {
-            let mut rounds = 0u64;
-            let mut messages = 0u64;
-            let mut bits = 0u64;
-            let mut elections = 0u64;
-            let mut crashes = 0u64;
-            let mut dropped = 0u64;
-            let mut rexmit_bits = 0u64;
-            let mut audits = 0u64;
-            let mut violations = 0u64;
-            let mut quarantined = 0u64;
+            let mut tally = Tally::default();
             let start = Instant::now();
             if bs <= 1 {
                 // Sequential baseline: every query pays its own
                 // election and its own engine run.
                 for batch in QueryStream::scalar(total, 1, 0, hi, seed) {
-                    let ans = cluster.query_with(algo, &batch[0], ell).expect("query");
-                    rounds += ans.metrics.rounds;
-                    messages += ans.metrics.messages;
-                    bits += ans.metrics.bits;
-                    crashes += ans.faults.crashed.len() as u64;
-                    dropped += ans.faults.dropped_messages;
-                    rexmit_bits += ans.faults.retransmitted_bits;
-                    audits += ans.audit.audits_run;
-                    violations += ans.audit.integrity_violations;
-                    quarantined += ans.audit.suspects_quarantined;
-                    if let Some(em) = &ans.election_metrics {
-                        elections += 1;
-                        rounds += em.rounds;
-                        messages += em.messages;
-                        bits += em.bits;
-                    }
+                    tally.add(&cluster.query_with(algo, &batch[0], ell).expect("query").report);
                 }
             } else {
                 for batch in QueryStream::scalar(total, bs, 0, hi, seed) {
-                    let out = cluster.query_batch_with(algo, &batch, ell).expect("batch");
-                    rounds += out.metrics.rounds;
-                    messages += out.metrics.messages;
-                    bits += out.metrics.bits;
-                    crashes += out.faults.crashed.len() as u64;
-                    dropped += out.faults.dropped_messages;
-                    rexmit_bits += out.faults.retransmitted_bits;
-                    audits += out.audit.audits_run;
-                    violations += out.audit.integrity_violations;
-                    quarantined += out.audit.suspects_quarantined;
-                    if let Some(em) = &out.election_metrics {
-                        elections += 1;
-                        rounds += em.rounds;
-                        messages += em.messages;
-                        bits += em.bits;
-                    }
+                    tally.add(&cluster.query_batch_with(algo, &batch, ell).expect("batch").report);
                 }
             }
             let wall = start.elapsed().as_secs_f64();
@@ -195,16 +194,16 @@ fn main() {
                 batch_size: bs,
                 queries: total,
                 qps: total as f64 / wall.max(1e-9),
-                rounds_per_query: rounds as f64 / total as f64,
-                messages_per_query: messages as f64 / total as f64,
-                kilobits_per_query: bits as f64 / 1000.0 / total as f64,
-                elections,
-                crashes,
-                dropped_messages: dropped,
-                retransmitted_kilobits: rexmit_bits as f64 / 1000.0,
-                audits_run: audits,
-                integrity_violations: violations,
-                suspects_quarantined: quarantined,
+                rounds_per_query: tally.rounds as f64 / total as f64,
+                messages_per_query: tally.messages as f64 / total as f64,
+                kilobits_per_query: tally.bits as f64 / 1000.0 / total as f64,
+                elections: tally.elections,
+                crashes: tally.crashes,
+                dropped_messages: tally.dropped,
+                retransmitted_kilobits: tally.rexmit_bits as f64 / 1000.0,
+                audits_run: tally.audits,
+                integrity_violations: tally.violations,
+                suspects_quarantined: tally.quarantined,
             };
             table.row(vec![
                 row.algorithm.clone(),
@@ -221,7 +220,7 @@ fn main() {
             rows.push(row);
         }
     }
-    table.print();
+    emit("throughput", &table, &rows);
 
     // The amortization headline the serving layer exists for: batching must
     // strictly reduce rounds per query for the bandwidth-bound baseline.
@@ -243,48 +242,4 @@ fn main() {
             );
         }
     }
-
-    let csv_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.algorithm.clone(),
-                r.batch_size.to_string(),
-                r.queries.to_string(),
-                format!("{:.1}", r.qps),
-                format!("{:.3}", r.rounds_per_query),
-                format!("{:.2}", r.messages_per_query),
-                format!("{:.3}", r.kilobits_per_query),
-                r.elections.to_string(),
-                r.crashes.to_string(),
-                r.dropped_messages.to_string(),
-                format!("{:.3}", r.retransmitted_kilobits),
-                r.audits_run.to_string(),
-                r.integrity_violations.to_string(),
-                r.suspects_quarantined.to_string(),
-            ]
-        })
-        .collect();
-    let csv = write_csv(
-        "throughput",
-        &[
-            "algorithm",
-            "batch",
-            "queries",
-            "qps",
-            "rounds_per_query",
-            "messages_per_query",
-            "kilobits_per_query",
-            "elections",
-            "crashes",
-            "dropped_messages",
-            "retransmitted_kilobits",
-            "audits_run",
-            "integrity_violations",
-            "suspects_quarantined",
-        ],
-        &csv_rows,
-    );
-    let json = write_json("throughput", &rows);
-    println!("\nwrote {} and {}", csv.display(), json.display());
 }

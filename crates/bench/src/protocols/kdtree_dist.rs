@@ -15,8 +15,9 @@
 //!   ℓ-NN probe locally; if the candidate ball crosses bin boundaries, the
 //!   overlapping owners are probed too and the answers merged. Queries are
 //!   cheap — the point of the design — but the build cost dominates unless
-//!   many queries amortize it, which is exactly the comparison the
-//!   baselines experiment tabulates.
+//!   many queries amortize it. The `baselines` table of the `paper` binary
+//!   sets that build bill beside the per-query cost of the paper's
+//!   algorithms.
 //!
 //! The build is implemented as a protocol over the k-machine model so its
 //! rounds/messages/bits are measured by the same engine as everything
@@ -264,10 +265,11 @@ impl Protocol for KdBuildProtocol {
 }
 
 /// The queryable result of a distributed build: every machine's tree plus
-/// the shared splits. Queries are evaluated directly (sequentially) — the
-/// build is the phase whose communication the experiment measures; query
-/// routing costs O(1) rounds and is tabulated analytically in the
-/// baselines table.
+/// the shared splits. Queries are evaluated directly (sequentially), not
+/// over the engine: the build is the only phase whose communication the
+/// `baselines` table reports. Query routing is left unmeasured there; what
+/// [`DistributedKdForest::query`] returns is the number of machines a probe
+/// contacts.
 pub struct DistributedKdForest {
     /// Per-machine trees.
     pub shards: Vec<KdTree>,

@@ -19,11 +19,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// The rows as CSV-ready data.
-    pub fn csv_rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
     /// Render with every column right-aligned to its widest cell.
     pub fn render(&self) -> String {
         let cols = self.header.len();

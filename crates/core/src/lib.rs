@@ -19,9 +19,6 @@
 //!   selection of Saukas–Song \[16\], `O(log(kℓ))` rounds.
 //! * [`protocols::binsearch`] — bisection over the *value domain* \[3, 18\]:
 //!   `O(log V)` rounds, the non-comparison-based regime.
-//! * [`protocols::kdtree_dist`] — a PANDA-like distributed k-d tree \[14\]:
-//!   pays a large redistribution cost up front, then answers queries
-//!   locally.
 //! * [`cluster::KnnCluster`] — the user-facing facade: load data, pick an
 //!   algorithm, run queries, inspect exact round/message costs.
 //!   Every query reads per-shard indices ([`local::ShardIndex`]: exact

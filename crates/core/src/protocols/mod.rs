@@ -8,7 +8,6 @@
 //! * [`simple`] — the gather-everything baseline of §3.
 //! * [`saukas_song`] — deterministic weighted-median selection \[16\].
 //! * [`binsearch`] — value-domain bisection \[3, 18\].
-//! * [`kdtree_dist`] — PANDA-like distributed k-d tree \[14\].
 //!
 //! [`knn`] (either mode), [`simple`], [`saukas_song`] and [`binsearch`] share
 //! one input contract: the machine's candidates, by value, **sorted
@@ -20,7 +19,6 @@
 //! round 0 only starts talking about it.
 
 pub mod binsearch;
-pub mod kdtree_dist;
 pub mod knn;
 pub mod saukas_song;
 pub mod select_core;

@@ -8,7 +8,7 @@
 //! (local computation on the rayon pool, 20 µs synthetic per-round
 //! latency) and prints the wall-clock ratio — the paper's
 //! Figure 2 y-axis. The full-scale reproduction lives in
-//! `cargo run -p knn-bench --release --bin fig2`.
+//! `cargo run -p knn-bench --release --bin paper -- fig2`.
 
 use std::time::Duration;
 

@@ -1,6 +1,7 @@
 //! Statistical validation of the paper's theorems on measured executions.
 //!
-//! These are the same checks EXPERIMENTS.md reports at larger scale; here
+//! These are the checks the `paper` binary of `knn-bench` tabulates at
+//! larger scale (`rounds_table`, `messages_table`, `lemma23`, `fig2`); here
 //! they run at CI-friendly sizes with generous (but meaningful) envelopes.
 
 use knn_repro::prelude::*;
