@@ -1,7 +1,6 @@
 //! The user-facing facade: a simulated k-machine cluster holding a
 //! distributed dataset and answering ℓ-NN queries.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use kmachine::{AdversaryPlan, BandwidthMode, FaultPlan, MachineId, RecoveryPlan, RunMetrics};
@@ -208,7 +207,7 @@ impl ClusterBuilder {
         assert!(self.k >= 1, "cluster needs at least one machine");
         KnnCluster {
             shards: Vec::new(),
-            index: Vec::new(),
+            ids: Vec::new(),
             shard_indices: Vec::new(),
             opts: self.opts,
             algorithm: self.algorithm,
@@ -226,9 +225,10 @@ impl ClusterBuilder {
 #[derive(Debug)]
 pub struct KnnCluster<P: IndexedPoint = ScalarPoint> {
     shards: Vec<Dataset<P>>,
-    /// Per-shard `id → record index`, for resolving answers to labels and
-    /// rejecting duplicate-id inserts.
-    index: Vec<HashMap<PointId, usize>>,
+    /// Per-shard `(id, record index)` column sorted by id, searched with
+    /// [`find_id`]: resolves answers to labels, rejects duplicate-id
+    /// inserts, and its last entries give [`Self::next_id`].
+    ids: Vec<Vec<(PointId, usize)>>,
     /// Per-shard candidate-generation indices, built at load, kept current
     /// by [`Self::insert`], and read by every query (see [`ShardIndex`]).
     shard_indices: Vec<ShardIndex<P>>,
@@ -291,25 +291,33 @@ impl<P: IndexedPoint> KnnCluster<P> {
 
     fn load_shards_unchecked(&mut self, shards: Vec<Dataset<P>>) {
         // Index construction is per-shard independent and embarrassingly
-        // parallel: the id→position maps and candidate-generation indices
+        // parallel: the sorted id columns and candidate-generation indices
         // (sorted arrays / k-d trees / NSW graphs) build concurrently on
         // the rayon pool. Each shard's build is internally sequential and
         // results are collected in shard order, so loading is deterministic
-        // at any pool size.
+        // at any pool size. Every generator emits a shard's ids in
+        // increasing order, so the column sort is a linear check.
         use rayon::prelude::*;
-        self.index = shards
+        self.ids = shards
             .par_iter()
-            .map(|d| d.records.iter().enumerate().map(|(i, r)| (r.id, i)).collect())
+            .map(|d| {
+                let mut column: Vec<_> =
+                    d.records.iter().enumerate().map(|(i, r)| (r.id, i)).collect();
+                column.sort_unstable();
+                column
+            })
             .collect();
         self.shard_indices = shards
             .par_iter()
             .map(|d| ShardIndex::build(&d.records, self.opts.backend, self.opts.metric))
             .collect();
-        self.next_id = shards
+        self.next_id = self
+            .ids
             .iter()
-            .filter_map(Dataset::max_id)
+            .filter_map(|column| column.last())
+            .map(|(id, _)| id.0.saturating_add(1))
             .max()
-            .map_or(0, |max| max.0.saturating_add(1));
+            .unwrap_or(0);
         self.shards = shards;
     }
 
@@ -362,14 +370,18 @@ impl<P: IndexedPoint> KnnCluster<P> {
         if machine >= self.k {
             return Err(CoreError::NoSuchMachine { machine, machines: self.k });
         }
-        if self.index.iter().any(|map| map.contains_key(&record.id)) {
+        if self.ids.iter().any(|column| find_id(column, record.id).is_ok()) {
             return Err(CoreError::DuplicateId { id: record.id });
         }
         check_shape(&self.shards, &record.point)?;
         self.next_id = self.next_id.max(record.id.0.saturating_add(1));
         let records = &mut self.shards[machine].records;
         let pos = records.len();
-        self.index[machine].insert(record.id, pos);
+        // An id `insert` issued is above every held id, so this appends;
+        // a caller's id below the maximum shifts the column's tail.
+        let column = &mut self.ids[machine];
+        let (Ok(at) | Err(at)) = find_id(column, record.id);
+        column.insert(at, (record.id, pos));
         records.push(record);
         // Keep the candidate index — and with it the Byzantine audit's
         // shard-local truth — current with the shard it summarizes.
@@ -504,17 +516,63 @@ impl<P: IndexedPoint> KnnCluster<P> {
         BatchAnswer { answers, report }
     }
 
-    /// Map answer keys back to labeled neighbors via the shard indices.
+    /// Map answer keys back to labeled neighbors via the id columns.
     fn resolve(&self, local_keys: &[Vec<knn_points::DistKey>]) -> Vec<Neighbor> {
         merge_answers(local_keys)
             .into_iter()
             .map(|(key, machine)| {
-                let label = self.index[machine]
-                    .get(&key.id)
-                    .and_then(|&i| self.shards[machine].records[i].label);
+                let column = &self.ids[machine];
+                let label = find_id(column, key.id)
+                    .ok()
+                    .and_then(|at| self.shards[machine].records[column[at].1].label);
                 Neighbor { id: key.id, dist: key.dist, machine, label }
             })
             .collect()
+    }
+}
+
+/// Where `id` sits in a column sorted by id, reported as
+/// [`slice::binary_search`] would: `Ok(at)` when `column[at]` holds it,
+/// `Err(at)` for the position that keeps the column sorted.
+///
+/// Interpolation search: ids from one assigner stream grow almost linearly
+/// along a shard, so a probe interpolated between two known ids lands at or
+/// next to the target. Each probe narrows the bounds to the id it read; after
+/// three of them, plain bisection finishes, so a skewed column costs
+/// `O(log n)` at worst.
+fn find_id(column: &[(PointId, usize)], id: PointId) -> Result<usize, usize> {
+    let (Some(&(first, _)), Some(&(last, _))) = (column.first(), column.last()) else {
+        return Err(0);
+    };
+    if id <= first {
+        return if id == first { Ok(0) } else { Err(0) };
+    }
+    if id >= last {
+        return if id == last { Ok(column.len() - 1) } else { Err(column.len()) };
+    }
+    // Invariant: column[lo - 1].0 == below < id < above == column[hi].0, so
+    // the answer lies in [lo, hi].
+    let (mut lo, mut hi) = (1, column.len() - 1);
+    let (mut below, mut above) = (first.0, last.0);
+    for _ in 0..3 {
+        if lo >= hi {
+            return Err(lo);
+        }
+        // (id - below) / (above - below) < 1, so the step stays below the
+        // `hi - lo + 1` positions from `lo - 1` to `hi`; u128 keeps the
+        // product of a 64-bit gap and a length exact.
+        let step = u128::from(id.0 - below) * (hi - lo + 1) as u128 / u128::from(above - below);
+        let at = (lo - 1 + step as usize).max(lo);
+        let probed = column[at].0;
+        match probed.cmp(&id) {
+            std::cmp::Ordering::Equal => return Ok(at),
+            std::cmp::Ordering::Less => (lo, below) = (at + 1, probed.0),
+            std::cmp::Ordering::Greater => (hi, above) = (at, probed.0),
+        }
+    }
+    match column[lo..hi].binary_search_by_key(&id, |&(id, _)| id) {
+        Ok(at) => Ok(lo + at),
+        Err(at) => Err(lo + at),
     }
 }
 
@@ -535,6 +593,41 @@ mod tests {
 
         cluster.load(data, PartitionStrategy::Shuffled);
         cluster
+    }
+
+    /// `find_id` answers exactly what bisection does, for present ids and
+    /// absent ones below, between and above them, on layouts that defeat
+    /// interpolation (geometric gaps, a dense run with a `u64::MAX` outlier)
+    /// as well as those it is built for.
+    #[test]
+    fn find_id_agrees_with_binary_search() {
+        let geometric: Vec<u64> = (0..64).map(|i| (1u64 << i) - 1).collect();
+        let mut uniform: Vec<u64> = (0..1000).map(splitmix64).chain([0, u64::MAX]).collect();
+        uniform.sort_unstable();
+        let layouts: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![7],
+            vec![7, 9],
+            vec![0, u64::MAX],
+            geometric.clone(),
+            geometric.iter().rev().map(|gap| u64::MAX - gap).collect(),
+            (0..1000).chain([u64::MAX]).collect(),
+            (5..1005).collect(),
+            IdAssigner::new(1).assign(1000).into_iter().map(|id| id.0).collect(),
+            uniform,
+        ];
+        for (layout, ids) in layouts.iter().enumerate() {
+            assert!(ids.is_sorted(), "layout {layout}");
+            let column: Vec<(PointId, usize)> =
+                ids.iter().enumerate().map(|(i, &id)| (PointId(id), i)).collect();
+            let gaps = ids.windows(2).map(|w| w[0] + (w[1] - w[0]) / 2);
+            let near = ids.iter().flat_map(|&id| [id.wrapping_sub(1), id, id.wrapping_add(1)]);
+            for probe in near.chain(gaps).chain([0, 1, u64::MAX - 1, u64::MAX]) {
+                let id = PointId(probe);
+                let want = column.binary_search_by_key(&id, |&(id, _)| id);
+                assert_eq!(find_id(&column, id), want, "layout {layout}, id {probe}");
+            }
+        }
     }
 
     #[test]

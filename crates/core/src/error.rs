@@ -12,11 +12,12 @@ pub enum CoreError {
     Engine(EngineError),
     /// The cluster has zero machines.
     EmptyCluster,
-    /// `load_shards` was given the wrong number of shards.
+    /// `load_shards` was given the wrong number of shards, or a session
+    /// was given other than one index per shard.
     ShardCount {
-        /// Machines in the cluster.
+        /// Machines in the cluster (a session: shards given).
         expected: usize,
-        /// Shards provided.
+        /// Shards provided (a session: indices given).
         got: usize,
     },
     /// A query was issued before any data was loaded.

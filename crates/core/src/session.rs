@@ -94,7 +94,9 @@ pub struct QuerySession<'a, P: IndexedPoint> {
 
 impl<'a, P: IndexedPoint> QuerySession<'a, P> {
     /// Open a session: validate the layout and elect the leader (the only
-    /// election this session will ever run).
+    /// election this session will ever run). Refuses an empty layout with
+    /// [`CoreError::EmptyCluster`] and anything but one index per shard
+    /// with [`CoreError::ShardCount`].
     pub fn new(
         shards: &'a [Dataset<P>],
         indices: &'a [ShardIndex<P>],
@@ -103,7 +105,9 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
         if shards.is_empty() {
             return Err(CoreError::EmptyCluster);
         }
-        assert_eq!(shards.len(), indices.len(), "one index per shard");
+        if indices.len() != shards.len() {
+            return Err(CoreError::ShardCount { expected: shards.len(), got: indices.len() });
+        }
         let (leader, election_metrics) = elect(shards.len(), &opts)?;
         Ok(QuerySession { shards, indices, opts, leader, election_metrics })
     }
@@ -581,6 +585,15 @@ mod tests {
         let idx: Vec<ShardIndex<ScalarPoint>> = Vec::new();
         let err = QuerySession::new(&sh, &idx, QueryOptions::default()).unwrap_err();
         assert_eq!(err, CoreError::EmptyCluster);
+    }
+
+    #[test]
+    fn index_count_mismatch_is_an_error() {
+        let sh = shards(&(0..50u64).collect::<Vec<_>>(), 3);
+        let mut idx = indices(&sh);
+        idx.pop();
+        let err = QuerySession::new(&sh, &idx, QueryOptions::default()).unwrap_err();
+        assert_eq!(err, CoreError::ShardCount { expected: 3, got: 2 });
     }
 
     #[test]

@@ -72,12 +72,6 @@ impl<P: Point> Dataset<P> {
     pub fn by_id(&self, id: PointId) -> Option<&Record<P>> {
         self.records.iter().find(|r| r.id == id)
     }
-
-    /// The largest id held, or `None` when empty — what an id generator
-    /// must resume *after* so fresh ids never collide with loaded data.
-    pub fn max_id(&self) -> Option<PointId> {
-        self.records.iter().map(|r| r.id).max()
-    }
 }
 
 /// The sequential oracle: exact ℓ-nearest neighbors by full sort.
@@ -147,12 +141,5 @@ mod tests {
         assert_eq!(ds.len(), 2);
         assert!(!ds.is_empty());
         assert!(ds.by_id(ds.records[1].id).is_some());
-    }
-
-    #[test]
-    fn max_id_tracks_the_largest_record() {
-        assert_eq!(Dataset::<ScalarPoint>::new(Vec::new()).max_id(), None);
-        let ds = dataset(&[5, 6, 7]);
-        assert_eq!(ds.max_id(), ds.records.iter().map(|r| r.id).max());
     }
 }

@@ -17,18 +17,28 @@
 //! The insert-as-query equivalence tests pin the other tentpole property:
 //! bulk load and empty-then-insert produce byte-identical serving behavior
 //! at every pool size.
+//!
+//! A `HashMap` of every held id checks the cluster's own id bookkeeping
+//! (one sorted id column per shard): labels resolve, `insert` issues fresh
+//! ids, and reused ids are refused, whatever the id layout.
+
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 
 use knn_core::cluster::KnnCluster;
 use knn_core::local::{brute_top, dist_keys, recall};
 use knn_core::runner::Algorithm;
-use knn_core::{IndexBackend, IndexedPoint, NswIndex, NswParams, ShardIndex};
+use knn_core::{CoreError, IndexBackend, IndexedPoint, NswIndex, NswParams, ShardIndex};
 use knn_points::{
-    brute_force_knn, BitsPoint, Dataset, DistKey, IdAssigner, Metric, Point, Record, ScalarPoint,
-    VecPoint,
+    brute_force_knn, BitsPoint, Dataset, DistKey, IdAssigner, Label, Metric, Point, PointId,
+    Record, ScalarPoint, VecPoint,
 };
 use knn_workloads::vector::uniform_cube;
 use knn_workloads::{GaussianMixture, PartitionStrategy};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{RngExt, SeedableRng};
 use rayon::ThreadPoolBuilder;
 
 fn with_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
@@ -368,8 +378,137 @@ fn indexed_vec_records(n: usize, dims: usize, seed: u64) -> Vec<Record<VecPoint>
         .collect()
 }
 
+/// Per-shard ids in one of four layouts: 0 assigner streams (one per
+/// machine, increasing along the shard), 1 dense small ids dealt
+/// round-robin, 2 assigner streams shuffled inside each shard, 3 uniform
+/// `u64`s with `0` on the first machine and `u64::MAX` on the last.
+fn id_layout(layout: u8, k: usize, per_shard: usize, rng: &mut StdRng) -> Vec<Vec<u64>> {
+    let streams = |rng: &mut StdRng| -> Vec<Vec<u64>> {
+        let seed = rng.random();
+        (0..k)
+            .map(|m| IdAssigner::with_stream(seed, m as u64).assign(per_shard))
+            .map(|ids| ids.into_iter().map(|id| id.0).collect())
+            .collect()
+    };
+    match layout {
+        0 => streams(rng),
+        1 => (0..k).map(|m| (0..per_shard).map(|i| (i * k + m) as u64).collect()).collect(),
+        2 => {
+            let mut shards = streams(rng);
+            shards.iter_mut().for_each(|ids| ids.shuffle(rng));
+            shards
+        }
+        _ => {
+            let mut seen = HashSet::from([0, u64::MAX]);
+            let mut fresh = || loop {
+                let id: u64 = rng.random();
+                if seen.insert(id) {
+                    break id;
+                }
+            };
+            let mut shards: Vec<Vec<u64>> =
+                (0..k).map(|_| (0..per_shard).map(|_| fresh()).collect()).collect();
+            shards[0].push(0);
+            shards[k - 1].push(u64::MAX);
+            shards
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The cluster's id bookkeeping through its public API, against a
+    /// `HashMap` oracle of every id it holds: load one of four id layouts,
+    /// interleave `insert`s with `insert_record_into`s of ids below,
+    /// between, above and equal to held ones on any machine, then an
+    /// ℓ = n query must return every point with its own machine and label.
+    /// Every reused id is refused with `DuplicateId` naming it.
+    #[test]
+    fn prop_ids_resolve_and_refuse_reuse_on_every_layout(
+        layout in 0u8..4,
+        k in 1usize..5,
+        per_shard in 1usize..30,
+        ops in 0usize..40,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut held: HashMap<u64, (usize, Option<Label>)> = HashMap::new();
+        let mut labels = 0u32;
+        let mut fresh_label = || {
+            labels += 1;
+            Some(Label::Class(labels))
+        };
+        let shards: Vec<Dataset<ScalarPoint>> = id_layout(layout, k, per_shard, &mut rng)
+            .into_iter()
+            .enumerate()
+            .map(|(machine, ids)| {
+                let records = ids
+                    .into_iter()
+                    .map(|id| {
+                        let label = fresh_label();
+                        held.insert(id, (machine, label));
+                        let point = ScalarPoint(rng.random_range(0..1000));
+                        Record { id: PointId(id), point, label }
+                    })
+                    .collect();
+                Dataset::new(records)
+            })
+            .collect();
+        let mut cluster: KnnCluster<ScalarPoint> = KnnCluster::builder().machines(k).build();
+        cluster.load_shards(shards).expect("one shard per machine");
+
+        for _ in 0..ops {
+            let (point, label) = (ScalarPoint(rng.random_range(0..1000)), fresh_label());
+            let mut sorted: Vec<u64> = held.keys().copied().collect();
+            sorted.sort_unstable();
+            let (min, max) = (sorted[0], sorted[sorted.len() - 1]);
+            if rng.random_bool(0.3) {
+                // `insert` issues one past the largest held id (saturating).
+                let want = max.saturating_add(1);
+                match cluster.insert_labeled(point, label) {
+                    Ok((id, machine)) => {
+                        prop_assert_eq!(id, PointId(want));
+                        prop_assert!(!held.contains_key(&want) && machine < k);
+                        held.insert(want, (machine, label));
+                    }
+                    Err(err) => {
+                        prop_assert!(held.contains_key(&want));
+                        prop_assert_eq!(err, CoreError::DuplicateId { id: PointId(want) });
+                    }
+                }
+                continue;
+            }
+            let id = match rng.random_range(0..4) {
+                0 => rng.random_range(0..=min),
+                1 => {
+                    let (a, b) = (*sorted.choose(&mut rng).unwrap(), *sorted.choose(&mut rng).unwrap());
+                    rng.random_range(a.min(b)..=a.max(b))
+                }
+                2 => max.saturating_add(rng.random_range(1..4)),
+                _ => *sorted.choose(&mut rng).unwrap(),
+            };
+            let machine = rng.random_range(0..k);
+            let got = cluster.insert_record_into(machine, Record { id: PointId(id), point, label });
+            match held.entry(id) {
+                Entry::Occupied(_) => {
+                    prop_assert_eq!(got, Err(CoreError::DuplicateId { id: PointId(id) }));
+                }
+                Entry::Vacant(slot) => {
+                    prop_assert_eq!(got, Ok(()));
+                    slot.insert((machine, label));
+                }
+            }
+        }
+
+        prop_assert_eq!(cluster.total_points(), held.len());
+        let answer = cluster.query(&ScalarPoint(500), held.len()).expect("query");
+        let ids: HashSet<u64> = answer.neighbors.iter().map(|n| n.id.0).collect();
+        prop_assert_eq!(ids.len(), held.len());
+        for n in &answer.neighbors {
+            prop_assert_eq!(held.get(&n.id.0), Some(&(n.machine, n.label)), "id {}", n.id.0);
+        }
+    }
 
     /// Oracle recall property suite over dims {1..8} × seeds: at the
     /// default `ef` the NSW top-ℓ keeps its recall floor against the
