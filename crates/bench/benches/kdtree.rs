@@ -1,13 +1,16 @@
 //! Micro-benchmarks of the k-d tree substrate (B-LOCAL): bulk build, ℓ-NN
-//! queries against the linear-scan oracle, and one in-place insert against
-//! the rebuild it replaced.
+//! queries against the linear-scan oracle — on 3-d uniform points and on
+//! the vector workloads' 16-d mixture shard — and one in-place insert
+//! against the rebuild it replaced.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use knn_core::local::brute_top;
 use knn_kdtree::KdTree;
-use knn_points::{brute_force_knn, IdAssigner, Metric, PointId, Record, VecPoint};
+use knn_points::{brute_force_knn, Dataset, IdAssigner, Metric, PointId, Record, VecPoint};
+use knn_workloads::GaussianMixture;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 fn records(n: usize, dims: usize, seed: u64) -> Vec<Record<VecPoint>> {
@@ -73,12 +76,40 @@ fn bench_query(c: &mut Criterion) {
     group.finish();
 }
 
+/// ℓ = 10 queries on one shard of the vector workloads' shape — 4,096
+/// points of the 5-cluster 16-d mixture — beside `brute_top`, the linear
+/// scan the tree must equal, over the same records: the rows to re-run when
+/// sweeping the tree's leaf size.
+fn bench_query_16d(c: &mut Criterion) {
+    const ELL: usize = 10;
+    let mixture = GaussianMixture { dims: 16, clusters: 5, spread: 1.0, range: 10.0 };
+    let shard = Dataset::from_labeled(mixture.generate(1 << 12, 7), &mut IdAssigner::new(7));
+    let tree = KdTree::from_records(&shard.records);
+    let queries: Vec<VecPoint> =
+        mixture.generate_with(64, 7, 8).into_iter().map(|(point, _)| point).collect();
+    let mut group = c.benchmark_group("kdtree-query-16d");
+    group.bench_with_input(BenchmarkId::new("kdtree", ELL), &queries, |b, queries| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % queries.len();
+            black_box(tree.knn(&queries[i].0, ELL, Metric::Euclidean))
+        });
+    });
+    group.bench_with_input(BenchmarkId::new("brute_top", ELL), &queries, |b, queries| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % queries.len();
+            black_box(brute_top(&shard.records, &queries[i], ELL, Metric::Euclidean))
+        });
+    });
+    group.finish();
+}
+
 /// One `insert` into an n-point 16-d tree (the vector workloads' shape)
 /// beside `from_records` over the same points — what a shard paid per insert
 /// when the exact index rebuilt. Inserts run in bursts on a fresh clone of
 /// the n-point tree, so the tree measured never grows past n + `BURST`.
-/// Neither the clone nor its first insert is timed: a clone's arenas are
-/// exactly full, so that insert pays a doubling a live tree pays once per n.
+/// Neither the clone nor its first insert is timed.
 fn bench_insert(c: &mut Criterion) {
     const BURST: usize = 256;
     let mut group = c.benchmark_group("kdtree-insert");
@@ -111,5 +142,5 @@ fn bench_insert(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_build, bench_query, bench_insert);
+criterion_group!(benches, bench_build, bench_query, bench_query_16d, bench_insert);
 criterion_main!(benches);

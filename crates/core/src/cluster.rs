@@ -270,6 +270,12 @@ impl<P: IndexedPoint> KnnCluster<P> {
     }
 
     /// Distribute a global dataset across the machines.
+    ///
+    /// Every point must be finite ([`knn_points::Point::is_finite`]). Unlike
+    /// the inserts, a load does not check: a point with a NaN or infinite
+    /// coordinate is stored, and every query whose search reaches it then
+    /// fails with [`kmachine::EngineError::WorkerPanic`]. The same holds for
+    /// [`Self::load_shards`].
     pub fn load(&mut self, data: Dataset<P>, strategy: PartitionStrategy) {
         let shards = strategy
             .split(data.records, self.k, self.opts.seed)
@@ -331,9 +337,11 @@ impl<P: IndexedPoint> KnnCluster<P> {
     /// size. Either backend absorbs the point at the cost of one
     /// search, not one build: [`IndexBackend::Nsw`] reuses the graph's
     /// search path, the exact sorted array shifts in place and the exact
-    /// k-d tree hangs a leaf (rebuilding a subtree only when inserts have
-    /// unbalanced it). A point whose [`knn_points::Point::shape`] differs
-    /// from the loaded data is refused with [`CoreError::ShapeMismatch`].
+    /// k-d tree appends to a leaf (splitting it when full, and rebuilding a
+    /// subtree only when inserts have unbalanced it). A point whose
+    /// [`knn_points::Point::shape`] differs from the loaded data is refused
+    /// with [`CoreError::ShapeMismatch`], and one with a NaN or infinite
+    /// coordinate with [`CoreError::NonFinitePoint`].
     pub fn insert(&mut self, point: P) -> Result<(PointId, MachineId), CoreError> {
         self.insert_labeled(point, None)
     }
@@ -357,8 +365,9 @@ impl<P: IndexedPoint> KnnCluster<P> {
     /// "data is naturally distributed" counterpart of [`Self::insert`],
     /// for callers that manage ids and placement themselves (and for
     /// replaying one cluster's insert stream into another verbatim).
-    /// Rejects ids already present on any shard and points of the wrong
-    /// shape, both before anything is touched.
+    /// Rejects ids already present on any shard, points of the wrong shape
+    /// and points with a non-finite coordinate, all before anything is
+    /// touched.
     pub fn insert_record_into(
         &mut self,
         machine: MachineId,
@@ -374,6 +383,9 @@ impl<P: IndexedPoint> KnnCluster<P> {
             return Err(CoreError::DuplicateId { id: record.id });
         }
         check_shape(&self.shards, &record.point)?;
+        if !record.point.is_finite() {
+            return Err(CoreError::NonFinitePoint);
+        }
         self.next_id = self.next_id.max(record.id.0.saturating_add(1));
         let records = &mut self.shards[machine].records;
         let pos = records.len();
@@ -921,6 +933,46 @@ mod tests {
             cluster.insert_record_into(9, fresh).unwrap_err(),
             CoreError::NoSuchMachine { machine: 9, machines: 3 }
         );
+    }
+
+    #[test]
+    fn non_finite_insert_is_refused_and_the_cluster_still_answers() {
+        use knn_points::VecPoint;
+        let point = |i: u64| VecPoint::new(vec![(i % 17) as f64, (i * 7 % 13) as f64]);
+        for backend in [IndexBackend::Exact, IndexBackend::nsw()] {
+            let mut cluster: KnnCluster<VecPoint> =
+                KnnCluster::builder().machines(4).seed(5).index_backend(backend).build();
+            let mut ids = IdAssigner::new(5);
+            let data = Dataset::from_points((0..200).map(point).collect(), &mut ids);
+            cluster.load(data, PartitionStrategy::RoundRobin);
+            let q = [VecPoint::new(vec![3.5, 1.0]), VecPoint::new(vec![0.0, 12.0])];
+            let answers = |cluster: &KnnCluster<VecPoint>| {
+                [5, 100, 250].map(|ell| {
+                    let one = cluster.query(&q[0], ell).unwrap().neighbors;
+                    let batch = cluster.query_batch(&q, ell).unwrap();
+                    assert_eq!(batch.answers[0].neighbors, one, "{backend:?}, ell = {ell}");
+                    (one, batch.answers[1].neighbors.clone())
+                })
+            };
+            let before = (format!("{cluster:?}"), answers(&cluster));
+
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let refused = CoreError::NonFinitePoint;
+                assert_eq!(cluster.insert(VecPoint::new(vec![bad, 1.0])).unwrap_err(), refused);
+                let labeled = cluster.insert_labeled(VecPoint::new(vec![1.0, bad]), None);
+                assert_eq!(labeled.unwrap_err(), refused);
+                for machine in 0..4 {
+                    let point = VecPoint::new(vec![bad, bad]);
+                    let record = Record { id: PointId(u64::MAX - 1), point, label: None };
+                    assert_eq!(cluster.insert_record_into(machine, record).unwrap_err(), refused);
+                }
+            }
+            assert_eq!(format!("{cluster:?}"), before.0, "{backend:?}: a refused insert is inert");
+            assert_eq!(answers(&cluster), before.1, "{backend:?}");
+            // A finite point still goes in and is found.
+            let (id, _) = cluster.insert(q[0].clone()).unwrap();
+            assert_eq!(cluster.query(&q[0], 1).unwrap().neighbors[0].id, id);
+        }
     }
 
     #[test]

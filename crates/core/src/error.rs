@@ -70,6 +70,14 @@ pub enum CoreError {
         /// Shape of the rejected point.
         got: usize,
     },
+    /// An insert carried a point with a NaN or infinite coordinate
+    /// ([`Point::is_finite`](knn_points::Point::is_finite) is false). Its
+    /// distance to anything is undefined, so once stored it would fail every
+    /// query whose search reached it, and nothing could remove it. Finite
+    /// coordinates large enough that a squared distance overflows (`1e300`)
+    /// are not refused: a query that reaches such a point still fails with
+    /// [`EngineError::WorkerPanic`].
+    NonFinitePoint,
 }
 
 impl fmt::Display for CoreError {
@@ -109,6 +117,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::ShapeMismatch { expected, got } => {
                 write!(f, "point of shape {got} rejected: the data has shape {expected}")
+            }
+            CoreError::NonFinitePoint => {
+                write!(f, "insert rejected: the point has a NaN or infinite coordinate")
             }
         }
     }
@@ -165,6 +176,8 @@ mod tests {
         assert!(s.contains("4-machine"), "{s}");
         let s = CoreError::ShapeMismatch { expected: 3, got: 2 }.to_string();
         assert!(s.contains("shape 2") && s.contains("shape 3"), "{s}");
+        let s = CoreError::NonFinitePoint.to_string();
+        assert!(s.contains("NaN or infinite"), "{s}");
     }
 
     #[test]

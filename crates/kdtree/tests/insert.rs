@@ -62,6 +62,33 @@ proptest! {
     }
 }
 
+/// 16-d inserts interleaved with queries, most of them crowded into one
+/// small corner of a bulk-built tree: the leaf there overflows and splits
+/// again and again, and the tree must answer like the scan after each one.
+#[test]
+fn crowded_16d_inserts_overfill_one_leaf_and_match_brute_force() {
+    const DIMS: usize = 16;
+    let spread = |i: u64, scale: u64| -> Vec<f64> {
+        (0..DIMS as u64).map(|j| ((i * (2 * j + 3) + j) % scale) as f64).collect()
+    };
+    let mut records: Vec<Record<VecPoint>> =
+        (0..256u64).map(|i| record(1_000 + i, spread(i, 16))).collect();
+    let mut tree = KdTree::from_records(&records);
+    for i in 0..400u64 {
+        // Nine of ten land on the corner's 2^16 grid points, often the same
+        // one; ids descend so a later insert wins every distance tie.
+        let coords = if i % 10 == 9 { spread(i * 13, 16) } else { spread(i, 2) };
+        let r = record(999 - i, coords);
+        tree.insert(r.id, &r.point.0);
+        records.push(r);
+        if i % 4 == 3 {
+            assert_matches_scan(&tree, &records, &[0.5; DIMS], 12);
+            assert_matches_scan(&tree, &records, &spread(i + 1, 2), 70);
+        }
+    }
+    assert_eq!(tree.len(), 656);
+}
+
 fn ceil_log2(n: usize) -> usize {
     n.next_power_of_two().trailing_zeros() as usize
 }

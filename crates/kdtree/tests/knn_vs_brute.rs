@@ -1,11 +1,22 @@
 //! The k-d tree must return exactly the linear scan's answer — same
-//! neighbors, same order, same tie-breaks — over random point sets in
-//! 1 through 8 dimensions, for every supported metric.
+//! neighbors, same order, same tie-breaks, same distance bits — over random
+//! point sets in 1 through 8, 16 and 33 dimensions, for every supported
+//! metric. 33 dimensions leave a remainder after any vector width the leaf
+//! scan might use.
 
 use knn_kdtree::KdTree;
 use knn_points::{brute_force_knn, Dist, IdAssigner, Metric, PointId, Record, VecPoint};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+const METRICS: [Metric; 6] = [
+    Metric::Euclidean,
+    Metric::SquaredEuclidean,
+    Metric::Manhattan,
+    Metric::Chebyshev,
+    Metric::Minkowski(3.0),
+    Metric::Hamming,
+];
 
 fn random_records(n: usize, dims: usize, seed: u64) -> Vec<Record<VecPoint>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -60,18 +71,66 @@ fn matches_brute_force_in_1_through_8_dimensions() {
 }
 
 #[test]
+fn matches_brute_force_in_16_and_33_dimensions() {
+    for dims in [16usize, 33] {
+        for &n in &[1usize, 40, 65, 700] {
+            for &ell in &[1usize, 10, 64] {
+                check(n, dims, ell, Metric::Euclidean, dims as u64 * 1000 + n as u64);
+            }
+        }
+    }
+}
+
+#[test]
 fn matches_brute_force_for_every_metric() {
-    let metrics = [
-        Metric::Euclidean,
-        Metric::SquaredEuclidean,
-        Metric::Manhattan,
-        Metric::Chebyshev,
-        Metric::Minkowski(3.0),
-        Metric::Hamming,
-    ];
-    for (i, &metric) in metrics.iter().enumerate() {
-        for dims in [1usize, 3, 8] {
+    for (i, &metric) in METRICS.iter().enumerate() {
+        for dims in [1usize, 3, 8, 16, 33] {
             check(80, dims, 5, metric, 7_000 + i as u64);
+        }
+    }
+}
+
+/// Points on a grid of four levels a side: coincident points and
+/// `(distance, id)` ties are the common case, not the rare one. Every split
+/// value is a grid level, so queries on the grid sit exactly on splitting
+/// planes. The spacing is 0.3, not 1, so the squared sums round.
+fn grid_records(n: usize, dims: usize, seed: u64) -> Vec<Record<VecPoint>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ids = IdAssigner::new(seed);
+    (0..n)
+        .map(|_| Record {
+            id: ids.next_id(),
+            point: VecPoint::new(grid_point(&mut rng, dims)),
+            label: None,
+        })
+        .collect()
+}
+
+fn grid_point(rng: &mut StdRng, dims: usize) -> Vec<f64> {
+    (0..dims).map(|_| f64::from(rng.random_range(0u32..4)) * 0.3).collect()
+}
+
+#[test]
+fn grid_ties_and_split_plane_queries_match_brute_force_in_16_and_33_dimensions() {
+    for dims in [16usize, 33] {
+        for &n in &[1usize, 40, 600] {
+            let records = grid_records(n, dims, 31 * dims as u64 + n as u64);
+            let tree = KdTree::from_records(&records);
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let mut queries: Vec<Vec<f64>> =
+                (0..3).map(|i| records[i * 7 % n].point.0.to_vec()).collect();
+            queries.extend((0..3).map(|_| grid_point(&mut rng, dims)));
+            for query in &queries {
+                for metric in METRICS {
+                    for &ell in &[1usize, 10, 64] {
+                        assert_eq!(
+                            tree.knn(query, ell, metric),
+                            oracle(&records, query, ell, metric),
+                            "n={n} dims={dims} ell={ell} metric={metric:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -21,6 +21,12 @@ pub trait Point: Clone + Send + Sync + 'static {
     fn shape(&self) -> usize {
         0
     }
+
+    /// False when the point has a coordinate no distance can be computed
+    /// from (a NaN or an infinity); always true for types without one.
+    fn is_finite(&self) -> bool {
+        true
+    }
 }
 
 /// A point on the integer line — the paper's experimental workload
@@ -65,6 +71,10 @@ impl Point for VecPoint {
 
     fn shape(&self) -> usize {
         self.dims()
+    }
+
+    fn is_finite(&self) -> bool {
+        self.0.iter().all(|x| x.is_finite())
     }
 }
 
