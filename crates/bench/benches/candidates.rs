@@ -8,7 +8,7 @@
 //!   16-d k-d trees of 2¹² points at ℓ = 10 (≈ 35 µs a cell), timed into
 //!   the pool by its first cell;
 //! * `sorted-16x1` — a one-query batch on `scalar_batch`: 16 cells of
-//!   ≈ 3 µs through sorted arrays. Too small to repay a pool operation, so it
+//!   ≈ 1 µs through sorted arrays. Too small to repay a pool operation, so it
 //!   must stay inline: both rows read the same.
 //!
 //! On a 1-CPU host the ambient pool is 1 and every pair reads the same.

@@ -112,8 +112,12 @@ pub fn audit_claims(
         .enumerate()
         .flat_map(|(m, keys)| keys.iter().map(move |&key| (key, m)))
         .collect();
+    if pool.len() > ell {
+        // Only the ℓ smallest are the answer: select them, then order them.
+        pool.select_nth_unstable(ell);
+        pool.truncate(ell);
+    }
     pool.sort_unstable();
-    pool.truncate(ell);
     let mut true_slice: Vec<Vec<DistKey>> = vec![Vec::new(); k];
     for &(key, m) in &pool {
         true_slice[m].push(key);

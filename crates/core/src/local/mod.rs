@@ -43,7 +43,6 @@ use std::time::{Duration, Instant};
 
 use kmachine::{EngineError, MachineId};
 use knn_points::{BitsPoint, DistKey, Metric, Point, PointId, Record, ScalarPoint, VecPoint};
-use knn_selection::TopK;
 use rayon::prelude::*;
 
 pub mod nsw;
@@ -80,7 +79,7 @@ pub fn brute_top<P: Point>(
 /// 203 / 139 at 200 and 403 / 260 at 400 (medians of 2 000 stages). Break-even
 /// is 100 µs; the threshold is twice that, where the pool is 1.46× ahead and
 /// a costlier spawn (73–80 µs at pool 4) still repays. Below it sit a
-/// one-query batch on 16 sorted-array shards (16 cells × 3.3 µs) and the
+/// one-query batch on 16 sorted-array shards (16 cells × 1.0 µs) and the
 /// tier-1 suite's thousands of 4-machine, 100-point queries.
 const POOL_REPAYS: Duration = Duration::from_micros(200);
 
@@ -192,8 +191,9 @@ pub struct ScalarIndex {
     /// `(value, id)` pairs sorted ascending. Duplicate-value correctness in
     /// the expansion below does *not* come from visit order (the leftward
     /// walk sees equal values in descending id order): it comes from the
-    /// strictly-greater break condition plus `TopK`'s exact `(dist, id)`
-    /// eviction, which together admit every distance-tied candidate.
+    /// strictly-greater break condition, which admits every candidate tied
+    /// with the ℓ-th, and from sorting each equal-distance run by id after
+    /// the walk.
     sorted: Vec<(u64, PointId)>,
 }
 
@@ -237,7 +237,7 @@ impl IndexedPoint for ScalarPoint {
         // non-decreasing distance order: O(log n + ℓ) per query.
         let mut right = sorted.partition_point(|&(v, _)| v < query.0);
         let mut left = right;
-        let mut best = TopK::<DistKey>::new(ell);
+        let mut out: Vec<DistKey> = Vec::with_capacity(ell.min(n));
         loop {
             let left_gap = (left > 0).then(|| query.0.abs_diff(sorted[left - 1].0));
             let right_gap = (right < n).then(|| sorted[right].0.abs_diff(query.0));
@@ -256,16 +256,28 @@ impl IndexedPoint for ScalarPoint {
                 e
             };
             let dist = ScalarPoint(value).distance(query, metric);
-            if let Some(worst) = best.threshold() {
-                // Strict: an equal-distance candidate with a smaller id can
-                // still displace the current worst under (distance, id).
-                if dist > worst.dist {
-                    break;
-                }
+            // Strict: a candidate at the ℓ-th distance can still have a
+            // smaller id than the ℓ-th entry.
+            if out.len() >= ell && dist > out[ell - 1].dist {
+                break;
             }
-            best.push(DistKey::new(dist, id));
+            out.push(DistKey::new(dist, id));
         }
-        best.into_sorted()
+        // The walk is in non-decreasing distance order, so only a run of
+        // equal distances can be out of `(distance, id)` order. Only the
+        // ℓ-th entry's run reaches past ℓ; when it does (a saturated
+        // squared distance can tie out to the array's end), its smallest
+        // ids are kept without sorting the rest of it.
+        let kept = out.len().min(ell);
+        if out.len() > kept {
+            let tail = out.partition_point(|key| key.dist < out[kept - 1].dist);
+            out[tail..].select_nth_unstable(kept - 1 - tail);
+            out.truncate(kept);
+        }
+        for run in out.chunk_by_mut(|a, b| a.dist == b.dist) {
+            run.sort_unstable();
+        }
+        out
     }
 }
 
@@ -784,6 +796,43 @@ mod tests {
             let index = ScalarPoint::build_index(&records);
             let got = ScalarPoint::index_top(&index, &records, &ScalarPoint(q), ell, Metric::Euclidean);
             prop_assert_eq!(got, oracle(&records, &ScalarPoint(q), ell, Metric::Euclidean));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Ties everywhere: values in `0..24` (so duplicates and equal gaps
+        /// on both sides of the query are the rule), sometimes a few near
+        /// `u64::MAX`; queries on, between and beyond them, near the top, and
+        /// midway, where every squared distance saturates to one tie; every
+        /// metric the sorted walk serves; ℓ from 0 past the shard's size.
+        #[test]
+        fn prop_scalar_index_equals_brute_force_on_ties(
+            low in proptest::collection::vec(0u64..24, 0..80),
+            high in proptest::collection::vec(0u64..24, 0..6),
+            q in prop_oneof![
+                0u64..30,
+                (u64::MAX - 30)..=u64::MAX,
+                (u64::MAX / 2 - 2)..(u64::MAX / 2 + 2),
+            ],
+            ell in 0usize..1000,
+            metric in 0usize..5,
+            seed in 0u64..100,
+        ) {
+            let metric = [
+                Metric::Euclidean,
+                Metric::SquaredEuclidean,
+                Metric::Manhattan,
+                Metric::Chebyshev,
+                Metric::Minkowski(3.0),
+            ][metric];
+            let values: Vec<u64> =
+                low.into_iter().chain(high.into_iter().map(|v| u64::MAX - v)).collect();
+            let ell = ell % (values.len() + 6);
+            let records = scalar_records(&values, seed);
+            let index = ScalarPoint::build_index(&records);
+            let got = ScalarPoint::index_top(&index, &records, &ScalarPoint(q), ell, metric);
+            prop_assert_eq!(got, oracle(&records, &ScalarPoint(q), ell, metric), "{:?}", metric);
         }
     }
 }

@@ -1,0 +1,265 @@
+//! Golden counters for the two leaders that select one order statistic:
+//! Algorithm 2's prune threshold (exact and prune-only) and the simple
+//! gather's boundary.
+//!
+//! Algorithm 2 answers exactly whatever rank its leader reads — hardening
+//! rolls a short prune back, and an over-wide one only costs selection
+//! work — so there a wrong rank shows in the counters alone. This test
+//! pins `(rounds, messages, bits)`, the leader's [`KnnStats`] and a digest
+//! of every answer on fixed cells, so any change to what a leader selects
+//! (or to the sampling stream feeding it) fails here.
+
+use kmachine::engine::run_sync;
+use kmachine::NetConfig;
+use knn_points::{Dist, DistKey, PointId};
+
+use super::{KnnParams, KnnProtocol, KnnStats, SimpleProtocol};
+use crate::splitmix64;
+
+/// One fixed cell: `k` machines of `per_machine` keys each, distances drawn
+/// from `0..span` (`span = 8`: every distance is shared by many points).
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    seed: u64,
+    k: usize,
+    ell: u64,
+    per_machine: u64,
+    span: u64,
+}
+
+/// The counters one run leaves behind: `(rounds, messages, bits, survivors,
+/// rolled_back, select_iterations, answer length, answer digest)`, the
+/// three [`KnnStats`] fields zero for Simple.
+type Row = (u64, u64, u64, u64, bool, u64, usize, u64);
+
+/// `(seed, k, ell, per_machine, span)`: ℓ ∈ {1, 10, 64, 300} × k ∈ {2, 8,
+/// 16} on duplicate-heavy distances, then distinct distances, short shards,
+/// ℓ past the population, and last a prune that keeps the global rank-161
+/// key of 280 at ℓ = 200 and is rolled back.
+const CELLS: [(u64, usize, u64, u64, u64); 20] = [
+    (1, 2, 1, 30, 8),
+    (2, 8, 1, 30, 8),
+    (3, 16, 1, 30, 8),
+    (4, 2, 10, 40, 8),
+    (5, 8, 10, 40, 8),
+    (6, 16, 10, 40, 8),
+    (7, 2, 64, 150, 8),
+    (8, 8, 64, 150, 8),
+    (9, 16, 64, 150, 8),
+    (10, 2, 300, 500, 8),
+    (11, 8, 300, 500, 8),
+    (12, 16, 300, 400, 8),
+    (13, 8, 64, 150, 1 << 40),
+    (14, 16, 64, 100, 1 << 40),
+    (15, 8, 300, 400, 1 << 40),
+    (16, 16, 300, 320, 1 << 40),
+    (17, 2, 10, 6, 8),
+    (18, 8, 300, 20, 8),
+    (19, 16, 10, 12, 1 << 40),
+    (20, 5, 200, 56, 8),
+];
+
+fn shards(cell: Cell) -> Vec<Vec<DistKey>> {
+    (0..cell.k as u64)
+        .map(|m| {
+            (0..cell.per_machine)
+                .map(|i| {
+                    let id = m * cell.per_machine + i;
+                    let dist = splitmix64(cell.seed.wrapping_mul(0x9E37_79B9) ^ id) % cell.span;
+                    DistKey::new(Dist::from_u64(dist), PointId(id))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Order-sensitive digest of the merged, sorted answer.
+fn digest(keys: &[DistKey]) -> u64 {
+    keys.iter().fold(splitmix64(keys.len() as u64), |h, key| {
+        splitmix64(h ^ key.dist.encoding()) ^ splitmix64(key.id.0)
+    })
+}
+
+fn oracle(shards: &[Vec<DistKey>], ell: u64) -> Vec<DistKey> {
+    let mut all: Vec<DistKey> = shards.concat();
+    all.sort_unstable();
+    all.truncate(ell as usize);
+    all
+}
+
+/// The run's [`Row`] and its merged answer, sorted.
+fn row(
+    metrics: &kmachine::RunMetrics,
+    stats: Option<KnnStats>,
+    mut keys: Vec<DistKey>,
+) -> (Row, Vec<DistKey>) {
+    keys.sort_unstable();
+    let (survivors, rolled_back, iterations) =
+        stats.map_or((0, false, 0), |s| (s.survivors, s.rolled_back, s.select_iterations));
+    let row = (
+        metrics.rounds,
+        metrics.messages,
+        metrics.bits,
+        survivors,
+        rolled_back,
+        iterations,
+        keys.len(),
+        digest(&keys),
+    );
+    (row, keys)
+}
+
+fn run_knn(cell: Cell, prune_only: bool) -> (Row, Vec<DistKey>) {
+    let protos: Vec<KnnProtocol<DistKey>> = shards(cell)
+        .into_iter()
+        .enumerate()
+        .map(|(i, keys)| {
+            let p = KnnProtocol::from_keys(i, cell.k, 0, cell.ell, KnnParams::default(), keys);
+            if prune_only {
+                p.prune_only()
+            } else {
+                p
+            }
+        })
+        .collect();
+    let out = run_sync(&NetConfig::new(cell.k).with_seed(cell.seed), protos).expect("knn run");
+    let stats = out.outputs[0].stats;
+    let keys: Vec<DistKey> = out.outputs.into_iter().flat_map(|o| o.keys).collect();
+    row(&out.metrics, stats, keys)
+}
+
+fn run_simple(cell: Cell) -> (Row, Vec<DistKey>) {
+    let protos: Vec<SimpleProtocol<DistKey>> = shards(cell)
+        .into_iter()
+        .enumerate()
+        .map(|(i, keys)| SimpleProtocol::from_keys(i, 0, cell.ell, 3, keys))
+        .collect();
+    let out = run_sync(&NetConfig::new(cell.k).with_seed(cell.seed), protos).expect("simple run");
+    let keys: Vec<DistKey> = out.outputs.into_iter().flatten().collect();
+    row(&out.metrics, None, keys)
+}
+
+/// `[exact, prune_only, simple]` per cell, as leaders that sort their
+/// gathered keys and index the sorted array compute them.
+const GOLDEN: &[[Row; 3]] = &[
+    [
+        (6, 7, 895, 1, false, 0, 1, 13841807650539198248),
+        (4, 4, 426, 1, false, 0, 1, 13841807650539198248),
+        (2, 2, 291, 0, false, 0, 1, 13841807650539198248),
+    ],
+    [
+        (6, 49, 6265, 1, false, 0, 1, 13574134261113728177),
+        (4, 28, 2982, 1, false, 0, 1, 13574134261113728177),
+        (2, 14, 2037, 0, false, 0, 1, 13574134261113728177),
+    ],
+    [
+        (6, 105, 13425, 1, false, 0, 1, 14937180907163565535),
+        (4, 60, 6390, 1, false, 0, 1, 14937180907163565535),
+        (2, 30, 4365, 0, false, 0, 1, 14937180907163565535),
+    ],
+    [
+        (34, 33, 6696, 20, false, 8, 10, 15755260687232373844),
+        (6, 4, 1578, 20, false, 0, 20, 9103800308473284289),
+        (4, 5, 1542, 0, false, 0, 10, 15755260687232373844),
+    ],
+    [
+        (30, 143, 30300, 70, false, 6, 10, 13673728752688025644),
+        (6, 28, 11046, 70, false, 0, 70, 809539482944956269),
+        (4, 35, 10794, 0, false, 0, 10, 13673728752688025644),
+    ],
+    [
+        (30, 295, 62660, 70, false, 6, 10, 14052561751692259966),
+        (6, 60, 23670, 70, false, 0, 70, 18130604161339896389),
+        (4, 75, 23130, 0, false, 0, 10, 14052561751692259966),
+    ],
+    [
+        (50, 35, 13941, 126, false, 9, 64, 2714178820992688065),
+        (20, 4, 8490, 126, false, 0, 126, 254368356076646882),
+        (19, 23, 9048, 0, false, 0, 64, 2714178820992688065),
+    ],
+    [
+        (58, 193, 87265, 126, false, 9, 64, 12925103624508307759),
+        (20, 28, 59430, 126, false, 0, 126, 13164358255277256668),
+        (19, 161, 63336, 0, false, 0, 64, 12925103624508307759),
+    ],
+    [
+        (62, 425, 188305, 126, false, 10, 64, 6763023444296478912),
+        (20, 60, 127350, 126, false, 0, 126, 4711301442436764320),
+        (19, 345, 135720, 0, false, 0, 64, 6763023444296478912),
+    ],
+    [
+        (62, 39, 19087, 511, false, 11, 300, 17558316535980223590),
+        (28, 4, 12970, 511, false, 0, 511, 1379090368414250839),
+        (83, 101, 41830, 0, false, 0, 300, 17558316535980223590),
+    ],
+    [
+        (90, 289, 134993, 543, false, 15, 300, 7074097420133193687),
+        (28, 28, 90790, 543, false, 0, 543, 10527376565551803854),
+        (83, 707, 292810, 0, false, 0, 300, 7074097420133193687),
+    ],
+    [
+        (78, 489, 266289, 617, false, 12, 300, 15389461252946697081),
+        (28, 60, 194550, 617, false, 0, 617, 7853840287814881971),
+        (83, 1515, 627450, 0, false, 0, 300, 15389461252946697081),
+    ],
+    [
+        (80, 287, 103236, 126, false, 15, 64, 15528919946034381645),
+        (20, 28, 59430, 126, false, 0, 126, 10564349407846589899),
+        (19, 161, 63336, 0, false, 0, 64, 15528919946034381645),
+    ],
+    [
+        (78, 553, 209873, 126, false, 14, 64, 3804151898658775499),
+        (20, 60, 127350, 126, false, 0, 126, 6618512036015519958),
+        (19, 345, 135720, 0, false, 0, 64, 3804151898658775499),
+    ],
+    [
+        (78, 241, 126809, 554, false, 12, 300, 1090936155017380795),
+        (28, 28, 90790, 554, false, 0, 554, 3808232086654202255),
+        (83, 707, 292810, 0, false, 0, 300, 1090936155017380795),
+    ],
+    [
+        (98, 649, 293249, 494, false, 17, 300, 10051968186893872866),
+        (28, 60, 194550, 494, false, 0, 494, 476682649341260384),
+        (83, 1515, 627450, 0, false, 0, 300, 10051968186893872866),
+    ],
+    [
+        (15, 15, 2931, 12, false, 3, 10, 15702822649178678733),
+        (5, 4, 1066, 12, false, 0, 12, 11742073447430126607),
+        (3, 3, 964, 0, false, 0, 10, 15702822649178678733),
+    ],
+    [
+        (11, 49, 23289, 160, false, 0, 160, 8242128997488158843),
+        (9, 28, 20006, 160, false, 0, 160, 8242128997488158843),
+        (7, 56, 20447, 0, false, 0, 160, 8242128997488158843),
+    ],
+    [
+        (38, 359, 73444, 70, false, 8, 10, 1901694933958515602),
+        (6, 60, 23670, 70, false, 0, 70, 14041884574046615321),
+        (4, 75, 23130, 0, false, 0, 10, 1901694933958515602),
+    ],
+    [
+        (86, 202, 61671, 161, true, 18, 200, 9637995746394353599),
+        (18, 16, 29864, 161, true, 0, 280, 10486393546712557387),
+        (17, 80, 31700, 0, false, 0, 200, 9637995746394353599),
+    ],
+];
+
+#[test]
+fn leaders_select_the_same_rank_as_their_sort() {
+    let mut got = Vec::new();
+    for &(seed, k, ell, per_machine, span) in &CELLS {
+        let cell = Cell { seed, k, ell, per_machine, span };
+        let want = oracle(&shards(cell), ell);
+        let (exact, keys) = run_knn(cell, false);
+        assert_eq!(keys, want, "Algorithm 2 answers exactly: {cell:?}");
+        let (approx, keys) = run_knn(cell, true);
+        assert_eq!(keys[..want.len()], want[..], "prune-only keeps the exact prefix: {cell:?}");
+        let (simple, keys) = run_simple(cell);
+        assert_eq!(keys, want, "the simple gather answers exactly: {cell:?}");
+        got.push([exact, approx, simple]);
+    }
+    if got[..] != GOLDEN[..] {
+        let printed: Vec<String> = got.iter().map(|cell| format!("    {cell:?},")).collect();
+        panic!("leader counters moved; this commit prints:\n{}", printed.join("\n"));
+    }
+}

@@ -7,8 +7,9 @@
 //!    (local computation, free in the model);
 //! 2. every machine samples `⌈12·log₂ ℓ⌉` candidates uniformly and ships
 //!    them to the leader — over a B-bit link this costs `O(log ℓ)` rounds;
-//! 3. the leader sorts the `≤ 12k·log₂ ℓ` samples and broadcasts the sample
-//!    of rank `⌈21·log₂ ℓ⌉` as the pruning threshold `r`;
+//! 3. the leader selects the sample of rank `⌈21·log₂ ℓ⌉` among its
+//!    `≤ 12k·log₂ ℓ` samples — the key the paper's sort puts there, in
+//!    linear time — and broadcasts it as the pruning threshold `r`;
 //! 4. machines discard candidates beyond `r` — Lemma 2.3: at most `11ℓ`
 //!    survive, with probability `≥ 1 − 2/ℓ²`;
 //! 5. Algorithm 1 selects the ℓ smallest among the survivors.
@@ -312,9 +313,11 @@ impl<K: Key> KnnProtocol<K> {
             ctx.broadcast(KnnMsg::PruneDecision { rollback: true });
             return self.decide(true, ctx);
         }
-        self.samples.sort_unstable();
-        let rank = self.params.prune_rank(self.ell);
-        let r = self.samples[(rank - 1).min(self.samples.len() - 1)];
+        // The rank-th smallest sample, by a selection that draws nothing
+        // from `ctx.rng()`: equal keys are identical, so this is the key
+        // a sort would put at that index.
+        let at = (self.params.prune_rank(self.ell) - 1).min(self.samples.len() - 1);
+        let r = *self.samples.select_nth_unstable(at).1;
         ctx.broadcast(KnnMsg::Prune { r });
         self.pruned_len = self.candidates.partition_point(|x| *x <= r);
         if self.counts() {

@@ -19,6 +19,8 @@
 //! round 0 only starts talking about it.
 
 pub mod binsearch;
+#[cfg(test)]
+mod golden;
 pub mod knn;
 pub mod saukas_song;
 pub mod select_core;

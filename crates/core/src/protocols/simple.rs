@@ -223,13 +223,13 @@ impl<K: NumericKey> Protocol for SimpleProtocol<K> {
             // degraded by the runner.
             let all_in = (0..ctx.k()).all(|s| self.finished[s] || ctx.crashed(s));
             if all_in {
-                // All kℓ candidates are in: select the final ℓ.
-                self.gathered.sort_unstable();
+                // All kℓ candidates are in: the ℓ-th smallest bounds the
+                // answer, and a linear-time selection finds it.
                 let boundary = if self.ell == 0 || self.gathered.is_empty() {
                     None
                 } else {
-                    let idx = (self.ell as usize).min(self.gathered.len()) - 1;
-                    Some(self.gathered[idx])
+                    let at = (self.ell as usize).min(self.gathered.len()) - 1;
+                    Some(*self.gathered.select_nth_unstable(at).1)
                 };
                 ctx.broadcast(SimpleMsg::Boundary { boundary });
                 return Step::Done(self.finish(boundary));
