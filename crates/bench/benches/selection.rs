@@ -1,55 +1,17 @@
-//! Micro-benchmarks of the sequential selection substrate (B-LOCAL):
-//! quickselect vs deterministic median-of-medians vs bounded-heap top-ℓ vs
-//! the full-sort reference — the per-machine "local computation" whose
+//! Micro-benchmark of the per-machine top-ℓ (B-LOCAL): the bounded heap
+//! every machine truncates its local set with, against std
+//! `select_nth_unstable`-then-sort — the "local computation" whose
 //! parallelization the paper's Figure 2 speedup comes from.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use knn_selection::{floyd_rivest_select, median_of_medians, quickselect, smallest_k};
+use knn_selection::smallest_k;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 fn data(n: usize, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n).map(|_| rng.random()).collect()
-}
-
-fn bench_select_median(c: &mut Criterion) {
-    let mut group = c.benchmark_group("select-median");
-    for &n in &[1usize << 14, 1 << 17] {
-        let input = data(n, 1);
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("quickselect", n), &input, |b, input| {
-            let mut rng = StdRng::seed_from_u64(2);
-            b.iter(|| {
-                let mut v = input.clone();
-                quickselect(&mut v, n / 2, &mut rng);
-                black_box(v[n / 2])
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("floyd-rivest", n), &input, |b, input| {
-            let mut rng = StdRng::seed_from_u64(3);
-            b.iter(|| {
-                let mut v = input.clone();
-                floyd_rivest_select(&mut v, n / 2, &mut rng);
-                black_box(v[n / 2])
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("median-of-medians", n), &input, |b, input| {
-            b.iter(|| {
-                let mut v = input.clone();
-                black_box(median_of_medians(&mut v, n / 2))
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("full-sort", n), &input, |b, input| {
-            b.iter(|| {
-                let mut v = input.clone();
-                v.sort_unstable();
-                black_box(v[n / 2])
-            });
-        });
-    }
-    group.finish();
 }
 
 fn bench_top_ell(c: &mut Criterion) {
@@ -62,10 +24,9 @@ fn bench_top_ell(c: &mut Criterion) {
             b.iter(|| black_box(smallest_k(input.iter().copied(), ell)));
         });
         group.bench_with_input(BenchmarkId::new("select-then-sort", ell), &input, |b, input| {
-            let mut rng = StdRng::seed_from_u64(4);
             b.iter(|| {
                 let mut v = input.clone();
-                quickselect(&mut v, ell - 1, &mut rng);
+                v.select_nth_unstable(ell - 1);
                 v.truncate(ell);
                 v.sort_unstable();
                 black_box(v)
@@ -75,5 +36,5 @@ fn bench_top_ell(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_select_median, bench_top_ell);
+criterion_group!(benches, bench_top_ell);
 criterion_main!(benches);

@@ -425,6 +425,10 @@ fn scatter(sub_keys: Vec<Vec<DistKey>>, alive: &[MachineId], k: usize) -> Vec<Ve
 /// failure: [`CoreError::AuditFailed`] if misbehaviour emptied the
 /// cluster, the crash itself otherwise.
 ///
+/// A zero bandwidth, or a fault or adversary plan entry for a machine
+/// outside the cluster, is refused before the first attempt as
+/// [`EngineError::InvalidPlan`].
+///
 /// The finished [`Report`] is the final run's, with `attempts`,
 /// `recovered`, `recovery.rejoined` and `audit` totalled over the loop.
 fn recover(
@@ -433,6 +437,12 @@ fn recover(
     opts: &QueryOptions,
     mut attempt: impl FnMut(&Survivors, u32) -> Result<(Report, Attempt), EngineError>,
 ) -> Result<Report, CoreError> {
+    // Every attempt runs a projection of the plans, which silently drops
+    // an entry for a machine outside the cluster: check them whole, once.
+    opts.fault_free_config(k)
+        .with_faults(opts.faults.clone())
+        .with_adversary(opts.adversary.clone())
+        .validate()?;
     opts.recovery.validate(k, &opts.faults)?;
     let mut survivors = Survivors { alive: (0..k).collect(), leader, rejoined: Vec::new() };
     let mut retry = RetryState { attempts: 1, spent_rounds: 0 };

@@ -436,11 +436,16 @@ impl NetConfig {
         self
     }
 
-    /// Reject self-contradictory fault and adversary plans before any
-    /// protocol executes; [`run_sync`](crate::run_sync) calls this first.
-    pub(crate) fn validate(&self) -> Result<(), crate::EngineError> {
+    /// Reject a zero bandwidth and self-contradictory fault and adversary
+    /// plans (an entry for a machine outside the `k`-machine cluster among
+    /// them) before any protocol executes; [`run_sync`](crate::run_sync)
+    /// calls this first.
+    pub fn validate(&self) -> Result<(), crate::EngineError> {
         let invalid = |reason: String| Err(crate::EngineError::InvalidPlan { reason });
         let (k, faults, adversary) = (self.k, &self.faults, &self.adversary);
+        if self.bandwidth.budget() == 0 {
+            return invalid("bandwidth must allow at least 1 bit per round".into());
+        }
         if faults.loss_per_mille > 1000 {
             return invalid(format!(
                 "loss_per_mille {} exceeds 1000 (100% loss)",
@@ -448,6 +453,9 @@ impl NetConfig {
             ));
         }
         for (i, &(m, r)) in faults.crashes.iter().enumerate() {
+            if m >= k {
+                return invalid(format!("crash entry for machine {m} out of range (k = {k})"));
+            }
             if faults.crashes[..i].iter().any(|&(m2, _)| m2 == m) {
                 return invalid(format!(
                     "machine {m} has duplicate crash entries (second at round {r})"

@@ -81,16 +81,12 @@ pub(super) struct RunEnv {
 }
 
 impl RunEnv {
-    /// # Panics
-    /// If bandwidth is `Enforce { 0 }`.
     pub(super) fn new(cfg: &NetConfig) -> Self {
-        let budget = cfg.bandwidth.budget();
-        assert!(budget >= 1, "bandwidth must allow at least 1 bit per round");
         RunEnv {
             k: cfg.k,
             max_rounds: cfg.max_rounds,
             latency: cfg.round_latency,
-            budget,
+            budget: cfg.bandwidth.budget(),
             crash_rounds: (0..cfg.k).map(|i| cfg.faults.crash_round(i)).collect(),
             adversary: AdversaryCtx::from_plan(&cfg.adversary, cfg.k),
             max_retries: cfg.faults.max_retries,

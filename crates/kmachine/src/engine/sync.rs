@@ -435,18 +435,26 @@ mod tests {
     #[test]
     fn invalid_plans_are_rejected_before_execution() {
         let k = 3;
+        let cfg = NetConfig::new(k).with_seed(7);
         let bad = [
             (
-                FaultPlan::default().with_loss(1001, 3),
+                cfg.clone().with_faults(FaultPlan::default().with_loss(1001, 3)),
                 "loss_per_mille 1001 exceeds 1000 (100% loss)",
             ),
             (
-                FaultPlan::default().with_crash(1, 2).with_crash(1, 5),
+                cfg.clone().with_faults(FaultPlan::default().with_crash(1, 2).with_crash(1, 5)),
                 "machine 1 has duplicate crash entries (second at round 5)",
             ),
+            (
+                cfg.clone().with_faults(FaultPlan::default().with_crash(3, 1)),
+                "crash entry for machine 3 out of range (k = 3)",
+            ),
+            (
+                cfg.with_bandwidth(BandwidthMode::Enforce { bits_per_round: 0 }),
+                "bandwidth must allow at least 1 bit per round",
+            ),
         ];
-        for (plan, reason) in bad {
-            let cfg = NetConfig::new(k).with_seed(7).with_faults(plan);
+        for (cfg, reason) in bad {
             let err = run_sync(&cfg, GossipSum::cluster(k)).unwrap_err();
             assert_eq!(err, EngineError::InvalidPlan { reason: reason.into() });
         }

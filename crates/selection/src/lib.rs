@@ -1,21 +1,16 @@
-//! # knn-selection — sequential selection algorithms
+//! # knn-selection — the sequential selection kernels the protocols call
 //!
 //! The paper reduces ℓ-nearest-neighbors to the *selection problem*: find
-//! the ℓ-smallest of n values (§1.2, citing CLRS). This crate provides the
-//! sequential selection toolbox the distributed layer builds on:
+//! the ℓ-smallest of n values (§1.2, citing CLRS). Algorithm 2 needs two
+//! local operations from it: a machine's top-ℓ (step 1) and one rank read
+//! by the leader (step 3), which reads it with std's `select_nth_unstable`.
+//! This crate holds what is left:
 //!
-//! * [`quickselect()`] — randomized in-place selection, expected `O(n)`; the
-//!   sequential analogue of the paper's Algorithm 1.
-//! * [`median_of_medians()`] — the deterministic worst-case `O(n)` algorithm
-//!   (Blum–Floyd–Pratt–Rivest–Tarjan) the paper cites via CLRS \[5\].
-//! * [`select_nth`] — introselect: randomized pivots with a deterministic
-//!   fallback, the production entry point.
 //! * [`heap`] — bounded-heap streaming top-ℓ, `O(n log ℓ)`, used by every
-//!   machine to truncate its local set to its ℓ best (Algorithm 2, step 2).
+//!   machine to truncate its local set to its ℓ best (Algorithm 2, step 2)
+//!   and by the k-d tree's search.
 //! * [`weighted_median()`] — the weighted median of medians underlying the
 //!   Saukas–Song deterministic distributed baseline \[16\].
-//! * [`floyd_rivest_select`] — Floyd–Rivest SELECT, the strongest
-//!   sequential competitor, for the substrate benchmarks.
 //!
 //! All functions operate on `T: Ord + Copy` — in this workspace keys are
 //! 128-bit `(distance, id)` pairs, so copying is cheaper than chasing
@@ -24,82 +19,44 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod floyd_rivest;
 pub mod heap;
-pub mod median_of_medians;
-pub mod partition;
-pub mod quickselect;
-pub mod reference;
 pub mod weighted_median;
 
-pub use floyd_rivest::floyd_rivest_select;
 pub use heap::{smallest_k, TopK};
-pub use median_of_medians::median_of_medians;
-pub use quickselect::quickselect;
 pub use weighted_median::{weighted_median, WeightedMedianError};
 
-use rand::RngExt;
-
-/// Introselect: randomized quickselect with a deterministic
-/// median-of-medians fallback once the recursion misbehaves, guaranteeing
-/// worst-case `O(n)` while keeping quickselect's constants on typical data.
+/// The `k` smallest values of `data`, ascending: std `select_nth_unstable`
+/// on a copy, then a sort of the `k` kept.
 ///
-/// After the call, `data[n]` is the value with rank `n` (0-based) and
-/// everything before it is `≤` it, everything after `≥` it.
-///
-/// # Panics
-/// If `n >= data.len()`.
-pub fn select_nth<T: Ord + Copy, R: RngExt>(data: &mut [T], n: usize, rng: &mut R) {
-    quickselect::select_with_depth_limit(data, n, rng);
-}
-
-/// The ℓ smallest values of `data`, ascending. Convenience wrapper choosing
-/// between the heap (`ℓ ≪ n`) and select-then-sort strategies.
-pub fn smallest_k_sorted<T: Ord + Copy, R: RngExt>(data: &[T], k: usize, rng: &mut R) -> Vec<T> {
-    if k == 0 || data.is_empty() {
+/// **Frozen name.** Nothing in this workspace calls it: the frozen
+/// benchmark package (`ledger/`) times it, and passes a generator, so
+/// `rng` is accepted and unused. It goes in the next `[benchmark]` refresh
+/// (ROADMAP), where that row can time [`smallest_k`] instead.
+pub fn smallest_k_sorted<T: Ord + Copy, R>(data: &[T], k: usize, _rng: &mut R) -> Vec<T> {
+    if k == 0 {
         return Vec::new();
     }
-    if k >= data.len() {
-        let mut all = data.to_vec();
-        all.sort_unstable();
-        return all;
-    }
-    // Heuristic: k log k work for the heap vs a full copy + linear select.
-    if k < data.len() / 8 {
-        smallest_k(data.iter().copied(), k)
-    } else {
-        let mut copy = data.to_vec();
-        select_nth(&mut copy, k - 1, rng);
+    let mut copy = data.to_vec();
+    if k < copy.len() {
+        copy.select_nth_unstable(k - 1);
         copy.truncate(k);
-        copy.sort_unstable();
-        copy
     }
+    copy.sort_unstable();
+    copy
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
     fn smallest_k_sorted_matches_sort() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let data: Vec<u64> = (0..500).map(|_| rng.random_range(0..100)).collect();
+        let data: Vec<u64> = (0..500u64).map(|i| i * 37 % 100).collect();
         let mut expected = data.clone();
         expected.sort_unstable();
         for k in [0, 1, 7, 63, 250, 499, 500, 600] {
-            let got = smallest_k_sorted(&data, k, &mut rng);
+            let got = smallest_k_sorted(&data, k, &mut ());
             assert_eq!(got, expected[..k.min(data.len())], "k = {k}");
         }
-    }
-
-    #[test]
-    fn select_nth_places_rank() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut data: Vec<u64> = (0..1000).rev().collect();
-        select_nth(&mut data, 123, &mut rng);
-        assert_eq!(data[123], 123);
-        assert!(data[..123].iter().all(|&x| x <= 123));
-        assert!(data[124..].iter().all(|&x| x >= 123));
     }
 }

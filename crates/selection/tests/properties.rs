@@ -1,55 +1,16 @@
-//! Cross-algorithm property suite: every selection algorithm in this crate
-//! must agree with the sort-based oracles in `reference.rs`, on random and
-//! on adversarial (sorted / reversed / duplicate-heavy) inputs, and
-//! `weighted_median` must match a brute-force weighted-rank oracle.
+//! Property suite: both top-k entry points must agree with a full sort, on
+//! random and on duplicate-heavy inputs, and `weighted_median` must match a
+//! brute-force weighted-rank oracle.
 
-use knn_selection::reference::{nth_by_sort, smallest_k_by_sort};
-use knn_selection::{
-    floyd_rivest_select, median_of_medians, quickselect, select_nth, smallest_k, smallest_k_sorted,
-    weighted_median,
-};
+use knn_selection::{smallest_k, smallest_k_sorted, weighted_median};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-/// Run every rank-`n` selection algorithm on its own copy of `data` and
-/// assert each lands exactly on the oracle value with a correct partition
-/// around it.
-/// One selection algorithm under test: selects rank `n` in place and
-/// returns the value it placed there.
-type SelectFn = fn(&mut [u64], usize, &mut StdRng) -> u64;
-
-fn assert_all_select_rank(data: &[u64], n: usize, seed: u64) {
-    let expected = nth_by_sort(data, n);
-    let algorithms: &[(&str, SelectFn)] = &[
-        ("quickselect", |d, n, rng| {
-            quickselect(d, n, rng);
-            d[n]
-        }),
-        ("floyd_rivest", |d, n, rng| {
-            floyd_rivest_select(d, n, rng);
-            d[n]
-        }),
-        ("median_of_medians", |d, n, _rng| median_of_medians(d, n)),
-        ("select_nth (introselect)", |d, n, rng| {
-            select_nth(d, n, rng);
-            d[n]
-        }),
-    ];
-    for (name, run) in algorithms {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut copy = data.to_vec();
-        let got = run(&mut copy, n, &mut rng);
-        assert_eq!(got, expected, "{name} disagrees with sort oracle at rank {n}");
-        assert!(
-            copy[..n].iter().all(|&x| x <= expected),
-            "{name} left a value > rank-{n} element on the low side"
-        );
-        assert!(
-            copy[n + 1..].iter().all(|&x| x >= expected),
-            "{name} left a value < rank-{n} element on the high side"
-        );
-    }
+/// The `k` smallest values by full sort, ascending: the oracle.
+fn smallest_k_by_sort(data: &[u64], k: usize) -> Vec<u64> {
+    let mut copy = data.to_vec();
+    copy.sort_unstable();
+    copy.truncate(k);
+    copy
 }
 
 /// Brute-force lower weighted median: smallest value whose at-or-below
@@ -73,49 +34,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn all_algorithms_agree_on_random_input(
-        data in proptest::collection::vec(any::<u64>(), 1..300),
-        n_frac in 0.0f64..1.0,
-        seed in any::<u64>(),
-    ) {
-        let n = ((data.len() - 1) as f64 * n_frac) as usize;
-        assert_all_select_rank(&data, n, seed);
-    }
-
-    #[test]
-    fn all_algorithms_agree_on_duplicate_heavy_input(
-        data in proptest::collection::vec(0u64..4, 1..300),
-        n_frac in 0.0f64..1.0,
-        seed in any::<u64>(),
-    ) {
-        let n = ((data.len() - 1) as f64 * n_frac) as usize;
-        assert_all_select_rank(&data, n, seed);
-    }
-
-    #[test]
-    fn all_algorithms_agree_on_sorted_and_reversed_input(
-        data in proptest::collection::vec(any::<u64>(), 1..300),
-        n_frac in 0.0f64..1.0,
-        seed in any::<u64>(),
-    ) {
-        let mut sorted = data.clone();
-        sorted.sort_unstable();
-        let n = ((sorted.len() - 1) as f64 * n_frac) as usize;
-        assert_all_select_rank(&sorted, n, seed);
-        sorted.reverse();
-        assert_all_select_rank(&sorted, n, seed);
-    }
-
-    #[test]
     fn top_k_variants_match_sort_oracle(
         data in proptest::collection::vec(any::<u64>(), 0..300),
+        ties in proptest::collection::vec(0u64..8, 0..300),
         k in 0usize..350,
-        seed in any::<u64>(),
     ) {
-        let expected = smallest_k_by_sort(&data, k);
-        prop_assert_eq!(&smallest_k(data.iter().copied(), k), &expected);
-        let mut rng = StdRng::seed_from_u64(seed);
-        prop_assert_eq!(&smallest_k_sorted(&data, k, &mut rng), &expected);
+        for input in [&data, &ties] {
+            let expected = smallest_k_by_sort(input, k);
+            prop_assert_eq!(&smallest_k(input.iter().copied(), k), &expected);
+            prop_assert_eq!(&smallest_k_sorted(input, k, &mut ()), &expected);
+        }
     }
 
     #[test]
@@ -125,21 +53,6 @@ proptest! {
         let mut work = items.clone();
         let got = weighted_median(&mut work).ok();
         prop_assert_eq!(got, weighted_median_oracle(&items));
-    }
-}
-
-#[test]
-fn adversarial_fixed_patterns() {
-    // Constant, organ-pipe, sawtooth, and two-value patterns: classic
-    // quickselect pathologies.
-    let constant = vec![7u64; 101];
-    let organ_pipe: Vec<u64> = (0..50u64).chain((0..51u64).rev()).collect();
-    let sawtooth: Vec<u64> = (0..120u64).map(|i| i % 7).collect();
-    let two_values: Vec<u64> = (0..99u64).map(|i| i & 1).collect();
-    for data in [constant, organ_pipe, sawtooth, two_values] {
-        for n in [0, 1, data.len() / 2, data.len() - 1] {
-            assert_all_select_rank(&data, n, 0xDEAD_BEEF);
-        }
     }
 }
 

@@ -5,7 +5,8 @@
 //! * [`kmachine`] — the k-machine model simulator (engine, bandwidth,
 //!   metrics, leader election);
 //! * [`points`] — points, metrics, distance keys;
-//! * [`selection`] — sequential selection algorithms;
+//! * [`selection`] — the sequential selection kernels the protocols call
+//!   (bounded-heap top-ℓ, weighted median);
 //! * [`kdtree`] — the k-d tree substrate;
 //! * [`workloads`] — synthetic data and adversarial partitions;
 //! * [`core`] — the paper's distributed algorithms and the

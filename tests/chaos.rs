@@ -16,7 +16,7 @@ use kmachine::error::EngineError;
 use kmachine::{AdversaryPlan, FaultPlan, RecoveryPlan};
 use knn_core::cluster::{BatchAnswer, ClusterBuilder, KnnAnswer, KnnCluster, Neighbor};
 use knn_core::error::CoreError;
-use knn_core::runner::{Algorithm, ElectionKind, RetryPolicy};
+use knn_core::runner::{run_query, Algorithm, ElectionKind, RetryPolicy};
 use knn_core::IndexBackend;
 use knn_points::{Dataset, IdAssigner, Record, ScalarPoint};
 use knn_workloads::ScalarWorkload;
@@ -344,18 +344,61 @@ fn rejoin_clears_the_degraded_flag_a_bare_crash_sets() {
     assert_eq!(healed.metrics, want.metrics, "the answering run is the fault-free run");
 }
 
-/// A cluster over four value ranges (machine `i` holds `100i..100i+100`),
-/// so a query can be aimed at one machine's points.
-fn range_cluster(builder: ClusterBuilder) -> KnnCluster {
+/// Four value ranges: machine `i` holds `100i..100i+100`.
+fn range_shards() -> Vec<Dataset<ScalarPoint>> {
     let mut ids = IdAssigner::new(0);
-    let shards = (0..4u64)
+    (0..4u64)
         .map(|i| {
             Dataset::from_points((i * 100..i * 100 + 100).map(ScalarPoint).collect(), &mut ids)
         })
-        .collect();
+        .collect()
+}
+
+/// A cluster over [`range_shards`], so a query can be aimed at one
+/// machine's points.
+fn range_cluster(builder: ClusterBuilder) -> KnnCluster {
     let mut cluster: KnnCluster = builder.machines(4).seed(5).election(ElectionKind::Fixed).build();
-    cluster.load_shards(shards).expect("shard count");
+    cluster.load_shards(range_shards()).expect("shard count");
     cluster
+}
+
+/// What each entry point that reaches the engine says to a
+/// [`range_cluster`] built from `builder`: the sequential, batched and
+/// approximate queries, and the shards-only `run_query` under the same
+/// options.
+fn every_entry(builder: ClusterBuilder) -> Vec<(&'static str, Result<(), CoreError>)> {
+    let c = range_cluster(builder);
+    let (q, ell) = (ScalarPoint(150), 5);
+    vec![
+        ("query", c.query(&q, ell).map(drop)),
+        ("query_batch", c.query_batch(&[q, ScalarPoint(250)], ell).map(drop)),
+        ("query_approx", c.query_approx(&q, ell).map(drop)),
+        ("run_query", run_query(&range_shards(), &q, ell, Algorithm::Knn, c.options()).map(drop)),
+    ]
+}
+
+/// A zero bandwidth, or a fault or adversary plan entry for a machine
+/// outside the cluster, is refused as a typed `InvalidPlan` by every entry
+/// point. The first used to panic inside the engine. The others were
+/// dropped by the projection of the plans onto each attempt's survivors,
+/// which answered as if nobody crashed or lied.
+#[test]
+fn invalid_configs_are_refused_by_every_entry_point() {
+    let builders = [
+        KnnCluster::builder().bandwidth_bits(0),
+        KnnCluster::builder().adversary(AdversaryPlan::default().with_lie(9, 0)),
+        KnnCluster::builder().adversary(AdversaryPlan::default().with_equivocate(9)),
+        KnnCluster::builder().adversary(AdversaryPlan::default().with_corrupt_link(1, 9, 10)),
+        KnnCluster::builder().faults(FaultPlan::default().with_crash(9, 1)),
+    ];
+    for (case, builder) in builders.into_iter().enumerate() {
+        for (entry, got) in every_entry(builder) {
+            assert!(
+                matches!(got, Err(CoreError::Engine(EngineError::InvalidPlan { .. }))),
+                "case {case}, {entry}: {got:?}"
+            );
+        }
+    }
 }
 
 /// The edges of healing by restart: a one-machine cluster, a rejoining
