@@ -8,12 +8,15 @@
 //!   16-d k-d trees of 2¹² points at ℓ = 10 (≈ 35 µs a cell), timed into
 //!   the pool by its first cell;
 //! * `sorted-16x1` — a one-query batch on `scalar_batch`: 16 cells of
-//!   ≈ 1 µs through sorted arrays. Too small to repay a pool operation, so it
-//!   must stay inline: both rows read the same.
+//!   ≈ 1.5 µs through sorted arrays. Too small to repay a pool operation, so it
+//!   must stay inline: both rows read the same. Each cell reads the next of
+//!   4,096 seeded random queries, so, as on the workloads, a call finds
+//!   little of its shard in cache beyond the index's directory.
 //!
 //! On a 1-CPU host the ambient pool is 1 and every pair reads the same.
 
 use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kmachine::MachineId;
@@ -21,6 +24,7 @@ use knn_core::local::{brute_top, candidate_stage};
 use knn_core::{IndexBackend, ShardIndex};
 use knn_points::{Dataset, DistKey, IdAssigner, Metric, ScalarPoint, VecPoint};
 use knn_workloads::{GaussianMixture, PartitionStrategy, ScalarWorkload};
+use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 const METRIC: Metric = Metric::Euclidean;
 
@@ -47,8 +51,12 @@ fn bench_stage(
     group.finish();
 }
 
+fn scalar_workload() -> ScalarWorkload {
+    ScalarWorkload::small(1 << 17)
+}
+
 fn scalar_shards(k: usize) -> Vec<Dataset<ScalarPoint>> {
-    ScalarWorkload::small(1 << 17).generate(k, 7)
+    scalar_workload().generate(k, 7)
 }
 
 fn bench_scan(c: &mut Criterion) {
@@ -79,9 +87,14 @@ fn bench_sorted(c: &mut Criterion) {
     let shards = scalar_shards(16);
     let indices: Vec<ShardIndex<ScalarPoint>> =
         shards.iter().map(|d| ShardIndex::build(&d.records, IndexBackend::Exact, METRIC)).collect();
-    let query = ScalarPoint(1 << 31);
+    let workload = scalar_workload();
+    let mut rng = StdRng::seed_from_u64(8);
+    let pool: Vec<ScalarPoint> =
+        (0..4096).map(|_| ScalarPoint(rng.random_range(workload.lo..workload.hi))).collect();
+    let next = AtomicUsize::new(0);
     bench_stage(c, "sorted-16x1", 16, 1, None, |m, _| {
-        indices[m].top(&shards[m].records, &query, 64, METRIC)
+        let query = &pool[next.fetch_add(1, Ordering::Relaxed) % pool.len()];
+        indices[m].top(&shards[m].records, query, 64, METRIC)
     });
 }
 

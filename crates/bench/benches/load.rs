@@ -1,15 +1,16 @@
 //! The cluster's load and its answer resolution, the two places the
 //! per-shard id columns are built and read: `load_shards` of 16 × 2¹⁴
 //! assigner-id scalar shards (id columns plus sorted-array indices), and one
-//! `query_batch` of 64 queries at ℓ = 64, whose answers resolve every
-//! neighbour's label through the id columns.
+//! `query_batch` of 64 queries at ℓ = 64 twice: on those unlabeled shards,
+//! whose answers skip the id columns, and on a labeled copy
+//! (`-labeled`), whose answers resolve every neighbour's label through them.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use knn_core::KnnCluster;
-use knn_points::{Dataset, ScalarPoint};
+use knn_points::{Dataset, Label, Record, ScalarPoint};
 use knn_workloads::ScalarWorkload;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
@@ -38,14 +39,25 @@ fn bench_load(c: &mut Criterion) {
         });
     });
 
-    let mut loaded = cluster();
-    loaded.load_shards(shards).expect("one shard per machine");
+    let labeled: Vec<Dataset<ScalarPoint>> = shards
+        .iter()
+        .map(|d| {
+            let label = |r: &Record<_>| Some(Label::Class((r.id.0 % 10) as u32));
+            Dataset::new(d.records.iter().map(|r| Record { label: label(r), ..*r }).collect())
+        })
+        .collect();
     let mut rng = StdRng::seed_from_u64(8);
     let queries: Vec<ScalarPoint> =
         (0..64).map(|_| ScalarPoint(rng.random_range(workload.lo..workload.hi))).collect();
-    group.bench_function(BenchmarkId::from_parameter("query_batch-64-ell64"), |b| {
-        b.iter(|| loaded.query_batch(&queries, 64).expect("batch"));
-    });
+    for (name, shards) in
+        [("query_batch-64-ell64", shards), ("query_batch-64-ell64-labeled", labeled)]
+    {
+        let mut loaded = cluster();
+        loaded.load_shards(shards).expect("one shard per machine");
+        group.bench_function(BenchmarkId::from_parameter(name), |b| {
+            b.iter(|| loaded.query_batch(&queries, 64).expect("batch"));
+        });
+    }
     group.finish();
 }
 

@@ -208,6 +208,7 @@ impl ClusterBuilder {
         KnnCluster {
             shards: Vec::new(),
             ids: Vec::new(),
+            labeled: Vec::new(),
             shard_indices: Vec::new(),
             opts: self.opts,
             algorithm: self.algorithm,
@@ -229,6 +230,9 @@ pub struct KnnCluster<P: IndexedPoint = ScalarPoint> {
     /// [`find_id`]: resolves answers to labels, rejects duplicate-id
     /// inserts, and its last entries give [`Self::next_id`].
     ids: Vec<Vec<(PointId, usize)>>,
+    /// Whether each shard holds a labeled record. [`Self::resolve`] reads
+    /// the id column only for the neighbours of shards that do.
+    labeled: Vec<bool>,
     /// Per-shard candidate-generation indices, built at load, kept current
     /// by [`Self::insert`], and read by every query (see [`ShardIndex`]).
     shard_indices: Vec<ShardIndex<P>>,
@@ -304,19 +308,32 @@ impl<P: IndexedPoint> KnnCluster<P> {
         // at any pool size. Every generator emits a shard's ids in
         // increasing order, so the column sort is a linear check.
         use rayon::prelude::*;
-        self.ids = shards
+        let built: Vec<_> = shards
             .par_iter()
             .map(|d| {
-                let mut column: Vec<_> =
-                    d.records.iter().enumerate().map(|(i, r)| (r.id, i)).collect();
+                // The index first: the id column then reuses the memory its
+                // build freed.
+                let index = ShardIndex::build(&d.records, self.opts.backend, self.opts.metric);
+                let mut labeled = false;
+                let mut column: Vec<_> = d
+                    .records
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| {
+                        labeled |= r.label.is_some();
+                        (r.id, i)
+                    })
+                    .collect();
                 column.sort_unstable();
-                column
+                (index, column, labeled)
             })
             .collect();
-        self.shard_indices = shards
-            .par_iter()
-            .map(|d| ShardIndex::build(&d.records, self.opts.backend, self.opts.metric))
-            .collect();
+        (self.shard_indices, self.ids, self.labeled) = (Vec::new(), Vec::new(), Vec::new());
+        for (index, column, labeled) in built {
+            self.shard_indices.push(index);
+            self.ids.push(column);
+            self.labeled.push(labeled);
+        }
         self.next_id = self
             .ids
             .iter()
@@ -394,6 +411,7 @@ impl<P: IndexedPoint> KnnCluster<P> {
         let column = &mut self.ids[machine];
         let (Ok(at) | Err(at)) = find_id(column, record.id);
         column.insert(at, (record.id, pos));
+        self.labeled[machine] |= record.label.is_some();
         records.push(record);
         // Keep the candidate index — and with it the Byzantine audit's
         // shard-local truth — current with the shard it summarizes.
@@ -528,14 +546,17 @@ impl<P: IndexedPoint> KnnCluster<P> {
         BatchAnswer { answers, report }
     }
 
-    /// Map answer keys back to labeled neighbors via the id columns.
+    /// Map answer keys back to labeled neighbors via the id columns; a
+    /// neighbour on a shard with no labeled record is `label: None` without
+    /// a search.
     fn resolve(&self, local_keys: &[Vec<knn_points::DistKey>]) -> Vec<Neighbor> {
         merge_answers(local_keys)
             .into_iter()
             .map(|(key, machine)| {
                 let column = &self.ids[machine];
-                let label = find_id(column, key.id)
-                    .ok()
+                let label = self.labeled[machine]
+                    .then(|| find_id(column, key.id).ok())
+                    .flatten()
                     .and_then(|at| self.shards[machine].records[column[at].1].label);
                 Neighbor { id: key.id, dist: key.dist, machine, label }
             })

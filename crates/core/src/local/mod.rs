@@ -26,10 +26,11 @@
 //!   [`IndexedPoint`] **exact** structure, built at load time
 //!   and updated in place on every [`crate::cluster::KnnCluster::insert`]
 //!   (the dataset is *not* frozen after load, and a write costs one search,
-//!   not one build): a sorted array for [`ScalarPoint`] (`O(log n + ℓ)` a
-//!   query), a bucketed k-d tree for [`VecPoint`], and the brute scan
-//!   itself for [`BitsPoint`]; or [`nsw::NswIndex`], an **approximate**
-//!   navigable-small-world graph with insert-as-query construction,
+//!   not one build): a sorted array for [`ScalarPoint`] (two columns under
+//!   a cache-resident directory, `O(log n + ℓ)` a query), a bucketed k-d
+//!   tree for [`VecPoint`], and the brute scan itself for [`BitsPoint`];
+//!   or [`nsw::NswIndex`], an **approximate** navigable-small-world graph
+//!   with insert-as-query construction,
 //!   selected per cluster via [`IndexBackend::Nsw`]. It trades exactness
 //!   for an `ef`/`m` recall ↔ latency dial (saturating at exact when `ef`
 //!   covers the shard) and gives every point type — [`BitsPoint`] included
@@ -79,8 +80,9 @@ pub fn brute_top<P: Point>(
 /// 203 / 139 at 200 and 403 / 260 at 400 (medians of 2 000 stages). Break-even
 /// is 100 µs; the threshold is twice that, where the pool is 1.46× ahead and
 /// a costlier spawn (73–80 µs at pool 4) still repays. Below it sit a
-/// one-query batch on 16 sorted-array shards (16 cells × 1.0 µs) and the
-/// tier-1 suite's thousands of 4-machine, 100-point queries.
+/// one-query batch on 16 sorted-array shards of 2¹⁷ points (16 cells of
+/// 1.2–1.7 µs at ℓ = 64, random queries) and the tier-1 suite's thousands
+/// of 4-machine, 100-point queries.
 const POOL_REPAYS: Duration = Duration::from_micros(200);
 
 /// What one point of a [`brute_top`] scan costs at the least: 1.85 ns for a
@@ -183,18 +185,47 @@ pub trait IndexedPoint: Point {
     ) -> Vec<DistKey>;
 }
 
+/// Entries per directory block of a [`ScalarIndex`]. Measured on 16 shards
+/// of 2¹⁷ points at ℓ = 64 (2 vCPUs): 16 and 32 read the same, 8 and 64
+/// were slower. The directory is then 1/32 of the value column: 32 KiB for
+/// a shard of 2¹⁷ points, small enough to stay in cache between queries.
+const BLOCK: usize = 32;
+
 /// Sorted-array index over the integer line: the 1-d specialization where a
 /// binary search plus two-pointer expansion beats a k-d tree (and stays in
 /// the exact `u64` distance domain, which an `f64` tree would not).
+///
+/// The `(value, id)` pairs sorted ascending, stored as two columns. A
+/// search reads the directory `dir[b] = values[b · BLOCK]`, which stays in
+/// cache, and then one block of `values`: two short binary searches instead
+/// of one over the whole shard, whose late steps would each miss cache. The
+/// walk that follows reads the value column for distances and the id column
+/// only for the candidates it keeps. An insert shifts both columns and
+/// rewrites the directory from its block on.
+///
+/// Duplicate-value correctness in [`IndexedPoint::index_top`] does *not*
+/// come from visit order (the leftward walk sees equal values in descending
+/// id order): it comes from the walk going on until a distance is strictly
+/// above the ℓ-th, which admits every candidate tied with it, and from
+/// sorting each equal-distance run by id after the walk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScalarIndex {
-    /// `(value, id)` pairs sorted ascending. Duplicate-value correctness in
-    /// the expansion below does *not* come from visit order (the leftward
-    /// walk sees equal values in descending id order): it comes from the
-    /// strictly-greater break condition, which admits every candidate tied
-    /// with the ℓ-th, and from sorting each equal-distance run by id after
-    /// the walk.
-    sorted: Vec<(u64, PointId)>,
+    values: Vec<u64>,
+    ids: Vec<PointId>,
+    dir: Vec<u64>,
+}
+
+impl ScalarIndex {
+    /// The first position whose value fails `below`, for a `below` that
+    /// holds on a prefix of the values, as [`slice::partition_point`].
+    fn partition_point(&self, below: impl Fn(u64) -> bool) -> usize {
+        let Some(block) = self.dir.partition_point(|&v| below(v)).checked_sub(1) else {
+            return 0;
+        };
+        let start = block * BLOCK;
+        let end = (start + BLOCK).min(self.values.len());
+        start + self.values[start..end].partition_point(|&v| below(v))
+    }
 }
 
 impl IndexedPoint for ScalarPoint {
@@ -203,17 +234,31 @@ impl IndexedPoint for ScalarPoint {
     fn build_index(records: &[Record<Self>]) -> ScalarIndex {
         let mut sorted: Vec<(u64, PointId)> = records.iter().map(|r| (r.point.0, r.id)).collect();
         sorted.sort_unstable();
-        ScalarIndex { sorted }
+        let values: Vec<u64> = sorted.iter().map(|&(v, _)| v).collect();
+        let ids = sorted.iter().map(|&(_, id)| id).collect();
+        let dir = values.iter().copied().step_by(BLOCK).collect();
+        ScalarIndex { values, ids, dir }
     }
 
-    /// One binary search plus one shift, leaving exactly the array
-    /// `build_index` would have sorted.
+    /// One directory-guided search (value, then id within the equal-value
+    /// run) and one shift per column, then the directory entries from the
+    /// insert's block on: `O(n / BLOCK)` of them. Leaves exactly the index
+    /// `build_index` would have built.
     fn insert_index(index: &mut ScalarIndex, records: &[Record<Self>], pos: usize) {
-        let entry = (records[pos].point.0, records[pos].id);
-        let at = index.sorted.partition_point(|e| *e < entry);
-        index.sorted.insert(at, entry);
+        let (value, id) = (records[pos].point.0, records[pos].id);
+        let run = index.partition_point(|v| v < value)..index.partition_point(|v| v <= value);
+        let at = run.start + index.ids[run].partition_point(|&held| held < id);
+        index.values.insert(at, value);
+        index.ids.insert(at, id);
+        let block = at / BLOCK;
+        index.dir.truncate(block);
+        index.dir.extend(index.values[block * BLOCK..].iter().copied().step_by(BLOCK));
     }
 
+    /// A directory-guided lower bound for the query, then a walk outward
+    /// from it along the value column: its first min(ℓ, n) steps are the
+    /// ℓ nearest, and it goes on while a distance ties the ℓ-th.
+    /// `O(log n + ℓ)`, and the id column is read once per candidate kept.
     fn index_top(
         index: &ScalarIndex,
         records: &[Record<Self>],
@@ -226,56 +271,60 @@ impl IndexedPoint for ScalarPoint {
             // |value − query|, so the ordered expansion does not apply.
             return brute_top(records, query, ell, metric);
         }
-        if ell == 0 || index.sorted.is_empty() {
+        let values = &index.values;
+        let n = values.len();
+        if ell == 0 || n == 0 {
             return Vec::new();
         }
-        let sorted = &index.sorted;
-        let n = sorted.len();
         // All non-Hamming scalar metrics encode monotonically in
         // |value − query| (see ScalarPoint::distance), so expanding outward
         // from the query's insertion point enumerates candidates in
         // non-decreasing distance order: O(log n + ℓ) per query.
-        let mut right = sorted.partition_point(|&(v, _)| v < query.0);
+        let mut right = index.partition_point(|v| v < query.0);
         let mut left = right;
-        let mut out: Vec<DistKey> = Vec::with_capacity(ell.min(n));
-        loop {
-            let left_gap = (left > 0).then(|| query.0.abs_diff(sorted[left - 1].0));
-            let right_gap = (right < n).then(|| sorted[right].0.abs_diff(query.0));
-            let from_left = match (left_gap, right_gap) {
-                (None, None) => break,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(l), Some(r)) => l <= r,
-            };
-            let (value, id) = if from_left {
+        let dist = |at: usize| ScalarPoint(values[at]).distance(query, metric);
+        // The walk's first min(ℓ, n) steps need no stopping test. Left of
+        // `right` every value is below the query, from it on none.
+        let (q, kept) = (query.0, ell.min(n));
+        let mut out: Vec<DistKey> = Vec::with_capacity(kept);
+        for _ in 0..kept {
+            let from_left = left > 0 && (right == n || q - values[left - 1] <= values[right] - q);
+            let at = if from_left {
                 left -= 1;
-                sorted[left]
+                left
             } else {
-                let e = sorted[right];
                 right += 1;
-                e
+                right - 1
             };
-            let dist = ScalarPoint(value).distance(query, metric);
-            // Strict: a candidate at the ℓ-th distance can still have a
-            // smaller id than the ℓ-th entry.
-            if out.len() >= ell && dist > out[ell - 1].dist {
-                break;
-            }
-            out.push(DistKey::new(dist, id));
+            out.push(DistKey::new(dist(at), index.ids[at]));
+        }
+        // Then the walk goes on, on each side, until a distance is strictly
+        // above the ℓ-th (none is below it): a candidate at the ℓ-th
+        // distance can still have a smaller id than the ℓ-th entry.
+        let last = out[kept - 1].dist;
+        while left > 0 && dist(left - 1) == last {
+            left -= 1;
+            out.push(DistKey::new(last, index.ids[left]));
+        }
+        while right < n && dist(right) == last {
+            out.push(DistKey::new(last, index.ids[right]));
+            right += 1;
         }
         // The walk is in non-decreasing distance order, so only a run of
         // equal distances can be out of `(distance, id)` order. Only the
         // ℓ-th entry's run reaches past ℓ; when it does (a saturated
         // squared distance can tie out to the array's end), its smallest
         // ids are kept without sorting the rest of it.
-        let kept = out.len().min(ell);
         if out.len() > kept {
             let tail = out.partition_point(|key| key.dist < out[kept - 1].dist);
             out[tail..].select_nth_unstable(kept - 1 - tail);
             out.truncate(kept);
         }
-        for run in out.chunk_by_mut(|a, b| a.dist == b.dist) {
-            run.sort_unstable();
+        // Distinct values seldom tie, so the walk's order usually stands.
+        if !out.is_sorted() {
+            for run in out.chunk_by_mut(|a, b| a.dist == b.dist) {
+                run.sort_unstable();
+            }
         }
         out
     }
@@ -732,6 +781,19 @@ mod tests {
     }
 
     #[test]
+    fn descending_inserts_keep_every_directory_entry_current() {
+        // Each value is the smallest yet, so each insert lands at position 0
+        // and moves the first value of every block.
+        let values: Vec<u64> = (0..5 * BLOCK as u64 + 3).rev().collect();
+        let records = scalar_records(&values, 13);
+        let mut index = ScalarPoint::build_index(&records[..1]);
+        for pos in 1..records.len() {
+            ScalarPoint::insert_index(&mut index, &records[..=pos], pos);
+            assert_eq!(index, ScalarPoint::build_index(&records[..=pos]), "after {pos}");
+        }
+    }
+
+    #[test]
     fn provided_insert_index_rebuilds_from_the_records() {
         /// An index that opts out of in-place inserts: a count of its points.
         #[derive(Debug, Clone)]
@@ -771,9 +833,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn prop_scalar_insert_equals_build_over_all(
-            // A narrow value range makes duplicates the common case.
-            values in proptest::collection::vec(0u64..24, 1..80),
-            bulk in 0usize..80,
+            // A narrow value range makes duplicates the common case; up to
+            // 300 values span about ten directory blocks.
+            values in proptest::collection::vec(0u64..24, 1..300),
+            bulk in 0usize..300,
             seed in 0u64..100,
         ) {
             let records = scalar_records(&values, seed);

@@ -370,6 +370,87 @@ fn metric_mismatch_falls_back_to_the_exact_scan() {
     }
 }
 
+/// Labels resolve exactly where they exist. A cluster loaded with unlabeled
+/// shards answers `label: None` everywhere. A point added by
+/// `insert_labeled`, and a labeled record added by `insert_record_into` on
+/// another shard, then carry their labels through every query path, and
+/// their unlabeled neighbours stay `None`. A cluster loaded with the same
+/// points labeled answers the same neighbours, each with its own label.
+#[test]
+fn labels_resolve_exactly_where_they_exist() {
+    let k = 4;
+    let mut ids = IdAssigner::new(3);
+    let points: Vec<Vec<(PointId, u64)>> = (0..k as u64)
+        .map(|m| (0..60).map(|i| (ids.next_id(), m * 1000 + i * 7)).collect())
+        .collect();
+    let shards = |label: &dyn Fn(PointId) -> Option<Label>| -> Vec<Dataset<ScalarPoint>> {
+        points
+            .iter()
+            .map(|shard| {
+                let records = shard
+                    .iter()
+                    .map(|&(id, v)| Record { id, point: ScalarPoint(v), label: label(id) })
+                    .collect();
+                Dataset::new(records)
+            })
+            .collect()
+    };
+    let queries: Vec<ScalarPoint> = [0, 999, 2_500, 3_413, 90_000].map(ScalarPoint).to_vec();
+    let ell = 25;
+
+    let mut cluster: KnnCluster<ScalarPoint> = KnnCluster::builder().machines(k).build();
+    cluster.load_shards(shards(&|_| None)).expect("one shard per machine");
+    let unlabeled: Vec<_> = queries.iter().map(|q| cluster.query(q, ell).expect("query")).collect();
+    for answer in &unlabeled {
+        assert!(answer.neighbors.iter().all(|n| n.label.is_none()));
+    }
+
+    // Same points, labeled: same neighbours, each with its record's label.
+    let class = |id: PointId| Some(Label::Class((id.0 % 5) as u32));
+    let mut labeled: KnnCluster<ScalarPoint> = KnnCluster::builder().machines(k).build();
+    labeled.load_shards(shards(&class)).expect("one shard per machine");
+    for (q, plain) in queries.iter().zip(&unlabeled) {
+        let answer = labeled.query(q, ell).expect("query");
+        assert_eq!(answer_keys(&answer), answer_keys(plain));
+        for n in &answer.neighbors {
+            assert_eq!(n.label, class(n.id), "id {}", n.id.0);
+        }
+    }
+
+    // One labeled point by `insert_labeled`, one labeled record on another
+    // shard by `insert_record_into`, each far from the rest.
+    let (by_insert, machine) =
+        cluster.insert_labeled(ScalarPoint(1_000_000), Some(Label::Class(7))).expect("insert");
+    let by_record = PointId(u64::MAX - 5);
+    let record =
+        Record { id: by_record, point: ScalarPoint(2_000_000), label: Some(Label::Value(2.5)) };
+    cluster.insert_record_into((machine + 1) % k, record).expect("fresh id");
+    let want = |id: PointId| match id {
+        id if id == by_insert => Some(Label::Class(7)),
+        id if id == by_record => Some(Label::Value(2.5)),
+        _ => None,
+    };
+    let near = [ScalarPoint(1_000_003), ScalarPoint(2_000_003)];
+    let nearest = [by_insert, by_record];
+    let batch = cluster.query_batch(&near, 3).expect("batch").answers;
+    let approx_batch = cluster.query_batch_approx(&near, 3).expect("approx batch").answers;
+    for (j, q) in near.iter().enumerate() {
+        let single = cluster.query(q, 3).expect("query");
+        let approx = cluster.query_approx(q, 3).expect("approx query");
+        for (path, answer) in [
+            ("query", &single),
+            ("query_approx", &approx),
+            ("query_batch", &batch[j]),
+            ("query_batch_approx", &approx_batch[j]),
+        ] {
+            assert_eq!(answer.neighbors[0].id, nearest[j], "{path}");
+            for n in &answer.neighbors {
+                assert_eq!(n.label, want(n.id), "{path}, id {}", n.id.0);
+            }
+        }
+    }
+}
+
 fn indexed_vec_records(n: usize, dims: usize, seed: u64) -> Vec<Record<VecPoint>> {
     let mut ids = IdAssigner::new(seed);
     uniform_cube(n, dims, -40.0, 40.0, seed)
