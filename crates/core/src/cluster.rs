@@ -57,8 +57,11 @@ pub struct KnnAnswer {
 /// it completed, `metrics.messages`/`metrics.bits` are the traffic
 /// attributed to its tag, `metrics.sends_per_machine` is **empty**
 /// (per-machine sends are accounted only on the aggregate), `attempts` /
-/// `recovered` say which engine run answered it, and `leader`, `degraded`,
-/// `shards_used` mirror the batch-level values. Everything the batch pays
+/// `recovered` say which engine run answered it, `leader` is the machine
+/// that coordinated it ([`crate::session::BatchQueryOutcome::coordinator`]:
+/// the batch's queries spread over the machines, so only some are led by
+/// the batch-level `leader`), and `degraded`, `shards_used` mirror the
+/// batch-level values. Everything the batch pays
 /// or suffers once — `wall`, `election_metrics`, `faults`, `recovery`,
 /// `audit` — is reported once, on this struct, and stays zero / `None` /
 /// empty per query.
@@ -538,7 +541,7 @@ impl<P: IndexedPoint> KnnCluster<P> {
                         shards_used: report.shards_used,
                         recovered: q.recovered,
                         attempts: q.attempts,
-                        ..Report::healthy(metrics, self.k, report.leader)
+                        ..Report::healthy(metrics, self.k, q.coordinator)
                     },
                 }
             })

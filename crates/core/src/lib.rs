@@ -32,7 +32,8 @@
 //!   every answer and outcome embeds.
 //! * [`session::QuerySession`] — the **batched serving path**: one leader
 //!   election per session, one engine run per batch (queries multiplexed
-//!   over shared links).
+//!   over shared links, query `j` coordinated by the machine `j` places
+//!   after the leader).
 //! * [`ml`] — ℓ-NN classification (majority vote) and regression (mean),
 //!   the applications motivating the paper.
 //!

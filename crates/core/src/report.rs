@@ -38,7 +38,9 @@ pub struct Report {
     pub wall: Duration,
     /// The leader that coordinated the answer. Normally the elected (for a
     /// batch: the session's) leader; differs when that machine crashed or
-    /// was quarantined and the survivors re-elected.
+    /// was quarantined and the survivors re-elected. A per-query answer
+    /// inside a batch names its own coordinator instead
+    /// ([`BatchQueryOutcome::coordinator`](crate::session::BatchQueryOutcome::coordinator)).
     pub leader: MachineId,
     /// Election cost (`None` under
     /// [`ElectionKind::Fixed`](crate::runner::ElectionKind::Fixed)). A

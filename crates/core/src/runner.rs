@@ -534,19 +534,29 @@ struct Answered {
     /// Per-machine answer keys, in the run's subset order until the loop
     /// keeps the answer and [`scatter`]s them over the full shard layout.
     local_keys: Vec<Vec<DistKey>>,
-    /// The leader instance's [`Claim::stats`].
+    /// The coordinator instance's [`Claim::stats`].
     stats: Option<KnnStats>,
+    /// The query's coordinator, by original machine id.
+    coordinator: MachineId,
     /// Round in which the query completed (max over machines).
     done_round: u64,
 }
 
 /// How one protocol instance is wired into a (possibly degraded) run:
 /// positions in the run's surviving subset.
+///
+/// `coordinator` leads the instance's query: for the query at tag `j` of a
+/// run, `alive[(leader + j) mod |alive|]` — the leader's position rotated
+/// by the tag. Every machine derives it from what it already knows (the
+/// leader, the tag, the surviving set), so spreading a batch's
+/// coordinators costs no message, and its gathers arrive over every
+/// machine's inbound links instead of queuing on the leader's `k − 1`. Tag
+/// 0, and so every single query, is the leader's.
 #[derive(Clone, Copy)]
 struct Wiring {
     id: usize,
     k: usize,
-    leader: MachineId,
+    coordinator: MachineId,
 }
 
 /// What is served, and how. [`Seating::serve`] is the one loop behind every
@@ -562,8 +572,10 @@ pub(crate) struct Seating<'r> {
     /// Machines of the whole cluster.
     pub(crate) k: usize,
     /// `true`: every machine multiplexes one tagged instance per pending
-    /// query over its links ([`MuxProtocol`]). `false`: one query, one
-    /// untagged instance per machine — the paper's per-query accounting.
+    /// query over its links ([`MuxProtocol`]), the query at tag `j`
+    /// coordinated by the leader's run position rotated by `j` ([`Wiring`]).
+    /// `false`: one query, one untagged instance per machine, coordinated
+    /// by the leader — the paper's per-query accounting.
     pub(crate) mux: bool,
 }
 
@@ -582,8 +594,9 @@ struct Seated {
 }
 
 impl Seating<'_> {
-    /// Answer `queries` queries led by `leader`, `top(machine, j)` being
-    /// shard `machine`'s candidates for query `j` (sorted by
+    /// Answer `queries` queries under the elected `leader`, which each
+    /// run's queries are coordinated around ([`Wiring`]), `top(machine, j)`
+    /// being shard `machine`'s candidates for query `j` (sorted by
     /// `(distance, id)`, at most ℓ). `scan_sizes`: every shard's length when
     /// `top` is a full scan, so the stage knows its least cost up front.
     ///
@@ -653,6 +666,7 @@ impl Seating<'_> {
                         answer.stats.is_some_and(|stats| stats.contains_exact(ell as u64))
                     }),
                     stats: answer.stats,
+                    coordinator: answer.coordinator,
                     attempts,
                     recovered: attempts > 1,
                 });
@@ -713,27 +727,28 @@ impl Seating<'_> {
         let s = survivors;
         let (answers, mut report) = match self.kind {
             Some(Algorithm::Knn) => self.engine_run(s, fed, |w, keys| {
-                KnnProtocol::new(w.id, w.k, w.leader, ell, params, keys)
+                KnnProtocol::new(w.id, w.k, w.coordinator, ell, params, keys)
             }),
             Some(Algorithm::Simple) => self.engine_run(s, fed, |w, keys| {
-                SimpleProtocol::new(w.id, w.leader, ell, chunk, keys)
+                SimpleProtocol::new(w.id, w.coordinator, ell, chunk, keys)
             }),
             Some(Algorithm::SaukasSong) => self.engine_run(s, fed, |w, keys| {
-                SaukasSongProtocol::new(w.id, w.k, w.leader, ell, keys)
+                SaukasSongProtocol::new(w.id, w.k, w.coordinator, ell, keys)
             }),
             Some(Algorithm::BinSearch) => self.engine_run(s, fed, |w, keys| {
-                BinSearchProtocol::new(w.id, w.k, w.leader, ell, keys)
+                BinSearchProtocol::new(w.id, w.k, w.coordinator, ell, keys)
             }),
             None => self.engine_run(s, fed, |w, keys| {
-                KnnProtocol::new(w.id, w.k, w.leader, ell, params, keys).prune_only()
+                KnnProtocol::new(w.id, w.k, w.coordinator, ell, params, keys).prune_only()
             }),
         }?;
         report.wall += stage;
         Ok(Seated { answers, report, truth })
     }
 
-    /// Seat one instance per cell of `fed` (`[alive position][query]`) and
-    /// run the engine over them.
+    /// Seat one instance per cell of `fed` (`[alive position][query]`),
+    /// query `j`'s under its coordinator ([`Wiring`]), and run the engine
+    /// over them.
     fn engine_run<Proto>(
         &self,
         survivors: &Survivors,
@@ -746,23 +761,27 @@ impl Seating<'_> {
     {
         let alive = &survivors.alive;
         let leader = survivors.sub_leader();
+        let coordinator = |j: usize| (leader + j) % alive.len();
         let queries = fed[0].len();
         let cfg = self.opts.subset_config(alive, &survivors.rejoined);
         let build = &build;
         let seats = fed.into_iter().enumerate().map(|(id, row)| {
-            row.into_iter().map(move |keys| build(Wiring { id, k: alive.len(), leader }, keys))
+            row.into_iter().enumerate().map(move |(j, keys)| {
+                build(Wiring { id, k: alive.len(), coordinator: coordinator(j) }, keys)
+            })
         });
-        let read = |outputs: Vec<Proto::Output>, done_round| {
+        let read = |j, outputs: Vec<Proto::Output>, done_round| {
             let claims: Vec<Claim> = outputs.into_iter().map(Into::into).collect();
-            let stats = claims[leader].stats;
+            let coordinator = coordinator(j);
+            let stats = claims[coordinator].stats;
             let local_keys = claims.into_iter().map(|claim| claim.keys).collect();
-            Answered { local_keys, stats, done_round }
+            Answered { local_keys, stats, coordinator: alive[coordinator], done_round }
         };
         if !self.mux {
             let protos = seats.map(|mut row| row.next().expect("one query, one cell")).collect();
             let out = run_sync(&cfg, protos)?;
             let (outputs, report) = Report::from_run(out, self.k, survivors.leader);
-            return Ok((vec![Some(read(outputs, report.metrics.rounds))], report));
+            return Ok((vec![Some(read(0, outputs, report.metrics.rounds))], report));
         }
         let protos = seats.map(|row| MuxProtocol::new(row.collect())).collect();
         let out = run_sync(&cfg, protos)?;
@@ -774,7 +793,7 @@ impl Seating<'_> {
                 let outs: Option<Vec<_>> =
                     outputs.iter_mut().map(|o| o.outputs[j].take()).collect();
                 let done_round = outputs.iter().map(|o| o.done_round[j]).max().unwrap_or(0);
-                outs.map(|outs| read(outs, done_round))
+                outs.map(|outs| read(j, outs, done_round))
             })
             .collect();
         Ok((answers, report))

@@ -8,7 +8,14 @@
 //! the PANDA \[14\] amortization argument) should pay neither per query —
 //! which is what [`QuerySession`] provides:
 //!
-//! * the **leader is elected once per session** and reused by every query;
+//! * the **leader is elected once per session**, and every batch's
+//!   coordinators are derived from it: query `j` of a batch is coordinated
+//!   by the machine `j` places after the leader, mod k
+//!   ([`BatchQueryOutcome::coordinator`]), which every machine computes
+//!   from the leader and the query's tag at no message cost — so the
+//!   batch's gathers arrive over every machine's inbound links rather than
+//!   queuing on the leader's `k − 1`, and a batch of one (like every
+//!   sequential query) is the leader's;
 //! * a batch of m queries runs as **one engine run**: each machine
 //!   multiplexes m protocol instances over its links via
 //!   [`kmachine::mux::MuxProtocol`], so the per-run fixed rounds (round-0
@@ -56,6 +63,11 @@ pub struct BatchQueryOutcome {
     /// Algorithm 2 diagnostics, the approximate path's included (`None`
     /// for the baselines).
     pub stats: Option<KnnStats>,
+    /// The machine (original id) that coordinated this query in the run
+    /// that answered it: the leader's position among that run's survivors,
+    /// rotated by the query's tag in it. A batch of one, and the first
+    /// query of every run, is led by the (possibly re-elected) leader.
+    pub coordinator: MachineId,
     /// Approx path only: whether the survivor set provably contains the
     /// exact ℓ-NN ([`KnnStats::contains_exact`]).
     pub contains_exact: Option<bool>,
@@ -164,7 +176,8 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
     }
 
     /// Answer `queries` with protocol `kind` (`None`: the approximate one)
-    /// from the shard indices, coordinated by the session leader: in one
+    /// from the shard indices, under the session leader (which coordinates
+    /// a single query, and spreads a batch's over the machines): in one
     /// engine run per attempt, multiplexed when `mux`, and otherwise — a
     /// single query, as [`crate::cluster::KnnCluster`]'s sequential calls
     /// ask — untagged, as the paper accounts a query. Recovery, audit and

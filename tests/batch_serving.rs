@@ -150,6 +150,87 @@ fn empty_batch_and_unloaded_cluster() {
     assert!(unloaded.query_batch(&[ScalarPoint(1)], 2).is_err());
 }
 
+#[test]
+fn a_batch_spreads_its_coordinators_evenly_and_a_batch_of_one_keeps_the_leader() {
+    for (k, m, election) in [
+        (4, 10, ElectionKind::Star),
+        (5, 64, ElectionKind::Flood),
+        (8, 3, ElectionKind::Fixed),
+        (6, 6, ElectionKind::Star),
+    ] {
+        let cluster = loaded_cluster(k, 200, election, 7);
+        let queries: Vec<ScalarPoint> = QueryStream::scalar(m, m, 0, 1 << 20, 3).next().unwrap();
+        let label = format!("k = {k}, m = {m}, {election:?}");
+        let session = cluster.session().unwrap();
+        let outcome = session.run_batch(&queries, 5, Algorithm::Knn).unwrap();
+        let batch = cluster.query_batch_with(Algorithm::Knn, &queries, 5).unwrap();
+        assert_eq!(batch.leader, session.leader(), "{label}: the batch reports the election");
+        let mut led = vec![0usize; k];
+        for (j, (ans, bq)) in batch.answers.iter().zip(&outcome.queries).enumerate() {
+            assert_eq!(ans.leader, (batch.leader + j) % k, "{label}: query {j}");
+            assert_eq!(bq.coordinator, ans.leader, "{label}: query {j}");
+            led[ans.leader] += 1;
+        }
+        for (machine, &count) in led.iter().enumerate() {
+            assert!(
+                m / k <= count && count <= m.div_ceil(k),
+                "{label}: machine {machine} led {count}"
+            );
+        }
+        let one = cluster.query_batch_with(Algorithm::Knn, &queries[..1], 5).unwrap();
+        assert_eq!(one.answers[0].leader, one.leader, "{label}: a batch of one");
+        assert_eq!(one.leader, session.leader(), "{label}");
+    }
+}
+
+#[test]
+fn a_batch_of_k_queries_ends_near_its_slowest_query_run_alone() {
+    // With one query per machine, every machine coordinates one query and
+    // the batch's gathers arrive over all k(k − 1) links: the batch costs
+    // about what its slowest query costs alone, not the sum of k gathers
+    // queued on one coordinator's k − 1 inbound links.
+    for k in [8usize, 16] {
+        let cluster = loaded_cluster(k, 1024, ElectionKind::Fixed, 4);
+        let queries: Vec<ScalarPoint> = QueryStream::scalar(k, k, 0, 1 << 20, 6).next().unwrap();
+        for algo in Algorithm::ALL {
+            let batch = cluster.query_batch_with(algo, &queries, 64).unwrap();
+            let slowest = queries
+                .iter()
+                .map(|q| cluster.query_with(algo, q, 64).unwrap().metrics.rounds)
+                .max()
+                .unwrap();
+            assert!(
+                2 * batch.metrics.rounds <= 3 * slowest + 4,
+                "{algo:?} at k = {k}: batch {} rounds vs slowest solo {slowest}",
+                batch.metrics.rounds
+            );
+        }
+    }
+}
+
+#[test]
+fn a_coordinator_crashing_at_round_zero_replans_onto_the_survivors() {
+    // Machine 2 is not the leader but coordinates queries 2 and 6 of the
+    // batch. Dead from round 0, it contributes nothing to any query: every
+    // answer is the survivors' answer, as the same query asked alone under
+    // the same plan returns it.
+    let builder = KnnCluster::builder().faults(FaultPlan::default().with_crash(2, 0));
+    let cluster = range_cluster(4, builder);
+    let queries: Vec<ScalarPoint> = (0..8).map(|j| ScalarPoint(25 + 50 * j)).collect();
+    for algo in Algorithm::ALL {
+        let batch = cluster.query_batch_with(algo, &queries, 6).unwrap();
+        assert_eq!(batch.leader, 0, "{algo:?}: the leader survived");
+        assert!(batch.degraded, "{algo:?}");
+        for (j, q) in queries.iter().enumerate() {
+            let single = cluster.query_with(algo, q, 6).unwrap();
+            let ans = &batch.answers[j];
+            assert_eq!(ans.neighbors, single.neighbors, "{algo:?} query {j}");
+            assert!(ans.neighbors.iter().all(|n| n.machine != 2), "{algo:?} query {j}");
+            assert_ne!(ans.leader, 2, "{algo:?} query {j}: the dead machine led nothing");
+        }
+    }
+}
+
 /// A cluster whose machine `m` holds the values `100m .. 100(m+1)`, so a
 /// query can be aimed at one machine's points.
 fn range_cluster(k: u64, builder: knn_repro::core::ClusterBuilder) -> KnnCluster {
