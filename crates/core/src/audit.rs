@@ -37,12 +37,12 @@ use crate::splitmix64;
 pub const AUDIT_SAMPLE: usize = 8;
 
 /// Domain separation for the lying-input perturbation stream (distinct
-/// from the wire-tamper and link-corruption salts in `kmachine`).
+/// from the link-corruption salt in `kmachine`).
 const LIE_SALT: u64 = 0x11E5_0F7E_11E5_0F7E;
 
 /// Deterministically perturb a lying machine's materialized local
-/// distances — the canonical *source-level* lie a round-0
-/// [`kmachine::AdversaryPlan`] liar (or an equivocator) tells.
+/// distances — the one lie a [`kmachine::AdversaryPlan`] liar tells, at
+/// the source, from round 0.
 ///
 /// Every key's distance is inflated by a nonzero seeded offset keyed on
 /// `(seed, machine, point id)`, so the lie is pure: byte-identical across

@@ -171,8 +171,7 @@ impl ClusterBuilder {
     }
 
     /// Deadline-bounded retry policy for fault-aware re-runs: attempt and
-    /// simulated-round budgets plus deterministic exponential backoff (see
-    /// [`RetryPolicy`]). Exhausting the budget surfaces as the typed error
+    /// simulated-round budgets (see [`RetryPolicy`]). Exhausting the budget surfaces as the typed error
     /// [`CoreError::DeadlineExceeded`].
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.opts.retry = retry;
@@ -180,8 +179,8 @@ impl ClusterBuilder {
     }
 
     /// Deterministic Byzantine adversary for every query run: machines
-    /// that lie about their candidates, equivocate per receiver, or
-    /// corrupt link payloads (see [`AdversaryPlan`]). Corruption is caught
+    /// that lie about their candidates at the source (a lie entry must be
+    /// for round 0), or links that corrupt payloads (see [`AdversaryPlan`]). Corruption is caught
     /// by per-link digest chains; lies are caught by the semantic audit
     /// (claims re-checked against the real shards). Caught machines are
     /// quarantined and the query re-runs on the honest survivors under the

@@ -28,7 +28,7 @@ pub enum CoreError {
     DeadlineExceeded {
         /// Engine runs attempted (the first included).
         attempts: u32,
-        /// Simulated rounds consumed by failed runs and backoff waits.
+        /// Simulated rounds consumed by failed runs.
         spent_rounds: u64,
         /// The policy's attempt ceiling.
         max_attempts: u32,

@@ -8,7 +8,7 @@
 //! messages — exponentially more rounds than Algorithm 2's `O(log ℓ)`.
 
 use kmachine::{Ctx, MachineId, Payload, Protocol, Step, ENVELOPE_HEADER_BITS};
-use knn_points::{Key, NumericKey};
+use knn_points::Key;
 
 /// Messages of the simple gather baseline.
 #[derive(Debug, Clone)]
@@ -31,68 +31,17 @@ pub enum SimpleMsg<K: Key> {
     },
 }
 
-impl<K: NumericKey> Payload for SimpleMsg<K> {
+impl<K: Key> Payload for SimpleMsg<K> {
     fn size_bits(&self) -> u64 {
         match self {
             SimpleMsg::Batch { keys, .. } => ENVELOPE_HEADER_BITS + K::BITS * keys.len() as u64,
             SimpleMsg::Boundary { .. } => 2 + K::BITS,
         }
     }
-
-    /// A wire-level lie perturbs the announced key *values* through their
-    /// total-order ordinals, keyed on the deterministic `word` — variant
-    /// structure, key counts, and [`Payload::size_bits`] are unchanged, so
-    /// the lie is deterministic and only the data is wrong.
-    fn tamper(&mut self, word: u64) -> bool {
-        let perturb = |k: &mut K, salt: u64| {
-            let bits = tamper_mix(word ^ salt);
-            let shifted = if K::BITS > 64 {
-                (bits as u128) << 64
-            } else {
-                u128::from(bits) & ord_mask::<K>()
-            };
-            *k = K::from_ordinal(k.to_ordinal() ^ shifted);
-        };
-        match self {
-            SimpleMsg::Batch { keys, .. } => {
-                for (i, k) in keys.iter_mut().enumerate() {
-                    perturb(k, i as u64);
-                }
-                !keys.is_empty()
-            }
-            SimpleMsg::Boundary { boundary } => match boundary {
-                Some(b) => {
-                    perturb(b, u64::MAX);
-                    true
-                }
-                None => false,
-            },
-        }
-    }
-}
-
-/// Nonzero splitmix64 finalizer for [`SimpleMsg::tamper`]: a lie must
-/// actually change the value.
-fn tamper_mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (x ^ (x >> 31)) | 1
-}
-
-/// Mask keeping a perturbed ordinal inside the key's `K::BITS`-bit domain.
-fn ord_mask<K: NumericKey>() -> u128 {
-    if K::BITS >= 128 {
-        u128::MAX
-    } else {
-        (1u128 << K::BITS) - 1
-    }
 }
 
 /// Per-machine instance of the simple gather baseline.
-///
-/// `K: NumericKey` (not just [`Key`]) because a lying machine's
-/// [`SimpleMsg::tamper`] perturbs keys through their total-order ordinals.
-pub struct SimpleProtocol<K: NumericKey> {
+pub struct SimpleProtocol<K: Key> {
     id: MachineId,
     leader: MachineId,
     ell: u64,
@@ -112,7 +61,7 @@ pub struct SimpleProtocol<K: NumericKey> {
     finished: Vec<bool>,
 }
 
-impl<K: NumericKey> SimpleProtocol<K> {
+impl<K: Key> SimpleProtocol<K> {
     /// Machine `id`, gathering everyone's `candidates` — the local top-`ell`,
     /// sorted ascending — at `leader`.
     pub fn new(
@@ -158,7 +107,7 @@ impl<K: NumericKey> SimpleProtocol<K> {
     }
 }
 
-impl<K: NumericKey> Protocol for SimpleProtocol<K> {
+impl<K: Key> Protocol for SimpleProtocol<K> {
     type Msg = SimpleMsg<K>;
     type Output = Vec<K>;
 
@@ -360,35 +309,6 @@ mod tests {
         merged.sort_unstable();
         // Machine 1's keys are lost; the best 4 of the survivors win.
         assert_eq!(merged, vec![10, 20, 30, 100]);
-    }
-
-    #[test]
-    fn tamper_lies_without_changing_shape_or_size() {
-        use knn_points::{Dist, DistKey, PointId};
-        let mut batch = SimpleMsg::Batch { keys: vec![10u64, 20, 30], last: true };
-        let clean_bits = batch.size_bits();
-        assert!(batch.tamper(0xDEAD_BEEF));
-        let SimpleMsg::Batch { keys, last } = &batch else { panic!("variant changed") };
-        assert!(*last, "flags are not data; they must survive");
-        assert_eq!(keys.len(), 3);
-        assert_ne!(keys, &[10, 20, 30], "a lie must change the values");
-        assert_eq!(batch.size_bits(), clean_bits, "size accounting must survive tampering");
-        // The same word fabricates the same lie (engine invariance).
-        let mut again = SimpleMsg::Batch { keys: vec![10u64, 20, 30], last: true };
-        again.tamper(0xDEAD_BEEF);
-        let SimpleMsg::Batch { keys: k2, .. } = &again else { unreachable!() };
-        assert_eq!(keys, k2);
-        // A DistKey lie perturbs the distance half and keeps the id, so
-        // audits can still attribute the claim to a point.
-        let key = DistKey::new(Dist::from_u64(7), PointId(42));
-        let mut b = SimpleMsg::Boundary { boundary: Some(key) };
-        assert!(b.tamper(1));
-        let SimpleMsg::Boundary { boundary: Some(lied) } = b else { panic!("variant changed") };
-        assert_ne!(lied, key);
-        assert_eq!(lied.id, PointId(42));
-        // An empty batch and a None boundary have nothing to lie about.
-        assert!(!SimpleMsg::<u64>::Batch { keys: vec![], last: true }.tamper(1));
-        assert!(!SimpleMsg::<u64>::Boundary { boundary: None }.tamper(1));
     }
 
     #[test]

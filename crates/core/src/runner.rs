@@ -21,7 +21,6 @@ use crate::protocols::saukas_song::SaukasSongProtocol;
 use crate::protocols::simple::SimpleProtocol;
 use crate::report::Report;
 use crate::session::BatchQueryOutcome;
-use crate::splitmix64;
 
 /// Which distributed algorithm answers the query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -71,66 +70,39 @@ pub enum ElectionKind {
 /// clock, so retries stay reproducible at every pool size.
 ///
 /// The default policy replicates the historical behavior: retry until the
-/// cluster is down to one machine, with no backoff and no deadline.
+/// cluster is down to one machine, with no deadline.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RetryPolicy {
     /// Maximum engine runs per query (the first attempt included). `0` is
     /// treated as `1`.
     pub max_attempts: u32,
-    /// Total simulated-round budget across failed runs and backoff waits.
+    /// Total simulated-round budget across failed runs.
     /// Exceeding it surfaces [`CoreError::DeadlineExceeded`].
     pub deadline_rounds: u64,
-    /// Exponential backoff unit: retry `n` (1-based) waits
-    /// `backoff_base · 2^(n−1)` simulated rounds plus a deterministic
-    /// jitter in `[0, backoff_base)`. `0` disables backoff entirely.
-    pub backoff_base: u64,
-    /// Seed of the jitter stream (split from the attempt number, so two
-    /// policies with the same seed produce the same waits).
-    pub jitter_seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: u32::MAX,
-            deadline_rounds: u64::MAX,
-            backoff_base: 0,
-            jitter_seed: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Simulated rounds to wait before retry `attempt` (1-based count of
-    /// *retries*, i.e. the second engine run is `attempt == 1`).
-    pub fn backoff_rounds(&self, attempt: u32) -> u64 {
-        if self.backoff_base == 0 {
-            return 0;
-        }
-        let shift = attempt.saturating_sub(1).min(32);
-        let base = self.backoff_base.saturating_mul(1u64 << shift);
-        base.saturating_add(splitmix64(self.jitter_seed ^ u64::from(attempt)) % self.backoff_base)
+        RetryPolicy { max_attempts: u32::MAX, deadline_rounds: u64::MAX }
     }
 }
 
 /// Running tally of a retry loop: attempts made and simulated rounds spent
-/// on failed runs plus backoff waits.
+/// on failed runs.
 #[derive(Debug, Clone, Copy)]
 struct RetryState {
     /// Engine runs started so far (≥ 1 once the loop is entered).
     attempts: u32,
-    /// Rounds burned by failed runs and backoff waits.
+    /// Rounds burned by failed runs.
     spent_rounds: u64,
 }
 
 impl RetryState {
     /// Account a failed (or partial) run that consumed `rounds`, then
-    /// either authorize the next attempt — charging its backoff wait — or
-    /// surface [`CoreError::DeadlineExceeded`].
+    /// either authorize the next attempt or surface
+    /// [`CoreError::DeadlineExceeded`].
     fn next_attempt(&mut self, policy: &RetryPolicy, rounds: u64) -> Result<(), CoreError> {
         self.spent_rounds = self.spent_rounds.saturating_add(rounds);
-        let wait = policy.backoff_rounds(self.attempts);
-        self.spent_rounds = self.spent_rounds.saturating_add(wait);
         if self.attempts >= policy.max_attempts.max(1) || self.spent_rounds > policy.deadline_rounds
         {
             return Err(CoreError::DeadlineExceeded {
@@ -185,8 +157,10 @@ pub struct QueryOptions {
     pub recovery: RecoveryPlan,
     /// Deadline-bounded retry discipline for crash re-runs.
     pub retry: RetryPolicy,
-    /// Deterministic Byzantine adversary (see [`AdversaryPlan`]): lying
-    /// machines, equivocators, and corrupt links. Arming any of it turns on
+    /// Deterministic Byzantine adversary (see [`AdversaryPlan`]): machines
+    /// that lie at the source, and corrupt links. A lie scheduled for a
+    /// round other than 0 is refused as [`EngineError::InvalidPlan`].
+    /// Arming any of it turns on
     /// the full defense stack for every query run — chained per-link
     /// integrity digests at the engine layer, plus a semantic audit of each
     /// answer against the shard-local oracles at this layer. A caught liar
@@ -252,16 +226,15 @@ impl QueryOptions {
 
     /// What machine `m` feeds its protocol instance on the exact paths
     /// ([`Seating::run`]), given its `honest` sorted top-ℓ: that, unless `m`
-    /// lies at the *source*. A round-0 liar or an equivocator perturbs its
-    /// local distances (the wire tamper alone cannot fake the machine's own
-    /// self-computed answer slice, so scheduled-from-round-0 lying is
-    /// modeled where the claims are actually born) by the pure seeded stream
-    /// of [`audit::perturb_input`], and re-sorts: the per-key offsets reorder
-    /// the list, and every protocol takes its input sorted. Keyed on the
-    /// original machine id, so the lie is identical across
+    /// is a liar. A liar lies at the *source*, where its claims are born:
+    /// it perturbs its local distances by the pure seeded stream of
+    /// [`audit::perturb_input`], and re-sorts (the per-key offsets reorder
+    /// the list, and every protocol takes its input sorted). Everything it
+    /// then sends, and the answer slice it claims, follows from the lie.
+    /// Keyed on the original machine id, so the lie is identical across
     /// quarantine re-runs and on the sequential and batched paths.
     pub(crate) fn fed_by(&self, m: MachineId, honest: Vec<DistKey>) -> Vec<DistKey> {
-        if !self.adversary.equivocates(m) && self.adversary.lie_round(m) != 0 {
+        if self.adversary.lie_round(m) != 0 {
             return honest;
         }
         let mut keys = audit::perturb_input(honest, self.adversary.adversary_seed, m);
@@ -1005,34 +978,6 @@ mod tests {
             matches!(err, CoreError::DeadlineExceeded { attempts: 1, .. }),
             "attempt budget of 1 forbids the recovery re-run: {err:?}"
         );
-        let opts = QueryOptions {
-            faults: FaultPlan::default().with_crash(0, 0),
-            retry: RetryPolicy { deadline_rounds: 0, backoff_base: 8, ..Default::default() },
-            ..Default::default()
-        };
-        let err = run_query(&sh, &ScalarPoint(1), 4, Algorithm::Knn, &opts).unwrap_err();
-        assert!(
-            matches!(err, CoreError::DeadlineExceeded { spent_rounds, .. } if spent_rounds > 0),
-            "backoff waits count against the round deadline: {err:?}"
-        );
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_exponential() {
-        let policy = RetryPolicy { backoff_base: 16, jitter_seed: 7, ..Default::default() };
-        let waits: Vec<u64> = (1..=4).map(|a| policy.backoff_rounds(a)).collect();
-        // Deterministic: same policy, same waits.
-        assert_eq!(waits, (1..=4).map(|a| policy.backoff_rounds(a)).collect::<Vec<_>>());
-        for (i, &w) in waits.iter().enumerate() {
-            let base = 16u64 << i;
-            assert!(
-                w >= base && w < base + 16,
-                "retry {}: {w} outside [{base}, {})",
-                i + 1,
-                base + 16
-            );
-        }
-        assert_eq!(RetryPolicy::default().backoff_rounds(3), 0, "no backoff by default");
     }
 
     #[test]
@@ -1112,15 +1057,20 @@ mod tests {
 
     #[test]
     fn equivocator_is_caught_like_a_round_zero_liar() {
+        // A machine that sends different peers different claims lies from
+        // its first send on: it is planned as a round-0 liar, and the audit
+        // quarantines it the same way, for every algorithm.
         let sh = range_shards(&[0..100, 100..200, 200..300]);
         let opts = QueryOptions {
-            adversary: AdversaryPlan::default().with_equivocate(2),
+            adversary: AdversaryPlan::default().with_lie(2, 0),
             ..Default::default()
         };
-        let out = run_query(&sh, &ScalarPoint(250), 5, Algorithm::Knn, &opts).unwrap();
-        assert!(out.degraded);
-        assert_eq!(out.audit.suspects_quarantined, 1);
-        assert!(out.local_keys[2].is_empty());
+        for algo in Algorithm::ALL {
+            let out = run_query(&sh, &ScalarPoint(250), 5, algo, &opts).unwrap();
+            assert!(out.degraded, "{algo:?}");
+            assert_eq!(out.audit.suspects_quarantined, 1, "{algo:?}");
+            assert!(out.local_keys[2].is_empty(), "{algo:?}");
+        }
     }
 
     #[test]

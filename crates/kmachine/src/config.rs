@@ -125,18 +125,19 @@ impl FaultPlan {
     }
 }
 
-/// Deterministic Byzantine-fault plan: which machines *lie*, which links
-/// corrupt payloads in flight, and which machines equivocate.
+/// Deterministic Byzantine-fault plan: which machines *lie* and which
+/// links corrupt payloads in flight.
 ///
 /// Everything here is seeded and pure, mirroring [`FaultPlan`]: two runs
 /// with the same plan inject byte-identical wrong-answer faults at every
-/// pool size. The three fault families are
+/// pool size. The two fault families are
 ///
-/// * **Lies** — `(machine, round)`: from `round` on, the machine perturbs
-///   the candidate distances/ids it announces (a lie scheduled for round 0
-///   also poisons the machine's materialized input, so its *output claims*
-///   are wrong too — the case the query-layer audit can blame soundly).
-///   Wire-level perturbation goes through [`crate::Payload::tamper`].
+/// * **Lies** — `(machine, 0)`: the machine lies *at the source*. Its
+///   materialized local top-ℓ is inflated before any protocol sees it, so
+///   everything it announces and every answer it claims follows from the
+///   lie — the case the query-layer audit can blame soundly. The engine
+///   never perturbs a message; a lie at a round other than 0 is refused by
+///   [`NetConfig::validate`].
 /// * **Link corruption** — `(src, dst, per_mille)`: fully-transmitted
 ///   messages on the ordered link `src → dst` are bit-flipped in flight
 ///   with the given probability. The decision is a pure splitmix64 roll
@@ -144,8 +145,6 @@ impl FaultPlan {
 ///   *same* messages; the flip lands on the link-layer integrity digest
 ///   and is caught at delivery as
 ///   [`crate::EngineError::IntegrityViolation`].
-/// * **Equivocation** — the machine's lies additionally vary *per
-///   destination*: different peers receive different fabrications.
 ///
 /// Lying machines compute valid digests over their lies — integrity
 /// checking cannot catch them. Detecting them is the job of the semantic
@@ -153,14 +152,12 @@ impl FaultPlan {
 /// the shard-local oracles and quarantines suspects.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AdversaryPlan {
-    /// `(machine, round)` lying injections: the machine perturbs what it
-    /// announces from `round` on (round 0: its materialized input too).
+    /// `(machine, round)` lying injections. Lies are told at the source,
+    /// so `round` must be 0; [`NetConfig::validate`] refuses any other.
     pub lies: Vec<(crate::message::MachineId, u64)>,
     /// `(src, dst, per_mille)` in-flight corruption rates per ordered link
     /// (0 = clean, 1000 = every message corrupted).
     pub corrupt_links: Vec<(crate::message::MachineId, crate::message::MachineId, u16)>,
-    /// Machines whose lies vary per destination.
-    pub equivocators: Vec<crate::message::MachineId>,
     /// Seed of the lie/corruption processes, independent of
     /// [`NetConfig::seed`] so the same workload replays under different
     /// adversary draws.
@@ -170,17 +167,12 @@ pub struct AdversaryPlan {
 impl AdversaryPlan {
     /// True when the plan injects nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.lies.is_empty() && self.corrupt_links.is_empty() && self.equivocators.is_empty()
+        self.lies.is_empty() && self.corrupt_links.is_empty()
     }
 
     /// Round from which `machine` lies (`u64::MAX`: honest forever).
     pub fn lie_round(&self, machine: crate::message::MachineId) -> u64 {
         self.lies.iter().filter(|(m, _)| *m == machine).map(|&(_, r)| r).min().unwrap_or(u64::MAX)
-    }
-
-    /// Whether `machine` equivocates (per-destination lies).
-    pub fn equivocates(&self, machine: crate::message::MachineId) -> bool {
-        self.equivocators.contains(&machine)
     }
 
     /// Corruption rate of the ordered link `src → dst` in thousandths.
@@ -197,7 +189,11 @@ impl AdversaryPlan {
             .unwrap_or(0)
     }
 
-    /// Add a lying machine (perturbs announced candidates from `round` on).
+    /// Add a lying machine. `round` must be 0: the machine lies at the
+    /// source, inflating its local top-ℓ before the protocol starts. Any
+    /// other round is kept as-is and rejected with
+    /// [`EngineError::InvalidPlan`](crate::EngineError::InvalidPlan) when
+    /// the plan is validated at engine entry.
     pub fn with_lie(mut self, machine: crate::message::MachineId, round: u64) -> Self {
         self.lies.push((machine, round));
         self
@@ -215,12 +211,6 @@ impl AdversaryPlan {
         per_mille: u16,
     ) -> Self {
         self.corrupt_links.push((src, dst, per_mille));
-        self
-    }
-
-    /// Mark `machine` as an equivocator (its lies vary per destination).
-    pub fn with_equivocate(mut self, machine: crate::message::MachineId) -> Self {
-        self.equivocators.push(machine);
         self
     }
 
@@ -245,7 +235,6 @@ impl AdversaryPlan {
                 .iter()
                 .filter_map(|&(s, d, p)| Some((remap(s)?, remap(d)?, p)))
                 .collect(),
-            equivocators: self.equivocators.iter().filter_map(|&m| remap(m)).collect(),
             adversary_seed: self.adversary_seed,
         }
     }
@@ -410,35 +399,9 @@ impl NetConfig {
         self
     }
 
-    /// Add one lying machine to the adversary plan (see
-    /// [`AdversaryPlan::with_lie`]).
-    pub fn with_lie(mut self, machine: crate::message::MachineId, round: u64) -> Self {
-        self.adversary = std::mem::take(&mut self.adversary).with_lie(machine, round);
-        self
-    }
-
-    /// Add one in-flight corruption rate to the adversary plan (see
-    /// [`AdversaryPlan::with_corrupt_link`]).
-    pub fn with_corrupt_link(
-        mut self,
-        src: crate::message::MachineId,
-        dst: crate::message::MachineId,
-        per_mille: u16,
-    ) -> Self {
-        self.adversary = std::mem::take(&mut self.adversary).with_corrupt_link(src, dst, per_mille);
-        self
-    }
-
-    /// Mark one machine as an equivocator in the adversary plan (see
-    /// [`AdversaryPlan::with_equivocate`]).
-    pub fn with_equivocate(mut self, machine: crate::message::MachineId) -> Self {
-        self.adversary = std::mem::take(&mut self.adversary).with_equivocate(machine);
-        self
-    }
-
     /// Reject a zero bandwidth and self-contradictory fault and adversary
-    /// plans (an entry for a machine outside the `k`-machine cluster among
-    /// them) before any protocol executes; [`run_sync`](crate::run_sync)
+    /// plans (an entry for a machine outside the `k`-machine cluster, or a
+    /// lie after round 0, among them) before any protocol executes; [`run_sync`](crate::run_sync)
     /// calls this first.
     pub fn validate(&self) -> Result<(), crate::EngineError> {
         let invalid = |reason: String| Err(crate::EngineError::InvalidPlan { reason });
@@ -462,15 +425,13 @@ impl NetConfig {
                 ));
             }
         }
-        for &(m, _) in &adversary.lies {
+        for &(m, r) in &adversary.lies {
             if m >= k {
                 return invalid(format!("lie entry for machine {m} out of range (k = {k})"));
             }
-        }
-        for &m in &adversary.equivocators {
-            if m >= k {
+            if r != 0 {
                 return invalid(format!(
-                    "equivocator entry for machine {m} out of range (k = {k})"
+                    "machine {m} lies at round {r}: lies are told at the source, from round 0"
                 ));
             }
         }
@@ -641,30 +602,22 @@ mod tests {
         assert!(cfg.adversary.is_empty());
         assert_eq!(cfg.adversary.lie_round(0), u64::MAX);
         assert_eq!(cfg.adversary.corrupt_per_mille(0, 1), 0);
-        assert!(!cfg.adversary.equivocates(2));
 
         let plan = AdversaryPlan::default()
             .with_lie(1, 4)
             .with_corrupt_link(0, 2, 75)
-            .with_equivocate(2)
             .with_adversary_seed(99);
         assert!(!plan.is_empty());
         assert_eq!(plan.lie_round(1), 4);
         assert_eq!(plan.lie_round(0), u64::MAX);
         assert_eq!(plan.corrupt_per_mille(0, 2), 75);
         assert_eq!(plan.corrupt_per_mille(2, 0), 0, "corruption is per ordered link");
-        assert!(plan.equivocates(2));
         assert_eq!(plan.adversary_seed, 99);
         // Multiple lie entries for one machine: the earliest wins.
         let plan = plan.with_lie(1, 2);
         assert_eq!(plan.lie_round(1), 2);
         let cfg = NetConfig::new(4).with_adversary(plan.clone());
         assert_eq!(cfg.adversary, plan);
-        // NetConfig convenience builders compose onto the plan in place.
-        let cfg = NetConfig::new(4).with_lie(0, 1).with_corrupt_link(1, 2, 10).with_equivocate(0);
-        assert_eq!(cfg.adversary.lie_round(0), 1);
-        assert_eq!(cfg.adversary.corrupt_per_mille(1, 2), 10);
-        assert!(cfg.adversary.equivocates(0));
     }
 
     #[test]
@@ -675,14 +628,11 @@ mod tests {
             .with_corrupt_link(0, 1, 50)
             .with_corrupt_link(0, 3, 60)
             .with_corrupt_link(3, 2, 70)
-            .with_equivocate(1)
-            .with_equivocate(3)
             .with_adversary_seed(5);
         // Machine 1 was quarantined; 0, 2, 3 survive as 0, 1, 2.
         let sub = plan.project(&[0, 2, 3]);
         assert_eq!(sub.lies, vec![(2, 0)]);
         assert_eq!(sub.corrupt_links, vec![(0, 2, 60), (2, 1, 70)]);
-        assert_eq!(sub.equivocators, vec![2]);
         assert_eq!(sub.adversary_seed, 5);
         // Quarantining a corrupt link's endpoint silences that link.
         let sub = plan.project(&[1, 2]);

@@ -17,7 +17,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 
 use crate::config::NetConfig;
-use crate::ctx::{AdversaryCtx, Ctx};
+use crate::ctx::Ctx;
 use crate::engine::RunOutcome;
 use crate::error::EngineError;
 use crate::frozen::SkewMetrics;
@@ -73,9 +73,6 @@ pub(super) struct RunEnv {
     /// Per-machine fail-stop horizons from the fault plan (`u64::MAX`:
     /// never crashes).
     crash_rounds: Vec<u64>,
-    /// Byzantine lying context (`None` unless the plan has liars or
-    /// equivocators — the honest hot path pays one `Option` check per send).
-    adversary: Option<AdversaryCtx>,
     /// Retry budget a lossy link exhausts before going down.
     max_retries: u32,
 }
@@ -88,7 +85,6 @@ impl RunEnv {
             latency: cfg.round_latency,
             budget: cfg.bandwidth.budget(),
             crash_rounds: (0..cfg.k).map(|i| cfg.faults.crash_round(i)).collect(),
-            adversary: AdversaryCtx::from_plan(&cfg.adversary, cfg.k),
             max_retries: cfg.faults.max_retries,
         }
     }
@@ -234,7 +230,6 @@ impl<'l, P: Protocol> Machine<'l, P> {
             rng: &mut self.rng,
             next_seq: &mut self.seq,
             crash_rounds: &env.crash_rounds,
-            adversary: env.adversary.as_ref(),
         };
         let step = catch_unwind(AssertUnwindSafe(|| self.proto.on_round(&mut ctx)));
         inbox.clear();

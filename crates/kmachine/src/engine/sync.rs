@@ -21,16 +21,19 @@ use crate::protocol::Protocol;
 /// `(protocols, cfg.seed)` — useful both for tests and for exact round and
 /// message accounting at machine counts far beyond the host's core count.
 /// A panicking protocol ends the run with [`EngineError::WorkerPanic`].
-///
-/// # Panics
-/// If `protocols.len() != cfg.k`, or if bandwidth is `Enforce { 0 }`.
+/// A config that [`NetConfig::validate`] refuses, or a protocol count other
+/// than `cfg.k`, is an [`EngineError::InvalidPlan`] before any round runs.
 pub fn run_sync<P: Protocol>(
     cfg: &NetConfig,
     protocols: Vec<P>,
 ) -> Result<RunOutcome<P::Output>, EngineError> {
     cfg.validate()?;
     let k = protocols.len();
-    assert_eq!(k, cfg.k, "protocol count {} != cfg.k {}", k, cfg.k);
+    if k != cfg.k {
+        return Err(EngineError::InvalidPlan {
+            reason: format!("protocol count {k} != cfg.k {}", cfg.k),
+        });
+    }
     let env = RunEnv::new(cfg);
 
     let start = Instant::now();
@@ -458,6 +461,12 @@ mod tests {
             let err = run_sync(&cfg, GossipSum::cluster(k)).unwrap_err();
             assert_eq!(err, EngineError::InvalidPlan { reason: reason.into() });
         }
+        // One protocol instance per machine, or no run at all.
+        for n in [k - 1, k + 1] {
+            let err = run_sync(&NetConfig::new(k), GossipSum::cluster(n)).unwrap_err();
+            let reason = format!("protocol count {n} != cfg.k {k}");
+            assert_eq!(err, EngineError::InvalidPlan { reason });
+        }
     }
 
     #[test]
@@ -469,8 +478,8 @@ mod tests {
                 "lie entry for machine 5 out of range (k = 3)",
             ),
             (
-                AdversaryPlan::default().with_equivocate(3),
-                "equivocator entry for machine 3 out of range (k = 3)",
+                AdversaryPlan::default().with_lie(1, 2),
+                "machine 1 lies at round 2: lies are told at the source, from round 0",
             ),
             (
                 AdversaryPlan::default().with_corrupt_link(0, 1, 1001),

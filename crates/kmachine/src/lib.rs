@@ -28,15 +28,14 @@
 //!   ([`Protocol::on_crash`], observed by peers via [`Ctx::crashed`]) — the
 //!   realized faults are a pure function of the plan and reported in
 //!   [`RunOutcome::faults`];
-//! * deterministic Byzantine injection ([`AdversaryPlan`]): machines that
-//!   lie from a scheduled round on ([`Payload::tamper`] perturbs their
-//!   outgoing values with pure seeded words, equivocators telling each peer
-//!   a *different* lie) and links that corrupt payload bits in flight —
-//!   caught at delivery by chained per-link integrity digests
-//!   ([`EngineError::IntegrityViolation`]); verification counts ride
-//!   [`RunOutcome::audit`]. Semantic detection
-//!   of lies (and quarantine of liars) is the query layer's job, built on
-//!   the same seeded determinism;
+//! * deterministic Byzantine injection ([`AdversaryPlan`]): links that
+//!   corrupt payload bits in flight — caught at delivery by chained
+//!   per-link integrity digests ([`EngineError::IntegrityViolation`]);
+//!   verification counts ride [`RunOutcome::audit`] — and machines that
+//!   lie. A lie is told at the source, from round 0: the query layer
+//!   inflates the liar's local input before the protocol runs, and its
+//!   semantic audit catches and quarantines the liar. The engine never
+//!   perturbs a message, and refuses a lie scheduled for a later round;
 //! * deterministic crash-recovery plans ([`config::RecoveryPlan`]): a
 //!   machine that crashes and later rejoins is, until it has rejoined, a
 //!   fail-stop crash ([`config::RecoveryPlan::crashes`]); the query layer

@@ -53,14 +53,6 @@ impl<M: Payload> Payload for Tagged<M> {
     fn mux_tag(&self) -> Option<u32> {
         Some(self.tag)
     }
-
-    /// A lying mux machine lies in every instance: tampering passes through
-    /// to the inner payload (the tag itself is never perturbed — a wrong
-    /// *value* inside the right instance, per the [`Payload::tamper`]
-    /// contract).
-    fn tamper(&mut self, word: u64) -> bool {
-        self.msg.tamper(word)
-    }
 }
 
 /// Per-machine output of a multiplexed run.
@@ -234,11 +226,6 @@ impl<P: Protocol> Protocol for MuxProtocol<P> {
                     rng: &mut slot.rng,
                     next_seq: &mut slot.seq,
                     crash_rounds: ctx.crash_rounds,
-                    // The outer ctx applies the adversary when the instance's
-                    // sends are re-wrapped below ([`Tagged::tamper`] passes
-                    // the lie through); arming the inner ctx too would
-                    // double-tamper.
-                    adversary: None,
                 };
                 slot.proto.on_round(&mut inner)
             };
@@ -544,7 +531,6 @@ mod tests {
             rng: &mut rng,
             next_seq: &mut 0,
             crash_rounds: &[u64::MAX; 2],
-            adversary: None,
         };
         mux.on_round(&mut ctx)
     }

@@ -21,23 +21,6 @@ pub trait Payload: Clone + 'static {
     fn mux_tag(&self) -> Option<u32> {
         None
     }
-
-    /// Byzantine lying hook: perturb this message's announced data using
-    /// the deterministic `word` (a pure splitmix64 draw keyed by the
-    /// [`crate::config::AdversaryPlan`] seed and the send site, so
-    /// every run fabricates the *same* lies). Returns `true` when the
-    /// message actually changed.
-    ///
-    /// The default is a no-op — a payload opts in by overriding this, and
-    /// implementations must preserve the message's variant structure
-    /// (protocols are entitled to panic on impossible variants; a lie is a
-    /// wrong *value*, not a malformed message). Size accounting
-    /// ([`Payload::size_bits`]) must be unchanged by tampering so that a
-    /// liar's run costs what the honest run does.
-    fn tamper(&mut self, word: u64) -> bool {
-        let _ = word;
-        false
-    }
 }
 
 impl Payload for () {

@@ -39,6 +39,16 @@ pub enum Value {
     Object(Vec<(String, Value)>),
 }
 
+impl Value {
+    /// The value of field `key` when `self` is an object holding it.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Object(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+}
+
 /// Encoding error. The Debug grammar parser is total (unknown trailing
 /// input is tolerated), so in practice this is never produced, but the
 /// `Result` return keeps call sites source-compatible with real serde_json.
@@ -364,6 +374,9 @@ impl<'a> Parser<'a> {
         while let Some(c) = self.peek() {
             if c.is_ascii_alphanumeric() || matches!(c, b'.' | b'_' | b'+' | b'-') {
                 self.pos += 1;
+            } else if self.bytes[self.pos..].starts_with("µ".as_bytes()) {
+                // `Duration`'s Debug prints microseconds as `1.5µs`.
+                self.pos += "µ".len();
             } else {
                 break;
             }
@@ -485,6 +498,21 @@ mod tests {
         assert_eq!(to_string(&f64::NAN).unwrap(), r#""NaN""#);
         assert_eq!(to_string(&f64::INFINITY).unwrap(), r#""inf""#);
         assert_eq!(to_string(&std::time::Duration::from_millis(2)).unwrap(), r#""2ms""#);
+    }
+
+    #[test]
+    fn microsecond_durations_keep_their_struct_whole() {
+        #[derive(Debug)]
+        #[allow(dead_code)]
+        struct Timed {
+            a: u64,
+            wall: std::time::Duration,
+            b: u64,
+        }
+        let t = Timed { a: 1, wall: std::time::Duration::from_nanos(1500), b: 2 };
+        assert_eq!(to_string(&t).unwrap(), r#"{"a":1,"wall":"1.5µs","b":2}"#);
+        let v = to_value(&t).unwrap();
+        assert_eq!(v.get("b"), Some(&Value::Number("2".into())));
     }
 
     #[test]
