@@ -25,16 +25,15 @@ use crate::emit;
 use crate::stats::Summary;
 use crate::table::Table;
 
-// Fields are read by `emit`, through the serde shim's `Debug` encoding.
-#[allow(dead_code)]
-#[derive(Debug, serde::Serialize)]
-struct Row {
-    sample_factor: u32,
-    rank_factor: u32,
-    rollback_rate: f64,
-    survivors_over_ell: f64,
-    rounds_mean: f64,
-    messages_mean: f64,
+table_row! {
+    struct Row {
+        sample_factor: u32,
+        rank_factor: u32,
+        rollback_rate: f64,
+        survivors_over_ell: f64,
+        rounds_mean: f64,
+        messages_mean: f64,
+    }
 }
 
 /// Print the table and write `results/ablation.{json,csv}`.

@@ -25,16 +25,15 @@ use crate::protocols::kdtree_dist::KdBuildProtocol;
 use crate::stats::Summary;
 use crate::table::Table;
 
-// Fields are read by `emit`, through the serde shim's `Debug` encoding.
-#[allow(dead_code)]
-#[derive(Debug, serde::Serialize)]
-struct Row {
-    algorithm: String,
-    k: usize,
-    ell: usize,
-    rounds: f64,
-    messages: f64,
-    kilobits: f64,
+table_row! {
+    struct Row {
+        algorithm: &'static str,
+        k: usize,
+        ell: usize,
+        rounds: f64,
+        messages: f64,
+        kilobits: f64,
+    }
 }
 
 /// Print both tables and write `results/baselines.{json,csv}`.
@@ -76,7 +75,7 @@ pub fn run(args: &Args) {
                     format!("{:.1}", b.mean / 1000.0),
                 ]);
                 rows.push(Row {
-                    algorithm: algo.name().to_string(),
+                    algorithm: algo.name(),
                     k,
                     ell,
                     rounds: r.mean,
@@ -118,7 +117,7 @@ pub fn run(args: &Args) {
             format!("{:.0}", out.metrics.bits as f64 / 1000.0),
         ]);
         rows.push(Row {
-            algorithm: "kdtree-build".into(),
+            algorithm: "kdtree-build",
             k,
             ell: 0,
             rounds: out.metrics.rounds as f64,

@@ -34,18 +34,17 @@ use crate::emit;
 use crate::stats::Summary;
 use crate::table::Table;
 
-// Fields are read by `emit`, through the serde shim's `Debug` encoding.
-#[allow(dead_code)]
-#[derive(Debug, serde::Serialize)]
-struct Cell {
-    k: usize,
-    ell: usize,
-    wall_simple_ms: f64,
-    wall_knn_ms: f64,
-    wall_ratio: f64,
-    rounds_simple: f64,
-    rounds_knn: f64,
-    round_ratio: f64,
+table_row! {
+    struct Cell {
+        k: usize,
+        ell: usize,
+        wall_simple_ms: f64,
+        wall_knn_ms: f64,
+        wall_ratio: f64,
+        rounds_simple: f64,
+        rounds_knn: f64,
+        round_ratio: f64,
+    }
 }
 
 /// Print the table and write `results/fig2.{json,csv}`.

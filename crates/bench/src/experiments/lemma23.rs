@@ -24,17 +24,16 @@ use crate::emit;
 use crate::stats::Summary;
 use crate::table::Table;
 
-// Fields are read by `emit`, through the serde shim's `Debug` encoding.
-#[allow(dead_code)]
-#[derive(Debug, serde::Serialize)]
-struct Row {
-    k: usize,
-    ell: usize,
-    trials: u64,
-    ratio_mean: f64,
-    ratio_max: f64,
-    exceed_11ell: u64,
-    rollbacks: u64,
+table_row! {
+    struct Row {
+        k: usize,
+        ell: usize,
+        trials: u64,
+        ratio_mean: f64,
+        ratio_max: f64,
+        exceed_11ell: u64,
+        rollbacks: u64,
+    }
 }
 
 /// Print the table and write `results/lemma23.{json,csv}`.

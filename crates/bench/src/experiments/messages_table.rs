@@ -20,17 +20,16 @@ use crate::emit;
 use crate::stats::Summary;
 use crate::table::Table;
 
-// Fields are read by `emit`, through the serde shim's `Debug` encoding.
-#[allow(dead_code)]
-#[derive(Debug, serde::Serialize)]
-struct Row {
-    k: usize,
-    ell: usize,
-    knn_messages: f64,
-    knn_normalized: f64,
-    knn_bits: f64,
-    simple_messages: f64,
-    simple_per_k_ell: f64,
+table_row! {
+    struct Row {
+        k: usize,
+        ell: usize,
+        knn_messages: f64,
+        knn_normalized: f64,
+        knn_bits: f64,
+        simple_messages: f64,
+        simple_per_k_ell: f64,
+    }
 }
 
 /// Print the table and write `results/messages_table.{json,csv}`.

@@ -37,20 +37,19 @@ use crate::args::Args;
 use crate::emit;
 use crate::table::Table;
 
-// Fields are read by `emit`, through the serde shim's `Debug` encoding.
-#[allow(dead_code)]
-#[derive(Debug, serde::Serialize)]
-struct Row {
-    m: usize,
-    ef: usize,
-    exact: bool,
-    ell: usize,
-    queries: usize,
-    recall_mean: f64,
-    recall_min: f64,
-    build_ms: f64,
-    micros_per_query: f64,
-    speedup_vs_scan: f64,
+table_row! {
+    struct Row {
+        m: usize,
+        ef: usize,
+        exact: bool,
+        ell: usize,
+        queries: usize,
+        recall_mean: f64,
+        recall_min: f64,
+        build_ms: f64,
+        micros_per_query: f64,
+        speedup_vs_scan: f64,
+    }
 }
 
 /// Shard-local top-ℓ from every graph, merged into the global top-ℓ — the

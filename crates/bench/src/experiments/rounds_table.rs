@@ -23,17 +23,16 @@ use crate::emit;
 use crate::stats::{linear_fit, Summary};
 use crate::table::Table;
 
-// Fields are read by `emit`, through the serde shim's `Debug` encoding.
-#[allow(dead_code)]
-#[derive(Debug, serde::Serialize)]
-struct Row {
-    section: &'static str,
-    k: usize,
-    n: usize,
-    ell: usize,
-    rounds_mean: f64,
-    rounds_std: f64,
-    messages_mean: f64,
+table_row! {
+    struct Row {
+        section: &'static str,
+        k: usize,
+        n: usize,
+        ell: usize,
+        rounds_mean: f64,
+        rounds_std: f64,
+        messages_mean: f64,
+    }
 }
 
 /// Print both tables and write `results/rounds_table.{json,csv}`.

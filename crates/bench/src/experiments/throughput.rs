@@ -55,27 +55,26 @@ use crate::args::Args;
 use crate::emit;
 use crate::table::Table;
 
-// Fields are read by `emit`, through the serde shim's `Debug` encoding.
-#[allow(dead_code)]
-#[derive(Debug, serde::Serialize)]
-struct Row {
-    algorithm: String,
-    batch_size: usize,
-    queries: usize,
-    qps: f64,
-    rounds_per_query: f64,
-    messages_per_query: f64,
-    kilobits_per_query: f64,
-    elections: u64,
-    /// Realized faults across the sweep's runs.
-    crashes: u64,
-    dropped_messages: u64,
-    retransmitted_kilobits: f64,
-    /// Byzantine-audit work across the sweep's runs (zero without `--lie`
-    /// / `--corrupt`).
-    audits_run: u64,
-    integrity_violations: u64,
-    suspects_quarantined: u64,
+table_row! {
+    struct Row {
+        algorithm: &'static str,
+        batch_size: usize,
+        queries: usize,
+        qps: f64,
+        rounds_per_query: f64,
+        messages_per_query: f64,
+        kilobits_per_query: f64,
+        elections: u64,
+        /// Realized faults across the sweep's runs.
+        crashes: u64,
+        dropped_messages: u64,
+        retransmitted_kilobits: f64,
+        /// Byzantine-audit work across the sweep's runs (zero without `--lie`
+        /// / `--corrupt`).
+        audits_run: u64,
+        integrity_violations: u64,
+        suspects_quarantined: u64,
+    }
 }
 
 /// What a row sums over the reports of its sweep: the answering runs'
@@ -194,7 +193,7 @@ pub fn run(args: &Args) {
             }
             let wall = start.elapsed().as_secs_f64();
             let row = Row {
-                algorithm: algo.name().to_string(),
+                algorithm: algo.name(),
                 batch_size: bs,
                 queries: total,
                 qps: total as f64 / wall.max(1e-9),
@@ -210,7 +209,7 @@ pub fn run(args: &Args) {
                 suspects_quarantined: tally.quarantined,
             };
             table.row(vec![
-                row.algorithm.clone(),
+                row.algorithm.to_string(),
                 bs.to_string(),
                 format!("{:.0}", row.qps),
                 format!("{:.2}", row.rounds_per_query),

@@ -19,10 +19,30 @@
 //! (`cargo bench -p knn-bench`).
 //!
 //! Each table prints an aligned table and writes its rows to
-//! `results/<table>.json` and `results/<table>.csv` ([`emit`]).
+//! `results/<table>.json` and `results/<table>.csv` ([`emit`]). A row type
+//! lists its `(name, cell)` pairs once ([`TableRow`]); both files are
+//! written from that list, through `kmachine::json`'s number and string
+//! rendering, so they cannot disagree.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+/// Declares a row struct and its [`TableRow`] impl: every field, by name
+/// and in declaration order, is a column. Defined before the modules so
+/// that they can use it.
+macro_rules! table_row {
+    (struct $row:ident { $($(#[$doc:meta])* $field:ident: $ty:ty),* $(,)? }) => {
+        struct $row {
+            $($(#[$doc])* $field: $ty),*
+        }
+
+        impl $crate::TableRow for $row {
+            fn cells(&self) -> Vec<(&'static str, &dyn $crate::Column)> {
+                vec![$((stringify!($field), &self.$field as &dyn $crate::Column)),*]
+            }
+        }
+    };
+}
 
 pub mod args;
 pub mod experiments;
@@ -37,65 +57,107 @@ pub mod protocols {
 use std::fs;
 use std::path::Path;
 
-use serde_json::Value;
+use kmachine::json::{to_string_pretty, JsonWriter, WriteJson};
 use table::Table;
 
-/// Print `table`, then write `rows` to `results/<name>.json` and
-/// `results/<name>.csv`.
-pub fn emit<T: serde::Serialize>(name: &str, table: &Table, rows: &[T]) {
+/// A cell of a [`TableRow`]: written to the row's JSON object by its
+/// [`WriteJson`] impl and to its CSV line by [`Column::csv`].
+pub trait Column: WriteJson {
+    /// The value as one CSV field; by default its JSON text.
+    fn csv(&self) -> String {
+        to_string_pretty(self)
+    }
+}
+
+impl Column for bool {}
+impl Column for u32 {}
+impl Column for u64 {}
+impl Column for usize {}
+
+impl Column for f64 {
+    /// Its `Debug` text: a non-finite value bare (`NaN`), not quoted.
+    fn csv(&self) -> String {
+        format!("{self:?}")
+    }
+}
+
+impl Column for str {
+    /// Raw, unless it holds a `,`, `"` or newline, which CSV-quote it.
+    fn csv(&self) -> String {
+        if self.contains([',', '"', '\n']) {
+            format!("\"{}\"", self.replace('"', "\"\""))
+        } else {
+            self.to_string()
+        }
+    }
+}
+
+impl<T: Column + ?Sized> Column for &T {
+    fn csv(&self) -> String {
+        (**self).csv()
+    }
+}
+
+/// A row of a `paper` table: its `(name, cell)` pairs in column order,
+/// from which [`emit`] writes both the JSON object and the CSV line.
+/// Declared with `table_row!`, which lists each field once.
+pub trait TableRow {
+    /// The row's columns, named, in declaration order.
+    fn cells(&self) -> Vec<(&'static str, &dyn Column)>;
+}
+
+/// One row's cells as a JSON object.
+struct Record<'a>(Vec<(&'static str, &'a dyn Column)>);
+
+impl WriteJson for Record<'_> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| self.0.iter().for_each(|&(name, cell)| w.field(name, cell)));
+    }
+}
+
+/// Print `table`, then write `rows` to `results/<name>.json` (an array of
+/// objects) and `results/<name>.csv`, both from the rows' [`TableRow::cells`].
+pub fn emit<R: TableRow>(name: &str, table: &Table, rows: &[R]) {
     table.print();
     let dir = Path::new("results");
     fs::create_dir_all(dir).expect("create results dir");
     let json = dir.join(format!("{name}.json"));
-    fs::write(&json, serde_json::to_string_pretty(rows).expect("serialize")).expect("write json");
+    let records: Vec<Record> = rows.iter().map(|row| Record(row.cells())).collect();
+    fs::write(&json, to_string_pretty(&records)).expect("write json");
     let csv = dir.join(format!("{name}.csv"));
     fs::write(&csv, to_csv(rows)).expect("write csv");
     println!("\nwrote {} and {}", csv.display(), json.display());
 }
 
-/// `rows` as CSV: the rows' serde field names, in declaration order, as the
-/// header line, then one line per row.
-pub fn to_csv<T: serde::Serialize>(rows: &[T]) -> String {
+/// `rows` as CSV: the column names, in declaration order, as the header
+/// line, then one line per row.
+pub fn to_csv<R: TableRow>(rows: &[R]) -> String {
     let mut out = String::new();
     for (i, row) in rows.iter().enumerate() {
-        let Value::Object(fields) = serde_json::to_value(row).expect("serialize") else {
-            panic!("a table row must serialize to an object");
-        };
+        let cells = row.cells();
         if i == 0 {
-            let header: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+            let header: Vec<&str> = cells.iter().map(|(name, _)| *name).collect();
             out.push_str(&header.join(","));
             out.push('\n');
         }
-        let cells: Vec<String> = fields.into_iter().map(|(name, v)| csv_cell(&name, v)).collect();
-        out.push_str(&cells.join(","));
+        let line: Vec<String> = cells.iter().map(|(_, cell)| cell.csv()).collect();
+        out.push_str(&line.join(","));
         out.push('\n');
     }
     out
-}
-
-fn csv_cell(name: &str, value: Value) -> String {
-    match value {
-        Value::Bool(b) => b.to_string(),
-        Value::Number(n) => n,
-        Value::String(s) if s.contains([',', '"', '\n']) => {
-            format!("\"{}\"", s.replace('"', "\"\""))
-        }
-        Value::String(s) => s,
-        nested => panic!("column {name} is not a scalar: {nested:?}"),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[allow(dead_code)]
-    #[derive(Debug, serde::Serialize)]
-    struct Row {
-        zeta: usize,
-        alpha: &'static str,
-        mid: f64,
-        flag: bool,
+    table_row! {
+        struct Row {
+            zeta: usize,
+            alpha: &'static str,
+            mid: f64,
+            flag: bool,
+        }
     }
 
     #[test]

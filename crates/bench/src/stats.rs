@@ -1,7 +1,7 @@
 //! Summary statistics for repeated measurements.
 
 /// Mean / standard deviation / extremes of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Sample size.
     pub n: usize,

@@ -3,6 +3,7 @@
 
 use std::time::Duration;
 
+use kmachine::json::{JsonWriter, WriteJson};
 use kmachine::{AdversaryPlan, BandwidthMode, FaultPlan, MachineId, RecoveryPlan, RunMetrics};
 use knn_points::{Dataset, Dist, Label, Metric, PointId, Record, ScalarPoint};
 use knn_workloads::PartitionStrategy;
@@ -18,7 +19,7 @@ use crate::session::{BatchOutcome, QuerySession};
 use crate::splitmix64;
 
 /// One answer point of an ℓ-NN query.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor {
     /// The point's unique id.
     pub id: PointId,
@@ -32,7 +33,7 @@ pub struct Neighbor {
 }
 
 /// Result of an ℓ-NN query, with full cost accounting.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct KnnAnswer {
     /// The ℓ nearest neighbors, ascending by `(distance, id)`.
     pub neighbors: Vec<Neighbor>,
@@ -44,8 +45,8 @@ pub struct KnnAnswer {
     /// returned only with [`crate::protocols::KnnParams::harden`] off.
     pub contains_exact: Option<bool>,
     /// Costs and fault / recovery / audit accounting (also reachable
-    /// through `Deref`: `answer.metrics`, `answer.degraded`, …).
-    #[serde(flatten)]
+    /// through `Deref`: `answer.metrics`, `answer.degraded`, …). Its JSON
+    /// is nested: a `"report"` object, not fields of the answer's own.
     pub report: Report,
 }
 
@@ -65,15 +66,35 @@ pub struct KnnAnswer {
 /// or suffers once — `wall`, `election_metrics`, `faults`, `recovery`,
 /// `audit` — is reported once, on this struct, and stays zero / `None` /
 /// empty per query.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct BatchAnswer {
     /// Per-query answers, in input order.
     pub answers: Vec<KnnAnswer>,
     /// Costs and fault / recovery / audit accounting of the batch as a
-    /// whole (also reachable through `Deref`: `batch.metrics`, …).
-    #[serde(flatten)]
+    /// whole (also reachable through `Deref`: `batch.metrics`, …). Its
+    /// JSON is nested, like [`KnnAnswer::report`].
     pub report: Report,
 }
+
+impl WriteJson for Neighbor {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let Neighbor { id, dist, machine, label } = self;
+        w.object(|w| {
+            w.field("id", &id.0);
+            w.field("dist", &dist.encoding());
+            w.field("machine", machine);
+            match label {
+                Some(Label::Class(class)) => w.field("label", class),
+                Some(Label::Value(value)) => w.field("label", value),
+                None => w.field("label", &None::<u64>),
+            }
+        });
+    }
+}
+
+kmachine::json_object!(KnnAnswer { neighbors, stats, contains_exact, report });
+
+kmachine::json_object!(BatchAnswer { answers, report });
 
 /// Builder for [`KnnCluster`].
 #[derive(Debug, Clone)]
@@ -614,6 +635,7 @@ fn find_id(column: &[(PointId, usize)], id: PointId) -> Result<usize, usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kmachine::json::to_string_pretty;
     use kmachine::AuditMetrics;
     use knn_points::{IdAssigner, ScalarPoint};
 
@@ -628,6 +650,115 @@ mod tests {
 
         cluster.load(data, PartitionStrategy::Shuffled);
         cluster
+    }
+
+    /// A batch renders every written type: its answers, their neighbors
+    /// (each label form), stats and nested reports, and the batch report's
+    /// microsecond `wall` and per-tag traffic.
+    #[test]
+    fn batch_answer_serializes_to_json() {
+        let neighbor = |id, dist, machine, label| Neighbor {
+            id: PointId(id),
+            dist: Dist::from_u64(dist),
+            machine,
+            label,
+        };
+        let stats =
+            KnnStats { sample_size: 32, prune_rank: 55, rolled_back: true, ..Default::default() };
+        let answer = KnnAnswer {
+            neighbors: vec![
+                neighbor(7, 3, 0, Some(Label::Class(2))),
+                neighbor(9, 5, 1, Some(Label::Value(0.5))),
+                neighbor(4, 8, 1, None),
+            ],
+            stats: Some(stats),
+            contains_exact: None,
+            report: Report::healthy(RunMetrics::default(), 2, 1),
+        };
+        let mut metrics = RunMetrics::new(2);
+        metrics.on_send(0, 64, Some(0));
+        let report = Report { wall: Duration::from_nanos(1500), ..Report::healthy(metrics, 2, 0) };
+        let batch = BatchAnswer { answers: vec![answer], report };
+        let want = r#"{
+  "answers": [
+    {
+      "neighbors": [
+        {
+          "id": 7,
+          "dist": 3,
+          "machine": 0,
+          "label": 2
+        },
+        {
+          "id": 9,
+          "dist": 5,
+          "machine": 1,
+          "label": 0.5
+        },
+        {
+          "id": 4,
+          "dist": 8,
+          "machine": 1,
+          "label": null
+        }
+      ],
+      "stats": {
+        "sample_size": 32,
+        "prune_rank": 55,
+        "total_candidates": 0,
+        "survivors": 0,
+        "rolled_back": true,
+        "select_iterations": 0
+      },
+      "contains_exact": null,
+      "report": QUERY_REPORT
+    }
+  ],
+  "report": {
+    "metrics": {
+      "rounds": 0,
+      "messages": 1,
+      "bits": 64,
+      "sends_per_machine": [
+        1,
+        0
+      ],
+      "max_link_backlog_bits": 0,
+      "delivered_after_done": 0,
+      "per_tag": [
+        {
+          "messages": 1,
+          "bits": 64
+        }
+      ]
+    },
+    "wall": "1.5µs",
+    "leader": 0,
+    "election_metrics": null,
+    "faults": {
+      "crashed": [],
+      "dropped_messages": 0,
+      "retransmitted_bits": 0
+    },
+    "recovery": {
+      "checkpoint_bytes": 0,
+      "rejoined": []
+    },
+    "audit": {
+      "digests_verified": 0,
+      "integrity_violations": 0,
+      "audits_run": 0,
+      "suspects_quarantined": 0
+    },
+    "degraded": false,
+    "shards_used": 2,
+    "recovered": false,
+    "attempts": 1
+  }
+}"#;
+        // The per-query report is the batch report's impl again, nested deeper.
+        let query_report = to_string_pretty(&batch.answers[0].report).replace('\n', "\n      ");
+        assert_eq!(to_string_pretty(&batch), want.replace("QUERY_REPORT", &query_report));
     }
 
     /// `find_id` answers exactly what bisection does, for present ids and

@@ -85,7 +85,7 @@ fn scaled_log(factor: u32, ell: u64) -> usize {
 
 /// Diagnostics from the leader's point of view, consumed by the
 /// experiments (Lemma 2.3, Theorem 2.4).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KnnStats {
     /// Samples requested per machine.
     pub sample_size: u64,
@@ -110,6 +110,15 @@ impl KnnStats {
         self.rolled_back || self.survivors >= ell.min(self.total_candidates)
     }
 }
+
+kmachine::json_object!(KnnStats {
+    sample_size,
+    prune_rank,
+    total_candidates,
+    survivors,
+    rolled_back,
+    select_iterations
+});
 
 /// Per-machine output of Algorithm 2.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -25,7 +25,7 @@ use kmachine::{AuditMetrics, FaultMetrics, MachineId, RecoveryMetrics, RunMetric
 /// The approximate paths go through the same recovery loop as the exact
 /// ones (a crash or a corrupt link costs the machine its place and the query
 /// re-runs) but are never semantically audited: `audit.audits_run` stays 0.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Report {
     /// Rounds / messages / bits of the main protocol — the engine run that
     /// produced the answer. For a batch: the aggregate of its one run
@@ -114,6 +114,20 @@ impl Report {
         (outputs, report)
     }
 }
+
+kmachine::json_object!(Report {
+    metrics,
+    wall,
+    leader,
+    election_metrics,
+    faults,
+    recovery,
+    audit,
+    degraded,
+    shards_used,
+    recovered,
+    attempts
+});
 
 macro_rules! deref_to_report {
     ($($outcome:ty),*) => {$(

@@ -23,7 +23,7 @@ use crate::report::Report;
 use crate::session::BatchQueryOutcome;
 
 /// Which distributed algorithm answers the query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algorithm {
     /// The paper's Algorithm 2: `O(log ℓ)` rounds whp.
     Knn,
@@ -53,7 +53,7 @@ impl Algorithm {
 }
 
 /// How the leader is chosen before the main protocol runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ElectionKind {
     /// Machine 0 is the leader by convention (ids are common knowledge in
     /// the k-machine model); zero communication. This matches how the
@@ -71,7 +71,7 @@ pub enum ElectionKind {
 ///
 /// The default policy replicates the historical behavior: retry until the
 /// cluster is down to one machine, with no deadline.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum engine runs per query (the first attempt included). `0` is
     /// treated as `1`.
@@ -234,7 +234,7 @@ impl QueryOptions {
     /// Keyed on the original machine id, so the lie is identical across
     /// quarantine re-runs and on the sequential and batched paths.
     pub(crate) fn fed_by(&self, m: MachineId, honest: Vec<DistKey>) -> Vec<DistKey> {
-        if self.adversary.lie_round(m) != 0 {
+        if !self.adversary.is_liar(m) {
             return honest;
         }
         let mut keys = audit::perturb_input(honest, self.adversary.adversary_seed, m);

@@ -2,8 +2,6 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Per-link bandwidth policy.
 ///
 /// The k-machine model allows `B` bits per link per round; the usual choice
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// that ships `m` bits over one link pays `⌈m / B⌉` rounds. With
 /// [`BandwidthMode::Unlimited`], every message is delivered in the next round
 /// and bandwidth is only *accounted*, not enforced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BandwidthMode {
     /// Deliver everything next round; only record bit counts.
     Unlimited,
@@ -54,7 +52,7 @@ pub const DEFAULT_BANDWIDTH_BITS: u64 = 512;
 /// full size (the retransmission pays bandwidth again) until
 /// `max_retries` is exhausted, at which point the run aborts with
 /// [`crate::EngineError::LinkDown`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// `(machine, round)` fail-stop injections: the machine executes rounds
     /// `< round` and then stops (round 0: it never runs at all).
@@ -150,7 +148,7 @@ impl FaultPlan {
 /// checking cannot catch them. Detecting them is the job of the semantic
 /// audit in the query layer (`knn-core`), which recomputes claims against
 /// the shard-local oracles and quarantines suspects.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AdversaryPlan {
     /// `(machine, round)` lying injections. Lies are told at the source,
     /// so `round` must be 0; [`NetConfig::validate`] refuses any other.
@@ -170,9 +168,10 @@ impl AdversaryPlan {
         self.lies.is_empty() && self.corrupt_links.is_empty()
     }
 
-    /// Round from which `machine` lies (`u64::MAX`: honest forever).
-    pub fn lie_round(&self, machine: crate::message::MachineId) -> u64 {
-        self.lies.iter().filter(|(m, _)| *m == machine).map(|&(_, r)| r).min().unwrap_or(u64::MAX)
+    /// True when `machine` has a lie entry. [`NetConfig::validate`] admits
+    /// only round-0 entries, so a liar lies at the source, from round 0.
+    pub fn is_liar(&self, machine: crate::message::MachineId) -> bool {
+        self.lies.iter().any(|&(m, _)| m == machine)
     }
 
     /// Corruption rate of the ordered link `src → dst` in thousandths.
@@ -253,7 +252,7 @@ impl AdversaryPlan {
 /// fault-free run answers. A machine listed here must **not** also appear
 /// in [`FaultPlan::crashes`]; [`RecoveryPlan::validate`] rejects such plans
 /// with [`crate::EngineError::InvalidPlan`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryPlan {
     /// `(machine, crash_round, rejoin_round)` entries, one per recovering
     /// machine. `rejoin_round` must be strictly greater than `crash_round`.
@@ -327,7 +326,7 @@ impl RecoveryPlan {
 }
 
 /// Configuration of a simulated cluster run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Number of machines (`k ≥ 2` in the model; we also allow 1 for tests).
     pub k: usize,
@@ -345,7 +344,6 @@ pub struct NetConfig {
     pub faults: FaultPlan,
     /// Deterministic Byzantine-fault plan (default: everyone honest). See
     /// [`AdversaryPlan`].
-    #[serde(default)]
     pub adversary: AdversaryPlan,
 }
 
@@ -600,23 +598,22 @@ mod tests {
     fn adversary_plan_defaults_builders_and_lookups() {
         let cfg = NetConfig::new(3);
         assert!(cfg.adversary.is_empty());
-        assert_eq!(cfg.adversary.lie_round(0), u64::MAX);
+        assert!(!cfg.adversary.is_liar(0));
         assert_eq!(cfg.adversary.corrupt_per_mille(0, 1), 0);
 
         let plan = AdversaryPlan::default()
-            .with_lie(1, 4)
+            .with_lie(1, 0)
             .with_corrupt_link(0, 2, 75)
             .with_adversary_seed(99);
         assert!(!plan.is_empty());
-        assert_eq!(plan.lie_round(1), 4);
-        assert_eq!(plan.lie_round(0), u64::MAX);
+        assert!(plan.is_liar(1));
+        assert!(!plan.is_liar(0));
+        assert_eq!(plan.lies, vec![(1, 0)], "the frozen (machine, round) spelling is kept");
         assert_eq!(plan.corrupt_per_mille(0, 2), 75);
         assert_eq!(plan.corrupt_per_mille(2, 0), 0, "corruption is per ordered link");
         assert_eq!(plan.adversary_seed, 99);
-        // Multiple lie entries for one machine: the earliest wins.
-        let plan = plan.with_lie(1, 2);
-        assert_eq!(plan.lie_round(1), 2);
         let cfg = NetConfig::new(4).with_adversary(plan.clone());
+        assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(cfg.adversary, plan);
     }
 

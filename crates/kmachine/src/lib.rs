@@ -41,7 +41,8 @@
 //!   fail-stop crash ([`config::RecoveryPlan::crashes`]); the query layer
 //!   heals it by re-running the query with the machine back, so the engine
 //!   never reads the plan;
-//! * reproducible per-machine randomness derived from a single master seed.
+//! * reproducible per-machine randomness derived from a single master seed;
+//! * a JSON writer ([`json`]) that each written type implements by hand.
 //!
 //! ## Example
 //!
@@ -94,6 +95,7 @@ pub mod ctx;
 pub mod engine;
 pub mod error;
 mod frozen;
+pub mod json;
 pub mod leader;
 pub mod link;
 pub mod message;

@@ -1,7 +1,5 @@
 //! Run accounting: rounds, messages, bits.
 
-use serde::{Deserialize, Serialize};
-
 /// Communication totals attributed to one multiplexing tag (one protocol
 /// instance inside a [`crate::mux::MuxProtocol`] run).
 ///
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// instances share every link — so per-tag accounting covers messages and
 /// bits; per-instance completion rounds are reported by
 /// [`crate::mux::MuxOutput::done_round`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TagMetrics {
     /// Messages sent carrying this tag.
     pub messages: u64,
@@ -23,7 +21,7 @@ pub struct TagMetrics {
 /// Carried on [`crate::RunOutcome::faults`], *not* inside [`RunMetrics`]:
 /// retransmission traffic is fault-layer bookkeeping, not protocol cost — the protocol's bill stays identical whether or not
 /// the network dropped and re-sent under it.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultMetrics {
     /// Machines that executed their scheduled crash during this run,
     /// ascending. Empty in a fault-free (or crash-free) run.
@@ -50,7 +48,7 @@ impl FaultMetrics {
 /// re-running the query with the machine back; the engine never reads a
 /// recovery plan. Deterministic like the plan itself: the same plan yields
 /// the same `RecoveryMetrics` on every run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryMetrics {
     /// Always 0: nothing is checkpointed. A name the frozen benchmark
     /// spells (see `frozen.rs`).
@@ -70,7 +68,7 @@ pub struct RecoveryMetrics {
 /// communication bill stays identical whether or not anyone was checking.
 /// The audit realization is deterministic: the same plan yields
 /// byte-identical `AuditMetrics` at every pool size.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AuditMetrics {
     /// Messages whose chained link digest was verified at delivery (zero
     /// when the run had no adversary plan — integrity is armed only then).
@@ -100,7 +98,7 @@ impl AuditMetrics {
 }
 
 /// Exact communication costs of one protocol run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunMetrics {
     /// Number of communication rounds used: the index of the last round in
     /// which any machine was still executing. A protocol that never
@@ -161,9 +159,29 @@ impl RunMetrics {
     }
 }
 
+crate::json_object!(TagMetrics { messages, bits });
+crate::json_object!(FaultMetrics { crashed, dropped_messages, retransmitted_bits });
+crate::json_object!(RecoveryMetrics { checkpoint_bytes, rejoined });
+crate::json_object!(AuditMetrics {
+    digests_verified,
+    integrity_violations,
+    audits_run,
+    suspects_quarantined
+});
+crate::json_object!(RunMetrics {
+    rounds,
+    messages,
+    bits,
+    sends_per_machine,
+    max_link_backlog_bits,
+    delivered_after_done,
+    per_tag
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::to_string_pretty;
 
     #[test]
     fn send_accounting() {
@@ -198,9 +216,25 @@ mod tests {
 
     #[test]
     fn serializes_to_json() {
-        let m = RunMetrics::new(2);
-        let s = serde_json::to_string(&m).unwrap();
-        assert!(s.contains("\"rounds\":0"));
+        let mut m = RunMetrics::new(1);
+        m.on_send(0, 64, Some(0));
+        let want = r#"{
+  "rounds": 0,
+  "messages": 1,
+  "bits": 64,
+  "sends_per_machine": [
+    1
+  ],
+  "max_link_backlog_bits": 0,
+  "delivered_after_done": 0,
+  "per_tag": [
+    {
+      "messages": 1,
+      "bits": 64
+    }
+  ]
+}"#;
+        assert_eq!(to_string_pretty(&m), want);
     }
 
     #[test]
@@ -222,7 +256,12 @@ mod tests {
         assert!(a.any());
         let a = AuditMetrics { suspects_quarantined: 1, ..Default::default() };
         assert!(a.any());
-        let s = serde_json::to_string(&a).unwrap();
-        assert!(s.contains("\"suspects_quarantined\":1"));
+        let want = r#"{
+  "digests_verified": 0,
+  "integrity_violations": 0,
+  "audits_run": 0,
+  "suspects_quarantined": 1
+}"#;
+        assert_eq!(to_string_pretty(&a), want);
     }
 }

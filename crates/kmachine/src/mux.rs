@@ -56,7 +56,7 @@ impl<M: Payload> Payload for Tagged<M> {
 }
 
 /// Per-machine output of a multiplexed run.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MuxOutput<T> {
     /// Instance outputs, indexed by tag. `None` marks an instance **lost to
     /// a crash**: the machine went down mid-batch and that instance had

@@ -1,14 +1,12 @@
 //! Labeled datasets and the brute-force reference oracle.
 
-use serde::{Deserialize, Serialize};
-
 use crate::id::{IdAssigner, PointId};
 use crate::key::DistKey;
 use crate::metric::Metric;
 use crate::point::Point;
 
 /// A training label: class for classification, value for regression.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Label {
     /// Categorical class.
     Class(u32),
@@ -17,7 +15,7 @@ pub enum Label {
 }
 
 /// One training record: identified, located, optionally labeled.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Record<P> {
     /// Unique id (see [`crate::IdAssigner`]).
     pub id: PointId,
@@ -28,7 +26,7 @@ pub struct Record<P> {
 }
 
 /// An in-memory dataset.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset<P> {
     /// All records.
     pub records: Vec<Record<P>>,

@@ -1,7 +1,5 @@
 //! Total-ordered distance values.
 
-use serde::{Deserialize, Serialize};
-
 /// A distance encoded so that the *encoding's* integer order equals the
 /// distance order — the protocols can then treat distances as opaque
 /// `u64` keys, exactly as the paper assumes ("all distances are polynomial
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// * [`Dist::from_f64`] — non-negative finite floats, stored via their IEEE
 ///   754 bit pattern, whose unsigned order matches numeric order on
 ///   non-negative values. Used by [`crate::VecPoint`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Dist(u64);
 
 impl Dist {

@@ -1,7 +1,6 @@
 //! Random unique point identifiers.
 
 use rand::{rngs::StdRng, RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A point identifier.
 ///
@@ -10,9 +9,7 @@ use serde::{Deserialize, Serialize};
 /// distance from the query. We draw 64-bit ids, unique with probability
 /// `≥ 1 − n²/2⁶⁴` by the birthday bound, and additionally guarantee
 /// uniqueness *within one assigner* by construction.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PointId(pub u64);
 
 /// Deterministic generator of unique random [`PointId`]s.

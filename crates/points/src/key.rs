@@ -2,8 +2,6 @@
 
 use std::fmt::Debug;
 
-use serde::{Deserialize, Serialize};
-
 use crate::dist::Dist;
 use crate::id::PointId;
 
@@ -33,7 +31,7 @@ impl Key for i64 {
 /// The key the ℓ-NN algorithms select on: distance to the query, with the
 /// point id as a tiebreaker. Making keys distinct even for duplicate points
 /// is exactly the paper's device for handling non-distinct inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DistKey {
     /// Distance from the query (most significant in the ordering).
     pub dist: Dist,

@@ -1,12 +1,10 @@
 //! Distance metrics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dist::Dist;
 
 /// Which norm to use between points. The paper allows "any absolute norm
 /// ||p − q||" (§1.5); these are the standard choices.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Metric {
     /// L2 norm.
     #[default]

@@ -1,7 +1,5 @@
 //! Point types.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dist::Dist;
 use crate::metric::Metric;
 
@@ -31,7 +29,7 @@ pub trait Point: Clone + Send + Sync + 'static {
 
 /// A point on the integer line — the paper's experimental workload
 /// (each process draws 2²² values in `[0, 2³² − 1]`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ScalarPoint(pub u64);
 
 impl Point for ScalarPoint {
@@ -49,7 +47,7 @@ impl Point for ScalarPoint {
 }
 
 /// A dense vector in `R^d`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VecPoint(pub Box<[f64]>);
 
 impl VecPoint {
@@ -81,7 +79,7 @@ impl Point for VecPoint {
 /// A bit string, e.g. a binary fingerprint; distance is Hamming weight of
 /// the XOR regardless of the requested metric (the only norm that makes
 /// sense on bits).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BitsPoint(pub Box<[u64]>);
 
 impl BitsPoint {

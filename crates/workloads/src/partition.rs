@@ -6,10 +6,9 @@
 //! tests and benchmarks exercise both the friendly and the hostile cases.
 
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How a global dataset is laid out across machines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionStrategy {
     /// Round-robin in input order: balanced, value-agnostic.
     RoundRobin,

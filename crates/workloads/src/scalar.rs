@@ -3,14 +3,13 @@
 use knn_points::{Dataset, IdAssigner, Record, ScalarPoint};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Generator configuration for per-machine uniform scalar data.
 ///
 /// The paper's §3 setup is [`ScalarWorkload::paper_full`]: each of the k
 /// processes draws 2²² values uniformly from `[0, 2³² − 1]`. The default is
 /// a 2¹⁶-per-machine scale suitable for tests and quick experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScalarWorkload {
     /// Points generated by each machine.
     pub per_machine: usize,

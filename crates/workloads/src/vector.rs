@@ -9,7 +9,6 @@
 use knn_points::{Label, VecPoint};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Points per generation chunk (and per-chunk RNG stream). Fixed — never
 /// derived from the pool size — so outputs are pool-size-invariant.
@@ -42,7 +41,7 @@ fn par_chunks<T: Send>(
 /// A mixture of isotropic Gaussian clusters in `R^d`, labeled by cluster —
 /// the classic synthetic benchmark for a k-NN *classifier* (the paper's
 /// motivating application, §1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaussianMixture {
     /// Dimensionality.
     pub dims: usize,

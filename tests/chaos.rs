@@ -9,10 +9,11 @@
 //! `degraded` flags), or fails with a typed error (lossy links past the
 //! retry budget) — never a hang, never a silently wrong answer.
 //!
-//! One test also writes `results/chaos_metrics.json`, the artifact the CI
-//! chaos leg uploads.
+//! Three tests also write `results/{chaos,recovery,audit}_metrics.json`,
+//! the artifacts the CI chaos leg uploads.
 
 use kmachine::error::EngineError;
+use kmachine::json::to_string_pretty;
 use kmachine::{AdversaryPlan, FaultPlan, RecoveryPlan};
 use knn_core::cluster::{BatchAnswer, ClusterBuilder, KnnAnswer, KnnCluster, Neighbor};
 use knn_core::error::CoreError;
@@ -523,7 +524,7 @@ fn recovery_metrics_artifact() {
     assert_eq!(batch.attempts, 2);
     assert_eq!(batch.recovery.rejoined, vec![1]);
     std::fs::create_dir_all("results").expect("results dir");
-    let json = serde_json::to_string_pretty(&batch).expect("serialize");
+    let json = to_string_pretty(&batch);
     std::fs::write("results/recovery_metrics.json", json).expect("write artifact");
 }
 
@@ -895,11 +896,13 @@ fn audit_metrics_artifact() {
     assert!(batch.audit.digests_verified > 0);
     std::fs::create_dir_all("results").expect("results dir");
     // The batch's report holds a sub-millisecond `wall`; it must still
-    // render as an object with every field, not a set of stray tokens.
-    let value = serde_json::to_value(&batch).expect("to_value");
-    let report = value.get("report").expect("the batch has a report");
-    assert!(report.get("metrics").is_some(), "the report must be an object holding metrics");
-    let json = serde_json::to_string_pretty(&batch).expect("serialize");
+    // render as a nested object with every field, not a set of stray tokens.
+    let json = to_string_pretty(&batch);
+    assert!(
+        json.contains("\n  \"report\": {\n    \"metrics\": {\n"),
+        "the report must be an object holding metrics"
+    );
+    assert!(json.ends_with("\n    \"attempts\": 2\n  }\n}"), "the report closes the batch");
     std::fs::write("results/audit_metrics.json", json).expect("write artifact");
 }
 
@@ -918,6 +921,6 @@ fn chaos_metrics_artifact() {
     assert!(batch.degraded, "the crashed shard degrades the batch");
     assert_eq!(batch.shards_used, k - 1);
     std::fs::create_dir_all("results").expect("results dir");
-    let json = serde_json::to_string_pretty(&batch).expect("serialize");
+    let json = to_string_pretty(&batch);
     std::fs::write("results/chaos_metrics.json", json).expect("write artifact");
 }
