@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use kmachine::json::{JsonWriter, WriteJson};
-use kmachine::{AdversaryPlan, BandwidthMode, FaultPlan, MachineId, RecoveryPlan, RunMetrics};
+use kmachine::{AdversaryPlan, BandwidthMode, FaultPlan, MachineId, RecoveryPlan};
 use knn_points::{Dataset, Dist, Label, Metric, PointId, Record, ScalarPoint};
 use knn_workloads::PartitionStrategy;
 
@@ -13,7 +13,7 @@ use crate::local::{IndexBackend, IndexedPoint, ShardIndex};
 use crate::protocols::knn::{KnnParams, KnnStats};
 use crate::report::Report;
 use crate::runner::{
-    check_shape, merge_answers, Algorithm, ElectionKind, QueryOptions, RetryPolicy,
+    check_shape, merge_answers, Algorithm, ElectionKind, QueryOptions, QueryOutcome, RetryPolicy,
 };
 use crate::session::{BatchOutcome, QuerySession};
 use crate::splitmix64;
@@ -45,8 +45,11 @@ pub struct KnnAnswer {
     /// returned only with [`crate::protocols::KnnParams::harden`] off.
     pub contains_exact: Option<bool>,
     /// Costs and fault / recovery / audit accounting (also reachable
-    /// through `Deref`: `answer.metrics`, `answer.degraded`, …). Its JSON
-    /// is nested: a `"report"` object, not fields of the answer's own.
+    /// through `Deref`: `answer.metrics`, `answer.degraded`, …), copied
+    /// unchanged from the query's outcome: for a single query the report of
+    /// the run that answered it, election cost included; inside a batch
+    /// only the query's own share (see [`BatchAnswer`]). Its JSON is
+    /// nested: a `"report"` object, not fields of the answer's own.
     pub report: Report,
 }
 
@@ -54,18 +57,20 @@ pub struct KnnAnswer {
 /// of the one engine run that served them all.
 ///
 /// Inside each per-query [`KnnAnswer`] the report carries only what is
-/// attributable to that query: `metrics.rounds` is the batch round in which
-/// it completed, `metrics.messages`/`metrics.bits` are the traffic
-/// attributed to its tag, `metrics.sends_per_machine` is **empty**
-/// (per-machine sends are accounted only on the aggregate), `attempts` /
-/// `recovered` say which engine run answered it, `leader` is the machine
-/// that coordinated it ([`crate::session::BatchQueryOutcome::coordinator`]:
-/// the batch's queries spread over the machines, so only some are led by
-/// the batch-level `leader`), and `degraded`, `shards_used` mirror the
-/// batch-level values. Everything the batch pays
-/// or suffers once — `wall`, `election_metrics`, `faults`, `recovery`,
-/// `audit` — is reported once, on this struct, and stays zero / `None` /
-/// empty per query.
+/// attributable to that query: `metrics.rounds` is the round of the engine
+/// run that answered it in which it completed, `metrics.messages` /
+/// `metrics.bits` are the traffic attributed to its tag in that run,
+/// `metrics.sends_per_machine` and `metrics.per_tag` are **empty**
+/// (per-machine and per-tag traffic is accounted only on the aggregate),
+/// `attempts` / `recovered` say which engine run answered it, `leader` is
+/// the machine that coordinated it (the batch's queries spread over the
+/// machines, so only some are led by the batch-level `leader`), and
+/// `degraded`, `shards_used` mirror the batch-level values. Everything the
+/// batch pays or suffers once — `wall`, `election_metrics`, `faults`,
+/// `recovery`, `audit` — is reported once, on this struct, and stays zero /
+/// `None` / empty per query. The serving loop builds each of these reports
+/// once, as it keeps the query's answer
+/// ([`crate::session::BatchOutcome::queries`]).
 #[derive(Debug, Clone)]
 pub struct BatchAnswer {
     /// Per-query answers, in input order.
@@ -460,7 +465,7 @@ impl<P: IndexedPoint> KnnCluster<P> {
     /// the exact queries, but runs **unaudited**: no semantic audit
     /// certifies its supersets.
     pub fn query_approx(&self, q: &P, ell: usize) -> Result<KnnAnswer, CoreError> {
-        self.query_one(None, q, ell)
+        Ok(self.answer(self.session()?.run_one(q, ell, None)?))
     }
 
     /// Answer an ℓ-NN query with a specific algorithm: a per-call election,
@@ -473,26 +478,7 @@ impl<P: IndexedPoint> KnnCluster<P> {
         q: &P,
         ell: usize,
     ) -> Result<KnnAnswer, CoreError> {
-        self.query_one(Some(algorithm), q, ell)
-    }
-
-    /// One query, unmultiplexed, through a session (an election) of its own.
-    fn query_one(
-        &self,
-        kind: Option<Algorithm>,
-        q: &P,
-        ell: usize,
-    ) -> Result<KnnAnswer, CoreError> {
-        let session = self.session()?;
-        let BatchOutcome { mut queries, report } =
-            session.serve(std::slice::from_ref(q), ell, kind, false)?;
-        let answer = queries.pop().expect("one query, one outcome");
-        Ok(KnnAnswer {
-            neighbors: self.resolve(&answer.local_keys),
-            stats: answer.stats,
-            contains_exact: answer.contains_exact,
-            report,
-        })
+        Ok(self.answer(self.session()?.run_one(q, ell, Some(algorithm))?))
     }
 
     /// Open a serving session: elect the leader **once** and reuse it for
@@ -524,56 +510,26 @@ impl<P: IndexedPoint> KnnCluster<P> {
         queries: &[P],
         ell: usize,
     ) -> Result<BatchAnswer, CoreError> {
-        let session = self.session()?;
-        let out = session.run_batch(queries, ell, algorithm)?;
-        Ok(self.resolve_batch(out))
+        let BatchOutcome { queries, report } =
+            self.session()?.run_batch(queries, ell, algorithm)?;
+        Ok(BatchAnswer { answers: queries.into_iter().map(|q| self.answer(q)).collect(), report })
     }
 
     /// Answer a batch of *approximate* ℓ-NN queries (pruning-only
     /// supersets, rolled back and reported as [`Self::query_approx`]'s) in
     /// one engine run.
     pub fn query_batch_approx(&self, queries: &[P], ell: usize) -> Result<BatchAnswer, CoreError> {
-        let session = self.session()?;
-        let out = session.run_batch_approx(queries, ell)?;
-        Ok(self.resolve_batch(out))
+        let BatchOutcome { queries, report } = self.session()?.run_batch_approx(queries, ell)?;
+        Ok(BatchAnswer { answers: queries.into_iter().map(|q| self.answer(q)).collect(), report })
     }
 
-    /// Resolve a batch outcome's keys into labeled per-query answers.
-    fn resolve_batch(&self, out: BatchOutcome) -> BatchAnswer {
-        let BatchOutcome { queries, report } = out;
-        let answers = queries
-            .iter()
-            .map(|q| {
-                // Per-machine sends are not attributed per query; leave the
-                // vector empty rather than pretending k zeros are counts.
-                let metrics = RunMetrics {
-                    rounds: q.done_round,
-                    messages: q.messages,
-                    bits: q.bits,
-                    ..Default::default()
-                };
-                KnnAnswer {
-                    neighbors: self.resolve(&q.local_keys),
-                    stats: q.stats,
-                    contains_exact: q.contains_exact,
-                    report: Report {
-                        degraded: report.degraded,
-                        shards_used: report.shards_used,
-                        recovered: q.recovered,
-                        attempts: q.attempts,
-                        ..Report::healthy(metrics, self.k, q.coordinator)
-                    },
-                }
-            })
-            .collect();
-        BatchAnswer { answers, report }
-    }
-
-    /// Map answer keys back to labeled neighbors via the id columns; a
-    /// neighbour on a shard with no labeled record is `label: None` without
-    /// a search.
-    fn resolve(&self, local_keys: &[Vec<knn_points::DistKey>]) -> Vec<Neighbor> {
-        merge_answers(local_keys)
+    /// Resolve one query's outcome into its answer: keys become labeled
+    /// neighbors via the id columns (a neighbour on a shard with no labeled
+    /// record is `label: None` without a search); the report is copied
+    /// through unchanged.
+    fn answer(&self, outcome: QueryOutcome) -> KnnAnswer {
+        let QueryOutcome { local_keys, stats, contains_exact, report } = outcome;
+        let neighbors = merge_answers(&local_keys)
             .into_iter()
             .map(|(key, machine)| {
                 let column = &self.ids[machine];
@@ -583,7 +539,8 @@ impl<P: IndexedPoint> KnnCluster<P> {
                     .and_then(|at| self.shards[machine].records[column[at].1].label);
                 Neighbor { id: key.id, dist: key.dist, machine, label }
             })
-            .collect()
+            .collect();
+        KnnAnswer { neighbors, stats, contains_exact, report }
     }
 }
 
@@ -636,7 +593,7 @@ fn find_id(column: &[(PointId, usize)], id: PointId) -> Result<usize, usize> {
 mod tests {
     use super::*;
     use kmachine::json::to_string_pretty;
-    use kmachine::AuditMetrics;
+    use kmachine::{AuditMetrics, RunMetrics, TagMetrics};
     use knn_points::{IdAssigner, ScalarPoint};
 
     fn loaded_cluster(k: usize, n: u64) -> KnnCluster<ScalarPoint> {
@@ -675,8 +632,13 @@ mod tests {
             contains_exact: None,
             report: Report::healthy(RunMetrics::default(), 2, 1),
         };
-        let mut metrics = RunMetrics::new(2);
-        metrics.on_send(0, 64, Some(0));
+        let metrics = RunMetrics {
+            messages: 1,
+            bits: 64,
+            sends_per_machine: vec![1, 0],
+            per_tag: vec![TagMetrics { messages: 1, bits: 64 }],
+            ..Default::default()
+        };
         let report = Report { wall: Duration::from_nanos(1500), ..Report::healthy(metrics, 2, 0) };
         let batch = BatchAnswer { answers: vec![answer], report };
         let want = r#"{

@@ -87,7 +87,7 @@ pub use error::CoreError;
 pub use local::{IndexBackend, IndexedPoint, NswIndex, NswParams, ShardIndex};
 pub use report::Report;
 pub use runner::{Algorithm, ElectionKind, QueryOptions};
-pub use session::{BatchOutcome, BatchQueryOutcome, QuerySession};
+pub use session::{BatchOutcome, QuerySession};
 
 /// SplitMix64 finalizer: the one pure `u64 → u64` scrambler behind insert
 /// routing, NSW level draws, audit sampling and source-level lies —

@@ -153,11 +153,6 @@ impl<K: Key> SelectCore<K> {
         SelectCore { id, k, leader, local, lstate }
     }
 
-    /// Local keys, sorted (for reuse by wrapping protocols).
-    pub fn local(&self) -> &[K] {
-        &self.local
-    }
-
     /// Completed pivot iterations (leader only; 0 elsewhere).
     pub fn iterations(&self) -> u64 {
         self.lstate.as_ref().map_or(0, |l| l.iterations)
@@ -354,12 +349,6 @@ impl<K: Key> SelectCore<K> {
         st.incoming[self.id] = (b - a) as u64;
         st.pending = self.k - 1;
         st.phase = Phase::AwaitSizes { pivot };
-        if st.pending == 0 {
-            // k = 1: fall through immediately (handled by caller via Size
-            // path not being needed). We advance inline.
-            // Note: `after_sizes` borrows rng, so single-machine clusters
-            // are resolved by the caller invoking `poke`.
-        }
     }
 
     /// For k = 1 clusters: make progress without any messages.

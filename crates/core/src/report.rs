@@ -18,9 +18,11 @@ use kmachine::{AuditMetrics, FaultMetrics, MachineId, RecoveryMetrics, RunMetric
 /// [`BatchOutcome`](crate::session::BatchOutcome),
 /// [`KnnAnswer`](crate::cluster::KnnAnswer) and
 /// [`BatchAnswer`](crate::cluster::BatchAnswer). For a batch it describes the
-/// batch as a whole; the per-query [`KnnAnswer`](crate::cluster::KnnAnswer)s
-/// inside a batch carry only what is attributable to one query (see
-/// [`BatchAnswer`](crate::cluster::BatchAnswer)).
+/// batch as a whole; the per-query outcomes and answers inside a batch carry
+/// only what is attributable to one query (see
+/// [`BatchAnswer`](crate::cluster::BatchAnswer)). The serving loop builds
+/// each query's report once, as it keeps the answer; resolution into a
+/// [`KnnAnswer`](crate::cluster::KnnAnswer) copies it through unchanged.
 ///
 /// The approximate paths go through the same recovery loop as the exact
 /// ones (a crash or a corrupt link costs the machine its place and the query
@@ -38,9 +40,10 @@ pub struct Report {
     pub wall: Duration,
     /// The leader that coordinated the answer. Normally the elected (for a
     /// batch: the session's) leader; differs when that machine crashed or
-    /// was quarantined and the survivors re-elected. A per-query answer
-    /// inside a batch names its own coordinator instead
-    /// ([`BatchQueryOutcome::coordinator`](crate::session::BatchQueryOutcome::coordinator)).
+    /// was quarantined and the survivors re-elected. A per-query report
+    /// inside a batch names its own coordinator instead: the machine that
+    /// led the query in the run that answered it (the leader's position
+    /// among that run's survivors, rotated by the query's tag in it).
     pub leader: MachineId,
     /// Election cost (`None` under
     /// [`ElectionKind::Fixed`](crate::runner::ElectionKind::Fixed)). A

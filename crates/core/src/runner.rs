@@ -8,7 +8,8 @@ use kmachine::leader::{RandRankFlood, RandRankStar};
 use kmachine::mux::MuxProtocol;
 use kmachine::{
     run_sync, AdversaryPlan, AuditMetrics, BandwidthMode, Engine, EngineError, FaultPlan,
-    MachineId, NetConfig, Protocol, RecoveryPlan, RunMetrics, ENVELOPE_HEADER_BITS, MUX_TAG_BITS,
+    MachineId, NetConfig, Protocol, RecoveryPlan, RunMetrics, TagMetrics, ENVELOPE_HEADER_BITS,
+    MUX_TAG_BITS,
 };
 use knn_points::{Dataset, DistKey, Key, Metric, Point};
 
@@ -20,7 +21,6 @@ use crate::protocols::knn::{KnnOutput, KnnParams, KnnProtocol, KnnStats};
 use crate::protocols::saukas_song::SaukasSongProtocol;
 use crate::protocols::simple::SimpleProtocol;
 use crate::report::Report;
-use crate::session::BatchQueryOutcome;
 
 /// Which distributed algorithm answers the query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,36 +84,6 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy { max_attempts: u32::MAX, deadline_rounds: u64::MAX }
-    }
-}
-
-/// Running tally of a retry loop: attempts made and simulated rounds spent
-/// on failed runs.
-#[derive(Debug, Clone, Copy)]
-struct RetryState {
-    /// Engine runs started so far (≥ 1 once the loop is entered).
-    attempts: u32,
-    /// Rounds burned by failed runs.
-    spent_rounds: u64,
-}
-
-impl RetryState {
-    /// Account a failed (or partial) run that consumed `rounds`, then
-    /// either authorize the next attempt or surface
-    /// [`CoreError::DeadlineExceeded`].
-    fn next_attempt(&mut self, policy: &RetryPolicy, rounds: u64) -> Result<(), CoreError> {
-        self.spent_rounds = self.spent_rounds.saturating_add(rounds);
-        if self.attempts >= policy.max_attempts.max(1) || self.spent_rounds > policy.deadline_rounds
-        {
-            return Err(CoreError::DeadlineExceeded {
-                attempts: self.attempts,
-                spent_rounds: self.spent_rounds,
-                max_attempts: policy.max_attempts.max(1),
-                deadline_rounds: policy.deadline_rounds,
-            });
-        }
-        self.attempts += 1;
-        Ok(())
     }
 }
 
@@ -265,15 +235,22 @@ impl QueryOptions {
     }
 }
 
-/// Result of one distributed query, before point resolution.
-#[derive(Debug)]
+/// Result of one distributed query, before point resolution: alone, or one
+/// query of a batch ([`crate::session::BatchOutcome::queries`]).
+#[derive(Debug, Clone)]
 pub struct QueryOutcome {
     /// Per-machine answer keys (machine `i`'s members of the ℓ-NN set).
     pub local_keys: Vec<Vec<DistKey>>,
-    /// Algorithm 2 diagnostics (`None` for the baselines).
+    /// Algorithm 2 diagnostics, the approximate path's included (`None`
+    /// for the baselines).
     pub stats: Option<KnnStats>,
+    /// Approximate path only: whether the survivor set provably contains
+    /// the exact ℓ-NN ([`KnnStats::contains_exact`]).
+    pub contains_exact: Option<bool>,
     /// Costs and fault / recovery / audit accounting (also reachable
-    /// through `Deref`: `outcome.metrics`, `outcome.degraded`, …).
+    /// through `Deref`: `outcome.metrics`, `outcome.degraded`, …). Alone,
+    /// the report of the run that answered it; inside a batch, only its own
+    /// share (see [`crate::cluster::BatchAnswer`]).
     pub report: Report,
 }
 
@@ -350,16 +327,6 @@ pub(crate) fn check_shape<P: Point>(shards: &[Dataset<P>], point: &P) -> Result<
     Ok(())
 }
 
-/// How one attempt of [`recover`] ended, beside the [`Report`] of its run.
-enum Attempt {
-    /// Complete and (where audited) certified.
-    Done,
-    /// Unfinished: drop the machines that crashed in-run, quarantine these
-    /// suspects (original ids; empty when the only loss was to a crash)
-    /// and go again.
-    Retry(Vec<MachineId>),
-}
-
 /// Spread a subset run's per-machine keys back over the full `k`-shard
 /// layout: machine `i` of the run worked shard `alive[i]`; excluded shards
 /// contribute nothing.
@@ -369,117 +336,6 @@ fn scatter(sub_keys: Vec<Vec<DistKey>>, alive: &[MachineId], k: usize) -> Vec<Ve
         local_keys[alive[i]] = keys;
     }
     local_keys
-}
-
-/// The recovery discipline of [`Seating::serve`], the one loop behind every
-/// query, single or batched, exact or approximate.
-///
-/// `attempt(survivors, n)` makes the `n`-th engine run over the surviving
-/// machines and judges it. A run that comes back unfinished — an audit
-/// named suspects, or a crashed machine took queries with it — or fails
-/// with [`EngineError::Crashed`] / [`EngineError::IntegrityViolation`] (a
-/// corrupt link is pinned on its sender) costs the dead and the suspects
-/// their place: they are excluded, the leader is re-elected over the
-/// survivors if it was among them, and the next attempt runs with the
-/// fault and adversary plans projected onto who is left — which drops
-/// every plan entry touching an excluded machine, so the loop terminates.
-/// Other engine errors (a lossy link exhausting its retransmits, …) are not
-/// retried.
-///
-/// A dead machine with a [`RecoveryPlan`] entry it has not yet used is not
-/// excluded: it rejoins. It keeps its place (and the lead, if it had it),
-/// and the next attempt runs with it back, so that attempt answers what a
-/// run without its crash answers. The retry waits for it: it is charged
-/// `max(rounds, rejoin round)` where a plain retry is charged the rounds
-/// the failed run burned. Every re-run counts against the [`RetryPolicy`].
-///
-/// When nobody would be left the loop gives up *before* charging the retry
-/// budget — no further run could certify anything, so it is not a budget
-/// failure: [`CoreError::AuditFailed`] if misbehaviour emptied the
-/// cluster, the crash itself otherwise.
-///
-/// A zero bandwidth, or a fault or adversary plan entry for a machine
-/// outside the cluster, is refused before the first attempt as
-/// [`EngineError::InvalidPlan`].
-///
-/// The finished [`Report`] is the final run's, with `attempts`,
-/// `recovered`, `recovery.rejoined` and `audit` totalled over the loop.
-fn recover(
-    k: usize,
-    leader: MachineId,
-    opts: &QueryOptions,
-    mut attempt: impl FnMut(&Survivors, u32) -> Result<(Report, Attempt), EngineError>,
-) -> Result<Report, CoreError> {
-    // Every attempt runs a projection of the plans, which silently drops
-    // an entry for a machine outside the cluster: check them whole, once.
-    opts.fault_free_config(k)
-        .with_faults(opts.faults.clone())
-        .with_adversary(opts.adversary.clone())
-        .validate()?;
-    opts.recovery.validate(k, &opts.faults)?;
-    let mut survivors = Survivors { alive: (0..k).collect(), leader, rejoined: Vec::new() };
-    let mut retry = RetryState { attempts: 1, spent_rounds: 0 };
-    let mut audit = AuditMetrics::default();
-    loop {
-        let alive = &survivors.alive;
-        // Who leaves before the next attempt (original ids), who of them
-        // misbehaved, and the simulated rounds the failed attempt burned.
-        // Engine errors index the failed run's subset.
-        let (mut dead, mut suspects, rounds) = match attempt(&survivors, retry.attempts) {
-            Ok((mut report, verdict)) => {
-                audit.digests_verified += report.audit.digests_verified;
-                audit.audits_run += report.audit.audits_run;
-                match verdict {
-                    Attempt::Done => {
-                        report.recovered = retry.attempts > 1;
-                        report.attempts = retry.attempts;
-                        report.recovery.rejoined = survivors.rejoined.clone();
-                        report.recovery.rejoined.sort_unstable();
-                        report.audit = audit;
-                        return Ok(report);
-                    }
-                    Attempt::Retry(suspects) => {
-                        let crashed = report.faults.crashed.iter().map(|&c| alive[c]).collect();
-                        (crashed, suspects, report.metrics.rounds)
-                    }
-                }
-            }
-            Err(EngineError::Crashed { machine, round }) => {
-                (vec![alive[machine]], Vec::new(), round)
-            }
-            Err(EngineError::IntegrityViolation { src, round, .. }) => {
-                audit.integrity_violations += 1;
-                (Vec::new(), vec![alive[src]], round)
-            }
-            Err(e) => return Err(e.into()),
-        };
-        // A batch can name one suspect once per poisoned query.
-        suspects.sort_unstable();
-        suspects.dedup();
-        audit.suspects_quarantined += suspects.len() as u64;
-        // Crashed before a rejoin it has not made yet: back for the next
-        // attempt, which waits for it.
-        let back: Vec<MachineId> =
-            dead.iter().copied().filter(|&m| survivors.rejoins(m, &opts.recovery)).collect();
-        dead.retain(|m| !back.contains(m));
-        dead.extend(&suspects);
-        dead.sort_unstable();
-        dead.dedup();
-        if dead.len() >= alive.len() && !suspects.is_empty() {
-            return Err(CoreError::AuditFailed { suspects, alive: alive.len() });
-        }
-        if dead.len() >= alive.len() || (dead.is_empty() && back.is_empty()) {
-            // Holes without a usable survivor topology (or — impossibly —
-            // without a crash, a rejoin or a suspect): surface the crash
-            // instead of looping on an unanswerable plan.
-            let machine = dead.first().copied().unwrap_or(0);
-            return Err(EngineError::Crashed { machine, round: rounds }.into());
-        }
-        let wait = back.iter().map(|&m| opts.recovery.rejoin_round(m)).fold(rounds, u64::max);
-        retry.next_attempt(&opts.retry, wait)?;
-        survivors.rejoined.extend(back);
-        survivors.exclude(&dead, opts)?;
-    }
 }
 
 /// What one machine's finished protocol instance reports, whichever of the
@@ -573,85 +429,219 @@ impl Seating<'_> {
     /// `(distance, id)`, at most ℓ). `scan_sizes`: every shard's length when
     /// `top` is a full scan, so the stage knows its least cost up front.
     ///
-    /// [`recover`], made **fault-aware per query**: a query whose answer a
-    /// crashed machine took with it (a hole; multiplexed runs only) is
-    /// re-planned onto the survivors while completed queries keep theirs,
-    /// and an unsalvageable [`EngineError::Crashed`] re-runs every pending
-    /// query. On an exact protocol under an adversary plan every completed
-    /// query is **audited before it is kept** ([`audit::audit_claims`]
-    /// against the stage's honest output); one that fails is re-run like a
-    /// lost one with its suspects quarantined, so no wrong answer is kept —
-    /// not even one a machine answered before it was caught lying on a
-    /// later query of the same batch. Per query, `messages` / `bits` are its
-    /// tag's share (zero unmultiplexed, where the report holds the totals).
+    /// One loop: run an attempt over the surviving machines ([`Self::run`]),
+    /// judge its answers, keep them, exclude machines, retry.
+    ///
+    /// **Judging**, per query: a query whose answer a crashed machine took
+    /// with it (a hole; multiplexed runs only) is lost. On an exact protocol
+    /// under an adversary plan every completed query is **audited before it
+    /// is kept** ([`audit::audit_claims`] against the stage's honest
+    /// output); one that fails is lost too, and its suspects are
+    /// quarantined, so no wrong answer is kept — not even one a machine
+    /// answered before it was caught lying on a later query of the same
+    /// batch. The rest are kept. Nothing is kept from a run a machine was
+    /// down in for a rejoin (a salvaged crash may even have completed it
+    /// without that shard): the next attempt, with the machine back,
+    /// answers every pending query.
+    ///
+    /// **Retrying.** A run that loses queries, or fails with
+    /// [`EngineError::Crashed`] / [`EngineError::IntegrityViolation`] (a
+    /// corrupt link is pinned on its sender; every pending query re-runs),
+    /// costs the dead and the suspects their place: they are excluded, the
+    /// leader is re-elected over the survivors if it was among them, and the
+    /// lost queries re-run with the fault and adversary plans projected onto
+    /// who is left — which drops every plan entry touching an excluded
+    /// machine, so the loop terminates. Other engine errors (a lossy link
+    /// exhausting its retransmits, …) are not retried. A dead machine with a
+    /// [`RecoveryPlan`] entry it has not yet used is not excluded: it
+    /// rejoins, keeping its place (and the lead, if it had it), and the
+    /// retry waits for it: it is charged `max(rounds, rejoin round)` where a
+    /// plain retry is charged the rounds the failed run burned. Every re-run
+    /// counts against the [`RetryPolicy`]; [`CoreError::DeadlineExceeded`]
+    /// surfaces when it is spent. When nobody would be left the loop gives
+    /// up *before* charging the budget — no further run could certify
+    /// anything: [`CoreError::AuditFailed`] if misbehaviour emptied the
+    /// cluster, the crash itself otherwise. A zero bandwidth, or a fault or
+    /// adversary plan entry for a machine outside the cluster, is refused
+    /// before the first attempt as [`EngineError::InvalidPlan`].
+    ///
+    /// **Accounting.** Each query's [`Report`] is built when it is kept:
+    /// `metrics` holds the round it completed in and its tag's messages and
+    /// bits (no per-machine sends, no per-tag table), `leader` its
+    /// coordinator, `attempts` / `recovered` the engine run that answered
+    /// it; `degraded` and `shards_used` are the batch's final ones; `wall`,
+    /// `election_metrics`, `faults`, `recovery` and `audit`, which the batch
+    /// pays once, stay empty. The batch's report is the final run's, with
+    /// `attempts`, `recovered`, `recovery.rejoined` and `audit` totalled over
+    /// the loop. Unmultiplexed, that finished report is the one query's
+    /// own — the paper's per-query account — and no batch report is
+    /// returned.
     pub(crate) fn serve(
         &self,
         leader: MachineId,
         queries: usize,
         scan_sizes: Option<&[usize]>,
         top: impl Fn(MachineId, usize) -> Vec<DistKey> + Sync,
-    ) -> Result<(Vec<BatchQueryOutcome>, Report), CoreError> {
+    ) -> Result<(Vec<QueryOutcome>, Option<Report>), CoreError> {
         let (k, ell, opts) = (self.k, self.ell, self.opts);
         debug_assert!(self.mux || queries == 1, "an unmultiplexed run answers one query");
         if queries == 0 {
-            return Ok((Vec::new(), Report::healthy(RunMetrics::new(k), k, leader)));
+            return Ok((Vec::new(), Some(Report::healthy(RunMetrics::new(k), k, leader))));
         }
-        // Finished per-query outcomes by original index, filled across runs.
-        let mut done: Vec<Option<BatchQueryOutcome>> = (0..queries).map(|_| None).collect();
+        // Every attempt runs a projection of the plans, which silently drops
+        // an entry for a machine outside the cluster: check them whole, once.
+        opts.fault_free_config(k)
+            .with_faults(opts.faults.clone())
+            .with_adversary(opts.adversary.clone())
+            .validate()?;
+        opts.recovery.validate(k, &opts.faults)?;
+        let mut survivors = Survivors { alive: (0..k).collect(), leader, rejoined: Vec::new() };
+        let (mut attempts, mut spent_rounds) = (1u32, 0u64);
+        let mut audit = AuditMetrics::default();
+        // Kept outcomes by original index, filled across runs.
+        let mut done: Vec<Option<QueryOutcome>> = (0..queries).map(|_| None).collect();
         let mut pending: Vec<usize> = (0..queries).collect();
-        let report = recover(k, leader, opts, |survivors, attempts| {
+        let mut report = loop {
             let alive = &survivors.alive;
-            let Seated { answers, mut report, mut truth } =
-                self.run(survivors, pending.len(), scan_sizes, |m, p| top(m, pending[p]))?;
-            // Nothing is kept from a run a machine was down in for a rejoin
-            // (a salvaged crash may even have completed it without that
-            // shard): the next attempt, with the machine back, answers
-            // every pending query.
-            if report.faults.crashed.iter().any(|&c| survivors.rejoins(alive[c], &opts.recovery)) {
-                return Ok((report, Attempt::Retry(Vec::new())));
-            }
-            let mut lost: Vec<usize> = Vec::new();
-            let mut suspects: Vec<MachineId> = Vec::new();
-            for (p, (&j, answer)) in pending.iter().zip(answers).enumerate() {
-                let Some(answer) = answer else {
-                    lost.push(j);
-                    continue;
-                };
-                if let Some(truth) = &mut truth {
-                    report.audit.audits_run += 1;
-                    // No machine is excluded, crashed or not (`Seating::run`).
-                    let truth: Vec<Vec<DistKey>> =
-                        truth.iter_mut().map(|row| std::mem::take(&mut row[p])).collect();
-                    let verdict = audit::audit_claims(&truth, &answer.local_keys, ell, opts.seed);
-                    if !verdict.ok {
-                        lost.push(j);
-                        suspects.extend(verdict.suspects.iter().map(|&s| alive[s]));
-                        continue;
+            let run = self.run(&survivors, pending.len(), scan_sizes, |m, p| top(m, pending[p]));
+            // Who leaves before the next attempt (original ids), who of them
+            // misbehaved, and the simulated rounds the failed attempt burned.
+            // Engine errors index the failed run's subset.
+            let (mut dead, mut suspects, rounds) = match run {
+                Ok(Seated { answers, report, mut truth }) => {
+                    audit.digests_verified += report.audit.digests_verified;
+                    let crashed: Vec<MachineId> =
+                        report.faults.crashed.iter().map(|&c| alive[c]).collect();
+                    // Every pending query is lost to a run a machine was down
+                    // in for a rejoin (a salvaged crash may even have
+                    // completed it without that shard).
+                    let rejoining = crashed.iter().any(|&m| survivors.rejoins(m, &opts.recovery));
+                    let (mut lost, mut suspects) = (Vec::new(), Vec::new());
+                    for (p, (&j, answer)) in pending.iter().zip(answers).enumerate() {
+                        let Some(answer) = answer.filter(|_| !rejoining) else {
+                            lost.push(j);
+                            continue;
+                        };
+                        if let Some(truth) = &mut truth {
+                            audit.audits_run += 1;
+                            // No machine is excluded, crashed or not (`Seating::run`).
+                            let truth: Vec<Vec<DistKey>> =
+                                truth.iter_mut().map(|row| std::mem::take(&mut row[p])).collect();
+                            let verdict =
+                                audit::audit_claims(&truth, &answer.local_keys, ell, opts.seed);
+                            if !verdict.ok {
+                                lost.push(j);
+                                suspects.extend(verdict.suspects.iter().map(|&s| alive[s]));
+                                continue;
+                            }
+                        }
+                        let tag = report.metrics.tag(p as u32);
+                        done[j] = Some(self.keep(answer, alive, tag, attempts));
                     }
+                    if lost.is_empty() {
+                        break report;
+                    }
+                    pending = lost;
+                    (crashed, suspects, report.metrics.rounds)
                 }
-                let tag = report.metrics.tag(p as u32);
-                done[j] = Some(BatchQueryOutcome {
-                    local_keys: scatter(answer.local_keys, alive, k),
-                    messages: tag.messages,
-                    bits: tag.bits,
-                    done_round: answer.done_round,
-                    contains_exact: self.kind.is_none().then(|| {
-                        answer.stats.is_some_and(|stats| stats.contains_exact(ell as u64))
-                    }),
-                    stats: answer.stats,
-                    coordinator: answer.coordinator,
+                Err(EngineError::Crashed { machine, round }) => {
+                    (vec![alive[machine]], Vec::new(), round)
+                }
+                Err(EngineError::IntegrityViolation { src, round, .. }) => {
+                    audit.integrity_violations += 1;
+                    (Vec::new(), vec![alive[src]], round)
+                }
+                Err(e) => return Err(e.into()),
+            };
+            // A batch can name one suspect once per poisoned query.
+            suspects.sort_unstable();
+            suspects.dedup();
+            audit.suspects_quarantined += suspects.len() as u64;
+            // Crashed before a rejoin it has not made yet: back for the next
+            // attempt, which waits for it.
+            let back: Vec<MachineId> =
+                dead.iter().copied().filter(|&m| survivors.rejoins(m, &opts.recovery)).collect();
+            dead.retain(|m| !back.contains(m));
+            dead.extend(&suspects);
+            dead.sort_unstable();
+            dead.dedup();
+            if dead.len() >= alive.len() && !suspects.is_empty() {
+                return Err(CoreError::AuditFailed { suspects, alive: alive.len() });
+            }
+            if dead.len() >= alive.len() || (dead.is_empty() && back.is_empty()) {
+                // Holes without a usable survivor topology (or — impossibly —
+                // without a crash, a rejoin or a suspect): surface the crash
+                // instead of looping on an unanswerable plan.
+                let machine = dead.first().copied().unwrap_or(0);
+                return Err(EngineError::Crashed { machine, round: rounds }.into());
+            }
+            let wait = back.iter().map(|&m| opts.recovery.rejoin_round(m)).fold(rounds, u64::max);
+            spent_rounds = spent_rounds.saturating_add(wait);
+            let (max_attempts, deadline_rounds) =
+                (opts.retry.max_attempts.max(1), opts.retry.deadline_rounds);
+            if attempts >= max_attempts || spent_rounds > deadline_rounds {
+                return Err(CoreError::DeadlineExceeded {
                     attempts,
-                    recovered: attempts > 1,
+                    spent_rounds,
+                    max_attempts,
+                    deadline_rounds,
                 });
             }
-            if lost.is_empty() {
-                return Ok((report, Attempt::Done));
-            }
-            pending = lost;
-            Ok((report, Attempt::Retry(suspects)))
-        })?;
-        let outcomes = done.into_iter().map(|q| q.expect("every query answered")).collect();
-        Ok((outcomes, report))
+            attempts += 1;
+            survivors.rejoined.extend(back);
+            survivors.exclude(&dead, opts)?;
+        };
+        report.recovered = attempts > 1;
+        report.attempts = attempts;
+        report.recovery.rejoined = survivors.rejoined;
+        report.recovery.rejoined.sort_unstable();
+        report.audit = audit;
+        let mut outcomes: Vec<QueryOutcome> =
+            done.into_iter().map(|q| q.expect("every query answered")).collect();
+        if !self.mux {
+            outcomes[0].report = report;
+            return Ok((outcomes, None));
+        }
+        for outcome in &mut outcomes {
+            outcome.report.degraded = report.degraded;
+            outcome.report.shards_used = report.shards_used;
+        }
+        Ok((outcomes, Some(report)))
+    }
+
+    /// The outcome of a kept `answer`, from the engine run over `alive`
+    /// numbered `attempts`, in which its tag's traffic was `tag`: its keys
+    /// spread over the full shard layout, and its own report, built here
+    /// once (the batch's `degraded` and `shards_used` join it when the
+    /// batch ends; unmultiplexed, the run's finished report stands in for
+    /// it, as [`Self::serve`] says).
+    fn keep(
+        &self,
+        answer: Answered,
+        alive: &[MachineId],
+        tag: TagMetrics,
+        attempts: u32,
+    ) -> QueryOutcome {
+        let (k, ell) = (self.k, self.ell as u64);
+        let metrics = RunMetrics {
+            rounds: answer.done_round,
+            messages: tag.messages,
+            bits: tag.bits,
+            ..Default::default()
+        };
+        QueryOutcome {
+            local_keys: scatter(answer.local_keys, alive, k),
+            contains_exact: self
+                .kind
+                .is_none()
+                .then(|| answer.stats.is_some_and(|stats| stats.contains_exact(ell))),
+            stats: answer.stats,
+            report: Report {
+                recovered: attempts > 1,
+                attempts,
+                ..Report::healthy(metrics, k, answer.coordinator)
+            },
+        }
     }
 
     /// One engine run over `survivors` for `queries` pending queries (`top`
@@ -810,12 +800,12 @@ pub fn run_query<P: Point>(
     let (leader, election_metrics) = elect(k, opts)?;
     let seating = Seating { kind: Some(algorithm), ell, opts, k, mux: false };
     let sizes: Vec<usize> = shards.iter().map(|shard| shard.records.len()).collect();
-    let (mut answers, mut report) = seating.serve(leader, 1, Some(&sizes), |m, _| {
+    let (mut outcomes, _) = seating.serve(leader, 1, Some(&sizes), |m, _| {
         brute_top(&shards[m].records, query, ell, opts.metric)
     })?;
-    report.election_metrics = election_metrics;
-    let answer = answers.pop().expect("one query, one outcome");
-    Ok(QueryOutcome { local_keys: answer.local_keys, stats: answer.stats, report })
+    let mut outcome = outcomes.pop().expect("one query, one outcome");
+    outcome.report.election_metrics = election_metrics;
+    Ok(outcome)
 }
 
 /// Merge per-machine answer keys into one globally sorted answer,

@@ -10,8 +10,8 @@
 //!
 //! * the **leader is elected once per session**, and every batch's
 //!   coordinators are derived from it: query `j` of a batch is coordinated
-//!   by the machine `j` places after the leader, mod k
-//!   ([`BatchQueryOutcome::coordinator`]), which every machine computes
+//!   by the machine `j` places after the leader, mod k (the `leader` of
+//!   its [`QueryOutcome::report`]), which every machine computes
 //!   from the leader and the query's tag at no message cost — so the
 //!   batch's gathers arrive over every machine's inbound links rather than
 //!   queuing on the leader's `k − 1`, and a batch of one (like every
@@ -31,8 +31,8 @@
 //! same queries asked one at a time would.
 //!
 //! Per-query costs stay observable: message/bit totals are attributed by
-//! query tag ([`kmachine::RunMetrics::per_tag`]) and each query reports the
-//! round in which it completed.
+//! query tag ([`kmachine::RunMetrics::per_tag`]), and each query's own
+//! [`Report`] carries its tag's share and the round in which it completed.
 //!
 //! Every machine's candidates for every query of a batch are computed once,
 //! on the rayon pool ([`crate::local::candidate_stage`]), before the
@@ -44,46 +44,15 @@ use knn_points::{Dataset, DistKey};
 
 use crate::error::CoreError;
 use crate::local::{IndexedPoint, ShardIndex};
-use crate::protocols::knn::KnnStats;
 use crate::report::Report;
-use crate::runner::{check_shape, elect, Algorithm, QueryOptions, Seating};
-
-/// Per-query result inside a batch, before point resolution.
-#[derive(Debug, Clone)]
-pub struct BatchQueryOutcome {
-    /// Per-machine answer keys (machine `i`'s members of the ℓ-NN set).
-    pub local_keys: Vec<Vec<DistKey>>,
-    /// Messages attributed to this query's tag.
-    pub messages: u64,
-    /// Bits attributed to this query's tag (tag framing included).
-    pub bits: u64,
-    /// Round of the batch run in which this query completed (max over
-    /// machines).
-    pub done_round: u64,
-    /// Algorithm 2 diagnostics, the approximate path's included (`None`
-    /// for the baselines).
-    pub stats: Option<KnnStats>,
-    /// The machine (original id) that coordinated this query in the run
-    /// that answered it: the leader's position among that run's survivors,
-    /// rotated by the query's tag in it. A batch of one, and the first
-    /// query of every run, is led by the (possibly re-elected) leader.
-    pub coordinator: MachineId,
-    /// Approx path only: whether the survivor set provably contains the
-    /// exact ℓ-NN ([`KnnStats::contains_exact`]).
-    pub contains_exact: Option<bool>,
-    /// Which engine run answered this query (1 = the batch's first run).
-    /// Greater than 1 marks a query that was lost to a crash and re-run on
-    /// the surviving topology, or re-run once a crashed machine rejoined.
-    pub attempts: u32,
-    /// `attempts > 1`: this query's answer needed recovery.
-    pub recovered: bool,
-}
+use crate::runner::{check_shape, elect, Algorithm, QueryOptions, QueryOutcome, Seating};
 
 /// Result of one batched run of m queries.
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
-    /// Per-query outcomes, in input order.
-    pub queries: Vec<BatchQueryOutcome>,
+    /// Per-query outcomes, in input order, each reporting only its own
+    /// share of the batch (see [`crate::cluster::BatchAnswer`]).
+    pub queries: Vec<QueryOutcome>,
     /// Costs and fault / recovery / audit accounting of the batch as a
     /// whole (also reachable through `Deref`: `batch.metrics`, …).
     pub report: Report,
@@ -156,7 +125,7 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
         ell: usize,
         algorithm: Algorithm,
     ) -> Result<BatchOutcome, CoreError> {
-        self.serve(queries, ell, Some(algorithm), true)
+        self.serve_batch(queries, ell, Some(algorithm))
     }
 
     /// Answer `queries` approximately in one multiplexed engine run:
@@ -172,33 +141,59 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
     /// source-level lies; a crash or a corrupt link is recovered from like
     /// on the exact path (the sender of a corrupt link is quarantined).
     pub fn run_batch_approx(&self, queries: &[P], ell: usize) -> Result<BatchOutcome, CoreError> {
-        self.serve(queries, ell, None, true)
+        self.serve_batch(queries, ell, None)
     }
 
-    /// Answer `queries` with protocol `kind` (`None`: the approximate one)
-    /// from the shard indices, under the session leader (which coordinates
-    /// a single query, and spreads a batch's over the machines): in one
-    /// engine run per attempt, multiplexed when `mux`, and otherwise — a
-    /// single query, as [`crate::cluster::KnnCluster`]'s sequential calls
-    /// ask — untagged, as the paper accounts a query. Recovery, audit and
-    /// per-query re-planning are the serving loop's, the same one
+    /// Answer one query with protocol `kind` (`None`: the approximate one),
+    /// as [`crate::cluster::KnnCluster`]'s sequential calls ask: untagged,
+    /// coordinated by the session leader, its report the run's own with the
+    /// session's election cost — the paper's per-query account.
+    pub(crate) fn run_one(
+        &self,
+        query: &P,
+        ell: usize,
+        kind: Option<Algorithm>,
+    ) -> Result<QueryOutcome, CoreError> {
+        let (mut outcomes, _) = self.serve(std::slice::from_ref(query), ell, kind, false)?;
+        let mut outcome = outcomes.pop().expect("one query, one outcome");
+        outcome.report.election_metrics = self.election_metrics.clone();
+        Ok(outcome)
+    }
+
+    /// Answer `queries` with protocol `kind` from the shard indices, under
+    /// the session leader, in one engine run per attempt, multiplexed when
+    /// `mux`. Recovery, audit and per-query re-planning are the serving
+    /// loop's ([`Seating::serve`]), the same one
     /// [`crate::runner::run_query`] runs.
     ///
     /// A query of the wrong [`knn_points::Point::shape`] refuses the whole
     /// call with [`CoreError::ShapeMismatch`] before any query runs.
-    pub(crate) fn serve(
+    fn serve(
         &self,
         queries: &[P],
         ell: usize,
         kind: Option<Algorithm>,
         mux: bool,
-    ) -> Result<BatchOutcome, CoreError> {
+    ) -> Result<(Vec<QueryOutcome>, Option<Report>), CoreError> {
         queries.iter().try_for_each(|q| check_shape(self.shards, q))?;
         let seating = Seating { kind, ell, opts: &self.opts, k: self.shards.len(), mux };
-        let (queries, mut report) = seating
-            .serve(self.leader, queries.len(), None, |m, j| self.top(m, &queries[j], ell))?;
-        report.election_metrics = self.election_metrics.clone();
-        Ok(BatchOutcome { queries, report })
+        seating.serve(self.leader, queries.len(), None, |m, j| self.top(m, &queries[j], ell))
+    }
+
+    /// [`Self::serve`] multiplexed: the batch's outcomes and its report,
+    /// with the session's election cost.
+    fn serve_batch(
+        &self,
+        queries: &[P],
+        ell: usize,
+        kind: Option<Algorithm>,
+    ) -> Result<BatchOutcome, CoreError> {
+        let (queries, report) = self.serve(queries, ell, kind, true)?;
+        let report = report.expect("a multiplexed run reports its batch");
+        Ok(BatchOutcome {
+            queries,
+            report: Report { election_metrics: self.election_metrics.clone(), ..report },
+        })
     }
 }
 
@@ -273,13 +268,13 @@ mod tests {
         let session = QuerySession::new(&sh, &idx, QueryOptions::default()).unwrap();
         let queries: Vec<ScalarPoint> = (0..6).map(|i| ScalarPoint(i * 80)).collect();
         let batch = session.run_batch(&queries, 9, Algorithm::Simple).unwrap();
-        let msg_sum: u64 = batch.queries.iter().map(|q| q.messages).sum();
-        let bit_sum: u64 = batch.queries.iter().map(|q| q.bits).sum();
+        let msg_sum: u64 = batch.queries.iter().map(|q| q.metrics.messages).sum();
+        let bit_sum: u64 = batch.queries.iter().map(|q| q.metrics.bits).sum();
         assert_eq!(msg_sum, batch.metrics.messages);
         assert_eq!(bit_sum, batch.metrics.bits);
         for q in &batch.queries {
-            assert!(q.messages > 0);
-            assert!(q.done_round <= batch.metrics.rounds);
+            assert!(q.metrics.messages > 0);
+            assert!(q.metrics.rounds <= batch.metrics.rounds);
         }
     }
 

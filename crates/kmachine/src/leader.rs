@@ -4,20 +4,19 @@
 //! TCS 2015, reference \[9\]) elects a leader in O(1) rounds and
 //! O(√k·log^{3/2} k) messages and then treats it as a black box. In this
 //! simulator machine indices `0..k` are globally known — exactly as in the
-//! k-machine model, where machines have distinct known IDs — so three
-//! elections of increasing communication cost are provided:
+//! k-machine model, where machines have distinct known IDs — so two
+//! elections of different communication cost are provided (agreeing on
+//! machine 0 without any communication is the zero-cost choice; the query
+//! layer's `ElectionKind::Fixed`):
 //!
-//! * [`fixed_leader`] — zero communication: everyone agrees on machine 0.
-//!   The default for the paper's algorithms, whose theorems assume a leader
-//!   is already known or charge the election separately.
 //! * [`RandRankStar`] — 2 rounds, `2(k−1)` messages: every machine draws a
 //!   random rank and sends it to machine 0, which announces the argmin.
 //!   Random ranks (not indices) make the choice adversary-independent.
 //! * [`RandRankFlood`] — 1 round, `k(k−1)` messages: everyone broadcasts its
 //!   rank; everyone takes the argmin locally. Fewest rounds, most messages.
 //!
-//! All three produce the same *type* of output — the elected
-//! [`MachineId`] — so the distributed k-NN runner can compose any of them
+//! Both produce the same *type* of output — the elected
+//! [`MachineId`] — so the distributed k-NN runner can compose either of them
 //! before its main protocol. Election message costs are reported by the
 //! normal engine metrics.
 
@@ -27,15 +26,6 @@ use crate::ctx::Ctx;
 use crate::message::MachineId;
 use crate::payload::Payload;
 use crate::protocol::{Protocol, Step};
-
-/// The leader every machine agrees on without communication: machine 0.
-///
-/// Valid in the k-machine model because machine identifiers are common
-/// knowledge; included so experiments can exclude election cost, matching
-/// how the paper states its round/message bounds.
-pub fn fixed_leader(_k: usize) -> MachineId {
-    0
-}
 
 /// Message carrying a random 64-bit rank (and implicitly the sender id).
 #[derive(Debug, Clone, Copy)]
@@ -173,11 +163,6 @@ mod tests {
     use super::*;
     use crate::config::NetConfig;
     use crate::engine::run_sync;
-
-    #[test]
-    fn fixed_leader_is_zero() {
-        assert_eq!(fixed_leader(17), 0);
-    }
 
     #[test]
     fn star_election_agrees_and_costs_two_rounds() {

@@ -129,29 +129,6 @@ impl RunMetrics {
         RunMetrics { sends_per_machine: vec![0; k], ..Default::default() }
     }
 
-    /// Record one send; `tag` attributes it to a multiplexed instance.
-    #[inline]
-    pub fn on_send(&mut self, src: usize, bits: u64, tag: Option<u32>) {
-        let bits = bits.max(1);
-        self.messages += 1;
-        self.bits += bits;
-        self.sends_per_machine[src] += 1;
-        if let Some(tag) = tag {
-            self.on_tagged(tag, bits);
-        }
-    }
-
-    /// Attribute `bits` (one message) to `tag`, growing the table on demand.
-    #[inline]
-    pub fn on_tagged(&mut self, tag: u32, bits: u64) {
-        let idx = tag as usize;
-        if idx >= self.per_tag.len() {
-            self.per_tag.resize(idx + 1, TagMetrics::default());
-        }
-        self.per_tag[idx].messages += 1;
-        self.per_tag[idx].bits += bits;
-    }
-
     /// Totals attributed to `tag` (zeros when the tag never sent).
     #[inline]
     pub fn tag(&self, tag: u32) -> TagMetrics {
@@ -182,26 +159,61 @@ crate::json_object!(RunMetrics {
 mod tests {
     use super::*;
     use crate::json::to_string_pretty;
+    use crate::{run_sync, Ctx, NetConfig, Payload, Protocol, Step};
+
+    /// A message of a scripted wire size and multiplexing tag.
+    #[derive(Clone)]
+    struct Wire {
+        bits: u64,
+        tag: Option<u32>,
+    }
+
+    impl Payload for Wire {
+        fn size_bits(&self) -> u64 {
+            self.bits
+        }
+        fn mux_tag(&self) -> Option<u32> {
+            self.tag
+        }
+    }
+
+    /// Sends its script to the next machine in round 0 and is done.
+    struct Script(Vec<Wire>);
+
+    impl Protocol for Script {
+        type Msg = Wire;
+        type Output = ();
+        fn on_round(&mut self, ctx: &mut Ctx<'_, Wire>) -> Step<()> {
+            let next = (ctx.id() + 1) % ctx.k();
+            for wire in self.0.drain(..) {
+                ctx.send(next, wire);
+            }
+            Step::Done(())
+        }
+    }
+
+    /// The engine's bill for one run in which machine `i` sends `scripts[i]`,
+    /// each message given as `(bits, tag)`.
+    fn billed(scripts: &[&[(u64, Option<u32>)]]) -> RunMetrics {
+        let protocols = scripts
+            .iter()
+            .map(|script| Script(script.iter().map(|&(bits, tag)| Wire { bits, tag }).collect()))
+            .collect();
+        run_sync(&NetConfig::new(scripts.len()), protocols).expect("the script runs").metrics
+    }
 
     #[test]
     fn send_accounting() {
-        let mut m = RunMetrics::new(3);
-        m.on_send(0, 64, None);
-        m.on_send(0, 0, None); // clamped
-        m.on_send(2, 100, None);
+        let m = billed(&[&[(64, None), (0, None)], &[], &[(100, None)]]);
         assert_eq!(m.messages, 3);
-        assert_eq!(m.bits, 64 + 1 + 100);
+        assert_eq!(m.bits, 64 + 1 + 100, "a 0-bit message is billed 1 bit");
         assert_eq!(m.sends_per_machine, vec![2, 0, 1]);
         assert!(m.per_tag.is_empty());
     }
 
     #[test]
     fn tagged_sends_are_attributed() {
-        let mut m = RunMetrics::new(2);
-        m.on_send(0, 64, Some(2));
-        m.on_send(1, 32, Some(0));
-        m.on_send(1, 16, Some(2));
-        m.on_send(0, 8, None);
+        let m = billed(&[&[(64, Some(2)), (8, None)], &[(32, Some(0)), (16, Some(2))]]);
         assert_eq!(m.messages, 4);
         assert_eq!(m.bits, 64 + 32 + 16 + 8);
         assert_eq!(m.per_tag.len(), 3);
@@ -216,8 +228,13 @@ mod tests {
 
     #[test]
     fn serializes_to_json() {
-        let mut m = RunMetrics::new(1);
-        m.on_send(0, 64, Some(0));
+        let m = RunMetrics {
+            messages: 1,
+            bits: 64,
+            sends_per_machine: vec![1],
+            per_tag: vec![TagMetrics { messages: 1, bits: 64 }],
+            ..Default::default()
+        };
         let want = r#"{
   "rounds": 0,
   "messages": 1,

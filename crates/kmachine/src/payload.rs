@@ -53,12 +53,6 @@ impl Payload for Vec<u64> {
     }
 }
 
-/// Bits needed to carry `len` items of `item_bits` each plus a small header.
-#[inline]
-pub fn batch_bits(len: usize, item_bits: u64) -> u64 {
-    32 + item_bits * len as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,11 +64,5 @@ mod tests {
         assert_eq!(7u64.size_bits(), 64);
         assert_eq!((1u64, 2u64).size_bits(), 128);
         assert_eq!(vec![1u64, 2, 3].size_bits(), 192);
-    }
-
-    #[test]
-    fn batch_header() {
-        assert_eq!(batch_bits(0, 128), 32);
-        assert_eq!(batch_bits(4, 128), 32 + 512);
     }
 }

@@ -19,7 +19,7 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 
 /// Hash a `(master seed, stream index)` pair into an independent sub-seed.
 #[inline]
-pub fn derive_seed(master: u64, stream: u64) -> u64 {
+fn derive_seed(master: u64, stream: u64) -> u64 {
     let mut s = master ^ stream.wrapping_mul(0xA076_1D64_78BD_642F);
     let a = splitmix64(&mut s);
     let b = splitmix64(&mut s);

@@ -18,9 +18,9 @@
 //!   course still observe scheduling order; the workspace's pipelines are
 //!   pure per item.)
 //! * **Pool size** resolves, in order: an enclosing
-//!   [`ThreadPool::install`] scope → a [`ThreadPoolBuilder::build_global`]
-//!   override → the `RAYON_NUM_THREADS` environment variable → the number
-//!   of available CPUs (those two read once per process). Size 1
+//!   [`ThreadPool::install`] scope → the `RAYON_NUM_THREADS` environment
+//!   variable → the number of available CPUs (those two read once per
+//!   process). Size 1
 //!   short-circuits to plain sequential execution with zero thread traffic.
 //! * Workers are **scoped threads** spawned per parallel operation
 //!   (`std::thread::scope`), so non-`'static` borrows work exactly like
@@ -51,9 +51,6 @@ pub mod prelude {
 // Pool sizing.
 // ---------------------------------------------------------------------------
 
-/// Global pool-size override installed by [`ThreadPoolBuilder::build_global`].
-static GLOBAL_POOL_SIZE: OnceLock<usize> = OnceLock::new();
-
 thread_local! {
     /// Pool size imposed by an enclosing [`ThreadPool::install`] (0 = none).
     static INSTALLED_POOL_SIZE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
@@ -76,15 +73,15 @@ fn default_pool_size() -> usize {
 
 /// Number of worker threads parallel operations on this thread will use.
 ///
-/// Resolution order: enclosing [`ThreadPool::install`] → global override
-/// ([`ThreadPoolBuilder::build_global`]) → `RAYON_NUM_THREADS` → available
-/// CPUs (the last two as of the first call in the process).
+/// Resolution order: enclosing [`ThreadPool::install`] →
+/// `RAYON_NUM_THREADS` → available CPUs (the last two as of the first call
+/// in the process).
 pub fn current_num_threads() -> usize {
     let installed = INSTALLED_POOL_SIZE.with(std::cell::Cell::get);
     if installed > 0 {
         return installed;
     }
-    GLOBAL_POOL_SIZE.get().copied().unwrap_or_else(default_pool_size)
+    default_pool_size()
 }
 
 /// Error returned when a pool cannot be (re)configured.
@@ -127,15 +124,6 @@ impl ThreadPoolBuilder {
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         Ok(ThreadPool { num_threads: self.resolved() })
     }
-
-    /// Install this configuration as the process-global default. Errors if a
-    /// global pool was already installed (same contract as rayon).
-    pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
-        let n = self.resolved();
-        GLOBAL_POOL_SIZE
-            .set(n)
-            .map_err(|_| ThreadPoolBuildError { reason: "global pool already initialized" })
-    }
 }
 
 /// A sized pool handle. The shim has no persistent worker threads — the
@@ -153,7 +141,7 @@ impl ThreadPool {
     }
 
     /// Run `op` with this pool's size governing every parallel operation
-    /// (and nested [`join`]) it performs on this thread.
+    /// it performs on this thread.
     pub fn install<OP, R>(&self, op: OP) -> R
     where
         OP: FnOnce() -> R,
@@ -272,44 +260,12 @@ where
     out
 }
 
-/// Run the two closures, potentially in parallel, returning both results.
-///
-/// With a pool size of 1 this is plain sequential `(a(), b())`; otherwise
-/// `b` runs on a scoped thread while the caller runs `a`, and a panic in
-/// either closure propagates to the caller.
-pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let inherited = current_num_threads();
-    if inherited <= 1 {
-        let ra = oper_a();
-        let rb = oper_b();
-        return (ra, rb);
-    }
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(move || {
-            INSTALLED_POOL_SIZE.with(|c| c.set(inherited));
-            oper_b()
-        });
-        let ra = oper_a();
-        let rb = match hb.join() {
-            Ok(rb) => rb,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        (ra, rb)
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Parallel iterator facade.
 // ---------------------------------------------------------------------------
 
-/// The (small) parallel-iterator interface the workspace uses: `map`,
-/// `for_each`, `collect`, `sum`, all order-preserving.
+/// The (small) parallel-iterator interface the workspace uses: `map` and
+/// `collect`, both order-preserving.
 pub trait ParallelIterator: Sized {
     /// Item type produced by the pipeline.
     type Item: Send;
@@ -327,33 +283,12 @@ pub trait ParallelIterator: Sized {
         Map { base: self, f }
     }
 
-    /// Run `f` on every item (scheduling order unspecified, as in rayon).
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(Self::Item) + Sync,
-    {
-        let _ = self.map(&f).run();
-    }
-
     /// Collect the pipeline's results in input order.
     fn collect<C>(self) -> C
     where
         C: FromIterator<Self::Item>,
     {
         self.run().into_iter().collect()
-    }
-
-    /// Sum the pipeline's results.
-    fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<Self::Item>,
-    {
-        self.run().into_iter().sum()
-    }
-
-    /// Number of items the pipeline will produce.
-    fn count(self) -> usize {
-        self.run().len()
     }
 }
 
@@ -489,8 +424,8 @@ mod tests {
     #[test]
     fn par_iter_over_slices() {
         let v = vec![1u64, 2, 3];
-        let sum: u64 = v.par_iter().map(|&x| x).sum();
-        assert_eq!(sum, 6);
+        let doubled: Vec<u64> = v.par_iter().map(|&x| 2 * x).collect();
+        assert_eq!(doubled, vec![2, 4, 6]);
     }
 
     #[test]
@@ -530,10 +465,8 @@ mod tests {
     fn all_items_processed_exactly_once() {
         let counter = AtomicUsize::new(0);
         let n = 10_000usize;
-        with_pool(4, || {
-            (0..n).into_par_iter().for_each(|_| {
-                counter.fetch_add(1, Ordering::Relaxed);
-            })
+        let _: Vec<usize> = with_pool(4, || {
+            (0..n).into_par_iter().map(|_| counter.fetch_add(1, Ordering::Relaxed)).collect()
         });
         assert_eq!(counter.load(Ordering::Relaxed), n);
     }
@@ -545,22 +478,6 @@ mod tests {
         assert!(empty.is_empty());
         let one: Vec<u32> = with_pool(8, || vec![41u32].into_par_iter().map(|x| x + 1).collect());
         assert_eq!(one, vec![42]);
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        for pool in [1, 4] {
-            let (a, b) =
-                with_pool(pool, || join(|| (0..100u64).sum::<u64>(), || "right".to_string()));
-            assert_eq!(a, 4950);
-            assert_eq!(b, "right");
-        }
-    }
-
-    #[test]
-    fn join_propagates_panics() {
-        let caught = std::panic::catch_unwind(|| with_pool(4, || join(|| 1u32, || panic!("boom"))));
-        assert!(caught.is_err());
     }
 
     #[test]
@@ -583,8 +500,6 @@ mod tests {
         let sizes: Vec<usize> =
             with_pool(3, || (0..8usize).into_par_iter().map(|_| current_num_threads()).collect());
         assert!(sizes.iter().all(|&s| s == 3), "workers saw {sizes:?}, expected all 3");
-        let (a, b) = with_pool(5, || join(current_num_threads, current_num_threads));
-        assert_eq!((a, b), (5, 5));
     }
 
     #[test]
@@ -635,10 +550,5 @@ mod tests {
                 assert_eq!(out, (0..pool).map(|i| i + round).collect::<Vec<_>>());
             }
         }
-    }
-
-    #[test]
-    fn count_counts() {
-        assert_eq!(with_pool(4, || (0..12345usize).into_par_iter().count()), 12345);
     }
 }

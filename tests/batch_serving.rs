@@ -4,9 +4,11 @@
 
 use knn_repro::core::runner::RetryPolicy;
 use knn_repro::core::CoreError;
-use knn_repro::kmachine::{AdversaryPlan, FaultPlan};
+use knn_repro::kmachine::json::to_string_pretty;
+use knn_repro::kmachine::{AdversaryPlan, AuditMetrics, FaultMetrics, FaultPlan, RecoveryMetrics};
 use knn_repro::prelude::*;
 use proptest::prelude::*;
+use std::time::Duration;
 
 fn loaded_cluster(k: usize, n: usize, election: ElectionKind, seed: u64) -> KnnCluster {
     let shards = ScalarWorkload { per_machine: n, lo: 0, hi: 1 << 20 }.generate(k, seed);
@@ -168,7 +170,7 @@ fn a_batch_spreads_its_coordinators_evenly_and_a_batch_of_one_keeps_the_leader()
         let mut led = vec![0usize; k];
         for (j, (ans, bq)) in batch.answers.iter().zip(&outcome.queries).enumerate() {
             assert_eq!(ans.leader, (batch.leader + j) % k, "{label}: query {j}");
-            assert_eq!(bq.coordinator, ans.leader, "{label}: query {j}");
+            assert_eq!(bq.leader, ans.leader, "{label}: query {j}");
             led[ans.leader] += 1;
         }
         for (machine, &count) in led.iter().enumerate() {
@@ -390,6 +392,78 @@ fn nobody_left_to_certify_is_audit_failed_not_a_budget_failure() {
     };
     all_suspect(cluster.query_with(Algorithm::Knn, &q, 6).unwrap_err());
     all_suspect(cluster.query_batch_with(Algorithm::Knn, &[q], 6).unwrap_err());
+}
+
+#[test]
+fn each_answer_of_a_replanned_batch_reports_its_own_account_and_nothing_of_the_batch() {
+    // Machine 2 (not the leader) crashes mid-batch under the gather
+    // baseline. Depending on the round, the batch is answered by its first
+    // run, re-run whole, or split: queries that completed before the crash
+    // keep their first-run answers, the rest are re-planned onto the
+    // survivors. Every answer's report must hold exactly its own share —
+    // completion round, its tag's traffic, its coordinator, its attempts —
+    // plus the batch's final health, and nothing the batch pays once.
+    let queries: Vec<ScalarPoint> = QueryStream::scalar(8, 8, 0, 1 << 20, 17).next().unwrap();
+    let mut split = false;
+    for crash in 1..16 {
+        let label = format!("crash in round {crash}");
+        let shards = ScalarWorkload { per_machine: 300, lo: 0, hi: 1 << 20 }.generate(4, 3);
+        let mut cluster: KnnCluster = KnnCluster::builder()
+            .machines(4)
+            .seed(3)
+            .election(ElectionKind::Star)
+            .algorithm(Algorithm::Simple)
+            .faults(FaultPlan::default().with_crash(2, crash))
+            .build();
+        cluster.load_shards(shards).unwrap();
+        let leader = cluster.session().unwrap().leader();
+        assert_ne!(leader, 2, "{label}: the crash must hit a worker");
+        let batch = cluster.query_batch(&queries, 16).unwrap();
+        assert!(batch.election_metrics.is_some(), "{label}");
+        let attempts: Vec<u32> = batch.answers.iter().map(|a| a.attempts).collect();
+        split |= attempts.contains(&1) && attempts.contains(&2);
+        for (j, answer) in batch.answers.iter().enumerate() {
+            let r = &answer.report;
+            let want = Report {
+                metrics: RunMetrics {
+                    rounds: r.metrics.rounds,
+                    messages: r.metrics.messages,
+                    bits: r.metrics.bits,
+                    ..Default::default()
+                },
+                wall: Duration::ZERO,
+                leader: r.leader,
+                election_metrics: None,
+                faults: FaultMetrics::default(),
+                recovery: RecoveryMetrics::default(),
+                audit: AuditMetrics::default(),
+                degraded: batch.degraded,
+                shards_used: batch.shards_used,
+                recovered: r.attempts > 1,
+                attempts: r.attempts,
+            };
+            assert_eq!(to_string_pretty(r), to_string_pretty(&want), "{label} query {j}");
+            assert!(r.metrics.rounds > 0 && r.metrics.messages > 0, "{label} query {j}");
+            assert!(r.attempts <= batch.attempts, "{label} query {j}");
+            if r.attempts == 1 {
+                assert_eq!(r.leader, (leader + j) % 4, "{label} query {j}: the first run's spread");
+            } else {
+                assert_ne!(r.leader, 2, "{label} query {j}: the dead machine leads no re-run");
+            }
+        }
+        if attempts.iter().all(|&a| a == batch.attempts) {
+            // One run answered them all: their tag shares partition its bill.
+            let messages: u64 = batch.answers.iter().map(|a| a.metrics.messages).sum();
+            let bits: u64 = batch.answers.iter().map(|a| a.metrics.bits).sum();
+            assert_eq!((messages, bits), (batch.metrics.messages, batch.metrics.bits), "{label}");
+        }
+        // A single query's report is its run's own, election included.
+        let single = cluster.query_with(Algorithm::Simple, &queries[0], 16).unwrap();
+        assert!(single.election_metrics.is_some(), "{label}");
+        assert_eq!(single.election_metrics, batch.election_metrics, "{label}");
+        assert!(!single.metrics.sends_per_machine.is_empty(), "{label}: the run's, per machine");
+    }
+    assert!(split, "some crash round must split the batch between two runs");
 }
 
 proptest! {
