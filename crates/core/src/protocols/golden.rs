@@ -1,6 +1,8 @@
 //! Golden counters for the two leaders that select one order statistic:
 //! Algorithm 2's prune threshold (exact and prune-only) and the simple
-//! gather's boundary.
+//! gather's boundary — and, on the same cells, for the three selections
+//! that search for their boundary instead: Saukas–Song, value-domain
+//! bisection and standalone Algorithm 1.
 //!
 //! Algorithm 2 answers exactly whatever rank its leader reads — hardening
 //! rolls a short prune back, and an over-wide one only costs selection
@@ -10,10 +12,12 @@
 //! (or to the sampling stream feeding it) fails here.
 
 use kmachine::engine::run_sync;
-use kmachine::NetConfig;
+use kmachine::{NetConfig, Protocol};
 use knn_points::{Dist, DistKey, PointId};
 
-use super::{KnnParams, KnnProtocol, KnnStats, SimpleProtocol};
+use super::binsearch::BinSearchProtocol;
+use super::saukas_song::SaukasSongProtocol;
+use super::{KnnParams, KnnProtocol, KnnStats, SelectProtocol, SimpleProtocol};
 use crate::splitmix64;
 
 /// One fixed cell: `k` machines of `per_machine` keys each, distances drawn
@@ -243,6 +247,164 @@ const GOLDEN: &[[Row; 3]] = &[
         (17, 80, 31700, 0, false, 0, 200, 9637995746394353599),
     ],
 ];
+
+/// What a selection baseline's run leaves behind: `(rounds, messages, bits,
+/// answer length, answer digest)`.
+type BaseRow = (u64, u64, u64, usize, u64);
+
+/// Run one instance per machine and fold the run into its [`BaseRow`] and
+/// merged, sorted answer.
+fn run_plain<P>(cell: Cell, protos: Vec<P>) -> (BaseRow, Vec<DistKey>)
+where
+    P: Protocol<Output = Vec<DistKey>>,
+{
+    let out = run_sync(&NetConfig::new(cell.k).with_seed(cell.seed), protos).expect("run");
+    let mut keys: Vec<DistKey> = out.outputs.into_iter().flatten().collect();
+    keys.sort_unstable();
+    let m = &out.metrics;
+    ((m.rounds, m.messages, m.bits, keys.len(), digest(&keys)), keys)
+}
+
+/// `[saukas_song, binsearch, algorithm_1]` per cell: the first two over each
+/// machine's sorted top ℓ, Algorithm 1 over its whole raw shard.
+const GOLDEN_BASELINES: &[[BaseRow; 3]] = &[
+    [
+        (5, 5, 917, 1, 13841807650539198248),
+        (5, 5, 658, 1, 13841807650539198248),
+        (11, 11, 1832, 1, 13841807650539198248),
+    ],
+    [
+        (13, 91, 17395, 1, 13574134261113728177),
+        (9, 63, 7378, 1, 13574134261113728177),
+        (17, 83, 13549, 1, 13574134261113728177),
+    ],
+    [
+        (17, 255, 49035, 1, 14937180907163565535),
+        (123, 1845, 185100, 1, 14937180907163565535),
+        (17, 171, 27693, 1, 14937180907163565535),
+    ],
+    [
+        (33, 33, 6405, 10, 15755260687232373844),
+        (121, 121, 12142, 10, 15755260687232373844),
+        (15, 15, 2550, 10, 15755260687232373844),
+    ],
+    [
+        (29, 203, 39347, 10, 13673728752688025644),
+        (121, 847, 84994, 10, 13673728752688025644),
+        (25, 115, 18909, 10, 13673728752688025644),
+    ],
+    [
+        (37, 555, 107835, 10, 14052561751692259966),
+        (131, 1965, 196980, 10, 14052561751692259966),
+        (25, 235, 38285, 10, 14052561751692259966),
+    ],
+    [
+        (25, 25, 4837, 64, 2714178820992688065),
+        (129, 129, 12934, 64, 2714178820992688065),
+        (31, 31, 5294, 64, 2714178820992688065),
+    ],
+    [
+        (37, 259, 50323, 64, 12925103624508307759),
+        (119, 833, 83608, 64, 12925103624508307759),
+        (63, 261, 43420, 64, 12925103624508307759),
+    ],
+    [
+        (41, 615, 119595, 64, 6763023444296478912),
+        (125, 1875, 188070, 64, 6763023444296478912),
+        (55, 461, 75748, 64, 6763023444296478912),
+    ],
+    [
+        (33, 33, 6405, 300, 17558316535980223590),
+        (133, 133, 13330, 300, 17558316535980223590),
+        (51, 51, 8692, 300, 17558316535980223590),
+    ],
+    [
+        (45, 315, 61299, 300, 7074097420133193687),
+        (131, 917, 91924, 300, 7074097420133193687),
+        (37, 163, 26949, 300, 7074097420133193687),
+    ],
+    [
+        (49, 735, 143115, 300, 15389461252946697081),
+        (125, 1875, 188070, 300, 15389461252946697081),
+        (47, 397, 65156, 300, 15389461252946697081),
+    ],
+    [
+        (33, 231, 44835, 64, 15528919946034381645),
+        (29, 203, 21238, 64, 15528919946034381645),
+        (61, 259, 43029, 64, 15528919946034381645),
+    ],
+    [
+        (37, 555, 107835, 64, 3804151898658775499),
+        (29, 435, 45510, 64, 3804151898658775499),
+        (19, 173, 28084, 64, 3804151898658775499),
+    ],
+    [
+        (41, 287, 55811, 300, 1090936155017380795),
+        (25, 175, 18466, 300, 1090936155017380795),
+        (41, 179, 29629, 300, 1090936155017380795),
+    ],
+    [
+        (41, 615, 119595, 300, 10051968186893872866),
+        (29, 435, 45510, 300, 10051968186893872866),
+        (41, 363, 59469, 300, 10051968186893872866),
+    ],
+    [
+        (13, 13, 2485, 10, 15702822649178678733),
+        (9, 9, 1054, 10, 15702822649178678733),
+        (11, 11, 1832, 10, 15702822649178678733),
+    ],
+    [
+        (3, 21, 4130, 160, 8242128997488158843),
+        (3, 21, 3220, 160, 8242128997488158843),
+        (3, 21, 3220, 160, 8242128997488158843),
+    ],
+    [
+        (33, 495, 96075, 10, 1901694933958515602),
+        (15, 225, 24720, 10, 1901694933958515602),
+        (33, 299, 48877, 10, 1901694933958515602),
+    ],
+    [
+        (29, 116, 22484, 200, 9637995746394353599),
+        (129, 516, 51736, 200, 9637995746394353599),
+        (69, 186, 31249, 200, 9637995746394353599),
+    ],
+];
+
+#[test]
+fn baselines_keep_their_counters_and_answer_exactly() {
+    let mut got = Vec::new();
+    for &(seed, k, ell, per_machine, span) in &CELLS {
+        let cell = Cell { seed, k, ell, per_machine, span };
+        let want = oracle(&shards(cell), ell);
+        let mut row = Vec::new();
+        let ss = shards(cell)
+            .into_iter()
+            .enumerate()
+            .map(|(i, keys)| SaukasSongProtocol::from_keys(i, k, 0, ell, keys))
+            .collect();
+        row.push(run_plain(cell, ss));
+        let bs = shards(cell)
+            .into_iter()
+            .enumerate()
+            .map(|(i, keys)| BinSearchProtocol::from_keys(i, k, 0, ell, keys))
+            .collect();
+        row.push(run_plain(cell, bs));
+        let alg1 = shards(cell)
+            .into_iter()
+            .enumerate()
+            .map(|(i, keys)| SelectProtocol::new(i, k, 0, ell, keys))
+            .collect();
+        row.push(run_plain(cell, alg1));
+        for (what, (_, keys)) in ["saukas-song", "binsearch", "algorithm 1"].iter().zip(&row) {
+            assert_eq!(*keys, want, "{what} answers exactly: {cell:?}");
+        }
+        got.push([row[0].0, row[1].0, row[2].0]);
+    }
+    if got[..] != GOLDEN_BASELINES[..] {
+        let printed: Vec<String> = got.iter().map(|cell| format!("    {cell:?},")).collect();
+        panic!("baseline counters moved; this commit prints:\n{}", printed.join("\n"));
+    }
+}
 
 #[test]
 fn leaders_select_the_same_rank_as_their_sort() {

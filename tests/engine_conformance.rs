@@ -11,7 +11,7 @@ use kmachine::{
 };
 use knn_core::protocols::binsearch::BinSearchProtocol;
 use knn_core::protocols::saukas_song::SaukasSongProtocol;
-use knn_core::protocols::{KnnParams, KnnProtocol, SimpleProtocol};
+use knn_core::protocols::{KnnParams, KnnProtocol, SelectProtocol, SimpleProtocol};
 
 /// The always-step schedule: `P` with every [`Step::Wait`] reported as
 /// [`Step::Continue`], so neither the machine step nor the mux ever skips it.
@@ -95,6 +95,15 @@ where
 fn waiting_is_a_noop_for_algorithm_2() {
     sweep_crashes("knn", 4, |i, j| {
         KnnProtocol::from_keys(i, 4, 0, ORACLE_ELL, KnnParams::default(), oracle_keys(i, j))
+    });
+}
+
+/// Standalone Algorithm 1 over each machine's whole raw key set, as the
+/// Theorem 2.2 table runs it.
+#[test]
+fn waiting_is_a_noop_for_algorithm_1() {
+    sweep_crashes("algorithm 1", 4, |i, j| {
+        SelectProtocol::new(i, 4, 0, ORACLE_ELL, oracle_keys(i, j))
     });
 }
 
