@@ -11,9 +11,7 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kmachine::{engine::run_sync, MuxProtocol, NetConfig};
-use knn_core::protocols::knn::{KnnParams, KnnProtocol};
-use knn_core::protocols::selection::SelectProtocol;
-use knn_core::protocols::simple::SimpleProtocol;
+use knn_core::protocols::{top_ell, KnnParams, KnnProtocol, SelectCore, SimpleProtocol};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 fn shards(k: usize, per_machine: usize, seed: u64) -> Vec<Vec<u64>> {
@@ -35,10 +33,10 @@ fn bench_protocols(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("algorithm1", k), &data, |b, data| {
         b.iter(|| {
             let cfg = NetConfig::new(k).with_seed(3);
-            let protos: Vec<SelectProtocol<u64>> = data
+            let protos: Vec<SelectCore<u64>> = data
                 .iter()
                 .enumerate()
-                .map(|(i, local)| SelectProtocol::new(i, k, 0, ell, local.clone()))
+                .map(|(i, local)| SelectCore::new(i, k, 0, ell, local.clone()))
                 .collect();
             black_box(run_sync(&cfg, protos).unwrap().metrics.rounds)
         });
@@ -51,7 +49,8 @@ fn bench_protocols(c: &mut Criterion) {
                 .iter()
                 .enumerate()
                 .map(|(i, local)| {
-                    KnnProtocol::from_keys(i, k, 0, ell, KnnParams::default(), local.clone())
+                    let keys = top_ell(local.iter().copied(), ell);
+                    KnnProtocol::new(i, k, 0, ell, KnnParams::default(), keys)
                 })
                 .collect();
             black_box(run_sync(&cfg, protos).unwrap().metrics.rounds)
@@ -64,7 +63,9 @@ fn bench_protocols(c: &mut Criterion) {
             let protos: Vec<SimpleProtocol<u64>> = data
                 .iter()
                 .enumerate()
-                .map(|(i, local)| SimpleProtocol::from_keys(i, 0, ell, 3, local.clone()))
+                .map(|(i, local)| {
+                    SimpleProtocol::new(i, 0, ell, 3, top_ell(local.iter().copied(), ell))
+                })
                 .collect();
             black_box(run_sync(&cfg, protos).unwrap().metrics.rounds)
         });
@@ -81,8 +82,9 @@ fn bench_protocols(c: &mut Criterion) {
                 .enumerate()
                 .map(|(i, local)| {
                     let seat = |j: u64| {
-                        let keys = local.iter().map(|x| x ^ j.wrapping_mul(0x9E37_79B9)).collect();
-                        KnnProtocol::from_keys(i, k, 0, ell, KnnParams::default(), keys)
+                        let keys =
+                            top_ell(local.iter().map(|x| x ^ j.wrapping_mul(0x9E37_79B9)), ell);
+                        KnnProtocol::new(i, k, 0, ell, KnnParams::default(), keys)
                     };
                     MuxProtocol::new((0..instances).map(seat).collect())
                 })

@@ -12,7 +12,7 @@
 
 use kmachine::{engine::run_sync, NetConfig};
 use knn_core::protocols::knn::KnnParams;
-use knn_core::protocols::simple::SimpleProtocol;
+use knn_core::protocols::{top_ell, SimpleProtocol};
 
 use super::{algorithm2, uniform_keys};
 use crate::args::Args;
@@ -64,8 +64,8 @@ pub fn run(args: &Args) {
 
                 let protos: Vec<SimpleProtocol<u64>> = (0..k)
                     .map(|i| {
-                        let keys = uniform_keys(per_machine, key_seed(i));
-                        SimpleProtocol::from_keys(i, 0, ell as u64, 7, keys)
+                        let keys = top_ell(uniform_keys(per_machine, key_seed(i)), ell as u64);
+                        SimpleProtocol::new(i, 0, ell as u64, 7, keys)
                     })
                     .collect();
                 let out = run_sync(&NetConfig::new(k).with_seed(s), protos).expect("simple");

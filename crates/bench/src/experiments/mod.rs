@@ -11,7 +11,7 @@ pub mod rounds_table;
 pub mod throughput;
 
 use kmachine::{run_sync, NetConfig, RunOutcome};
-use knn_core::protocols::{KnnOutput, KnnParams, KnnProtocol};
+use knn_core::protocols::{top_ell, KnnOutput, KnnParams, KnnProtocol};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 use crate::args::Args;
@@ -59,8 +59,8 @@ fn algorithm2(
 ) -> RunOutcome<KnnOutput<u64>> {
     let protos: Vec<KnnProtocol<u64>> = (0..k)
         .map(|i| {
-            let keys = uniform_keys(per_machine, key_seed(i));
-            KnnProtocol::from_keys(i, k, 0, ell as u64, params, keys)
+            let keys = top_ell(uniform_keys(per_machine, key_seed(i)), ell as u64);
+            KnnProtocol::new(i, k, 0, ell as u64, params, keys)
         })
         .collect();
     run_sync(&NetConfig::new(k).with_seed(net_seed), protos).expect("Algorithm 2 run")

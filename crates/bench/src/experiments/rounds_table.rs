@@ -14,7 +14,7 @@
 
 use kmachine::{engine::run_sync, NetConfig};
 use knn_core::protocols::knn::KnnParams;
-use knn_core::protocols::selection::SelectProtocol;
+use knn_core::protocols::SelectCore;
 use knn_workloads::partition::split_round_robin;
 
 use super::{algorithm2, uniform_keys};
@@ -55,10 +55,10 @@ pub fn run(args: &Args) {
                 let keys = uniform_keys(n, s.wrapping_mul(0x9E37) ^ n as u64);
                 let shards = split_round_robin(keys, k);
                 let cfg = NetConfig::new(k).with_seed(s);
-                let protos: Vec<SelectProtocol<u64>> = shards
+                let protos: Vec<SelectCore<u64>> = shards
                     .into_iter()
                     .enumerate()
-                    .map(|(i, local)| SelectProtocol::new(i, k, 0, (n / 16) as u64, local))
+                    .map(|(i, local)| SelectCore::new(i, k, 0, (n / 16) as u64, local))
                     .collect();
                 let out = run_sync(&cfg, protos).expect("selection");
                 rounds.push(out.metrics.rounds);

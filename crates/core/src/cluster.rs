@@ -544,49 +544,11 @@ impl<P: IndexedPoint> KnnCluster<P> {
     }
 }
 
-/// Where `id` sits in a column sorted by id, reported as
-/// [`slice::binary_search`] would: `Ok(at)` when `column[at]` holds it,
-/// `Err(at)` for the position that keeps the column sorted.
-///
-/// Interpolation search: ids from one assigner stream grow almost linearly
-/// along a shard, so a probe interpolated between two known ids lands at or
-/// next to the target. Each probe narrows the bounds to the id it read; after
-/// three of them, plain bisection finishes, so a skewed column costs
-/// `O(log n)` at worst.
+/// Where `id` sits in a column sorted by id, as [`slice::binary_search`]
+/// reports it: `Ok(at)` when `column[at]` holds it, `Err(at)` for the
+/// position that keeps the column sorted.
 fn find_id(column: &[(PointId, usize)], id: PointId) -> Result<usize, usize> {
-    let (Some(&(first, _)), Some(&(last, _))) = (column.first(), column.last()) else {
-        return Err(0);
-    };
-    if id <= first {
-        return if id == first { Ok(0) } else { Err(0) };
-    }
-    if id >= last {
-        return if id == last { Ok(column.len() - 1) } else { Err(column.len()) };
-    }
-    // Invariant: column[lo - 1].0 == below < id < above == column[hi].0, so
-    // the answer lies in [lo, hi].
-    let (mut lo, mut hi) = (1, column.len() - 1);
-    let (mut below, mut above) = (first.0, last.0);
-    for _ in 0..3 {
-        if lo >= hi {
-            return Err(lo);
-        }
-        // (id - below) / (above - below) < 1, so the step stays below the
-        // `hi - lo + 1` positions from `lo - 1` to `hi`; u128 keeps the
-        // product of a 64-bit gap and a length exact.
-        let step = u128::from(id.0 - below) * (hi - lo + 1) as u128 / u128::from(above - below);
-        let at = (lo - 1 + step as usize).max(lo);
-        let probed = column[at].0;
-        match probed.cmp(&id) {
-            std::cmp::Ordering::Equal => return Ok(at),
-            std::cmp::Ordering::Less => (lo, below) = (at + 1, probed.0),
-            std::cmp::Ordering::Greater => (hi, above) = (at, probed.0),
-        }
-    }
-    match column[lo..hi].binary_search_by_key(&id, |&(id, _)| id) {
-        Ok(at) => Ok(lo + at),
-        Err(at) => Err(lo + at),
-    }
+    column.binary_search_by_key(&id, |&(id, _)| id)
 }
 
 #[cfg(test)]
@@ -721,41 +683,6 @@ mod tests {
         // The per-query report is the batch report's impl again, nested deeper.
         let query_report = to_string_pretty(&batch.answers[0].report).replace('\n', "\n      ");
         assert_eq!(to_string_pretty(&batch), want.replace("QUERY_REPORT", &query_report));
-    }
-
-    /// `find_id` answers exactly what bisection does, for present ids and
-    /// absent ones below, between and above them, on layouts that defeat
-    /// interpolation (geometric gaps, a dense run with a `u64::MAX` outlier)
-    /// as well as those it is built for.
-    #[test]
-    fn find_id_agrees_with_binary_search() {
-        let geometric: Vec<u64> = (0..64).map(|i| (1u64 << i) - 1).collect();
-        let mut uniform: Vec<u64> = (0..1000).map(splitmix64).chain([0, u64::MAX]).collect();
-        uniform.sort_unstable();
-        let layouts: Vec<Vec<u64>> = vec![
-            vec![],
-            vec![7],
-            vec![7, 9],
-            vec![0, u64::MAX],
-            geometric.clone(),
-            geometric.iter().rev().map(|gap| u64::MAX - gap).collect(),
-            (0..1000).chain([u64::MAX]).collect(),
-            (5..1005).collect(),
-            IdAssigner::new(1).assign(1000).into_iter().map(|id| id.0).collect(),
-            uniform,
-        ];
-        for (layout, ids) in layouts.iter().enumerate() {
-            assert!(ids.is_sorted(), "layout {layout}");
-            let column: Vec<(PointId, usize)> =
-                ids.iter().enumerate().map(|(i, &id)| (PointId(id), i)).collect();
-            let gaps = ids.windows(2).map(|w| w[0] + (w[1] - w[0]) / 2);
-            let near = ids.iter().flat_map(|&id| [id.wrapping_sub(1), id, id.wrapping_add(1)]);
-            for probe in near.chain(gaps).chain([0, 1, u64::MAX - 1, u64::MAX]) {
-                let id = PointId(probe);
-                let want = column.binary_search_by_key(&id, |&(id, _)| id);
-                assert_eq!(find_id(&column, id), want, "layout {layout}, id {probe}");
-            }
-        }
     }
 
     #[test]

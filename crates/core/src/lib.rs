@@ -89,12 +89,9 @@ pub use report::Report;
 pub use runner::{Algorithm, ElectionKind, QueryOptions};
 pub use session::{BatchOutcome, QuerySession};
 
-/// SplitMix64 finalizer: the one pure `u64 → u64` scrambler behind insert
-/// routing, NSW level draws, audit sampling and source-level lies —
-/// stateless, so each is the same at every pool size.
+/// One SplitMix64 step from state `x`: the one pure `u64 → u64` scrambler
+/// behind insert routing, NSW level draws, audit sampling and source-level
+/// lies — stateless, so each is the same at every pool size.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    kmachine::rng::splitmix64(&mut x)
 }

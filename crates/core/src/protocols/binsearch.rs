@@ -71,7 +71,6 @@ pub struct BinSearchProtocol<K: NumericKey> {
     ell: u64,
     /// Local top-ℓ candidates, sorted by ordinal (== key order).
     local: Vec<K>,
-    ordinals: Vec<u128>,
     phase: BsPhase,
     // Leader bisection state: the boundary lies in [lo, hi].
     lo: u128,
@@ -85,11 +84,6 @@ pub struct BinSearchProtocol<K: NumericKey> {
     /// Leader: workers that reported a nonzero key count — the only ones
     /// probed during bisection (empty workers go silent after the census).
     active: usize,
-    /// Worker: the census report went out (after which an empty worker is
-    /// provably silent forever).
-    reported: bool,
-    /// Completed bisection iterations (leader; for the baselines table).
-    pub iterations: u64,
 }
 
 impl<K: NumericKey> BinSearchProtocol<K> {
@@ -102,7 +96,6 @@ impl<K: NumericKey> BinSearchProtocol<K> {
             k,
             leader,
             ell,
-            ordinals: local.iter().map(|k| k.to_ordinal()).collect(),
             local,
             phase: BsPhase::Init,
             lo: 0,
@@ -114,28 +107,22 @@ impl<K: NumericKey> BinSearchProtocol<K> {
             max_seen: None,
             pending: 0,
             active: 0,
-            reported: false,
-            iterations: 0,
         }
     }
 
-    /// Raw-materialized-keys constructor for tests (sorts and truncates).
-    pub fn from_keys(id: MachineId, k: usize, leader: MachineId, ell: u64, keys: Vec<K>) -> Self {
-        Self::new(id, k, leader, ell, super::top_ell(keys, ell))
-    }
-
-    fn count_leq(&self, threshold: u128) -> u64 {
-        self.ordinals.partition_point(|&o| o <= threshold) as u64
+    /// How many local keys have ordinal `≤ threshold`.
+    fn count_leq(&self, threshold: u128) -> usize {
+        self.local.partition_point(|key| key.to_ordinal() <= threshold)
     }
 
     fn output_for(&self, threshold: Option<u128>) -> Vec<K> {
-        match threshold {
-            None => Vec::new(),
-            Some(t) => {
-                let end = self.ordinals.partition_point(|&o| o <= t);
-                self.local[..end].to_vec()
-            }
-        }
+        self.local[..threshold.map_or(0, |t| self.count_leq(t))].to_vec()
+    }
+
+    /// `(count, min, max)` of the local keys, as ordinals.
+    fn census(&self) -> (u64, Option<u128>, Option<u128>) {
+        let ordinal = |key: &K| key.to_ordinal();
+        (self.local.len() as u64, self.local.first().map(ordinal), self.local.last().map(ordinal))
     }
 
     /// Leader: bisection steps — either finish or probe the midpoint. When
@@ -150,9 +137,8 @@ impl<K: NumericKey> BinSearchProtocol<K> {
             if self.lo >= self.hi {
                 return Some(Some(self.lo));
             }
-            self.iterations += 1;
             let mid = self.lo + (self.hi - self.lo) / 2;
-            self.acc = self.count_leq(mid);
+            self.acc = self.count_leq(mid) as u64;
             if self.active > 0 {
                 ctx.broadcast(BsMsg::Count { threshold: mid });
                 // Only workers with keys answer probes.
@@ -187,7 +173,7 @@ impl<K: NumericKey> Protocol for BinSearchProtocol<K> {
     /// — may lose answer members or the coordinator: unsalvageable, and the
     /// runner retries over the survivors.
     fn on_crash(&mut self) -> Option<Vec<K>> {
-        (!matches!(self.phase, BsPhase::Init) && self.ordinals.is_empty()).then(Vec::new)
+        (!matches!(self.phase, BsPhase::Init) && self.local.is_empty()).then(Vec::new)
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, BsMsg>) -> Step<Vec<K>> {
@@ -199,9 +185,7 @@ impl<K: NumericKey> Protocol for BinSearchProtocol<K> {
                     return Step::Done(self.local[..end].to_vec());
                 }
                 ctx.broadcast(BsMsg::Query);
-                self.total = self.ordinals.len() as u64;
-                self.min_seen = self.ordinals.first().copied();
-                self.max_seen = self.ordinals.last().copied();
+                (self.total, self.min_seen, self.max_seen) = self.census();
                 self.pending = self.k - 1;
                 self.phase = BsPhase::AwaitReports;
             } else {
@@ -216,21 +200,14 @@ impl<K: NumericKey> Protocol for BinSearchProtocol<K> {
             for env in ctx.inbox() {
                 match env.msg {
                     BsMsg::Query => {
-                        ctx.send(
-                            self.leader,
-                            BsMsg::Report {
-                                count: self.ordinals.len() as u64,
-                                min: self.ordinals.first().copied(),
-                                max: self.ordinals.last().copied(),
-                            },
-                        );
-                        self.reported = true;
+                        let (count, min, max) = self.census();
+                        ctx.send(self.leader, BsMsg::Report { count, min, max });
                     }
                     BsMsg::Count { threshold } => {
                         // Empty workers stay silent: their count is always
                         // 0 and the leader does not wait for them.
-                        if !self.ordinals.is_empty() {
-                            ctx.send(self.leader, BsMsg::Size(self.count_leq(threshold)));
+                        if !self.local.is_empty() {
+                            ctx.send(self.leader, BsMsg::Size(self.count_leq(threshold) as u64));
                         }
                     }
                     BsMsg::Finished { threshold } => return Step::Done(self.output_for(threshold)),
@@ -303,6 +280,7 @@ impl<K: NumericKey> Protocol for BinSearchProtocol<K> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::top_ell;
     use super::*;
     use kmachine::engine::run_sync;
     use kmachine::NetConfig;
@@ -315,7 +293,7 @@ mod tests {
         let protos: Vec<BinSearchProtocol<u64>> = shards
             .into_iter()
             .enumerate()
-            .map(|(i, local)| BinSearchProtocol::from_keys(i, k, 0, ell, local))
+            .map(|(i, local)| BinSearchProtocol::new(i, k, 0, ell, top_ell(local, ell)))
             .collect();
         let out = run_sync(&cfg, protos).expect("binsearch run");
         let mut merged: Vec<u64> = out.outputs.into_iter().flatten().collect();

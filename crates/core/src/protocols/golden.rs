@@ -17,7 +17,7 @@ use knn_points::{Dist, DistKey, PointId};
 
 use super::binsearch::BinSearchProtocol;
 use super::saukas_song::SaukasSongProtocol;
-use super::{KnnParams, KnnProtocol, KnnStats, SelectProtocol, SimpleProtocol};
+use super::{top_ell, KnnParams, KnnProtocol, KnnStats, SelectCore, SimpleProtocol};
 use crate::splitmix64;
 
 /// One fixed cell: `k` machines of `per_machine` keys each, distances drawn
@@ -118,7 +118,8 @@ fn run_knn(cell: Cell, prune_only: bool) -> (Row, Vec<DistKey>) {
         .into_iter()
         .enumerate()
         .map(|(i, keys)| {
-            let p = KnnProtocol::from_keys(i, cell.k, 0, cell.ell, KnnParams::default(), keys);
+            let keys = top_ell(keys, cell.ell);
+            let p = KnnProtocol::new(i, cell.k, 0, cell.ell, KnnParams::default(), keys);
             if prune_only {
                 p.prune_only()
             } else {
@@ -136,7 +137,7 @@ fn run_simple(cell: Cell) -> (Row, Vec<DistKey>) {
     let protos: Vec<SimpleProtocol<DistKey>> = shards(cell)
         .into_iter()
         .enumerate()
-        .map(|(i, keys)| SimpleProtocol::from_keys(i, 0, cell.ell, 3, keys))
+        .map(|(i, keys)| SimpleProtocol::new(i, 0, cell.ell, 3, top_ell(keys, cell.ell)))
         .collect();
     let out = run_sync(&NetConfig::new(cell.k).with_seed(cell.seed), protos).expect("simple run");
     let keys: Vec<DistKey> = out.outputs.into_iter().flatten().collect();
@@ -380,19 +381,19 @@ fn baselines_keep_their_counters_and_answer_exactly() {
         let ss = shards(cell)
             .into_iter()
             .enumerate()
-            .map(|(i, keys)| SaukasSongProtocol::from_keys(i, k, 0, ell, keys))
+            .map(|(i, keys)| SaukasSongProtocol::new(i, k, 0, ell, top_ell(keys, ell)))
             .collect();
         row.push(run_plain(cell, ss));
         let bs = shards(cell)
             .into_iter()
             .enumerate()
-            .map(|(i, keys)| BinSearchProtocol::from_keys(i, k, 0, ell, keys))
+            .map(|(i, keys)| BinSearchProtocol::new(i, k, 0, ell, top_ell(keys, ell)))
             .collect();
         row.push(run_plain(cell, bs));
         let alg1 = shards(cell)
             .into_iter()
             .enumerate()
-            .map(|(i, keys)| SelectProtocol::new(i, k, 0, ell, keys))
+            .map(|(i, keys)| SelectCore::new(i, k, 0, ell, keys))
             .collect();
         row.push(run_plain(cell, alg1));
         for (what, (_, keys)) in ["saukas-song", "binsearch", "algorithm 1"].iter().zip(&row) {

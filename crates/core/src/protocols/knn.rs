@@ -170,21 +170,6 @@ impl<K: Key> Payload for KnnMsg<K> {
     }
 }
 
-enum KPhase {
-    /// Waiting for round 0.
-    Init,
-    /// Leader: collecting sample batches.
-    CollectSamples,
-    /// Worker: waiting for the prune threshold.
-    AwaitPrune,
-    /// Leader: collecting survivor counts (hardening, prune-only).
-    CollectCounts,
-    /// Worker: waiting for the rollback decision (hardening, prune-only).
-    AwaitDecision,
-    /// Embedded Algorithm 1 running.
-    Selection,
-}
-
 /// Per-machine instance of the paper's Algorithm 2.
 pub struct KnnProtocol<K: Key> {
     id: MachineId,
@@ -198,12 +183,10 @@ pub struct KnnProtocol<K: Key> {
     pruned_len: usize,
     /// Answer with the survivors at the prune decision ([`Self::prune_only`]).
     prune_only: bool,
-    phase: KPhase,
+    /// Round 0 has run.
+    started: bool,
     core: Option<SelectCore<K>>,
     stats: KnnStats,
-    /// Scratch for the embedded core's outgoing messages, reused across
-    /// `Sel` deliveries.
-    sel_out: Vec<(MachineId, SelMsg<K>)>,
     // Leader scratch.
     samples: Vec<K>,
     pending: usize,
@@ -233,28 +216,14 @@ impl<K: Key> KnnProtocol<K> {
             candidates,
             pruned_len: 0,
             prune_only: false,
-            phase: KPhase::Init,
+            started: false,
             core: None,
             stats: KnnStats::default(),
-            sel_out: Vec::new(),
             samples: Vec::new(),
             pending: 0,
             kept_sum: 0,
             total_sum: 0,
         }
-    }
-
-    /// Convenience constructor from raw materialized keys (sorted and
-    /// truncated to the ℓ best here, as the contract of [`Self::new`] asks).
-    pub fn from_keys(
-        id: MachineId,
-        k: usize,
-        leader: MachineId,
-        ell: u64,
-        params: KnnParams,
-        keys: Vec<K>,
-    ) -> Self {
-        Self::new(id, k, leader, ell, params, super::top_ell(keys, ell))
     }
 
     /// Stop at the prune decision — the approximate query: the
@@ -301,10 +270,8 @@ impl<K: Key> KnnProtocol<K> {
         if self.is_leader() {
             self.samples = sample;
             self.pending = self.k - 1;
-            self.phase = KPhase::CollectSamples;
         } else {
             ctx.send(self.leader, KnnMsg::Samples(sample));
-            self.phase = KPhase::AwaitPrune;
         }
         None
     }
@@ -333,7 +300,6 @@ impl<K: Key> KnnProtocol<K> {
             self.kept_sum = self.pruned_len as u64;
             self.total_sum = self.candidates.len() as u64;
             self.pending = self.k - 1;
-            self.phase = KPhase::CollectCounts;
         } else {
             self.start_selection(ctx);
         }
@@ -362,8 +328,8 @@ impl<K: Key> KnnProtocol<K> {
         let active = self.candidates[..self.pruned_len].to_vec();
         let mut core = SelectCore::new(self.id, self.k, self.leader, self.ell, active);
         if self.is_leader() {
-            let status = core.start(ctx.rng(), &mut self.sel_out);
-            for (dst, msg) in self.sel_out.drain(..) {
+            let status = core.start(ctx.rng());
+            for (dst, msg) in core.outbox() {
                 ctx.send(dst, KnnMsg::Sel(msg));
             }
             debug_assert!(
@@ -372,7 +338,6 @@ impl<K: Key> KnnProtocol<K> {
             );
         }
         self.core = Some(core);
-        self.phase = KPhase::Selection;
     }
 }
 
@@ -387,13 +352,14 @@ impl<K: Key> Protocol for KnnProtocol<K> {
     /// heard nothing from it — may lose answer members or the coordinator
     /// itself: unsalvageable, and the runner retries over the survivors.
     fn on_crash(&mut self) -> Option<KnnOutput<K>> {
-        (!matches!(self.phase, KPhase::Init) && self.candidates.is_empty())
+        (self.started && self.candidates.is_empty())
             .then(|| KnnOutput { keys: Vec::new(), stats: None })
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, KnnMsg<K>>) -> Step<KnnOutput<K>> {
-        if matches!(self.phase, KPhase::Init) {
+        if !self.started {
             debug_assert_eq!(ctx.round(), 0);
+            self.started = true;
             if let Some(keys) = self.setup(ctx) {
                 return Step::Done(KnnOutput { keys, stats: Some(self.stats) });
             }
@@ -425,7 +391,6 @@ impl<K: Key> Protocol for KnnProtocol<K> {
                                 total: self.candidates.len() as u64,
                             },
                         );
-                        self.phase = KPhase::AwaitDecision;
                     } else {
                         self.start_selection(ctx);
                     }
@@ -456,8 +421,8 @@ impl<K: Key> Protocol for KnnProtocol<K> {
                 }
                 KnnMsg::Sel(sel) => {
                     let core = self.core.as_mut().expect("selection traffic before setup");
-                    let status = core.handle(env.src, sel, ctx.rng(), &mut self.sel_out);
-                    for (dst, m) in self.sel_out.drain(..) {
+                    let status = core.handle(env.src, sel, ctx.rng());
+                    for (dst, m) in core.outbox() {
                         ctx.send(dst, KnnMsg::Sel(m));
                     }
                     if let CoreStatus::Finished { boundary } = status {
@@ -470,7 +435,7 @@ impl<K: Key> Protocol for KnnProtocol<K> {
         if let Some(boundary) = finished {
             let core = self.core.as_ref().expect("finished implies core");
             self.stats.select_iterations = core.iterations();
-            let keys = core.output_for(boundary);
+            let keys = super::at_or_below(&self.candidates[..self.pruned_len], boundary);
             let stats = self.is_leader().then_some(self.stats);
             return Step::Done(KnnOutput { keys, stats });
         }
@@ -480,6 +445,7 @@ impl<K: Key> Protocol for KnnProtocol<K> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::top_ell;
     use super::*;
     use kmachine::engine::run_sync;
     use kmachine::NetConfig;
@@ -520,7 +486,7 @@ mod tests {
             .into_iter()
             .enumerate()
             .map(|(i, local)| {
-                let p = KnnProtocol::from_keys(i, k, 0, ell, params, local);
+                let p = KnnProtocol::new(i, k, 0, ell, params, top_ell(local, ell));
                 if prune_only {
                     p.prune_only()
                 } else {
@@ -562,12 +528,12 @@ mod tests {
 
     #[test]
     fn crash_salvage_only_for_materialized_empty_machines() {
-        let mut p = KnnProtocol::<u64>::from_keys(1, 3, 0, 4, KnnParams::default(), vec![]);
+        let mut p = KnnProtocol::<u64>::new(1, 3, 0, 4, KnnParams::default(), vec![]);
         assert!(
             p.on_crash().is_none(),
             "dead before round 0: nobody has heard from it, so nothing is written off"
         );
-        p.phase = KPhase::AwaitPrune;
+        p.started = true;
         assert_eq!(
             p.on_crash(),
             Some(KnnOutput { keys: Vec::new(), stats: None }),
@@ -728,12 +694,11 @@ mod tests {
         let protos: Vec<_> = (0..k)
             .map(|i| {
                 let instances = (0..m as u64).map(|j| {
-                    let keys = (0..256u64)
-                        .map(|x| {
-                            (x * k as u64 + i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15 ^ j)
-                        })
-                        .collect();
-                    let p = KnnProtocol::from_keys(i, k, 0, ell, KnnParams::default(), keys);
+                    let keys = (0..256u64).map(|x| {
+                        (x * k as u64 + i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15 ^ j)
+                    });
+                    let p =
+                        KnnProtocol::new(i, k, 0, ell, KnnParams::default(), top_ell(keys, ell));
                     Counted(p, calls.clone())
                 });
                 kmachine::MuxProtocol::new(instances.collect())

@@ -1,7 +1,8 @@
 //! Distributed protocols in the k-machine model.
 //!
-//! * [`selection`] — the paper's **Algorithm 1** (randomized distributed
-//!   selection), with [`select_core`] holding the reusable state machine.
+//! * [`select_core`] — the paper's **Algorithm 1** (randomized distributed
+//!   selection): [`SelectCore`] is its state machine and, run on its own,
+//!   its [`Protocol`](kmachine::Protocol) ([`selection`]).
 //! * [`knn`] — the paper's **Algorithm 2** (ℓ-NN via sampling + selection),
 //!   and, stopped at its pruning decision
 //!   ([`KnnProtocol::prune_only`]), the *approximate* ℓ-NN query.
@@ -9,14 +10,18 @@
 //! * [`saukas_song`] — deterministic weighted-median selection \[16\].
 //! * [`binsearch`] — value-domain bisection \[3, 18\].
 //!
-//! [`knn`] (either mode), [`simple`], [`saukas_song`] and [`binsearch`] share
-//! one input contract: the machine's candidates, by value, **sorted
-//! ascending, at most ℓ of them**. Truncating to the local ℓ best is step 1 of
-//! Algorithm 2 — local computation, free in the model and the same for every
-//! protocol — so it happens before any protocol exists, in
-//! [`crate::local::candidate_stage`], for all machines and queries at once;
-//! no protocol sorts, selects or draws randomness over its own input, and
-//! round 0 only starts talking about it.
+//! They share one contract. **In:** [`knn`] (either mode), [`simple`],
+//! [`saukas_song`] and [`binsearch`] take the machine's candidates, by value,
+//! **sorted ascending, at most ℓ of them**. Truncating to the local ℓ best is
+//! step 1 of Algorithm 2 — local computation, free in the model and the same
+//! for every protocol — so it happens before any protocol exists, in
+//! [`crate::local::candidate_stage`] for all machines and queries at once, or
+//! in [`top_ell`] for a raw key set; no protocol sorts, selects or draws
+//! randomness over its own input, and round 0 only starts talking about it.
+//! Standalone Algorithm 1 selects over a machine's whole share instead (the
+//! Theorem 2.2 setting) and sorts it locally. **Out:** the leader names the
+//! last member of the global ℓ smallest, and every machine answers with its
+//! own keys at or below that boundary.
 
 pub mod binsearch;
 #[cfg(test)]
@@ -31,7 +36,6 @@ use knn_points::Key;
 
 pub use knn::{KnnOutput, KnnParams, KnnProtocol, KnnStats};
 pub use select_core::{CoreStatus, SelMsg, SelectCore};
-pub use selection::SelectProtocol;
 pub use simple::SimpleProtocol;
 
 /// The input contract, checked where a protocol takes its candidates.
@@ -40,8 +44,29 @@ fn debug_assert_candidates<K: Key>(keys: &[K], ell: u64) {
     debug_assert!(keys.len() as u64 <= ell, "protocol input must be truncated to the ℓ best");
 }
 
-/// The `ell` smallest of a raw, unordered key set, sorted — what the
-/// `from_keys` constructors of the tests and benches turn into candidates.
-fn top_ell<K: Key>(keys: Vec<K>, ell: u64) -> Vec<K> {
+/// The `ell` smallest of a raw, unordered key set, sorted: a machine's
+/// candidates as the protocols take them.
+pub fn top_ell<K: Key>(keys: impl IntoIterator<Item = K>, ell: u64) -> Vec<K> {
     knn_selection::smallest_k(keys, usize::try_from(ell).unwrap_or(usize::MAX))
+}
+
+/// The output contract: a machine's keys at or below the leader's
+/// `boundary` (none for `None`, the empty answer), from its `sorted` keys.
+fn at_or_below<K: Key>(sorted: &[K], boundary: Option<K>) -> Vec<K> {
+    let end = boundary.map_or(0, |b| sorted.partition_point(|x| *x <= b));
+    sorted[..end].to_vec()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn at_or_below_is_boundary_prefix() {
+        let sorted = [10u64, 20, 30];
+        assert_eq!(at_or_below(&sorted, Some(20)), vec![10, 20]);
+        assert_eq!(at_or_below(&sorted, Some(5)), Vec::<u64>::new());
+        assert_eq!(at_or_below(&sorted, None), Vec::<u64>::new());
+        assert_eq!(at_or_below(&sorted, Some(99)), vec![10, 20, 30]);
+    }
 }

@@ -24,6 +24,17 @@ pub enum Cut<K: Key> {
     At(K),
 }
 
+impl<K: Key> Cut<K> {
+    /// The same cut as a boundary through a machine's `sorted` keys.
+    fn boundary(self, sorted: &[K]) -> Option<K> {
+        match self {
+            Cut::Nothing => None,
+            Cut::All => sorted.last().copied(),
+            Cut::At(b) => Some(b),
+        }
+    }
+}
+
 /// Messages of the Saukas–Song protocol.
 #[derive(Debug, Clone)]
 pub enum SsMsg<K: Key> {
@@ -94,8 +105,6 @@ pub struct SaukasSongProtocol<K: Key> {
     medians: Vec<(K, u64)>,
     sizes: u64,
     pending: usize,
-    /// Completed pivot iterations (leader; for the baselines experiment).
-    pub iterations: u64,
 }
 
 impl<K: Key> SaukasSongProtocol<K> {
@@ -116,13 +125,7 @@ impl<K: Key> SaukasSongProtocol<K> {
             medians: Vec::new(),
             sizes: 0,
             pending: 0,
-            iterations: 0,
         }
-    }
-
-    /// Raw-materialized-keys constructor for tests (sorts and truncates).
-    pub fn from_keys(id: MachineId, k: usize, leader: MachineId, ell: u64, keys: Vec<K>) -> Self {
-        Self::new(id, k, leader, ell, super::top_ell(keys, ell))
     }
 
     fn range_bounds(&self, lo: &Option<K>, hi: &Option<K>) -> (usize, usize) {
@@ -143,17 +146,6 @@ impl<K: Key> SaukasSongProtocol<K> {
             (None, 0)
         } else {
             (Some(self.local[a + (b - a - 1) / 2]), (b - a) as u64)
-        }
-    }
-
-    fn output_for(&self, cut: Cut<K>) -> Vec<K> {
-        match cut {
-            Cut::Nothing => Vec::new(),
-            Cut::All => self.local.clone(),
-            Cut::At(b) => {
-                let end = self.local.partition_point(|x| *x <= b);
-                self.local[..end].to_vec()
-            }
         }
     }
 
@@ -185,7 +177,6 @@ impl<K: Key> SaukasSongProtocol<K> {
                 Some(b) => Cut::At(b),
             });
         }
-        self.iterations += 1;
         let pivot = weighted_median(&mut self.medians).expect("s > 0 implies medians");
         ctx.broadcast(SsMsg::GetSize { lo: self.lo, pivot });
         let (a, b) = self.range_bounds(&self.lo.clone(), &Some(pivot));
@@ -216,7 +207,12 @@ impl<K: Key> SaukasSongProtocol<K> {
 
     fn finish(&mut self, cut: Cut<K>, ctx: &mut Ctx<'_, SsMsg<K>>) -> Step<Vec<K>> {
         ctx.broadcast(SsMsg::Finished { cut });
-        Step::Done(self.output_for(cut))
+        Step::Done(self.answer(cut))
+    }
+
+    /// This machine's keys at or below `cut`.
+    fn answer(&self, cut: Cut<K>) -> Vec<K> {
+        super::at_or_below(&self.local, cut.boundary(&self.local))
     }
 }
 
@@ -253,7 +249,7 @@ impl<K: Key> Protocol for SaukasSongProtocol<K> {
                         let (a, b) = self.range_bounds(lo, &Some(*pivot));
                         ctx.send(self.leader, SsMsg::Size((b - a) as u64));
                     }
-                    SsMsg::Finished { cut } => return Step::Done(self.output_for(*cut)),
+                    SsMsg::Finished { cut } => return Step::Done(self.answer(*cut)),
                     other => panic!("worker received a leader-only message {other:?}"),
                 }
             }
@@ -292,6 +288,7 @@ impl<K: Key> Protocol for SaukasSongProtocol<K> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::top_ell;
     use super::*;
     use kmachine::engine::run_sync;
     use kmachine::NetConfig;
@@ -304,7 +301,7 @@ mod tests {
         let protos: Vec<SaukasSongProtocol<u64>> = shards
             .into_iter()
             .enumerate()
-            .map(|(i, local)| SaukasSongProtocol::from_keys(i, k, 0, ell, local))
+            .map(|(i, local)| SaukasSongProtocol::new(i, k, 0, ell, top_ell(local, ell)))
             .collect();
         let out = run_sync(&cfg, protos).expect("saukas-song run");
         let mut merged: Vec<u64> = out.outputs.into_iter().flatten().collect();

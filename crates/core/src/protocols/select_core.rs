@@ -1,10 +1,9 @@
-//! The reusable state machine for **Algorithm 1** (Finding-ℓ-Smallest-Points).
+//! The state machine of **Algorithm 1** (Finding-ℓ-Smallest-Points).
 //!
 //! This is the paper's distributed randomized selection, written as a
-//! message-driven core so that both the standalone
-//! [`SelectProtocol`](crate::protocols::selection::SelectProtocol) and the
-//! ℓ-NN protocol of Algorithm 2 (which embeds a selection over the pruned
-//! candidates) drive the *same* code.
+//! message-driven core: it is a [`Protocol`](kmachine::Protocol) of its own
+//! (see [`super::selection`]), and the ℓ-NN protocol of Algorithm 2 embeds
+//! it for its selection over the pruned candidates — the *same* code.
 //!
 //! The search maintains a half-open key range `(lo, hi]` (`lo = None` means
 //! −∞) and the remaining rank `ell_rem` inside that range, exactly the
@@ -99,8 +98,9 @@ struct LeaderState<K: Key> {
     s: u64,
     /// Rank still to be located inside the range.
     ell_rem: u64,
-    /// Completed pivot iterations (diagnostics; Theorem 2.2 says
-    /// `O(log n)` whp).
+    /// Completed pivot iterations (read into
+    /// [`KnnStats::select_iterations`](super::KnnStats::select_iterations);
+    /// Theorem 2.2 says `O(log n)` whp).
     iterations: u64,
 }
 
@@ -116,24 +116,28 @@ enum Phase<K: Key> {
 
 /// The per-machine state machine for distributed selection.
 ///
-/// Drive it with [`SelectCore::start`] (leader only, once) and
-/// [`SelectCore::handle`] for every received message; outgoing messages are
-/// pushed onto the caller's buffer so the caller controls the wire format
+/// Run it as a [`Protocol`](kmachine::Protocol), or drive it by hand with
+/// [`SelectCore::start`] (leader only, once) and [`SelectCore::handle`] for
+/// every received message; either queues the messages to send, which
+/// [`SelectCore::outbox`] hands over so the caller controls the wire format
 /// (standalone `SelMsg` or embedded inside another protocol's enum).
 #[derive(Debug)]
 pub struct SelectCore<K: Key> {
     id: MachineId,
     k: usize,
-    leader: MachineId,
+    pub(super) leader: MachineId,
     /// Local keys, sorted ascending (the sort is local computation, free in
     /// the model; counting then costs `O(log |local|)` per request).
-    local: Vec<K>,
+    pub(super) local: Vec<K>,
     lstate: Option<Box<LeaderState<K>>>,
+    /// Messages queued by the last `start` / `handle`, reused across rounds.
+    out: Vec<(MachineId, SelMsg<K>)>,
 }
 
 impl<K: Key> SelectCore<K> {
     /// Build the core for machine `id` of `k`, selecting the `ell` smallest
-    /// keys overall. `local` need not be sorted.
+    /// keys overall. `local` is this machine's share: any order, any size,
+    /// possibly empty.
     pub fn new(id: MachineId, k: usize, leader: MachineId, ell: u64, mut local: Vec<K>) -> Self {
         local.sort_unstable();
         let lstate = (id == leader).then(|| {
@@ -150,7 +154,7 @@ impl<K: Key> SelectCore<K> {
                 iterations: 0,
             })
         });
-        SelectCore { id, k, leader, local, lstate }
+        SelectCore { id, k, leader, local, lstate, out: Vec::new() }
     }
 
     /// Completed pivot iterations (leader only; 0 elsewhere).
@@ -158,18 +162,20 @@ impl<K: Key> SelectCore<K> {
         self.lstate.as_ref().map_or(0, |l| l.iterations)
     }
 
+    /// Messages queued since the last call, in send order.
+    pub fn outbox(&mut self) -> std::vec::Drain<'_, (MachineId, SelMsg<K>)> {
+        self.out.drain(..)
+    }
+
     /// Leader kick-off: broadcast the stats query (and record the leader's
     /// own stats). Must be called exactly once, on the leader, before any
-    /// `handle`. May already finish (k = 1).
-    pub fn start(
-        &mut self,
-        rng: &mut StdRng,
-        out: &mut Vec<(MachineId, SelMsg<K>)>,
-    ) -> CoreStatus<K> {
+    /// `handle`. On a single machine every count is local, so the whole
+    /// search runs here and it returns finished.
+    pub fn start(&mut self, rng: &mut StdRng) -> CoreStatus<K> {
         assert_eq!(self.id, self.leader, "start() is leader-only");
         for dst in 0..self.k {
             if dst != self.id {
-                out.push((dst, SelMsg::Query));
+                self.out.push((dst, SelMsg::Query));
             }
         }
         let (count, min, max) =
@@ -180,24 +186,22 @@ impl<K: Key> SelectCore<K> {
         st.global_min = min;
         st.hi = max;
         st.s = count;
-        if st.pending == 0 {
-            return self.after_reports(rng, out);
+        if st.pending > 0 {
+            return CoreStatus::Running;
         }
-        CoreStatus::Running
+        let mut status = self.after_reports(rng);
+        while status == CoreStatus::Running {
+            status = self.after_sizes(rng);
+        }
+        status
     }
 
-    /// Feed one received message; push any responses onto `out`.
-    pub fn handle(
-        &mut self,
-        src: MachineId,
-        msg: &SelMsg<K>,
-        rng: &mut StdRng,
-        out: &mut Vec<(MachineId, SelMsg<K>)>,
-    ) -> CoreStatus<K> {
+    /// Feed one received message; queue any responses.
+    pub fn handle(&mut self, src: MachineId, msg: &SelMsg<K>, rng: &mut StdRng) -> CoreStatus<K> {
         match msg {
             // ---- worker side ----
             SelMsg::Query => {
-                out.push((
+                self.out.push((
                     src,
                     SelMsg::Report {
                         count: self.local.len() as u64,
@@ -211,12 +215,12 @@ impl<K: Key> SelectCore<K> {
                 let (a, b) = self.range_bounds(lo, hi);
                 assert!(b > a, "leader asked for a pivot from an empty range");
                 let idx = rng.random_range(a..b);
-                out.push((src, SelMsg::Pivot(self.local[idx])));
+                self.out.push((src, SelMsg::Pivot(self.local[idx])));
                 CoreStatus::Running
             }
             SelMsg::GetSize { lo, hi } => {
                 let (a, b) = self.range_bounds(lo, hi);
-                out.push((src, SelMsg::Size((b - a) as u64)));
+                self.out.push((src, SelMsg::Size((b - a) as u64)));
                 CoreStatus::Running
             }
             SelMsg::Finished { boundary } => CoreStatus::Finished { boundary: *boundary },
@@ -239,7 +243,7 @@ impl<K: Key> SelectCore<K> {
                 }
                 st.pending -= 1;
                 if st.pending == 0 {
-                    return self.after_reports(rng, out);
+                    return self.after_reports(rng);
                 }
                 CoreStatus::Running
             }
@@ -248,7 +252,7 @@ impl<K: Key> SelectCore<K> {
                     self.lstate.as_ref().expect("leader").phase,
                     Phase::AwaitPivot
                 ));
-                self.broadcast_getsize(*p, out);
+                self.broadcast_getsize(*p);
                 CoreStatus::Running
             }
             SelMsg::Size(c) => {
@@ -256,54 +260,35 @@ impl<K: Key> SelectCore<K> {
                 st.incoming[src] = *c;
                 st.pending -= 1;
                 if st.pending == 0 {
-                    return self.after_sizes(rng, out);
+                    return self.after_sizes(rng);
                 }
                 CoreStatus::Running
             }
         }
     }
 
-    /// The local answer once the boundary is known: every key `≤ boundary`.
-    pub fn output_for(&self, boundary: Option<K>) -> Vec<K> {
-        match boundary {
-            None => Vec::new(),
-            Some(b) => {
-                let end = self.local.partition_point(|x| *x <= b);
-                self.local[..end].to_vec()
-            }
-        }
-    }
-
     // ---- leader internals ----
 
-    fn after_reports(
-        &mut self,
-        rng: &mut StdRng,
-        out: &mut Vec<(MachineId, SelMsg<K>)>,
-    ) -> CoreStatus<K> {
+    fn after_reports(&mut self, rng: &mut StdRng) -> CoreStatus<K> {
         let st = self.lstate.as_mut().expect("leader");
         // Cap the request at the population: if ell >= s everything is the
         // answer (and ell = 0 means an empty answer).
         st.ell_rem = st.ell_rem.min(st.s);
-        self.advance(rng, out)
+        self.advance(rng)
     }
 
     /// Run the decision loop: either finish, or launch the next pivot probe.
-    fn advance(
-        &mut self,
-        rng: &mut StdRng,
-        out: &mut Vec<(MachineId, SelMsg<K>)>,
-    ) -> CoreStatus<K> {
+    fn advance(&mut self, rng: &mut StdRng) -> CoreStatus<K> {
         let st = self.lstate.as_mut().expect("leader");
         if st.ell_rem == 0 {
             // Everything at or below `lo` is the answer (possibly nothing).
             let boundary = st.lo;
-            return self.finish(boundary, out);
+            return self.finish(boundary);
         }
         if st.s <= st.ell_rem {
             debug_assert_eq!(st.s, st.ell_rem, "invariant ell_rem <= s violated");
             let boundary = st.hi;
-            return self.finish(boundary, out);
+            return self.finish(boundary);
         }
         st.iterations += 1;
         // Pick machine i with probability counts[i]/s (Lemma 2.1: combined
@@ -329,18 +314,18 @@ impl<K: Key> SelectCore<K> {
             debug_assert!(b > a);
             let idx = rng.random_range(a..b);
             let pivot = self.local[idx];
-            self.broadcast_getsize(pivot, out);
+            self.broadcast_getsize(pivot);
         } else {
-            out.push((chosen, SelMsg::PickPivot { lo, hi }));
+            self.out.push((chosen, SelMsg::PickPivot { lo, hi }));
         }
         CoreStatus::Running
     }
 
-    fn broadcast_getsize(&mut self, pivot: K, out: &mut Vec<(MachineId, SelMsg<K>)>) {
+    fn broadcast_getsize(&mut self, pivot: K) {
         let lo = self.lstate.as_ref().expect("leader").lo;
         for dst in 0..self.k {
             if dst != self.id {
-                out.push((dst, SelMsg::GetSize { lo, hi: pivot }));
+                self.out.push((dst, SelMsg::GetSize { lo, hi: pivot }));
             }
         }
         let (a, b) = self.range_bounds(&lo, &pivot);
@@ -351,24 +336,7 @@ impl<K: Key> SelectCore<K> {
         st.phase = Phase::AwaitSizes { pivot };
     }
 
-    /// For k = 1 clusters: make progress without any messages.
-    pub fn poke(
-        &mut self,
-        rng: &mut StdRng,
-        out: &mut Vec<(MachineId, SelMsg<K>)>,
-    ) -> CoreStatus<K> {
-        let st = self.lstate.as_mut().expect("poke is leader-only");
-        if matches!(st.phase, Phase::AwaitSizes { .. }) && st.pending == 0 {
-            return self.after_sizes(rng, out);
-        }
-        CoreStatus::Running
-    }
-
-    fn after_sizes(
-        &mut self,
-        rng: &mut StdRng,
-        out: &mut Vec<(MachineId, SelMsg<K>)>,
-    ) -> CoreStatus<K> {
+    fn after_sizes(&mut self, rng: &mut StdRng) -> CoreStatus<K> {
         let st = self.lstate.as_mut().expect("leader");
         let Phase::AwaitSizes { pivot } = st.phase else {
             panic!("after_sizes outside AwaitSizes");
@@ -376,7 +344,7 @@ impl<K: Key> SelectCore<K> {
         let s_prime: u64 = st.incoming.iter().sum();
         debug_assert!(s_prime >= 1, "pivot itself lies in (lo, pivot]");
         if s_prime == st.ell_rem {
-            return self.finish(Some(pivot), out);
+            return self.finish(Some(pivot));
         }
         if s_prime < st.ell_rem {
             // The whole prefix (lo, pivot] joins the answer.
@@ -392,17 +360,13 @@ impl<K: Key> SelectCore<K> {
             st.counts.copy_from_slice(&st.incoming);
             st.hi = Some(pivot);
         }
-        self.advance(rng, out)
+        self.advance(rng)
     }
 
-    fn finish(
-        &mut self,
-        boundary: Option<K>,
-        out: &mut Vec<(MachineId, SelMsg<K>)>,
-    ) -> CoreStatus<K> {
+    fn finish(&mut self, boundary: Option<K>) -> CoreStatus<K> {
         for dst in 0..self.k {
             if dst != self.id {
-                out.push((dst, SelMsg::Finished { boundary }));
+                self.out.push((dst, SelMsg::Finished { boundary }));
             }
         }
         CoreStatus::Finished { boundary }
@@ -445,41 +409,21 @@ mod tests {
     }
 
     #[test]
-    fn output_for_is_boundary_prefix() {
-        let core = SelectCore::<u64>::new(1, 2, 0, 2, vec![30, 10, 20]);
-        assert_eq!(core.output_for(Some(20)), vec![10, 20]);
-        assert_eq!(core.output_for(Some(5)), Vec::<u64>::new());
-        assert_eq!(core.output_for(None), Vec::<u64>::new());
-        assert_eq!(core.output_for(Some(99)), vec![10, 20, 30]);
-    }
-
-    #[test]
     fn single_machine_cluster_finishes_in_start() {
+        // start() gathers only its own stats, then runs every pivot
+        // iteration locally: k = 1 needs no messages.
         let mut rng = StdRng::seed_from_u64(0);
-        let mut out = Vec::new();
         let mut core = SelectCore::<u64>::new(0, 1, 0, 3, vec![5, 1, 4, 2, 3]);
-        // start() gathers only its own stats, then runs the whole search
-        // locally: pivots need no messages when k = 1... except the pivot
-        // query loop still runs through `poke`.
-        let mut status = core.start(&mut rng, &mut out);
-        let mut guard = 0;
-        while status == CoreStatus::Running {
-            status = core.poke(&mut rng, &mut out);
-            guard += 1;
-            assert!(guard < 1000, "k=1 selection did not converge");
-        }
-        let CoreStatus::Finished { boundary } = status else { unreachable!() };
-        assert_eq!(core.output_for(boundary), vec![1, 2, 3]);
-        assert!(out.is_empty(), "no messages for k = 1");
+        assert_eq!(core.start(&mut rng), CoreStatus::Finished { boundary: Some(3) });
+        assert!(core.iterations() > 0, "the search ran pivot iterations");
+        assert_eq!(core.outbox().count(), 0, "no messages for k = 1");
     }
 
     #[test]
     fn ell_zero_yields_empty() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut out = Vec::new();
         let mut core = SelectCore::<u64>::new(0, 1, 0, 0, vec![5, 1]);
-        let status = core.start(&mut rng, &mut out);
+        let status = core.start(&mut rng);
         assert_eq!(status, CoreStatus::Finished { boundary: None });
-        assert_eq!(core.output_for(None), Vec::<u64>::new());
     }
 }

@@ -2,73 +2,43 @@
 //!
 //! Theorem 2.2: `O(log n)` rounds and `O(k log n)` messages, both with high
 //! probability, for n keys distributed arbitrarily over k machines.
+//!
+//! Every machine outputs the subset of *its own* keys that belong to the
+//! global ℓ-smallest set; the union over machines is exactly that set (keys
+//! are assumed distinct, which [`knn_points::DistKey`] guarantees by
+//! construction).
 
-use kmachine::{Ctx, MachineId, Protocol, Step};
+use kmachine::{Ctx, Protocol, Step};
 use knn_points::Key;
 
 use super::select_core::{CoreStatus, SelMsg, SelectCore};
 
-/// Per-machine instance of distributed randomized selection.
-///
-/// Every machine outputs the subset of *its own* keys that belong to the
-/// global ℓ-smallest set; the union over machines is exactly that set
-/// (keys are assumed distinct, which [`knn_points::DistKey`] guarantees by
-/// construction).
-pub struct SelectProtocol<K: Key> {
-    core: SelectCore<K>,
-    leader: MachineId,
-    /// Scratch for the core's outgoing messages, reused across rounds.
-    out: Vec<(MachineId, SelMsg<K>)>,
-    /// Pivot iterations observed (leader only) — exposed for the
-    /// Theorem 2.2 experiments.
-    pub iterations: u64,
-}
-
-impl<K: Key> SelectProtocol<K> {
-    /// Machine `id` of `k`, selecting the `ell` smallest keys; `local` is
-    /// this machine's share (any order, any size, may be empty).
-    pub fn new(id: MachineId, k: usize, leader: MachineId, ell: u64, local: Vec<K>) -> Self {
-        SelectProtocol {
-            core: SelectCore::new(id, k, leader, ell, local),
-            leader,
-            out: Vec::new(),
-            iterations: 0,
-        }
-    }
-}
-
-impl<K: Key> Protocol for SelectProtocol<K> {
+impl<K: Key> Protocol for SelectCore<K> {
     type Msg = SelMsg<K>;
     type Output = Vec<K>;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, SelMsg<K>>) -> Step<Vec<K>> {
-        let out = &mut self.out;
         let mut status = CoreStatus::Running;
         if ctx.round() == 0 {
             if ctx.id() == self.leader {
-                status = self.core.start(ctx.rng(), out);
-                // Single-machine clusters run the whole search locally.
-                while ctx.k() == 1 && status == CoreStatus::Running {
-                    status = self.core.poke(ctx.rng(), out);
-                }
+                status = self.start(ctx.rng());
             }
         } else {
             for env in ctx.inbox() {
-                let st = self.core.handle(env.src, &env.msg, ctx.rng(), out);
+                let st = self.handle(env.src, &env.msg, ctx.rng());
                 if let CoreStatus::Finished { .. } = st {
                     status = st;
                 }
             }
         }
-        for (dst, msg) in out.drain(..) {
+        for (dst, msg) in self.outbox() {
             ctx.send(dst, msg);
         }
         match status {
             // The core only ever reacts to mail.
             CoreStatus::Running => Step::Wait,
             CoreStatus::Finished { boundary } => {
-                self.iterations = self.core.iterations();
-                Step::Done(self.core.output_for(boundary))
+                Step::Done(super::at_or_below(&self.local, boundary))
             }
         }
     }
@@ -91,10 +61,10 @@ mod tests {
     ) -> (Vec<u64>, kmachine::RunMetrics) {
         let k = shards.len();
         let cfg = NetConfig::new(k).with_seed(seed);
-        let protos: Vec<SelectProtocol<u64>> = shards
+        let protos: Vec<SelectCore<u64>> = shards
             .into_iter()
             .enumerate()
-            .map(|(i, local)| SelectProtocol::new(i, k, 0, ell, local))
+            .map(|(i, local)| SelectCore::new(i, k, 0, ell, local))
             .collect();
         let out = run_sync(&cfg, protos).expect("selection run");
         let mut merged: Vec<u64> = out.outputs.into_iter().flatten().collect();
@@ -212,10 +182,10 @@ mod tests {
         let shards = vec![vec![10u64, 40], vec![20, 50], vec![30, 60]];
         let k = shards.len();
         let cfg = NetConfig::new(k).with_seed(21);
-        let protos: Vec<SelectProtocol<u64>> = shards
+        let protos: Vec<SelectCore<u64>> = shards
             .into_iter()
             .enumerate()
-            .map(|(i, local)| SelectProtocol::new(i, k, 2, 3, local))
+            .map(|(i, local)| SelectCore::new(i, k, 2, 3, local))
             .collect();
         let out = run_sync(&cfg, protos).unwrap();
         let mut merged: Vec<u64> = out.outputs.into_iter().flatten().collect();
@@ -231,7 +201,7 @@ mod tests {
             shards
                 .iter()
                 .enumerate()
-                .map(|(i, local)| SelectProtocol::new(i, k, 0, 3, local.clone()))
+                .map(|(i, local)| SelectCore::new(i, k, 0, 3, local.clone()))
                 .collect::<Vec<_>>()
         };
         let a = run_sync(&NetConfig::new(k).with_seed(1), mk(&shards)).unwrap();

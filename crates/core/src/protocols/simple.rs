@@ -84,27 +84,6 @@ impl<K: Key> SimpleProtocol<K> {
             finished: Vec::new(),
         }
     }
-
-    /// Raw-materialized-keys constructor for tests (sorts and truncates).
-    pub fn from_keys(
-        id: MachineId,
-        leader: MachineId,
-        ell: u64,
-        chunk: usize,
-        keys: Vec<K>,
-    ) -> Self {
-        Self::new(id, leader, ell, chunk, super::top_ell(keys, ell))
-    }
-
-    fn finish(&self, boundary: Option<K>) -> Vec<K> {
-        match boundary {
-            None => Vec::new(),
-            Some(b) => {
-                let end = self.candidates.partition_point(|x| *x <= b);
-                self.candidates[..end].to_vec()
-            }
-        }
-    }
 }
 
 impl<K: Key> Protocol for SimpleProtocol<K> {
@@ -181,7 +160,7 @@ impl<K: Key> Protocol for SimpleProtocol<K> {
                     Some(*self.gathered.select_nth_unstable(at).1)
                 };
                 ctx.broadcast(SimpleMsg::Boundary { boundary });
-                return Step::Done(self.finish(boundary));
+                return Step::Done(super::at_or_below(&self.candidates, boundary));
             }
             // Not `Wait`: `ctx.crashed(s)` turns true with the round number,
             // not with mail, so an empty inbox can still complete the gather.
@@ -189,7 +168,7 @@ impl<K: Key> Protocol for SimpleProtocol<K> {
         }
 
         if let Some(SimpleMsg::Boundary { boundary }) = ctx.first_from(self.leader) {
-            return Step::Done(self.finish(*boundary));
+            return Step::Done(super::at_or_below(&self.candidates, *boundary));
         }
         Step::Wait
     }
@@ -197,6 +176,7 @@ impl<K: Key> Protocol for SimpleProtocol<K> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::top_ell;
     use super::*;
     use kmachine::engine::run_sync;
     use kmachine::{BandwidthMode, FaultPlan, NetConfig};
@@ -214,7 +194,7 @@ mod tests {
         let protos: Vec<SimpleProtocol<u64>> = shards
             .into_iter()
             .enumerate()
-            .map(|(i, local)| SimpleProtocol::from_keys(i, 0, ell, chunk, local))
+            .map(|(i, local)| SimpleProtocol::new(i, 0, ell, chunk, top_ell(local, ell)))
             .collect();
         let out = run_sync(&cfg, protos).expect("simple run");
         let mut merged: Vec<u64> = out.outputs.into_iter().flatten().collect();
@@ -265,7 +245,7 @@ mod tests {
             let protos: Vec<SimpleProtocol<u64>> = shards
                 .into_iter()
                 .enumerate()
-                .map(|(i, local)| SimpleProtocol::from_keys(i, 0, ell, 1, local))
+                .map(|(i, local)| SimpleProtocol::new(i, 0, ell, 1, top_ell(local, ell)))
                 .collect();
             run_sync(&cfg, protos).unwrap().metrics.rounds
         };
@@ -300,7 +280,7 @@ mod tests {
         let protos: Vec<SimpleProtocol<u64>> = shards
             .into_iter()
             .enumerate()
-            .map(|(i, local)| SimpleProtocol::from_keys(i, 0, 4, 2, local))
+            .map(|(i, local)| SimpleProtocol::new(i, 0, 4, 2, top_ell(local, 4)))
             .collect();
         let out = run_sync(&cfg, protos).expect("crash is salvaged in-run");
         assert_eq!(out.faults.crashed, vec![1]);

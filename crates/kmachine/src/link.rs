@@ -12,6 +12,7 @@
 use std::collections::VecDeque;
 
 use crate::message::{Envelope, MachineId};
+use crate::rng::finalize;
 
 /// Loss process of one lossy link, derived from the run's
 /// [`crate::config::FaultPlan`]. The drop decision for a message is a pure
@@ -107,37 +108,27 @@ impl<M> Default for LinkFifo<M> {
     }
 }
 
-/// splitmix64-style finalizer over the loss hash inputs: cheap, stateless,
+/// The splitmix64 finalizer over the loss hash inputs: cheap, stateless,
 /// and well-mixed enough that per-link drop streams are independent.
 fn loss_roll(seed: u64, src: MachineId, dst: MachineId, index: u64, tries: u32) -> u64 {
-    let mut x = seed
-        ^ (src as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (dst as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-        ^ index.wrapping_mul(0x1656_67B1_9E37_79F9)
-        ^ u64::from(tries).wrapping_mul(0xD6E8_FEB8_6659_FD93);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x
+    finalize(
+        seed ^ (src as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ (dst as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+            ^ index.wrapping_mul(0x1656_67B1_9E37_79F9)
+            ^ u64::from(tries).wrapping_mul(0xD6E8_FEB8_6659_FD93),
+    )
 }
 
 /// Advance a per-link digest chain over one envelope's identity. Chaining
 /// (rather than hashing each message independently) means a mismatch also
 /// catches reordering and replay, not just bit-flips.
 fn chain_digest(prev: u64, src: MachineId, dst: MachineId, seq: u64, sent_round: u64) -> u64 {
-    let mut x = prev
-        ^ (src as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (dst as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-        ^ seq.wrapping_mul(0x1656_67B1_9E37_79F9)
-        ^ sent_round.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x
+    finalize(
+        prev ^ (src as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ (dst as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+            ^ seq.wrapping_mul(0x1656_67B1_9E37_79F9)
+            ^ sent_round.wrapping_mul(0xD6E8_FEB8_6659_FD93),
+    )
 }
 
 /// Salt decorrelating the corruption stream from the loss stream when both

@@ -11,7 +11,13 @@ use rand::{rngs::StdRng, SeedableRng};
 #[inline]
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+    finalize(*state)
+}
+
+/// SplitMix64's output finalizer: a stateless, well-mixed `u64 → u64`
+/// scramble, also behind the links' loss rolls and digest chains.
+#[inline]
+pub(crate) fn finalize(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

@@ -54,21 +54,15 @@ impl Key for DistKey {
 /// A key with an order-preserving embedding into `u128` — what the
 /// *value-domain* algorithms (binary search over distances, \[3, 18\]) need
 /// beyond comparisons. Implementations must satisfy
-/// `a <= b  ⟺  a.to_ordinal() <= b.to_ordinal()` and
-/// `from_ordinal(to_ordinal(x)) == x`.
+/// `a <= b  ⟺  a.to_ordinal() <= b.to_ordinal()`.
 pub trait NumericKey: Key {
     /// Order-preserving embedding.
     fn to_ordinal(self) -> u128;
-    /// Inverse of [`NumericKey::to_ordinal`] on embedded values.
-    fn from_ordinal(ord: u128) -> Self;
 }
 
 impl NumericKey for u32 {
     fn to_ordinal(self) -> u128 {
         self as u128
-    }
-    fn from_ordinal(ord: u128) -> Self {
-        ord as u32
     }
 }
 
@@ -76,17 +70,11 @@ impl NumericKey for u64 {
     fn to_ordinal(self) -> u128 {
         self as u128
     }
-    fn from_ordinal(ord: u128) -> Self {
-        ord as u64
-    }
 }
 
 impl NumericKey for DistKey {
     fn to_ordinal(self) -> u128 {
         ((self.dist.encoding() as u128) << 64) | self.id.0 as u128
-    }
-    fn from_ordinal(ord: u128) -> Self {
-        DistKey::new(Dist::from_encoding((ord >> 64) as u64), PointId(ord as u64))
     }
 }
 
@@ -116,7 +104,7 @@ mod tests {
     }
 
     #[test]
-    fn ordinal_roundtrip_and_order() {
+    fn ordinal_preserves_order() {
         let keys = [
             DistKey::new(Dist::from_u64(0), PointId(0)),
             DistKey::new(Dist::from_u64(0), PointId(u64::MAX)),
@@ -127,9 +115,5 @@ mod tests {
             assert!(w[0] < w[1]);
             assert!(w[0].to_ordinal() < w[1].to_ordinal());
         }
-        for k in keys {
-            assert_eq!(DistKey::from_ordinal(k.to_ordinal()), k);
-        }
-        assert_eq!(u64::from_ordinal(42u64.to_ordinal()), 42);
     }
 }

@@ -1,17 +1,17 @@
-//! # rayon (offline shim) — a real work-stealing data-parallel pool
+//! # rayon (offline shim) — a real data-parallel pool
 //!
 //! A stand-in for `rayon` written for this workspace's hermetic (no
 //! crates.io) build environment. Unlike the original sequential shim, this
 //! version genuinely executes `par_iter` / `into_par_iter` pipelines on
 //! multiple scoped worker threads:
 //!
-//! * **Scheduling** is work-stealing: the input is split into chunks
-//!   (several per worker), chunks are dealt round-robin onto per-worker
-//!   deques, and a worker that drains its own deque steals from its
-//!   neighbors' — so a worker that lands the expensive chunks does not
-//!   become the critical path.
-//! * **Determinism** is absolute: every chunk remembers the index range it
-//!   came from, results are reassembled in input order, and chunk
+//! * **Scheduling** is self-balancing: the input is split into chunks
+//!   (several per worker), each worker is dealt a contiguous run of them
+//!   behind one atomic cursor, and a worker that finishes its run claims
+//!   the rest of the others' through their cursors — so a worker that lands
+//!   the expensive chunks does not become the critical path.
+//! * **Determinism** is absolute: every chunk's results land in that
+//!   chunk's own slot, the slots are concatenated in input order, and chunk
 //!   *boundaries* never influence what a pure `map` computes — so a
 //!   pipeline's output is byte-identical to sequential execution at any
 //!   pool size. (Closures that mutate shared state through locks can of
@@ -39,7 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// The traits rayon users glob-import.
@@ -161,18 +161,20 @@ impl ThreadPool {
 }
 
 // ---------------------------------------------------------------------------
-// The work-stealing executor.
+// The executor.
 // ---------------------------------------------------------------------------
 
-/// Chunks per worker: enough slack for stealing to even out imbalanced
+/// Chunks per worker: enough slack for the cursor to even out imbalanced
 /// items, few enough that per-chunk bookkeeping stays negligible.
 const CHUNKS_PER_WORKER: usize = 8;
 
 /// Map `items` through `f` on the current pool, preserving input order.
 ///
-/// The parallel path splits the items into indexed chunks, deals them onto
-/// per-worker deques, lets idle workers steal, and reassembles results by
-/// chunk index — bit-identical to the sequential path for pure `f`.
+/// The parallel path splits the items into chunks, deals each worker a
+/// contiguous run of them, lets every worker claim chunks through one
+/// atomic cursor per run (its own run first, then the others'), writes each
+/// chunk's results into that chunk's own slot, and concatenates the slots
+/// in order — bit-identical to the sequential path for pure `f`.
 fn parallel_map<I, R, F>(items: Vec<I>, f: &F) -> Vec<R>
 where
     I: Send,
@@ -185,59 +187,41 @@ where
         return items.into_iter().map(f).collect();
     }
 
-    // Split into order-tagged chunks.
-    let chunk_len = n.div_ceil(threads * CHUNKS_PER_WORKER).max(1);
-    let mut chunks: Vec<(usize, Vec<I>)> = Vec::with_capacity(n.div_ceil(chunk_len));
+    // Chunk `c` is claimed by exactly one worker, so its two locks are never
+    // contended; they only let the claimant move the items out and the
+    // results in. The cursors can be `Relaxed`: they only hand out distinct
+    // indices, and the data moves through those locks and the scope's join.
+    let chunk_len = n.div_ceil(threads * CHUNKS_PER_WORKER);
+    let mut chunks: Vec<Mutex<Vec<I>>> = Vec::with_capacity(n.div_ceil(chunk_len));
     let mut iter = items.into_iter();
-    let mut start = 0;
-    loop {
-        let chunk: Vec<I> = iter.by_ref().take(chunk_len).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        let len = chunk.len();
-        chunks.push((start, chunk));
-        start += len;
+    while iter.len() > 0 {
+        chunks.push(Mutex::new(iter.by_ref().take(chunk_len).collect()));
     }
-
-    // Deal contiguous runs of chunks to each worker's deque (locality), let
-    // idle workers steal from the back of their neighbors'.
-    type Deque<I> = Mutex<VecDeque<(usize, Vec<I>)>>;
-    let num_chunks = chunks.len();
-    let mut deques: Vec<Deque<I>> = (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, chunk) in chunks.into_iter().enumerate() {
-        let owner = i * threads / num_chunks;
-        deques[owner.min(threads - 1)].get_mut().expect("fresh deque").push_back(chunk);
-    }
+    let slots: Vec<Mutex<Vec<R>>> = chunks.iter().map(|_| Mutex::new(Vec::new())).collect();
+    // Worker `w`'s run is chunks `start(w)..start(w + 1)`. Runs keep a
+    // worker on neighbouring items, which one cursor shared by all workers
+    // would interleave: the candidate stage's cells are machine-major, so a
+    // run keeps a worker's cache on its own machines' shards.
+    let start = |w: usize| (w * chunks.len()).div_ceil(threads);
+    let cursors: Vec<AtomicUsize> = (0..threads).map(|w| AtomicUsize::new(start(w))).collect();
 
     // Spawned workers inherit the caller's resolved pool size (fresh threads
     // have no install scope), so nested parallel operations keep honoring
     // it — real rayon's nested ops likewise stay inside the enclosing pool.
     let inherited = current_num_threads();
-    let done = Mutex::new(Vec::with_capacity(threads * CHUNKS_PER_WORKER));
     let work = |w: usize| {
-        let mut local: Vec<(usize, Vec<R>)> = Vec::new();
-        loop {
-            // Own deque first (front = original order), then steal from
-            // the back of the others'. The own-deque guard must drop before
-            // stealing (separate statement): a `pop_front().or_else(steal)`
-            // chain would hold it across the steal and deadlock two
-            // mutually-stealing workers whose deques run dry together.
-            let mut task = deques[w].lock().expect("deque lock").pop_front();
-            if task.is_none() {
-                task = (1..threads).find_map(|off| {
-                    deques[(w + off) % threads].lock().expect("deque lock").pop_back()
-                });
+        for run in (0..threads).map(|off| (w + off) % threads) {
+            let mut c = cursors[run].fetch_add(1, Ordering::Relaxed);
+            while c < start(run + 1) {
+                let items = std::mem::take(&mut *chunks[c].lock().expect("chunk lock"));
+                let results: Vec<R> = items.into_iter().map(f).collect();
+                *slots[c].lock().expect("slot lock") = results;
+                c = cursors[run].fetch_add(1, Ordering::Relaxed);
             }
-            let Some((idx, chunk)) = task else { break };
-            local.push((idx, chunk.into_iter().map(f).collect()));
-        }
-        if !local.is_empty() {
-            done.lock().expect("result lock").extend(local);
         }
     };
     // The calling thread is worker 0: `threads − 1` spawns per operation,
-    // and at pool 2 the caller starts on its own deque while the one other
+    // and at pool 2 the caller starts on its own run while the one other
     // worker is still being created. A panic on either side reaches the
     // caller when the scope ends, after every worker has been joined.
     std::thread::scope(|scope| {
@@ -251,11 +235,9 @@ where
         work(0);
     });
 
-    let mut parts = done.into_inner().expect("result lock");
-    parts.sort_unstable_by_key(|&(idx, _)| idx);
     let mut out = Vec::with_capacity(n);
-    for (_, part) in parts {
-        out.extend(part);
+    for slot in slots {
+        out.extend(slot.into_inner().expect("slot lock"));
     }
     out
 }
@@ -445,7 +427,7 @@ mod tests {
     #[test]
     fn order_preserved_under_skewed_work() {
         // Front-loaded work: the first chunks are ~1000x more expensive, so
-        // stealing definitely reshuffles execution order — results must
+        // workers definitely finish chunks out of order — results must
         // still come back in input order.
         let n = 4_000usize;
         let work = |i: usize| {
@@ -540,9 +522,8 @@ mod tests {
 
     #[test]
     fn repeated_tiny_ops_do_not_deadlock() {
-        // Regression: workers whose deques run dry together used to hold
-        // their own deque lock while stealing, deadlocking mutually. Tiny
-        // inputs (one chunk per worker) maximize simultaneous dry-out.
+        // Smoke test: many tiny operations (one chunk per worker) finish,
+        // in order, with every worker running out of chunks at once.
         for pool in [2usize, 4] {
             for round in 0..300usize {
                 let out: Vec<usize> =

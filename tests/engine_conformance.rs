@@ -11,7 +11,7 @@ use kmachine::{
 };
 use knn_core::protocols::binsearch::BinSearchProtocol;
 use knn_core::protocols::saukas_song::SaukasSongProtocol;
-use knn_core::protocols::{KnnParams, KnnProtocol, SelectProtocol, SimpleProtocol};
+use knn_core::protocols::{top_ell, KnnParams, KnnProtocol, SelectCore, SimpleProtocol};
 
 /// The always-step schedule: `P` with every [`Step::Wait`] reported as
 /// [`Step::Continue`], so neither the machine step nor the mux ever skips it.
@@ -50,6 +50,11 @@ fn oracle_keys(i: usize, j: usize) -> Vec<u64> {
     (0..48u64)
         .map(|x| (x * 8 + i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (j as u64) << 20)
         .collect()
+}
+
+/// Machine `i`'s candidates for query `j`: its sorted top ℓ.
+fn oracle_candidates(i: usize, j: usize) -> Vec<u64> {
+    top_ell(oracle_keys(i, j), ORACLE_ELL)
 }
 
 /// `P` and `Ticking<P>` leave identical observables under `cfg`, solo and
@@ -94,7 +99,7 @@ where
 #[test]
 fn waiting_is_a_noop_for_algorithm_2() {
     sweep_crashes("knn", 4, |i, j| {
-        KnnProtocol::from_keys(i, 4, 0, ORACLE_ELL, KnnParams::default(), oracle_keys(i, j))
+        KnnProtocol::new(i, 4, 0, ORACLE_ELL, KnnParams::default(), oracle_candidates(i, j))
     });
 }
 
@@ -102,14 +107,12 @@ fn waiting_is_a_noop_for_algorithm_2() {
 /// Theorem 2.2 table runs it.
 #[test]
 fn waiting_is_a_noop_for_algorithm_1() {
-    sweep_crashes("algorithm 1", 4, |i, j| {
-        SelectProtocol::new(i, 4, 0, ORACLE_ELL, oracle_keys(i, j))
-    });
+    sweep_crashes("algorithm 1", 4, |i, j| SelectCore::new(i, 4, 0, ORACLE_ELL, oracle_keys(i, j)));
 }
 
 #[test]
 fn waiting_is_a_noop_for_simple() {
-    let seat = |i, j| SimpleProtocol::from_keys(i, 0, ORACLE_ELL, 3, oracle_keys(i, j));
+    let seat = |i, j| SimpleProtocol::new(i, 0, ORACLE_ELL, 3, oracle_candidates(i, j));
     sweep_crashes("simple", 4, seat);
     // One worker, dead before it ever sent: no mail will tell the leader, so
     // only a leader that keeps ticking writes it off. (At k = 4 the other
@@ -120,20 +123,20 @@ fn waiting_is_a_noop_for_simple() {
 #[test]
 fn waiting_is_a_noop_for_saukas_song() {
     sweep_crashes("saukas-song", 4, |i, j| {
-        SaukasSongProtocol::from_keys(i, 4, 0, ORACLE_ELL, oracle_keys(i, j))
+        SaukasSongProtocol::new(i, 4, 0, ORACLE_ELL, oracle_candidates(i, j))
     });
 }
 
 #[test]
 fn waiting_is_a_noop_for_binsearch() {
-    let seat = |i, j| BinSearchProtocol::from_keys(i, 4, 0, ORACLE_ELL, oracle_keys(i, j));
+    let seat = |i, j| BinSearchProtocol::new(i, 4, 0, ORACLE_ELL, oracle_candidates(i, j));
     sweep_crashes("binsearch", 4, seat);
 }
 
 #[test]
 fn waiting_is_a_noop_for_approx() {
     sweep_crashes("approx", 4, |i, j| {
-        KnnProtocol::from_keys(i, 4, 0, ORACLE_ELL, KnnParams::default(), oracle_keys(i, j))
+        KnnProtocol::new(i, 4, 0, ORACLE_ELL, KnnParams::default(), oracle_candidates(i, j))
             .prune_only()
     });
 }

@@ -1,6 +1,6 @@
 //! Determinism under real parallelism.
 //!
-//! The rayon shim runs pipelines on a genuine work-stealing pool, and the
+//! The rayon shim runs pipelines on a genuine multi-threaded pool, and the
 //! workload generators, the cluster load path and the candidate stage ride
 //! on it. These tests pin the contract that makes that safe: **pool size is
 //! a pure wall-clock knob** — every generated dataset, every query answer,
