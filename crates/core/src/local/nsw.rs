@@ -145,6 +145,8 @@ impl NswIndex {
     /// candidate until the frontier is provably worse than the `ef`-th best.
     /// Returns up to `ef` hits ascending by `(distance, id)`. Deterministic:
     /// both heaps order by `(DistKey, node)` and ids are unique per shard.
+    /// `visited` is the caller's: one shard-sized set per search or insert,
+    /// cleared here for each layer, not allocated per layer.
     fn search_layer<P: Point>(
         &self,
         records: &[Record<P>],
@@ -152,8 +154,9 @@ impl NswIndex {
         entries: &[(DistKey, u32)],
         ef: usize,
         layer: usize,
+        visited: &mut [bool],
     ) -> Vec<(DistKey, u32)> {
-        let mut visited = vec![false; self.nodes.len()];
+        visited.fill(false);
         let mut frontier: BinaryHeap<Reverse<(DistKey, u32)>> = BinaryHeap::new();
         let mut best: BinaryHeap<(DistKey, u32)> = BinaryHeap::new();
         for &entry in entries {
@@ -205,18 +208,19 @@ impl NswIndex {
         }
 
         let query = &record.point;
+        let mut visited = vec![false; self.nodes.len()];
         let mut entries = vec![self.key_to(records, query, self.entry)];
         // Greedy descent through the layers the new node will not join.
         for layer in (level + 1..=self.max_level).rev() {
-            entries = self.search_layer(records, query, &entries, 1, layer);
+            entries = self.search_layer(records, query, &entries, 1, layer, &mut visited);
         }
         // Insert-as-query: on each joined layer, what the search finds is
         // what the node links to (the m nearest of the ef_construction set).
         let top = level.min(self.max_level);
         let mut chosen: Vec<(usize, Vec<u32>)> = Vec::with_capacity(top + 1);
         for layer in (0..=top).rev() {
-            let found =
-                self.search_layer(records, query, &entries, self.params.ef_construction, layer);
+            let ef = self.params.ef_construction;
+            let found = self.search_layer(records, query, &entries, ef, layer, &mut visited);
             let neighbors = found.iter().take(self.params.m).map(|&(_, n)| n).collect();
             chosen.push((layer, neighbors));
             entries = found;
@@ -276,11 +280,12 @@ impl NswIndex {
             // The recall knob saturates at exact.
             return brute_top(&records[..n], query, ell, self.metric);
         }
+        let mut visited = vec![false; n];
         let mut entries = vec![self.key_to(records, query, self.entry)];
         for layer in (1..=self.max_level).rev() {
-            entries = self.search_layer(records, query, &entries, 1, layer);
+            entries = self.search_layer(records, query, &entries, 1, layer, &mut visited);
         }
-        let found = self.search_layer(records, query, &entries, ef, 0);
+        let found = self.search_layer(records, query, &entries, ef, 0, &mut visited);
         found.into_iter().take(ell).map(|(key, _)| key).collect()
     }
 }
@@ -346,6 +351,29 @@ mod tests {
             grown.insert(&records, pos);
         }
         assert_eq!(bulk, grown, "insert-as-query: bulk and incremental graphs must be identical");
+    }
+
+    /// A digest of one build's every adjacency list, its entry and top
+    /// layer, and the keys of 40 searches: a change to the search order, the
+    /// visited set or the distance arithmetic that moves one link or one
+    /// bit of one distance fails here.
+    #[test]
+    fn graph_and_answers_are_pinned() {
+        let records = vec_records(600, 19, 9);
+        let index = NswIndex::build(&records, NswParams::default(), Metric::Euclidean);
+        let mut h = splitmix64(u64::from(index.entry) ^ (index.max_level as u64) << 32);
+        for layer in index.nodes.iter().flat_map(|node| &node.links) {
+            h = splitmix64(h ^ layer.len() as u64);
+            for &n in layer {
+                h = splitmix64(h ^ u64::from(n));
+            }
+        }
+        for q in records.iter().step_by(15) {
+            for key in index.search(&records, &q.point, 10, 32) {
+                h = splitmix64(h ^ key.dist.encoding()) ^ key.id.0;
+            }
+        }
+        assert_eq!(h, 8663930932899029825);
     }
 
     #[test]

@@ -57,10 +57,12 @@ impl Payload for BsMsg {
 
 #[derive(Clone, Copy)]
 enum BsPhase {
+    /// Round 0 has not run.
     Init,
-    AwaitReports,
+    /// Past round 0: a worker, or the leader collecting reports.
+    Started,
+    /// The leader collecting the counts at or below `mid`.
     AwaitSizes { mid: u128 },
-    Worker,
 }
 
 /// Per-machine instance of value-domain bisection selection.
@@ -187,10 +189,8 @@ impl<K: NumericKey> Protocol for BinSearchProtocol<K> {
                 ctx.broadcast(BsMsg::Query);
                 (self.total, self.min_seen, self.max_seen) = self.census();
                 self.pending = self.k - 1;
-                self.phase = BsPhase::AwaitReports;
-            } else {
-                self.phase = BsPhase::Worker;
             }
+            self.phase = BsPhase::Started;
             return Step::Wait;
         }
 

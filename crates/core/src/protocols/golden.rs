@@ -38,9 +38,13 @@ type Row = (u64, u64, u64, u64, bool, u64, usize, u64);
 
 /// `(seed, k, ell, per_machine, span)`: ℓ ∈ {1, 10, 64, 300} × k ∈ {2, 8,
 /// 16} on duplicate-heavy distances, then distinct distances, short shards,
-/// ℓ past the population, and last a prune that keeps the global rank-161
-/// key of 280 at ℓ = 200 and is rolled back.
-const CELLS: [(u64, usize, u64, u64, u64); 20] = [
+/// ℓ past the population, and five machines of 56 keys at ℓ = 200. Then
+/// both sides of Algorithm 2's short cut at the sampling stage (every list
+/// shorter than the sample size m): lists of exactly m = 75 keys at
+/// ℓ = 75, which still prune; all-empty shards, which finish there; and
+/// lists of exactly m = 92 keys at ℓ = 200, past the population, where the
+/// prune keeps the global rank-161 key of 184 and is rolled back.
+const CELLS: [(u64, usize, u64, u64, u64); 23] = [
     (1, 2, 1, 30, 8),
     (2, 8, 1, 30, 8),
     (3, 16, 1, 30, 8),
@@ -61,6 +65,9 @@ const CELLS: [(u64, usize, u64, u64, u64); 20] = [
     (18, 8, 300, 20, 8),
     (19, 16, 10, 12, 1 << 40),
     (20, 5, 200, 56, 8),
+    (21, 4, 75, 75, 8),
+    (22, 4, 10, 0, 8),
+    (23, 2, 200, 92, 8),
 ];
 
 fn shards(cell: Cell) -> Vec<Vec<DistKey>> {
@@ -163,33 +170,33 @@ const GOLDEN: &[[Row; 3]] = &[
         (2, 30, 4365, 0, false, 0, 1, 14937180907163565535),
     ],
     [
-        (34, 33, 6696, 20, false, 8, 10, 15755260687232373844),
-        (6, 4, 1578, 20, false, 0, 20, 9103800308473284289),
+        (4, 2, 1447, 10, false, 0, 10, 15755260687232373844),
+        (4, 2, 1447, 10, false, 0, 10, 15755260687232373844),
         (4, 5, 1542, 0, false, 0, 10, 15755260687232373844),
     ],
     [
-        (30, 143, 30300, 70, false, 6, 10, 13673728752688025644),
-        (6, 28, 11046, 70, false, 0, 70, 809539482944956269),
+        (4, 14, 10129, 10, false, 0, 10, 13673728752688025644),
+        (4, 14, 10129, 10, false, 0, 10, 13673728752688025644),
         (4, 35, 10794, 0, false, 0, 10, 13673728752688025644),
     ],
     [
-        (30, 295, 62660, 70, false, 6, 10, 14052561751692259966),
-        (6, 60, 23670, 70, false, 0, 70, 18130604161339896389),
+        (4, 30, 21705, 10, false, 0, 10, 14052561751692259966),
+        (4, 30, 21705, 10, false, 0, 10, 14052561751692259966),
         (4, 75, 23130, 0, false, 0, 10, 14052561751692259966),
     ],
     [
-        (50, 35, 13941, 126, false, 9, 64, 2714178820992688065),
-        (20, 4, 8490, 126, false, 0, 126, 254368356076646882),
+        (18, 2, 8359, 64, false, 0, 64, 2714178820992688065),
+        (18, 2, 8359, 64, false, 0, 64, 2714178820992688065),
         (19, 23, 9048, 0, false, 0, 64, 2714178820992688065),
     ],
     [
-        (58, 193, 87265, 126, false, 9, 64, 12925103624508307759),
-        (20, 28, 59430, 126, false, 0, 126, 13164358255277256668),
+        (18, 14, 58513, 64, false, 0, 64, 12925103624508307759),
+        (18, 14, 58513, 64, false, 0, 64, 12925103624508307759),
         (19, 161, 63336, 0, false, 0, 64, 12925103624508307759),
     ],
     [
-        (62, 425, 188305, 126, false, 10, 64, 6763023444296478912),
-        (20, 60, 127350, 126, false, 0, 126, 4711301442436764320),
+        (18, 30, 125385, 64, false, 0, 64, 6763023444296478912),
+        (18, 30, 125385, 64, false, 0, 64, 6763023444296478912),
         (19, 345, 135720, 0, false, 0, 64, 6763023444296478912),
     ],
     [
@@ -208,13 +215,13 @@ const GOLDEN: &[[Row; 3]] = &[
         (83, 1515, 627450, 0, false, 0, 300, 15389461252946697081),
     ],
     [
-        (80, 287, 103236, 126, false, 15, 64, 15528919946034381645),
-        (20, 28, 59430, 126, false, 0, 126, 10564349407846589899),
+        (18, 14, 58513, 64, false, 0, 64, 15528919946034381645),
+        (18, 14, 58513, 64, false, 0, 64, 15528919946034381645),
         (19, 161, 63336, 0, false, 0, 64, 15528919946034381645),
     ],
     [
-        (78, 553, 209873, 126, false, 14, 64, 3804151898658775499),
-        (20, 60, 127350, 126, false, 0, 126, 6618512036015519958),
+        (18, 30, 125385, 64, false, 0, 64, 3804151898658775499),
+        (18, 30, 125385, 64, false, 0, 64, 3804151898658775499),
         (19, 345, 135720, 0, false, 0, 64, 3804151898658775499),
     ],
     [
@@ -228,24 +235,39 @@ const GOLDEN: &[[Row; 3]] = &[
         (83, 1515, 627450, 0, false, 0, 300, 10051968186893872866),
     ],
     [
-        (15, 15, 2931, 12, false, 3, 10, 15702822649178678733),
-        (5, 4, 1066, 12, false, 0, 12, 11742073447430126607),
+        (3, 2, 935, 10, false, 0, 10, 15702822649178678733),
+        (3, 2, 935, 10, false, 0, 10, 15702822649178678733),
         (3, 3, 964, 0, false, 0, 10, 15702822649178678733),
     ],
     [
-        (11, 49, 23289, 160, false, 0, 160, 8242128997488158843),
-        (9, 28, 20006, 160, false, 0, 160, 8242128997488158843),
+        (7, 14, 19089, 160, false, 0, 160, 8242128997488158843),
+        (7, 14, 19089, 160, false, 0, 160, 8242128997488158843),
         (7, 56, 20447, 0, false, 0, 160, 8242128997488158843),
     ],
     [
-        (38, 359, 73444, 70, false, 8, 10, 1901694933958515602),
-        (6, 60, 23670, 70, false, 0, 70, 14041884574046615321),
+        (4, 30, 21705, 10, false, 0, 10, 1901694933958515602),
+        (4, 30, 21705, 10, false, 0, 10, 1901694933958515602),
         (4, 75, 23130, 0, false, 0, 10, 1901694933958515602),
     ],
     [
-        (86, 202, 61671, 161, true, 18, 200, 9637995746394353599),
-        (18, 16, 29864, 161, true, 0, 280, 10486393546712557387),
+        (16, 8, 29340, 200, false, 0, 200, 9637995746394353599),
+        (16, 8, 29340, 200, false, 0, 200, 9637995746394353599),
         (17, 80, 31700, 0, false, 0, 200, 9637995746394353599),
+    ],
+    [
+        (36, 53, 36493, 131, false, 5, 75, 14814359634429823016),
+        (22, 12, 29694, 131, false, 0, 131, 72799295200259486),
+        (22, 78, 31665, 0, false, 0, 75, 14814359634429823016),
+    ],
+    [
+        (2, 6, 501, 0, false, 0, 0, 16294208416658607535),
+        (2, 6, 501, 0, false, 0, 0, 16294208416658607535),
+        (2, 6, 489, 0, false, 0, 0, 16294208416658607535),
+    ],
+    [
+        (29, 7, 12543, 161, true, 0, 184, 13291197687808801080),
+        (27, 4, 12074, 161, true, 0, 184, 13291197687808801080),
+        (26, 32, 12929, 0, false, 0, 184, 13291197687808801080),
     ],
 ];
 
@@ -368,6 +390,21 @@ const GOLDEN_BASELINES: &[[BaseRow; 3]] = &[
         (29, 116, 22484, 200, 9637995746394353599),
         (129, 516, 51736, 200, 9637995746394353599),
         (69, 186, 31249, 200, 9637995746394353599),
+    ],
+    [
+        (29, 87, 16863, 75, 14814359634429823016),
+        (121, 363, 36426, 75, 14814359634429823016),
+        (27, 69, 11382, 75, 14814359634429823016),
+    ],
+    [
+        (3, 9, 1770, 0, 16294208416658607535),
+        (3, 9, 1380, 0, 16294208416658607535),
+        (3, 9, 1380, 0, 16294208416658607535),
+    ],
+    [
+        (3, 3, 590, 184, 13291197687808801080),
+        (3, 3, 460, 184, 13291197687808801080),
+        (3, 3, 460, 184, 13291197687808801080),
     ],
 ];
 

@@ -14,6 +14,24 @@
 //!    survive, with probability `≥ 1 − 2/ℓ²`;
 //! 5. Algorithm 1 selects the ℓ smallest among the survivors.
 //!
+//! **Whole-list deviation:** a machine whose candidate list is no longer
+//! than the sample size `m = ⌈12·log₂ ℓ⌉` ships it whole instead of
+//! sampling it — strictly more information for fewer bits. Since a machine
+//! holds at most ℓ candidates, this depends on ℓ alone: every list goes
+//! whole when `ℓ ≤ m`, which at the paper's constants is `ℓ ≤ 75`.
+//!
+//! **Short cut at the sampling stage:** a sampled batch always holds
+//! exactly `m` keys and a whole list at most `m`, so when every batch the
+//! leader collected, its own included, is *shorter* than `m`, the leader
+//! holds every candidate. It then selects the ℓ-th smallest of them itself
+//! and broadcasts it as Algorithm 1's closing
+//! [`SelMsg::Finished`] boundary: stages 3–5 are skipped, the answer is
+//! exact with certainty in either mode, and the query costs the sampling
+//! transfer plus one round and `2(k − 1)` messages — within Theorem 2.4's
+//! bound a fortiori. A batch of exactly `m` keys is ambiguous (a whole
+//! list of `m` or a sample), so it keeps the paper's path; at the paper's
+//! constants the short cut thus takes every query with `2 ≤ ℓ ≤ 74`.
+//!
 //! **Hardening deviation (documented here and on [`KnnParams::harden`]):**
 //! the paper's pruning leaves at least ℓ survivors only with high
 //! probability *in ℓ*. With `KnnParams::harden` (default), machines report
@@ -24,7 +42,8 @@
 //!
 //! **Prune-only mode ([`KnnProtocol::prune_only`]) — the approximate
 //! query.** For consumers that a slightly larger neighbor set serves as
-//! well (majority vote, averaging), the instance stops at stage 4: the
+//! well (majority vote, averaging), the instance stops at stage 4 (or
+//! earlier, at the short cut above, with the exact answer): the
 //! survivor-count round always runs, the leader's prune decision ends it,
 //! and every machine answers with its survivors. That is a superset of the
 //! exact ℓ-NN whenever [`KnnStats::contains_exact`] holds — always under
@@ -55,7 +74,9 @@ pub struct KnnParams {
     /// (approximate) answer stays a superset. Disable to run the paper's
     /// algorithm verbatim: an undershot prune then leaves an exact answer
     /// short, and an approximate one under-pruned and flagged so by
-    /// [`KnnStats::contains_exact`].
+    /// [`KnnStats::contains_exact`]. The short cut at the sampling stage
+    /// (module docs) takes no part: it prunes nothing and is exact with
+    /// certainty, so it runs the same with this on or off.
     pub harden: bool,
 }
 
@@ -94,7 +115,8 @@ pub struct KnnStats {
     /// Total candidates before pruning (Σ per-machine `min(ℓ, |input|)`).
     pub total_candidates: u64,
     /// Candidates surviving the prune (only known when the count round
-    /// runs: under hardening, and always in prune-only mode).
+    /// runs: under hardening, and always in prune-only mode); after the
+    /// short cut at the sampling stage, the answer size `min(ℓ, total)`.
     pub survivors: u64,
     /// Whether the hardening check rolled the prune back.
     pub rolled_back: bool,
@@ -148,13 +170,14 @@ pub enum KnnMsg<K: Key> {
         /// Candidates before pruning.
         total: u64,
     },
-    /// Leader → all (hardening, prune-only, or no candidates anywhere):
-    /// whether to roll the prune back.
+    /// Leader → all (hardening, prune-only): whether to roll the prune
+    /// back.
     PruneDecision {
         /// `true`: continue on the *unpruned* candidates.
         rollback: bool,
     },
-    /// Embedded Algorithm 1 traffic.
+    /// Embedded Algorithm 1 traffic; its closing
+    /// [`SelMsg::Finished`] also ends the short cut at the sampling stage.
     Sel(SelMsg<K>),
 }
 
@@ -189,6 +212,9 @@ pub struct KnnProtocol<K: Key> {
     stats: KnnStats,
     // Leader scratch.
     samples: Vec<K>,
+    /// Every batch collected so far is shorter than the sample size, so
+    /// `samples` holds every candidate collected so far.
+    whole: bool,
     pending: usize,
     kept_sum: u64,
     total_sum: u64,
@@ -220,6 +246,7 @@ impl<K: Key> KnnProtocol<K> {
             core: None,
             stats: KnnStats::default(),
             samples: Vec::new(),
+            whole: false,
             pending: 0,
             kept_sum: 0,
             total_sum: 0,
@@ -230,7 +257,8 @@ impl<K: Key> KnnProtocol<K> {
     /// survivor-count round runs whatever [`KnnParams::harden`] says, the
     /// leader's decision ends the instance, and every machine outputs its
     /// survivors (all its candidates on a rollback) instead of running
-    /// Algorithm 1.
+    /// Algorithm 1. The short cut at the sampling stage (module docs) ends
+    /// it earlier still, with the exact answer.
     pub fn prune_only(mut self) -> Self {
         self.prune_only = true;
         self
@@ -255,7 +283,9 @@ impl<K: Key> KnnProtocol<K> {
         // Sample with replacement, as the paper's "randomly and
         // independently" prescribes. When the candidate set is no larger
         // than the sample budget, send it whole — strictly more information
-        // for fewer bits (the paper's regime n ≫ kℓ never hits this case).
+        // for fewer bits. A machine holds at most ℓ candidates, so every
+        // list goes whole whenever ℓ ≤ m (2 ≤ ℓ ≤ 75 at the paper's
+        // constants).
         let m = self.params.sample_size(self.ell);
         let sample = if self.candidates.len() <= m {
             self.candidates.clone()
@@ -268,6 +298,7 @@ impl<K: Key> KnnProtocol<K> {
             sample
         };
         if self.is_leader() {
+            self.whole = sample.len() < m;
             self.samples = sample;
             self.pending = self.k - 1;
         } else {
@@ -281,13 +312,20 @@ impl<K: Key> KnnProtocol<K> {
         self.params.harden || self.prune_only
     }
 
-    /// Leader: all samples in — broadcast the prune threshold (or skip
-    /// pruning entirely when nobody has any candidates to offer).
+    /// Leader: all samples in — finish at once when they are every
+    /// candidate (the short cut, module docs), else broadcast the prune
+    /// threshold.
     fn leader_after_samples(&mut self, ctx: &mut Ctx<'_, KnnMsg<K>>) -> Option<KnnOutput<K>> {
-        if self.samples.is_empty() {
-            // No candidates anywhere: skip straight to the (trivial) end.
-            ctx.broadcast(KnnMsg::PruneDecision { rollback: true });
-            return self.decide(true, ctx);
+        if self.whole {
+            // The ℓ-th smallest candidate (`None`: no candidates anywhere,
+            // or ℓ = 0), by the same draw-free selection as the threshold.
+            let total = self.samples.len();
+            let answer = self.ell.min(total as u64) as usize;
+            let boundary = answer.checked_sub(1).map(|at| *self.samples.select_nth_unstable(at).1);
+            self.stats.total_candidates = total as u64;
+            self.stats.survivors = answer as u64;
+            ctx.broadcast(KnnMsg::Sel(SelMsg::Finished { boundary }));
+            return Some(self.finish(boundary));
         }
         // The rank-th smallest sample, by a selection that draws nothing
         // from `ctx.rng()`: equal keys are identical, so this is the key
@@ -339,6 +377,21 @@ impl<K: Key> KnnProtocol<K> {
         }
         self.core = Some(core);
     }
+
+    /// Every machine's answer: its candidates at or below the leader's
+    /// `boundary`, among the survivors once Algorithm 1 ran (all of them
+    /// after the short cut, which prunes nothing).
+    fn finish(&mut self, boundary: Option<K>) -> KnnOutput<K> {
+        let kept = match &self.core {
+            Some(core) => {
+                self.stats.select_iterations = core.iterations();
+                self.pruned_len
+            }
+            None => self.candidates.len(),
+        };
+        let keys = super::at_or_below(&self.candidates[..kept], boundary);
+        KnnOutput { keys, stats: self.is_leader().then_some(self.stats) }
+    }
 }
 
 impl<K: Key> Protocol for KnnProtocol<K> {
@@ -373,6 +426,7 @@ impl<K: Key> Protocol for KnnProtocol<K> {
             match &env.msg {
                 KnnMsg::Samples(batch) => {
                     debug_assert!(self.is_leader());
+                    self.whole &= batch.len() < self.params.sample_size(self.ell);
                     self.samples.extend_from_slice(batch);
                     self.pending -= 1;
                     if self.pending == 0 {
@@ -412,12 +466,15 @@ impl<K: Key> Protocol for KnnProtocol<K> {
                     }
                 }
                 &KnnMsg::PruneDecision { rollback } => {
-                    // `rollback = true` can also mean "pruning skipped".
                     if self.core.is_none() {
                         if let Some(out) = self.decide(rollback, ctx) {
                             return Step::Done(out);
                         }
                     }
+                }
+                &KnnMsg::Sel(SelMsg::Finished { boundary }) if self.core.is_none() => {
+                    // The leader's short cut: nothing was pruned.
+                    finished = Some(boundary);
                 }
                 KnnMsg::Sel(sel) => {
                     let core = self.core.as_mut().expect("selection traffic before setup");
@@ -433,11 +490,7 @@ impl<K: Key> Protocol for KnnProtocol<K> {
         }
 
         if let Some(boundary) = finished {
-            let core = self.core.as_ref().expect("finished implies core");
-            self.stats.select_iterations = core.iterations();
-            let keys = super::at_or_below(&self.candidates[..self.pruned_len], boundary);
-            let stats = self.is_leader().then_some(self.stats);
-            return Step::Done(KnnOutput { keys, stats });
+            return Step::Done(self.finish(boundary));
         }
         Step::Wait
     }
@@ -555,7 +608,9 @@ mod tests {
             data.records.chunks(30).map(|c| Dataset::new(c.to_vec())).collect();
         shards.push(Dataset::new(Vec::new())); // machine 2: empty shard
         let opts = QueryOptions {
-            faults: kmachine::FaultPlan::default().with_crash(2, 1),
+            // Dead before its round 0, so its peers never hear from it and
+            // the run cannot salvage it: only the retry writes it off.
+            faults: kmachine::FaultPlan::default().with_crash(2, 0),
             ..Default::default()
         };
         let out = run_query(&shards, &ScalarPoint(10), 5, Algorithm::Knn, &opts).unwrap();
@@ -778,26 +833,27 @@ mod tests {
         assert!(stats.contains_exact(100));
     }
 
-    /// Five machines of 56 keys each send their whole candidate sets as
-    /// samples (56 ≤ 92 = ⌈12·log₂ 200⌉), so the threshold is the global
-    /// rank-161 key (⌈21·log₂ 200⌉): the prune keeps 161 < ℓ = 200.
+    /// Five machines of 56 keys each, sampled `⌈1·log₂ 200⌉ = 8` times
+    /// apiece (56 > 8, so no list goes whole), and the threshold is the
+    /// rank-8 sample of 40: the prune keeps far fewer than ℓ = 200.
     #[test]
     fn prune_only_undershoot_rolls_back_to_a_superset() {
         let all: Vec<u64> = (0..280u64).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15)).collect();
         let want = expected(std::slice::from_ref(&all), 200);
         let shards = PartitionStrategy::RoundRobin.split(all, 5, 0);
-        let (got, _, stats) = run_approx(shards.clone(), 200, 7, KnnParams::default());
+        let tiny = KnnParams { sample_factor: 1, rank_factor: 1, harden: true };
+        let (got, _, stats) = run_approx(shards.clone(), 200, 7, tiny);
         assert!(stats.rolled_back);
-        assert_eq!(stats.survivors, 161);
+        assert_eq!(stats.survivors, 53);
         assert!(stats.contains_exact(200));
         assert_eq!(got.len(), 280, "the rollback keeps every candidate");
         assert_eq!(&got[..200], want);
         // The paper's algorithm verbatim: under-pruned, and flagged so.
-        let verbatim = KnnParams { harden: false, ..KnnParams::default() };
+        let verbatim = KnnParams { harden: false, ..tiny };
         let (got, _, stats) = run_approx(shards, 200, 7, verbatim);
-        assert_eq!(got.len(), 161);
+        assert_eq!(got.len(), 53);
         assert!(!stats.contains_exact(200));
-        assert_eq!(got, want[..161]);
+        assert_eq!(got, want[..53]);
     }
 
     #[test]

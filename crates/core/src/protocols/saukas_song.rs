@@ -83,10 +83,12 @@ impl<K: Key> Payload for SsMsg<K> {
 
 #[derive(Clone, Copy)]
 enum SsPhase<K: Key> {
+    /// Round 0 has not run.
     Init,
-    AwaitMedians,
+    /// Past round 0: a worker, or the leader collecting medians.
+    Started,
+    /// The leader collecting the sizes of `(lo, pivot]`.
     AwaitSizes { pivot: K },
-    Worker,
 }
 
 /// Per-machine instance of Saukas–Song selection.
@@ -158,7 +160,7 @@ impl<K: Key> SaukasSongProtocol<K> {
             self.medians.push((m, count));
         }
         self.pending = self.k - 1;
-        self.phase = SsPhase::AwaitMedians;
+        self.phase = SsPhase::Started;
     }
 
     /// Leader: all medians in — finish or partition at the weighted median.
@@ -230,9 +232,8 @@ impl<K: Key> Protocol for SaukasSongProtocol<K> {
                     return Step::Done(self.local[..end].to_vec());
                 }
                 self.request_medians(ctx);
-            } else {
-                self.phase = SsPhase::Worker;
             }
+            self.phase = SsPhase::Started;
             return Step::Wait;
         }
 

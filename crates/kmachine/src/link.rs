@@ -108,26 +108,20 @@ impl<M> Default for LinkFifo<M> {
     }
 }
 
-/// The splitmix64 finalizer over the loss hash inputs: cheap, stateless,
-/// and well-mixed enough that per-link drop streams are independent.
-fn loss_roll(seed: u64, src: MachineId, dst: MachineId, index: u64, tries: u32) -> u64 {
+/// The splitmix64 finalizer over `base` and one envelope's link and
+/// position: cheap, stateless, and well-mixed enough that per-link streams
+/// are independent. It serves two uses:
+///
+/// * the loss and corruption rolls, `(seed, src, dst, index, tries)`;
+/// * the per-link digest chain, `(prev, src, dst, seq, sent_round)`.
+///   Chaining (rather than hashing each message independently) means a
+///   mismatch also catches reordering and replay, not just bit-flips.
+fn link_hash(base: u64, src: MachineId, dst: MachineId, a: u64, b: u64) -> u64 {
     finalize(
-        seed ^ (src as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        base ^ (src as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ (dst as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-            ^ index.wrapping_mul(0x1656_67B1_9E37_79F9)
-            ^ u64::from(tries).wrapping_mul(0xD6E8_FEB8_6659_FD93),
-    )
-}
-
-/// Advance a per-link digest chain over one envelope's identity. Chaining
-/// (rather than hashing each message independently) means a mismatch also
-/// catches reordering and replay, not just bit-flips.
-fn chain_digest(prev: u64, src: MachineId, dst: MachineId, seq: u64, sent_round: u64) -> u64 {
-    finalize(
-        prev ^ (src as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (dst as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-            ^ seq.wrapping_mul(0x1656_67B1_9E37_79F9)
-            ^ sent_round.wrapping_mul(0xD6E8_FEB8_6659_FD93),
+            ^ a.wrapping_mul(0x1656_67B1_9E37_79F9)
+            ^ b.wrapping_mul(0xD6E8_FEB8_6659_FD93),
     )
 }
 
@@ -157,11 +151,10 @@ impl<M> LinkFifo<M> {
         let index = self.next_index;
         self.next_index += 1;
         if let Some(integrity) = self.integrity {
-            self.send_chain =
-                chain_digest(self.send_chain, env.src, env.dst, env.seq, env.sent_round);
+            self.send_chain = link_hash(self.send_chain, env.src, env.dst, env.seq, env.sent_round);
             env.digest = self.send_chain;
             if integrity.corrupt_per_mille > 0 {
-                let roll = loss_roll(
+                let roll = link_hash(
                     integrity.seed ^ CORRUPT_SALT,
                     integrity.src,
                     integrity.dst,
@@ -202,7 +195,8 @@ impl<M> LinkFifo<M> {
                 budget -= front.remaining;
                 self.pending_bits -= front.remaining;
                 if let Some(loss) = self.loss {
-                    let roll = loss_roll(loss.seed, loss.src, loss.dst, front.index, front.tries);
+                    let tries = u64::from(front.tries);
+                    let roll = link_hash(loss.seed, loss.src, loss.dst, front.index, tries);
                     if roll % 1000 < u64::from(loss.per_mille) {
                         if front.tries >= loss.max_retries {
                             // Retry budget exhausted: the message is never
@@ -223,7 +217,7 @@ impl<M> LinkFifo<M> {
                 }
                 let head = self.queue.pop_front().expect("front exists");
                 if self.integrity.is_some() {
-                    self.recv_chain = chain_digest(
+                    self.recv_chain = link_hash(
                         self.recv_chain,
                         head.env.src,
                         head.env.dst,

@@ -22,8 +22,11 @@ fn same_seed_same_everything() {
 #[test]
 fn different_seed_same_answer_different_trace() {
     let q = ScalarPoint(99_999_999);
-    let a = cluster_with_seed(42).query(&q, 40).unwrap();
-    let b = cluster_with_seed(43).query(&q, 40).unwrap();
+    // ℓ = 100 > 80 = ⌈12·log₂ 100⌉ samples: the candidate lists are
+    // sampled and Algorithm 1 draws pivots (at ℓ ≤ 74 every list goes
+    // whole, and the run draws nothing).
+    let a = cluster_with_seed(42).query(&q, 100).unwrap();
+    let b = cluster_with_seed(43).query(&q, 100).unwrap();
     // The answer is the answer...
     assert_eq!(a.neighbors, b.neighbors);
     // ...but the random pivots differ, so the execution trace should too
