@@ -6,8 +6,8 @@
 //! of exceeding the 11ℓ bound, and how often the hardening fallback
 //! (survivors < ℓ) fired.
 //!
-//! Rows with `ℓ < ⌈12·log₂ ℓ⌉` (2 ≤ ℓ ≤ 74 at the paper's sample factor)
-//! prune nothing: every machine's ℓ candidates are fewer than the sample
+//! Rows with `ℓ ≤ ⌈12·log₂ ℓ⌉` (ℓ ≤ 75 at the paper's sample factor)
+//! prune nothing: every machine's at most ℓ candidates fit in the sample
 //! size, so each ships its whole list, the leader holds every candidate and
 //! Algorithm 2 finishes at the sampling stage. A survivors/ℓ of 1 there
 //! would read as a tight Lemma 2.3, so those rows print "whole lists, no
@@ -61,7 +61,7 @@ pub fn run(args: &Args) {
 
     for &k in &ks {
         for &ell in &ells {
-            let pruned = KnnParams::default().sample_size(ell as u64) <= ell;
+            let pruned = KnnParams::default().sample_size(ell as u64) < ell;
             let per_machine = ell * per_machine_factor;
             let mut ratios = Vec::new();
             let mut exceed = 0u64;

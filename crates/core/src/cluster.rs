@@ -732,7 +732,7 @@ mod tests {
         let cluster = loaded_cluster(6, 4000);
         let q = ScalarPoint(20_000);
         // ℓ = 100 > 80 = ⌈12·log₂ 100⌉: the candidate lists are sampled,
-        // so the approximate query prunes (at ℓ ≤ 74 both queries finish at
+        // so the approximate query prunes (at ℓ ≤ 75 both queries finish at
         // the sampling stage, at the same cost).
         let exact = cluster.query(&q, 100).unwrap();
         let approx = cluster.query_approx(&q, 100).unwrap();

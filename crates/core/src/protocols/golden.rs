@@ -39,12 +39,14 @@ type Row = (u64, u64, u64, u64, bool, u64, usize, u64);
 /// `(seed, k, ell, per_machine, span)`: ℓ ∈ {1, 10, 64, 300} × k ∈ {2, 8,
 /// 16} on duplicate-heavy distances, then distinct distances, short shards,
 /// ℓ past the population, and five machines of 56 keys at ℓ = 200. Then
-/// both sides of Algorithm 2's short cut at the sampling stage (every list
-/// shorter than the sample size m): lists of exactly m = 75 keys at
-/// ℓ = 75, which still prune; all-empty shards, which finish there; and
-/// lists of exactly m = 92 keys at ℓ = 200, past the population, where the
-/// prune keeps the global rank-161 key of 184 and is rolled back.
-const CELLS: [(u64, usize, u64, u64, u64); 23] = [
+/// both sides of Algorithm 2's short cut at the sampling stage (ℓ at most
+/// the sample size m, or every list shorter than m): lists of exactly
+/// m = 75 keys at ℓ = 75, which finish there; all-empty shards, which
+/// finish there too; lists of exactly m = 92 keys at ℓ = 200, past the
+/// population, where the prune keeps the global rank-161 key of 184 and
+/// is rolled back; and lists of exactly m = 75 keys at ℓ = 76, which may be
+/// samples and so still prune.
+const CELLS: [(u64, usize, u64, u64, u64); 24] = [
     (1, 2, 1, 30, 8),
     (2, 8, 1, 30, 8),
     (3, 16, 1, 30, 8),
@@ -68,6 +70,7 @@ const CELLS: [(u64, usize, u64, u64, u64); 23] = [
     (21, 4, 75, 75, 8),
     (22, 4, 10, 0, 8),
     (23, 2, 200, 92, 8),
+    (24, 4, 76, 75, 8),
 ];
 
 fn shards(cell: Cell) -> Vec<Vec<DistKey>> {
@@ -155,18 +158,18 @@ fn run_simple(cell: Cell) -> (Row, Vec<DistKey>) {
 /// gathered keys and index the sorted array compute them.
 const GOLDEN: &[[Row; 3]] = &[
     [
-        (6, 7, 895, 1, false, 0, 1, 13841807650539198248),
-        (4, 4, 426, 1, false, 0, 1, 13841807650539198248),
+        (2, 2, 295, 1, false, 0, 1, 13841807650539198248),
+        (2, 2, 295, 1, false, 0, 1, 13841807650539198248),
         (2, 2, 291, 0, false, 0, 1, 13841807650539198248),
     ],
     [
-        (6, 49, 6265, 1, false, 0, 1, 13574134261113728177),
-        (4, 28, 2982, 1, false, 0, 1, 13574134261113728177),
+        (2, 14, 2065, 1, false, 0, 1, 13574134261113728177),
+        (2, 14, 2065, 1, false, 0, 1, 13574134261113728177),
         (2, 14, 2037, 0, false, 0, 1, 13574134261113728177),
     ],
     [
-        (6, 105, 13425, 1, false, 0, 1, 14937180907163565535),
-        (4, 60, 6390, 1, false, 0, 1, 14937180907163565535),
+        (2, 30, 4425, 1, false, 0, 1, 14937180907163565535),
+        (2, 30, 4425, 1, false, 0, 1, 14937180907163565535),
         (2, 30, 4365, 0, false, 0, 1, 14937180907163565535),
     ],
     [
@@ -255,8 +258,8 @@ const GOLDEN: &[[Row; 3]] = &[
         (17, 80, 31700, 0, false, 0, 200, 9637995746394353599),
     ],
     [
-        (36, 53, 36493, 131, false, 5, 75, 14814359634429823016),
-        (22, 12, 29694, 131, false, 0, 131, 72799295200259486),
+        (20, 6, 29301, 75, false, 0, 75, 14814359634429823016),
+        (20, 6, 29301, 75, false, 0, 75, 14814359634429823016),
         (22, 78, 31665, 0, false, 0, 75, 14814359634429823016),
     ],
     [
@@ -268,6 +271,11 @@ const GOLDEN: &[[Row; 3]] = &[
         (29, 7, 12543, 161, true, 0, 184, 13291197687808801080),
         (27, 4, 12074, 161, true, 0, 184, 13291197687808801080),
         (26, 32, 12929, 0, false, 0, 184, 13291197687808801080),
+    ],
+    [
+        (60, 109, 46073, 132, false, 13, 76, 2364945524684328041),
+        (22, 12, 29694, 132, false, 0, 132, 18298937179868749156),
+        (22, 78, 31665, 0, false, 0, 76, 2364945524684328041),
     ],
 ];
 
@@ -405,6 +413,11 @@ const GOLDEN_BASELINES: &[[BaseRow; 3]] = &[
         (3, 3, 590, 184, 13291197687808801080),
         (3, 3, 460, 184, 13291197687808801080),
         (3, 3, 460, 184, 13291197687808801080),
+    ],
+    [
+        (9, 27, 5103, 76, 2364945524684328041),
+        (131, 393, 39396, 76, 2364945524684328041),
+        (39, 97, 16088, 76, 2364945524684328041),
     ],
 ];
 

@@ -20,17 +20,19 @@
 //! holds at most ℓ candidates, this depends on ℓ alone: every list goes
 //! whole when `ℓ ≤ m`, which at the paper's constants is `ℓ ≤ 75`.
 //!
-//! **Short cut at the sampling stage:** a sampled batch always holds
-//! exactly `m` keys and a whole list at most `m`, so when every batch the
-//! leader collected, its own included, is *shorter* than `m`, the leader
-//! holds every candidate. It then selects the ℓ-th smallest of them itself
+//! **Short cut at the sampling stage:** when `ℓ ≤ m` every list is whole
+//! (see above); otherwise a sampled batch holds exactly `m` keys and a
+//! whole list at most `m`. So when `ℓ ≤ m`, or every batch the leader
+//! collected, its own included, is *shorter* than `m`, the leader holds
+//! every candidate. It then selects the ℓ-th smallest of them itself
 //! and broadcasts it as Algorithm 1's closing
 //! [`SelMsg::Finished`] boundary: stages 3–5 are skipped, the answer is
 //! exact with certainty in either mode, and the query costs the sampling
 //! transfer plus one round and `2(k − 1)` messages — within Theorem 2.4's
-//! bound a fortiori. A batch of exactly `m` keys is ambiguous (a whole
-//! list of `m` or a sample), so it keeps the paper's path; at the paper's
-//! constants the short cut thus takes every query with `2 ≤ ℓ ≤ 74`.
+//! bound a fortiori. Past `ℓ = m` a batch of exactly `m` keys is
+//! ambiguous (a whole list of `m` or a sample), so it keeps the paper's
+//! path. At the paper's constants the short cut takes every query with
+//! `ℓ ≤ 75`, and a larger one whenever every list is shorter than `m`.
 //!
 //! **Hardening deviation (documented here and on [`KnnParams::harden`]):**
 //! the paper's pruning leaves at least ℓ survivors only with high
@@ -202,7 +204,8 @@ pub struct KnnProtocol<K: Key> {
     params: KnnParams,
     /// Local candidates (ℓ best), sorted ascending.
     candidates: Vec<K>,
-    /// Prefix length of `candidates` surviving the prune.
+    /// Prefix length of `candidates` surviving the prune (all of them
+    /// until a prune runs).
     pruned_len: usize,
     /// Answer with the survivors at the prune decision ([`Self::prune_only`]).
     prune_only: bool,
@@ -239,8 +242,8 @@ impl<K: Key> KnnProtocol<K> {
             leader,
             ell,
             params,
+            pruned_len: candidates.len(),
             candidates,
-            pruned_len: 0,
             prune_only: false,
             started: false,
             core: None,
@@ -284,8 +287,7 @@ impl<K: Key> KnnProtocol<K> {
         // independently" prescribes. When the candidate set is no larger
         // than the sample budget, send it whole — strictly more information
         // for fewer bits. A machine holds at most ℓ candidates, so every
-        // list goes whole whenever ℓ ≤ m (2 ≤ ℓ ≤ 75 at the paper's
-        // constants).
+        // list goes whole whenever ℓ ≤ m (ℓ ≤ 75 at the paper's constants).
         let m = self.params.sample_size(self.ell);
         let sample = if self.candidates.len() <= m {
             self.candidates.clone()
@@ -298,13 +300,21 @@ impl<K: Key> KnnProtocol<K> {
             sample
         };
         if self.is_leader() {
-            self.whole = sample.len() < m;
+            self.whole = self.is_whole(sample.len());
             self.samples = sample;
             self.pending = self.k - 1;
         } else {
             ctx.send(self.leader, KnnMsg::Samples(sample));
         }
         None
+    }
+
+    /// Whether a batch of `len` keys is its machine's whole candidate list:
+    /// any batch when `ℓ ≤ m`, as a machine holds at most ℓ candidates, and
+    /// past that one shorter than `m`, since a sample holds exactly `m`.
+    fn is_whole(&self, len: usize) -> bool {
+        let m = self.params.sample_size(self.ell);
+        self.ell <= m as u64 || len < m
     }
 
     /// Whether the survivor-count round runs.
@@ -382,14 +392,8 @@ impl<K: Key> KnnProtocol<K> {
     /// `boundary`, among the survivors once Algorithm 1 ran (all of them
     /// after the short cut, which prunes nothing).
     fn finish(&mut self, boundary: Option<K>) -> KnnOutput<K> {
-        let kept = match &self.core {
-            Some(core) => {
-                self.stats.select_iterations = core.iterations();
-                self.pruned_len
-            }
-            None => self.candidates.len(),
-        };
-        let keys = super::at_or_below(&self.candidates[..kept], boundary);
+        self.stats.select_iterations = self.core.as_ref().map_or(0, |core| core.iterations());
+        let keys = super::at_or_below(&self.candidates[..self.pruned_len], boundary);
         KnnOutput { keys, stats: self.is_leader().then_some(self.stats) }
     }
 }
@@ -426,7 +430,7 @@ impl<K: Key> Protocol for KnnProtocol<K> {
             match &env.msg {
                 KnnMsg::Samples(batch) => {
                     debug_assert!(self.is_leader());
-                    self.whole &= batch.len() < self.params.sample_size(self.ell);
+                    self.whole &= self.is_whole(batch.len());
                     self.samples.extend_from_slice(batch);
                     self.pending -= 1;
                     if self.pending == 0 {
@@ -741,34 +745,89 @@ mod tests {
     }
 
     /// A multiplexed batch steps an instance for round 0 and for its mail,
-    /// never for the rounds it spends waiting on the shared links.
+    /// never for the rounds it spends waiting on the shared links. At
+    /// ℓ = 64 every list goes whole and each instance ends at the sampling
+    /// stage; at ℓ = 128 the 128-key lists are sampled (m = 84), pruned
+    /// and finished by Algorithm 1.
     #[test]
     fn muxed_batch_steps_track_deliveries_not_rounds() {
-        let (k, m, ell) = (8usize, 64usize, 64u64);
-        let calls = Arc::new(AtomicU64::new(0));
-        let protos: Vec<_> = (0..k)
-            .map(|i| {
-                let instances = (0..m as u64).map(|j| {
-                    let keys = (0..256u64).map(|x| {
-                        (x * k as u64 + i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15 ^ j)
+        let (k, m) = (8usize, 64usize);
+        for (ell, selects) in [(64u64, false), (128, true)] {
+            let calls = Arc::new(AtomicU64::new(0));
+            let protos: Vec<_> = (0..k)
+                .map(|i| {
+                    let instances = (0..m as u64).map(|j| {
+                        let keys = (0..256u64).map(|x| {
+                            (x * k as u64 + i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15 ^ j)
+                        });
+                        let p = KnnProtocol::new(
+                            i,
+                            k,
+                            0,
+                            ell,
+                            KnnParams::default(),
+                            top_ell(keys, ell),
+                        );
+                        Counted(p, calls.clone())
                     });
-                    let p =
-                        KnnProtocol::new(i, k, 0, ell, KnnParams::default(), top_ell(keys, ell));
-                    Counted(p, calls.clone())
-                });
-                kmachine::MuxProtocol::new(instances.collect())
-            })
-            .collect();
-        let out = run_sync(&NetConfig::new(k).with_seed(3), protos).expect("muxed knn run");
-        let calls = calls.load(Ordering::Relaxed);
-        let delivered = out.metrics.messages - out.metrics.delivered_after_done;
-        let ticking = (out.metrics.rounds + 1) * (k * m) as u64;
-        assert!(
-            calls <= delivered + (k * m) as u64,
-            "{calls} inner steps for {delivered} delivered envelopes over {} rounds",
-            out.metrics.rounds
-        );
-        assert!(calls * 4 < ticking, "the batch must be bandwidth-bound: {calls} vs {ticking}");
+                    kmachine::MuxProtocol::new(instances.collect())
+                })
+                .collect();
+            let out = run_sync(&NetConfig::new(k).with_seed(3), protos).expect("muxed knn run");
+            for (j, o) in out.outputs[0].outputs.iter().enumerate() {
+                let stats = o.as_ref().and_then(|o| o.stats).expect("leader stats");
+                assert_eq!(stats.select_iterations > 0, selects, "ℓ = {ell} instance {j}");
+            }
+            let calls = calls.load(Ordering::Relaxed);
+            let delivered = out.metrics.messages - out.metrics.delivered_after_done;
+            let ticking = (out.metrics.rounds + 1) * (k * m) as u64;
+            assert!(
+                calls <= delivered + (k * m) as u64,
+                "ℓ = {ell}: {calls} inner steps for {delivered} delivered envelopes over {} rounds",
+                out.metrics.rounds
+            );
+            assert!(
+                calls * 4 < ticking,
+                "ℓ = {ell}: the batch must be bandwidth-bound: {calls} vs {ticking}"
+            );
+        }
+    }
+
+    /// The short cut at the sampling stage: at ℓ ≤ m every list is whole
+    /// (ℓ = 0, 1 and 75 here), and so is every list shorter than m past it
+    /// (40 keys at ℓ = 76, m = 75). The leader then answers exactly after
+    /// the transfer, for `2(k − 1)` messages, in both modes, and reports
+    /// the answer's size as its survivors. A list of exactly m past ℓ = m
+    /// may be a sample, so it prunes and runs Algorithm 1.
+    #[test]
+    fn whole_lists_finish_at_the_sampling_stage() {
+        let params = KnnParams::default();
+        let shards = |per: u64| -> Vec<Vec<u64>> {
+            (0..4u64).map(|i| (0..per).map(|x| (x * 4 + i) * 7 % 1_000).collect()).collect()
+        };
+        for (ell, per) in [(0u64, 5u64), (1, 30), (75, 75), (76, 40)] {
+            let total = 4 * per.min(ell);
+            let want = KnnStats {
+                sample_size: params.sample_size(ell) as u64,
+                prune_rank: params.prune_rank(ell) as u64,
+                total_candidates: total,
+                survivors: ell.min(total),
+                rolled_back: false,
+                select_iterations: 0,
+            };
+            for prune_only in [false, true] {
+                let (got, metrics, stats) = run(shards(per), ell, 3, params, prune_only);
+                let what = format!("ℓ = {ell}, {per} keys a machine, prune-only {prune_only}");
+                assert_eq!(got, expected(&shards(per), ell as usize), "{what}");
+                assert_eq!(metrics.messages, 2 * 3, "{what}");
+                assert_eq!(stats, want, "{what}");
+                assert!(stats.contains_exact(ell), "{what}");
+            }
+        }
+        let (got, metrics, stats) = run_knn(shards(75), 76, 3, params);
+        assert_eq!(got, expected(&shards(75), 76));
+        assert!(stats.select_iterations > 0, "lists of exactly m = 75 at ℓ = 76 prune");
+        assert!(metrics.messages > 2 * 3);
     }
 
     #[test]
@@ -904,6 +963,41 @@ mod tests {
             let shards = ALL_STRATEGIES[strat_idx].split(values, k, seed);
             let (got, _, _) = run_knn(shards, ell, seed, KnnParams::default());
             prop_assert_eq!(got, want);
+        }
+
+        /// The sampled path, which the paper's constants only reach past
+        /// ℓ = 75: at one sample per `log₂ ℓ` (m < ℓ from ℓ = 3 on) lists
+        /// are sampled, pruned, rolled back or run through Algorithm 1. The
+        /// hardened answer is exact, the verbatim one a sorted-global prefix
+        /// of it, and the prune-only one a superset whenever flagged so.
+        #[test]
+        fn prop_sampled_path_answers_like_selection(
+            values in proptest::collection::hash_set(any::<u64>(), 0..200),
+            k in 2usize..7,
+            ell in 0u64..40,
+            rank_factor in 1u32..3,
+            seed in 0u64..300,
+            harden in any::<bool>(),
+        ) {
+            let values: Vec<u64> = values.into_iter().collect();
+            let want = expected(std::slice::from_ref(&values), ell as usize);
+            let params = KnnParams { sample_factor: 1, rank_factor, harden };
+            let shards = PartitionStrategy::RoundRobin.split(values, k, seed);
+            let (got, _, _) = run_knn(shards.clone(), ell, seed, params);
+            if harden {
+                prop_assert_eq!(&got, &want);
+            } else {
+                prop_assert!(got.len() <= want.len());
+                prop_assert_eq!(&got[..], &want[..got.len()]);
+            }
+            let (got, _, stats) = run_approx(shards, ell, seed, params);
+            prop_assert!(!harden || stats.contains_exact(ell));
+            if stats.contains_exact(ell) {
+                prop_assert_eq!(&got[..want.len()], &want[..]);
+            } else {
+                prop_assert!(got.len() < want.len());
+                prop_assert_eq!(&got[..], &want[..got.len()]);
+            }
         }
 
         /// Prune-only answers are supersets whenever the leader says so —

@@ -278,6 +278,9 @@ mod tests {
         }
     }
 
+    /// At ℓ = 40 every list goes whole and the answer is the exact set; at
+    /// ℓ = 128 the 128-key lists are sampled (m = 84) and pruned, and the
+    /// survivors exceed ℓ.
     #[test]
     fn batch_approx_reports_guarantees() {
         let values: Vec<u64> =
@@ -286,14 +289,17 @@ mod tests {
         let idx = indices(&sh);
         let session = QuerySession::new(&sh, &idx, QueryOptions::default()).unwrap();
         let queries: Vec<ScalarPoint> = (0..3).map(|i| ScalarPoint(i * 300_000)).collect();
-        let batch = session.run_batch_approx(&queries, 40).unwrap();
-        for (j, bq) in batch.queries.iter().enumerate() {
-            let stats = bq.stats.expect("approx reports its leader's stats");
-            let survivors: usize = bq.local_keys.iter().map(Vec::len).sum();
-            assert_eq!(survivors as u64, stats.survivors, "query {j}");
-            assert!(bq.contains_exact.unwrap(), "paper constants should not under-prune");
-            assert!(!stats.rolled_back);
-            assert!(stats.survivors >= 40);
+        for (ell, pruned) in [(40u64, false), (128, true)] {
+            let batch = session.run_batch_approx(&queries, ell as usize).unwrap();
+            for (j, bq) in batch.queries.iter().enumerate() {
+                let stats = bq.stats.expect("approx reports its leader's stats");
+                let survivors: usize = bq.local_keys.iter().map(Vec::len).sum();
+                assert_eq!(survivors as u64, stats.survivors, "ℓ = {ell} query {j}");
+                assert!(bq.contains_exact.unwrap(), "paper constants should not under-prune");
+                assert!(!stats.rolled_back);
+                assert!(stats.survivors >= ell);
+                assert_eq!(stats.survivors > ell, pruned, "ℓ = {ell} query {j}");
+            }
         }
     }
 

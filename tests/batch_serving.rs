@@ -2,6 +2,7 @@
 //! what sequential `query` calls return — for every algorithm and every
 //! election mode — while paying one election and one engine run per batch.
 
+use knn_repro::core::protocols::KnnParams;
 use knn_repro::core::runner::RetryPolicy;
 use knn_repro::core::CoreError;
 use knn_repro::kmachine::json::to_string_pretty;
@@ -230,6 +231,51 @@ fn a_coordinator_crashing_at_round_zero_replans_onto_the_survivors() {
             assert!(ans.neighbors.iter().all(|n| n.machine != 2), "{algo:?} query {j}");
             assert_ne!(ans.leader, 2, "{algo:?} query {j}: the dead machine led nothing");
         }
+    }
+}
+
+/// Algorithm 2 at one sample per `log₂ ℓ` (m = 4 < ℓ = 9, m = 3 < ℓ = 6):
+/// its candidate lists are sampled, pruned and selected, where the paper's
+/// constants ship every list whole at these ℓ and end at the sampling stage.
+/// On that path too, exact batches equal sequential queries for every
+/// election, and hold as the prefix of each approximate batch answer, and
+/// a coordinator dead from round 0 leaves every answer the survivors'
+/// own.
+#[test]
+fn batch_equals_sequential_on_algorithm_2s_sampled_path() {
+    let params = KnnParams { sample_factor: 1, rank_factor: 2, harden: true };
+    let past_sampling = |ans: &KnnAnswer| ans.metrics.messages > 2 * (ans.shards_used as u64 - 1);
+    for election in [ElectionKind::Fixed, ElectionKind::Star, ElectionKind::Flood] {
+        let shards = ScalarWorkload { per_machine: 600, lo: 0, hi: 1 << 20 }.generate(5, 3);
+        let mut cluster: KnnCluster =
+            KnnCluster::builder().machines(5).seed(3).election(election).knn_params(params).build();
+        cluster.load_shards(shards).unwrap();
+        let queries: Vec<ScalarPoint> = QueryStream::scalar(6, 6, 0, 1 << 20, 11).next().unwrap();
+        let exact = cluster.query_batch_with(Algorithm::Knn, &queries, 9).unwrap();
+        let approx = cluster.query_batch_approx(&queries, 9).unwrap();
+        for (j, q) in queries.iter().enumerate() {
+            let what = format!("{election:?} query {j}");
+            assert!(past_sampling(&exact.answers[j]), "{what}");
+            let solo = cluster.query_with(Algorithm::Knn, q, 9).unwrap();
+            assert_eq!(exact.answers[j].neighbors, solo.neighbors, "{what}");
+            // The superset depends on the samples drawn, so only its exact
+            // prefix is pinned.
+            let sup = &approx.answers[j].neighbors;
+            assert!(past_sampling(&approx.answers[j]), "{what} approx");
+            assert_eq!(sup[..solo.neighbors.len()], solo.neighbors[..], "{what} approx");
+        }
+    }
+    let builder =
+        KnnCluster::builder().knn_params(params).faults(FaultPlan::default().with_crash(2, 0));
+    let cluster = range_cluster(4, builder);
+    let queries: Vec<ScalarPoint> = (0..8).map(|j| ScalarPoint(25 + 50 * j)).collect();
+    let batch = cluster.query_batch_with(Algorithm::Knn, &queries, 6).unwrap();
+    assert!(batch.degraded);
+    for (j, q) in queries.iter().enumerate() {
+        let ans = &batch.answers[j];
+        assert!(past_sampling(ans), "crash query {j}");
+        assert_eq!(ans.neighbors, cluster.query_with(Algorithm::Knn, q, 6).unwrap().neighbors);
+        assert!(ans.neighbors.iter().all(|n| n.machine != 2), "crash query {j}");
     }
 }
 

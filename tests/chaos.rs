@@ -17,6 +17,7 @@ use kmachine::json::to_string_pretty;
 use kmachine::{AdversaryPlan, FaultPlan, RecoveryPlan};
 use knn_core::cluster::{BatchAnswer, ClusterBuilder, KnnAnswer, KnnCluster, Neighbor};
 use knn_core::error::CoreError;
+use knn_core::protocols::KnnParams;
 use knn_core::runner::{run_query, Algorithm, ElectionKind, RetryPolicy};
 use knn_core::IndexBackend;
 use knn_points::{Dataset, IdAssigner, Record, ScalarPoint};
@@ -28,19 +29,40 @@ fn with_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     ThreadPoolBuilder::new().num_threads(threads).build().expect("pool").install(f)
 }
 
+/// Algorithm 2 at one sample per `log₂ ℓ`: at the ℓ of 6–8 used here
+/// m = 3 < ℓ, so candidate lists are sampled, pruned and finished by
+/// Algorithm 1. At the paper's constants every list at these ℓ goes whole
+/// and the leader answers at the sampling stage, so the tests run at these
+/// settings are the ones that take Algorithm 2's later stages through
+/// faults.
+const SAMPLED: KnnParams = KnnParams { sample_factor: 1, rank_factor: 2, harden: true };
+
 /// A loaded cluster over the standard scalar workload: Fixed election
 /// (leader is machine 0 until a crash forces a re-election), seeded
 /// shards, the given fault plan.
 fn cluster(k: usize, seed: u64, faults: FaultPlan) -> KnnCluster {
+    cluster_with(k, seed, faults, KnnParams::default())
+}
+
+/// [`cluster`] with the given Algorithm 2 settings.
+fn cluster_with(k: usize, seed: u64, faults: FaultPlan, params: KnnParams) -> KnnCluster {
     let shards = ScalarWorkload::small(512).generate(k, seed);
     let mut cluster: KnnCluster = KnnCluster::builder()
         .machines(k)
         .seed(seed)
         .election(ElectionKind::Fixed)
         .faults(faults)
+        .knn_params(params)
         .build();
     cluster.load_shards(shards).expect("shard count");
     cluster
+}
+
+/// Whether every answer went past the sampling stage: the short cut there
+/// costs exactly `2(k − 1)` messages over the `k` machines that answered,
+/// and the protocol's bill does not count retransmissions.
+fn went_past_sampling(answers: &[KnnAnswer]) -> bool {
+    answers.iter().all(|a| a.metrics.messages > 2 * (a.shards_used as u64 - 1))
 }
 
 /// A loaded cluster scheduled to self-heal: no fail-stop faults, but a
@@ -105,15 +127,30 @@ fn leader_crash_re_elects_and_degrades_for_every_algorithm() {
 /// re-election, every per-query answer flagged and correct.
 #[test]
 fn batched_queries_survive_a_leader_crash() {
+    batch_survives_a_leader_crash(KnnParams::default());
+}
+
+/// The same crash, with every query sampled, pruned and selected.
+#[test]
+fn sampled_batched_queries_survive_a_leader_crash() {
+    let batch = batch_survives_a_leader_crash(SAMPLED);
+    assert!(went_past_sampling(&batch.answers), "the sampled batch went past the sampling stage");
+}
+
+fn batch_survives_a_leader_crash(params: KnnParams) -> BatchAnswer {
     let (seed, k, ell) = (29u64, 5usize, 6usize);
     let qs = queries(seed, 4);
-    let crashed = cluster(k, seed, FaultPlan::default().with_crash(0, 0));
+    let crashed = cluster_with(k, seed, FaultPlan::default().with_crash(0, 0), params);
     let batch = crashed.query_batch_with(Algorithm::Knn, &qs, ell).expect("batch recovery");
     assert!(batch.degraded);
     assert_eq!(batch.shards_used, k - 1);
     assert_ne!(batch.leader, 0);
-    let mut survivors: KnnCluster =
-        KnnCluster::builder().machines(k - 1).seed(seed).election(ElectionKind::Fixed).build();
+    let mut survivors: KnnCluster = KnnCluster::builder()
+        .machines(k - 1)
+        .seed(seed)
+        .election(ElectionKind::Fixed)
+        .knn_params(params)
+        .build();
     let shards = ScalarWorkload::small(512).generate(k, seed);
     survivors.load_shards(shards[1..].to_vec()).expect("shard count");
     let want = survivors.query_batch_with(Algorithm::Knn, &qs, ell).expect("survivor batch");
@@ -122,6 +159,7 @@ fn batched_queries_survive_a_leader_crash() {
         assert_eq!(got.shards_used, k - 1);
         assert_eq!(ids_and_dists(&got.neighbors), ids_and_dists(&want.neighbors));
     }
+    batch
 }
 
 /// A crashed *worker* under the Simple protocol is written off inside the
@@ -157,70 +195,111 @@ fn exhausted_retries_surface_a_typed_link_down() {
     }
 }
 
+/// Determinism under fire: the same seed and the same fault plan —
+/// survivable link loss — produce byte-identical answers, metrics,
+/// **and realized faults** (drop and retransmission counts included)
+/// at every pool size. Returns the pool-1 batch.
+fn faulty_runs_are_pool_invariant(
+    seed: u64,
+    loss: u16,
+    fault_seed: u64,
+    params: KnnParams,
+) -> BatchAnswer {
+    let (k, ell) = (4usize, 6usize);
+    let qs = queries(seed, 3);
+    let plan = FaultPlan::default().with_loss(loss, 64).with_fault_seed(fault_seed);
+    let want = with_pool(1, || {
+        let c = cluster_with(k, seed, plan.clone(), params);
+        c.query_batch_with(Algorithm::Knn, &qs, ell).expect("chaos run at pool 1")
+    });
+    for pool in [2usize, 8] {
+        let got = with_pool(pool, || {
+            let c = cluster_with(k, seed, plan.clone(), params);
+            c.query_batch_with(Algorithm::Knn, &qs, ell).expect("chaos run")
+        });
+        for (g, w) in got.answers.iter().zip(&want.answers) {
+            assert_eq!(&g.neighbors, &w.neighbors, "pool {}", pool);
+        }
+        assert_eq!(&got.metrics, &want.metrics, "pool {}", pool);
+        assert_eq!(
+            &got.faults, &want.faults,
+            "realized faults must be pool-invariant: pool {}",
+            pool
+        );
+        assert_eq!(got.degraded, want.degraded);
+        assert_eq!(got.shards_used, want.shards_used);
+    }
+    want
+}
+
+/// Crash recovery is deterministic too: the same crash plan takes the
+/// same re-election path and yields the same degraded answers at every
+/// pool size. Returns the pool-1 batch.
+fn crash_recovery_is_pool_invariant(seed: u64, victim: usize, params: KnnParams) -> BatchAnswer {
+    let (k, ell) = (4usize, 6usize);
+    let qs = queries(seed, 2);
+    let plan = FaultPlan::default().with_crash(victim, 0);
+    let want = with_pool(1, || {
+        let c = cluster_with(k, seed, plan.clone(), params);
+        c.query_batch_with(Algorithm::Knn, &qs, ell).expect("crash run at pool 1")
+    });
+    assert!(want.degraded);
+    assert_eq!(want.shards_used, k - 1);
+    let got = with_pool(8, || {
+        let c = cluster_with(k, seed, plan.clone(), params);
+        c.query_batch_with(Algorithm::Knn, &qs, ell).expect("crash run")
+    });
+    for (g, w) in got.answers.iter().zip(&want.answers) {
+        assert_eq!(&g.neighbors, &w.neighbors);
+    }
+    assert_eq!(&got.metrics, &want.metrics);
+    assert_eq!(got.leader, want.leader, "same re-election path");
+    assert_eq!(got.degraded, want.degraded);
+    assert_eq!(got.shards_used, want.shards_used);
+    want
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// Determinism under fire: the same seed and the same fault plan —
-    /// survivable link loss — produce byte-identical answers, metrics,
-    /// **and realized faults** (drop and retransmission counts included)
-    /// at every pool size.
+    /// [`faulty_runs_are_pool_invariant`] at the paper's constants.
     #[test]
     fn prop_faulty_runs_are_engine_invariant(
         seed in 0u64..500,
         loss in 0u16..150,
         fault_seed in 0u64..1000,
     ) {
-        let (k, ell) = (4usize, 6usize);
-        let qs = queries(seed, 3);
-        let plan = FaultPlan::default().with_loss(loss, 64).with_fault_seed(fault_seed);
-        let want = with_pool(1, || {
-            let c = cluster(k, seed, plan.clone());
-            c.query_batch_with(Algorithm::Knn, &qs, ell).expect("chaos run at pool 1")
-        });
-        for pool in [2usize, 8] {
-            let got = with_pool(pool, || {
-                let c = cluster(k, seed, plan.clone());
-                c.query_batch_with(Algorithm::Knn, &qs, ell).expect("chaos run")
-            });
-            for (g, w) in got.answers.iter().zip(&want.answers) {
-                prop_assert_eq!(&g.neighbors, &w.neighbors, "pool {}", pool);
-            }
-            prop_assert_eq!(&got.metrics, &want.metrics, "pool {}", pool);
-            prop_assert_eq!(&got.faults, &want.faults,
-                "realized faults must be pool-invariant: pool {}", pool);
-            prop_assert_eq!(got.degraded, want.degraded);
-            prop_assert_eq!(got.shards_used, want.shards_used);
-        }
+        faulty_runs_are_pool_invariant(seed, loss, fault_seed, KnnParams::default());
     }
 
-    /// Crash recovery is deterministic too: the same crash plan takes the
-    /// same re-election path and yields the same degraded answers at every
-    /// pool size.
+    /// [`faulty_runs_are_pool_invariant`] on the sampled path.
+    #[test]
+    fn prop_sampled_faulty_runs_are_engine_invariant(
+        seed in 0u64..500,
+        loss in 0u16..150,
+        fault_seed in 0u64..1000,
+    ) {
+        let want = faulty_runs_are_pool_invariant(seed, loss, fault_seed, SAMPLED);
+        prop_assert!(went_past_sampling(&want.answers));
+    }
+
+    /// [`crash_recovery_is_pool_invariant`] at the paper's constants.
     #[test]
     fn prop_crash_recovery_is_engine_invariant(
         seed in 0u64..500,
         victim in 0usize..4,
     ) {
-        let (k, ell) = (4usize, 6usize);
-        let qs = queries(seed, 2);
-        let plan = FaultPlan::default().with_crash(victim, 0);
-        let want = with_pool(1, || {
-            let c = cluster(k, seed, plan.clone());
-            c.query_batch_with(Algorithm::Knn, &qs, ell).expect("crash run at pool 1")
-        });
-        prop_assert!(want.degraded);
-        prop_assert_eq!(want.shards_used, k - 1);
-        let got = with_pool(8, || {
-            let c = cluster(k, seed, plan.clone());
-            c.query_batch_with(Algorithm::Knn, &qs, ell).expect("crash run")
-        });
-        for (g, w) in got.answers.iter().zip(&want.answers) {
-            prop_assert_eq!(&g.neighbors, &w.neighbors);
-        }
-        prop_assert_eq!(&got.metrics, &want.metrics);
-        prop_assert_eq!(got.leader, want.leader, "same re-election path");
-        prop_assert_eq!(got.degraded, want.degraded);
-        prop_assert_eq!(got.shards_used, want.shards_used);
+        crash_recovery_is_pool_invariant(seed, victim, KnnParams::default());
+    }
+
+    /// [`crash_recovery_is_pool_invariant`] on the sampled path.
+    #[test]
+    fn prop_sampled_crash_recovery_is_engine_invariant(
+        seed in 0u64..500,
+        victim in 0usize..4,
+    ) {
+        let want = crash_recovery_is_pool_invariant(seed, victim, SAMPLED);
+        prop_assert!(went_past_sampling(&want.answers));
     }
 }
 
@@ -491,9 +570,24 @@ fn rejoin_is_charged_to_the_retry_policy() {
 /// honest survivors', and the machine is not reported rejoined.
 #[test]
 fn a_lying_rejoiner_is_quarantined() {
+    lying_rejoiner_is_quarantined(KnnParams::default());
+}
+
+/// The same liar, caught on the sampled path.
+#[test]
+fn a_lying_rejoiner_is_quarantined_when_sampled() {
+    let got = lying_rejoiner_is_quarantined(SAMPLED);
+    assert!(
+        went_past_sampling(std::slice::from_ref(&got)),
+        "the sampled query went past the sampling stage"
+    );
+}
+
+fn lying_rejoiner_is_quarantined(params: KnnParams) -> KnnAnswer {
     let q = ScalarPoint(250);
     let liar = range_cluster(
         KnnCluster::builder()
+            .knn_params(params)
             .adversary(AdversaryPlan::default().with_lie(2, 0))
             .recovery(RecoveryPlan::default().with_rejoin(2, 2, 5)),
     );
@@ -503,9 +597,12 @@ fn a_lying_rejoiner_is_quarantined() {
     assert!(got.degraded);
     assert_eq!(got.shards_used, 3);
     assert!(got.neighbors.iter().all(|n| n.machine != 2), "the liar contributes nothing");
-    let honest = range_cluster(KnnCluster::builder().faults(FaultPlan::default().with_crash(2, 0)));
+    let honest = range_cluster(
+        KnnCluster::builder().knn_params(params).faults(FaultPlan::default().with_crash(2, 0)),
+    );
     let want = honest.query_with(Algorithm::Knn, &q, 6).expect("survivor reference");
     assert_eq!(ids_and_dists(&got.neighbors), ids_and_dists(&want.neighbors));
+    got
 }
 
 /// A representative self-healing run — crash, wait for the rejoin, re-run —

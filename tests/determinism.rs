@@ -9,21 +9,26 @@ fn cluster_with_seed(seed: u64) -> KnnCluster {
     cluster
 }
 
+/// At ℓ = 40 every list goes whole and the run draws nothing; at ℓ = 100
+/// the lists are sampled and Algorithm 1 draws pivots, so the seed is
+/// what keeps the two runs equal.
 #[test]
 fn same_seed_same_everything() {
     let q = ScalarPoint(99_999_999);
-    let a = cluster_with_seed(42).query(&q, 40).unwrap();
-    let b = cluster_with_seed(42).query(&q, 40).unwrap();
-    assert_eq!(a.neighbors, b.neighbors);
-    assert_eq!(a.metrics, b.metrics);
-    assert_eq!(a.stats, b.stats);
+    for ell in [40, 100] {
+        let a = cluster_with_seed(42).query(&q, ell).unwrap();
+        let b = cluster_with_seed(42).query(&q, ell).unwrap();
+        assert_eq!(a.neighbors, b.neighbors, "ℓ = {ell}");
+        assert_eq!(a.metrics, b.metrics, "ℓ = {ell}");
+        assert_eq!(a.stats, b.stats, "ℓ = {ell}");
+    }
 }
 
 #[test]
 fn different_seed_same_answer_different_trace() {
     let q = ScalarPoint(99_999_999);
     // ℓ = 100 > 80 = ⌈12·log₂ 100⌉ samples: the candidate lists are
-    // sampled and Algorithm 1 draws pivots (at ℓ ≤ 74 every list goes
+    // sampled and Algorithm 1 draws pivots (at ℓ ≤ 75 every list goes
     // whole, and the run draws nothing).
     let a = cluster_with_seed(42).query(&q, 100).unwrap();
     let b = cluster_with_seed(43).query(&q, 100).unwrap();

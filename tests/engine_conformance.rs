@@ -103,6 +103,41 @@ fn waiting_is_a_noop_for_algorithm_2() {
     });
 }
 
+/// Algorithm 2 at one sample per `log₂ ℓ`: m = 3 < ℓ = 8, so the lists are
+/// sampled, pruned and finished by Algorithm 1 (or only pruned, prune-only),
+/// where the paper's constants (m = 36) ship them whole and end at the
+/// sampling stage.
+fn sampled_knn(i: usize, j: usize, harden: bool, prune_only: bool) -> KnnProtocol<u64> {
+    let params = KnnParams { sample_factor: 1, rank_factor: 2, harden };
+    let p = KnnProtocol::new(i, 4, 0, ORACLE_ELL, params, oracle_candidates(i, j));
+    if prune_only {
+        p.prune_only()
+    } else {
+        p
+    }
+}
+
+/// The sampled path's crash sweep, hardened and verbatim, after checking
+/// that its fault-free run does go past the sampling stage: the short cut
+/// sends exactly `2(k − 1)` messages.
+fn sweep_sampled(what: &str, prune_only: bool) {
+    for harden in [true, false] {
+        let solo = run_sync(
+            &NetConfig::new(4).with_seed(29),
+            (0..4).map(|i| sampled_knn(i, 0, harden, prune_only)).collect(),
+        )
+        .expect("fault-free run");
+        assert!(solo.metrics.messages > 2 * 3, "{what}: the run ended at the sampling stage");
+        let what = format!("{what} harden = {harden}");
+        sweep_crashes(&what, 4, |i, j| sampled_knn(i, j, harden, prune_only));
+    }
+}
+
+#[test]
+fn waiting_is_a_noop_for_sampled_algorithm_2() {
+    sweep_sampled("sampled knn", false);
+}
+
 /// Standalone Algorithm 1 over each machine's whole raw key set, as the
 /// Theorem 2.2 table runs it.
 #[test]
@@ -139,4 +174,9 @@ fn waiting_is_a_noop_for_approx() {
         KnnProtocol::new(i, 4, 0, ORACLE_ELL, KnnParams::default(), oracle_candidates(i, j))
             .prune_only()
     });
+}
+
+#[test]
+fn waiting_is_a_noop_for_sampled_approx() {
+    sweep_sampled("sampled approx", true);
 }
