@@ -6,8 +6,8 @@
 //! factors and measures what actually breaks:
 //!
 //! * **rank/sample ratio too small** (≈1) — the threshold undershoots, too
-//!   few candidates survive, and the hardening fallback (rollback to the
-//!   unpruned sets) fires, wasting the sampling rounds;
+//!   few candidates survive, and the count round rolls the prune back to
+//!   the unpruned sets, wasting the sampling rounds;
 //! * **factors too large** — the sampling transfer itself costs extra
 //!   rounds (`samples·keybits / B` per machine) with no accuracy benefit;
 //! * the paper's (12, 21) sits in the cheap-and-never-rolls-back corner.
@@ -60,7 +60,7 @@ pub fn run(args: &Args) {
                 1 => (sample_factor * 7) / 4, // ratio 1.75 — the paper's
                 _ => sample_factor * 3,       // ratio 3.0 — loose
             };
-            let params = KnnParams { sample_factor, rank_factor, harden: true };
+            let params = KnnParams { sample_factor, rank_factor };
             let mut rollbacks = 0u64;
             let mut ratios = Vec::new();
             let mut rounds = Vec::new();

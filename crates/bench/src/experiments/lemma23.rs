@@ -3,8 +3,8 @@
 //!
 //! For each (k, ℓ) this runs Algorithm 2's sampling stage many times and
 //! reports the distribution of `survivors / ℓ`, the empirical probability
-//! of exceeding the 11ℓ bound, and how often the hardening fallback
-//! (survivors < ℓ) fired.
+//! of exceeding the 11ℓ bound, and how often the count round rolled the
+//! prune back (survivors < ℓ).
 //!
 //! Rows with `ℓ ≤ ⌈12·log₂ ℓ⌉` (ℓ ≤ 75 at the paper's sample factor)
 //! prune nothing: every machine's at most ℓ candidates fit in the sample
@@ -107,7 +107,7 @@ pub fn run(args: &Args) {
     emit("lemma23", &table, &rows);
     println!(
         "\nLemma 2.3 predicts P(survivors > 11 ell) <= 2/ell^2 — e.g. <= 0.00012 at ell = 128,\n\
-         <= 0.000002 at ell = 1024. The rollback column measures the hardening fallback\n\
+         <= 0.000002 at ell = 1024. The rollback column counts the count round's rollbacks\n\
          (survivors < ell), which the paper's whp analysis leaves implicit."
     );
 }

@@ -39,11 +39,6 @@ pub struct KnnAnswer {
     pub neighbors: Vec<Neighbor>,
     /// Algorithm 2 diagnostics (sampling / pruning / iterations).
     pub stats: Option<KnnStats>,
-    /// Approximate answers only (`None` on the exact paths): whether the
-    /// leader verified that the returned superset contains the exact ℓ-NN —
-    /// `Some(false)` marks the rare under-pruned answer Lemma 2.3 allows,
-    /// returned only with [`crate::protocols::KnnParams::harden`] off.
-    pub contains_exact: Option<bool>,
     /// Costs and fault / recovery / audit accounting (also reachable
     /// through `Deref`: `answer.metrics`, `answer.degraded`, …), copied
     /// unchanged from the query's outcome: for a single query the report of
@@ -97,7 +92,7 @@ impl WriteJson for Neighbor {
     }
 }
 
-kmachine::json_object!(KnnAnswer { neighbors, stats, contains_exact, report });
+kmachine::json_object!(KnnAnswer { neighbors, stats, report });
 
 kmachine::json_object!(BatchAnswer { answers, report });
 
@@ -456,11 +451,9 @@ impl<P: IndexedPoint> KnnCluster<P> {
     /// pruning decision ([`crate::protocols::KnnProtocol::prune_only`]) —
     /// one pruning pass, no iterated selection. Returns a superset of the
     /// exact ℓ-NN (≈1.75ℓ neighbors) in fewer rounds — ideal for
-    /// majority-vote or averaging consumers. Under
-    /// [`crate::protocols::KnnParams::harden`] (the default) a prune that
-    /// keeps fewer than ℓ rolls back to every candidate, so the superset is
-    /// certain; without it [`KnnAnswer::contains_exact`] says whether the
-    /// guarantee held. [`KnnAnswer::stats`] is `Some`, with the survivor
+    /// majority-vote or averaging consumers. A prune that keeps fewer than
+    /// ℓ rolls back to every candidate, so the superset is certain.
+    /// [`KnnAnswer::stats`] is `Some`, with the survivor
     /// count of Lemma 2.3. It recovers from crashes and corrupt links like
     /// the exact queries, but runs **unaudited**: no semantic audit
     /// certifies its supersets.
@@ -528,7 +521,7 @@ impl<P: IndexedPoint> KnnCluster<P> {
     /// record is `label: None` without a search); the report is copied
     /// through unchanged.
     fn answer(&self, outcome: QueryOutcome) -> KnnAnswer {
-        let QueryOutcome { local_keys, stats, contains_exact, report } = outcome;
+        let QueryOutcome { local_keys, stats, report } = outcome;
         let neighbors = merge_answers(&local_keys)
             .into_iter()
             .map(|(key, machine)| {
@@ -540,7 +533,7 @@ impl<P: IndexedPoint> KnnCluster<P> {
                 Neighbor { id: key.id, dist: key.dist, machine, label }
             })
             .collect();
-        KnnAnswer { neighbors, stats, contains_exact, report }
+        KnnAnswer { neighbors, stats, report }
     }
 }
 
@@ -591,7 +584,6 @@ mod tests {
                 neighbor(4, 8, 1, None),
             ],
             stats: Some(stats),
-            contains_exact: None,
             report: Report::healthy(RunMetrics::default(), 2, 1),
         };
         let metrics = RunMetrics {
@@ -634,7 +626,6 @@ mod tests {
         "rolled_back": true,
         "select_iterations": 0
       },
-      "contains_exact": null,
       "report": QUERY_REPORT
     }
   ],
@@ -1128,7 +1119,6 @@ mod tests {
                 );
                 let approx = cluster.query_approx(&q, ell).unwrap();
                 all(&approx, "query_approx");
-                assert_eq!(approx.contains_exact, Some(true));
                 let approx = cluster.query_batch_approx(std::slice::from_ref(&q), ell).unwrap();
                 all(&approx.answers[0], "query_batch_approx");
             }

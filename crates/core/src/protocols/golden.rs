@@ -4,9 +4,9 @@
 //! that search for their boundary instead: Saukas–Song, value-domain
 //! bisection and standalone Algorithm 1.
 //!
-//! Algorithm 2 answers exactly whatever rank its leader reads — hardening
-//! rolls a short prune back, and an over-wide one only costs selection
-//! work — so there a wrong rank shows in the counters alone. This test
+//! Algorithm 2 answers exactly whatever rank its leader reads — the count
+//! round rolls a short prune back, and an over-wide one only costs
+//! selection work — so there a wrong rank shows in the counters alone. This test
 //! pins `(rounds, messages, bits)`, the leader's [`KnnStats`] and a digest
 //! of every answer on fixed cells, so any change to what a leader selects
 //! (or to the sampling stream feeding it) fails here.

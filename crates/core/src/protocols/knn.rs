@@ -34,23 +34,24 @@
 //! path. At the paper's constants the short cut takes every query with
 //! `ℓ ≤ 75`, and a larger one whenever every list is shorter than `m`.
 //!
-//! **Hardening deviation (documented here and on [`KnnParams::harden`]):**
-//! the paper's pruning leaves at least ℓ survivors only with high
-//! probability *in ℓ*. With `KnnParams::harden` (default), machines report
-//! their survivor counts (+2 rounds, O(k) messages); if fewer than ℓ
-//! survive, the leader orders a rollback and Algorithm 1 runs on the
-//! unpruned candidates. The result is exact selection with certainty, and
-//! the fallback rate is itself measured by the Lemma 2.3 experiment.
+//! **Count-round deviation:** the paper's prune leaves at least ℓ
+//! survivors only with high probability *in ℓ*. After every prune each
+//! machine reports its survivor and candidate counts
+//! ([`KnnMsg::PrunedCount`]) and the leader answers with
+//! [`KnnMsg::PruneDecision`]: if fewer than `min(ℓ, candidates)` survived,
+//! it rolls the prune back and stage 5 runs on every candidate. The answer
+//! is exact with certainty, for 2 rounds, `2(k − 1)` messages and
+//! `135(k − 1)` bits more than the paper's run (and, on a rollback, the
+//! selection work of every candidate); the rollback rate is measured by
+//! the Lemma 2.3 experiment.
 //!
 //! **Prune-only mode ([`KnnProtocol::prune_only`]) — the approximate
 //! query.** For consumers that a slightly larger neighbor set serves as
 //! well (majority vote, averaging), the instance stops at stage 4 (or
-//! earlier, at the short cut above, with the exact answer): the
-//! survivor-count round always runs, the leader's prune decision ends it,
-//! and every machine answers with its survivors. That is a superset of the
-//! exact ℓ-NN whenever [`KnnStats::contains_exact`] holds — always under
-//! [`KnnParams::harden`], which rolls an undershot prune back to every
-//! candidate — of `≈ (rank_factor / sample_factor)·ℓ ≈ 1.75ℓ` keys with the
+//! earlier, at the short cut above, with the exact answer): the leader's
+//! prune decision ends it, and every machine answers with its survivors
+//! (every candidate after a rollback). That is a superset of the exact
+//! ℓ-NN, of `≈ (rank_factor / sample_factor)·ℓ ≈ 1.75ℓ` keys with the
 //! paper's constants (at most `11ℓ` whp), for the sampling transfer plus
 //! one short message per link each way (threshold, count, decision)
 //! instead of Algorithm 1's `O(log ℓ)` iterations.
@@ -70,21 +71,11 @@ pub struct KnnParams {
     /// Pruning threshold rank = `max(1, ⌈rank_factor · log₂ ℓ⌉)`; the paper
     /// uses 21.
     pub rank_factor: u32,
-    /// Verify that pruning kept at least `min(ℓ, candidates)` and roll back
-    /// to every candidate if not (see module docs). It governs both paths:
-    /// the exact answer stays exact with certainty, and the prune-only
-    /// (approximate) answer stays a superset. Disable to run the paper's
-    /// algorithm verbatim: an undershot prune then leaves an exact answer
-    /// short, and an approximate one under-pruned and flagged so by
-    /// [`KnnStats::contains_exact`]. The short cut at the sampling stage
-    /// (module docs) takes no part: it prunes nothing and is exact with
-    /// certainty, so it runs the same with this on or off.
-    pub harden: bool,
 }
 
 impl Default for KnnParams {
     fn default() -> Self {
-        KnnParams { sample_factor: 12, rank_factor: 21, harden: true }
+        KnnParams { sample_factor: 12, rank_factor: 21 }
     }
 }
 
@@ -116,23 +107,15 @@ pub struct KnnStats {
     pub prune_rank: u64,
     /// Total candidates before pruning (Σ per-machine `min(ℓ, |input|)`).
     pub total_candidates: u64,
-    /// Candidates surviving the prune (only known when the count round
-    /// runs: under hardening, and always in prune-only mode); after the
-    /// short cut at the sampling stage, the answer size `min(ℓ, total)`.
+    /// Candidates surviving the prune, as the count round reports them;
+    /// after the short cut at the sampling stage, the answer size
+    /// `min(ℓ, total)`.
     pub survivors: u64,
-    /// Whether the hardening check rolled the prune back.
+    /// Whether the count round found fewer than `min(ℓ, total)` survivors
+    /// and the leader rolled the prune back.
     pub rolled_back: bool,
     /// Pivot iterations of the embedded Algorithm 1.
     pub select_iterations: u64,
-}
-
-impl KnnStats {
-    /// Whether a prune-only answer provably contains the exact ℓ-NN: the
-    /// prune was rolled back, or at least `min(ℓ, total_candidates)`
-    /// candidates survived it.
-    pub fn contains_exact(&self, ell: u64) -> bool {
-        self.rolled_back || self.survivors >= ell.min(self.total_candidates)
-    }
 }
 
 kmachine::json_object!(KnnStats {
@@ -164,15 +147,15 @@ pub enum KnnMsg<K: Key> {
         /// The pruning threshold (the rank-`⌈21 log₂ ℓ⌉` sample).
         r: K,
     },
-    /// Machine → leader (hardening, prune-only): survivor and total
-    /// candidate counts.
+    /// Machine → leader, the count round after every prune: survivor and
+    /// total candidate counts.
     PrunedCount {
         /// Candidates with key `≤ r`.
         kept: u64,
         /// Candidates before pruning.
         total: u64,
     },
-    /// Leader → all (hardening, prune-only): whether to roll the prune
+    /// Leader → all, ending the count round: whether to roll the prune
     /// back.
     PruneDecision {
         /// `true`: continue on the *unpruned* candidates.
@@ -256,9 +239,8 @@ impl<K: Key> KnnProtocol<K> {
         }
     }
 
-    /// Stop at the prune decision — the approximate query: the
-    /// survivor-count round runs whatever [`KnnParams::harden`] says, the
-    /// leader's decision ends the instance, and every machine outputs its
+    /// Stop at the prune decision — the approximate query: the leader's
+    /// decision ends the instance, and every machine outputs its
     /// survivors (all its candidates on a rollback) instead of running
     /// Algorithm 1. The short cut at the sampling stage (module docs) ends
     /// it earlier still, with the exact answer.
@@ -317,14 +299,9 @@ impl<K: Key> KnnProtocol<K> {
         self.ell <= m as u64 || len < m
     }
 
-    /// Whether the survivor-count round runs.
-    fn counts(&self) -> bool {
-        self.params.harden || self.prune_only
-    }
-
     /// Leader: all samples in — finish at once when they are every
     /// candidate (the short cut, module docs), else broadcast the prune
-    /// threshold.
+    /// threshold and open the count round.
     fn leader_after_samples(&mut self, ctx: &mut Ctx<'_, KnnMsg<K>>) -> Option<KnnOutput<K>> {
         if self.whole {
             // The ℓ-th smallest candidate (`None`: no candidates anywhere,
@@ -344,13 +321,9 @@ impl<K: Key> KnnProtocol<K> {
         let r = *self.samples.select_nth_unstable(at).1;
         ctx.broadcast(KnnMsg::Prune { r });
         self.pruned_len = self.candidates.partition_point(|x| *x <= r);
-        if self.counts() {
-            self.kept_sum = self.pruned_len as u64;
-            self.total_sum = self.candidates.len() as u64;
-            self.pending = self.k - 1;
-        } else {
-            self.start_selection(ctx);
-        }
+        self.kept_sum = self.pruned_len as u64;
+        self.total_sum = self.candidates.len() as u64;
+        self.pending = self.k - 1;
         None
     }
 
@@ -441,17 +414,13 @@ impl<K: Key> Protocol for KnnProtocol<K> {
                 }
                 KnnMsg::Prune { r } => {
                     self.pruned_len = self.candidates.partition_point(|x| x <= r);
-                    if self.counts() {
-                        ctx.send(
-                            self.leader,
-                            KnnMsg::PrunedCount {
-                                kept: self.pruned_len as u64,
-                                total: self.candidates.len() as u64,
-                            },
-                        );
-                    } else {
-                        self.start_selection(ctx);
-                    }
+                    ctx.send(
+                        self.leader,
+                        KnnMsg::PrunedCount {
+                            kept: self.pruned_len as u64,
+                            total: self.candidates.len() as u64,
+                        },
+                    );
                 }
                 KnnMsg::PrunedCount { kept, total } => {
                     debug_assert!(self.is_leader());
@@ -459,8 +428,7 @@ impl<K: Key> Protocol for KnnProtocol<K> {
                     self.total_sum += total;
                     self.pending -= 1;
                     if self.pending == 0 {
-                        let undershot = self.kept_sum < self.ell.min(self.total_sum);
-                        let rollback = undershot && self.params.harden;
+                        let rollback = self.kept_sum < self.ell.min(self.total_sum);
                         self.stats.total_candidates = self.total_sum;
                         self.stats.survivors = self.kept_sum;
                         ctx.broadcast(KnnMsg::PruneDecision { rollback });
@@ -662,10 +630,10 @@ mod tests {
     }
 
     #[test]
-    fn hardening_never_wrong_even_with_tiny_factors() {
-        // Absurdly aggressive pruning (factor 1/1) would often under-prune
-        // without the rollback; with hardening the answer stays exact.
-        let params = KnnParams { sample_factor: 1, rank_factor: 1, harden: true };
+    fn rollback_keeps_tiny_factors_exact() {
+        // Absurdly aggressive pruning (factor 1/1) often under-prunes; the
+        // count round rolls it back and the answer stays exact.
+        let params = KnnParams { sample_factor: 1, rank_factor: 1 };
         let all: Vec<u64> = (0..2000u64).map(|i| i.wrapping_mul(2654435761) % 100_000).collect();
         let want = expected(std::slice::from_ref(&all), 100);
         let mut rollbacks = 0;
@@ -677,7 +645,7 @@ mod tests {
         }
         // With rank 1 the threshold is the smallest sample: almost always
         // fewer than ℓ survivors, so rollbacks must actually trigger.
-        assert!(rollbacks > 0, "hardening path was never exercised");
+        assert!(rollbacks > 0, "the rollback was never exercised");
     }
 
     #[test]
@@ -821,7 +789,6 @@ mod tests {
                 assert_eq!(got, expected(&shards(per), ell as usize), "{what}");
                 assert_eq!(metrics.messages, 2 * 3, "{what}");
                 assert_eq!(stats, want, "{what}");
-                assert!(stats.contains_exact(ell), "{what}");
             }
         }
         let (got, metrics, stats) = run_knn(shards(75), 76, 3, params);
@@ -837,7 +804,7 @@ mod tests {
         let want = expected(std::slice::from_ref(&all), ell);
         let shards = PartitionStrategy::Shuffled.split(all, 16, 3);
         let (got, _, stats) = run_approx(shards, ell as u64, 5, KnnParams::default());
-        assert!(stats.contains_exact(ell as u64));
+        assert!(!stats.rolled_back);
         assert_eq!(got.len() as u64, stats.survivors);
         assert!(got.len() >= ell);
         assert_eq!(&got[..ell], want, "survivors must contain the true top-ell as a prefix");
@@ -878,7 +845,7 @@ mod tests {
         // Empty cluster.
         let (got, _, stats) = run_approx(vec![vec![], vec![]], 5, 1, params);
         assert!(got.is_empty());
-        assert!(stats.contains_exact(5));
+        assert_eq!(stats.total_candidates, 0);
         // Single machine.
         let (got, m, _) = run_approx(vec![vec![5, 1, 9]], 2, 1, params);
         assert_eq!(got, vec![1, 5]);
@@ -886,10 +853,10 @@ mod tests {
         // ℓ = 0: candidates are empty everywhere, so nothing survives.
         let (got, _, _) = run_approx(vec![vec![1, 2], vec![3]], 0, 1, params);
         assert!(got.is_empty());
-        // ℓ ≥ population: everything survives, and the guarantee holds.
+        // ℓ ≥ population: everything survives.
         let (got, _, stats) = run_approx(vec![vec![9, 1], vec![4, 7, 2]], 100, 1, params);
         assert_eq!(got, vec![1, 2, 4, 7, 9]);
-        assert!(stats.contains_exact(100));
+        assert_eq!(stats.survivors, 5);
     }
 
     /// Five machines of 56 keys each, sampled `⌈1·log₂ 200⌉ = 8` times
@@ -900,19 +867,12 @@ mod tests {
         let all: Vec<u64> = (0..280u64).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15)).collect();
         let want = expected(std::slice::from_ref(&all), 200);
         let shards = PartitionStrategy::RoundRobin.split(all, 5, 0);
-        let tiny = KnnParams { sample_factor: 1, rank_factor: 1, harden: true };
-        let (got, _, stats) = run_approx(shards.clone(), 200, 7, tiny);
+        let tiny = KnnParams { sample_factor: 1, rank_factor: 1 };
+        let (got, _, stats) = run_approx(shards, 200, 7, tiny);
         assert!(stats.rolled_back);
         assert_eq!(stats.survivors, 53);
-        assert!(stats.contains_exact(200));
         assert_eq!(got.len(), 280, "the rollback keeps every candidate");
         assert_eq!(&got[..200], want);
-        // The paper's algorithm verbatim: under-pruned, and flagged so.
-        let verbatim = KnnParams { harden: false, ..tiny };
-        let (got, _, stats) = run_approx(shards, 200, 7, verbatim);
-        assert_eq!(got.len(), 53);
-        assert!(!stats.contains_exact(200));
-        assert_eq!(got, want[..53]);
     }
 
     #[test]
@@ -926,30 +886,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
-        /// The verbatim (non-hardened) paper algorithm: when the prune
-        /// keeps at least ℓ candidates the answer is exact; when it
-        /// under-prunes (the event the paper bounds whp), the output is
-        /// still the globally smallest `survivors` keys — a prefix of the
-        /// sorted global key set, never garbage.
-        #[test]
-        fn prop_unhardened_output_is_sorted_prefix(
-            values in proptest::collection::hash_set(any::<u64>(), 0..150),
-            k in 1usize..7,
-            ell in 0u64..40,
-            seed in 0u64..300,
-        ) {
-            let values: Vec<u64> = values.into_iter().collect();
-            let mut sorted = values.clone();
-            sorted.sort_unstable();
-            let params = KnnParams { harden: false, ..KnnParams::default() };
-            let shards = PartitionStrategy::RoundRobin.split(values, k, seed);
-            let (got, _, _) = run_knn(shards, ell, seed, params);
-            prop_assert!(got.len() <= sorted.len());
-            prop_assert_eq!(&got[..], &sorted[..got.len()], "must be a sorted-global prefix");
-            // Never more than requested, and exact whenever enough survived.
-            prop_assert!(got.len() as u64 <= ell || ell as usize >= sorted.len());
-        }
-
         #[test]
         fn prop_knn_equals_sequential_selection(
             values in proptest::collection::hash_set(any::<u64>(), 0..200),
@@ -968,8 +904,8 @@ mod tests {
         /// The sampled path, which the paper's constants only reach past
         /// ℓ = 75: at one sample per `log₂ ℓ` (m < ℓ from ℓ = 3 on) lists
         /// are sampled, pruned, rolled back or run through Algorithm 1. The
-        /// hardened answer is exact, the verbatim one a sorted-global prefix
-        /// of it, and the prune-only one a superset whenever flagged so.
+        /// exact answer equals selection, and the prune-only one holds it
+        /// as a prefix.
         #[test]
         fn prop_sampled_path_answers_like_selection(
             values in proptest::collection::hash_set(any::<u64>(), 0..200),
@@ -977,51 +913,34 @@ mod tests {
             ell in 0u64..40,
             rank_factor in 1u32..3,
             seed in 0u64..300,
-            harden in any::<bool>(),
         ) {
             let values: Vec<u64> = values.into_iter().collect();
             let want = expected(std::slice::from_ref(&values), ell as usize);
-            let params = KnnParams { sample_factor: 1, rank_factor, harden };
+            let params = KnnParams { sample_factor: 1, rank_factor };
             let shards = PartitionStrategy::RoundRobin.split(values, k, seed);
             let (got, _, _) = run_knn(shards.clone(), ell, seed, params);
-            if harden {
-                prop_assert_eq!(&got, &want);
-            } else {
-                prop_assert!(got.len() <= want.len());
-                prop_assert_eq!(&got[..], &want[..got.len()]);
-            }
-            let (got, _, stats) = run_approx(shards, ell, seed, params);
-            prop_assert!(!harden || stats.contains_exact(ell));
-            if stats.contains_exact(ell) {
-                prop_assert_eq!(&got[..want.len()], &want[..]);
-            } else {
-                prop_assert!(got.len() < want.len());
-                prop_assert_eq!(&got[..], &want[..got.len()]);
-            }
+            prop_assert_eq!(&got, &want);
+            let (got, _, _) = run_approx(shards, ell, seed, params);
+            prop_assert_eq!(&got[..want.len()], &want[..]);
         }
 
-        /// Prune-only answers are supersets whenever the leader says so —
-        /// always under hardening.
+        /// Prune-only answers are supersets of the exact ℓ-NN, of as many
+        /// keys as the leader's stats say survived.
         #[test]
         fn prop_prune_only_superset_whenever_flag_says_so(
             values in proptest::collection::hash_set(any::<u64>(), 1..150),
             k in 1usize..7,
             ell in 1u64..30,
             seed in 0u64..200,
-            harden in any::<bool>(),
         ) {
             let values: Vec<u64> = values.into_iter().collect();
             let want = expected(std::slice::from_ref(&values), ell as usize);
-            let params = KnnParams { harden, ..KnnParams::default() };
             let shards = PartitionStrategy::RoundRobin.split(values, k, seed);
-            let (got, _, stats) = run_approx(shards, ell, seed, params);
+            let (got, _, stats) = run_approx(shards, ell, seed, KnnParams::default());
             let kept = if stats.rolled_back { stats.total_candidates } else { stats.survivors };
             prop_assert_eq!(got.len() as u64, kept);
-            prop_assert!(!harden || stats.contains_exact(ell));
-            if stats.contains_exact(ell) {
-                prop_assert!(got.len() >= want.len());
-                prop_assert_eq!(&got[..want.len()], &want[..]);
-            }
+            prop_assert!(got.len() >= want.len());
+            prop_assert_eq!(&got[..want.len()], &want[..]);
         }
     }
 }

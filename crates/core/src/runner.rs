@@ -244,9 +244,6 @@ pub struct QueryOutcome {
     /// Algorithm 2 diagnostics, the approximate path's included (`None`
     /// for the baselines).
     pub stats: Option<KnnStats>,
-    /// Approximate path only: whether the survivor set provably contains
-    /// the exact ℓ-NN ([`KnnStats::contains_exact`]).
-    pub contains_exact: Option<bool>,
     /// Costs and fault / recovery / audit accounting (also reachable
     /// through `Deref`: `outcome.metrics`, `outcome.degraded`, …). Alone,
     /// the report of the run that answered it; inside a batch, only its own
@@ -622,7 +619,7 @@ impl Seating<'_> {
         tag: TagMetrics,
         attempts: u32,
     ) -> QueryOutcome {
-        let (k, ell) = (self.k, self.ell as u64);
+        let k = self.k;
         let metrics = RunMetrics {
             rounds: answer.done_round,
             messages: tag.messages,
@@ -631,10 +628,6 @@ impl Seating<'_> {
         };
         QueryOutcome {
             local_keys: scatter(answer.local_keys, alive, k),
-            contains_exact: self
-                .kind
-                .is_none()
-                .then(|| answer.stats.is_some_and(|stats| stats.contains_exact(ell))),
             stats: answer.stats,
             report: Report {
                 recovered: attempts > 1,

@@ -243,7 +243,7 @@ fn a_coordinator_crashing_at_round_zero_replans_onto_the_survivors() {
 /// own.
 #[test]
 fn batch_equals_sequential_on_algorithm_2s_sampled_path() {
-    let params = KnnParams { sample_factor: 1, rank_factor: 2, harden: true };
+    let params = KnnParams { sample_factor: 1, rank_factor: 2 };
     let past_sampling = |ans: &KnnAnswer| ans.metrics.messages > 2 * (ans.shards_used as u64 - 1);
     for election in [ElectionKind::Fixed, ElectionKind::Star, ElectionKind::Flood] {
         let shards = ScalarWorkload { per_machine: 600, lo: 0, hi: 1 << 20 }.generate(5, 3);
@@ -342,7 +342,6 @@ fn a_single_query_is_a_batch_of_one_through_every_recovery() {
             cluster.query(&q, 6).unwrap().neighbors
         };
         for (path, approx) in [("single", &single), ("batch of one", of_one)] {
-            assert_eq!(approx.contains_exact, Some(true), "{name} / approx / {path}");
             assert_eq!(approx.neighbors[..exact.len()], exact[..], "{name} / approx / {path}");
         }
     }

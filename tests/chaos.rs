@@ -35,7 +35,7 @@ fn with_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// and the leader answers at the sampling stage, so the tests run at these
 /// settings are the ones that take Algorithm 2's later stages through
 /// faults.
-const SAMPLED: KnnParams = KnnParams { sample_factor: 1, rank_factor: 2, harden: true };
+const SAMPLED: KnnParams = KnnParams { sample_factor: 1, rank_factor: 2 };
 
 /// A loaded cluster over the standard scalar workload: Fixed election
 /// (leader is machine 0 until a crash forces a re-election), seeded
@@ -392,7 +392,6 @@ fn rejoin_heals_every_query_kind() {
             assert_eq!(got_one.neighbors, want_one.neighbors, "{kind:?} single pool {pool}");
             for (g, w) in got.answers.iter().zip(&want.answers) {
                 assert_eq!(g.neighbors, w.neighbors, "rejoin changed an answer: {kind:?}");
-                assert_eq!(g.contains_exact, w.contains_exact, "{kind:?}");
             }
         }
     }

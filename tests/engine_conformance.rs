@@ -107,8 +107,8 @@ fn waiting_is_a_noop_for_algorithm_2() {
 /// sampled, pruned and finished by Algorithm 1 (or only pruned, prune-only),
 /// where the paper's constants (m = 36) ship them whole and end at the
 /// sampling stage.
-fn sampled_knn(i: usize, j: usize, harden: bool, prune_only: bool) -> KnnProtocol<u64> {
-    let params = KnnParams { sample_factor: 1, rank_factor: 2, harden };
+fn sampled_knn(i: usize, j: usize, prune_only: bool) -> KnnProtocol<u64> {
+    let params = KnnParams { sample_factor: 1, rank_factor: 2 };
     let p = KnnProtocol::new(i, 4, 0, ORACLE_ELL, params, oracle_candidates(i, j));
     if prune_only {
         p.prune_only()
@@ -117,20 +117,26 @@ fn sampled_knn(i: usize, j: usize, harden: bool, prune_only: bool) -> KnnProtoco
     }
 }
 
-/// The sampled path's crash sweep, hardened and verbatim, after checking
-/// that its fault-free run does go past the sampling stage: the short cut
-/// sends exactly `2(k − 1)` messages.
+/// The sampled path's crash sweep, after checking that its fault-free run
+/// does go past the sampling stage (the short cut sends exactly `2(k − 1)`
+/// messages) and answers like brute force: the exact run with the ℓ
+/// smallest keys, the prune-only run with a superset holding them first.
 fn sweep_sampled(what: &str, prune_only: bool) {
-    for harden in [true, false] {
-        let solo = run_sync(
-            &NetConfig::new(4).with_seed(29),
-            (0..4).map(|i| sampled_knn(i, 0, harden, prune_only)).collect(),
-        )
-        .expect("fault-free run");
-        assert!(solo.metrics.messages > 2 * 3, "{what}: the run ended at the sampling stage");
-        let what = format!("{what} harden = {harden}");
-        sweep_crashes(&what, 4, |i, j| sampled_knn(i, j, harden, prune_only));
+    let solo = run_sync(
+        &NetConfig::new(4).with_seed(29),
+        (0..4).map(|i| sampled_knn(i, 0, prune_only)).collect(),
+    )
+    .expect("fault-free run");
+    assert!(solo.metrics.messages > 2 * 3, "{what}: the run ended at the sampling stage");
+    let mut got: Vec<u64> = solo.outputs.into_iter().flat_map(|o| o.keys).collect();
+    got.sort_unstable();
+    let want = top_ell((0..4).flat_map(|i| oracle_keys(i, 0)), ORACLE_ELL);
+    if prune_only {
+        assert_eq!(got[..want.len()], want[..], "{what}");
+    } else {
+        assert_eq!(got, want, "{what}");
     }
+    sweep_crashes(what, 4, |i, j| sampled_knn(i, j, prune_only));
 }
 
 #[test]

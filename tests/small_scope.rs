@@ -5,19 +5,18 @@
 //! so many distance ties), every ℓ from 1 to the population + 1, through
 //! every entry point: `query_with`, `query_batch_with`, `query_approx` and
 //! `runner::run_query`. Algorithm 2 runs at the sampling constants (1, 1),
-//! (1, 2) and the paper's (12, 21), hardened and verbatim, so its sample
-//! size m lands on both sides of every candidate-list length: lists that go
-//! whole and end at the sampling stage, lists of exactly m, sampled lists
-//! that prune and roll back.
+//! (1, 2) and the paper's (12, 21), so its sample size m lands on both
+//! sides of every candidate-list length: lists that go whole and end at the
+//! sampling stage, lists of exactly m, sampled lists that prune and roll
+//! back.
 //!
 //! Each case asserts:
 //!
-//! * every exact answer equals brute force; the verbatim Algorithm 2
-//!   (`harden: false`) may come back short, and then only as the globally
-//!   smallest keys, a prefix of brute force;
-//! * every approximate answer holds the exact answer as its prefix
-//!   whenever `contains_exact` says so — always when hardened — and is
-//!   otherwise shorter than it, and the globally smallest keys;
+//! * every exact answer equals brute force;
+//! * every approximate answer holds the exact answer as its prefix;
+//! * every Algorithm 2 answer's [`KnnStats`], exact and approximate, on
+//!   every entry point, shows the count round's invariant: the prune was
+//!   rolled back, or at least `min(ℓ, total_candidates)` survived it;
 //! * every answer, counter and [`KnnStats`] is identical at pool sizes 1
 //!   and 2.
 //!
@@ -87,11 +86,21 @@ fn layouts() -> Vec<Vec<Vec<u64>>> {
 
 /// What one run shows that must not depend on the pool size: the answer's
 /// `(distance, id)` keys, its counters and Algorithm 2's diagnostics.
-type Seen = (Vec<DistKey>, RunMetrics, Option<KnnStats>, Option<bool>);
+type Seen = (Vec<DistKey>, RunMetrics, Option<KnnStats>);
 
 fn seen(answer: &KnnAnswer) -> Seen {
     let keys = answer.neighbors.iter().map(|n| DistKey::new(n.dist, n.id)).collect();
-    (keys, answer.report.metrics.clone(), answer.stats, answer.contains_exact)
+    (keys, answer.report.metrics.clone(), answer.stats)
+}
+
+/// The count round's invariant on an Algorithm 2 answer's stats (none on
+/// the baselines): the prune was rolled back, or it kept at least
+/// `min(ℓ, total_candidates)`.
+fn assert_counted(stats: Option<KnnStats>, ell: usize, what: &str) {
+    if let Some(s) = stats {
+        let floor = (ell as u64).min(s.total_candidates);
+        assert!(s.rolled_back || s.survivors >= floor, "{what}: undershot prune kept: {s:?}");
+    }
 }
 
 /// One layout, loaded into one cluster per Algorithm 2 setting.
@@ -138,11 +147,10 @@ impl Case {
     fn certify(&self, seed: u64) -> Vec<Seen> {
         let mut log = Vec::new();
         let population = self.sorted[0].len();
-        let settings = FACTORS.iter().flat_map(|&(sample_factor, rank_factor)| {
-            [true, false].map(|harden| KnnParams { sample_factor, rank_factor, harden })
+        let clusters = FACTORS.map(|(sample_factor, rank_factor)| {
+            let params = KnnParams { sample_factor, rank_factor };
+            (params, self.cluster(seed, params))
         });
-        let clusters: Vec<(KnnParams, KnnCluster)> =
-            settings.map(|params| (params, self.cluster(seed, params))).collect();
         for ell in 1..=population + 1 {
             for (params, cluster) in &clusters {
                 let default = *params == KnnParams::default();
@@ -153,55 +161,40 @@ impl Case {
                         continue;
                     }
                     let what = format!("{algo:?} {params:?} ℓ = {ell}");
-                    let exact = |keys: &[DistKey], query: usize, entry: &str| {
-                        let want = self.brute(query, ell);
-                        if algo == Algorithm::Knn && !params.harden {
-                            assert!(keys.len() <= want.len(), "{entry} {what}: too long");
-                            assert_eq!(keys, &want[..keys.len()], "{entry} {what}: not a prefix");
-                        } else {
-                            assert_eq!(keys, want, "{entry} {what}");
-                        }
+                    let exact = |(keys, _, stats): &Seen, query: usize, entry: &str| {
+                        assert_eq!(keys, self.brute(query, ell), "{entry} {what}");
+                        assert_counted(*stats, ell, &format!("{entry} {what}"));
                     };
 
                     let single = cluster.query_with(algo, &QUERIES[0], ell).expect("query");
-                    exact(&seen(&single).0, 0, "query_with");
+                    exact(&seen(&single), 0, "query_with");
                     log.push(seen(&single));
 
                     let batch = cluster.query_batch_with(algo, &QUERIES, ell).expect("query_batch");
                     for (query, answer) in batch.answers.iter().enumerate() {
-                        exact(&seen(answer).0, query, "query_batch_with");
+                        exact(&seen(answer), query, "query_batch_with");
                         log.push(seen(answer));
                     }
-                    log.push((Vec::new(), batch.report.metrics.clone(), None, None));
+                    log.push((Vec::new(), batch.report.metrics.clone(), None));
 
                     let out = run_query(&self.shards, &QUERIES[0], ell, algo, cluster.options())
                         .expect("run_query");
                     let keys: Vec<DistKey> =
                         merge_answers(&out.local_keys).into_iter().map(|(key, _)| key).collect();
-                    exact(&keys, 0, "run_query");
-                    log.push((keys, out.report.metrics.clone(), out.stats, out.contains_exact));
+                    let run = (keys, out.report.metrics.clone(), out.stats);
+                    exact(&run, 0, "run_query");
+                    log.push(run);
                 }
 
                 let approx = cluster.query_approx(&QUERIES[0], ell).expect("query_approx");
-                let (keys, _, stats, contains_exact) = seen(&approx);
+                let (keys, _, stats) = seen(&approx);
                 let what = format!("query_approx {params:?} ℓ = {ell}");
                 let want = self.brute(0, ell);
                 assert!(keys.is_sorted(), "{what}: unsorted");
-                if contains_exact == Some(true) {
-                    assert_eq!(&keys[..want.len()], want, "{what}: no exact prefix");
-                } else {
-                    // Under-pruned: only keys at or below the threshold
-                    // survived, fewer than ℓ, so no machine was truncated
-                    // and they are the globally smallest.
-                    assert!(keys.len() < want.len(), "{what}: flagged short, is not");
-                    assert_eq!(keys, &self.sorted[0][..keys.len()], "{what}: not a prefix");
-                }
-                assert!(!params.harden || contains_exact == Some(true), "{what}: hardened short");
-                assert_eq!(
-                    stats.map(|s| s.contains_exact(ell as u64)),
-                    contains_exact,
-                    "{what}: stats disagree with the flag"
-                );
+                assert!(keys.len() >= want.len(), "{what}: short");
+                assert_eq!(&keys[..want.len()], want, "{what}: no exact prefix");
+                assert!(stats.is_some(), "{what}: no stats");
+                assert_counted(stats, ell, &what);
                 log.push(seen(&approx));
             }
         }

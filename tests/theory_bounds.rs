@@ -57,8 +57,8 @@ fn theorem_2_4_messages_linear_in_k() {
     );
 }
 
-/// Lemma 2.3: pruning leaves at most 11ℓ candidates whp; the hardening
-/// fallback should essentially never fire with the paper's constants at a
+/// Lemma 2.3: pruning leaves at most 11ℓ candidates whp; the count round's
+/// rollback should essentially never fire with the paper's constants at a
 /// healthy n ≫ kℓ.
 #[test]
 fn lemma_2_3_survivor_bound_and_no_rollback() {
