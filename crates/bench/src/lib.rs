@@ -15,9 +15,6 @@
 //! | `throughput`     | Serving layer: batch size × algorithm sweep       |
 //! | `recall`         | NSW graph index: `m × ef` vs recall@ℓ and latency |
 //!
-//! plus Criterion micro-benchmarks of the sequential substrates
-//! (`cargo bench -p knn-bench`).
-//!
 //! Each table prints an aligned table and writes its rows to
 //! `results/<table>.json` and `results/<table>.csv` ([`emit`]). A row type
 //! lists its `(name, cell)` pairs once ([`TableRow`]); both files are

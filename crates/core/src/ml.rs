@@ -98,7 +98,8 @@ impl<P: IndexedPoint> KnnRegressor<P> {
         KnnRegressor { cluster, ell, weighted: false }
     }
 
-    /// Use inverse-distance weighting instead of the plain mean.
+    /// Use the rank-weighted mean ([`weighted_mean_value`]: the `i`-th
+    /// nearest labeled neighbor weighs `1/(i+1)`) instead of the plain mean.
     pub fn weighted(mut self) -> Self {
         self.weighted = true;
         self
