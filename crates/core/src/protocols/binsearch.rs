@@ -13,6 +13,8 @@
 use kmachine::{Ctx, MachineId, Payload, Protocol, Step};
 use knn_points::NumericKey;
 
+use super::gathered;
+
 /// Messages of the value-domain bisection protocol. Key values travel as
 /// order-preserving `u128` ordinals.
 #[derive(Debug, Clone)]
@@ -55,37 +57,41 @@ impl Payload for BsMsg {
     }
 }
 
-#[derive(Clone, Copy)]
-enum BsPhase {
-    /// Round 0 has not run.
-    Init,
-    /// Past round 0: a worker, or the leader collecting reports.
-    Started,
-    /// The leader collecting the counts at or below `mid`.
-    AwaitSizes { mid: u128 },
+/// The leader's move once a gather is in: `Some(threshold)` when it knows
+/// the answer's boundary, `None` while it awaits more replies.
+type Verdict = Option<Option<u128>>;
+
+/// The leader's bookkeeping, which exists only on the leader: the census
+/// totals, the bisection interval, and the gather in progress.
+struct Coordinator {
+    /// ℓ, capped at the population once the census is in.
+    ell: u64,
+    /// Keys on every machine, as the census reports them.
+    total: u64,
+    /// The boundary lies in `[lo, hi]`; during the census, the least and
+    /// greatest ordinals reported so far.
+    lo: u128,
+    hi: u128,
+    /// The midpoint being counted, and the keys at or below it counted so
+    /// far.
+    mid: u128,
+    acc: u64,
+    /// Replies still awaited.
+    pending: usize,
+    /// Workers that reported a nonzero key count — the only ones probed
+    /// during bisection (empty workers go silent after the census).
+    active: usize,
 }
 
 /// Per-machine instance of value-domain bisection selection.
 pub struct BinSearchProtocol<K: NumericKey> {
-    id: MachineId,
-    k: usize,
     leader: MachineId,
-    ell: u64,
     /// Local top-ℓ candidates, sorted by ordinal (== key order).
     local: Vec<K>,
-    phase: BsPhase,
-    // Leader bisection state: the boundary lies in [lo, hi].
-    lo: u128,
-    hi: u128,
-    ell_cap: u64,
-    total: u64,
-    acc: u64,
-    min_seen: Option<u128>,
-    max_seen: Option<u128>,
-    pending: usize,
-    /// Leader: workers that reported a nonzero key count — the only ones
-    /// probed during bisection (empty workers go silent after the census).
-    active: usize,
+    /// Round 0 has run.
+    started: bool,
+    /// `Some` exactly on the leader.
+    coordinator: Option<Coordinator>,
 }
 
 impl<K: NumericKey> BinSearchProtocol<K> {
@@ -93,75 +99,99 @@ impl<K: NumericKey> BinSearchProtocol<K> {
     /// machine's `local` candidates (sorted ascending, at most `ell`).
     pub fn new(id: MachineId, k: usize, leader: MachineId, ell: u64, local: Vec<K>) -> Self {
         super::debug_assert_candidates(&local, ell);
-        BinSearchProtocol {
-            id,
-            k,
-            leader,
+        let coordinator = (id == leader).then_some(Coordinator {
             ell,
-            local,
-            phase: BsPhase::Init,
-            lo: 0,
-            hi: 0,
-            ell_cap: ell,
             total: 0,
+            lo: u128::MAX,
+            hi: 0,
+            mid: 0,
             acc: 0,
-            min_seen: None,
-            max_seen: None,
-            pending: 0,
+            pending: k - 1,
             active: 0,
-        }
-    }
-
-    /// How many local keys have ordinal `≤ threshold`.
-    fn count_leq(&self, threshold: u128) -> usize {
-        self.local.partition_point(|key| key.to_ordinal() <= threshold)
+        });
+        BinSearchProtocol { leader, local, started: false, coordinator }
     }
 
     fn output_for(&self, threshold: Option<u128>) -> Vec<K> {
-        self.local[..threshold.map_or(0, |t| self.count_leq(t))].to_vec()
+        self.local[..threshold.map_or(0, |t| count_leq(&self.local, t))].to_vec()
     }
+}
 
-    /// `(count, min, max)` of the local keys, as ordinals.
-    fn census(&self) -> (u64, Option<u128>, Option<u128>) {
-        let ordinal = |key: &K| key.to_ordinal();
-        (self.local.len() as u64, self.local.first().map(ordinal), self.local.last().map(ordinal))
-    }
+/// How many of the sorted keys `local` have ordinal `≤ threshold`.
+fn count_leq<K: NumericKey>(local: &[K], threshold: u128) -> usize {
+    local.partition_point(|key| key.to_ordinal() <= threshold)
+}
 
-    /// Leader: bisection steps — either finish or probe the midpoint. When
-    /// no worker holds keys (`active == 0`) the probes would go unanswered
-    /// (empty workers are silent), so the leader bisects locally to
-    /// completion instead — every key it is counting is its own.
-    fn step(&mut self, ctx: &mut Ctx<'_, BsMsg>) -> Option<Option<u128>> {
-        loop {
-            if self.ell_cap == 0 {
-                return Some(None);
-            }
-            if self.lo >= self.hi {
-                return Some(Some(self.lo));
-            }
-            let mid = self.lo + (self.hi - self.lo) / 2;
-            self.acc = self.count_leq(mid) as u64;
-            if self.active > 0 {
-                ctx.broadcast(BsMsg::Count { threshold: mid });
-                // Only workers with keys answer probes.
-                self.pending = self.active;
-                self.phase = BsPhase::AwaitSizes { mid };
-                return None;
-            }
-            if self.acc == self.ell_cap {
-                return Some(Some(mid));
-            }
-            if self.acc > self.ell_cap {
-                self.hi = mid;
-            } else {
-                self.lo = mid + 1;
-            }
+/// `(count, min, max)` of the sorted keys `local`, as ordinals.
+fn census<K: NumericKey>(local: &[K]) -> (u64, Option<u128>, Option<u128>) {
+    let ordinal = |key: &K| key.to_ordinal();
+    (local.len() as u64, local.first().map(ordinal), local.last().map(ordinal))
+}
+
+impl Coordinator {
+    /// Add one machine's census.
+    fn census(&mut self, (count, min, max): (u64, Option<u128>, Option<u128>)) {
+        self.total += count;
+        if let (Some(min), Some(max)) = (min, max) {
+            self.lo = self.lo.min(min);
+            self.hi = self.hi.max(max);
         }
     }
 
-    fn finish(&mut self, threshold: Option<u128>, ctx: &mut Ctx<'_, BsMsg>) -> Step<Vec<K>> {
-        ctx.broadcast(BsMsg::Finished { threshold });
-        Step::Done(self.output_for(threshold))
+    /// The census is in: finish, or bisect.
+    fn after_census(&mut self, local: &[impl NumericKey], ctx: &mut Ctx<'_, BsMsg>) -> Verdict {
+        self.ell = self.ell.min(self.total);
+        if self.ell == 0 {
+            return Some(None);
+        }
+        if self.ell == self.total {
+            return Some(Some(self.hi));
+        }
+        self.bisect(local, ctx)
+    }
+
+    /// Every count at or below `mid` is in: finish at it, or bisect on.
+    fn after_count(&mut self, local: &[impl NumericKey], ctx: &mut Ctx<'_, BsMsg>) -> Verdict {
+        if self.narrow() {
+            return Some(Some(self.mid));
+        }
+        self.bisect(local, ctx)
+    }
+
+    /// Bisection steps — either finish or probe the midpoint. When no
+    /// worker holds keys (`active == 0`) the probes would go unanswered
+    /// (empty workers are silent), so the leader bisects locally to
+    /// completion instead — every key it is counting is its own.
+    fn bisect(&mut self, local: &[impl NumericKey], ctx: &mut Ctx<'_, BsMsg>) -> Verdict {
+        while self.lo < self.hi {
+            self.mid = self.lo + (self.hi - self.lo) / 2;
+            self.acc = count_leq(local, self.mid) as u64;
+            if self.active > 0 {
+                ctx.broadcast(BsMsg::Count { threshold: self.mid });
+                // Only workers with keys answer probes.
+                self.pending = self.active;
+                return None;
+            }
+            if self.narrow() {
+                return Some(Some(self.mid));
+            }
+        }
+        Some(Some(self.lo))
+    }
+
+    /// Every count at or below `mid` is in: `true` when `{x ≤ mid}` is
+    /// exactly the answer set, else narrow `[lo, hi]` to the side that
+    /// holds the boundary.
+    fn narrow(&mut self) -> bool {
+        if self.acc == self.ell {
+            return true;
+        }
+        if self.acc > self.ell {
+            self.hi = self.mid;
+        } else {
+            self.lo = self.mid + 1;
+        }
+        false
     }
 }
 
@@ -175,103 +205,59 @@ impl<K: NumericKey> Protocol for BinSearchProtocol<K> {
     /// — may lose answer members or the coordinator: unsalvageable, and the
     /// runner retries over the survivors.
     fn on_crash(&mut self) -> Option<Vec<K>> {
-        (!matches!(self.phase, BsPhase::Init) && self.local.is_empty()).then(Vec::new)
+        (self.started && self.local.is_empty()).then(Vec::new)
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, BsMsg>) -> Step<Vec<K>> {
-        debug_assert_eq!(ctx.id(), self.id, "protocol wired to the wrong machine");
-        if matches!(self.phase, BsPhase::Init) {
-            if ctx.id() == self.leader {
+        if !self.started {
+            self.started = true;
+            if let Some(c) = &mut self.coordinator {
                 if ctx.k() == 1 {
-                    let end = (self.ell as usize).min(self.local.len());
+                    let end = (c.ell as usize).min(self.local.len());
                     return Step::Done(self.local[..end].to_vec());
                 }
                 ctx.broadcast(BsMsg::Query);
-                (self.total, self.min_seen, self.max_seen) = self.census();
-                self.pending = self.k - 1;
+                c.census(census(&self.local));
             }
-            self.phase = BsPhase::Started;
             return Step::Wait;
         }
 
         // Workers answer probes and the leader collects replies: both only
         // ever react to mail.
-        if ctx.id() != self.leader {
-            for env in ctx.inbox() {
-                match env.msg {
-                    BsMsg::Query => {
-                        let (count, min, max) = self.census();
-                        ctx.send(self.leader, BsMsg::Report { count, min, max });
-                    }
-                    BsMsg::Count { threshold } => {
-                        // Empty workers stay silent: their count is always
-                        // 0 and the leader does not wait for them.
-                        if !self.local.is_empty() {
-                            ctx.send(self.leader, BsMsg::Size(self.count_leq(threshold) as u64));
-                        }
-                    }
-                    BsMsg::Finished { threshold } => return Step::Done(self.output_for(threshold)),
-                    ref other => panic!("worker received a leader-only message {other:?}"),
-                }
-            }
-            return Step::Wait;
-        }
-
         for env in ctx.inbox() {
-            match env.msg {
-                BsMsg::Report { count, min, max } => {
-                    self.total += count;
-                    if count > 0 {
-                        self.active += 1;
-                    }
-                    if let Some(m) = min {
-                        if self.min_seen.is_none_or(|g| m < g) {
-                            self.min_seen = Some(m);
-                        }
-                    }
-                    if let Some(m) = max {
-                        if self.max_seen.is_none_or(|g| m > g) {
-                            self.max_seen = Some(m);
-                        }
-                    }
-                    self.pending -= 1;
-                    if self.pending == 0 {
-                        self.ell_cap = self.ell.min(self.total);
-                        if self.ell_cap == 0 {
-                            return self.finish(None, ctx);
-                        }
-                        if self.ell_cap == self.total {
-                            return self.finish(self.max_seen, ctx);
-                        }
-                        self.lo = self.min_seen.expect("total > 0");
-                        self.hi = self.max_seen.expect("total > 0");
-                        if let Some(t) = self.step(ctx) {
-                            return self.finish(t, ctx);
-                        }
-                    }
+            let local = &self.local[..];
+            let threshold = match (&env.msg, &mut self.coordinator) {
+                (BsMsg::Query, None) => {
+                    let (count, min, max) = census(local);
+                    ctx.send(self.leader, BsMsg::Report { count, min, max });
+                    None
                 }
-                BsMsg::Size(c) => {
-                    self.acc += c;
-                    self.pending -= 1;
-                    if self.pending == 0 {
-                        let BsPhase::AwaitSizes { mid } = self.phase else {
-                            panic!("Size outside bisection")
-                        };
-                        if self.acc == self.ell_cap {
-                            // {x ≤ mid} is exactly the answer set.
-                            return self.finish(Some(mid), ctx);
-                        }
-                        if self.acc > self.ell_cap {
-                            self.hi = mid;
-                        } else {
-                            self.lo = mid + 1;
-                        }
-                        if let Some(t) = self.step(ctx) {
-                            return self.finish(t, ctx);
-                        }
+                (&BsMsg::Count { threshold }, None) => {
+                    // Empty workers stay silent: their count is always 0
+                    // and the leader does not wait for them.
+                    if !local.is_empty() {
+                        ctx.send(self.leader, BsMsg::Size(count_leq(local, threshold) as u64));
                     }
+                    None
                 }
-                ref other => panic!("leader received an unexpected message {other:?}"),
+                (&BsMsg::Finished { threshold }, None) => {
+                    return Step::Done(self.output_for(threshold))
+                }
+                (&BsMsg::Report { count, min, max }, Some(c)) => {
+                    c.active += usize::from(count > 0);
+                    c.census((count, min, max));
+                    gathered(&mut c.pending).then(|| c.after_census(local, ctx)).flatten()
+                }
+                (&BsMsg::Size(n), Some(c)) => {
+                    c.acc += n;
+                    gathered(&mut c.pending).then(|| c.after_count(local, ctx)).flatten()
+                }
+                (_, None) => unreachable!("a worker is sent only requests (see `protocols`)"),
+                (_, Some(_)) => unreachable!("the leader is sent only replies (see `protocols`)"),
+            };
+            if let Some(threshold) = threshold {
+                ctx.broadcast(BsMsg::Finished { threshold });
+                return Step::Done(self.output_for(threshold));
             }
         }
         Step::Wait

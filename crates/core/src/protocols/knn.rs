@@ -60,6 +60,7 @@ use kmachine::{Ctx, MachineId, Payload, Protocol, Step};
 use knn_points::Key;
 use rand::RngExt;
 
+use super::gathered;
 use super::select_core::{CoreStatus, SelMsg, SelectCore};
 
 /// Tunables of Algorithm 2.
@@ -178,10 +179,56 @@ impl<K: Key> Payload for KnnMsg<K> {
     }
 }
 
+/// Whether a batch of `len` keys is its machine's whole candidate list:
+/// any batch when `ℓ ≤ m`, as a machine holds at most ℓ candidates, and
+/// past that one shorter than `m`, since a sample holds exactly `m`.
+fn is_whole(params: KnnParams, ell: u64, len: usize) -> bool {
+    let m = params.sample_size(ell);
+    ell <= m as u64 || len < m
+}
+
+/// The leader's bookkeeping, which exists only on the leader: its
+/// diagnostics and the gather in progress, of samples or of counts.
+struct Coordinator<K: Key> {
+    /// Filled in as the run goes; the count round sums its survivors and
+    /// candidates here.
+    stats: KnnStats,
+    /// Every batch collected so far, the leader's own first.
+    samples: Vec<K>,
+    /// Every batch collected so far is its machine's whole list
+    /// ([`is_whole`]), so `samples` holds every candidate collected so far.
+    whole: bool,
+    /// Replies still awaited.
+    pending: usize,
+}
+
+impl<K: Key> Coordinator<K> {
+    /// All samples in: the prune threshold, the `rank`-th smallest sample,
+    /// or `None` when the samples are every candidate (the short cut,
+    /// module docs; a run with no candidates anywhere takes it too). The
+    /// selection draws nothing from `ctx.rng()`: equal keys are identical,
+    /// so this is the key a sort would put at that index.
+    fn threshold(&mut self, rank: usize) -> Option<K> {
+        if self.whole {
+            return None;
+        }
+        let at = (rank - 1).min(self.samples.len().checked_sub(1)?);
+        Some(*self.samples.select_nth_unstable(at).1)
+    }
+
+    /// The short cut's boundary: the ℓ-th smallest candidate (`None`: no
+    /// candidates anywhere, or ℓ = 0), by the same draw-free selection.
+    fn answer(&mut self, ell: u64) -> Option<K> {
+        let total = self.samples.len();
+        let answer = ell.min(total as u64) as usize;
+        self.stats.total_candidates = total as u64;
+        self.stats.survivors = answer as u64;
+        answer.checked_sub(1).map(|at| *self.samples.select_nth_unstable(at).1)
+    }
+}
+
 /// Per-machine instance of the paper's Algorithm 2.
 pub struct KnnProtocol<K: Key> {
-    id: MachineId,
-    k: usize,
     leader: MachineId,
     ell: u64,
     params: KnnParams,
@@ -194,16 +241,10 @@ pub struct KnnProtocol<K: Key> {
     prune_only: bool,
     /// Round 0 has run.
     started: bool,
+    /// Algorithm 1 over the survivors, from the prune decision on.
     core: Option<SelectCore<K>>,
-    stats: KnnStats,
-    // Leader scratch.
-    samples: Vec<K>,
-    /// Every batch collected so far is shorter than the sample size, so
-    /// `samples` holds every candidate collected so far.
-    whole: bool,
-    pending: usize,
-    kept_sum: u64,
-    total_sum: u64,
+    /// `Some` exactly on the leader.
+    coordinator: Option<Coordinator<K>>,
 }
 
 impl<K: Key> KnnProtocol<K> {
@@ -219,9 +260,17 @@ impl<K: Key> KnnProtocol<K> {
         candidates: Vec<K>,
     ) -> Self {
         super::debug_assert_candidates(&candidates, ell);
+        let coordinator = (id == leader).then(|| Coordinator {
+            stats: KnnStats {
+                sample_size: params.sample_size(ell) as u64,
+                prune_rank: params.prune_rank(ell) as u64,
+                ..KnnStats::default()
+            },
+            samples: Vec::new(),
+            whole: false,
+            pending: k - 1,
+        });
         KnnProtocol {
-            id,
-            k,
             leader,
             ell,
             params,
@@ -230,12 +279,7 @@ impl<K: Key> KnnProtocol<K> {
             prune_only: false,
             started: false,
             core: None,
-            stats: KnnStats::default(),
-            samples: Vec::new(),
-            whole: false,
-            pending: 0,
-            kept_sum: 0,
-            total_sum: 0,
+            coordinator,
         }
     }
 
@@ -249,20 +293,15 @@ impl<K: Key> KnnProtocol<K> {
         self
     }
 
-    fn is_leader(&self) -> bool {
-        self.id == self.leader
-    }
-
-    /// Round 0: draw samples from the local ℓ best.
-    fn setup(&mut self, ctx: &mut Ctx<'_, KnnMsg<K>>) -> Option<Vec<K>> {
-        self.stats.sample_size = self.params.sample_size(self.ell) as u64;
-        self.stats.prune_rank = self.params.prune_rank(self.ell) as u64;
-
+    /// Round 0: draw samples from the local ℓ best, for the leader.
+    fn start(&mut self, ctx: &mut Ctx<'_, KnnMsg<K>>) -> Step<KnnOutput<K>> {
         if ctx.k() == 1 {
             // The local ℓ best are the global ℓ best.
-            self.stats.total_candidates = self.candidates.len() as u64;
-            self.stats.survivors = self.candidates.len() as u64;
-            return Some(self.candidates.clone());
+            let total = self.candidates.len() as u64;
+            if let Some(c) = &mut self.coordinator {
+                (c.stats.total_candidates, c.stats.survivors) = (total, total);
+            }
+            return Step::Done(self.finish(self.candidates.last().copied()));
         }
 
         // Sample with replacement, as the paper's "randomly and
@@ -281,93 +320,50 @@ impl<K: Key> KnnProtocol<K> {
             }
             sample
         };
-        if self.is_leader() {
-            self.whole = self.is_whole(sample.len());
-            self.samples = sample;
-            self.pending = self.k - 1;
-        } else {
-            ctx.send(self.leader, KnnMsg::Samples(sample));
+        match &mut self.coordinator {
+            Some(c) => {
+                c.whole = is_whole(self.params, self.ell, sample.len());
+                c.samples = sample;
+            }
+            None => ctx.send(self.leader, KnnMsg::Samples(sample)),
         }
-        None
-    }
-
-    /// Whether a batch of `len` keys is its machine's whole candidate list:
-    /// any batch when `ℓ ≤ m`, as a machine holds at most ℓ candidates, and
-    /// past that one shorter than `m`, since a sample holds exactly `m`.
-    fn is_whole(&self, len: usize) -> bool {
-        let m = self.params.sample_size(self.ell);
-        self.ell <= m as u64 || len < m
-    }
-
-    /// Leader: all samples in — finish at once when they are every
-    /// candidate (the short cut, module docs), else broadcast the prune
-    /// threshold and open the count round.
-    fn leader_after_samples(&mut self, ctx: &mut Ctx<'_, KnnMsg<K>>) -> Option<KnnOutput<K>> {
-        if self.whole {
-            // The ℓ-th smallest candidate (`None`: no candidates anywhere,
-            // or ℓ = 0), by the same draw-free selection as the threshold.
-            let total = self.samples.len();
-            let answer = self.ell.min(total as u64) as usize;
-            let boundary = answer.checked_sub(1).map(|at| *self.samples.select_nth_unstable(at).1);
-            self.stats.total_candidates = total as u64;
-            self.stats.survivors = answer as u64;
-            ctx.broadcast(KnnMsg::Sel(SelMsg::Finished { boundary }));
-            return Some(self.finish(boundary));
-        }
-        // The rank-th smallest sample, by a selection that draws nothing
-        // from `ctx.rng()`: equal keys are identical, so this is the key
-        // a sort would put at that index.
-        let at = (self.params.prune_rank(self.ell) - 1).min(self.samples.len() - 1);
-        let r = *self.samples.select_nth_unstable(at).1;
-        ctx.broadcast(KnnMsg::Prune { r });
-        self.pruned_len = self.candidates.partition_point(|x| *x <= r);
-        self.kept_sum = self.pruned_len as u64;
-        self.total_sum = self.candidates.len() as u64;
-        self.pending = self.k - 1;
-        None
+        Step::Wait
     }
 
     /// The leader's prune decision, on every machine: a rollback restores
     /// every candidate; then a prune-only instance answers with its
-    /// survivors, and any other starts Algorithm 1 on them.
+    /// survivors, and any other starts Algorithm 1 on them (the leader
+    /// kicks it off).
     fn decide(&mut self, rollback: bool, ctx: &mut Ctx<'_, KnnMsg<K>>) -> Option<KnnOutput<K>> {
-        self.stats.rolled_back = rollback;
         if rollback {
             self.pruned_len = self.candidates.len();
         }
+        let survivors = &self.candidates[..self.pruned_len];
         if self.prune_only {
-            let keys = self.candidates[..self.pruned_len].to_vec();
-            return Some(KnnOutput { keys, stats: self.is_leader().then_some(self.stats) });
+            return Some(self.finish(survivors.last().copied()));
         }
-        self.start_selection(ctx);
+        let mut core =
+            SelectCore::new(ctx.id(), ctx.k(), self.leader, self.ell, survivors.to_vec());
+        let status = core.start(ctx.rng());
+        debug_assert!(
+            matches!(status, CoreStatus::Running),
+            "k >= 2 selection cannot finish during start"
+        );
+        for (dst, msg) in core.outbox() {
+            ctx.send(dst, KnnMsg::Sel(msg));
+        }
+        self.core = Some(core);
         None
     }
 
-    /// Construct the embedded Algorithm 1 core over the survivors (leader
-    /// also kicks it off).
-    fn start_selection(&mut self, ctx: &mut Ctx<'_, KnnMsg<K>>) {
-        let active = self.candidates[..self.pruned_len].to_vec();
-        let mut core = SelectCore::new(self.id, self.k, self.leader, self.ell, active);
-        if self.is_leader() {
-            let status = core.start(ctx.rng());
-            for (dst, msg) in core.outbox() {
-                ctx.send(dst, KnnMsg::Sel(msg));
-            }
-            debug_assert!(
-                matches!(status, CoreStatus::Running),
-                "k >= 2 selection cannot finish during start"
-            );
-        }
-        self.core = Some(core);
-    }
-
     /// Every machine's answer: its candidates at or below the leader's
-    /// `boundary`, among the survivors once Algorithm 1 ran (all of them
-    /// after the short cut, which prunes nothing).
-    fn finish(&mut self, boundary: Option<K>) -> KnnOutput<K> {
-        self.stats.select_iterations = self.core.as_ref().map_or(0, |core| core.iterations());
+    /// `boundary`, among the survivors once a prune ran (all of them after
+    /// the short cut, which prunes nothing), and the leader's stats.
+    fn finish(&self, boundary: Option<K>) -> KnnOutput<K> {
         let keys = super::at_or_below(&self.candidates[..self.pruned_len], boundary);
-        KnnOutput { keys, stats: self.is_leader().then_some(self.stats) }
+        let select_iterations = self.core.as_ref().map_or(0, SelectCore::iterations);
+        let stats = self.coordinator.as_ref().map(|c| KnnStats { select_iterations, ..c.stats });
+        KnnOutput { keys, stats }
     }
 }
 
@@ -390,30 +386,34 @@ impl<K: Key> Protocol for KnnProtocol<K> {
         if !self.started {
             debug_assert_eq!(ctx.round(), 0);
             self.started = true;
-            if let Some(keys) = self.setup(ctx) {
-                return Step::Done(KnnOutput { keys, stats: Some(self.stats) });
-            }
-            return Step::Wait;
+            return self.start(ctx);
         }
 
         // Every phase past round 0 only reacts to mail, so between
         // deliveries the protocol waits.
         let mut finished: Option<Option<K>> = None;
         for env in ctx.inbox() {
-            match &env.msg {
-                KnnMsg::Samples(batch) => {
-                    debug_assert!(self.is_leader());
-                    self.whole &= self.is_whole(batch.len());
-                    self.samples.extend_from_slice(batch);
-                    self.pending -= 1;
-                    if self.pending == 0 {
-                        if let Some(out) = self.leader_after_samples(ctx) {
-                            return Step::Done(out);
-                        }
+            match (&env.msg, &mut self.coordinator, &mut self.core) {
+                (KnnMsg::Samples(batch), Some(c), _) => {
+                    c.whole &= is_whole(self.params, self.ell, batch.len());
+                    c.samples.extend_from_slice(batch);
+                    if gathered(&mut c.pending) {
+                        let Some(r) = c.threshold(self.params.prune_rank(self.ell)) else {
+                            let boundary = c.answer(self.ell);
+                            ctx.broadcast(KnnMsg::Sel(SelMsg::Finished { boundary }));
+                            return Step::Done(self.finish(boundary));
+                        };
+                        // Prune, and open the count round with the leader's
+                        // own counts.
+                        ctx.broadcast(KnnMsg::Prune { r });
+                        self.pruned_len = self.candidates.partition_point(|x| *x <= r);
+                        c.stats.survivors = self.pruned_len as u64;
+                        c.stats.total_candidates = self.candidates.len() as u64;
+                        c.pending = ctx.k() - 1;
                     }
                 }
-                KnnMsg::Prune { r } => {
-                    self.pruned_len = self.candidates.partition_point(|x| x <= r);
+                (&KnnMsg::Prune { r }, None, _) => {
+                    self.pruned_len = self.candidates.partition_point(|x| *x <= r);
                     ctx.send(
                         self.leader,
                         KnnMsg::PrunedCount {
@@ -422,34 +422,29 @@ impl<K: Key> Protocol for KnnProtocol<K> {
                         },
                     );
                 }
-                KnnMsg::PrunedCount { kept, total } => {
-                    debug_assert!(self.is_leader());
-                    self.kept_sum += kept;
-                    self.total_sum += total;
-                    self.pending -= 1;
-                    if self.pending == 0 {
-                        let rollback = self.kept_sum < self.ell.min(self.total_sum);
-                        self.stats.total_candidates = self.total_sum;
-                        self.stats.survivors = self.kept_sum;
+                (&KnnMsg::PrunedCount { kept, total }, Some(c), _) => {
+                    c.stats.survivors += kept;
+                    c.stats.total_candidates += total;
+                    if gathered(&mut c.pending) {
+                        let rollback = c.stats.survivors < self.ell.min(c.stats.total_candidates);
+                        c.stats.rolled_back = rollback;
                         ctx.broadcast(KnnMsg::PruneDecision { rollback });
                         if let Some(out) = self.decide(rollback, ctx) {
                             return Step::Done(out);
                         }
                     }
                 }
-                &KnnMsg::PruneDecision { rollback } => {
-                    if self.core.is_none() {
-                        if let Some(out) = self.decide(rollback, ctx) {
-                            return Step::Done(out);
-                        }
+                (&KnnMsg::PruneDecision { rollback }, None, _) => {
+                    if let Some(out) = self.decide(rollback, ctx) {
+                        return Step::Done(out);
                     }
                 }
-                &KnnMsg::Sel(SelMsg::Finished { boundary }) if self.core.is_none() => {
-                    // The leader's short cut: nothing was pruned.
+                // The leader's boundary, after the short cut or after
+                // Algorithm 1, whose worker side has nothing to do with it.
+                (&KnnMsg::Sel(SelMsg::Finished { boundary }), None, _) => {
                     finished = Some(boundary);
                 }
-                KnnMsg::Sel(sel) => {
-                    let core = self.core.as_mut().expect("selection traffic before setup");
+                (KnnMsg::Sel(sel), _, Some(core)) => {
                     let status = core.handle(env.src, sel, ctx.rng());
                     for (dst, m) in core.outbox() {
                         ctx.send(dst, KnnMsg::Sel(m));
@@ -457,6 +452,13 @@ impl<K: Key> Protocol for KnnProtocol<K> {
                     if let CoreStatus::Finished { boundary } = status {
                         finished = Some(boundary);
                     }
+                }
+                // Selection traffic reaches a machine only after the prune
+                // decision has built its core (the leader sends the decision
+                // first, and links are FIFO).
+                (_, None, _) => unreachable!("a worker is sent only requests (see `protocols`)"),
+                (_, Some(_), _) => {
+                    unreachable!("the leader is sent only replies (see `protocols`)")
                 }
             }
         }

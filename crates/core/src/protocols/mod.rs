@@ -22,6 +22,24 @@
 //! Theorem 2.2 setting) and sorts it locally. **Out:** the leader names the
 //! last member of the global ℓ smallest, and every machine answers with its
 //! own keys at or below that boundary.
+//!
+//! **Roles.** As in the paper, only the leader samples, picks pivots,
+//! counts and decides; every other machine only answers. So each protocol
+//! keeps the leader's bookkeeping — its gathers, range bounds, samples and
+//! [`KnnStats`] — in one value that its constructor builds only when
+//! `id == leader`, with the leader's steps as that value's methods; a
+//! worker holds little more than its keys and the leader's id. A message
+//! is handled by one `match` on the message and that value. Mail meant for
+//! the other role cannot arrive: only protocol code sends, and it sends
+//! requests only to workers and replies only to the leader; a liar lies at
+//! the source, in its input, and then runs the protocol faithfully; and a
+//! corrupt link is refused by its digest before delivery. So each such
+//! `match` ends in one `unreachable!` arm per role instead of an error
+//! path. For the same reasons a reply reaches the leader only in the phase
+//! that asked for it, and no phase is checked. Nor does non-test code here
+//! `expect`, `unwrap` or `panic!`: the lint below denies all three.
+
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::unwrap_used, clippy::panic))]
 
 pub mod binsearch;
 #[cfg(test)]
@@ -48,6 +66,21 @@ fn debug_assert_candidates<K: Key>(keys: &[K], ell: u64) {
 /// candidates as the protocols take them.
 pub fn top_ell<K: Key>(keys: impl IntoIterator<Item = K>, ell: u64) -> Vec<K> {
     knn_selection::smallest_k(keys, usize::try_from(ell).unwrap_or(usize::MAX))
+}
+
+/// Index range of `(lo, hi]` within the `sorted` keys (`lo = None` ⇒ −∞,
+/// `hi = None` ⇒ +∞).
+fn range<K: Key>(sorted: &[K], lo: Option<K>, hi: Option<K>) -> std::ops::Range<usize> {
+    let a = lo.map_or(0, |l| sorted.partition_point(|x| *x <= l));
+    let b = hi.map_or(sorted.len(), |h| sorted.partition_point(|x| *x <= h));
+    a..b.max(a)
+}
+
+/// One more reply is in, of the `pending` a leader awaits: whether it was
+/// the last.
+fn gathered(pending: &mut usize) -> bool {
+    *pending -= 1;
+    *pending == 0
 }
 
 /// The output contract: a machine's keys at or below the leader's

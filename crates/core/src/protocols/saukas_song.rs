@@ -13,6 +13,8 @@ use kmachine::{Ctx, MachineId, Payload, Protocol, Step};
 use knn_points::Key;
 use knn_selection::weighted_median;
 
+use super::{gathered, range};
+
 /// Answer boundary of a selection over a possibly-unbounded range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cut<K: Key> {
@@ -81,32 +83,34 @@ impl<K: Key> Payload for SsMsg<K> {
     }
 }
 
-#[derive(Clone, Copy)]
-enum SsPhase<K: Key> {
-    /// Round 0 has not run.
-    Init,
-    /// Past round 0: a worker, or the leader collecting medians.
-    Started,
-    /// The leader collecting the sizes of `(lo, pivot]`.
-    AwaitSizes { pivot: K },
+/// The leader's bookkeeping, which exists only on the leader: the live
+/// range, the rank still to place in it, and the gather in progress.
+struct Coordinator<K: Key> {
+    /// Exclusive lower bound of the live range (−∞ when `None`).
+    lo: Option<K>,
+    /// Inclusive upper bound of the live range (+∞ when `None`).
+    hi: Option<K>,
+    /// Rank still to be located inside the range.
+    ell_rem: u64,
+    /// The live medians gathered, each with its machine's live count.
+    medians: Vec<(K, u64)>,
+    /// The pivot being sized (`None` before the first).
+    pivot: Option<K>,
+    /// Keys in `(lo, pivot]` gathered so far.
+    sizes: u64,
+    /// Replies still awaited.
+    pending: usize,
 }
 
 /// Per-machine instance of Saukas–Song selection.
 pub struct SaukasSongProtocol<K: Key> {
-    id: MachineId,
-    k: usize,
     leader: MachineId,
-    ell: u64,
     /// Local top-ℓ candidates, sorted.
     local: Vec<K>,
-    phase: SsPhase<K>,
-    // Leader state.
-    lo: Option<K>,
-    hi: Option<K>,
-    ell_rem: u64,
-    medians: Vec<(K, u64)>,
-    sizes: u64,
-    pending: usize,
+    /// Round 0 has run.
+    started: bool,
+    /// `Some` exactly on the leader.
+    coordinator: Option<Coordinator<K>>,
 }
 
 impl<K: Key> SaukasSongProtocol<K> {
@@ -114,102 +118,16 @@ impl<K: Key> SaukasSongProtocol<K> {
     /// machine's `local` candidates (sorted ascending, at most `ell`).
     pub fn new(id: MachineId, k: usize, leader: MachineId, ell: u64, local: Vec<K>) -> Self {
         super::debug_assert_candidates(&local, ell);
-        SaukasSongProtocol {
-            id,
-            k,
-            leader,
-            ell,
-            local,
-            phase: SsPhase::Init,
+        let coordinator = (id == leader).then(|| Coordinator {
             lo: None,
             hi: None,
             ell_rem: ell,
-            medians: Vec::new(),
+            medians: Vec::with_capacity(k),
+            pivot: None,
             sizes: 0,
             pending: 0,
-        }
-    }
-
-    fn range_bounds(&self, lo: &Option<K>, hi: &Option<K>) -> (usize, usize) {
-        let a = match lo {
-            None => 0,
-            Some(l) => self.local.partition_point(|x| *x <= *l),
-        };
-        let b = match hi {
-            None => self.local.len(),
-            Some(h) => self.local.partition_point(|x| *x <= *h),
-        };
-        (a, b.max(a))
-    }
-
-    fn local_median(&self, lo: &Option<K>, hi: &Option<K>) -> (Option<K>, u64) {
-        let (a, b) = self.range_bounds(lo, hi);
-        if a == b {
-            (None, 0)
-        } else {
-            (Some(self.local[a + (b - a - 1) / 2]), (b - a) as u64)
-        }
-    }
-
-    /// Leader: launch one median-probe iteration over the current range.
-    fn request_medians(&mut self, ctx: &mut Ctx<'_, SsMsg<K>>) {
-        ctx.broadcast(SsMsg::MedianReq { lo: self.lo, hi: self.hi });
-        self.medians.clear();
-        let (med, count) = self.local_median(&self.lo.clone(), &self.hi.clone());
-        if let Some(m) = med {
-            self.medians.push((m, count));
-        }
-        self.pending = self.k - 1;
-        self.phase = SsPhase::Started;
-    }
-
-    /// Leader: all medians in — finish or partition at the weighted median.
-    fn after_medians(&mut self, ctx: &mut Ctx<'_, SsMsg<K>>) -> Option<Cut<K>> {
-        let s: u64 = self.medians.iter().map(|&(_, c)| c).sum();
-        self.ell_rem = self.ell_rem.min(s);
-        if self.ell_rem == 0 {
-            return Some(match self.lo {
-                None => Cut::Nothing,
-                Some(b) => Cut::At(b),
-            });
-        }
-        if s <= self.ell_rem {
-            return Some(match self.hi {
-                None => Cut::All,
-                Some(b) => Cut::At(b),
-            });
-        }
-        let pivot = weighted_median(&mut self.medians).expect("s > 0 implies medians");
-        ctx.broadcast(SsMsg::GetSize { lo: self.lo, pivot });
-        let (a, b) = self.range_bounds(&self.lo.clone(), &Some(pivot));
-        self.sizes = (b - a) as u64;
-        self.pending = self.k - 1;
-        self.phase = SsPhase::AwaitSizes { pivot };
-        None
-    }
-
-    /// Leader: all sizes in — update the range, maybe finish.
-    fn after_sizes(&mut self, ctx: &mut Ctx<'_, SsMsg<K>>) -> Option<Cut<K>> {
-        let SsPhase::AwaitSizes { pivot } = self.phase else {
-            panic!("after_sizes outside AwaitSizes")
-        };
-        let s_prime = self.sizes;
-        if s_prime == self.ell_rem {
-            return Some(Cut::At(pivot));
-        }
-        if s_prime < self.ell_rem {
-            self.ell_rem -= s_prime;
-            self.lo = Some(pivot);
-        } else {
-            self.hi = Some(pivot);
-        }
-        self.request_medians(ctx);
-        None
-    }
-
-    fn finish(&mut self, cut: Cut<K>, ctx: &mut Ctx<'_, SsMsg<K>>) -> Step<Vec<K>> {
-        ctx.broadcast(SsMsg::Finished { cut });
-        Step::Done(self.answer(cut))
+        });
+        SaukasSongProtocol { leader, local, started: false, coordinator }
     }
 
     /// This machine's keys at or below `cut`.
@@ -218,69 +136,114 @@ impl<K: Key> SaukasSongProtocol<K> {
     }
 }
 
+/// The lower median of the keys of `local` in `(lo, hi]` (`None` when there
+/// are none), and their count.
+fn local_median<K: Key>(local: &[K], lo: Option<K>, hi: Option<K>) -> (Option<K>, u64) {
+    let live = &local[range(local, lo, hi)];
+    (live.get(live.len().saturating_sub(1) / 2).copied(), live.len() as u64)
+}
+
+impl<K: Key> Coordinator<K> {
+    /// Launch one median-probe iteration over the current range.
+    fn request_medians(&mut self, local: &[K], ctx: &mut Ctx<'_, SsMsg<K>>) {
+        ctx.broadcast(SsMsg::MedianReq { lo: self.lo, hi: self.hi });
+        self.medians.clear();
+        if let (Some(med), count) = local_median(local, self.lo, self.hi) {
+            self.medians.push((med, count));
+        }
+        self.pending = ctx.k() - 1;
+    }
+
+    /// The answer when it is the whole live range.
+    fn upper_cut(&self) -> Cut<K> {
+        self.hi.map_or(Cut::All, Cut::At)
+    }
+
+    /// All medians in: finish, or partition at the weighted median.
+    fn after_medians(&mut self, local: &[K], ctx: &mut Ctx<'_, SsMsg<K>>) -> Option<Cut<K>> {
+        let s: u64 = self.medians.iter().map(|&(_, c)| c).sum();
+        self.ell_rem = self.ell_rem.min(s);
+        if self.ell_rem == 0 {
+            return Some(self.lo.map_or(Cut::Nothing, Cut::At));
+        }
+        // With `s <= ell_rem` the whole live range is the answer; past that
+        // some machine holds live keys, so there are medians to weigh.
+        let pivot = if s > self.ell_rem { weighted_median(&mut self.medians).ok() } else { None };
+        let Some(pivot) = pivot else {
+            return Some(self.upper_cut());
+        };
+        ctx.broadcast(SsMsg::GetSize { lo: self.lo, pivot });
+        self.sizes = range(local, self.lo, Some(pivot)).len() as u64;
+        self.pending = ctx.k() - 1;
+        self.pivot = Some(pivot);
+        None
+    }
+
+    /// All sizes in: narrow the range to one side of the pivot, or finish
+    /// at it.
+    fn after_sizes(&mut self, local: &[K], ctx: &mut Ctx<'_, SsMsg<K>>) -> Option<Cut<K>> {
+        if self.sizes < self.ell_rem {
+            self.ell_rem -= self.sizes;
+            self.lo = self.pivot;
+        } else {
+            self.hi = self.pivot;
+            if self.sizes == self.ell_rem {
+                return Some(self.upper_cut());
+            }
+        }
+        self.request_medians(local, ctx);
+        None
+    }
+}
+
 impl<K: Key> Protocol for SaukasSongProtocol<K> {
     type Msg = SsMsg<K>;
     type Output = Vec<K>;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, SsMsg<K>>) -> Step<Vec<K>> {
-        debug_assert_eq!(ctx.id(), self.id, "protocol wired to the wrong machine");
-        if matches!(self.phase, SsPhase::Init) {
-            if ctx.id() == self.leader {
+        if !self.started {
+            self.started = true;
+            if let Some(c) = &mut self.coordinator {
                 if ctx.k() == 1 {
                     // Select locally: the answer is the ℓ-smallest prefix.
-                    let end = (self.ell as usize).min(self.local.len());
+                    let end = (c.ell_rem as usize).min(self.local.len());
                     return Step::Done(self.local[..end].to_vec());
                 }
-                self.request_medians(ctx);
+                c.request_medians(&self.local, ctx);
             }
-            self.phase = SsPhase::Started;
             return Step::Wait;
         }
 
         // Workers answer probes and the leader collects replies: both only
         // ever react to mail.
-        if ctx.id() != self.leader {
-            for env in ctx.inbox() {
-                match &env.msg {
-                    SsMsg::MedianReq { lo, hi } => {
-                        let (med, count) = self.local_median(lo, hi);
-                        ctx.send(self.leader, SsMsg::Median { med, count });
-                    }
-                    SsMsg::GetSize { lo, pivot } => {
-                        let (a, b) = self.range_bounds(lo, &Some(*pivot));
-                        ctx.send(self.leader, SsMsg::Size((b - a) as u64));
-                    }
-                    SsMsg::Finished { cut } => return Step::Done(self.answer(*cut)),
-                    other => panic!("worker received a leader-only message {other:?}"),
-                }
-            }
-            return Step::Wait;
-        }
-
-        // Leader.
         for env in ctx.inbox() {
-            match &env.msg {
-                &SsMsg::Median { med, count } => {
-                    if let Some(m) = med {
-                        self.medians.push((m, count));
-                    }
-                    self.pending -= 1;
-                    if self.pending == 0 {
-                        if let Some(cut) = self.after_medians(ctx) {
-                            return self.finish(cut, ctx);
-                        }
-                    }
+            let local = &self.local[..];
+            let cut = match (&env.msg, &mut self.coordinator) {
+                (&SsMsg::MedianReq { lo, hi }, None) => {
+                    let (med, count) = local_median(local, lo, hi);
+                    ctx.send(self.leader, SsMsg::Median { med, count });
+                    None
                 }
-                SsMsg::Size(c) => {
-                    self.sizes += c;
-                    self.pending -= 1;
-                    if self.pending == 0 {
-                        if let Some(cut) = self.after_sizes(ctx) {
-                            return self.finish(cut, ctx);
-                        }
-                    }
+                (&SsMsg::GetSize { lo, pivot }, None) => {
+                    let size = range(local, lo, Some(pivot)).len() as u64;
+                    ctx.send(self.leader, SsMsg::Size(size));
+                    None
                 }
-                other => panic!("leader received an unexpected message {other:?}"),
+                (&SsMsg::Finished { cut }, None) => return Step::Done(self.answer(cut)),
+                (&SsMsg::Median { med, count }, Some(c)) => {
+                    c.medians.extend(med.map(|m| (m, count)));
+                    gathered(&mut c.pending).then(|| c.after_medians(local, ctx)).flatten()
+                }
+                (&SsMsg::Size(n), Some(c)) => {
+                    c.sizes += n;
+                    gathered(&mut c.pending).then(|| c.after_sizes(local, ctx)).flatten()
+                }
+                (_, None) => unreachable!("a worker is sent only requests (see `protocols`)"),
+                (_, Some(_)) => unreachable!("the leader is sent only replies (see `protocols`)"),
+            };
+            if let Some(cut) = cut {
+                ctx.broadcast(SsMsg::Finished { cut });
+                return Step::Done(self.answer(cut));
             }
         }
         Step::Wait

@@ -11,6 +11,8 @@
 //! bound plus the globally-unique keys make the duplicate-handling explicit.
 
 use kmachine::{MachineId, Payload};
+
+use super::{gathered, range};
 use knn_points::Key;
 use rand::{rngs::StdRng, RngExt};
 
@@ -82,18 +84,26 @@ pub enum CoreStatus<K: Key> {
     },
 }
 
-/// Leader-side bookkeeping.
+/// Messages a machine queues for sending, in send order.
+type Outbox<K> = Vec<(MachineId, SelMsg<K>)>;
+
+/// The leader's bookkeeping, which exists only on the leader: the search
+/// range, every machine's count in it, and the gather in progress.
 #[derive(Debug)]
-struct LeaderState<K: Key> {
-    phase: Phase<K>,
+struct Coordinator<K: Key> {
+    /// The leader's own machine id.
+    id: MachineId,
     /// Per-machine count of keys in the current range.
     counts: Vec<u64>,
-    /// Scratch for the replies being collected.
+    /// Per-machine count of keys in `(lo, pivot]`, as the sizes come in.
     incoming: Vec<u64>,
+    /// Replies still awaited.
     pending: usize,
     lo: Option<K>,
+    /// `None` until a machine reports a key.
     hi: Option<K>,
-    global_min: Option<K>,
+    /// The pivot being sized (`None` before the first).
+    pivot: Option<K>,
     /// Keys still in the range (`Σ counts`).
     s: u64,
     /// Rank still to be located inside the range.
@@ -104,34 +114,22 @@ struct LeaderState<K: Key> {
     iterations: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-// The shared Await- prefix mirrors the protocol's "awaiting X" round
-// structure; renaming would lose that correspondence.
-#[allow(clippy::enum_variant_names)]
-enum Phase<K: Key> {
-    AwaitReports,
-    AwaitPivot,
-    AwaitSizes { pivot: K },
-}
-
 /// The per-machine state machine for distributed selection.
 ///
 /// Run it as a [`Protocol`](kmachine::Protocol), or drive it by hand with
-/// [`SelectCore::start`] (leader only, once) and [`SelectCore::handle`] for
-/// every received message; either queues the messages to send, which
+/// [`SelectCore::start`] (once) and [`SelectCore::handle`] for every
+/// received message; either queues the messages to send, which
 /// [`SelectCore::outbox`] hands over so the caller controls the wire format
 /// (standalone `SelMsg` or embedded inside another protocol's enum).
 #[derive(Debug)]
 pub struct SelectCore<K: Key> {
-    id: MachineId,
-    k: usize,
-    pub(super) leader: MachineId,
     /// Local keys, sorted ascending (the sort is local computation, free in
     /// the model; counting then costs `O(log |local|)` per request).
     pub(super) local: Vec<K>,
-    lstate: Option<Box<LeaderState<K>>>,
+    /// `Some` exactly on the leader (boxed, so a worker's core stays small).
+    coordinator: Option<Box<Coordinator<K>>>,
     /// Messages queued by the last `start` / `handle`, reused across rounds.
-    out: Vec<(MachineId, SelMsg<K>)>,
+    out: Outbox<K>,
 }
 
 impl<K: Key> SelectCore<K> {
@@ -140,26 +138,26 @@ impl<K: Key> SelectCore<K> {
     /// possibly empty.
     pub fn new(id: MachineId, k: usize, leader: MachineId, ell: u64, mut local: Vec<K>) -> Self {
         local.sort_unstable();
-        let lstate = (id == leader).then(|| {
-            Box::new(LeaderState {
-                phase: Phase::AwaitReports,
+        let coordinator = (id == leader).then(|| {
+            Box::new(Coordinator {
+                id,
                 counts: vec![0; k],
                 incoming: vec![0; k],
                 pending: 0,
                 lo: None,
                 hi: None,
-                global_min: None,
+                pivot: None,
                 s: 0,
                 ell_rem: ell,
                 iterations: 0,
             })
         });
-        SelectCore { id, k, leader, local, lstate, out: Vec::new() }
+        SelectCore { local, coordinator, out: Vec::new() }
     }
 
     /// Completed pivot iterations (leader only; 0 elsewhere).
     pub fn iterations(&self) -> u64 {
-        self.lstate.as_ref().map_or(0, |l| l.iterations)
+        self.coordinator.as_ref().map_or(0, |c| c.iterations)
     }
 
     /// Messages queued since the last call, in send order.
@@ -167,219 +165,155 @@ impl<K: Key> SelectCore<K> {
         self.out.drain(..)
     }
 
-    /// Leader kick-off: broadcast the stats query (and record the leader's
-    /// own stats). Must be called exactly once, on the leader, before any
-    /// `handle`. On a single machine every count is local, so the whole
-    /// search runs here and it returns finished.
+    /// Kick-off, called once on every machine before any `handle`. The
+    /// leader broadcasts the stats query and records its own stats; a
+    /// worker does nothing, as it only ever answers mail. On a single
+    /// machine every count is local, so the whole search runs here and it
+    /// returns finished.
     pub fn start(&mut self, rng: &mut StdRng) -> CoreStatus<K> {
-        assert_eq!(self.id, self.leader, "start() is leader-only");
-        for dst in 0..self.k {
-            if dst != self.id {
-                self.out.push((dst, SelMsg::Query));
-            }
+        match &mut self.coordinator {
+            Some(c) => c.start(&self.local, &mut self.out, rng),
+            None => CoreStatus::Running,
         }
-        let (count, min, max) =
-            (self.local.len() as u64, self.local.first().copied(), self.local.last().copied());
-        let st = self.lstate.as_mut().expect("leader state");
-        st.pending = self.k - 1;
-        st.counts[self.id] = count;
-        st.global_min = min;
-        st.hi = max;
-        st.s = count;
-        if st.pending > 0 {
-            return CoreStatus::Running;
-        }
-        let mut status = self.after_reports(rng);
-        while status == CoreStatus::Running {
-            status = self.after_sizes(rng);
-        }
-        status
     }
 
     /// Feed one received message; queue any responses.
     pub fn handle(&mut self, src: MachineId, msg: &SelMsg<K>, rng: &mut StdRng) -> CoreStatus<K> {
-        match msg {
-            // ---- worker side ----
-            SelMsg::Query => {
-                self.out.push((
-                    src,
-                    SelMsg::Report {
-                        count: self.local.len() as u64,
-                        min: self.local.first().copied(),
-                        max: self.local.last().copied(),
-                    },
-                ));
-                CoreStatus::Running
+        let (local, out) = (&self.local[..], &mut self.out);
+        match (msg, &mut self.coordinator) {
+            (SelMsg::Query, None) => {
+                let (min, max) = (local.first().copied(), local.last().copied());
+                out.push((src, SelMsg::Report { count: local.len() as u64, min, max }));
             }
-            SelMsg::PickPivot { lo, hi } => {
-                let (a, b) = self.range_bounds(lo, hi);
-                assert!(b > a, "leader asked for a pivot from an empty range");
-                let idx = rng.random_range(a..b);
-                self.out.push((src, SelMsg::Pivot(self.local[idx])));
-                CoreStatus::Running
+            (&SelMsg::PickPivot { lo, hi }, None) => {
+                // The leader asks a machine in proportion to its count in
+                // the range, so the range holds a key here.
+                let idx = rng.random_range(range(local, lo, Some(hi)));
+                out.push((src, SelMsg::Pivot(local[idx])));
             }
-            SelMsg::GetSize { lo, hi } => {
-                let (a, b) = self.range_bounds(lo, hi);
-                self.out.push((src, SelMsg::Size((b - a) as u64)));
-                CoreStatus::Running
+            (&SelMsg::GetSize { lo, hi }, None) => {
+                out.push((src, SelMsg::Size(range(local, lo, Some(hi)).len() as u64)));
             }
-            SelMsg::Finished { boundary } => CoreStatus::Finished { boundary: *boundary },
-
-            // ---- leader side ----
-            SelMsg::Report { count, min, max } => {
-                let st = self.lstate.as_mut().expect("Report reached a non-leader");
-                debug_assert!(matches!(st.phase, Phase::AwaitReports));
-                st.counts[src] = *count;
-                st.s += *count;
-                if let Some(m) = min {
-                    if st.global_min.is_none_or(|g| *m < g) {
-                        st.global_min = Some(*m);
-                    }
+            (&SelMsg::Finished { boundary }, None) => return CoreStatus::Finished { boundary },
+            (&SelMsg::Report { count, max, .. }, Some(c)) => {
+                c.counts[src] = count;
+                c.s += count;
+                // `None`, an empty machine's, orders below every key.
+                c.hi = c.hi.max(max);
+                if gathered(&mut c.pending) {
+                    return c.advance(local, out, rng);
                 }
-                if let Some(m) = max {
-                    if st.hi.is_none_or(|g| *m > g) {
-                        st.hi = Some(*m);
-                    }
-                }
-                st.pending -= 1;
-                if st.pending == 0 {
-                    return self.after_reports(rng);
-                }
-                CoreStatus::Running
             }
-            SelMsg::Pivot(p) => {
-                debug_assert!(matches!(
-                    self.lstate.as_ref().expect("leader").phase,
-                    Phase::AwaitPivot
-                ));
-                self.broadcast_getsize(*p);
-                CoreStatus::Running
-            }
-            SelMsg::Size(c) => {
-                let st = self.lstate.as_mut().expect("Size reached a non-leader");
-                st.incoming[src] = *c;
-                st.pending -= 1;
-                if st.pending == 0 {
-                    return self.after_sizes(rng);
+            (&SelMsg::Pivot(pivot), Some(c)) => c.size(pivot, local, out),
+            (&SelMsg::Size(n), Some(c)) => {
+                c.incoming[src] = n;
+                if gathered(&mut c.pending) {
+                    return c.after_sizes(local, out, rng);
                 }
-                CoreStatus::Running
             }
+            (_, None) => unreachable!("only the leader is sent replies (see `protocols`)"),
+            (_, Some(_)) => unreachable!("the leader is sent only replies (see `protocols`)"),
         }
+        CoreStatus::Running
+    }
+}
+
+impl<K: Key> Coordinator<K> {
+    /// Queue `msg` to every machine but the leader.
+    fn broadcast(&self, out: &mut Outbox<K>, msg: SelMsg<K>) {
+        let others = (0..self.counts.len()).filter(|&dst| dst != self.id);
+        out.extend(others.map(|dst| (dst, msg.clone())));
     }
 
-    // ---- leader internals ----
-
-    fn after_reports(&mut self, rng: &mut StdRng) -> CoreStatus<K> {
-        let st = self.lstate.as_mut().expect("leader");
-        // Cap the request at the population: if ell >= s everything is the
-        // answer (and ell = 0 means an empty answer).
-        st.ell_rem = st.ell_rem.min(st.s);
-        self.advance(rng)
+    /// Broadcast the stats query and record the leader's own stats.
+    fn start(&mut self, local: &[K], out: &mut Outbox<K>, rng: &mut StdRng) -> CoreStatus<K> {
+        self.broadcast(out, SelMsg::Query);
+        self.pending = self.counts.len() - 1;
+        self.counts[self.id] = local.len() as u64;
+        self.s = local.len() as u64;
+        self.hi = local.last().copied();
+        if self.pending > 0 {
+            return CoreStatus::Running;
+        }
+        let mut status = self.advance(local, out, rng);
+        while status == CoreStatus::Running {
+            status = self.after_sizes(local, out, rng);
+        }
+        status
     }
 
     /// Run the decision loop: either finish, or launch the next pivot probe.
-    fn advance(&mut self, rng: &mut StdRng) -> CoreStatus<K> {
-        let st = self.lstate.as_mut().expect("leader");
-        if st.ell_rem == 0 {
+    fn advance(&mut self, local: &[K], out: &mut Outbox<K>, rng: &mut StdRng) -> CoreStatus<K> {
+        // Cap the request at the population, once the reports are in: if
+        // ell >= s everything is the answer (and ell = 0 means an empty
+        // answer). Past that, `ell_rem <= s` holds by itself.
+        self.ell_rem = self.ell_rem.min(self.s);
+        if self.ell_rem == 0 {
             // Everything at or below `lo` is the answer (possibly nothing).
-            let boundary = st.lo;
-            return self.finish(boundary);
+            return self.finish(self.lo, out);
         }
-        if st.s <= st.ell_rem {
-            debug_assert_eq!(st.s, st.ell_rem, "invariant ell_rem <= s violated");
-            let boundary = st.hi;
-            return self.finish(boundary);
-        }
-        st.iterations += 1;
+        // With `s <= ell_rem` the whole range is the answer; `hi` is `None`
+        // only while no key is in range, when `s = 0`.
+        let Some(hi) = self.hi.filter(|_| self.s > self.ell_rem) else {
+            debug_assert_eq!(self.s, self.ell_rem, "invariant ell_rem <= s violated");
+            return self.finish(self.hi, out);
+        };
+        self.iterations += 1;
         // Pick machine i with probability counts[i]/s (Lemma 2.1: combined
         // with the machine's uniform local draw, the pivot is uniform over
-        // all in-range keys).
-        let t = rng.random_range(0..st.s);
-        let mut acc = 0u64;
-        let mut chosen = usize::MAX;
-        for (i, &c) in st.counts.iter().enumerate() {
+        // all in-range keys): the first whose running count passes t.
+        let (t, mut acc) = (rng.random_range(0..self.s), 0);
+        let chosen = self.counts.iter().take_while(|&&c| {
             acc += c;
-            if t < acc {
-                chosen = i;
-                break;
-            }
-        }
-        debug_assert!(chosen != usize::MAX);
-        let lo = st.lo;
-        let hi = st.hi.expect("nonempty range has an upper bound");
-        st.phase = Phase::AwaitPivot;
+            acc <= t
+        });
+        let chosen = chosen.count();
         if chosen == self.id {
             // Leader sampled itself: draw locally and skip two rounds.
-            let (a, b) = self.range_bounds(&lo, &hi);
-            debug_assert!(b > a);
-            let idx = rng.random_range(a..b);
-            let pivot = self.local[idx];
-            self.broadcast_getsize(pivot);
+            let pivot = local[rng.random_range(range(local, self.lo, Some(hi)))];
+            self.size(pivot, local, out);
         } else {
-            self.out.push((chosen, SelMsg::PickPivot { lo, hi }));
+            out.push((chosen, SelMsg::PickPivot { lo: self.lo, hi }));
         }
         CoreStatus::Running
     }
 
-    fn broadcast_getsize(&mut self, pivot: K) {
-        let lo = self.lstate.as_ref().expect("leader").lo;
-        for dst in 0..self.k {
-            if dst != self.id {
-                self.out.push((dst, SelMsg::GetSize { lo, hi: pivot }));
-            }
-        }
-        let (a, b) = self.range_bounds(&lo, &pivot);
-        let st = self.lstate.as_mut().expect("leader");
-        st.incoming.iter_mut().for_each(|c| *c = 0);
-        st.incoming[self.id] = (b - a) as u64;
-        st.pending = self.k - 1;
-        st.phase = Phase::AwaitSizes { pivot };
+    /// Ask every machine how many of its keys lie in `(lo, pivot]`, and
+    /// count the leader's own.
+    fn size(&mut self, pivot: K, local: &[K], out: &mut Outbox<K>) {
+        self.broadcast(out, SelMsg::GetSize { lo: self.lo, hi: pivot });
+        self.incoming.fill(0);
+        self.incoming[self.id] = range(local, self.lo, Some(pivot)).len() as u64;
+        self.pending = self.counts.len() - 1;
+        self.pivot = Some(pivot);
     }
 
-    fn after_sizes(&mut self, rng: &mut StdRng) -> CoreStatus<K> {
-        let st = self.lstate.as_mut().expect("leader");
-        let Phase::AwaitSizes { pivot } = st.phase else {
-            panic!("after_sizes outside AwaitSizes");
-        };
-        let s_prime: u64 = st.incoming.iter().sum();
+    fn after_sizes(&mut self, local: &[K], out: &mut Outbox<K>, rng: &mut StdRng) -> CoreStatus<K> {
+        let s_prime: u64 = self.incoming.iter().sum();
         debug_assert!(s_prime >= 1, "pivot itself lies in (lo, pivot]");
-        if s_prime == st.ell_rem {
-            return self.finish(Some(pivot));
+        if s_prime == self.ell_rem {
+            return self.finish(self.pivot, out);
         }
-        if s_prime < st.ell_rem {
+        if s_prime < self.ell_rem {
             // The whole prefix (lo, pivot] joins the answer.
-            st.ell_rem -= s_prime;
-            st.s -= s_prime;
-            for i in 0..st.counts.len() {
-                st.counts[i] -= st.incoming[i];
+            self.ell_rem -= s_prime;
+            self.s -= s_prime;
+            for (count, &inside) in self.counts.iter_mut().zip(&self.incoming) {
+                *count -= inside;
             }
-            st.lo = Some(pivot);
+            self.lo = self.pivot;
         } else {
             // The answer lies within (lo, pivot].
-            st.s = s_prime;
-            st.counts.copy_from_slice(&st.incoming);
-            st.hi = Some(pivot);
+            self.s = s_prime;
+            self.counts.copy_from_slice(&self.incoming);
+            self.hi = self.pivot;
         }
-        self.advance(rng)
+        self.advance(local, out, rng)
     }
 
-    fn finish(&mut self, boundary: Option<K>) -> CoreStatus<K> {
-        for dst in 0..self.k {
-            if dst != self.id {
-                self.out.push((dst, SelMsg::Finished { boundary }));
-            }
-        }
+    fn finish(&self, boundary: Option<K>, out: &mut Outbox<K>) -> CoreStatus<K> {
+        self.broadcast(out, SelMsg::Finished { boundary });
         CoreStatus::Finished { boundary }
-    }
-
-    /// `[a, b)` index bounds of `(lo, hi]` within the sorted local keys.
-    fn range_bounds(&self, lo: &Option<K>, hi: &K) -> (usize, usize) {
-        let a = match lo {
-            None => 0,
-            Some(l) => self.local.partition_point(|x| *x <= *l),
-        };
-        let b = self.local.partition_point(|x| *x <= *hi);
-        (a, b.max(a))
     }
 }
 
@@ -400,12 +334,13 @@ mod tests {
 
     #[test]
     fn range_bounds_on_sorted_keys() {
-        let core = SelectCore::<u64>::new(1, 2, 0, 1, vec![10, 20, 30, 40]);
-        assert_eq!(core.range_bounds(&None, &40), (0, 4));
-        assert_eq!(core.range_bounds(&None, &25), (0, 2));
-        assert_eq!(core.range_bounds(&Some(10), &30), (1, 3));
-        assert_eq!(core.range_bounds(&Some(40), &40), (4, 4));
-        assert_eq!(core.range_bounds(&Some(5), &9), (0, 0));
+        let keys = [10u64, 20, 30, 40];
+        assert_eq!(range(&keys, None, Some(40)), 0..4);
+        assert_eq!(range(&keys, None, Some(25)), 0..2);
+        assert_eq!(range(&keys, Some(10), Some(30)), 1..3);
+        assert_eq!(range(&keys, Some(40), Some(40)), 4..4);
+        assert_eq!(range(&keys, Some(5), Some(9)), 0..0);
+        assert_eq!(range(&keys, Some(20), None), 2..4);
     }
 
     #[test]

@@ -20,9 +20,7 @@ impl<K: Key> Protocol for SelectCore<K> {
     fn on_round(&mut self, ctx: &mut Ctx<'_, SelMsg<K>>) -> Step<Vec<K>> {
         let mut status = CoreStatus::Running;
         if ctx.round() == 0 {
-            if ctx.id() == self.leader {
-                status = self.start(ctx.rng());
-            }
+            status = self.start(ctx.rng());
         } else {
             for env in ctx.inbox() {
                 let st = self.handle(env.src, &env.msg, ctx.rng());

@@ -40,9 +40,18 @@ impl<K: Key> Payload for SimpleMsg<K> {
     }
 }
 
+/// The leader's gather, which exists only on the leader.
+struct Gather<K: Key> {
+    /// Every candidate received so far, the leader's own included.
+    keys: Vec<K>,
+    /// Which machines have delivered their final chunk (`true` for the
+    /// leader itself). Per-sender — not a count — so an observably crashed
+    /// sender can be written off without hanging the gather.
+    finished: Vec<bool>,
+}
+
 /// Per-machine instance of the simple gather baseline.
 pub struct SimpleProtocol<K: Key> {
-    id: MachineId,
     leader: MachineId,
     ell: u64,
     /// Keys per [`SimpleMsg::Batch`]; pick
@@ -53,12 +62,8 @@ pub struct SimpleProtocol<K: Key> {
     candidates: Vec<K>,
     /// Round 0 has run.
     started: bool,
-    // Leader scratch.
-    gathered: Vec<K>,
-    /// Leader: which machines have delivered their final chunk (`true` for
-    /// the leader itself). Per-sender — not a count — so an observably
-    /// crashed sender can be written off without hanging the gather.
-    finished: Vec<bool>,
+    /// `Some` exactly on the leader.
+    gather: Option<Gather<K>>,
 }
 
 impl<K: Key> SimpleProtocol<K> {
@@ -73,16 +78,8 @@ impl<K: Key> SimpleProtocol<K> {
     ) -> Self {
         assert!(chunk >= 1, "chunk must be at least 1 key");
         super::debug_assert_candidates(&candidates, ell);
-        SimpleProtocol {
-            id,
-            leader,
-            ell,
-            chunk,
-            candidates,
-            started: false,
-            gathered: Vec::new(),
-            finished: Vec::new(),
-        }
+        let gather = (id == leader).then(|| Gather { keys: Vec::new(), finished: Vec::new() });
+        SimpleProtocol { leader, ell, chunk, candidates, started: false, gather }
     }
 }
 
@@ -103,10 +100,9 @@ impl<K: Key> Protocol for SimpleProtocol<K> {
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, SimpleMsg<K>>) -> Step<Vec<K>> {
-        debug_assert_eq!(ctx.id(), self.id, "protocol wired to the wrong machine");
-        if ctx.round() == 0 {
+        if !self.started {
             self.started = true;
-            if ctx.id() != self.leader {
+            let Some(g) = &mut self.gather else {
                 // Stream the whole local top-ℓ; the bandwidth-limited link
                 // delivers it over ⌈ℓ/chunk⌉ rounds.
                 if self.candidates.is_empty() {
@@ -123,54 +119,51 @@ impl<K: Key> Protocol for SimpleProtocol<K> {
                 }
                 // From here on a worker only reads the leader's boundary.
                 return Step::Wait;
-            }
+            };
             if ctx.k() == 1 {
                 return Step::Done(self.candidates.clone());
             }
-            self.gathered = self.candidates.clone();
-            self.finished = vec![false; ctx.k()];
-            self.finished[self.id] = true;
+            g.keys = self.candidates.clone();
+            g.finished = vec![false; ctx.k()];
+            g.finished[ctx.id()] = true;
             return Step::Continue;
         }
 
-        if ctx.id() == self.leader {
-            for env in ctx.inbox() {
-                let SimpleMsg::Batch { keys, last } = &env.msg else {
-                    panic!("leader received a non-batch message");
-                };
-                self.gathered.extend_from_slice(keys);
-                if *last {
-                    self.finished[env.src] = true;
+        for env in ctx.inbox() {
+            match (&env.msg, &mut self.gather) {
+                (SimpleMsg::Batch { keys, last }, Some(g)) => {
+                    g.keys.extend_from_slice(keys);
+                    g.finished[env.src] |= *last;
                 }
+                (&SimpleMsg::Boundary { boundary }, None) => {
+                    return Step::Done(super::at_or_below(&self.candidates, boundary))
+                }
+                (_, None) => unreachable!("a worker is sent only the boundary (see `protocols`)"),
+                (_, Some(_)) => unreachable!("the leader is sent only batches (see `protocols`)"),
             }
-            // A sender counts as finished once its final chunk arrived —
-            // or once it is observably crashed: a fail-stop machine will
-            // never complete its stream, so waiting would deadlock. Its
-            // in-flight chunks may still arrive after we finish; fail-stop
-            // recovery accepts that loss and the answer is flagged
-            // degraded by the runner.
-            let all_in = (0..ctx.k()).all(|s| self.finished[s] || ctx.crashed(s));
-            if all_in {
-                // All kℓ candidates are in: the ℓ-th smallest bounds the
-                // answer, and a linear-time selection finds it.
-                let boundary = if self.ell == 0 || self.gathered.is_empty() {
-                    None
-                } else {
-                    let at = (self.ell as usize).min(self.gathered.len()) - 1;
-                    Some(*self.gathered.select_nth_unstable(at).1)
-                };
-                ctx.broadcast(SimpleMsg::Boundary { boundary });
-                return Step::Done(super::at_or_below(&self.candidates, boundary));
-            }
+        }
+        let Some(g) = &mut self.gather else {
+            // A worker only reads the leader's boundary.
+            return Step::Wait;
+        };
+        // A sender counts as finished once its final chunk arrived — or
+        // once it is observably crashed: a fail-stop machine will never
+        // complete its stream, so waiting would deadlock. Its in-flight
+        // chunks may still arrive after we finish; fail-stop recovery
+        // accepts that loss and the answer is flagged degraded by the
+        // runner.
+        if !(0..ctx.k()).all(|s| g.finished[s] || ctx.crashed(s)) {
             // Not `Wait`: `ctx.crashed(s)` turns true with the round number,
-            // not with mail, so an empty inbox can still complete the gather.
+            // not with mail, so an empty inbox can still complete the
+            // gather.
             return Step::Continue;
         }
-
-        if let Some(SimpleMsg::Boundary { boundary }) = ctx.first_from(self.leader) {
-            return Step::Done(super::at_or_below(&self.candidates, *boundary));
-        }
-        Step::Wait
+        // All kℓ candidates are in: the ℓ-th smallest bounds the answer, and
+        // a linear-time selection finds it.
+        let answer = (self.ell as usize).min(g.keys.len());
+        let boundary = answer.checked_sub(1).map(|at| *g.keys.select_nth_unstable(at).1);
+        ctx.broadcast(SimpleMsg::Boundary { boundary });
+        Step::Done(super::at_or_below(&self.candidates, boundary))
     }
 }
 

@@ -277,7 +277,8 @@ pub(crate) fn elect(
 /// runs over `alive` only: machine `i` of that run works shard `alive[i]`.
 struct Survivors {
     alive: Vec<MachineId>,
-    leader: MachineId,
+    /// The leader's position in `alive`: its machine id within a run.
+    lead: usize,
     /// Machines of the [`RecoveryPlan`] that crashed and rejoined, in the
     /// order they did; always a subset of `alive`.
     rejoined: Vec<MachineId>,
@@ -290,22 +291,22 @@ impl Survivors {
         plan.rejoin_round(m) != u64::MAX && !self.rejoined.contains(&m)
     }
 
-    /// The leader's machine id within a run over `alive`.
-    fn sub_leader(&self) -> usize {
-        self.alive.iter().position(|&m| m == self.leader).expect("leader is alive")
+    /// The leader, by original id.
+    fn leader(&self) -> MachineId {
+        self.alive[self.lead]
     }
 
     /// Drop the crashed or quarantined machines `dead` (original ids, not
     /// all of `alive`). If the coordinator was among them, re-elect over
-    /// the survivors (fault-free, like every election) and keep the new
-    /// leader under its original id.
+    /// the survivors (fault-free, like every election).
     fn exclude(&mut self, dead: &[MachineId], opts: &QueryOptions) -> Result<(), CoreError> {
+        let leader = self.leader();
         self.alive.retain(|m| !dead.contains(m));
         self.rejoined.retain(|m| !dead.contains(m));
-        if !self.alive.contains(&self.leader) {
-            let (sub, _) = elect(self.alive.len(), opts)?;
-            self.leader = self.alive[sub];
-        }
+        self.lead = match self.alive.iter().position(|&m| m == leader) {
+            Some(lead) => lead,
+            None => elect(self.alive.len(), opts)?.0,
+        };
         Ok(())
     }
 }
@@ -471,19 +472,19 @@ impl Seating<'_> {
     /// pays once, stay empty. The batch's report is the final run's, with
     /// `attempts`, `recovered`, `recovery.rejoined` and `audit` totalled over
     /// the loop. Unmultiplexed, that finished report is the one query's
-    /// own — the paper's per-query account — and no batch report is
-    /// returned.
+    /// own — the paper's per-query account — which [`Self::serve_one`]
+    /// puts on its outcome.
     pub(crate) fn serve(
         &self,
         leader: MachineId,
         queries: usize,
         scan_sizes: Option<&[usize]>,
         top: impl Fn(MachineId, usize) -> Vec<DistKey> + Sync,
-    ) -> Result<(Vec<QueryOutcome>, Option<Report>), CoreError> {
+    ) -> Result<(Vec<QueryOutcome>, Report), CoreError> {
         let (k, ell, opts) = (self.k, self.ell, self.opts);
         debug_assert!(self.mux || queries == 1, "an unmultiplexed run answers one query");
         if queries == 0 {
-            return Ok((Vec::new(), Some(Report::healthy(RunMetrics::new(k), k, leader))));
+            return Ok((Vec::new(), Report::healthy(RunMetrics::new(k), k, leader)));
         }
         // Every attempt runs a projection of the plans, which silently drops
         // an entry for a machine outside the cluster: check them whole, once.
@@ -492,7 +493,8 @@ impl Seating<'_> {
             .with_adversary(opts.adversary.clone())
             .validate()?;
         opts.recovery.validate(k, &opts.faults)?;
-        let mut survivors = Survivors { alive: (0..k).collect(), leader, rejoined: Vec::new() };
+        let mut survivors =
+            Survivors { alive: (0..k).collect(), lead: leader, rejoined: Vec::new() };
         let (mut attempts, mut spent_rounds) = (1u32, 0u64);
         let mut audit = AuditMetrics::default();
         // Kept outcomes by original index, filled across runs.
@@ -593,17 +595,31 @@ impl Seating<'_> {
         report.recovery.rejoined = survivors.rejoined;
         report.recovery.rejoined.sort_unstable();
         report.audit = audit;
-        let mut outcomes: Vec<QueryOutcome> =
-            done.into_iter().map(|q| q.expect("every query answered")).collect();
-        if !self.mux {
-            outcomes[0].report = report;
-            return Ok((outcomes, None));
-        }
-        for outcome in &mut outcomes {
-            outcome.report.degraded = report.degraded;
-            outcome.report.shards_used = report.shards_used;
-        }
-        Ok((outcomes, Some(report)))
+        // The loop ends only once every query is kept.
+        let outcomes = done
+            .into_iter()
+            .filter_map(|outcome| {
+                let mut outcome = outcome?;
+                outcome.report.degraded = report.degraded;
+                outcome.report.shards_used = report.shards_used;
+                Some(outcome)
+            })
+            .collect();
+        Ok((outcomes, report))
+    }
+
+    /// [`Self::serve`] for one unmultiplexed query: its outcome, carrying
+    /// the run's finished report.
+    pub(crate) fn serve_one(
+        &self,
+        leader: MachineId,
+        scan_sizes: Option<&[usize]>,
+        top: impl Fn(MachineId) -> Vec<DistKey> + Sync,
+    ) -> Result<QueryOutcome, CoreError> {
+        let (mut outcomes, report) = self.serve(leader, 1, scan_sizes, |m, _| top(m))?;
+        let mut outcome = outcomes.pop().expect("`serve` returns one outcome per query");
+        outcome.report = report;
+        Ok(outcome)
     }
 
     /// The outcome of a kept `answer`, from the engine run over `alive`
@@ -716,7 +732,7 @@ impl Seating<'_> {
         Proto::Output: Into<Claim>,
     {
         let alive = &survivors.alive;
-        let leader = survivors.sub_leader();
+        let leader = survivors.lead;
         let coordinator = |j: usize| (leader + j) % alive.len();
         let queries = fed[0].len();
         let cfg = self.opts.subset_config(alive, &survivors.rejoined);
@@ -734,14 +750,16 @@ impl Seating<'_> {
             Answered { local_keys, stats, coordinator: alive[coordinator], done_round }
         };
         if !self.mux {
-            let protos = seats.map(|mut row| row.next().expect("one query, one cell")).collect();
+            // One query: every machine's row is its one instance.
+            let mut protos = Vec::with_capacity(alive.len());
+            protos.extend(seats.flatten());
             let out = run_sync(&cfg, protos)?;
-            let (outputs, report) = Report::from_run(out, self.k, survivors.leader);
+            let (outputs, report) = Report::from_run(out, self.k, survivors.leader());
             return Ok((vec![Some(read(0, outputs, report.metrics.rounds))], report));
         }
         let protos = seats.map(|row| MuxProtocol::new(row.collect())).collect();
         let out = run_sync(&cfg, protos)?;
-        let (mut outputs, report) = Report::from_run(out, self.k, survivors.leader);
+        let (mut outputs, report) = Report::from_run(out, self.k, survivors.leader());
         let answers = (0..queries)
             .map(|j| {
                 // A hole at the query's tag in any machine's mux output: a
@@ -793,10 +811,9 @@ pub fn run_query<P: Point>(
     let (leader, election_metrics) = elect(k, opts)?;
     let seating = Seating { kind: Some(algorithm), ell, opts, k, mux: false };
     let sizes: Vec<usize> = shards.iter().map(|shard| shard.records.len()).collect();
-    let (mut outcomes, _) = seating.serve(leader, 1, Some(&sizes), |m, _| {
+    let mut outcome = seating.serve_one(leader, Some(&sizes), |m| {
         brute_top(&shards[m].records, query, ell, opts.metric)
     })?;
-    let mut outcome = outcomes.pop().expect("one query, one outcome");
     outcome.report.election_metrics = election_metrics;
     Ok(outcome)
 }

@@ -153,42 +153,31 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
         ell: usize,
         kind: Option<Algorithm>,
     ) -> Result<QueryOutcome, CoreError> {
-        let (mut outcomes, _) = self.serve(std::slice::from_ref(query), ell, kind, false)?;
-        let mut outcome = outcomes.pop().expect("one query, one outcome");
+        check_shape(self.shards, query)?;
+        let seating = Seating { kind, ell, opts: &self.opts, k: self.shards.len(), mux: false };
+        let mut outcome = seating.serve_one(self.leader, None, |m| self.top(m, query, ell))?;
         outcome.report.election_metrics = self.election_metrics.clone();
         Ok(outcome)
     }
 
     /// Answer `queries` with protocol `kind` from the shard indices, under
-    /// the session leader, in one engine run per attempt, multiplexed when
-    /// `mux`. Recovery, audit and per-query re-planning are the serving
-    /// loop's ([`Seating::serve`]), the same one
-    /// [`crate::runner::run_query`] runs.
+    /// the session leader, in one multiplexed engine run per attempt: the
+    /// batch's outcomes and its report, with the session's election cost.
+    /// Recovery, audit and per-query re-planning are the serving loop's
+    /// ([`Seating::serve`]), the same one [`crate::runner::run_query`] runs.
     ///
     /// A query of the wrong [`knn_points::Point::shape`] refuses the whole
     /// call with [`CoreError::ShapeMismatch`] before any query runs.
-    fn serve(
-        &self,
-        queries: &[P],
-        ell: usize,
-        kind: Option<Algorithm>,
-        mux: bool,
-    ) -> Result<(Vec<QueryOutcome>, Option<Report>), CoreError> {
-        queries.iter().try_for_each(|q| check_shape(self.shards, q))?;
-        let seating = Seating { kind, ell, opts: &self.opts, k: self.shards.len(), mux };
-        seating.serve(self.leader, queries.len(), None, |m, j| self.top(m, &queries[j], ell))
-    }
-
-    /// [`Self::serve`] multiplexed: the batch's outcomes and its report,
-    /// with the session's election cost.
     fn serve_batch(
         &self,
         queries: &[P],
         ell: usize,
         kind: Option<Algorithm>,
     ) -> Result<BatchOutcome, CoreError> {
-        let (queries, report) = self.serve(queries, ell, kind, true)?;
-        let report = report.expect("a multiplexed run reports its batch");
+        queries.iter().try_for_each(|q| check_shape(self.shards, q))?;
+        let seating = Seating { kind, ell, opts: &self.opts, k: self.shards.len(), mux: true };
+        let (queries, report) = seating
+            .serve(self.leader, queries.len(), None, |m, j| self.top(m, &queries[j], ell))?;
         Ok(BatchOutcome {
             queries,
             report: Report { election_metrics: self.election_metrics.clone(), ..report },

@@ -4,12 +4,13 @@
 use knn_points::{PointId, Record, VecPoint};
 
 /// Bucket size B: a build splits every node of more than B points. Swept on
-/// one shard of the vector workloads' shape (the `kdtree-query-16d` bench
-/// group: 4,096 points of the 5-cluster 16-d mixture, ℓ = 10, 2-vCPU x86-64
-/// host), with `LEAF_MAX` = 2B: a query took 10.1 µs at B = 8, 8.5 at 16,
-/// 8.9 at 32, 7.2–8.5 at 64 and 10.0 at 128, against 45 µs for `brute_top`
-/// over the same shard. 64 was also the fastest end to end on
-/// `vector_exact_churn`, whose inserts fill leaves towards `LEAF_MAX`.
+/// the ledger's `kdtree.knn_us` row (one 16-d shard of the vector
+/// workloads' shape, 2^14 points, ℓ = 10; 2-vCPU x86-64 host; one ledger
+/// build per B, alternated, medians of 5–8 runs), with `LEAF_MAX` = 2B: a
+/// query took 41 µs at B = 16, 30 at 32, 29 at 64 and 28 at 128, the last
+/// two within the runs' spread. An earlier sweep on 4,096-point shards
+/// found 64 the fastest end to end on `vector_exact_churn`, whose inserts
+/// fill leaves towards `LEAF_MAX`.
 pub(crate) const B: usize = 64;
 
 /// An insert splits a leaf it takes past `LEAF_MAX` points. Twice B, so a

@@ -81,8 +81,9 @@ where
     }
 }
 
-/// Fault-free, then the last of `k` machines fail-stopping at every round
-/// of the run's opening — the sweep `session.rs` re-plans lost queries over.
+/// Fault-free, then the coordinator (machine 0, every seat's leader) and
+/// the last of `k` machines each fail-stopping at every round of the run's
+/// opening — the sweep `session.rs` re-plans lost queries over.
 fn sweep_crashes<P>(what: &str, k: usize, seat: impl Fn(usize, usize) -> P)
 where
     P: Protocol,
@@ -90,9 +91,11 @@ where
 {
     let cfg = NetConfig::new(k).with_seed(29);
     assert_wait_is_a_noop(&format!("{what} k = {k} fault-free"), &cfg, &seat);
-    for r in 0..24 {
-        let cfg = cfg.clone().with_faults(FaultPlan::default().with_crash(k - 1, r));
-        assert_wait_is_a_noop(&format!("{what} k = {k} crash@{r}"), &cfg, &seat);
+    for victim in [0, k - 1] {
+        for r in 0..24 {
+            let cfg = cfg.clone().with_faults(FaultPlan::default().with_crash(victim, r));
+            assert_wait_is_a_noop(&format!("{what} k = {k} crash {victim}@{r}"), &cfg, &seat);
+        }
     }
 }
 
